@@ -26,6 +26,11 @@ pub enum TrapKind {
     /// A `deopt` terminator reached in a tier with nothing to fall back to
     /// (the interpreter executing hand-written IR that contains one).
     Deopt,
+    /// A virtual call whose dynamic receiver has no implementation of the
+    /// selector: an array, or an object of a class that neither declares
+    /// nor inherits it (the verifier accepts a virtual call as soon as
+    /// *some* class declares the selector).
+    NoSuchMethod,
 }
 
 impl std::fmt::Display for TrapKind {
@@ -37,6 +42,7 @@ impl std::fmt::Display for TrapKind {
             TrapKind::CastFailed => write!(f, "checked cast failed"),
             TrapKind::NegativeLength => write!(f, "negative array length"),
             TrapKind::Deopt => write!(f, "deopt trap outside compiled code"),
+            TrapKind::NoSuchMethod => write!(f, "receiver does not implement the called method"),
         }
     }
 }

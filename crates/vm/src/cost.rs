@@ -111,7 +111,15 @@ impl CostModel {
     /// Full cost of executing `op` once in `tier`, given the currently
     /// installed code size in bytes.
     pub fn exec_cost(&self, op: &Op, tier: Tier, installed_bytes: u64) -> u64 {
-        let base = self.op_cost(op);
+        self.tier_cost(self.op_cost(op), tier, installed_bytes)
+    }
+
+    /// [`CostModel::exec_cost`] of an operation whose [`CostModel::op_cost`]
+    /// is `base`. Interpreted and unscaled compiled costs are linear in
+    /// `base`, so a sum of bases prices a whole run of instructions; the
+    /// i-cache-scaled cost rounds down per operation and is not.
+    #[inline]
+    pub fn tier_cost(&self, base: u64, tier: Tier, installed_bytes: u64) -> u64 {
         match tier {
             Tier::Interpreted => base + self.interp_dispatch,
             Tier::Compiled => {

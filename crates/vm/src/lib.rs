@@ -38,10 +38,13 @@ pub mod cost;
 pub mod faults;
 pub mod inliner;
 pub mod machine;
+mod method_map;
+mod plan;
 pub mod runner;
 pub mod server;
 pub mod snapshot;
 pub mod stats;
+mod store;
 pub mod trials;
 pub mod value;
 

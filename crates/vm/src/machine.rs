@@ -48,10 +48,9 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use incline_ir::eval::{self, TrapKind};
+use incline_ir::eval::TrapKind;
 use incline_ir::graph::{CallTarget, DeoptReason, Op, Terminator};
-use incline_ir::loops::LoopForest;
-use incline_ir::{BlockId, CmpOp, Graph, MethodId, Program, ValueId};
+use incline_ir::{ClassId, Graph, InstId, MethodId, Program, SelectorId};
 use incline_profile::{MethodProfile, ProfileTable};
 use incline_trace::{BailoutStage, CodeTier, CompileEvent, NullSink, TraceSink};
 
@@ -62,10 +61,13 @@ use crate::cache::{self, CacheEntry, CacheStats, EvictionPolicy};
 use crate::cost::{CostModel, Tier};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::inliner::{CompileError, InlineStats, Inliner, Speculation};
+use crate::method_map::MethodMap;
+use crate::plan::{ExecPlan, PlannedGraph};
 use crate::snapshot::{
     self, DecisionRecord, MergePolicy, ReplayMode, Snapshot, SnapshotError, SnapshotStats,
 };
-use crate::value::{Heap, HeapCell, HeapRef, Output, Value};
+use crate::store::{reg, Store};
+use crate::value::{Output, Value};
 
 /// VM configuration.
 #[derive(Clone, Copy, Debug)]
@@ -557,7 +559,9 @@ impl RunOutcome {
 }
 
 struct CompiledMethod {
-    graph: Arc<Graph>,
+    /// The installed graph with its execution plan. Shared, so a live
+    /// activation keeps executing its code safely after an invalidation.
+    code: Arc<PlannedGraph>,
     /// Modeled code size; released back to `installed_bytes` on invalidation.
     bytes: u64,
     /// Whether the graph contains a `deopt` terminator, i.e. whether its
@@ -620,30 +624,6 @@ struct CacheState {
     base_backedges: u64,
 }
 
-/// One undo entry in the deoptimization write journal.
-enum JournalEntry {
-    /// `fields[offset]` of object `r` held `old` before the write.
-    Field {
-        r: HeapRef,
-        offset: usize,
-        old: Value,
-    },
-    /// `data[index]` of array `r` held `old` before the write.
-    Array {
-        r: HeapRef,
-        index: usize,
-        old: Value,
-    },
-}
-
-/// Observable-state watermark taken at the entry of a deopt-capable
-/// compiled activation; [`Machine::rollback`] rewinds to it.
-struct Savepoint {
-    heap_len: usize,
-    output_len: usize,
-    journal_len: usize,
-}
-
 /// How a graph activation left `exec_graph`.
 enum Flow {
     /// Normal return.
@@ -657,9 +637,9 @@ enum CompiledExit {
     /// Normal return.
     Returned(Option<Value>),
     /// The activation deoptimized: its effects are rolled back and its
-    /// code invalidated. Carries the original arguments so the caller can
-    /// replay the activation interpreted.
-    Deoptimized(Vec<Value>),
+    /// code invalidated. Its arguments are still on the register stack, so
+    /// the caller can replay the activation interpreted.
+    Deoptimized,
 }
 
 /// The virtual machine.
@@ -668,12 +648,14 @@ pub struct Machine<'p> {
     inliner: Box<dyn Inliner + 'p>,
     config: VmConfig,
     profiles: ProfileTable,
-    code: HashMap<MethodId, CompiledMethod>,
-    back_edges: HashMap<MethodId, HashSet<(BlockId, BlockId)>>,
+    code: MethodMap<CompiledMethod>,
+    /// Execution plans of source graphs, built on a method's first
+    /// interpreted activation.
+    source_plans: MethodMap<Arc<ExecPlan>>,
     installed_bytes: u64,
     compilations: u64,
     // Fault containment.
-    blacklist: HashSet<MethodId>,
+    blacklist: MethodMap<()>,
     bailouts: BailoutCounters,
     bailout_log: Vec<BailoutRecord>,
     fault_plan: FaultPlan,
@@ -681,7 +663,7 @@ pub struct Machine<'p> {
     trace: Arc<dyn TraceSink + 'p>,
     // Background compilation.
     queue: CompileQueue,
-    in_flight: HashSet<MethodId>,
+    in_flight: MethodMap<()>,
     /// Virtual-time broker model: the cycle at which each worker in the
     /// pool finishes its last assigned request. Indexed 0..compile_threads
     /// (one slot for the synchronous broker).
@@ -690,23 +672,31 @@ pub struct Machine<'p> {
     /// `vbase + exec_cycles + run_stall_cycles`.
     vbase: u64,
     // Deoptimization.
-    spec: HashMap<MethodId, SpecState>,
-    journal: Vec<JournalEntry>,
-    journal_scopes: u32,
+    spec: MethodMap<SpecState>,
     // Bounded code cache.
     /// Monotone use tick: bumped on every compiled activation entry and at
     /// each admission decision. Drives LRU recency, decay idle times and
     /// the aging window. Not observable at `code_cache_budget == 0`.
     use_seq: u64,
     cache: CacheStats,
-    cache_state: HashMap<MethodId, CacheState>,
+    cache_state: MethodMap<CacheState>,
     /// Live compiled activations per method. A method with a live compiled
     /// frame is never an eviction victim — installs at inner safepoints
     /// must not pull code out from under an executing activation.
-    live_compiled: HashMap<MethodId, u32>,
+    live_compiled: MethodMap<u32>,
     // Per-run state.
-    heap: Heap,
-    output: Output,
+    store: Store,
+    /// The register stack: every live activation's frame, one slot per
+    /// SSA value of its graph, preceded by the arguments its caller
+    /// pushed. Reused across calls and runs.
+    stack: Vec<Option<Value>>,
+    /// Values in flight along a CFG edge (all read before any is written:
+    /// a block may pass its own parameters permuted).
+    edge_scratch: Vec<Value>,
+    /// Memo of [`Program::resolve`], `[class][selector]`: the outer option
+    /// is "looked up yet", the inner one the lookup's answer. Rows exist
+    /// only for classes that were a receiver.
+    dispatch: Vec<Vec<Option<Option<MethodId>>>>,
     exec_cycles: u64,
     run_compile_cycles: u64,
     run_stall_cycles: u64,
@@ -755,29 +745,29 @@ impl<'p> Machine<'p> {
             inliner,
             config,
             profiles: ProfileTable::new(),
-            code: HashMap::new(),
-            back_edges: HashMap::new(),
+            code: MethodMap::default(),
+            source_plans: MethodMap::default(),
             installed_bytes: 0,
             compilations: 0,
-            blacklist: HashSet::new(),
+            blacklist: MethodMap::default(),
             bailouts: BailoutCounters::default(),
             bailout_log: Vec::new(),
             fault_plan: FaultPlan::new(),
             compile_requests: 0,
             trace: Arc::new(NullSink),
             queue: CompileQueue::default(),
-            in_flight: HashSet::new(),
+            in_flight: MethodMap::default(),
             worker_free: vec![0; config.compile_threads.max(1)],
             vbase: 0,
-            spec: HashMap::new(),
-            journal: Vec::new(),
-            journal_scopes: 0,
+            spec: MethodMap::default(),
             use_seq: 0,
             cache: CacheStats::default(),
-            cache_state: HashMap::new(),
-            live_compiled: HashMap::new(),
-            heap: Heap::new(),
-            output: Output::new(),
+            cache_state: MethodMap::default(),
+            live_compiled: MethodMap::default(),
+            store: Store::default(),
+            stack: Vec::new(),
+            edge_scratch: Vec::new(),
+            dispatch: Vec::new(),
             exec_cycles: 0,
             run_compile_cycles: 0,
             run_stall_cycles: 0,
@@ -807,25 +797,27 @@ impl<'p> Machine<'p> {
     ///
     /// Returns [`ExecError`] on traps, stack overflow or fuel exhaustion.
     pub fn run(&mut self, entry: MethodId, args: Vec<Value>) -> Result<RunOutcome, ExecError> {
-        self.heap = Heap::new();
-        self.output = Output::new();
+        self.store.reset();
         self.exec_cycles = 0;
         self.run_compile_cycles = 0;
         self.run_stall_cycles = 0;
         self.steps = 0;
-        self.journal.clear();
-        self.journal_scopes = 0;
         // Run entry is a safepoint: requests still in flight from the
         // previous run (pipelined mode) install before execution starts.
         self.drain_compile_queue();
-        let value = self.exec_method(entry, args, 0)?;
+        // A run that ended in an error left its frames behind.
+        self.stack.clear();
+        let argc = args.len();
+        self.stack.extend(args.into_iter().map(Some));
+        let value = self.exec_method(entry, argc, 0)?;
+        self.stack.clear();
         self.vbase += self.exec_cycles + self.run_stall_cycles;
         Ok(RunOutcome {
             value,
             exec_cycles: self.exec_cycles,
             compile_cycles: self.run_compile_cycles,
             stall_cycles: self.run_stall_cycles,
-            output: std::mem::take(&mut self.output),
+            output: std::mem::take(&mut self.store.output),
         })
     }
 
@@ -881,14 +873,12 @@ impl<'p> Machine<'p> {
 
     /// Which methods are currently compiled.
     pub fn compiled_methods(&self) -> Vec<MethodId> {
-        let mut v: Vec<MethodId> = self.code.keys().copied().collect();
-        v.sort();
-        v
+        self.code.keys().collect()
     }
 
     /// The installed graph of a compiled method, if any.
     pub fn compiled_graph(&self, m: MethodId) -> Option<&Graph> {
-        self.code.get(&m).map(|cm| &*cm.graph)
+        self.code.get(m).map(|cm| &cm.code.graph)
     }
 
     /// Per-compilation inliner statistics, in compilation order.
@@ -915,21 +905,16 @@ impl<'p> Machine<'p> {
 
     /// Methods permanently pinned to the interpreter, sorted.
     pub fn blacklisted_methods(&self) -> Vec<MethodId> {
-        let mut v: Vec<MethodId> = self.blacklist.iter().copied().collect();
-        v.sort();
-        v
+        self.blacklist.keys().collect()
     }
 
     /// Methods pinned to fallback-only code by the storm throttle, sorted.
     pub fn pinned_methods(&self) -> Vec<MethodId> {
-        let mut v: Vec<MethodId> = self
-            .spec
+        self.spec
             .iter()
             .filter(|(_, s)| s.pinned)
-            .map(|(&m, _)| m)
-            .collect();
-        v.sort();
-        v
+            .map(|(m, _)| m)
+            .collect()
     }
 
     /// Number of compilation requests the broker has handled (each request
@@ -1060,13 +1045,15 @@ impl<'p> Machine<'p> {
         let expected = snapshot::fingerprint(self.program);
         let mut usable: Vec<Snapshot> = Vec::new();
         for r in replicas {
-            if r.fingerprint == expected {
-                usable.push(r.clone());
-            } else {
+            if r.fingerprint != expected {
                 self.note_snapshot_fallback(&format!(
                     "stale replica: program fingerprint {:016x} expected {:016x}",
                     r.fingerprint, expected
                 ));
+            } else if let Err(e) = r.check_indices(self.program) {
+                self.note_snapshot_fallback(&e.to_string());
+            } else {
+                usable.push(r.clone());
             }
         }
         if usable.is_empty() {
@@ -1123,7 +1110,9 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// [`SnapshotError::StaleProgram`] when the fingerprint does not match
-    /// the running program; profiles are untouched in that case.
+    /// the running program, [`SnapshotError::Corrupt`] when a profile
+    /// record names a method, block, callsite or class the program does
+    /// not have; profiles are untouched in both cases.
     pub fn apply_snapshot(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let expected = snapshot::fingerprint(self.program);
         if snap.fingerprint != expected {
@@ -1132,6 +1121,7 @@ impl<'p> Machine<'p> {
                 found: snap.fingerprint,
             });
         }
+        snap.check_indices(self.program)?;
         let table = snap.profile_table();
         self.snapshot_stats.seeded_methods += table.len() as u64;
         // Remember each method's seeded contribution so the quarantine
@@ -1169,7 +1159,7 @@ impl<'p> Machine<'p> {
             // stall accounting is identical across worker-pool sizes.
             self.replay_active = true;
             for m in decided {
-                if self.code.contains_key(&m) || self.blacklist.contains(&m) {
+                if self.code.contains(m) || self.blacklist.contains(m) {
                     continue;
                 }
                 if self.compile(m) {
@@ -1222,10 +1212,10 @@ impl<'p> Machine<'p> {
     /// Drains the whole queue, so any pipelined in-flight requests install
     /// here too.
     pub fn compile_now(&mut self, method: MethodId) -> bool {
-        if self.code.contains_key(&method) {
+        if self.code.contains(method) {
             return true;
         }
-        if self.blacklist.contains(&method) {
+        if self.blacklist.contains(method) {
             return false;
         }
         self.compile(method)
@@ -1246,9 +1236,9 @@ impl<'p> Machine<'p> {
     /// fuel, fault and speculation; in [`InstallPolicy::Safepoint`] mode it
     /// also snapshots the profile table.
     pub fn enqueue_compile(&mut self, method: MethodId) -> bool {
-        if self.code.contains_key(&method)
-            || self.blacklist.contains(&method)
-            || self.in_flight.contains(&method)
+        if self.code.contains(method)
+            || self.blacklist.contains(method)
+            || self.in_flight.contains(method)
         {
             return false;
         }
@@ -1264,10 +1254,10 @@ impl<'p> Machine<'p> {
         if self.config.deopt {
             let pin_now = self
                 .spec
-                .get(&method)
+                .get(method)
                 .is_some_and(|s| !s.pinned && s.recompiles >= self.config.max_recompiles);
             if pin_now {
-                self.spec.get_mut(&method).expect("just probed").pinned = true;
+                self.spec.get_mut(method).expect("just probed").pinned = true;
                 self.bailouts.pinned += 1;
                 self.emit(|| CompileEvent::SpeculationPinned { method });
             }
@@ -1288,7 +1278,7 @@ impl<'p> Machine<'p> {
             profiles,
             enqueued_at: self.vnow(),
         });
-        self.in_flight.insert(method);
+        self.in_flight.insert(method, ());
         true
     }
 
@@ -1323,7 +1313,7 @@ impl<'p> Machine<'p> {
         let inv = self.profiles.invocations(method);
         let be = self.profiles.backedges(method);
         let hotness = inv + be / 4;
-        let spec_ok = match self.spec.get(&method) {
+        let spec_ok = match self.spec.get(method) {
             // A previously invalidated method re-promotes on *fresh* profile
             // data only, against an exponentially backed-off bar — a method
             // that keeps deoptimizing has to prove itself harder each time
@@ -1344,7 +1334,7 @@ impl<'p> Machine<'p> {
         // the eviction-time baseline at the plain threshold — while each
         // admission deferral doubles the bar, throttling a method the
         // cache keeps refusing.
-        match self.cache_state.get(&method) {
+        match self.cache_state.get(method) {
             Some(c) => {
                 let base = c.base_invocations + c.base_backedges / 4;
                 hotness.saturating_sub(base) >= self.readmission_bar(c.deferrals)
@@ -1384,15 +1374,15 @@ impl<'p> Machine<'p> {
     /// method is blacklisted and will never be attempted again.
     fn compile(&mut self, method: MethodId) -> bool {
         if !self.enqueue_compile(method) {
-            return self.code.contains_key(&method);
+            return self.code.contains(method);
         }
         self.drain_compile_queue();
-        self.code.contains_key(&method)
+        self.code.contains(method)
     }
 
     /// The speculation policy handed to a compilation of `method`.
     fn speculation_for(&self, method: MethodId) -> Speculation {
-        let pinned = self.spec.get(&method).is_some_and(|s| s.pinned);
+        let pinned = self.spec.get(method).is_some_and(|s| s.pinned);
         Speculation {
             allow_deopt: self.config.deopt && !pinned,
             confidence: self.config.deopt_confidence,
@@ -1446,7 +1436,7 @@ impl<'p> Machine<'p> {
     /// buffered trace events in order, records failed-rung bailouts, then
     /// installs the surviving package or blacklists the method.
     fn apply_response(&mut self, resp: CompileResponse) {
-        self.in_flight.remove(&resp.method);
+        self.in_flight.remove(resp.method);
         let method = resp.method;
         if self.trace.enabled() {
             for event in resp.events {
@@ -1470,7 +1460,7 @@ impl<'p> Machine<'p> {
             }
             None => {
                 self.queue.note_completed(false);
-                self.blacklist.insert(method);
+                self.blacklist.insert(method, ());
                 self.bailouts.blacklisted += 1;
                 self.emit(|| CompileEvent::TierTransition {
                     method,
@@ -1500,7 +1490,7 @@ impl<'p> Machine<'p> {
         fault: Option<FaultKind>,
     ) -> bool {
         debug_assert!(
-            !self.code.contains_key(&method),
+            !self.code.contains(method),
             "double-install of {method:?}: the in-flight guard should make this impossible"
         );
         // Defensive in release builds: any stale code is funneled through
@@ -1558,7 +1548,7 @@ impl<'p> Machine<'p> {
             speculative_sites: stats.speculative_sites,
         });
         self.decision_replayed.push(self.replay_active);
-        let pinned = self.spec.get(&method).is_some_and(|s| s.pinned);
+        let pinned = self.spec.get(method).is_some_and(|s| s.pinned);
         let has_deopt = graph_has_deopt(&graph);
         let has_virtual = graph_has_virtual_call(&graph);
         // Snapshot poison (quarantine ladder): a replayed install targeted
@@ -1577,7 +1567,7 @@ impl<'p> Machine<'p> {
         self.code.insert(
             method,
             CompiledMethod {
-                graph: Arc::new(graph),
+                code: Arc::new(PlannedGraph::compiled(graph, &self.config.cost)),
                 bytes,
                 has_deopt,
                 drift_armed,
@@ -1602,7 +1592,7 @@ impl<'p> Machine<'p> {
         });
         // A successful install clears the admission backoff, and a method
         // with eviction history has observably re-tiered.
-        if let Some(c) = self.cache_state.get_mut(&method) {
+        if let Some(c) = self.cache_state.get_mut(method) {
             c.deferrals = 0;
             if c.evictions > 0 {
                 let evictions = c.evictions;
@@ -1612,9 +1602,9 @@ impl<'p> Machine<'p> {
         }
         // Every install after an invalidation is a recompilation against
         // the merged profile; the bar it cleared is recorded for tooling.
-        if self.config.deopt && self.spec.contains_key(&method) {
+        if self.config.deopt && self.spec.contains(method) {
             let bar = {
-                let s = self.spec.get_mut(&method).expect("just probed");
+                let s = self.spec.get_mut(method).expect("just probed");
                 let bar = s.recompiles;
                 s.recompiles += 1;
                 bar
@@ -1650,7 +1640,7 @@ impl<'p> Machine<'p> {
     /// first — outer activations keep executing their `Arc` of the old
     /// graph safely).
     fn invalidate(&mut self, method: MethodId) {
-        let Some(cm) = self.code.remove(&method) else {
+        let Some(cm) = self.code.remove(method) else {
             return;
         };
         // The replayed code is gone; whatever installs next was decided
@@ -1660,7 +1650,7 @@ impl<'p> Machine<'p> {
         self.bailouts.invalidations += 1;
         let inv = self.profiles.invocations(method);
         let be = self.profiles.backedges(method);
-        let s = self.spec.entry(method).or_default();
+        let s = self.spec.get_or_default(method);
         s.base_invocations = inv;
         s.base_backedges = be;
         let recompiles = s.recompiles;
@@ -1737,8 +1727,8 @@ impl<'p> Machine<'p> {
         let entries: Vec<CacheEntry> = self
             .code
             .iter()
-            .filter(|&(&m, _)| m != method && self.evictable(m))
-            .map(|(&m, cm)| CacheEntry {
+            .filter(|&(m, _)| m != method && self.evictable(m))
+            .map(|(m, cm)| CacheEntry {
                 method: m,
                 last_used: cm.last_used,
                 uses: cm.invocations,
@@ -1788,7 +1778,7 @@ impl<'p> Machine<'p> {
     /// invalidation counters are untouched, so eviction never burns a
     /// recompile attempt.
     fn evict(&mut self, method: MethodId, policy: &'static str, forced: bool) {
-        let Some(cm) = self.code.remove(&method) else {
+        let Some(cm) = self.code.remove(method) else {
             return;
         };
         // Evicted replayed code ends its probation like any other exit.
@@ -1800,7 +1790,7 @@ impl<'p> Machine<'p> {
         }
         let inv = self.profiles.invocations(method);
         let be = self.profiles.backedges(method);
-        let c = self.cache_state.entry(method).or_default();
+        let c = self.cache_state.get_or_default(method);
         c.evictions += 1;
         c.base_invocations = inv;
         c.base_backedges = be;
@@ -1826,7 +1816,7 @@ impl<'p> Machine<'p> {
         self.cache.admission_rejections += 1;
         let inv = self.profiles.invocations(method);
         let be = self.profiles.backedges(method);
-        let c = self.cache_state.entry(method).or_default();
+        let c = self.cache_state.get_or_default(method);
         c.deferrals = c.deferrals.saturating_add(1);
         c.base_invocations = inv;
         c.base_backedges = be;
@@ -1867,18 +1857,17 @@ impl<'p> Machine<'p> {
         if window == 0 {
             return;
         }
-        let mut newly_aged: Vec<(MethodId, u64)> = self
+        let newly_aged: Vec<(MethodId, u64)> = self
             .code
             .iter()
             .filter(|(_, cm)| !cm.aged)
-            .filter_map(|(&m, cm)| {
+            .filter_map(|(m, cm)| {
                 let idle = self.use_seq.saturating_sub(cm.last_used);
                 (idle >= window).then_some((m, idle))
             })
             .collect();
-        newly_aged.sort();
         for (m, idle) in newly_aged {
-            if let Some(cm) = self.code.get_mut(&m) {
+            if let Some(cm) = self.code.get_mut(m) {
                 cm.aged = true;
             }
             self.cache.aged += 1;
@@ -1891,24 +1880,21 @@ impl<'p> Machine<'p> {
     /// the recompile storm the pin closed), and a method with a live
     /// compiled activation on the stack is untouchable mid-flight.
     fn evictable(&self, method: MethodId) -> bool {
-        !self.spec.get(&method).is_some_and(|s| s.pinned)
-            && self.live_compiled.get(&method).copied().unwrap_or(0) == 0
+        !self.spec.get(method).is_some_and(|s| s.pinned)
+            && self.live_compiled.get(method).copied().unwrap_or(0) == 0
     }
 
     /// Brackets a compiled activation for the eviction guard.
     fn note_compiled_entry(&mut self, method: MethodId) {
-        *self.live_compiled.entry(method).or_insert(0) += 1;
+        *self.live_compiled.get_or_default(method) += 1;
     }
 
     fn note_compiled_exit(&mut self, method: MethodId) {
-        let Some(n) = self.live_compiled.get_mut(&method) else {
+        let Some(n) = self.live_compiled.get_mut(method) else {
             debug_assert!(false, "compiled-frame exit without a matching entry");
             return;
         };
         *n -= 1;
-        if *n == 0 {
-            self.live_compiled.remove(&method);
-        }
     }
 
     /// Whether the drift monitor wants to invalidate `method` before its
@@ -1918,7 +1904,7 @@ impl<'p> Machine<'p> {
         if !self.config.deopt {
             return false;
         }
-        let Some(cm) = self.code.get(&method) else {
+        let Some(cm) = self.code.get(method) else {
             return false;
         };
         if !cm.drift_armed || cm.invocations < self.config.drift_min_samples {
@@ -1930,26 +1916,49 @@ impl<'p> Machine<'p> {
         cm.virtual_dispatches as f64 > self.config.drift_rate * cm.invocations as f64
     }
 
-    fn back_edge_set(&mut self, method: MethodId) -> HashSet<(BlockId, BlockId)> {
-        if let Some(s) = self.back_edges.get(&method) {
-            return s.clone();
+    /// [`Program::resolve`], memoized: the program's method tables are
+    /// hash maps walked up the class chain, too slow for every dispatch.
+    #[inline]
+    fn resolve(&mut self, class: ClassId, sel: SelectorId) -> Option<MethodId> {
+        let known = self.dispatch.get(class.index());
+        if let Some(Some(target)) = known.and_then(|row| row.get(sel.index())) {
+            return *target;
         }
-        let graph = &self.program.method(method).graph;
-        let forest = LoopForest::compute(graph);
-        let mut set = HashSet::new();
-        for l in &forest.loops {
-            for &tail in &l.back_edges {
-                set.insert((tail, l.header));
-            }
-        }
-        self.back_edges.insert(method, set.clone());
-        set
+        self.resolve_uncached(class, sel)
     }
 
+    #[cold]
+    fn resolve_uncached(&mut self, class: ClassId, sel: SelectorId) -> Option<MethodId> {
+        let target = self.program.resolve(class, sel);
+        if self.dispatch.len() <= class.index() {
+            self.dispatch.resize_with(class.index() + 1, Vec::new);
+        }
+        let row = &mut self.dispatch[class.index()];
+        if row.len() <= sel.index() {
+            row.resize(sel.index() + 1, None);
+        }
+        row[sel.index()] = Some(target);
+        target
+    }
+
+    /// The execution plan of `method`'s source graph, built on first use.
+    #[inline]
+    fn source_plan(&mut self, method: MethodId) -> Arc<ExecPlan> {
+        if let Some(plan) = self.source_plans.get(method) {
+            return Arc::clone(plan);
+        }
+        let graph = &self.program.method(method).graph;
+        let plan = Arc::new(ExecPlan::build(graph, &self.config.cost, true));
+        self.source_plans.insert(method, Arc::clone(&plan));
+        plan
+    }
+
+    /// Runs one activation of `method`, whose `argc` arguments the caller
+    /// pushed on top of the register stack; they are still there on return.
     fn exec_method(
         &mut self,
         method: MethodId,
-        args: Vec<Value>,
+        argc: usize,
         depth: usize,
     ) -> Result<Option<Value>, ExecError> {
         if depth > self.config.max_depth {
@@ -1958,25 +1967,25 @@ impl<'p> Machine<'p> {
         // Activation entry is a safepoint: a method with a request in
         // flight installs (or blacklists) here, so pipelined compilation
         // tiers up on the next invocation after completion.
-        if !self.in_flight.is_empty() && self.in_flight.contains(&method) {
+        if !self.in_flight.is_empty() && self.in_flight.contains(method) {
             self.drain_compile_queue();
         }
-        if self.code.contains_key(&method) {
-            return match self.exec_compiled(method, args, depth)? {
+        if self.code.contains(method) {
+            return match self.exec_compiled(method, argc, depth)? {
                 CompiledExit::Returned(v) => Ok(v),
                 // The activation deoptimized: effects rolled back, code
                 // invalidated. Replay it interpreted — profiling resumes
                 // and, once the backed-off bar clears, the broker
                 // recompiles from the merged profile.
-                CompiledExit::Deoptimized(args) => self.exec_interpreted(method, args, depth),
+                CompiledExit::Deoptimized => self.exec_interpreted(method, argc, depth),
             };
         }
         // Interpreted activation: profile and maybe promote. Blacklisted
         // methods are never re-attempted — they stay interpreted for good.
         self.profiles.record_invocation(method);
         if self.config.jit
-            && !self.blacklist.contains(&method)
-            && !self.in_flight.contains(&method)
+            && !self.blacklist.contains(method)
+            && !self.in_flight.contains(method)
             && self.hot(method)
         {
             match self.config.install_policy {
@@ -1984,11 +1993,9 @@ impl<'p> Machine<'p> {
                 // code immediately — the classic synchronous behavior.
                 InstallPolicy::Barrier => {
                     if self.compile(method) {
-                        return match self.exec_compiled(method, args, depth)? {
+                        return match self.exec_compiled(method, argc, depth)? {
                             CompiledExit::Returned(v) => Ok(v),
-                            CompiledExit::Deoptimized(args) => {
-                                self.exec_interpreted(method, args, depth)
-                            }
+                            CompiledExit::Deoptimized => self.exec_interpreted(method, argc, depth),
                         };
                     }
                 }
@@ -2000,24 +2007,25 @@ impl<'p> Machine<'p> {
                 }
             }
         }
-        self.exec_interpreted(method, args, depth)
+        self.exec_interpreted(method, argc, depth)
     }
 
     /// Runs one interpreted (profiling) activation of `method`.
     ///
-    /// Inlined into `exec_method` so guest recursion costs the same number
-    /// of host frames as before the deoptimization split (the stack-depth
+    /// Inlined into `exec_method` so guest recursion costs two host frames
+    /// per guest call, `exec_method` and `exec_graph` (the stack-depth
     /// budget in `VmConfig::max_depth` is calibrated to that).
     #[inline(always)]
     fn exec_interpreted(
         &mut self,
         method: MethodId,
-        args: Vec<Value>,
+        argc: usize,
         depth: usize,
     ) -> Result<Option<Value>, ExecError> {
         let program = self.program;
         let graph = &program.method(method).graph;
-        match self.exec_graph(method, graph, Tier::Interpreted, args, depth)? {
+        let plan = self.source_plan(method);
+        match self.exec_graph(method, graph, &plan, Tier::Interpreted, argc, depth)? {
             Flow::Return(v) => Ok(v),
             Flow::Deopt(_) => unreachable!("the interpreted tier traps on deopt terminators"),
         }
@@ -2033,14 +2041,14 @@ impl<'p> Machine<'p> {
     fn exec_compiled(
         &mut self,
         method: MethodId,
-        args: Vec<Value>,
+        argc: usize,
         depth: usize,
     ) -> Result<CompiledExit, ExecError> {
         // Drift monitor: evaluated between activations, so tiering down
         // needs no state transfer — the next activation simply starts
         // interpreted on a fresh frame.
         if self.drift_tripped(method) {
-            return Ok(self.deoptimize(method, "drift", args));
+            return Ok(self.deoptimize(method, "drift"));
         }
         // Every compiled activation is a use tick for the eviction clock:
         // recency feeds LRU and the decay policy, and any activation
@@ -2049,30 +2057,18 @@ impl<'p> Machine<'p> {
         let now = self.use_seq;
         let cm = self
             .code
-            .get_mut(&method)
+            .get_mut(method)
             .expect("caller checked code presence");
         cm.invocations += 1;
         cm.last_used = now;
         cm.aged = false;
         let force_deopt = cm.force_deopt;
         let deoptable = cm.has_deopt;
-        let graph = Arc::clone(&cm.graph);
+        let code = Arc::clone(&cm.code);
         if force_deopt {
             // Injected uncommon trap at entry: no effects yet, nothing to
             // roll back. One-shot by construction — the code is gone.
-            return Ok(self.deoptimize(method, "injected", args));
-        }
-        if !deoptable {
-            // The live-activation guard makes the method unevictable while
-            // its compiled frame is on the stack (an install in a callee
-            // could otherwise tear code out from under us mid-activation).
-            self.note_compiled_entry(method);
-            let flow = self.exec_graph(method, &graph, Tier::Compiled, args, depth);
-            self.note_compiled_exit(method);
-            return match flow? {
-                Flow::Return(v) => Ok(CompiledExit::Returned(v)),
-                Flow::Deopt(_) => unreachable!("graph without deopt terminators cannot deopt"),
-            };
+            return Ok(self.deoptimize(method, "injected"));
         }
         // Transactional activation: while any deopt-capable compiled frame
         // is live, every heap write (in any tier, including interpreted
@@ -2080,34 +2076,22 @@ impl<'p> Machine<'p> {
         // observable effects to this entry point. Deterministic execution
         // then makes the interpreted replay observably identical up to the
         // trap, so the mid-call tier transfer is exact.
-        let save = Savepoint {
-            heap_len: self.heap.len(),
-            output_len: self.output.len(),
-            journal_len: self.journal.len(),
-        };
-        self.journal_scopes += 1;
+        let save = deoptable.then(|| self.store.begin_scope());
+        // The live-activation guard makes the method unevictable while
+        // its compiled frame is on the stack (an install in a callee
+        // could otherwise tear code out from under us mid-activation).
         self.note_compiled_entry(method);
-        let flow = self.exec_graph(method, &graph, Tier::Compiled, args.clone(), depth);
+        let flow = self.exec_graph(method, &code.graph, &code.plan, Tier::Compiled, argc, depth);
         self.note_compiled_exit(method);
-        self.journal_scopes -= 1;
-        match flow {
-            Ok(Flow::Return(v)) => {
-                if self.journal_scopes == 0 {
-                    // Outermost transactional frame committed: its effects
-                    // are final, drop the undo log.
-                    self.journal.clear();
-                }
-                Ok(CompiledExit::Returned(v))
-            }
-            Ok(Flow::Deopt(reason)) => {
-                self.rollback(&save);
-                Ok(self.deoptimize(method, reason.label(), args))
-            }
-            Err(e) => {
-                if self.journal_scopes == 0 {
-                    self.journal.clear();
-                }
-                Err(e)
+        if let Some(save) = &save {
+            self.store
+                .end_scope(save, !matches!(flow, Ok(Flow::Deopt(_))));
+        }
+        match flow? {
+            Flow::Return(v) => Ok(CompiledExit::Returned(v)),
+            Flow::Deopt(reason) => {
+                debug_assert!(deoptable, "graph without deopt terminators cannot deopt");
+                Ok(self.deoptimize(method, reason.label()))
             }
         }
     }
@@ -2116,7 +2100,7 @@ impl<'p> Machine<'p> {
     /// and the profiled-invocation record for the interpreted replay. A
     /// deopt inside a replayed decision's probation window takes the
     /// quarantine path instead of the speculation path.
-    fn deoptimize(&mut self, method: MethodId, reason: &str, args: Vec<Value>) -> CompiledExit {
+    fn deoptimize(&mut self, method: MethodId, reason: &str) -> CompiledExit {
         self.bailouts.deopts += 1;
         self.emit(|| CompileEvent::Deoptimized {
             method,
@@ -2126,7 +2110,7 @@ impl<'p> Machine<'p> {
             self.invalidate(method);
         }
         self.profiles.record_invocation(method);
-        CompiledExit::Deoptimized(args)
+        CompiledExit::Deoptimized
     }
 
     /// Quarantine ladder: attributes a deopt to the snapshot it was
@@ -2147,7 +2131,7 @@ impl<'p> Machine<'p> {
         // Any deopt settles the probation one way or the other.
         self.replay_guard.remove(&method);
         let window = self.config.poison_window;
-        let Some(cm) = self.code.get(&method) else {
+        let Some(cm) = self.code.get(method) else {
             return false;
         };
         if window == 0 || cm.invocations > window {
@@ -2155,7 +2139,7 @@ impl<'p> Machine<'p> {
             return false;
         }
         let activations = cm.invocations;
-        let cm = self.code.remove(&method).expect("probed just above");
+        let cm = self.code.remove(method).expect("probed just above");
         self.account_release(cm.bytes);
         if let Some(seed) = self.replay_seed.remove(&method) {
             self.profiles.subtract(method, &seed);
@@ -2174,58 +2158,57 @@ impl<'p> Machine<'p> {
         true
     }
 
-    /// Rewinds all observable effects to `save`: journaled heap writes are
-    /// undone newest-first, then cells allocated by the abandoned
-    /// activation are freed and its printed lines dropped.
-    fn rollback(&mut self, save: &Savepoint) {
-        while self.journal.len() > save.journal_len {
-            match self.journal.pop().expect("length checked") {
-                JournalEntry::Field { r, offset, old } => {
-                    let HeapCell::Object { fields, .. } = self.heap.cell_mut(r) else {
-                        unreachable!("journaled field write on a non-object cell");
-                    };
-                    fields[offset] = old;
-                }
-                JournalEntry::Array { r, index, old } => {
-                    let HeapCell::Array { data, .. } = self.heap.cell_mut(r) else {
-                        unreachable!("journaled array write on a non-array cell");
-                    };
-                    data[index] = old;
-                }
-            }
+    /// Takes back what a summed run charged for `unexecuted`, the
+    /// instructions after the one that trapped: steps and cycles end up
+    /// exactly where charging one instruction at a time leaves them.
+    #[cold]
+    fn refund_run(&mut self, plan: &ExecPlan, tier: Tier, unexecuted: &[InstId]) {
+        self.steps -= unexecuted.len() as u64;
+        for &inst in unexecuted {
+            self.exec_cycles -=
+                self.config
+                    .cost
+                    .tier_cost(plan.op_cost(inst), tier, self.installed_bytes);
         }
-        self.heap.truncate(save.heap_len);
-        self.output.truncate(save.output_len);
     }
 
+    /// Runs one activation of `graph` in `tier`. The `argc` arguments are
+    /// the top of the register stack; the activation's frame goes above
+    /// them and is popped again unless the activation ends in an error
+    /// (which ends the run).
     fn exec_graph(
         &mut self,
         method: MethodId,
         graph: &Graph,
+        plan: &ExecPlan,
         tier: Tier,
-        args: Vec<Value>,
+        argc: usize,
         depth: usize,
     ) -> Result<Flow, ExecError> {
         let profiling = tier == Tier::Interpreted;
-        let back_edges = if profiling {
-            self.back_edge_set(method)
-        } else {
-            HashSet::new()
-        };
-        let mut regs: Vec<Option<Value>> = vec![None; graph.value_count()];
+        let program = self.program;
+        let cost = self.config.cost;
+        let base = self.stack.len();
+        let frame = base..base + graph.value_count();
+        self.stack.resize(frame.end, None);
+        // Charges one instruction the per-operation way: a step of fuel,
+        // then its tier cost under the code size installed right now.
+        macro_rules! charge_op {
+            ($inst:expr) => {
+                self.steps += 1;
+                if self.steps > self.config.fuel_steps {
+                    return Err(ExecError::OutOfFuel);
+                }
+                self.exec_cycles += cost.tier_cost(plan.op_cost($inst), tier, self.installed_bytes);
+            };
+        }
         let mut block = graph.entry();
         {
             let params = &graph.block(block).params;
-            debug_assert_eq!(params.len(), args.len(), "arity mismatch at activation");
-            for (&p, a) in params.iter().zip(args) {
-                regs[p.index()] = Some(a);
+            debug_assert_eq!(params.len(), argc, "arity mismatch at activation");
+            for (k, &p) in params.iter().enumerate() {
+                self.stack[base + p.index()] = self.stack[base - argc + k];
             }
-        }
-
-        macro_rules! reg {
-            ($v:expr) => {
-                regs[$v.index()].expect("use of undefined register (verifier bug)")
-            };
         }
 
         loop {
@@ -2233,264 +2216,143 @@ impl<'p> Machine<'p> {
                 self.profiles.record_block(method, block);
             }
             let bd = graph.block(block);
-            for &inst in &bd.insts {
-                self.steps += 1;
-                if self.steps > self.config.fuel_steps {
-                    return Err(ExecError::OutOfFuel);
+            let mut at = 0;
+            for run in plan.runs(block) {
+                let insts = &bd.insts[at..at + run.len];
+                at += run.len;
+                // A run's cost is the sum of its instructions' costs when
+                // those are linear in the base cost: always interpreted,
+                // and compiled while the code cache fits the i-cache (the
+                // scaled cost rounds down per instruction). And the run
+                // may only be charged at once if it cannot run out of fuel
+                // part-way, so a trap inside it still comes before
+                // `OutOfFuel` exactly when it does instruction by
+                // instruction.
+                let linear = profiling || self.installed_bytes <= cost.icache_capacity;
+                let len = run.len as u64;
+                let summed = linear && self.steps + len <= self.config.fuel_steps;
+                if summed {
+                    self.steps += len;
+                    self.exec_cycles += run.base_cost;
+                    if profiling {
+                        self.exec_cycles += len * cost.interp_dispatch;
+                    }
                 }
+                let regs = &mut self.stack[frame.clone()];
+                for (k, &inst) in insts.iter().enumerate() {
+                    if !summed {
+                        charge_op!(inst);
+                    }
+                    if let Err(trap) = self.store.exec_op(program, regs, graph.inst(inst)) {
+                        if summed {
+                            self.refund_run(plan, tier, &insts[k + 1..]);
+                        }
+                        return Err(ExecError::Trap(trap));
+                    }
+                }
+                // Every run but a block's last ends at a call.
+                let Some(&inst) = bd.insts.get(at) else {
+                    break;
+                };
+                at += 1;
                 let data = graph.inst(inst);
-                self.exec_cycles +=
-                    self.config
-                        .cost
-                        .exec_cost(&data.op, tier, self.installed_bytes);
-                let result: Option<Value> = match &data.op {
-                    Op::Nop => None,
-                    Op::ConstInt(k) => Some(Value::Int(*k)),
-                    Op::ConstFloat(bits) => Some(Value::Float(f64::from_bits(*bits))),
-                    Op::ConstBool(b) => Some(Value::Bool(*b)),
-                    Op::ConstNull(_) => Some(Value::Null),
-                    Op::Bin(op) if op.is_float() => {
-                        let a = reg!(data.args[0]).as_float();
-                        let b = reg!(data.args[1]).as_float();
-                        Some(Value::Float(eval::eval_float_bin(*op, a, b)))
-                    }
-                    Op::Bin(op) => {
-                        let a = reg!(data.args[0]).as_int();
-                        let b = reg!(data.args[1]).as_int();
-                        Some(Value::Int(
-                            eval::eval_int_bin(*op, a, b).map_err(ExecError::Trap)?,
-                        ))
-                    }
-                    Op::Cmp(op) => {
-                        let a = reg!(data.args[0]);
-                        let b = reg!(data.args[1]);
-                        let r = match op {
-                            CmpOp::RefEq => match (a, b) {
-                                (Value::Null, Value::Null) => true,
-                                (Value::Ref(x), Value::Ref(y)) => x == y,
-                                _ => false,
-                            },
-                            CmpOp::FEq | CmpOp::FLt | CmpOp::FLe => {
-                                eval::eval_float_cmp(*op, a.as_float(), b.as_float())
-                            }
-                            _ => eval::eval_int_cmp(*op, a.as_int(), b.as_int()),
-                        };
-                        Some(Value::Bool(r))
-                    }
-                    Op::Not => Some(Value::Bool(!reg!(data.args[0]).as_bool())),
-                    Op::INeg => Some(Value::Int(reg!(data.args[0]).as_int().wrapping_neg())),
-                    Op::FNeg => Some(Value::Float(-reg!(data.args[0]).as_float())),
-                    Op::IntToFloat => Some(Value::Float(eval::int_to_float(
-                        reg!(data.args[0]).as_int(),
-                    ))),
-                    Op::FloatToInt => Some(Value::Int(eval::float_to_int(
-                        reg!(data.args[0]).as_float(),
-                    ))),
-                    Op::New(c) => Some(Value::Ref(self.heap.alloc_object(self.program, *c))),
-                    Op::GetField(f) => {
-                        let Value::Ref(r) = reg!(data.args[0]) else {
+                let Op::Call(info) = &data.op else {
+                    unreachable!("execution plan out of step with its graph");
+                };
+                charge_op!(inst);
+                // The arguments go on top of the stack, where the callee's
+                // activation finds them.
+                let callee_argc = data.args.len();
+                for &a in &data.args {
+                    let v = reg(&self.stack[frame.clone()], a);
+                    self.stack.push(Some(v));
+                }
+                let (target, is_virtual) = match info.target {
+                    CallTarget::Static(m) => (m, false),
+                    CallTarget::Virtual(sel) => {
+                        let Some(Value::Ref(r)) = self.stack[frame.end] else {
                             return Err(ExecError::Trap(TrapKind::NullDeref));
                         };
-                        let off = self.program.field(*f).offset;
-                        let HeapCell::Object { fields, .. } = self.heap.cell(r) else {
-                            return Err(ExecError::Trap(TrapKind::NullDeref));
-                        };
-                        Some(fields[off])
-                    }
-                    Op::SetField(f) => {
-                        let Value::Ref(r) = reg!(data.args[0]) else {
-                            return Err(ExecError::Trap(TrapKind::NullDeref));
-                        };
-                        let v = reg!(data.args[1]);
-                        let off = self.program.field(*f).offset;
-                        let HeapCell::Object { fields, .. } = self.heap.cell_mut(r) else {
-                            return Err(ExecError::Trap(TrapKind::NullDeref));
-                        };
-                        let old = fields[off];
-                        fields[off] = v;
-                        if self.journal_scopes > 0 {
-                            self.journal.push(JournalEntry::Field {
-                                r,
-                                offset: off,
-                                old,
-                            });
-                        }
-                        None
-                    }
-                    Op::NewArray(e) => {
-                        let len = reg!(data.args[0]).as_int();
-                        if len < 0 {
-                            return Err(ExecError::Trap(TrapKind::NegativeLength));
-                        }
-                        Some(Value::Ref(self.heap.alloc_array(*e, len as usize)))
-                    }
-                    Op::ArrayGet => {
-                        let Value::Ref(r) = reg!(data.args[0]) else {
-                            return Err(ExecError::Trap(TrapKind::NullDeref));
-                        };
-                        let idx = reg!(data.args[1]).as_int();
-                        let HeapCell::Array { data: arr, .. } = self.heap.cell(r) else {
-                            return Err(ExecError::Trap(TrapKind::NullDeref));
-                        };
-                        if idx < 0 || idx as usize >= arr.len() {
-                            return Err(ExecError::Trap(TrapKind::Bounds));
-                        }
-                        Some(arr[idx as usize])
-                    }
-                    Op::ArraySet => {
-                        let Value::Ref(r) = reg!(data.args[0]) else {
-                            return Err(ExecError::Trap(TrapKind::NullDeref));
-                        };
-                        let idx = reg!(data.args[1]).as_int();
-                        let v = reg!(data.args[2]);
-                        let HeapCell::Array { data: arr, .. } = self.heap.cell_mut(r) else {
-                            return Err(ExecError::Trap(TrapKind::NullDeref));
-                        };
-                        if idx < 0 || idx as usize >= arr.len() {
-                            return Err(ExecError::Trap(TrapKind::Bounds));
-                        }
-                        let old = arr[idx as usize];
-                        arr[idx as usize] = v;
-                        if self.journal_scopes > 0 {
-                            self.journal.push(JournalEntry::Array {
-                                r,
-                                index: idx as usize,
-                                old,
-                            });
-                        }
-                        None
-                    }
-                    Op::ArrayLen => {
-                        let Value::Ref(r) = reg!(data.args[0]) else {
-                            return Err(ExecError::Trap(TrapKind::NullDeref));
-                        };
-                        let HeapCell::Array { data: arr, .. } = self.heap.cell(r) else {
-                            return Err(ExecError::Trap(TrapKind::NullDeref));
-                        };
-                        Some(Value::Int(arr.len() as i64))
-                    }
-                    Op::InstanceOf(c) => {
-                        let r = match reg!(data.args[0]) {
-                            Value::Null => false,
-                            Value::Ref(r) => match self.heap.cell(r) {
-                                HeapCell::Object { class, .. } => {
-                                    self.program.is_subclass(*class, *c)
-                                }
-                                HeapCell::Array { .. } => false,
-                            },
-                            _ => false,
-                        };
-                        Some(Value::Bool(r))
-                    }
-                    Op::Cast(c) => {
-                        let v = reg!(data.args[0]);
-                        match v {
-                            Value::Null => Some(Value::Null),
-                            Value::Ref(r) => match self.heap.cell(r) {
-                                HeapCell::Object { class, .. }
-                                    if self.program.is_subclass(*class, *c) =>
-                                {
-                                    Some(v)
-                                }
-                                _ => return Err(ExecError::Trap(TrapKind::CastFailed)),
-                            },
-                            _ => return Err(ExecError::Trap(TrapKind::CastFailed)),
-                        }
-                    }
-                    Op::Print => {
-                        let v = reg!(data.args[0]);
-                        self.output.print(self.program, &self.heap, v);
-                        None
-                    }
-                    Op::Call(info) => {
-                        let call_args: Vec<Value> = data.args.iter().map(|&a| reg!(a)).collect();
-                        let (target, is_virtual) = match info.target {
-                            CallTarget::Static(m) => (m, false),
-                            CallTarget::Virtual(sel) => {
-                                let recv = call_args[0];
-                                let Value::Ref(r) = recv else {
-                                    return Err(ExecError::Trap(TrapKind::NullDeref));
-                                };
-                                let class = self.heap.class_of(r);
-                                if profiling {
-                                    self.profiles.record_receiver(info.site, class);
-                                } else if self.config.deopt {
-                                    // Drift monitor food: fallback virtual
-                                    // dispatches surviving in compiled code.
-                                    // The entry may be gone if a nested
-                                    // activation already invalidated it.
-                                    if let Some(cm) = self.code.get_mut(&method) {
-                                        cm.virtual_dispatches += 1;
-                                    }
-                                }
-                                let m = self.program.resolve(class, sel).unwrap_or_else(|| {
-                                    panic!(
-                                        "no implementation of {} on {}",
-                                        self.program.selector(sel),
-                                        self.program.class(class).name
-                                    )
-                                });
-                                (m, true)
-                            }
+                        let Some(class) = self.store.heap.class_of(r) else {
+                            return Err(ExecError::Trap(TrapKind::NoSuchMethod));
                         };
                         if profiling {
-                            self.profiles.record_callsite(info.site);
+                            self.profiles.record_receiver(info.site, class);
+                        } else if self.config.deopt {
+                            // Drift monitor food: fallback virtual
+                            // dispatches surviving in compiled code.
+                            // The entry may be gone if a nested
+                            // activation already invalidated it.
+                            if let Some(cm) = self.code.get_mut(method) {
+                                cm.virtual_dispatches += 1;
+                            }
                         }
-                        self.exec_cycles += self.config.cost.call_cost(call_args.len(), is_virtual);
-                        self.exec_method(target, call_args, depth + 1)?
+                        let Some(m) = self.resolve(class, sel) else {
+                            return Err(ExecError::Trap(TrapKind::NoSuchMethod));
+                        };
+                        (m, true)
                     }
                 };
+                if profiling {
+                    self.profiles.record_callsite(info.site);
+                }
+                self.exec_cycles += cost.call_cost(callee_argc, is_virtual);
+                let result = self.exec_method(target, callee_argc, depth + 1)?;
+                self.stack.truncate(frame.end);
                 if let Some(res) = data.result {
-                    regs[res.index()] = result;
-                } else {
-                    debug_assert!(
-                        result.is_none() || matches!(data.op, Op::Call(_)),
-                        "non-call op produced an unexpected result"
-                    );
+                    self.stack[base + res.index()] = result;
                 }
             }
 
             // Terminator.
-            let (dest, edge_args): (BlockId, Vec<ValueId>) = match &bd.term {
+            let regs = &mut self.stack[frame.clone()];
+            let (edge, (dest, edge_args)) = match &bd.term {
                 Terminator::Return(v) => {
-                    return Ok(Flow::Return(v.map(|v| reg!(v))));
+                    let value = v.map(|v| reg(regs, v));
+                    self.stack.truncate(base);
+                    return Ok(Flow::Return(value));
                 }
                 Terminator::Deopt { reason } => {
                     if tier == Tier::Compiled {
                         // Uncommon trap: hand the activation back to
                         // `exec_compiled` for rollback and replay.
+                        self.stack.truncate(base);
                         return Ok(Flow::Deopt(*reason));
                     }
                     // Hand-written IR executed interpreted: there is no
                     // lower tier to transfer to.
                     return Err(ExecError::Trap(TrapKind::Deopt));
                 }
-                Terminator::Jump(d, a) => (*d, a.clone()),
+                Terminator::Jump(d, a) => (0, (d, a)),
                 Terminator::Branch {
                     cond,
                     then_dest,
                     else_dest,
                 } => {
-                    let taken = reg!(*cond).as_bool();
-                    let (d, a) = if taken { then_dest } else { else_dest };
-                    (*d, a.clone())
+                    if reg(regs, *cond).as_bool() {
+                        (0, (&then_dest.0, &then_dest.1))
+                    } else {
+                        (1, (&else_dest.0, &else_dest.1))
+                    }
                 }
                 Terminator::Unterminated => {
                     unreachable!("verified graphs have no unterminated blocks")
                 }
             };
-            self.exec_cycles += self.config.cost.edge_cost(edge_args.len(), tier);
-            if profiling && back_edges.contains(&(block, dest)) {
+            self.exec_cycles += cost.edge_cost(edge_args.len(), tier);
+            if profiling && plan.is_back_edge(block, edge) {
                 self.profiles.record_backedge(method);
             }
             // Bind target params (read all values before writing: a block
             // may pass its own params permuted).
-            let passed: Vec<Value> = edge_args.iter().map(|&a| reg!(a)).collect();
-            let target_params: Vec<ValueId> = graph.block(dest).params.clone();
-            for (&p, v) in target_params.iter().zip(passed) {
+            self.edge_scratch.clear();
+            self.edge_scratch
+                .extend(edge_args.iter().map(|&a| reg(regs, a)));
+            let target_params = &graph.block(*dest).params;
+            for (&p, &v) in target_params.iter().zip(&self.edge_scratch) {
                 regs[p.index()] = Some(v);
             }
-            block = dest;
+            block = *dest;
         }
     }
 }
@@ -2521,7 +2383,7 @@ mod tests {
     use crate::inliner::{CompileCx, CompileOutcome, NoInline};
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::types::RetType;
-    use incline_ir::Type;
+    use incline_ir::{CmpOp, Type};
 
     /// sum(n) = 0 + 1 + … + (n-1)
     fn sum_program() -> (Program, MethodId) {
@@ -2691,6 +2553,294 @@ mod tests {
             })
             .unwrap();
         assert_eq!(handle.join().unwrap(), Err(ExecError::StackOverflow));
+    }
+
+    /// down(n) = if n == 0 { 0 } else { 1 + down(n - 1) }
+    fn countdown_program() -> (Program, MethodId) {
+        let mut p = Program::new();
+        let m = p.declare_function("down", vec![Type::Int], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let n = fb.param(0);
+        let zero = fb.const_int(0);
+        let base = fb.add_block();
+        let rec = fb.add_block();
+        let c = fb.cmp(CmpOp::IEq, n, zero);
+        fb.branch(c, (base, vec![]), (rec, vec![]));
+        fb.switch_to(base);
+        fb.ret(Some(zero));
+        fb.switch_to(rec);
+        let one = fb.const_int(1);
+        let n1 = fb.isub(n, one);
+        let r = fb.call_static(m, vec![n1]).unwrap();
+        let s = fb.iadd(r, one);
+        fb.ret(Some(s));
+        let g = fb.finish();
+        p.define_method(m, g);
+        (p, m)
+    }
+
+    #[test]
+    fn max_depth_fits_the_host_stack_of_a_test_thread() {
+        // `max_depth = 400` is calibrated to the host frames one guest
+        // call costs: the deepest legal recursion must fit the 2 MiB stack
+        // Rust gives test threads, in a debug build, in both tiers.
+        for jit in [false, true] {
+            let handle = std::thread::Builder::new()
+                .stack_size(2 * 1024 * 1024)
+                .spawn(move || {
+                    let (p, m) = countdown_program();
+                    let config = VmConfig {
+                        jit,
+                        hotness_threshold: 1,
+                        ..VmConfig::default()
+                    };
+                    let depth = config.max_depth as i64;
+                    let mut vm = Machine::new(&p, Box::new(NoInline), config);
+                    let deepest = vm.run(m, vec![Value::Int(depth)]).map(|o| o.value);
+                    let beyond = vm.run(m, vec![Value::Int(depth + 1)]).map(|o| o.value);
+                    (deepest, beyond, vm.compilations())
+                })
+                .unwrap();
+            let (deepest, beyond, compilations) = handle.join().unwrap();
+            assert_eq!(deepest, Ok(Some(Value::Int(400))), "jit={jit}");
+            assert_eq!(beyond, Err(ExecError::StackOverflow), "jit={jit}");
+            assert_eq!(compilations, u64::from(jit));
+        }
+    }
+
+    /// An inliner that installs the source graph as it is, so both tiers
+    /// execute the same instructions and differ only in what they cost.
+    struct VerbatimInliner;
+    impl Inliner for VerbatimInliner {
+        fn name(&self) -> &str {
+            "verbatim"
+        }
+        fn compile(
+            &self,
+            method: MethodId,
+            cx: &CompileCx<'_>,
+        ) -> Result<CompileOutcome, CompileError> {
+            let graph = cx.program.method(method).graph.clone();
+            let work_nodes = graph.size();
+            Ok(CompileOutcome {
+                graph,
+                work_nodes,
+                stats: InlineStats::default(),
+            })
+        }
+    }
+
+    /// One instruction of the straight-line block [`line_program`] builds.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Line {
+        /// `x + 1`.
+        Add,
+        /// `x / 0`.
+        DivByZero,
+        /// A call of `g() = 1`, which itself executes one instruction.
+        Call,
+    }
+
+    /// `f(x)`: one block holding `const 0`, `const 1`, then `lines`.
+    fn line_program(lines: &[Line]) -> (Program, MethodId) {
+        let mut p = Program::new();
+        let g = p.declare_function("g", vec![], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, g);
+        let k = fb.const_int(1);
+        fb.ret(Some(k));
+        let graph = fb.finish();
+        p.define_method(g, graph);
+        let f = p.declare_function("f", vec![Type::Int], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, f);
+        let x = fb.param(0);
+        let zero = fb.const_int(0);
+        let one = fb.const_int(1);
+        let mut last = x;
+        for line in lines {
+            last = match line {
+                Line::Add => fb.iadd(x, one),
+                Line::DivByZero => fb.binop(incline_ir::BinOp::IDiv, x, zero),
+                Line::Call => fb.call_static(g, vec![]).unwrap(),
+            };
+        }
+        fb.ret(Some(last));
+        let graph = fb.finish();
+        p.define_method(f, graph);
+        (p, f)
+    }
+
+    /// Runs `f(5)` once under `fuel` steps; `compiled` installs both
+    /// methods verbatim first. Returns the outcome with the step and cycle
+    /// counters the run stopped at.
+    fn run_line(lines: &[Line], compiled: bool, fuel: u64) -> (Result<(), ExecError>, u64, u64) {
+        let (p, f) = line_program(lines);
+        let config = VmConfig {
+            jit: compiled,
+            fuel_steps: fuel,
+            ..VmConfig::default()
+        };
+        let mut vm = Machine::new(&p, Box::new(VerbatimInliner), config);
+        if compiled {
+            for m in p.method_ids() {
+                assert!(vm.compile_now(m));
+            }
+        }
+        let outcome = vm.run(f, vec![Value::Int(5)]).map(|_| ());
+        (outcome, vm.steps, vm.exec_cycles)
+    }
+
+    #[test]
+    fn trap_and_fuel_meet_at_the_same_step_as_instruction_by_instruction() {
+        use Line::*;
+        // The division is step `k` of the run: in the middle of a summed
+        // run, directly before a call, directly after one (the callee's
+        // one instruction is a step too).
+        let cases: [(&[Line], u64); 3] = [
+            (&[Add, Add, DivByZero, Add, Add], 5),
+            (&[Add, DivByZero, Call, Add], 4),
+            (&[Add, Call, DivByZero, Add], 6),
+        ];
+        for (lines, k) in cases {
+            for compiled in [false, true] {
+                let what = format!("k={k} compiled={compiled}");
+                let (starved, ..) = run_line(lines, compiled, k - 1);
+                assert_eq!(starved, Err(ExecError::OutOfFuel), "{what}");
+                // With exactly `k` steps the division's run does not fit
+                // the remaining fuel and is charged instruction by
+                // instruction; with plenty it is charged at once and the
+                // trap refunds the rest. Both must stop at the same state.
+                let exact = run_line(lines, compiled, k);
+                let plenty = run_line(lines, compiled, 1_000_000);
+                assert_eq!(exact.0, Err(ExecError::Trap(TrapKind::DivByZero)), "{what}");
+                assert_eq!(exact, plenty, "{what}");
+                assert_eq!(exact.1, k, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn fuel_running_out_inside_a_run_stops_at_the_same_step() {
+        use Line::*;
+        let lines = [Add, Add, Add, Call, Add, Add];
+        for compiled in [false, true] {
+            // 2 constants + 6 lines + the callee's instruction.
+            let (done, steps, cycles) = run_line(&lines, compiled, 9);
+            assert_eq!((done, steps), (Ok(()), 9));
+            for fuel in 0..9 {
+                let (outcome, steps, short) = run_line(&lines, compiled, fuel);
+                assert_eq!(outcome, Err(ExecError::OutOfFuel), "fuel={fuel}");
+                assert_eq!(steps, fuel + 1, "the step that found the tank empty");
+                assert!(short < cycles, "fuel={fuel}");
+            }
+        }
+    }
+
+    #[test]
+    fn icache_factor_changing_inside_a_block_is_charged_per_instruction() {
+        // `f` runs compiled; the call in the middle of its block compiles
+        // `g` at the hotness trigger, so the installed bytes — and with
+        // them the i-cache factor — grow between `f`'s instructions.
+        use Line::*;
+        let lines = [Add, DivByZero, Add, Call, DivByZero, Add, Add];
+        let (mut p, f) = line_program(&lines);
+        // Make the divisions legal: divide by the constant 1 instead.
+        let graph = &mut p.method_mut(f).graph;
+        let entry = graph.entry();
+        let one = graph.inst(graph.block(entry).insts[1]).result.unwrap();
+        for inst in graph.block(entry).insts.clone() {
+            if matches!(graph.inst(inst).op, Op::Bin(incline_ir::BinOp::IDiv)) {
+                graph.inst_mut(inst).args[1] = one;
+            }
+        }
+        let g = p.function_by_name("g").unwrap();
+        let f_graph = p.method(f).graph.clone();
+        let g_graph = p.method(g).graph.clone();
+        // Up to the capacity before the call and over it after; over it
+        // throughout. The cycle counts are pinned from the loop that
+        // charged every instruction separately.
+        for (capacity, pinned) in [(f_graph.size() as u64 * 4, 51), (8, 69)] {
+            let cost = CostModel::default().with_icache(capacity, 48);
+            let config = VmConfig {
+                cost,
+                hotness_threshold: 1,
+                ..VmConfig::default()
+            };
+            let mut vm = Machine::new(&p, Box::new(VerbatimInliner), config);
+            assert!(vm.compile_now(f));
+            let before = vm.installed_bytes();
+            let out = vm.run(f, vec![Value::Int(5)]).unwrap();
+            let after = vm.installed_bytes();
+            assert_eq!(vm.compiled_methods(), vec![g, f]);
+            assert!(after > before && after > capacity);
+            // The reference: every instruction priced on its own, under
+            // the bytes installed when it ran.
+            let mut bytes = before;
+            let mut expected = 0;
+            for &inst in &f_graph.block(f_graph.entry()).insts {
+                let op = &f_graph.inst(inst).op;
+                expected += cost.exec_cost(op, Tier::Compiled, bytes);
+                if matches!(op, Op::Call(_)) {
+                    expected += cost.call_cost(0, false);
+                    bytes = after;
+                    for &callee_inst in &g_graph.block(g_graph.entry()).insts {
+                        let op = &g_graph.inst(callee_inst).op;
+                        expected += cost.exec_cost(op, Tier::Compiled, bytes);
+                    }
+                }
+            }
+            assert_eq!(out.exec_cycles, expected, "capacity={capacity}");
+            assert_eq!(out.exec_cycles, pinned, "capacity={capacity}");
+        }
+    }
+
+    #[test]
+    fn virtual_call_without_an_implementation_traps_in_both_tiers() {
+        // `foo` is declared on B only; the receiver is an A. The verifier
+        // accepts the call (some class declares the selector).
+        let mut p = Program::new();
+        let a = p.add_class("A", None);
+        let b = p.add_class("B", None);
+        let foo = p.declare_method(b, "foo", vec![], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, foo);
+        let k = fb.const_int(7);
+        fb.ret(Some(k));
+        let g = fb.finish();
+        p.define_method(foo, g);
+        let sel = p.selector_by_name("foo", 1).unwrap();
+        let main = p.declare_function("main", vec![], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, main);
+        let obj = fb.new_object(a);
+        let r = fb.call_virtual(sel, vec![obj]).unwrap();
+        fb.ret(Some(r));
+        let g = fb.finish();
+        p.define_method(main, g);
+        incline_ir::verify::verify(&p, p.method(main)).expect("the verifier tolerates the call");
+        // An array receiver (which only unverified IR can produce) has no
+        // class at all.
+        let on_array = p.declare_function("on_array", vec![], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, on_array);
+        let len = fb.const_int(2);
+        let arr = fb.new_array(incline_ir::ElemType::Int, len);
+        let r = fb.call_virtual(sel, vec![arr]).unwrap();
+        fb.ret(Some(r));
+        let g = fb.finish();
+        p.define_method(on_array, g);
+
+        for compiled in [false, true] {
+            let config = VmConfig {
+                jit: compiled,
+                ..VmConfig::default()
+            };
+            let mut vm = Machine::new(&p, Box::new(VerbatimInliner), config);
+            if compiled {
+                assert!(vm.compile_now(main));
+            }
+            let trap = Err(ExecError::Trap(TrapKind::NoSuchMethod));
+            assert_eq!(vm.run(main, vec![]), trap, "compiled={compiled}");
+            assert_eq!(vm.run(on_array, vec![]), trap, "compiled={compiled}");
+            // The machine is still usable after the trap.
+            assert_eq!(vm.run(main, vec![]), trap);
+        }
     }
 
     #[test]

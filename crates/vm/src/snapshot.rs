@@ -48,7 +48,7 @@
 //! `Into`-friendly handle the builders accept, with conversions from
 //! paths, raw bytes and `Arc`ed stores.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
@@ -244,68 +244,98 @@ pub fn fingerprint(program: &Program) -> u64 {
 
 impl MethodRecord {
     fn capture(method: MethodId, p: &MethodProfile) -> Self {
-        let mut blocks: Vec<(BlockId, u64)> =
-            p.block_counts.iter().map(|(&b, &c)| (b, c)).collect();
-        blocks.sort();
-        let mut callsites: Vec<(u32, u64)> =
-            p.callsite_counts.iter().map(|(&s, &c)| (s, c)).collect();
-        callsites.sort();
-        let mut receivers: Vec<(u32, Vec<(ClassId, u64)>)> = p
-            .receivers
-            .iter()
-            .map(|(&site, hist)| {
-                let mut h: Vec<(ClassId, u64)> = hist.iter().map(|(&cl, &c)| (cl, c)).collect();
-                h.sort();
-                (site, h)
-            })
-            .collect();
-        receivers.sort_by_key(|&(site, _)| site);
         MethodRecord {
             method,
             invocations: p.invocations,
             backedges: p.backedges,
-            blocks,
-            callsites,
-            receivers,
+            blocks: p.blocks().collect(),
+            callsites: p.callsites().collect(),
+            receivers: p.receivers().map(|(site, h)| (site, h.to_vec())).collect(),
         }
     }
 
     fn to_profile(&self) -> MethodProfile {
-        MethodProfile {
-            invocations: self.invocations,
-            backedges: self.backedges,
-            block_counts: self.blocks.iter().copied().collect(),
-            callsite_counts: self.callsites.iter().copied().collect(),
-            receivers: self
-                .receivers
-                .iter()
-                .map(|(site, hist)| {
-                    let h: HashMap<ClassId, u64> = hist.iter().copied().collect();
-                    (*site, h)
-                })
-                .collect(),
+        let mut p = MethodProfile::new(self.invocations, self.backedges);
+        for &(b, c) in &self.blocks {
+            p.set_block_count(b, c);
         }
+        for &(s, c) in &self.callsites {
+            p.set_callsite_count(s, c);
+        }
+        for (site, hist) in &self.receivers {
+            for &(cl, c) in hist {
+                p.set_receiver_count(*site, cl, c);
+            }
+        }
+        p
     }
 }
 
 impl Snapshot {
-    /// Captures profiles and the decision log under `fingerprint`, sorting
-    /// every map so the result is deterministic.
+    /// Captures profiles and the decision log under `fingerprint`; the
+    /// profile table iterates in id order, so the result is deterministic.
     pub fn capture(
         fingerprint: u64,
         profiles: &ProfileTable,
         decisions: &[DecisionRecord],
     ) -> Snapshot {
-        let mut methods: Vec<MethodRecord> = profiles
+        let methods: Vec<MethodRecord> = profiles
             .iter()
             .map(|(m, p)| MethodRecord::capture(m, p))
             .collect();
-        methods.sort_by_key(|r| r.method);
         Snapshot {
             fingerprint,
             methods,
             decisions: decisions.to_vec(),
         }
+    }
+
+    /// Checks every index of the profile records against `program`:
+    /// method, block, callsite and class ids must exist there. Profile
+    /// tables are dense vectors indexed by these ids, so a snapshot read
+    /// from outside must pass this before [`Snapshot::profile_table`] or
+    /// [`Snapshot::merge`] sizes a table after it; the machine's load
+    /// paths do that.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] naming the first id out of range.
+    pub fn check_indices(&self, program: &Program) -> Result<(), SnapshotError> {
+        let classes = program.class_count();
+        for r in &self.methods {
+            let bad = |what: &str, index: usize| {
+                Err(SnapshotError::Corrupt(format!(
+                    "profile of method {}: {what} {index} out of range",
+                    r.method.index()
+                )))
+            };
+            if r.method.index() >= program.method_count() {
+                return bad("method", r.method.index());
+            }
+            let graph = &program.method(r.method).graph;
+            if let Some(&(b, _)) = r
+                .blocks
+                .iter()
+                .find(|(b, _)| b.index() >= graph.block_count())
+            {
+                return bad("block", b.index());
+            }
+            // Every callsite of a source graph is one of its instructions.
+            let sites = graph.inst_count();
+            let recv_sites = r.receivers.iter().map(|&(s, _)| s);
+            let mut site_ids = r.callsites.iter().map(|&(s, _)| s).chain(recv_sites);
+            if let Some(s) = site_ids.find(|&s| s as usize >= sites) {
+                return bad("callsite", s as usize);
+            }
+            let mut class_ids = r
+                .receivers
+                .iter()
+                .flat_map(|(_, h)| h.iter().map(|&(c, _)| c));
+            if let Some(c) = class_ids.find(|c| c.index() >= classes) {
+                return bad("class", c.index());
+            }
+        }
+        Ok(())
     }
 
     /// Rebuilds a [`ProfileTable`] from the serialized per-method records.

@@ -103,19 +103,15 @@ impl Heap {
     /// Allocates an object of `class` with zeroed fields.
     pub fn alloc_object(&mut self, program: &Program, class: ClassId) -> HeapRef {
         let n = program.class(class).instance_len;
-        let mut fields = Vec::with_capacity(n);
         // Zero defaults per slot type: walk the layout.
+        let mut fields = vec![Value::Int(0); n];
         let mut cur = Some(class);
-        let mut slot_types = vec![Type::Int; n];
         while let Some(c) = cur {
             for &f in &program.class(c).declared_fields {
                 let fd = program.field(f);
-                slot_types[fd.offset] = fd.ty;
+                fields[fd.offset] = Value::default_of(fd.ty);
             }
             cur = program.class(c).parent;
-        }
-        for ty in slot_types {
-            fields.push(Value::default_of(ty));
         }
         let r = HeapRef(self.cells.len() as u32);
         self.cells.push(HeapCell::Object { class, fields });
@@ -142,16 +138,17 @@ impl Heap {
         &mut self.cells[r.0 as usize]
     }
 
-    /// Dynamic class of an object reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference is an array.
-    pub fn class_of(&self, r: HeapRef) -> ClassId {
+    /// Dynamic class of an object reference; `None` for an array.
+    pub fn class_of(&self, r: HeapRef) -> Option<ClassId> {
         match self.cell(r) {
-            HeapCell::Object { class, .. } => *class,
-            HeapCell::Array { .. } => panic!("class_of on array"),
+            HeapCell::Object { class, .. } => Some(*class),
+            HeapCell::Array { .. } => None,
         }
+    }
+
+    /// Frees every cell, keeping the arena's capacity for the next run.
+    pub fn clear(&mut self) {
+        self.cells.clear();
     }
 
     /// Number of live cells.

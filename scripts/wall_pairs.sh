@@ -1,0 +1,125 @@
+#!/usr/bin/env bash
+# Parent-versus-change evidence for the host-time ledger.
+#
+#   scripts/wall_pairs.sh [PARENT_REV] [PAIRS] > BENCH_wall.json
+#
+# Extracts PARENT_REV (default HEAD~1) into a scratch directory with
+# `git archive`, then for every workload of BENCHMARK.json runs PAIRS
+# (default 10) pairs of the unmodified
+#
+#   benchmark/run.sh --workload W --seed N --seconds 10 --trace 0
+#
+# one run in the parent's tree and one in this one, the same seed for both
+# runs of a pair and a different one for each pair, alternating which side
+# goes first. A traced run per side on `interp_only` adds the per-layer
+# numbers. Prints, per workload and end-to-end metric: each side's runs,
+# median and quartiles, how many pairs the change won, and a verdict by the
+# benchmark's own bound. Progress goes to stderr.
+set -euo pipefail
+
+repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+parent_rev="${1:-HEAD~1}"
+pairs="${2:-10}"
+work="$(mktemp -d "${TMPDIR:-/tmp}/wall_pairs.XXXXXX")"
+trap 'rm -rf "$work"' EXIT
+
+mkdir "$work/parent"
+git -C "$repo" archive "$parent_rev" | tar -x -C "$work/parent"
+parent_sha="$(git -C "$repo" rev-parse "$parent_rev")"
+change_sha="$(git -C "$repo" rev-parse HEAD)$(git -C "$repo" diff --quiet HEAD || echo '+uncommitted')"
+
+# One run: prints the result line of run.sh, built in the side's own tree.
+run_side() { # side workload seed trace
+    local dir="$repo"
+    [[ "$1" == parent ]] && dir="$work/parent"
+    (cd "$dir" && benchmark/run.sh --workload "$2" --seed "$3" --seconds 10 --trace "$4") | tail -n 1
+}
+
+workloads="$(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' "$repo/BENCHMARK.json")"
+: > "$work/runs.jsonl"
+for w in $workloads; do
+    for ((i = 0; i < pairs; i++)); do
+        seed=$((101 + i))
+        order=(parent change)
+        ((i % 2)) && order=(change parent)
+        for side in "${order[@]}"; do
+            echo "[$w] pair $((i + 1))/$pairs seed $seed: $side" >&2
+            printf '{"workload": "%s", "pair": %d, "seed": %d, "side": "%s", "first": "%s", "result": %s}\n' \
+                "$w" "$i" "$seed" "$side" "${order[0]}" "$(run_side "$side" "$w" "$seed" 0)" >> "$work/runs.jsonl"
+        done
+    done
+done
+for side in parent change; do
+    echo "[interp_only] traced: $side" >&2
+    printf '{"workload": "interp_only", "side": "%s", "traced": %s}\n' \
+        "$side" "$(run_side "$side" interp_only 23 1)" >> "$work/runs.jsonl"
+done
+
+python3 - "$repo/BENCHMARK.json" "$work/runs.jsonl" "$parent_sha" "$change_sha" <<'PY'
+import json, statistics, sys
+
+contract = json.load(open(sys.argv[1]))
+runs = [json.loads(line) for line in open(sys.argv[2])]
+bounds = {m["name"]: m for m in contract["end_to_end"]}
+LAYERS = ["vm.interp_iter_ms", "vm.interp_mvcycles_per_s", "vm.compiled_iter_ms",
+          "profile.record_ns", "alloc.calls_per_pass", "alloc.bytes_per_pass", "trace.null_ratio"]
+
+
+def side_stats(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def verdict(metric, parent, change, wins, losses, n):
+    lower = bounds[metric]["better"] == "lower"
+    gain = (parent["median"] - change["median"]) if lower else (change["median"] - parent["median"])
+    if all(v == parent["runs"][0] for v in parent["runs"] + change["runs"]):
+        return "equal"
+    if wins * 10 >= n * 9 and gain > parent["q3"] - parent["q1"]:
+        return "better"
+    if -gain > bounds[metric]["bound"] * parent["median"]:
+        return "worse"
+    spread = (parent["q3"] - parent["q1"]) / parent["median"]
+    if spread > bounds[metric]["bound"] and losses > 0:
+        return "unresolved"
+    return "within bound"
+
+
+workloads = []
+for w in [x["name"] for x in contract["workloads"]]:
+    mine = [r for r in runs if r["workload"] == w and "result" in r]
+    n = len(mine) // 2
+    failed = {s: sum(r["result"]["failed"] for r in mine if r["side"] == s) for s in ("parent", "change")}
+    attempted = {s: sum(r["result"]["attempted"] for r in mine if r["side"] == s) for s in ("parent", "change")}
+    metrics = {}
+    for metric in bounds:
+        by_side = {s: [r["result"]["metrics"][metric]["value"] for r in mine if r["side"] == s]
+                   for s in ("parent", "change")}
+        lower = bounds[metric]["better"] == "lower"
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(by_side["parent"], by_side["change"]))
+        ties = sum(c == p for p, c in zip(by_side["parent"], by_side["change"]))
+        parent, change = side_stats(by_side["parent"]), side_stats(by_side["change"])
+        metrics[metric] = {
+            "unit": bounds[metric]["unit"], "better": bounds[metric]["better"], "bound": bounds[metric]["bound"],
+            "parent": parent, "change": change,
+            "change_over_parent": change["median"] / parent["median"],
+            "wins": wins, "ties": ties, "pairs": n,
+            "verdict": verdict(metric, parent, change, wins, n - wins - ties, n),
+        }
+    workloads.append({"name": w, "pairs": n, "seeds": sorted({r["seed"] for r in mine}),
+                      "attempted": attempted, "failed": failed,
+                      "all_correct": all(r["result"]["correct"] for r in mine), "metrics": metrics})
+
+traced = {r["side"]: {k: r["traced"]["metrics"][k]["value"] for k in LAYERS} for r in runs if "traced" in r}
+json.dump({
+    "figure": "host-wall-pairs",
+    "command": "benchmark/run.sh --workload W --seed N --seconds 10 --trace 0",
+    "parent": sys.argv[3], "change": sys.argv[4],
+    "rule": "better = the change wins at least 9 of 10 pairs and the medians differ by more than the "
+            "parent's inter-quartile spread; worse = the change's median is worse than the parent's by more "
+            "than the metric's bound; unresolved = the parent's spread exceeds the bound and a pair was lost",
+    "workloads": workloads,
+    "traced_interp_only": traced,
+}, sys.stdout, indent=1)
+print()
+PY

@@ -23,34 +23,34 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Per-workload allocation budgets in bytes (tuned run, 1.3× margin).
 const BUDGETS: &[(&str, u64)] = &[
-    ("avrora", 1_233_092),
-    ("batik", 9_627_641),
-    ("fop", 10_387_791),
-    ("h2", 5_755_408),
-    ("jython", 29_986_130),
-    ("luindex", 5_671_279),
-    ("lusearch", 5_595_271),
-    ("pmd", 10_781_026),
-    ("sunflow", 854_172),
-    ("xalan", 10_388_622),
-    ("actors", 2_609_192),
-    ("apparat", 2_213_950),
-    ("factorie", 264_230_739),
-    ("kiama", 16_531_156),
-    ("scalac", 18_245_275),
-    ("scaladoc", 27_962_534),
-    ("scalap", 12_556_258),
-    ("scalariform", 15_321_725),
-    ("scalatest", 2_339_161),
-    ("scalaxb", 2_192_867),
-    ("specs", 1_973_705),
-    ("tmt", 2_382_616),
-    ("gauss-mix", 52_068_823),
-    ("dec-tree", 5_585_039),
-    ("naive-bayes", 3_660_469),
-    ("neo4j", 4_142_602),
-    ("dotty", 1_898_144),
-    ("stmbench7", 2_411_169),
+    ("avrora", 612_493),
+    ("batik", 7_278_713),
+    ("fop", 7_579_755),
+    ("h2", 2_248_502),
+    ("jython", 12_233_158),
+    ("luindex", 728_175),
+    ("lusearch", 854_223),
+    ("pmd", 7_982_869),
+    ("sunflow", 556_920),
+    ("xalan", 7_588_708),
+    ("actors", 1_395_491),
+    ("apparat", 1_060_403),
+    ("factorie", 3_651_220),
+    ("kiama", 1_776_014),
+    ("scalac", 12_723_634),
+    ("scaladoc", 21_444_849),
+    ("scalap", 1_666_333),
+    ("scalariform", 1_557_205),
+    ("scalatest", 1_087_535),
+    ("scalaxb", 1_059_932),
+    ("specs", 693_049),
+    ("tmt", 1_196_382),
+    ("gauss-mix", 2_144_611),
+    ("dec-tree", 4_670_858),
+    ("naive-bayes", 1_324_047),
+    ("neo4j", 972_832),
+    ("dotty", 1_295_105),
+    ("stmbench7", 854_872),
 ];
 
 #[test]

@@ -190,6 +190,42 @@ fn corrupt_snapshots_degrade_to_cold_start() {
     assert_cold_fallback(&w, &cold, bumped.into_bytes(), "version-bumped");
     // Garbage that is not even JSONL.
     assert_cold_fallback(&w, &cold, b"not a snapshot at all".to_vec(), "garbage");
+    // Well-formed, right program, valid checksum — but a profile record
+    // names an id the program does not have. Profile tables are indexed
+    // by these ids, so the loader must refuse before sizing one.
+    let good = Snapshot::from_bytes(&bytes).unwrap();
+    let far = 4_000_000_000usize;
+    type Tamper = fn(&mut Snapshot, usize);
+    let tampers: [(&str, Tamper); 5] = [
+        ("method", |s, far| {
+            s.methods[0].method = incline_ir::MethodId::new(far)
+        }),
+        ("block", |s, far| {
+            s.methods[0].blocks.push((incline_ir::BlockId::new(far), 1))
+        }),
+        ("callsite", |s, far| {
+            s.methods[0].callsites.push((far as u32, 1))
+        }),
+        ("receiver site", |s, far| {
+            s.methods[0].receivers.push((far as u32, vec![]))
+        }),
+        ("class", |s, far| {
+            s.methods[0]
+                .receivers
+                .push((0, vec![(incline_ir::ClassId::new(far), 1)]))
+        }),
+    ];
+    for (what, tamper) in tampers {
+        let mut bad = good.clone();
+        tamper(&mut bad, far);
+        assert!(
+            bad.check_indices(&w.program).is_err(),
+            "{what} {far} must be out of range"
+        );
+        assert_cold_fallback(&w, &cold, bad.to_bytes(), what);
+    }
+    good.check_indices(&w.program)
+        .expect("a snapshot the program wrote is in range");
 }
 
 #[test]
