@@ -157,10 +157,10 @@ impl C2Inliner {
         match info.target {
             CallTarget::Static(target) => {
                 let callee = cx.program.method(target);
-                if !callee.can_inline() || callee.graph.size() == 0 {
+                if !callee.can_inline() || callee.ir_size() == 0 {
                     return;
                 }
-                let size = callee.graph.size();
+                let size = callee.ir_size();
                 let trivial = size <= c.trivial_size;
                 let hot = site_freq >= c.min_frequency && size <= c.freq_inline_size;
                 if !(trivial || hot) {
@@ -190,20 +190,14 @@ impl C2Inliner {
                     root_size: graph.size() as f64,
                     accepted: true,
                 });
-                let body = callee.graph.clone();
-                state.explored += body.size();
-                let res = inline_call(graph, block, inst, &body);
+                state.explored += size;
+                let res = inline_call(graph, block, inst, &callee.graph);
                 state.inlined_calls += 1;
-                // Recurse into the callee's callsites (depth-first parse).
-                let mut nested: Vec<(InstId, f64)> = Vec::new();
-                for (&old, &new) in &res.inst_map {
-                    if let Some(site) = body.inst(old).op.call_site() {
-                        nested.push((new, site_freq * cx.profiles.local_frequency(site)));
-                    }
-                }
-                // Deterministic order.
-                nested.sort_by_key(|&(i, _)| i);
-                for (ni, nf) in nested {
+                // Recurse into the callee's callsites (depth-first parse),
+                // in instruction order.
+                for &(old, ni) in &res.calls {
+                    let site = callee.graph.inst(old).op.call_site().expect("call");
+                    let nf = site_freq * cx.profiles.local_frequency(site);
                     self.try_inline(
                         cx,
                         graph,
@@ -262,11 +256,9 @@ impl C2Inliner {
                 let res = emit_typeswitch(cx.program, graph, block, inst, &cases, fallback);
                 state.inlined_calls += 1;
                 state.spec_sites += 1;
-                for (i, case) in res.case_calls.iter().enumerate() {
-                    let p = 1.0f64.min(1.0); // per-case frequency folded into site_freq
-                    let _ = p;
-                    let _ = i;
-                    self.try_inline(cx, graph, *case, freq, level + 1, rec, state);
+                // The per-case frequency is already folded into `site_freq`.
+                for &case in &res.case_calls {
+                    self.try_inline(cx, graph, case, freq, level + 1, rec, state);
                 }
             }
         }

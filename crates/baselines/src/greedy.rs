@@ -190,10 +190,10 @@ impl Inliner for GreedyInliner {
             let Some(target) = target else { continue };
 
             let callee = cx.program.method(target);
-            if !callee.can_inline() || callee.graph.size() == 0 {
+            if !callee.can_inline() || callee.ir_size() == 0 {
                 continue;
             }
-            let callee_size = callee.graph.size();
+            let callee_size = callee.ir_size();
             let trivial = callee_size <= c.trivial_size;
             let worthwhile = item.freq >= c.min_frequency && callee_size <= c.max_callee_size;
             if !(trivial || worthwhile) {
@@ -226,25 +226,16 @@ impl Inliner for GreedyInliner {
                 accepted: true,
             });
 
-            let body = callee.graph.clone();
-            explored += body.size();
-            let res = inline_call(&mut graph, block, item.inst, &body);
+            explored += callee_size;
+            let res = inline_call(&mut graph, block, item.inst, &callee.graph);
             inlined_calls += 1;
 
-            // Newly exposed callsites join the queue, in deterministic
-            // instruction order (the inst_map iterates in hash order).
-            let mut exposed: Vec<(InstId, f64)> = Vec::new();
-            for (&old, &new) in &res.inst_map {
-                if matches!(body.inst(old).op, Op::Call(_)) {
-                    let site: CallSiteId = body.inst(old).op.call_site().expect("call");
-                    exposed.push((new, item.freq * cx.profiles.local_frequency(site)));
-                }
-            }
-            exposed.sort_by_key(|&(i, _)| i);
-            for (inst, freq) in exposed {
+            // Newly exposed callsites join the queue, in instruction order.
+            for &(old, inst) in &res.calls {
+                let site: CallSiteId = callee.graph.inst(old).op.call_site().expect("call");
                 queue.push(WorkItem {
                     inst,
-                    freq,
+                    freq: item.freq * cx.profiles.local_frequency(site),
                     depth: item.depth + 1,
                 });
             }

@@ -8,15 +8,13 @@
 //! emission for polymorphic nodes), alternated with the optimizer until a
 //! fixpoint, a size cap, or the round limit.
 
-use std::collections::HashSet;
-
 use incline_ir::inline::inline_call;
-use incline_ir::{Graph, InstId, MethodId};
+use incline_ir::{InstId, MethodId};
 use incline_opt::{CompileFuel, OptStats};
 use incline_trace::{CollectingSink, CompileEvent, OptPhase};
 use incline_vm::{CompileCx, CompileError, CompileOutcome, InlineStats, Inliner};
 
-use crate::calltree::{CallTree, NodeId, NodeKind};
+use crate::calltree::{CallTree, NodeId, NodeKind, RootIndex, SubtreeMetrics};
 use crate::metrics::{
     expansion_bar, exploration_penalty, inline_bar, may_inline, recursion_penalty, should_expand,
     Tuple,
@@ -73,14 +71,37 @@ impl IncrementalInliner {
     ) -> Result<(CompileOutcome, String), CompileError> {
         let sink = CollectingSink::new();
         let traced = cx.with_trace(&sink);
-        let out = self.compile_impl(method, &traced)?;
+        let out = self.compile_impl(method, &traced, None)?;
         Ok((out, crate::render::render_trace(&sink.take())))
+    }
+
+    /// Like [`Inliner::compile`], but after every expansion, refusal,
+    /// inlining step and specialization refresh asserts that the numbers the
+    /// call tree stores or sweeps — `|ir(n)|`, `S_ir`, `S_b`, `N_c`, the
+    /// intrinsic priorities and the open-cutoff flags — equal the recursive,
+    /// freshly measured reference, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Inliner::compile`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first number that differs.
+    #[cfg(any(test, debug_assertions))]
+    pub fn compile_audited(
+        &self,
+        method: MethodId,
+        cx: &CompileCx<'_>,
+    ) -> Result<CompileOutcome, CompileError> {
+        self.compile_impl(method, cx, Some(reference::audit))
     }
 
     fn compile_impl(
         &self,
         method: MethodId,
         cx: &CompileCx<'_>,
+        audit: Audit,
     ) -> Result<CompileOutcome, CompileError> {
         let config = &self.config;
         let mut opt_total = OptStats::new();
@@ -110,38 +131,41 @@ impl IncrementalInliner {
             // Each round costs at least the root it re-processes; a spent
             // budget aborts the compilation so the broker's ladder can
             // fall back to a cheaper tier.
-            if !cx.charge(tree.root_graph.size() as u64) {
+            if !cx.charge(tree.root_size() as u64) {
                 return Err(out_of_fuel(cx.fuel));
             }
             cx.emit(|| CompileEvent::RoundStart {
                 method,
                 round: rounds as u32,
-                root_size: tree.root_graph.size() as f64,
+                root_size: tree.root_size() as f64,
                 tree_nodes: tree.len(),
             });
-            let expanded = expand_phase(&mut tree, cx, config);
+            let expanded = expand_phase(&mut tree, cx, config, audit);
             analyze_phase(&mut tree, cx, config);
-            let inlined = inline_phase(&mut tree, cx, config, &mut speculative_sites);
+            let inlined = inline_phase(&mut tree, cx, config, &mut speculative_sites, audit);
             inlined_calls += inlined;
 
             // End of round (§IV, Other optimizations): read–write
             // elimination and loop peeling run on the root.
-            opt_total += incline_trace::optimize_with_trace(
-                cx.program,
-                &mut tree.root_graph,
-                Default::default(),
-                cx.fuel,
-                cx.trace,
-                OptPhase::Round,
-            );
-            tree.sync_root_children(cx, config);
-            refresh_specializations(&mut tree, cx, config);
+            opt_total += tree.edit_root(|root| {
+                incline_trace::optimize_with_trace(
+                    cx.program,
+                    root,
+                    Default::default(),
+                    cx.fuel,
+                    cx.trace,
+                    OptPhase::Round,
+                )
+            });
+            let live = RootIndex::new(tree.root_graph());
+            tree.sync_root_children(cx, &live);
+            refresh_specializations(&mut tree, cx, config, &live, audit);
             cx.emit(|| CompileEvent::RoundEnd {
                 method,
                 round: rounds as u32,
                 expanded,
                 inlined,
-                root_size: tree.root_graph.size() as f64,
+                root_size: tree.root_size() as f64,
                 tree_nodes: tree.len(),
             });
             // Rendering the tree is far too expensive for the hot path, so
@@ -163,24 +187,26 @@ impl IncrementalInliner {
             if !changed
                 || starved_rounds >= 2
                 || rounds as usize >= config.max_rounds
-                || tree.root_graph.size() > config.root_size_cap
+                || tree.root_size() > config.root_size_cap
             {
                 break;
             }
         }
 
-        opt_total += incline_trace::optimize_with_trace(
-            cx.program,
-            &mut tree.root_graph,
-            Default::default(),
-            cx.fuel,
-            cx.trace,
-            OptPhase::Final,
-        );
-        let final_size = tree.root_graph.size();
+        opt_total += tree.edit_root(|root| {
+            incline_trace::optimize_with_trace(
+                cx.program,
+                root,
+                Default::default(),
+                cx.fuel,
+                cx.trace,
+                OptPhase::Final,
+            )
+        });
+        let final_size = tree.root_size();
         let explored = tree.explored_nodes;
         Ok(CompileOutcome {
-            graph: tree.root_graph,
+            graph: tree.into_root_graph(),
             work_nodes: explored + final_size,
             stats: InlineStats {
                 inlined_calls,
@@ -211,95 +237,129 @@ impl Inliner for IncrementalInliner {
         method: MethodId,
         cx: &CompileCx<'_>,
     ) -> Result<CompileOutcome, CompileError> {
-        self.compile_impl(method, cx)
+        self.compile_impl(method, cx, None)
     }
 }
+
+/// The check [`IncrementalInliner::compile_audited`] runs after every step
+/// that changes the call tree (`None` in ordinary compilations). Inside the
+/// expansion phase it also gets that phase's table and refusals.
+type Audit =
+    Option<fn(&CallTree, Option<(&ExpansionView, &[bool])>, &CompileCx<'_>, &PolicyConfig)>;
 
 // ---- priorities (Equations 5–7, 14) ---------------------------------------
 
-/// Intrinsic priority `P_I(n)` (Equations 5–6), with the recursion penalty
-/// `ψ_r` (Equation 14) applied to cutoff nodes.
-fn intrinsic_priority(
-    tree: &CallTree,
-    n: NodeId,
-    cx: &CompileCx<'_>,
-    config: &PolicyConfig,
-) -> f64 {
-    let node = tree.node(n);
-    match node.kind {
-        NodeKind::Cutoff => {
-            let mut p = tree.local_benefit(n) / tree.ir_size(n, cx).max(1.0);
-            if config.recursion_penalty {
-                p -= recursion_penalty(node.freq, node.rec_depth);
-            }
-            p
-        }
-        NodeKind::Expanded | NodeKind::Polymorphic | NodeKind::Root => node
-            .children
-            .iter()
-            .map(|&c| intrinsic_priority(tree, c, cx, config))
-            .fold(f64::NEG_INFINITY, f64::max),
-        _ => f64::NEG_INFINITY,
-    }
+/// What the expansion phase knows about every node, by node index: the
+/// subtree metrics (Equations 1–3), the intrinsic priority `P_I(n)`
+/// (Equations 5–6, with the recursion penalty `ψ_r` of Equation 14 applied
+/// to cutoff nodes) and whether the subtree still holds a cutoff that has
+/// not been refused.
+///
+/// Rebuilt after every expansion and refusal in two sweeps over the node
+/// arena from the back (children are created after their parents, so a
+/// child's entry is final when its parent reads it) — `descend` then costs
+/// a lookup per candidate instead of a walk of the candidate's subtree.
+#[derive(Debug, Default)]
+struct ExpansionView {
+    metrics: Vec<SubtreeMetrics>,
+    intrinsic: Vec<f64>,
+    open: Vec<bool>,
 }
 
-/// Final priority `P(n) = P_I(n) − ψ(n)` (Equation 6 with Equation 7).
-fn priority(tree: &CallTree, n: NodeId, cx: &CompileCx<'_>, config: &PolicyConfig) -> f64 {
-    let m = tree.subtree_metrics(n, cx);
-    intrinsic_priority(tree, n, cx, config)
-        - exploration_penalty(&config.penalty, m.s_ir, m.s_b, m.n_c as f64)
+impl ExpansionView {
+    /// `refused[n]` marks cutoffs the expansion test turned down this phase.
+    fn refresh(
+        &mut self,
+        tree: &CallTree,
+        refused: &[bool],
+        cx: &CompileCx<'_>,
+        config: &PolicyConfig,
+    ) {
+        tree.subtree_metrics_into(cx, &mut self.metrics);
+        self.intrinsic.clear();
+        self.intrinsic.resize(tree.len(), f64::NEG_INFINITY);
+        self.open.clear();
+        self.open.resize(tree.len(), false);
+        for n in tree.node_ids().rev() {
+            let node = tree.node(n);
+            match node.kind {
+                NodeKind::Cutoff => {
+                    let mut p = tree.local_benefit(n) / tree.ir_size(n, cx).max(1.0);
+                    if config.recursion_penalty {
+                        p -= recursion_penalty(node.freq, node.rec_depth);
+                    }
+                    self.intrinsic[n.0] = p;
+                    self.open[n.0] = !refused[n.0];
+                }
+                NodeKind::Expanded | NodeKind::Polymorphic | NodeKind::Root => {
+                    // Folded in child order, as the recursive definition
+                    // does, so the result is the same float.
+                    self.intrinsic[n.0] = node
+                        .children
+                        .iter()
+                        .map(|&c| self.intrinsic[c.0])
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    self.open[n.0] = node.children.iter().any(|&c| self.open[c.0]);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Final priority `P(n) = P_I(n) − ψ(n)` (Equation 6 with Equation 7).
+    fn priority(&self, n: NodeId, config: &PolicyConfig) -> f64 {
+        let m = &self.metrics[n.0];
+        self.intrinsic[n.0] - exploration_penalty(&config.penalty, m.s_ir, m.s_b, m.n_c as f64)
+    }
 }
 
 // ---- expansion phase (Listing 3) -------------------------------------------
 
-/// Whether the subtree under `n` still contains a cutoff not yet refused.
-fn has_open_cutoff(tree: &CallTree, n: NodeId, refused: &HashSet<NodeId>) -> bool {
-    let node = tree.node(n);
-    match node.kind {
-        NodeKind::Cutoff => !refused.contains(&n),
-        NodeKind::Expanded | NodeKind::Polymorphic | NodeKind::Root => node
-            .children
-            .iter()
-            .any(|&c| has_open_cutoff(tree, c, refused)),
-        _ => false,
-    }
-}
-
 /// `descend` (Listing 4): follow the best-priority child until a cutoff.
-fn descend(
-    tree: &CallTree,
-    n: NodeId,
-    refused: &HashSet<NodeId>,
-    cx: &CompileCx<'_>,
-    config: &PolicyConfig,
-) -> Option<NodeId> {
-    if tree.node(n).kind == NodeKind::Cutoff {
-        return (!refused.contains(&n)).then_some(n);
+fn descend(tree: &CallTree, view: &ExpansionView, config: &PolicyConfig) -> Option<NodeId> {
+    let mut n = tree.root();
+    while tree.node(n).kind != NodeKind::Cutoff {
+        // The last of the best children wins a tie, as with
+        // `Iterator::max_by`; an incomparable (NaN) priority yields to its
+        // successor.
+        let mut best: Option<(NodeId, f64)> = None;
+        for &c in &tree.node(n).children {
+            if !view.open[c.0] {
+                continue;
+            }
+            let p = view.priority(c, config);
+            let keep =
+                best.is_some_and(|(_, bp)| bp.partial_cmp(&p) == Some(std::cmp::Ordering::Greater));
+            if !keep {
+                best = Some((c, p));
+            }
+        }
+        n = best?.0;
     }
-    let best = tree
-        .node(n)
-        .children
-        .iter()
-        .copied()
-        .filter(|&c| has_open_cutoff(tree, c, refused))
-        .max_by(|&a, &b| {
-            priority(tree, a, cx, config)
-                .partial_cmp(&priority(tree, b, cx, config))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })?;
-    descend(tree, best, refused, cx, config)
+    view.open[n.0].then_some(n)
 }
 
 /// The expansion phase. Returns the number of nodes expanded.
-fn expand_phase(tree: &mut CallTree, cx: &CompileCx<'_>, config: &PolicyConfig) -> usize {
-    let mut refused: HashSet<NodeId> = HashSet::new();
+fn expand_phase(
+    tree: &mut CallTree,
+    cx: &CompileCx<'_>,
+    config: &PolicyConfig,
+    audit: Audit,
+) -> usize {
+    let mut refused: Vec<bool> = Vec::new();
+    let mut view = ExpansionView::default();
     let mut expansions = 0usize;
     loop {
         if expansions >= config.max_expansions_per_round {
             break;
         }
-        let root_metrics = tree.subtree_metrics(tree.root(), cx);
-        let Some(cutoff) = descend(tree, tree.root(), &refused, cx, config) else {
+        refused.resize(tree.len(), false);
+        view.refresh(tree, &refused, cx, config);
+        if let Some(audit) = audit {
+            audit(tree, Some((&view, &refused)), cx, config);
+        }
+        let root_metrics = view.metrics[tree.root().0];
+        let Some(cutoff) = descend(tree, &view, config) else {
             break;
         };
         // `expandCutoff` (Listing 3): the adaptive/fixed threshold of
@@ -307,7 +367,7 @@ fn expand_phase(tree: &mut CallTree, cx: &CompileCx<'_>, config: &PolicyConfig) 
         let b_l = tree.local_benefit(cutoff);
         let ir = tree.ir_size(cutoff, cx);
         if should_expand(&config.expansion, b_l, ir, root_metrics.s_ir) {
-            let won_priority = intrinsic_priority(tree, cutoff, cx, config);
+            let won_priority = view.intrinsic[cutoff.0];
             let attached = tree.expand_node(cutoff, cx, config);
             expansions += 1;
             cx.emit(|| {
@@ -324,7 +384,7 @@ fn expand_phase(tree: &mut CallTree, cx: &CompileCx<'_>, config: &PolicyConfig) 
             });
         } else {
             cx.emit(|| {
-                let m = tree.subtree_metrics(cutoff, cx);
+                let m = view.metrics[cutoff.0];
                 CompileEvent::CutoffDeferred {
                     method: tree.node(cutoff).method.expect("cutoffs have a target"),
                     local_benefit: b_l,
@@ -334,7 +394,7 @@ fn expand_phase(tree: &mut CallTree, cx: &CompileCx<'_>, config: &PolicyConfig) 
                     penalty: exploration_penalty(&config.penalty, m.s_ir, m.s_b, m.n_c as f64),
                 }
             });
-            refused.insert(cutoff);
+            refused[cutoff.0] = true;
         }
     }
     expansions
@@ -487,6 +547,7 @@ fn inline_phase(
     cx: &CompileCx<'_>,
     config: &PolicyConfig,
     spec_sites: &mut u64,
+    audit: Audit,
 ) -> u64 {
     let root = tree.root();
     let mut queue: Vec<NodeId> = tree
@@ -496,7 +557,15 @@ fn inline_phase(
         .copied()
         .filter(|&c| is_cluster_kind(tree.node(c).kind))
         .collect();
-    let mut inlined = 0u64;
+    if queue.is_empty() {
+        return 0;
+    }
+    let mut step = InlineStep {
+        index: RootIndex::new(tree.root_graph()),
+        inlined: 0,
+        spec_sites,
+        audit,
+    };
 
     while !queue.is_empty() {
         // bestCluster: highest benefit-to-cost ratio.
@@ -513,7 +582,7 @@ fn inline_phase(
             .expect("queue nonempty");
         queue.swap_remove(idx);
 
-        let root_size = tree.root_graph.size() as f64;
+        let root_size = tree.root_size() as f64;
         if root_size > config.root_size_cap as f64 {
             break;
         }
@@ -531,7 +600,7 @@ fn inline_phase(
         if !accepted {
             continue; // skip; smaller clusters may still pass
         }
-        let fronts = inline_cluster(tree, n, cx, &mut inlined, spec_sites);
+        let fronts = inline_cluster(tree, n, cx, config, &mut step);
         queue.extend(
             fronts
                 .into_iter()
@@ -548,16 +617,18 @@ fn inline_phase(
         .filter(|&c| tree.node(c).kind != NodeKind::Inlined)
         .collect();
     tree.node_mut(root).children = keep;
-    inlined
+    step.inlined
 }
 
-/// Locates the block containing `inst` in the root graph.
-fn find_block(graph: &Graph, inst: InstId) -> Option<incline_ir::BlockId> {
-    graph
-        .callsites()
-        .iter()
-        .find(|&&(_, i)| i == inst)
-        .map(|&(b, _)| b)
+/// What the inlining steps of one phase share: where the root's
+/// instructions are, and what the steps have done so far.
+struct InlineStep<'a> {
+    /// Kept current across the steps, so locating a callsite is a lookup
+    /// rather than a walk over the root's callsites.
+    index: RootIndex,
+    inlined: u64,
+    spec_sites: &'a mut u64,
+    audit: Audit,
 }
 
 /// `inlineCluster` (Listing 5): transplants the node's specialized body
@@ -567,19 +638,20 @@ fn inline_cluster(
     tree: &mut CallTree,
     n: NodeId,
     cx: &CompileCx<'_>,
-    inlined: &mut u64,
-    spec_sites: &mut u64,
+    config: &PolicyConfig,
+    step: &mut InlineStep<'_>,
 ) -> Vec<NodeId> {
     let root = tree.root();
     let kind = tree.node(n).kind;
     let callsite = tree.node(n).callsite.expect("cluster nodes have callsites");
-    let Some(block) = find_block(&tree.root_graph, callsite) else {
+    let Some(block) = step.index.call_block(tree.root_graph(), callsite) else {
         // The callsite disappeared (an earlier optimization or sibling
         // inline removed it): nothing to do.
         tree.node_mut(n).kind = NodeKind::Deleted;
         return Vec::new();
     };
 
+    let children: Vec<NodeId> = tree.node(n).children.clone();
     match kind {
         NodeKind::Expanded => {
             let body = tree
@@ -587,36 +659,25 @@ fn inline_cluster(
                 .graph
                 .take()
                 .expect("expanded node has a graph");
-            let res = inline_call(&mut tree.root_graph, block, callsite, &body);
+            let res = tree.edit_root(|root_graph| inline_call(root_graph, block, callsite, &body));
             tree.recycle_graph(body);
-            *inlined += 1;
+            step.index
+                .absorb_step(tree.root_graph(), res.continuation, res.return_edges > 0);
+            step.inlined += 1;
             tree.node_mut(n).kind = NodeKind::Inlined;
-
-            let children: Vec<NodeId> = tree.node(n).children.clone();
-            let mut front = Vec::new();
-            for c in children {
+            for &c in &children {
                 // Re-anchor the child (and, for polymorphic children, the
                 // target grandchildren sharing the same callsite inst).
                 remap_callsite(tree, c, &res.inst_map);
                 if tree.node(c).kind == NodeKind::Polymorphic {
-                    let gks: Vec<NodeId> = tree.node(c).children.clone();
-                    for g in gks {
+                    for i in 0..tree.node(c).children.len() {
+                        let g = tree.node(c).children[i];
                         remap_callsite(tree, g, &res.inst_map);
                     }
                 }
-                tree.node_mut(c).parent = Some(root);
-                tree.node_mut(root).children.push(c);
-                if tree.node(c).inlined_with_parent && is_cluster_kind(tree.node(c).kind) {
-                    let mut sub = inline_cluster(tree, c, cx, inlined, spec_sites);
-                    front.append(&mut sub);
-                } else {
-                    front.push(c);
-                }
             }
-            front
         }
         NodeKind::Polymorphic => {
-            let children: Vec<NodeId> = tree.node(n).children.clone();
             let cases: Vec<TypeswitchCase> = children
                 .iter()
                 .map(|&c| TypeswitchCase {
@@ -634,43 +695,44 @@ fn inline_cluster(
             } else {
                 FallbackMode::Virtual
             };
-            let res = emit_typeswitch(
-                cx.program,
-                &mut tree.root_graph,
-                block,
-                callsite,
-                &cases,
-                fallback,
-            );
-            *inlined += 1; // the typeswitch itself is an inlining decision
-            *spec_sites += 1;
+            let res = tree.edit_root(|root_graph| {
+                emit_typeswitch(cx.program, root_graph, block, callsite, &cases, fallback)
+            });
+            // Every case jumps to the continuation, so it stays reachable.
+            step.index
+                .absorb_step(tree.root_graph(), res.continuation, true);
+            step.inlined += 1; // the typeswitch itself is an inlining decision
+            *step.spec_sites += 1;
             tree.node_mut(n).kind = NodeKind::Inlined;
-
-            let mut front = Vec::new();
-            for (i, c) in children.into_iter().enumerate() {
-                tree.node_mut(c).callsite = Some(res.case_calls[i]);
-                tree.node_mut(c).parent = Some(root);
-                tree.node_mut(root).children.push(c);
-                if tree.node(c).inlined_with_parent && is_cluster_kind(tree.node(c).kind) {
-                    let mut sub = inline_cluster(tree, c, cx, inlined, spec_sites);
-                    front.append(&mut sub);
-                } else {
-                    front.push(c);
-                }
+            for (&c, &case_call) in children.iter().zip(&res.case_calls) {
+                tree.node_mut(c).callsite = Some(case_call);
             }
-            front
         }
         other => unreachable!("inline_cluster on {other:?}"),
     }
+    if let Some(audit) = step.audit {
+        audit(tree, None, cx, config);
+    }
+
+    // The children now hang off the root; cluster members follow their
+    // parent into it, the rest form the cluster's front.
+    let mut front = Vec::new();
+    for c in children {
+        tree.node_mut(c).parent = Some(root);
+        tree.node_mut(root).children.push(c);
+        if tree.node(c).inlined_with_parent && is_cluster_kind(tree.node(c).kind) {
+            let mut sub = inline_cluster(tree, c, cx, config, step);
+            front.append(&mut sub);
+        } else {
+            front.push(c);
+        }
+    }
+    front
 }
 
-fn remap_callsite(
-    tree: &mut CallTree,
-    c: NodeId,
-    inst_map: &std::collections::HashMap<InstId, InstId>,
-) {
+fn remap_callsite(tree: &mut CallTree, c: NodeId, inst_map: &[Option<InstId>]) {
     if let Some(old) = tree.node(c).callsite {
-        if let Some(&new) = inst_map.get(&old) {
+        if let Some(new) = inst_map[old.index()] {
             tree.node_mut(c).callsite = Some(new);
         }
     }
@@ -680,23 +742,24 @@ fn remap_callsite(
 
 /// Re-specializes direct children of the root whose callsite arguments
 /// became more precise after the round's optimizations (the paper's
-/// "repeat until fixpoint" of deep inlining trials).
-fn refresh_specializations(tree: &mut CallTree, cx: &CompileCx<'_>, config: &PolicyConfig) {
+/// "repeat until fixpoint" of deep inlining trials). `live` indexes the
+/// root graph as it is now.
+fn refresh_specializations(
+    tree: &mut CallTree,
+    cx: &CompileCx<'_>,
+    config: &PolicyConfig,
+    live: &RootIndex,
+    audit: Audit,
+) {
     let root = tree.root();
-    let children: Vec<NodeId> = tree.node(root).children.clone();
-    let live: HashSet<InstId> = tree
-        .root_graph
-        .callsites()
-        .iter()
-        .map(|&(_, i)| i)
-        .collect();
-    for c in children {
+    for i in 0..tree.node(root).children.len() {
+        let c = tree.node(root).children[i];
         let node = tree.node(c);
         if node.kind != NodeKind::Expanded {
             continue;
         }
         let Some(site) = node.callsite else { continue };
-        if !live.contains(&site) {
+        if live.call_block(tree.root_graph(), site).is_none() {
             continue;
         }
         if tree.potential_ns(c, cx) > tree.node(c).ns {
@@ -713,6 +776,104 @@ fn refresh_specializations(tree: &mut CallTree, cx: &CompileCx<'_>, config: &Pol
                 tree.recycle_graph(g);
             }
             tree.expand_node(c, cx, config);
+            if let Some(audit) = audit {
+                audit(tree, None, cx, config);
+            }
+        }
+    }
+}
+
+/// The recursive, freshly measured definitions of the numbers the call tree
+/// stores or sweeps — what [`IncrementalInliner::compile_audited`] holds
+/// the maintained ones to.
+#[cfg(any(test, debug_assertions))]
+mod reference {
+    use super::*;
+
+    /// Intrinsic priority `P_I(n)` (Equations 5–6), with the recursion
+    /// penalty `ψ_r` (Equation 14) applied to cutoff nodes.
+    fn intrinsic_priority(
+        tree: &CallTree,
+        n: NodeId,
+        cx: &CompileCx<'_>,
+        config: &PolicyConfig,
+    ) -> f64 {
+        let node = tree.node(n);
+        match node.kind {
+            NodeKind::Cutoff => {
+                let mut p = tree.local_benefit(n) / tree.reference_ir_size(n, cx).max(1.0);
+                if config.recursion_penalty {
+                    p -= recursion_penalty(node.freq, node.rec_depth);
+                }
+                p
+            }
+            NodeKind::Expanded | NodeKind::Polymorphic | NodeKind::Root => node
+                .children
+                .iter()
+                .map(|&c| intrinsic_priority(tree, c, cx, config))
+                .fold(f64::NEG_INFINITY, f64::max),
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// Whether the subtree under `n` still contains a cutoff not yet refused.
+    fn has_open_cutoff(tree: &CallTree, n: NodeId, refused: &[bool]) -> bool {
+        let node = tree.node(n);
+        match node.kind {
+            NodeKind::Cutoff => !refused[n.0],
+            NodeKind::Expanded | NodeKind::Polymorphic | NodeKind::Root => node
+                .children
+                .iter()
+                .any(|&c| has_open_cutoff(tree, c, refused)),
+            _ => false,
+        }
+    }
+
+    /// Asserts, for every node ever created, that the maintained numbers
+    /// equal the reference ones bit for bit.
+    pub(super) fn audit(
+        tree: &CallTree,
+        phase: Option<(&ExpansionView, &[bool])>,
+        cx: &CompileCx<'_>,
+        config: &PolicyConfig,
+    ) {
+        // Inside the expansion phase the table under audit is the phase's
+        // own (it must have been refreshed); elsewhere a fresh sweep.
+        let mut fresh = Vec::new();
+        let swept = match phase {
+            Some((view, _)) => &view.metrics,
+            None => {
+                tree.subtree_metrics_into(cx, &mut fresh);
+                &fresh
+            }
+        };
+        for n in tree.node_ids() {
+            let kind = tree.node(n).kind;
+            assert_eq!(
+                tree.ir_size(n, cx).to_bits(),
+                tree.reference_ir_size(n, cx).to_bits(),
+                "stored |ir| of {n:?} ({kind:?}) is stale"
+            );
+            let want = tree.reference_subtree_metrics(n, cx);
+            let got = swept[n.0];
+            assert_eq!(
+                (got.s_ir.to_bits(), got.s_b.to_bits(), got.n_c),
+                (want.s_ir.to_bits(), want.s_b.to_bits(), want.n_c),
+                "swept subtree metrics of {n:?} ({kind:?}): {got:?}, reference {want:?}"
+            );
+            let Some((view, refused)) = phase else {
+                continue;
+            };
+            assert_eq!(
+                view.intrinsic[n.0].to_bits(),
+                intrinsic_priority(tree, n, cx, config).to_bits(),
+                "intrinsic priority of {n:?} ({kind:?})"
+            );
+            assert_eq!(
+                view.open[n.0],
+                has_open_cutoff(tree, n, refused),
+                "open-cutoff flag of {n:?} ({kind:?})"
+            );
         }
     }
 }

@@ -12,11 +12,10 @@
 //! IR, specialized with the callsite's argument types and constants — the
 //! foundation of deep inlining trials (§IV).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use incline_ir::graph::{CallTarget, Op};
-use incline_ir::ids::{CallSiteId, ClassId, InstId, MethodId};
+use incline_ir::ids::{BlockId, CallSiteId, ClassId, InstId, MethodId};
 use incline_ir::{Graph, GraphPool, StructuralHasher, Type};
 use incline_vm::{CompileCx, TrialKey, TrialOutcome};
 
@@ -66,6 +65,9 @@ pub struct CallNode {
     pub children: Vec<NodeId>,
     /// The specialized callee IR (only for `Expanded`).
     pub graph: Option<Graph>,
+    /// `|ir|` of `graph`, measured when it was attached (see
+    /// [`CallTree::ir_size`]).
+    pub graph_size: usize,
     /// Call frequency relative to the root (`f(n)`, Equation 4).
     pub freq: f64,
     /// Recursion depth `d(n)`: ancestors targeting the same method.
@@ -95,6 +97,7 @@ impl CallNode {
             site: None,
             children: Vec::new(),
             graph: None,
+            graph_size: 0,
             freq: 1.0,
             rec_depth: 0,
             ns: 0,
@@ -123,8 +126,12 @@ pub struct SubtreeMetrics {
 pub struct CallTree {
     nodes: Vec<CallNode>,
     root: NodeId,
-    /// The evolving root graph (the compilation result).
-    pub root_graph: Graph,
+    /// The evolving root graph (the compilation result). Private so every
+    /// change goes through [`CallTree::edit_root`], which keeps `root_size`
+    /// true.
+    root_graph: Graph,
+    /// `root_graph.size()`.
+    root_size: usize,
     root_method: MethodId,
     /// Total IR nodes attached by expansions (compile-work accounting).
     pub explored_nodes: usize,
@@ -146,6 +153,7 @@ impl CallTree {
         let mut tree = CallTree {
             nodes: Vec::new(),
             root: NodeId(0),
+            root_size: root_graph.size(),
             root_graph,
             root_method: method,
             explored_nodes: 0,
@@ -189,8 +197,30 @@ impl CallTree {
     }
 
     /// All node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+    pub fn node_ids(&self) -> impl DoubleEndedIterator<Item = NodeId> {
         (0..self.nodes.len()).map(NodeId)
+    }
+
+    /// The evolving root graph (the compilation result).
+    pub fn root_graph(&self) -> &Graph {
+        &self.root_graph
+    }
+
+    /// `|ir|` of the root graph, as of the last [`CallTree::edit_root`].
+    pub fn root_size(&self) -> usize {
+        self.root_size
+    }
+
+    /// Changes the root graph and re-measures it.
+    pub fn edit_root<R>(&mut self, edit: impl FnOnce(&mut Graph) -> R) -> R {
+        let result = edit(&mut self.root_graph);
+        self.root_size = self.root_graph.size();
+        result
+    }
+
+    /// Ends the compilation: the root graph is the result.
+    pub fn into_root_graph(self) -> Graph {
+        self.root_graph
     }
 
     /// The graph that contains a node's callsite: the parent's specialized
@@ -209,7 +239,8 @@ impl CallTree {
         }
     }
 
-    /// Mutable owner-graph access (used by typeswitch emission).
+    /// Whether a node's callsite lives in the root graph (see
+    /// [`CallTree::owner_graph`]).
     pub fn owner_graph_is_root(&self, n: NodeId) -> bool {
         let parent = self.nodes[n.0].parent.expect("root has no owner");
         match self.nodes[parent.0].kind {
@@ -222,7 +253,68 @@ impl CallTree {
     /// The IR size `|ir(n)|` of a node (paper §IV): specialized size for
     /// expanded nodes, original method size for cutoffs, an estimated
     /// typeswitch size for polymorphic nodes, zero otherwise.
+    ///
+    /// Stored, not measured: graphs are sized when they are attached
+    /// (methods at `define_method`, expansions at `expand_node`, the root at
+    /// `edit_root`), so asking is free however often the heuristics do.
     pub fn ir_size(&self, n: NodeId, cx: &CompileCx<'_>) -> f64 {
+        let node = &self.nodes[n.0];
+        match node.kind {
+            NodeKind::Expanded => node.graph_size as f64,
+            NodeKind::Cutoff => node
+                .method
+                .map_or(0.0, |m| cx.program.method(m).ir_size() as f64),
+            NodeKind::Polymorphic => (2 + 3 * node.children.len()) as f64,
+            NodeKind::Root => self.root_size as f64,
+            NodeKind::Deleted | NodeKind::Generic | NodeKind::Inlined => 0.0,
+        }
+    }
+
+    /// Subtree metrics `S_ir`, `S_b`, `N_c` (Equations 1–3) of every node,
+    /// written to `out` by node index. The node itself is included, matching
+    /// the paper's `m ∈ subtree(n)`.
+    ///
+    /// One sweep over the arena from the back: a child is always created
+    /// after its parent, so every child's sums are final when its parent
+    /// adds them up. The sums are integer-valued, so they are exact in any
+    /// order.
+    pub fn subtree_metrics_into(&self, cx: &CompileCx<'_>, out: &mut Vec<SubtreeMetrics>) {
+        out.clear();
+        out.resize(self.nodes.len(), SubtreeMetrics::default());
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            let size = self.ir_size(NodeId(i), cx);
+            let mut m = SubtreeMetrics {
+                s_ir: size,
+                ..SubtreeMetrics::default()
+            };
+            if node.kind == NodeKind::Cutoff {
+                m.s_b = size;
+                m.n_c = 1;
+            }
+            for &c in &node.children {
+                debug_assert!(c.0 > i, "children are created after their parents");
+                m.s_ir += out[c.0].s_ir;
+                m.s_b += out[c.0].s_b;
+                m.n_c += out[c.0].n_c;
+            }
+            out[i] = m;
+        }
+    }
+
+    /// Subtree metrics of one node. Sweeps the whole tree; callers that need
+    /// more than one node keep the table of
+    /// [`CallTree::subtree_metrics_into`].
+    pub fn subtree_metrics(&self, n: NodeId, cx: &CompileCx<'_>) -> SubtreeMetrics {
+        let mut table = Vec::new();
+        self.subtree_metrics_into(cx, &mut table);
+        table[n.0]
+    }
+
+    /// `|ir(n)|` measured afresh with `Graph::size()` — what
+    /// [`CallTree::ir_size`] must equal. The reference the call-tree
+    /// invariant tests compare the stored sizes against.
+    #[cfg(any(test, debug_assertions))]
+    pub fn reference_ir_size(&self, n: NodeId, cx: &CompileCx<'_>) -> f64 {
         let node = &self.nodes[n.0];
         match node.kind {
             NodeKind::Expanded => node.graph.as_ref().map_or(0.0, |g| g.size() as f64),
@@ -235,19 +327,20 @@ impl CallTree {
         }
     }
 
-    /// Subtree metrics `S_ir`, `S_b`, `N_c` (Equations 1–3). The node
-    /// itself is included, matching the paper's `m ∈ subtree(n)`.
-    pub fn subtree_metrics(&self, n: NodeId, cx: &CompileCx<'_>) -> SubtreeMetrics {
+    /// Subtree metrics by recursion over freshly measured sizes — what the
+    /// table of [`CallTree::subtree_metrics_into`] must equal.
+    #[cfg(any(test, debug_assertions))]
+    pub fn reference_subtree_metrics(&self, n: NodeId, cx: &CompileCx<'_>) -> SubtreeMetrics {
         let node = &self.nodes[n.0];
         let mut m = SubtreeMetrics::default();
-        let size = self.ir_size(n, cx);
+        let size = self.reference_ir_size(n, cx);
         m.s_ir += size;
         if node.kind == NodeKind::Cutoff {
             m.s_b += size;
             m.n_c += 1;
         }
         for &c in &node.children {
-            let cm = self.subtree_metrics(c, cx);
+            let cm = self.reference_subtree_metrics(c, cx);
             m.s_ir += cm.s_ir;
             m.s_b += cm.s_b;
             m.n_c += cm.n_c;
@@ -340,7 +433,7 @@ impl CallTree {
                 node.method = Some(m);
                 node.rec_depth = self.recursion_depth(parent, m);
                 let callee = cx.program.method(m);
-                if !callee.can_inline() || callee.graph.size() == 0 {
+                if !callee.can_inline() || callee.ir_size() == 0 {
                     node.kind = NodeKind::Generic;
                 }
                 self.nodes.push(node);
@@ -459,6 +552,7 @@ impl CallTree {
             let node = &mut self.nodes[n.0];
             node.kind = NodeKind::Expanded;
             node.graph = Some(graph);
+            node.graph_size = attached;
             node.ns = ns;
             node.no = no;
         }
@@ -504,7 +598,7 @@ impl CallTree {
             }
         }
         let mut graph = self.pool.clone_graph(template);
-        let ns = specialize_params(cx, &mut graph, args);
+        let ns = specialize_params(&mut graph, args);
         // The trial bundle (canonicalize_bundle) runs unmetered and
         // reports per-stage deltas to the trace as Trial-phase events.
         let trial_config = incline_opt::PipelineConfig {
@@ -599,16 +693,10 @@ impl CallTree {
     /// Re-synchronizes the root's direct children with the root graph
     /// after optimization: callsites may have been deleted (branch
     /// pruning) or devirtualized (canonicalization). Newly appearing
-    /// callsites cannot occur.
-    pub fn sync_root_children(&mut self, cx: &CompileCx<'_>, config: &PolicyConfig) {
-        let live: HashSet<InstId> = self
-            .root_graph
-            .callsites()
-            .iter()
-            .map(|&(_, i)| i)
-            .collect();
-        let children: Vec<NodeId> = self.nodes[self.root.0].children.clone();
-        for c in children {
+    /// callsites cannot occur. `live` indexes the root graph as it is now.
+    pub(crate) fn sync_root_children(&mut self, cx: &CompileCx<'_>, live: &RootIndex) {
+        for i in 0..self.nodes[self.root.0].children.len() {
+            let c = self.nodes[self.root.0].children[i];
             let (kind, callsite) = {
                 let n = &self.nodes[c.0];
                 (n.kind, n.callsite)
@@ -617,14 +705,13 @@ impl CallTree {
                 continue;
             }
             let Some(inst) = callsite else { continue };
-            if !live.contains(&inst) {
+            if live.call_block(&self.root_graph, inst).is_none() {
                 self.nodes[c.0].kind = NodeKind::Deleted;
                 continue;
             }
             // Devirtualized? A polymorphic/generic node whose callsite
             // became a static call turns into a plain cutoff.
-            let op = self.root_graph.inst(inst).op.clone();
-            if let Op::Call(info) = op {
+            if let Op::Call(info) = &self.root_graph.inst(inst).op {
                 if let CallTarget::Static(m) = info.target {
                     if matches!(kind, NodeKind::Polymorphic | NodeKind::Generic)
                         && self.nodes[c.0].method != Some(m)
@@ -637,11 +724,66 @@ impl CallTree {
                         } else {
                             NodeKind::Generic
                         };
-                        let _ = config;
                     }
                 }
             }
         }
+    }
+}
+
+/// Which reachable block of the root graph holds each instruction — what
+/// the inlining phase needs to find a callsite, kept current across its
+/// inlining steps instead of re-deriving the root's callsite list per step.
+#[derive(Debug)]
+pub(crate) struct RootIndex {
+    /// By instruction index; `None` for instructions that are detached or
+    /// sit in an unreachable block.
+    block_of: Vec<Option<BlockId>>,
+    /// Blocks of the graph already indexed.
+    blocks: usize,
+}
+
+impl RootIndex {
+    /// Indexes the reachable blocks of `graph`.
+    pub(crate) fn new(graph: &Graph) -> Self {
+        let mut block_of = vec![None; graph.inst_count()];
+        for b in graph.reachable_blocks() {
+            for &i in &graph.block(b).insts {
+                block_of[i.index()] = Some(b);
+            }
+        }
+        RootIndex {
+            block_of,
+            blocks: graph.block_count(),
+        }
+    }
+
+    /// The reachable block holding `inst`, if `inst` is (still) a call.
+    pub(crate) fn call_block(&self, graph: &Graph, inst: InstId) -> Option<BlockId> {
+        let block = self.block_of.get(inst.index()).copied().flatten()?;
+        matches!(graph.inst(inst).op, Op::Call(_)).then_some(block)
+    }
+
+    /// Brings the index up to date after an inlining step (`inline_call` or
+    /// typeswitch emission) split a reachable block: every block added
+    /// since the last call is indexed. The step's blocks are all reachable
+    /// except possibly `continuation` — when the inlined body never
+    /// returns, the code after the call is dead, and its instructions
+    /// leave the index.
+    pub(crate) fn absorb_step(
+        &mut self,
+        graph: &Graph,
+        continuation: BlockId,
+        continuation_reachable: bool,
+    ) {
+        self.block_of.resize(graph.inst_count(), None);
+        for b in (self.blocks..graph.block_count()).map(BlockId::new) {
+            let holder = (b != continuation || continuation_reachable).then_some(b);
+            for &i in &graph.block(b).insts {
+                self.block_of[i.index()] = holder;
+            }
+        }
+        self.blocks = graph.block_count();
     }
 }
 
@@ -682,7 +824,7 @@ pub fn hash_args(args: &[ArgInfo]) -> u64 {
 /// Applies argument specialization to a cloned callee graph: constant
 /// arguments replace parameter uses; narrower argument types narrow the
 /// parameter. Returns `N_s` — the number of specialized parameters.
-pub fn specialize_params(cx: &CompileCx<'_>, graph: &mut Graph, args: &[ArgInfo]) -> u32 {
+pub fn specialize_params(graph: &mut Graph, args: &[ArgInfo]) -> u32 {
     let entry = graph.entry();
     let params: Vec<_> = graph.block(entry).params.clone();
     let mut ns = 0;
@@ -706,7 +848,6 @@ pub fn specialize_params(cx: &CompileCx<'_>, graph: &mut Graph, args: &[ArgInfo]
             ns += 1;
         }
     }
-    let _ = cx;
     ns
 }
 
@@ -769,7 +910,7 @@ mod tests {
 
     #[test]
     fn expansion_attaches_ir_and_children() {
-        let (p, leaf, mid, root) = chain();
+        let (p, leaf, _, root) = chain();
         let profiles = ProfileTable::new();
         let cx = CompileCx::new(&p, &profiles);
         let config = PolicyConfig::default();
@@ -781,7 +922,6 @@ mod tests {
         assert_eq!(tree.node(c0).children.len(), 1);
         let leaf_node = tree.node(c0).children[0];
         assert_eq!(tree.node(leaf_node).method, Some(leaf));
-        let _ = mid;
     }
 
     #[test]

@@ -2,80 +2,139 @@
 //!
 //! Used by the verifier (defs must dominate uses), by GVN (dominator-tree
 //! scoped hash table) and by loop detection (back edges).
+//!
+//! Everything is a dense table indexed by [`BlockId`]: immediate dominators,
+//! the children lists (compressed rows) and the entry/exit numbers of a walk
+//! over the tree, which make [`DomTree::dominates`] two comparisons.
 
-use std::collections::HashMap;
-
-use crate::graph::Graph;
+use crate::graph::{Graph, Preds};
 use crate::ids::BlockId;
+
+/// `rpo_index`/interval entry of a block the entry cannot reach.
+const UNREACHABLE: u32 = u32::MAX;
 
 /// Immediate-dominator tree for the reachable blocks of a graph.
 #[derive(Clone, Debug)]
 pub struct DomTree {
     /// Reverse postorder of reachable blocks.
     rpo: Vec<BlockId>,
-    /// Position of each block in `rpo` (`usize::MAX` for unreachable).
-    rpo_index: Vec<usize>,
-    /// Immediate dominator of each reachable block (entry maps to itself).
-    idom: HashMap<BlockId, BlockId>,
-    /// Children in the dominator tree.
-    children: HashMap<BlockId, Vec<BlockId>>,
+    /// Position of each block in `rpo` ([`UNREACHABLE`] for the rest).
+    rpo_index: Vec<u32>,
+    /// Immediate dominator of each reachable block (the entry maps to
+    /// itself; unreachable slots are meaningless).
+    idom: Vec<BlockId>,
+    /// `children[child_starts[b] .. child_starts[b + 1]]` are the children of
+    /// block `b` in the dominator tree, in reverse postorder.
+    child_starts: Vec<u32>,
+    children: Vec<BlockId>,
+    /// Entry and exit numbers of each reachable block in a depth-first walk
+    /// of the dominator tree: `a` dominates `b` iff `a`'s interval encloses
+    /// `b`'s.
+    interval: Vec<(u32, u32)>,
+    /// The predecessor table the tree was computed from.
+    preds: Preds,
     entry: BlockId,
 }
 
 impl DomTree {
     /// Computes the dominator tree of `graph`.
     pub fn compute(graph: &Graph) -> Self {
+        Self::with_rpo(graph, reverse_postorder(graph))
+    }
+
+    /// Computes the dominator tree from an already computed
+    /// [`reverse_postorder`] of `graph`.
+    pub(crate) fn with_rpo(graph: &Graph, rpo: Vec<BlockId>) -> Self {
         let entry = graph.entry();
-        let rpo = reverse_postorder(graph);
-        let mut rpo_index = vec![usize::MAX; graph.block_count()];
+        let blocks = graph.block_count();
+        let mut rpo_index = vec![UNREACHABLE; blocks];
         for (i, &b) in rpo.iter().enumerate() {
-            rpo_index[b.index()] = i;
+            rpo_index[b.index()] = i as u32;
         }
-        let preds = graph.predecessors();
+        let preds = Preds::over(graph, &rpo);
 
         // idom in rpo-position space; entry's idom is itself.
-        let mut idom: Vec<Option<usize>> = vec![None; rpo.len()];
-        idom[0] = Some(0);
+        const NONE: u32 = u32::MAX;
+        let mut idom_pos: Vec<u32> = vec![NONE; rpo.len()];
+        idom_pos[0] = 0;
         let mut changed = true;
         while changed {
             changed = false;
             for i in 1..rpo.len() {
-                let b = rpo[i];
-                let mut new_idom: Option<usize> = None;
-                for &p in preds.get(&b).map(Vec::as_slice).unwrap_or(&[]) {
+                let mut new_idom = NONE;
+                for &p in preds.of(rpo[i]) {
                     let pi = rpo_index[p.index()];
-                    if pi == usize::MAX || idom[pi].is_none() {
+                    if idom_pos[pi as usize] == NONE {
                         continue;
                     }
-                    new_idom = Some(match new_idom {
-                        None => pi,
-                        Some(cur) => intersect(&idom, cur, pi),
-                    });
+                    new_idom = if new_idom == NONE {
+                        pi
+                    } else {
+                        intersect(&idom_pos, new_idom, pi)
+                    };
                 }
-                if let Some(ni) = new_idom {
-                    if idom[i] != Some(ni) {
-                        idom[i] = Some(ni);
-                        changed = true;
-                    }
+                if new_idom != NONE && idom_pos[i] != new_idom {
+                    idom_pos[i] = new_idom;
+                    changed = true;
                 }
             }
         }
 
-        let mut idom_map = HashMap::new();
-        let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        let mut idom = vec![entry; blocks];
+        let mut child_starts = vec![0u32; blocks + 1];
         for (i, &b) in rpo.iter().enumerate() {
-            let d = rpo[idom[i].expect("reachable block must acquire an idom")];
-            idom_map.insert(b, d);
+            assert!(idom_pos[i] != NONE, "reachable block must acquire an idom");
+            let d = rpo[idom_pos[i] as usize];
+            idom[b.index()] = d;
             if i != 0 {
-                children.entry(d).or_default().push(b);
+                child_starts[d.index() + 1] += 1;
             }
         }
-        DomTree {
+        for i in 1..child_starts.len() {
+            child_starts[i] += child_starts[i - 1];
+        }
+        let mut children = vec![entry; child_starts[blocks] as usize];
+        let mut fill = child_starts.clone();
+        for &b in &rpo[1..] {
+            let d = idom[b.index()].index();
+            children[fill[d] as usize] = b;
+            fill[d] += 1;
+        }
+
+        let mut tree = DomTree {
             rpo,
             rpo_index,
-            idom: idom_map,
+            idom,
+            child_starts,
             children,
+            interval: vec![(UNREACHABLE, 0); blocks],
+            preds,
             entry,
+        };
+        tree.number_intervals();
+        tree
+    }
+
+    /// Numbers every reachable block with its entry and exit time in a
+    /// depth-first walk of the tree.
+    fn number_intervals(&mut self) {
+        let mut clock = 0u32;
+        // (block, index of its next unvisited child)
+        let mut stack: Vec<(BlockId, u32)> = vec![(self.entry, 0)];
+        self.interval[self.entry.index()].0 = clock;
+        while let Some(top) = stack.last_mut() {
+            let (block, next) = *top;
+            let kids = self.children(block);
+            if let Some(&child) = kids.get(next as usize) {
+                top.1 += 1;
+                clock += 1;
+                self.interval[child.index()].0 = clock;
+                stack.push((child, 0));
+            } else {
+                clock += 1;
+                self.interval[block.index()].1 = clock;
+                stack.pop();
+            }
         }
     }
 
@@ -84,19 +143,35 @@ impl DomTree {
         &self.rpo
     }
 
+    /// Position of `block` in [`DomTree::rpo`], if it is reachable.
+    pub fn rpo_position(&self, block: BlockId) -> Option<usize> {
+        match self.rpo_index.get(block.index()) {
+            Some(&i) if i != UNREACHABLE => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// The predecessor table of the graph the tree was computed from (each
+    /// block's predecessors in reverse postorder), for analyses that need
+    /// both.
+    pub fn preds(&self) -> &Preds {
+        &self.preds
+    }
+
     /// Whether `block` is reachable from the entry.
     pub fn is_reachable(&self, block: BlockId) -> bool {
-        block.index() < self.rpo_index.len() && self.rpo_index[block.index()] != usize::MAX
+        self.rpo_position(block).is_some()
     }
 
     /// Immediate dominator of `block` (the entry dominates itself).
     pub fn idom(&self, block: BlockId) -> Option<BlockId> {
-        self.idom.get(&block).copied()
+        self.is_reachable(block).then(|| self.idom[block.index()])
     }
 
     /// Children of `block` in the dominator tree.
     pub fn children(&self, block: BlockId) -> &[BlockId] {
-        self.children.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        let i = block.index();
+        &self.children[self.child_starts[i] as usize..self.child_starts[i + 1] as usize]
     }
 
     /// Whether `a` dominates `b` (reflexive).
@@ -104,16 +179,9 @@ impl DomTree {
         if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == self.entry {
-                return false;
-            }
-            cur = self.idom[&cur];
-        }
+        let (a_in, a_out) = self.interval[a.index()];
+        let (b_in, b_out) = self.interval[b.index()];
+        a_in <= b_in && b_out <= a_out
     }
 
     /// Preorder walk of the dominator tree.
@@ -130,13 +198,13 @@ impl DomTree {
     }
 }
 
-fn intersect(idom: &[Option<usize>], mut a: usize, mut b: usize) -> usize {
+fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
         while a > b {
-            a = idom[a].expect("intersect on processed node");
+            a = idom[a as usize];
         }
         while b > a {
-            b = idom[b].expect("intersect on processed node");
+            b = idom[b as usize];
         }
     }
     a
@@ -268,5 +336,48 @@ mod tests {
         let mut all = g.reachable_blocks();
         all.sort();
         assert_eq!(pre, all);
+    }
+
+    /// A ladder of 2 000 diamonds: the dominator tree is 2 000 joins deep,
+    /// each with its two arms hanging off the rung's head.
+    #[test]
+    fn deep_diamond_ladder() {
+        const RUNGS: usize = 2_000;
+        let mut g = Graph::empty();
+        let c = g.add_block_param(g.entry(), Type::Bool);
+        let mut heads = vec![g.entry()];
+        let mut arms = Vec::new();
+        for _ in 0..RUNGS {
+            let head = *heads.last().unwrap();
+            let (t, f, join) = (g.add_block(), g.add_block(), g.add_block());
+            g.set_terminator(
+                head,
+                Terminator::Branch {
+                    cond: c,
+                    then_dest: (t, vec![]),
+                    else_dest: (f, vec![]),
+                },
+            );
+            g.set_terminator(t, Terminator::Jump(join, vec![]));
+            g.set_terminator(f, Terminator::Jump(join, vec![]));
+            arms.push((t, f));
+            heads.push(join);
+        }
+        g.set_terminator(*heads.last().unwrap(), Terminator::Return(None));
+
+        let dom = DomTree::compute(&g);
+        assert_eq!(dom.rpo().len(), 3 * RUNGS + 1);
+        for (k, &(t, f)) in arms.iter().enumerate() {
+            assert_eq!(dom.idom(t), Some(heads[k]));
+            assert_eq!(dom.idom(f), Some(heads[k]));
+            assert_eq!(dom.idom(heads[k + 1]), Some(heads[k]));
+            assert_eq!(dom.children(heads[k]).len(), 3);
+            assert!(!dom.dominates(t, heads[k + 1]));
+        }
+        let last = *heads.last().unwrap();
+        assert!(dom.dominates(g.entry(), last));
+        assert!(dom.dominates(heads[RUNGS / 2], last));
+        assert!(!dom.dominates(last, heads[RUNGS / 2]));
+        assert!(crate::loops::LoopForest::compute(&g).loops.is_empty());
     }
 }

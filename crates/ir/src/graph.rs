@@ -8,8 +8,6 @@
 //! call-tree nodes, specializes them and finally transplants them into the
 //! root method (see [`crate::inline`]).
 
-use std::collections::HashMap;
-
 use crate::ids::{BlockId, CallSiteId, ClassId, FieldId, InstId, MethodId, SelectorId, ValueId};
 use crate::types::{ElemType, Type};
 
@@ -451,37 +449,79 @@ impl Clone for Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(b, _) => vec![*b],
+    /// Successor blocks of this terminator (at most two; a branch whose
+    /// arms share a target yields it twice). Never allocates.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let pair = match self {
+            Terminator::Jump(b, _) => [Some(*b), None],
             Terminator::Branch {
                 then_dest,
                 else_dest,
                 ..
-            } => vec![then_dest.0, else_dest.0],
-            Terminator::Return(_) | Terminator::Deopt { .. } | Terminator::Unterminated => vec![],
-        }
+            } => [Some(then_dest.0), Some(else_dest.0)],
+            Terminator::Return(_) | Terminator::Deopt { .. } | Terminator::Unterminated => {
+                [None, None]
+            }
+        };
+        pair.into_iter().flatten()
     }
 
-    /// Values used by this terminator.
-    pub fn uses(&self) -> Vec<ValueId> {
+    /// Outgoing edges: each successor with the arguments it receives, in
+    /// then/else order. Never allocates.
+    pub fn edges(&self) -> impl Iterator<Item = (BlockId, &[ValueId])> {
+        let pair = match self {
+            Terminator::Jump(b, args) => [Some((*b, args.as_slice())), None],
+            Terminator::Branch {
+                then_dest,
+                else_dest,
+                ..
+            } => [
+                Some((then_dest.0, then_dest.1.as_slice())),
+                Some((else_dest.0, else_dest.1.as_slice())),
+            ],
+            Terminator::Return(_) | Terminator::Deopt { .. } | Terminator::Unterminated => {
+                [None, None]
+            }
+        };
+        pair.into_iter().flatten()
+    }
+
+    /// Values used by this terminator: the branch condition or returned
+    /// value first, then the edge arguments. Never allocates.
+    pub fn uses(&self) -> impl Iterator<Item = ValueId> + '_ {
+        let (head, first, second): (Option<ValueId>, &[ValueId], &[ValueId]) = match self {
+            Terminator::Jump(_, args) => (None, args, &[]),
+            Terminator::Branch {
+                cond,
+                then_dest,
+                else_dest,
+            } => (Some(*cond), &then_dest.1, &else_dest.1),
+            Terminator::Return(v) => (*v, &[], &[]),
+            Terminator::Deopt { .. } | Terminator::Unterminated => (None, &[], &[]),
+        };
+        head.into_iter()
+            .chain(first.iter().copied())
+            .chain(second.iter().copied())
+    }
+
+    /// Calls `f` on every value slot of this terminator, in [`uses`] order,
+    /// so passes can rewrite operands in place.
+    ///
+    /// [`uses`]: Terminator::uses
+    pub fn for_each_use_mut(&mut self, mut f: impl FnMut(&mut ValueId)) {
         match self {
-            Terminator::Jump(_, args) => args.clone(),
+            Terminator::Jump(_, args) => args.iter_mut().for_each(f),
             Terminator::Branch {
                 cond,
                 then_dest,
                 else_dest,
             } => {
-                let mut v = vec![*cond];
-                v.extend_from_slice(&then_dest.1);
-                v.extend_from_slice(&else_dest.1);
-                v
+                f(cond);
+                then_dest.1.iter_mut().for_each(&mut f);
+                else_dest.1.iter_mut().for_each(&mut f);
             }
-            Terminator::Return(Some(v)) => vec![*v],
-            Terminator::Return(None) | Terminator::Deopt { .. } | Terminator::Unterminated => {
-                vec![]
-            }
+            Terminator::Return(Some(v)) => f(v),
+            Terminator::Return(None) | Terminator::Deopt { .. } | Terminator::Unterminated => {}
         }
     }
 }
@@ -634,6 +674,26 @@ impl Graph {
         self.blocks[block.index()].term = term;
     }
 
+    /// Replaces the two-way branch ending `block` by a jump along its then
+    /// arm (`take_then`) or its else arm, keeping that arm's arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` does not end in a branch.
+    pub fn fold_branch(&mut self, block: BlockId, take_then: bool) {
+        let term = &mut self.blocks[block.index()].term;
+        let Terminator::Branch {
+            then_dest,
+            else_dest,
+            ..
+        } = std::mem::replace(term, Terminator::Unterminated)
+        else {
+            panic!("fold_branch on a block that does not end in a branch");
+        };
+        let (dest, args) = if take_then { then_dest } else { else_dest };
+        *term = Terminator::Jump(dest, args);
+    }
+
     /// Returns block data.
     pub fn block(&self, id: BlockId) -> &BlockData {
         &self.blocks[id.index()]
@@ -707,16 +767,10 @@ impl Graph {
         order
     }
 
-    /// Predecessor map over reachable blocks.
-    pub fn predecessors(&self) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for b in self.reachable_blocks() {
-            preds.entry(b).or_default();
-            for s in self.blocks[b.index()].term.successors() {
-                preds.entry(s).or_default().push(b);
-            }
-        }
-        preds
+    /// Predecessor table over reachable blocks, in depth-first preorder
+    /// of the predecessors.
+    pub fn predecessors(&self) -> Preds {
+        Preds::over(self, &self.reachable_blocks())
     }
 
     /// The paper's `|ir(n)|`: number of live IR nodes — block parameters,
@@ -746,74 +800,43 @@ impl Graph {
 
     /// Replaces every use of `old` with `new` in instruction operands and
     /// terminators. Returns the number of uses rewritten.
+    ///
+    /// One call scans the whole graph, so passes that replace many values
+    /// batch their replacements and rewrite operands in one sweep instead;
+    /// this is for the one-off replacement (a call result at an inlining
+    /// step, a specialized parameter).
     pub fn replace_all_uses(&mut self, old: ValueId, new: ValueId) -> usize {
         let mut n = 0;
-        for inst in &mut self.insts {
-            for a in &mut inst.args {
-                if *a == old {
-                    *a = new;
-                    n += 1;
-                }
+        let mut rewrite = |a: &mut ValueId| {
+            if *a == old {
+                *a = new;
+                n += 1;
             }
+        };
+        for inst in &mut self.insts {
+            inst.args.iter_mut().for_each(&mut rewrite);
         }
         for block in &mut self.blocks {
-            let term = &mut block.term;
-            let rewrite = |list: &mut Vec<ValueId>, n: &mut usize| {
-                for a in list {
-                    if *a == old {
-                        *a = new;
-                        *n += 1;
-                    }
-                }
-            };
-            match term {
-                Terminator::Jump(_, args) => rewrite(args, &mut n),
-                Terminator::Branch {
-                    cond,
-                    then_dest,
-                    else_dest,
-                } => {
-                    if *cond == old {
-                        *cond = new;
-                        n += 1;
-                    }
-                    rewrite(&mut then_dest.1, &mut n);
-                    rewrite(&mut else_dest.1, &mut n);
-                }
-                Terminator::Return(Some(v)) if *v == old => {
-                    *term = Terminator::Return(Some(new));
-                    n += 1;
-                }
-                _ => {}
-            }
+            block.term.for_each_use_mut(&mut rewrite);
         }
         n
+    }
+
+    /// Turns `inst` into an [`Op::Nop`] tombstone without operands. The
+    /// caller has already taken it out of its block's instruction list and
+    /// replaced all uses of its result.
+    pub fn neutralize_inst(&mut self, inst: InstId) {
+        let data = &mut self.insts[inst.index()];
+        data.op = Op::Nop;
+        data.args.clear();
     }
 
     /// Detaches `inst` from `block` and neutralizes it to [`Op::Nop`].
     ///
     /// The caller must have already replaced all uses of the result.
     pub fn remove_inst(&mut self, block: BlockId, inst: InstId) {
-        let b = &mut self.blocks[block.index()];
-        b.insts.retain(|&i| i != inst);
-        let data = &mut self.insts[inst.index()];
-        data.op = Op::Nop;
-        data.args.clear();
-    }
-
-    /// Whether any reachable instruction or terminator uses `value`.
-    pub fn has_uses(&self, value: ValueId) -> bool {
-        for b in self.reachable_blocks() {
-            for &i in &self.blocks[b.index()].insts {
-                if self.insts[i.index()].args.contains(&value) {
-                    return true;
-                }
-            }
-            if self.blocks[b.index()].term.uses().contains(&value) {
-                return true;
-            }
-        }
-        false
+        self.blocks[block.index()].insts.retain(|&i| i != inst);
+        self.neutralize_inst(inst);
     }
 
     /// If `value` is defined by a constant instruction, returns the op.
@@ -871,74 +894,64 @@ impl Graph {
     pub fn compacted(&self) -> Graph {
         let mut out = Graph::empty();
         let reachable = self.reachable_blocks();
-        let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-        let mut value_map: HashMap<ValueId, ValueId> = HashMap::new();
+        // Old id → new id, dense; `None` marks what compaction drops.
+        let mut block_map: Vec<Option<BlockId>> = vec![None; self.blocks.len()];
+        let mut value_map: Vec<Option<ValueId>> = vec![None; self.values.len()];
 
         // Pass 1: block shells + params. The first reachable block is the
         // entry and maps onto the fresh graph's entry.
         for (i, &b) in reachable.iter().enumerate() {
             let nb = if i == 0 { out.entry() } else { out.add_block() };
-            block_map.insert(b, nb);
+            block_map[b.index()] = Some(nb);
             for &p in &self.block(b).params {
                 let np = out.add_block_param(nb, self.value_type(p));
-                value_map.insert(p, np);
+                value_map[p.index()] = Some(np);
             }
         }
-        // Pass 2: instruction shells (fresh results; args later).
-        let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
+        let map_b = |b: BlockId| block_map[b.index()].expect("successor of a reachable block");
+        // Pass 2: instruction shells (fresh results; args later), remembered
+        // in creation order for pass 3.
+        let mut new_insts: Vec<InstId> = Vec::new();
         for &b in &reachable {
-            let nb = block_map[&b];
             for &i in &self.block(b).insts {
                 let data = self.inst(i);
                 let result_ty = data.result.map(|r| self.value_type(r));
-                let (ni, nres) = out.append(nb, data.op.clone(), Vec::new(), result_ty);
-                inst_map.insert(i, ni);
+                let (ni, nres) = out.append(map_b(b), data.op.clone(), Vec::new(), result_ty);
+                new_insts.push(ni);
                 if let (Some(or), Some(nr)) = (data.result, nres) {
-                    value_map.insert(or, nr);
+                    value_map[or.index()] = Some(nr);
                 }
             }
         }
         // Pass 3: operands + terminators.
-        let map_v = |value_map: &HashMap<ValueId, ValueId>, v: ValueId| -> ValueId {
-            *value_map
-                .get(&v)
+        let map_v = |v: ValueId| -> ValueId {
+            value_map[v.index()]
                 .unwrap_or_else(|| panic!("compaction found a use of dead value {v}"))
         };
+        let map_args =
+            |args: &[ValueId]| -> Vec<ValueId> { args.iter().map(|&a| map_v(a)).collect() };
+        let mut new_insts = new_insts.into_iter();
         for &b in &reachable {
             for &i in &self.block(b).insts {
-                let args: Vec<ValueId> = self
-                    .inst(i)
-                    .args
-                    .iter()
-                    .map(|&a| map_v(&value_map, a))
-                    .collect();
-                out.inst_mut(inst_map[&i]).args = args;
+                let ni = new_insts.next().expect("one shell per instruction");
+                out.inst_mut(ni).args = map_args(&self.inst(i).args);
             }
             let term = match &self.block(b).term {
-                Terminator::Jump(d, args) => Terminator::Jump(
-                    block_map[d],
-                    args.iter().map(|&a| map_v(&value_map, a)).collect(),
-                ),
+                Terminator::Jump(d, args) => Terminator::Jump(map_b(*d), map_args(args)),
                 Terminator::Branch {
                     cond,
                     then_dest,
                     else_dest,
                 } => Terminator::Branch {
-                    cond: map_v(&value_map, *cond),
-                    then_dest: (
-                        block_map[&then_dest.0],
-                        then_dest.1.iter().map(|&a| map_v(&value_map, a)).collect(),
-                    ),
-                    else_dest: (
-                        block_map[&else_dest.0],
-                        else_dest.1.iter().map(|&a| map_v(&value_map, a)).collect(),
-                    ),
+                    cond: map_v(*cond),
+                    then_dest: (map_b(then_dest.0), map_args(&then_dest.1)),
+                    else_dest: (map_b(else_dest.0), map_args(&else_dest.1)),
                 },
-                Terminator::Return(v) => Terminator::Return(v.map(|v| map_v(&value_map, v))),
+                Terminator::Return(v) => Terminator::Return(v.map(map_v)),
                 Terminator::Deopt { reason } => Terminator::Deopt { reason: *reason },
                 Terminator::Unterminated => Terminator::Unterminated,
             };
-            out.set_terminator(block_map[&b], term);
+            out.set_terminator(map_b(b), term);
         }
         out
     }
@@ -983,6 +996,60 @@ impl Graph {
             h.write_terminator(&bd.term);
         }
         h.finish()
+    }
+}
+
+/// Predecessors of every reachable block: a dense table indexed by
+/// [`BlockId`] (compressed rows — one offset array, one edge array).
+///
+/// Edge multiplicity is preserved: a branch whose two arms target the same
+/// block lists its source twice there, so `of(b).len()` counts incoming
+/// *edges*. Unreachable sources are not listed, and unreachable blocks have
+/// no predecessors.
+#[derive(Clone, Debug)]
+pub struct Preds {
+    /// `edges[starts[b] .. starts[b + 1]]` are the predecessors of block `b`.
+    starts: Vec<u32>,
+    edges: Vec<BlockId>,
+}
+
+impl Preds {
+    /// Builds the table from `order`, an enumeration of the reachable
+    /// blocks; each block's predecessors appear in `order`'s order.
+    pub(crate) fn over(graph: &Graph, order: &[BlockId]) -> Preds {
+        let mut starts = vec![0u32; graph.block_count() + 1];
+        for &b in order {
+            for s in graph.block(b).term.successors() {
+                starts[s.index() + 1] += 1;
+            }
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut edges = vec![BlockId::new(0); starts[graph.block_count()] as usize];
+        // `fill[b]` is the next free slot of row `b`.
+        let mut fill = starts.clone();
+        for &b in order {
+            for s in graph.block(b).term.successors() {
+                edges[fill[s.index()] as usize] = b;
+                fill[s.index()] += 1;
+            }
+        }
+        Preds { starts, edges }
+    }
+
+    /// The predecessors of `block`, one entry per incoming edge.
+    pub fn of(&self, block: BlockId) -> &[BlockId] {
+        let i = block.index();
+        &self.edges[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+}
+
+impl std::ops::Index<BlockId> for Preds {
+    type Output = [BlockId];
+
+    fn index(&self, block: BlockId) -> &[BlockId] {
+        self.of(block)
     }
 }
 
@@ -1277,9 +1344,34 @@ mod tests {
         let reach = g.reachable_blocks();
         assert_eq!(reach.len(), 4);
         let preds = g.predecessors();
-        assert_eq!(preds[&j].len(), 2);
+        assert_eq!(preds[j].len(), 2);
         // entry param + 2 consts + 1 join param + 4 terminators
         assert_eq!(g.size(), 8);
+    }
+
+    #[test]
+    fn predecessors_count_edges_not_blocks() {
+        // A branch with both arms on one block is two incoming edges; an
+        // unreachable block's edge is none.
+        let mut g = Graph::empty();
+        let e = g.entry();
+        let c = g.add_block_param(e, Type::Bool);
+        let join = g.add_block();
+        let dead = g.add_block();
+        g.set_terminator(
+            e,
+            Terminator::Branch {
+                cond: c,
+                then_dest: (join, vec![]),
+                else_dest: (join, vec![]),
+            },
+        );
+        g.set_terminator(join, Terminator::Return(None));
+        g.set_terminator(dead, Terminator::Jump(join, vec![]));
+        let preds = g.predecessors();
+        assert_eq!(preds.of(join), [e, e]);
+        assert!(preds.of(e).is_empty());
+        assert!(preds.of(dead).is_empty());
     }
 
     #[test]
@@ -1288,13 +1380,12 @@ mod tests {
         let e = g.entry();
         let a = k(&mut g, e, 1);
         let b = k(&mut g, e, 2);
-        let (_, s) = g.append(e, Op::Bin(BinOp::IAdd), vec![a, a], Some(Type::Int));
+        g.append(e, Op::Bin(BinOp::IAdd), vec![a, a], Some(Type::Int));
         g.set_terminator(e, Terminator::Return(Some(a)));
         let n = g.replace_all_uses(a, b);
         assert_eq!(n, 3);
         assert_eq!(g.inst(InstId::new(2)).args, vec![b, b]);
         assert_eq!(g.block(e).term, Terminator::Return(Some(b)));
-        let _ = s;
     }
 
     #[test]
@@ -1307,7 +1398,6 @@ mod tests {
             ValueDef::Inst(i) => i,
             _ => unreachable!(),
         };
-        assert!(!g.has_uses(a));
         g.remove_inst(e, def);
         assert_eq!(g.block(e).insts.len(), 0);
         assert_eq!(g.inst(def).op, Op::Nop);
@@ -1363,11 +1453,7 @@ mod tests {
         let (_, sum) = g.append(e, Op::Bin(BinOp::IAdd), vec![a, b], Some(Type::Int));
         g.set_terminator(e, Terminator::Return(sum));
         // Garbage: a removed instruction, a dead block, a detached inst.
-        let dead_inst = {
-            let (i, r) = g.append(e, Op::ConstInt(9), vec![], Some(Type::Int));
-            let _ = r;
-            i
-        };
+        let dead_inst = g.append(e, Op::ConstInt(9), vec![], Some(Type::Int)).0;
         g.remove_inst(e, dead_inst);
         let dead_block = g.add_block();
         k(&mut g, dead_block, 7);

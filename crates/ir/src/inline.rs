@@ -8,21 +8,27 @@
 //! block. Callsite ids inside the callee are preserved, so profiles keep
 //! working after arbitrarily deep inlining.
 
-use std::collections::HashMap;
-
 use crate::graph::{Graph, Op, Terminator};
 use crate::ids::{BlockId, InstId, ValueId};
 
-/// Maps from callee entities to their clones in the caller.
+/// Maps from callee entities to their clones in the caller: dense tables
+/// indexed by the callee's ids, `None` for what was not transplanted
+/// (entities of unreachable callee blocks, detached instructions).
 #[derive(Clone, Debug)]
 pub struct InlineResult {
     /// Callee block → caller block.
-    pub block_map: HashMap<BlockId, BlockId>,
+    pub block_map: Vec<Option<BlockId>>,
     /// Callee value → caller value.
-    pub value_map: HashMap<ValueId, ValueId>,
+    pub value_map: Vec<Option<ValueId>>,
     /// Callee instruction → caller instruction (inliners use this to
     /// re-anchor call-tree children onto the transplanted callsites).
-    pub inst_map: HashMap<InstId, InstId>,
+    pub inst_map: Vec<Option<InstId>>,
+    /// The transplanted call instructions as (callee, caller) pairs, in
+    /// caller instruction order — the callsites this inlining step exposed.
+    pub calls: Vec<(InstId, InstId)>,
+    /// How many `return`s of the callee now jump to the continuation; with
+    /// none, the callee never returns and the continuation is unreachable.
+    pub return_edges: usize,
     /// The cloned entry block of the callee.
     pub inlined_entry: BlockId,
     /// The continuation block holding the code that followed the call.
@@ -71,13 +77,15 @@ pub fn inline_call(
     });
 
     // Move trailing instructions and the terminator into the continuation.
-    let tail: Vec<InstId> = caller.block(block).insts[pos + 1..].to_vec();
-    let old_term = caller.block(block).term.clone();
-    {
+    let (tail, old_term) = {
         let bd = caller.block_mut(block);
-        bd.insts.truncate(pos); // drops the call as well; re-added below as removed
-        bd.term = Terminator::Unterminated;
-    }
+        let tail = bd.insts.split_off(pos + 1);
+        bd.insts.truncate(pos); // drops the call as well; neutralized below
+        (
+            tail,
+            std::mem::replace(&mut bd.term, Terminator::Unterminated),
+        )
+    };
     caller.block_mut(continuation).insts = tail;
     caller.block_mut(continuation).term = old_term;
 
@@ -85,83 +93,70 @@ pub fn inline_call(
     if let (Some(r), Some(p)) = (call_result, cont_param) {
         caller.replace_all_uses(r, p);
     }
-    // Neutralize the detached call instruction.
-    {
-        let data = caller.inst_mut(call);
-        data.op = Op::Nop;
-        data.args.clear();
-    }
+    caller.neutralize_inst(call);
 
     // --- clone callee blocks ------------------------------------------------
     let callee_blocks = callee.reachable_blocks();
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    let mut value_map: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut block_map: Vec<Option<BlockId>> = vec![None; callee.block_count()];
+    let mut value_map: Vec<Option<ValueId>> = vec![None; callee.value_count()];
 
     // Pass 1: block shells and parameters.
     for &cb in &callee_blocks {
         let nb = caller.add_block();
-        block_map.insert(cb, nb);
+        block_map[cb.index()] = Some(nb);
         for &p in &callee.block(cb).params {
             let np = caller.add_block_param(nb, callee.value_type(p));
-            value_map.insert(p, np);
+            value_map[p.index()] = Some(np);
         }
     }
+    let map_b = |b: BlockId| block_map[b.index()].expect("successor of a reachable block");
 
     // Pass 2: instruction shells (ops + fresh results, args filled later so
     // that forward references across blocks resolve).
-    let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
+    let mut inst_map: Vec<Option<InstId>> = vec![None; callee.inst_count()];
+    let mut calls: Vec<(InstId, InstId)> = Vec::new();
     for &cb in &callee_blocks {
-        let nb = block_map[&cb];
+        let nb = map_b(cb);
         for &ci in &callee.block(cb).insts {
             let cinst = callee.inst(ci);
             let result_ty = cinst.result.map(|r| callee.value_type(r));
             let (ni, nres) = caller.append(nb, cinst.op.clone(), Vec::new(), result_ty);
-            inst_map.insert(ci, ni);
+            inst_map[ci.index()] = Some(ni);
+            if matches!(cinst.op, Op::Call(_)) {
+                calls.push((ci, ni));
+            }
             if let (Some(cr), Some(nr)) = (cinst.result, nres) {
-                value_map.insert(cr, nr);
+                value_map[cr.index()] = Some(nr);
             }
         }
     }
 
     // Pass 3: operands and terminators.
-    let map_v = |value_map: &HashMap<ValueId, ValueId>, v: ValueId| -> ValueId {
-        *value_map
-            .get(&v)
-            .unwrap_or_else(|| panic!("unmapped callee value {v}"))
+    let map_v = |v: ValueId| -> ValueId {
+        value_map[v.index()].unwrap_or_else(|| panic!("unmapped callee value {v}"))
     };
+    let map_args = |args: &[ValueId]| -> Vec<ValueId> { args.iter().map(|&a| map_v(a)).collect() };
+    let mut return_edges = 0;
     for &cb in &callee_blocks {
         for &ci in &callee.block(cb).insts {
-            let args: Vec<ValueId> = callee
-                .inst(ci)
-                .args
-                .iter()
-                .map(|&a| map_v(&value_map, a))
-                .collect();
-            caller.inst_mut(inst_map[&ci]).args = args;
+            let ni = inst_map[ci.index()].expect("cloned in pass 2");
+            caller.inst_mut(ni).args = map_args(&callee.inst(ci).args);
         }
         let nterm = match &callee.block(cb).term {
-            Terminator::Jump(d, args) => Terminator::Jump(
-                block_map[d],
-                args.iter().map(|&a| map_v(&value_map, a)).collect(),
-            ),
+            Terminator::Jump(d, args) => Terminator::Jump(map_b(*d), map_args(args)),
             Terminator::Branch {
                 cond,
                 then_dest,
                 else_dest,
             } => Terminator::Branch {
-                cond: map_v(&value_map, *cond),
-                then_dest: (
-                    block_map[&then_dest.0],
-                    then_dest.1.iter().map(|&a| map_v(&value_map, a)).collect(),
-                ),
-                else_dest: (
-                    block_map[&else_dest.0],
-                    else_dest.1.iter().map(|&a| map_v(&value_map, a)).collect(),
-                ),
+                cond: map_v(*cond),
+                then_dest: (map_b(then_dest.0), map_args(&then_dest.1)),
+                else_dest: (map_b(else_dest.0), map_args(&else_dest.1)),
             },
             Terminator::Return(v) => {
+                return_edges += 1;
                 let args = match (v, cont_param) {
-                    (Some(v), Some(_)) => vec![map_v(&value_map, *v)],
+                    (Some(v), Some(_)) => vec![map_v(*v)],
                     (None, None) => vec![],
                     (Some(_), None) => vec![], // caller ignores the value (cannot happen for verified graphs)
                     (None, Some(_)) => panic!("void return feeding a value continuation"),
@@ -173,17 +168,19 @@ pub fn inline_call(
             Terminator::Deopt { reason } => Terminator::Deopt { reason: *reason },
             Terminator::Unterminated => panic!("cannot inline a graph with unterminated blocks"),
         };
-        caller.set_terminator(block_map[&cb], nterm);
+        caller.set_terminator(map_b(cb), nterm);
     }
 
     // --- wire the split block to the inlined entry --------------------------
-    let inlined_entry = block_map[&callee.entry()];
+    let inlined_entry = map_b(callee.entry());
     caller.set_terminator(block, Terminator::Jump(inlined_entry, call_args));
 
     InlineResult {
         block_map,
         value_map,
         inst_map,
+        calls,
+        return_edges,
         inlined_entry,
         continuation,
     }
@@ -193,7 +190,7 @@ pub fn inline_call(
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::graph::{BinOp, CallInfo, CallTarget, CmpOp};
+    use crate::graph::{BinOp, CmpOp};
     use crate::program::Program;
     use crate::types::{RetType, Type};
     use crate::verify::verify_graph;
@@ -296,7 +293,7 @@ mod tests {
         verify_graph(&p, &g, &[Type::Int], RetType::Value(Type::Int)).unwrap();
         // Both returns feed the continuation parameter.
         let preds = g.predecessors();
-        assert_eq!(preds[&res.continuation].len(), 2);
+        assert_eq!(preds[res.continuation].len(), 2);
     }
 
     #[test]
@@ -414,12 +411,5 @@ mod tests {
         verify_graph(&p, &g, &[Type::Int], RetType::Value(Type::Int)).unwrap();
         // Exactly one recursive callsite remains (the inner copy).
         assert_eq!(g.callsites().len(), 1);
-        let _ = CallInfo {
-            target: CallTarget::Static(fact),
-            site: crate::ids::CallSiteId {
-                method: fact,
-                index: 0,
-            },
-        };
     }
 }

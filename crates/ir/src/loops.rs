@@ -6,9 +6,7 @@
 //! Loop peeling (in `incline-opt`) and the cost model (loop-frequency
 //! heuristics) consume this.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::dom::DomTree;
+use crate::dom::{reverse_postorder, DomTree};
 use crate::graph::Graph;
 use crate::ids::BlockId;
 
@@ -17,7 +15,7 @@ use crate::ids::BlockId;
 pub struct Loop {
     /// The loop header (dominates all body blocks).
     pub header: BlockId,
-    /// All blocks of the loop, header included.
+    /// All blocks of the loop, header included, in ascending id order.
     pub blocks: Vec<BlockId>,
     /// The tails of the back edges targeting `header`.
     pub back_edges: Vec<BlockId>,
@@ -26,76 +24,95 @@ pub struct Loop {
 impl Loop {
     /// Whether `block` belongs to this loop.
     pub fn contains(&self, block: BlockId) -> bool {
-        self.blocks.contains(&block)
+        self.blocks.binary_search(&block).is_ok()
     }
 }
 
-/// All natural loops of a graph, with a per-block nesting-depth map.
+/// All natural loops of a graph, with a per-block nesting depth.
 #[derive(Clone, Debug, Default)]
 pub struct LoopForest {
-    /// Loops, one per distinct header (back edges to a header are merged).
+    /// Loops, one per distinct header (back edges to a header are merged),
+    /// in ascending header order.
     pub loops: Vec<Loop>,
-    /// Nesting depth of each block (0 = not in any loop).
-    pub depth: HashMap<BlockId, u32>,
+    /// Nesting depth by block index (0 = not in any loop; blocks past the
+    /// end are in none).
+    depth: Vec<u32>,
 }
 
 impl LoopForest {
     /// Computes the loop forest of `graph`.
     pub fn compute(graph: &Graph) -> Self {
-        let dom = DomTree::compute(graph);
-        Self::compute_with(graph, &dom)
+        // A loop needs an edge that goes backwards in reverse postorder;
+        // most graphs the optimizer sees have none, and then neither the
+        // dominator tree nor the predecessor table is worth building.
+        let rpo = reverse_postorder(graph);
+        let mut position = vec![u32::MAX; graph.block_count()];
+        for (i, &b) in rpo.iter().enumerate() {
+            position[b.index()] = i as u32;
+        }
+        let retreats = rpo.iter().any(|&b| {
+            graph
+                .block(b)
+                .term
+                .successors()
+                .any(|s| position[s.index()] <= position[b.index()])
+        });
+        if !retreats {
+            return LoopForest::default();
+        }
+        Self::compute_with(graph, &DomTree::with_rpo(graph, rpo))
     }
 
     /// Computes the loop forest with a precomputed dominator tree.
     pub fn compute_with(graph: &Graph, dom: &DomTree) -> Self {
-        let preds = graph.predecessors();
-        let mut by_header: HashMap<BlockId, (HashSet<BlockId>, Vec<BlockId>)> = HashMap::new();
-
+        let blocks = graph.block_count();
+        // Back edges in reverse postorder of their tails, grouped by header:
+        // `loop_of[h]` is the index into `loops` of header `h`.
+        const NO_LOOP: u32 = u32::MAX;
+        let mut loop_of = vec![NO_LOOP; blocks];
+        let mut loops: Vec<Loop> = Vec::new();
         for &b in dom.rpo() {
             for succ in graph.block(b).term.successors() {
                 if dom.dominates(succ, b) {
                     // b -> succ is a back edge; succ is the header.
-                    let entry = by_header.entry(succ).or_insert_with(|| {
-                        let mut set = HashSet::new();
-                        set.insert(succ);
-                        (set, Vec::new())
-                    });
-                    entry.1.push(b);
-                    // Collect the natural loop body by walking predecessors
-                    // from the tail until the header.
-                    let mut stack = vec![b];
-                    while let Some(n) = stack.pop() {
-                        if entry.0.insert(n) {
-                            for &p in preds.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
-                                stack.push(p);
-                            }
-                        }
+                    if loop_of[succ.index()] == NO_LOOP {
+                        loop_of[succ.index()] = loops.len() as u32;
+                        loops.push(Loop {
+                            header: succ,
+                            blocks: Vec::new(),
+                            back_edges: Vec::new(),
+                        });
                     }
+                    loops[loop_of[succ.index()] as usize].back_edges.push(b);
                 }
             }
         }
-
-        let mut loops: Vec<Loop> = by_header
-            .into_iter()
-            .map(|(header, (blocks, back_edges))| {
-                let mut blocks: Vec<_> = blocks.into_iter().collect();
-                blocks.sort();
-                Loop {
-                    header,
-                    blocks,
-                    back_edges,
-                }
-            })
-            .collect();
+        if loops.is_empty() {
+            return LoopForest::default();
+        }
         loops.sort_by_key(|l| l.header);
 
-        let mut depth: HashMap<BlockId, u32> = HashMap::new();
-        for &b in dom.rpo() {
-            depth.insert(b, 0);
-        }
-        for l in &loops {
+        // Each natural loop body: walk predecessors from the tails until the
+        // header. `member[b] == i + 1` marks `b` as collected for loop `i`.
+        let preds = dom.preds();
+        let mut member = vec![0u32; blocks];
+        let mut depth = vec![0u32; blocks];
+        let mut stack: Vec<BlockId> = Vec::new();
+        for (i, l) in loops.iter_mut().enumerate() {
+            let mark = i as u32 + 1;
+            member[l.header.index()] = mark;
+            l.blocks.push(l.header);
+            stack.extend_from_slice(&l.back_edges);
+            while let Some(n) = stack.pop() {
+                if member[n.index()] != mark {
+                    member[n.index()] = mark;
+                    l.blocks.push(n);
+                    stack.extend_from_slice(preds.of(n));
+                }
+            }
+            l.blocks.sort();
             for &b in &l.blocks {
-                *depth.entry(b).or_insert(0) += 1;
+                depth[b.index()] += 1;
             }
         }
         LoopForest { loops, depth }
@@ -103,12 +120,15 @@ impl LoopForest {
 
     /// Loop with the given header, if any.
     pub fn loop_at(&self, header: BlockId) -> Option<&Loop> {
-        self.loops.iter().find(|l| l.header == header)
+        self.loops
+            .binary_search_by_key(&header, |l| l.header)
+            .ok()
+            .map(|i| &self.loops[i])
     }
 
     /// Nesting depth of a block (0 if not in a loop).
     pub fn depth_of(&self, block: BlockId) -> u32 {
-        self.depth.get(&block).copied().unwrap_or(0)
+        self.depth.get(block.index()).copied().unwrap_or(0)
     }
 }
 

@@ -85,12 +85,21 @@ pub struct Method {
     pub graph: Graph,
     /// Inlineability class of the method.
     pub kind: MethodKind,
+    /// `graph.size()`, measured when the body was attached. A program hands
+    /// out its methods by shared reference only, so this cannot go stale.
+    graph_size: usize,
 }
 
 impl Method {
     /// Whether the compiler may inline this method.
     pub fn can_inline(&self) -> bool {
         self.kind == MethodKind::Normal
+    }
+
+    /// The paper's `|ir|` of the method's template body: `graph.size()`,
+    /// without the walk (the inliners ask for it at every callsite).
+    pub fn ir_size(&self) -> usize {
+        self.graph_size
     }
 }
 
@@ -292,6 +301,7 @@ impl Program {
             ret: ret.into(),
             graph: Graph::empty(),
             kind: MethodKind::Normal,
+            graph_size: Graph::empty().size(),
         });
         id
     }
@@ -325,6 +335,7 @@ impl Program {
             ret: ret.into(),
             graph: Graph::empty(),
             kind: MethodKind::Normal,
+            graph_size: Graph::empty().size(),
         });
         let prev = self.classes[holder.index()]
             .declared_methods
@@ -339,7 +350,9 @@ impl Program {
 
     /// Attaches the body graph to a previously declared method.
     pub fn define_method(&mut self, id: MethodId, graph: Graph) {
-        self.methods[id.index()].graph = graph;
+        let method = &mut self.methods[id.index()];
+        method.graph_size = graph.size();
+        method.graph = graph;
     }
 
     /// Marks a method as opaque (never inlined; the paper's `G` nodes).
@@ -350,11 +363,6 @@ impl Program {
     /// Returns the method data for `id`.
     pub fn method(&self, id: MethodId) -> &Method {
         &self.methods[id.index()]
-    }
-
-    /// Mutable access to a method (used by compilation to reattach graphs).
-    pub fn method_mut(&mut self, id: MethodId) -> &mut Method {
-        &mut self.methods[id.index()]
     }
 
     /// Number of methods in the program.

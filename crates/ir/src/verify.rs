@@ -13,7 +13,6 @@
 //! * entry-block parameters agree with the declared signature (parameter
 //!   types may be *narrowed*, which deep inlining trials rely on).
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -109,13 +108,14 @@ pub fn verify_graph(
     }
 
     let dom = DomTree::compute(graph);
-    let reachable = dom.rpo().to_vec();
+    let reachable = dom.rpo();
 
-    // Map each inst to its (block, position); detect duplicates.
-    let mut placement: HashMap<InstId, (BlockId, usize)> = HashMap::new();
-    for &b in &reachable {
+    // Map each inst to its (block, position), dense by instruction id;
+    // detect duplicates.
+    let mut placement: Vec<Option<(BlockId, usize)>> = vec![None; graph.inst_count()];
+    for &b in reachable {
         for (pos, &i) in graph.block(b).insts.iter().enumerate() {
-            if placement.insert(i, (b, pos)).is_some() {
+            if placement[i.index()].replace((b, pos)).is_some() {
                 return err(
                     Some(b),
                     Some(i),
@@ -143,7 +143,7 @@ pub fn verify_graph(
                 }
             }
             crate::graph::ValueDef::Inst(di) => {
-                let Some(&(db, dpos)) = placement.get(&di) else {
+                let Some((db, dpos)) = placement[di.index()] else {
                     return err(
                         Some(ub),
                         None,
@@ -170,7 +170,7 @@ pub fn verify_graph(
         Ok(())
     };
 
-    for &b in &reachable {
+    for &b in reachable {
         let bd = graph.block(b);
         for (pos, &i) in bd.insts.iter().enumerate() {
             let inst = graph.inst(i);
@@ -215,18 +215,7 @@ pub fn verify_graph(
                         return err(Some(b), None, "branch condition is not bool");
                     }
                 }
-                let edges: Vec<(BlockId, &Vec<ValueId>)> = match term {
-                    Terminator::Jump(d, args) => vec![(*d, args)],
-                    Terminator::Branch {
-                        then_dest,
-                        else_dest,
-                        ..
-                    } => {
-                        vec![(then_dest.0, &then_dest.1), (else_dest.0, &else_dest.1)]
-                    }
-                    _ => unreachable!(),
-                };
-                for (dest, args) in edges {
+                for (dest, args) in term.edges() {
                     let dparams = &graph.block(dest).params;
                     if dparams.len() != args.len() {
                         return err(

@@ -23,13 +23,17 @@ use incline_ir::graph::{BinOp, CallInfo, CallTarget, CmpOp, Op, Terminator};
 use incline_ir::ids::{BlockId, InstId, ValueId};
 use incline_ir::{Graph, Program, Type, ValueDef};
 
+use crate::alias::Aliases;
 use crate::stats::OptStats;
 
 /// Runs canonicalization to a local fixpoint. Returns the event counts.
 pub fn canonicalize(program: &Program, graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
-    // Each round is linear; the loop is bounded because every rewrite
-    // strictly reduces (insts + branches + blocks) or freezes a call.
+    // Each round is one sweep per sub-pass over the reachable blocks —
+    // linear in the graph however many values are replaced or blocks merged
+    // (see `fold_insts` and `merge_blocks`). The loop is bounded because
+    // every rewrite strictly reduces (insts + branches + blocks) or freezes
+    // a call.
     loop {
         let mut changed = false;
         changed |= fold_insts(program, graph, &mut stats);
@@ -56,20 +60,35 @@ enum Rewrite {
     MulToShift { x: ValueId, shift: i64 },
 }
 
+/// Folds instructions in one sweep. A replaced result is recorded in an
+/// alias table instead of being rewritten across the graph on the spot;
+/// every instruction's operands are resolved through the table right before
+/// `simplify` inspects it, and the terminators once at the end. A use is
+/// always visited after the definition it depends on (definitions dominate
+/// uses, and the depth-first order visits dominators first), so `simplify`
+/// sees exactly the operands eager rewriting would have shown it.
 fn fold_insts(program: &Program, graph: &mut Graph, stats: &mut OptStats) -> bool {
     let mut changed = false;
-    for block in graph.reachable_blocks() {
-        // Snapshot: rewrites mutate the block's inst list.
-        let insts: Vec<InstId> = graph.block(block).insts.clone();
+    let mut aliases = Aliases::new();
+    let order = graph.reachable_blocks();
+    for &block in &order {
+        // The block's list is rebuilt as it is swept: rewrites insert and
+        // drop instructions without searching or shifting.
+        let insts = std::mem::take(&mut graph.block_mut(block).insts);
+        let mut kept: Vec<InstId> = Vec::with_capacity(insts.len());
         for inst in insts {
+            aliases.resolve_all(&mut graph.inst_mut(inst).args);
             let Some((rewrite, bump)) = simplify(program, graph, inst) else {
+                kept.push(inst);
                 continue;
             };
-            apply(graph, block, inst, rewrite);
+            apply(graph, &mut aliases, &mut kept, inst, rewrite);
             *bump_field(stats, bump) += 1;
             changed = true;
         }
+        graph.block_mut(block).insts = kept;
     }
+    aliases.apply_to_terminators(graph, &order);
     changed
 }
 
@@ -91,48 +110,47 @@ fn bump_field(stats: &mut OptStats, b: Bump) -> &mut u64 {
     }
 }
 
-fn apply(graph: &mut Graph, block: BlockId, inst: InstId, rewrite: Rewrite) {
+/// Carries out `rewrite` on `inst`, which the sweep has reached but not
+/// yet pushed: `kept` receives what takes its place in the block.
+fn apply(
+    graph: &mut Graph,
+    aliases: &mut Aliases,
+    kept: &mut Vec<InstId>,
+    inst: InstId,
+    rewrite: Rewrite,
+) {
     match rewrite {
         Rewrite::Alias(v) => {
             let result = graph.inst(inst).result.expect("aliased inst has a result");
-            graph.replace_all_uses(result, v);
-            graph.remove_inst(block, inst);
+            aliases.record(graph, result, v);
+            graph.neutralize_inst(inst);
         }
         Rewrite::Const(op, ty) => {
-            let pos = graph
-                .block(block)
-                .insts
-                .iter()
-                .position(|&i| i == inst)
-                .expect("inst in its block");
             let k = graph.create_inst(op, vec![], Some(ty));
-            graph.insert_inst(block, pos, k);
+            kept.push(k);
             let kv = graph.inst(k).result.expect("constant produces a value");
             let result = graph.inst(inst).result.expect("folded inst has a result");
-            graph.replace_all_uses(result, kv);
-            graph.remove_inst(block, inst);
+            aliases.record(graph, result, kv);
+            graph.neutralize_inst(inst);
         }
         Rewrite::Retarget(op) => {
             graph.inst_mut(inst).op = op;
+            kept.push(inst);
         }
         Rewrite::Replace(op, args) => {
             let data = graph.inst_mut(inst);
             data.op = op;
             data.args = args;
+            kept.push(inst);
         }
         Rewrite::MulToShift { x, shift } => {
-            let pos = graph
-                .block(block)
-                .insts
-                .iter()
-                .position(|&i| i == inst)
-                .expect("inst in its block");
             let k = graph.create_inst(Op::ConstInt(shift), vec![], Some(Type::Int));
-            graph.insert_inst(block, pos, k);
+            kept.push(k);
             let kv = graph.inst(k).result.expect("constant produces a value");
             let data = graph.inst_mut(inst);
             data.op = Op::Bin(BinOp::IShl);
             data.args = vec![x, kv];
+            kept.push(inst);
         }
     }
 }
@@ -478,70 +496,87 @@ fn is_allocation(graph: &Graph, v: ValueId) -> bool {
 fn prune_branches(graph: &mut Graph, stats: &mut OptStats) -> bool {
     let mut changed = false;
     for block in graph.reachable_blocks() {
-        let term = graph.block(block).term.clone();
-        if let Terminator::Branch {
+        let Terminator::Branch {
             cond,
             then_dest,
             else_dest,
-        } = term
-        {
-            if let Some(k) = graph.as_const_bool(cond) {
-                let (dest, args) = if k { then_dest } else { else_dest };
-                graph.set_terminator(block, Terminator::Jump(dest, args));
-                stats.branch_prune += 1;
-                changed = true;
-            } else if then_dest == else_dest {
-                graph.set_terminator(block, Terminator::Jump(then_dest.0, then_dest.1));
-                stats.branch_prune += 1;
-                changed = true;
-            }
-        }
+        } = &graph.block(block).term
+        else {
+            continue;
+        };
+        // Which arm survives: the taken one under a known condition, either
+        // when both arms are the same edge.
+        let take_then = match graph.as_const_bool(*cond) {
+            Some(k) => k,
+            None if then_dest == else_dest => true,
+            None => continue,
+        };
+        graph.fold_branch(block, take_then);
+        stats.branch_prune += 1;
+        changed = true;
     }
     changed
 }
 
+/// Splices every single-predecessor jump chain into its head, in one sweep.
+///
+/// A block is *absorbable* when it is not the entry, has exactly one
+/// incoming edge (a branch with both arms on it counts twice), and that
+/// edge is a jump from another block. Merging does not change who is
+/// absorbable — the head takes over the absorbed block's outgoing edges one
+/// for one — so the predecessor counts are taken once, and the result does
+/// not depend on the order of the merges: every maximal chain ends up in
+/// its head, instructions in chain order. Each chain is followed from its
+/// head, which the depth-first order reaches before its members. The
+/// absorbed blocks' parameters are replaced by the jump arguments through
+/// one alias table, applied in one closing sweep.
 fn merge_blocks(graph: &mut Graph, stats: &mut OptStats) -> bool {
-    let mut changed = false;
-    loop {
-        let preds = graph.predecessors();
-        let mut merged_this_round = false;
-        // Deterministic order: iteration over a HashMap would make merge
-        // order (and thus value numbering downstream) nondeterministic.
-        for block in graph.reachable_blocks() {
-            let Terminator::Jump(succ, _) = graph.block(block).term.clone() else {
-                continue;
-            };
-            if succ == block || succ == graph.entry() {
-                continue;
-            }
-            let Some(sp) = preds.get(&succ) else { continue };
-            if sp.len() != 1 {
-                continue;
-            }
-            // Splice `succ` into `block`.
-            let Terminator::Jump(_, args) = graph.block(block).term.clone() else {
-                unreachable!()
-            };
-            let params: Vec<ValueId> = graph.block(succ).params.clone();
-            for (&p, &a) in params.iter().zip(args.iter()) {
-                graph.replace_all_uses(p, a);
-            }
-            let succ_insts: Vec<InstId> = graph.block(succ).insts.clone();
-            let succ_term = graph.block(succ).term.clone();
-            graph.block_mut(succ).insts.clear();
-            graph.block_mut(succ).term = Terminator::Unterminated;
-            graph.block_mut(block).insts.extend(succ_insts);
-            graph.set_terminator(block, succ_term);
-            stats.blocks_merged += 1;
-            changed = true;
-            merged_this_round = true;
-            break; // predecessors map is stale; recompute
-        }
-        if !merged_this_round {
-            break;
+    let order = graph.reachable_blocks();
+    let mut incoming = vec![0u32; graph.block_count()];
+    for &b in &order {
+        for s in graph.block(b).term.successors() {
+            incoming[s.index()] += 1;
         }
     }
-    changed
+    let entry = graph.entry();
+    let mut aliases = Aliases::new();
+    let mut absorbed = vec![false; graph.block_count()];
+    let mut merged = false;
+    for &head in &order {
+        if absorbed[head.index()] {
+            continue;
+        }
+        while let Terminator::Jump(succ, _) = graph.block(head).term {
+            if succ == head || succ == entry || incoming[succ.index()] != 1 {
+                break;
+            }
+            // Splice `succ` into `head`.
+            let (succ_insts, succ_term) = {
+                let sd = graph.block_mut(succ);
+                (
+                    std::mem::take(&mut sd.insts),
+                    std::mem::replace(&mut sd.term, Terminator::Unterminated),
+                )
+            };
+            let Terminator::Jump(_, args) =
+                std::mem::replace(&mut graph.block_mut(head).term, succ_term)
+            else {
+                unreachable!("matched a jump above")
+            };
+            for (&param, &arg) in graph.block(succ).params.iter().zip(&args) {
+                aliases.record(graph, param, arg);
+            }
+            graph.block_mut(head).insts.extend(succ_insts);
+            absorbed[succ.index()] = true;
+            stats.blocks_merged += 1;
+            merged = true;
+        }
+    }
+    if merged {
+        let survivors: Vec<BlockId> = order.into_iter().filter(|b| !absorbed[b.index()]).collect();
+        aliases.apply(graph, &survivors);
+    }
+    merged
 }
 
 #[cfg(test)]
@@ -808,5 +843,85 @@ mod tests {
             .iter()
             .flat_map(|&b| g.block(b).insts.clone())
             .any(|i| matches!(g.inst(i).op, Op::Bin(BinOp::IDiv))));
+    }
+
+    /// Hostile shape: `links` blocks in a row, each handing its parameter to
+    /// the next. Every rewrite that restarts or rescans per merged block is
+    /// quadratic here (the one-merge-per-CFG-rebuild `merge_blocks` took
+    /// 1 s at 4 000 blocks in release); finishing inside the test run is the
+    /// gate.
+    #[test]
+    fn merges_a_20_000_block_jump_chain_in_one_sweep() {
+        const LINKS: usize = 20_000;
+        let p = Program::new();
+        let mut g = Graph::empty();
+        let x = g.add_block_param(g.entry(), Type::Int);
+        let (mut block, mut carried) = (g.entry(), x);
+        for _ in 0..LINKS {
+            let next = g.add_block();
+            let param = g.add_block_param(next, Type::Int);
+            g.set_terminator(block, Terminator::Jump(next, vec![carried]));
+            (block, carried) = (next, param);
+        }
+        g.set_terminator(block, Terminator::Return(Some(carried)));
+
+        let stats = opt(&p, &mut g);
+        assert_eq!(stats.blocks_merged, LINKS as u64);
+        assert_eq!(g.reachable_blocks(), vec![g.entry()]);
+        // Every parameter along the chain resolved to the one value that
+        // entered it.
+        assert_eq!(g.block(g.entry()).term, Terminator::Return(Some(x)));
+    }
+
+    /// Hostile shape: `v1 = x + 0; v2 = v1 + 0; …` in one block. Each link
+    /// is an alias; rewriting all uses per alias (and splicing the dead
+    /// instruction out of the block's list) scanned the whole block per
+    /// link — 0.5 s at 20 000 links in release.
+    #[test]
+    fn folds_a_100_000_long_alias_chain_in_one_sweep() {
+        const LINKS: usize = 100_000;
+        let p = Program::new();
+        let mut g = Graph::empty();
+        let e = g.entry();
+        let x = g.add_block_param(e, Type::Int);
+        let zero = g.append(e, Op::ConstInt(0), vec![], Some(Type::Int)).1;
+        let zero = zero.expect("a constant has a result");
+        let mut v = x;
+        for _ in 0..LINKS {
+            let (_, r) = g.append(e, Op::Bin(BinOp::IAdd), vec![v, zero], Some(Type::Int));
+            v = r.expect("an add has a result");
+        }
+        g.set_terminator(e, Terminator::Return(Some(v)));
+
+        let stats = opt(&p, &mut g);
+        assert_eq!(stats.strength_red, LINKS as u64);
+        assert_eq!(g.block(e).term, Terminator::Return(Some(x)));
+        assert_eq!(g.block(e).insts.len(), 1, "only the constant is left");
+    }
+
+    /// A branch whose arms are the same edge counts twice among the
+    /// target's incoming edges, so the target is not absorbed while the
+    /// branch stands — and is, in the same call, once the branch is pruned
+    /// to a jump.
+    #[test]
+    fn a_both_arms_branch_is_two_incoming_edges() {
+        let p = Program::new();
+        let mut g = Graph::empty();
+        let e = g.entry();
+        let c = g.add_block_param(e, Type::Bool);
+        let join = g.add_block();
+        g.set_terminator(
+            e,
+            Terminator::Branch {
+                cond: c,
+                then_dest: (join, vec![]),
+                else_dest: (join, vec![]),
+            },
+        );
+        g.set_terminator(join, Terminator::Return(None));
+        let mut stats = OptStats::new();
+        assert!(!merge_blocks(&mut g, &mut stats), "two edges, no merge");
+        let stats = opt(&p, &mut g);
+        assert_eq!((stats.branch_prune, stats.blocks_merged), (1, 1));
     }
 }

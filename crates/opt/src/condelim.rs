@@ -10,8 +10,6 @@
 //! branch pruning, and matters after inlining duplicates guard patterns
 //! (e.g. two inlined bodies both checking `mode == FAST`).
 
-use std::collections::HashMap;
-
 use incline_ir::dom::DomTree;
 use incline_ir::graph::{Op, Terminator};
 use incline_ir::ids::{BlockId, ValueId};
@@ -22,20 +20,14 @@ use crate::stats::OptStats;
 /// Runs conditional elimination; folded branches count as `branch_prune`.
 pub fn cond_elim(graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
-    loop {
+    // Without a branch there is nothing to learn and nothing to fold.
+    let branches = |g: &Graph| {
+        g.block_ids()
+            .any(|b| matches!(g.block(b).term, Terminator::Branch { .. }))
+    };
+    while branches(graph) {
         let dom = DomTree::compute(graph);
-        let preds = graph.predecessors();
-        let mut changed = false;
-        walk(
-            graph,
-            &dom,
-            &preds,
-            graph.entry(),
-            &mut HashMap::new(),
-            &mut stats,
-            &mut changed,
-        );
-        if !changed {
+        if !walk(graph, &dom, &mut stats) {
             break;
         }
         // CFG changed: recompute dominance and retry (rarely loops twice).
@@ -43,92 +35,124 @@ pub fn cond_elim(graph: &mut Graph) -> OptStats {
     stats
 }
 
-/// Adds `value = known` plus facts implied through `not` chains.
-fn add_fact(graph: &Graph, facts: &mut HashMap<ValueId, bool>, value: ValueId, known: bool) {
-    facts.insert(value, known);
-    // x = not y: y's value is the negation.
-    let mut cur = value;
-    let mut cur_known = known;
-    while let ValueDef::Inst(i) = graph.value(cur).def {
-        if let Op::Not = graph.inst(i).op {
-            cur = graph.inst(i).args[0];
-            cur_known = !cur_known;
-            facts.insert(cur, cur_known);
-        } else {
-            break;
-        }
-    }
+/// What is known about boolean values at the current point of the
+/// dominator-tree walk: a dense table by [`ValueId`] plus the undo log that
+/// scopes it — leaving a subtree restores the entries it overwrote.
+struct Facts {
+    known: Vec<Option<bool>>,
+    undo: Vec<(ValueId, Option<bool>)>,
 }
 
-/// Looks a condition up in the fact set, following `not` chains upward
-/// (a branch on `not c` folds when `c` is known).
-fn lookup_fact(graph: &Graph, facts: &HashMap<ValueId, bool>, value: ValueId) -> Option<bool> {
-    let mut cur = value;
-    let mut flip = false;
-    loop {
-        if let Some(&k) = facts.get(&cur) {
-            return Some(k ^ flip);
-        }
-        match graph.value(cur).def {
-            ValueDef::Inst(i) if matches!(graph.inst(i).op, Op::Not) => {
+impl Facts {
+    fn set(&mut self, value: ValueId, known: bool) {
+        let slot = &mut self.known[value.index()];
+        self.undo.push((value, *slot));
+        *slot = Some(known);
+    }
+
+    /// Adds `value = known` plus facts implied through `not` chains.
+    fn add(&mut self, graph: &Graph, value: ValueId, known: bool) {
+        self.set(value, known);
+        // x = not y: y's value is the negation.
+        let mut cur = value;
+        let mut cur_known = known;
+        while let ValueDef::Inst(i) = graph.value(cur).def {
+            if let Op::Not = graph.inst(i).op {
                 cur = graph.inst(i).args[0];
-                flip = !flip;
+                cur_known = !cur_known;
+                self.set(cur, cur_known);
+            } else {
+                break;
             }
-            _ => return None,
+        }
+    }
+
+    /// Looks a condition up, following `not` chains upward (a branch on
+    /// `not c` folds when `c` is known).
+    fn lookup(&self, graph: &Graph, value: ValueId) -> Option<bool> {
+        let mut cur = value;
+        let mut flip = false;
+        loop {
+            if let Some(k) = self.known[cur.index()] {
+                return Some(k ^ flip);
+            }
+            match graph.value(cur).def {
+                ValueDef::Inst(i) if matches!(graph.inst(i).op, Op::Not) => {
+                    cur = graph.inst(i).args[0];
+                    flip = !flip;
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    /// Forgets everything learnt since the undo log was `height` long.
+    fn rewind(&mut self, height: usize) {
+        while self.undo.len() > height {
+            let (value, prev) = self.undo.pop().expect("height tracked");
+            self.known[value.index()] = prev;
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    graph: &mut Graph,
-    dom: &DomTree,
-    preds: &HashMap<BlockId, Vec<BlockId>>,
-    block: BlockId,
-    facts: &mut HashMap<ValueId, bool>,
-    stats: &mut OptStats,
-    changed: &mut bool,
-) {
-    // Fold this block's branch if the condition is known here.
-    if let Terminator::Branch {
-        cond,
-        then_dest,
-        else_dest,
-    } = graph.block(block).term.clone()
-    {
-        if let Some(known) = lookup_fact(graph, facts, cond) {
-            let (dest, args) = if known { then_dest } else { else_dest };
-            graph.set_terminator(block, Terminator::Jump(dest, args));
-            stats.branch_prune += 1;
-            *changed = true;
-        }
-    }
+/// Folds `block`'s branch if its condition is known here.
+fn fold_branch(graph: &mut Graph, block: BlockId, facts: &Facts, stats: &mut OptStats) -> bool {
+    let Terminator::Branch { cond, .. } = &graph.block(block).term else {
+        return false;
+    };
+    let Some(known) = facts.lookup(graph, *cond) else {
+        return false;
+    };
+    graph.fold_branch(block, known);
+    stats.branch_prune += 1;
+    true
+}
 
-    for &child in dom.children(block).to_vec().iter() {
+/// One walk over the dominator tree (explicit stack: ladders of thousands
+/// of nested branches must not overflow the host's). The predecessor table
+/// is the one `dom` was computed from, so an edge folded away earlier in the
+/// same walk still counts — the next walk sees the new CFG. Returns whether
+/// a branch folded.
+fn walk(graph: &mut Graph, dom: &DomTree, stats: &mut OptStats) -> bool {
+    let preds = dom.preds();
+    let mut facts = Facts {
+        known: vec![None; graph.value_count()],
+        undo: Vec::new(),
+    };
+    let entry = graph.entry();
+    let mut changed = fold_branch(graph, entry, &facts, stats);
+    // (block, index of its next unvisited child, undo height on entry)
+    let mut stack: Vec<(BlockId, usize, usize)> = vec![(entry, 0, 0)];
+    while let Some(top) = stack.last_mut() {
+        let (block, next, height) = *top;
+        let Some(&child) = dom.children(block).get(next) else {
+            facts.rewind(height);
+            stack.pop();
+            continue;
+        };
+        top.1 += 1;
+        let child_height = facts.undo.len();
         // A fact holds in `child` when it is the unique CFG successor of
         // one side of `block`'s branch (single predecessor ⇒ only entered
         // through that edge).
-        let mut scoped = facts.clone();
         if let Terminator::Branch {
             cond,
             then_dest,
             else_dest,
         } = &graph.block(block).term
         {
-            let single_pred = preds
-                .get(&child)
-                .map(|p| p.len() == 1 && p[0] == block)
-                .unwrap_or(false);
-            if single_pred && then_dest.0 != else_dest.0 {
+            if preds.of(child) == [block] && then_dest.0 != else_dest.0 {
                 if then_dest.0 == child {
-                    add_fact(graph, &mut scoped, *cond, true);
+                    facts.add(graph, *cond, true);
                 } else if else_dest.0 == child {
-                    add_fact(graph, &mut scoped, *cond, false);
+                    facts.add(graph, *cond, false);
                 }
             }
         }
-        walk(graph, dom, preds, child, &mut scoped, stats, changed);
+        changed |= fold_branch(graph, child, &facts, stats);
+        stack.push((child, 0, child_height));
     }
+    changed
 }
 
 #[cfg(test)]
@@ -294,5 +318,61 @@ mod tests {
         let stats = cond_elim(&mut g);
         assert_eq!(stats.branch_prune, 0);
         verify_graph(&p, &g, &[Type::Int], RetType::Void).unwrap();
+    }
+
+    /// Hostile shape: `if c { if c { if c { … } } }`, 2 000 deep. The
+    /// dominator tree is a 2 000-long spine, so the walk must not recurse on
+    /// the host stack, and every level's fact must still be in scope at the
+    /// bottom: all inner branches fold.
+    #[test]
+    fn folds_a_2_000_deep_guard_nest() {
+        const DEPTH: usize = 2_000;
+        let mut p = Program::new();
+        let m = p.declare_function("f", vec![Type::Bool], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let c = fb.param(0);
+        let zero = fb.const_int(0);
+        let one = fb.const_int(1);
+        for _ in 0..DEPTH {
+            let inner = fb.add_block();
+            let out = fb.add_block();
+            fb.branch(c, (inner, vec![]), (out, vec![]));
+            fb.switch_to(out);
+            fb.ret(Some(zero));
+            fb.switch_to(inner);
+        }
+        fb.ret(Some(one));
+        let mut g = fb.finish();
+        let stats = cond_elim(&mut g);
+        assert_eq!(stats.branch_prune, DEPTH as u64 - 1);
+        verify_graph(&p, &g, &[Type::Bool], RetType::Value(Type::Int)).unwrap();
+        // The outermost test, its refusal, and the chain of guarded blocks.
+        assert_eq!(g.reachable_blocks().len(), DEPTH + 2);
+    }
+
+    /// Hostile shape: a ladder of 2 000 diamonds on one condition. Every
+    /// rung's join has two predecessors, so nothing may fold — and the
+    /// facts of a rung's arms must be gone again at the next rung.
+    #[test]
+    fn a_2_000_rung_diamond_ladder_folds_nothing() {
+        const RUNGS: usize = 2_000;
+        let mut p = Program::new();
+        let m = p.declare_function("f", vec![Type::Bool], RetType::Void);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let c = fb.param(0);
+        for _ in 0..RUNGS {
+            let (t, e, join) = (fb.add_block(), fb.add_block(), fb.add_block());
+            fb.branch(c, (t, vec![]), (e, vec![]));
+            fb.switch_to(t);
+            fb.jump(join, vec![]);
+            fb.switch_to(e);
+            fb.jump(join, vec![]);
+            fb.switch_to(join);
+        }
+        fb.ret(None);
+        let mut g = fb.finish();
+        let stats = cond_elim(&mut g);
+        assert_eq!(stats.branch_prune, 0);
+        verify_graph(&p, &g, &[Type::Bool], RetType::Void).unwrap();
     }
 }

@@ -1,54 +1,74 @@
 //! Dead code elimination.
 //!
 //! Removes instructions whose results are unused and whose execution cannot
-//! be observed (no side effects, no traps). Runs to a fixpoint so chains of
-//! dead computations disappear in one call.
+//! be observed (no side effects, no traps). Chains of dead computations
+//! disappear in one call: removing an instruction releases its operands,
+//! and an operand whose last use that was joins the worklist — one count of
+//! the uses and one sweep of the blocks, however long the chains.
 
-use std::collections::HashMap;
-
-use incline_ir::ids::{InstId, ValueId};
-use incline_ir::Graph;
+use incline_ir::ids::InstId;
+use incline_ir::{Graph, ValueDef};
 
 use crate::stats::OptStats;
 
 /// Removes dead instructions; returns counts (`stats.dce`).
 pub fn dce(graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
-    loop {
-        let mut use_counts: HashMap<ValueId, usize> = HashMap::new();
-        let reachable = graph.reachable_blocks();
-        for &b in &reachable {
-            for &i in &graph.block(b).insts {
-                for &a in &graph.inst(i).args {
-                    *use_counts.entry(a).or_insert(0) += 1;
-                }
-            }
-            for a in graph.block(b).term.uses() {
-                *use_counts.entry(a).or_insert(0) += 1;
-            }
-        }
+    let reachable = graph.reachable_blocks();
 
-        let mut removed = 0u64;
-        for &b in &reachable {
-            let insts: Vec<InstId> = graph.block(b).insts.clone();
-            for i in insts {
-                let data = graph.inst(i);
-                if !data.op.is_removable_if_unused() {
-                    continue;
-                }
-                let dead = match data.result {
-                    Some(r) => use_counts.get(&r).copied().unwrap_or(0) == 0,
-                    None => true, // removable op with no result and no effects
-                };
-                if dead {
-                    graph.remove_inst(b, i);
-                    removed += 1;
+    // Uses of every value by reachable instructions and terminators, and
+    // which instructions those are (only they can be removed).
+    let mut uses = vec![0u32; graph.value_count()];
+    let mut placed = vec![false; graph.inst_count()];
+    for &b in &reachable {
+        for &i in &graph.block(b).insts {
+            placed[i.index()] = true;
+            for &a in &graph.inst(i).args {
+                uses[a.index()] += 1;
+            }
+        }
+        for a in graph.block(b).term.uses() {
+            uses[a.index()] += 1;
+        }
+    }
+
+    let unused = |graph: &Graph, uses: &[u32], i: InstId| {
+        let data = graph.inst(i);
+        data.op.is_removable_if_unused() && data.result.is_none_or(|r| uses[r.index()] == 0)
+    };
+    let mut dead = vec![false; graph.inst_count()];
+    let mut work: Vec<InstId> = Vec::new();
+    for &b in &reachable {
+        for &i in &graph.block(b).insts {
+            if unused(graph, &uses, i) {
+                dead[i.index()] = true;
+                work.push(i);
+            }
+        }
+    }
+    while let Some(i) = work.pop() {
+        stats.dce += 1;
+        for &a in &graph.inst(i).args {
+            uses[a.index()] -= 1;
+            if let ValueDef::Inst(d) = graph.value(a).def {
+                if placed[d.index()] && !dead[d.index()] && unused(graph, &uses, d) {
+                    dead[d.index()] = true;
+                    work.push(d);
                 }
             }
         }
-        stats.dce += removed;
-        if removed == 0 {
-            break;
+    }
+
+    if stats.dce > 0 {
+        for &b in &reachable {
+            let mut insts = std::mem::take(&mut graph.block_mut(b).insts);
+            insts.retain(|&i| {
+                if dead[i.index()] {
+                    graph.neutralize_inst(i);
+                }
+                !dead[i.index()]
+            });
+            graph.block_mut(b).insts = insts;
         }
     }
     stats
@@ -108,5 +128,26 @@ mod tests {
         let mut g = fb.finish();
         let stats = dce(&mut g);
         assert_eq!(stats.dce, 1, "unused allocations have no observable effect");
+    }
+
+    /// A dead chain is released link by link from its unused end; counting
+    /// the uses afresh per removed link made this quadratic.
+    #[test]
+    fn removes_a_50_000_long_dead_chain() {
+        const LINKS: usize = 50_000;
+        let mut p = Program::new();
+        let m = p.declare_function("f", vec![Type::Int], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let x = fb.param(0);
+        let mut v = x;
+        for _ in 0..LINKS {
+            v = fb.iadd(v, x);
+        }
+        fb.ret(Some(x));
+        let mut g = fb.finish();
+        let stats = dce(&mut g);
+        assert_eq!(stats.dce, LINKS as u64);
+        assert!(g.block(g.entry()).insts.is_empty());
+        verify_graph(&p, &g, &[Type::Int], RetType::Value(Type::Int)).unwrap();
     }
 }

@@ -5,13 +5,13 @@
 //! is replaced by it. Commutative operators are normalized by sorting their
 //! operands first.
 
-use std::collections::HashMap;
-
 use incline_ir::dom::DomTree;
-use incline_ir::graph::{Op, Terminator};
+use incline_ir::graph::Op;
 use incline_ir::ids::{BlockId, InstId, ValueId};
 use incline_ir::Graph;
 
+use crate::alias::Aliases;
+use crate::hash::FastMap;
 use crate::stats::OptStats;
 
 /// Hashable identity of a value-numberable instruction.
@@ -59,79 +59,101 @@ fn key_of(graph: &Graph, inst: InstId) -> Option<Key> {
 }
 
 /// Runs GVN; returns the number of instructions deduplicated.
+///
+/// The dominator tree is walked with an explicit stack (a ladder of
+/// thousands of nested blocks must not overflow the host stack), scoping
+/// the expression table with a shadow stack: leaving a block undoes what it
+/// entered. A duplicate's result is recorded in an alias table; operands are
+/// resolved through it as the walk reaches them — every use sits in the
+/// dominator subtree of its definition, which the walk enters later — and
+/// the terminators in one closing sweep.
 pub fn gvn(graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
     let dom = DomTree::compute(graph);
-    let mut scope: HashMap<Key, ValueId> = HashMap::new();
+    let mut scope: FastMap<Key, ValueId> = FastMap::default();
     let mut shadow: Vec<(Key, Option<ValueId>)> = Vec::new();
-    walk(
+    let mut aliases = Aliases::new();
+
+    // (block, index of its next unvisited child, shadow height on entry)
+    let mut stack: Vec<(BlockId, usize, usize)> = Vec::new();
+    let entry = graph.entry();
+    number_block(
         graph,
-        &dom,
-        dom.rpo().first().copied(),
+        entry,
         &mut scope,
         &mut shadow,
+        &mut aliases,
         &mut stats,
     );
+    stack.push((entry, 0, 0));
+    while let Some(top) = stack.last_mut() {
+        let (block, next, frame) = *top;
+        if let Some(&child) = dom.children(block).get(next) {
+            top.1 += 1;
+            let height = shadow.len();
+            number_block(
+                graph,
+                child,
+                &mut scope,
+                &mut shadow,
+                &mut aliases,
+                &mut stats,
+            );
+            stack.push((child, 0, height));
+            continue;
+        }
+        // Pop scope entries introduced by this block.
+        while shadow.len() > frame {
+            let (key, prev) = shadow.pop().expect("frame tracked");
+            match prev {
+                Some(v) => {
+                    scope.insert(key, v);
+                }
+                None => {
+                    scope.remove(&key);
+                }
+            }
+        }
+        stack.pop();
+    }
+    aliases.apply_to_terminators(graph, dom.rpo());
     stats
 }
 
-fn walk(
+/// Numbers the instructions of one block against the enclosing scope.
+fn number_block(
     graph: &mut Graph,
-    dom: &DomTree,
-    block: Option<BlockId>,
-    scope: &mut HashMap<Key, ValueId>,
+    block: BlockId,
+    scope: &mut FastMap<Key, ValueId>,
     shadow: &mut Vec<(Key, Option<ValueId>)>,
+    aliases: &mut Aliases,
     stats: &mut OptStats,
 ) {
-    let Some(block) = block else { return };
-    let frame = shadow.len();
-
-    let insts: Vec<InstId> = graph.block(block).insts.clone();
+    let insts = std::mem::take(&mut graph.block_mut(block).insts);
+    let mut kept: Vec<InstId> = Vec::with_capacity(insts.len());
     for inst in insts {
+        aliases.resolve_all(&mut graph.inst_mut(inst).args);
         let Some(key) = key_of(graph, inst) else {
+            kept.push(inst);
             continue;
         };
+        let result = graph
+            .inst(inst)
+            .result
+            .expect("numberable inst has a result");
         match scope.get(&key) {
             Some(&leader) => {
-                let result = graph
-                    .inst(inst)
-                    .result
-                    .expect("numberable inst has a result");
-                graph.replace_all_uses(result, leader);
-                graph.remove_inst(block, inst);
+                aliases.record(graph, result, leader);
+                graph.neutralize_inst(inst);
                 stats.gvn += 1;
             }
             None => {
-                let result = graph
-                    .inst(inst)
-                    .result
-                    .expect("numberable inst has a result");
                 shadow.push((key.clone(), scope.insert(key, result)));
+                kept.push(inst);
             }
         }
     }
-
-    // Also simplify terminators whose condition was deduplicated into a
-    // dominating constant — left to canonicalize; GVN stays scoped.
-    let _ = &graph.block(block).term;
-
-    for &child in dom.children(block).to_vec().iter() {
-        walk(graph, dom, Some(child), scope, shadow, stats);
-    }
-
-    // Pop scope entries introduced by this block.
-    while shadow.len() > frame {
-        let (key, prev) = shadow.pop().expect("frame tracked");
-        match prev {
-            Some(v) => {
-                scope.insert(key, v);
-            }
-            None => {
-                scope.remove(&key);
-            }
-        }
-    }
-    let _ = Terminator::Unterminated; // silence unused import pattern in some cfgs
+    graph.block_mut(block).insts = kept;
 }
 
 #[cfg(test)]

@@ -34,11 +34,13 @@
 //! assert_eq!(stats.const_fold, 1);
 //! ```
 
+mod alias;
 pub mod canonicalize;
 pub mod condelim;
 pub mod dce;
 pub mod fuel;
 pub mod gvn;
+mod hash;
 pub mod peel;
 pub mod pipeline;
 pub mod rwelim;

@@ -9,8 +9,6 @@
 //! cloned in front of the loop with the narrowed types, which lets the
 //! canonicalizer devirtualize and fold inside the peeled copy.
 
-use std::collections::{HashMap, HashSet};
-
 use incline_ir::graph::Terminator;
 use incline_ir::ids::{BlockId, InstId, ValueId};
 use incline_ir::loops::{Loop, LoopForest};
@@ -33,18 +31,15 @@ const PEEL_SIZE_CAP: usize = 120;
 /// specialization is possible in the first iteration alone.
 pub fn peel_loops(program: &Program, graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
-    // Recompute after each peel: block sets change.
+    // Recompute after each peel: block sets change. (A graph without a
+    // retreating edge gets an empty forest without any analysis.)
     loop {
         type_prop(program, graph);
         let forest = LoopForest::compute(graph);
-        let candidate = forest
-            .loops
-            .iter()
-            .find(|l| should_peel(program, graph, l))
-            .cloned();
+        let candidate = forest.loops.iter().find(|l| should_peel(program, graph, l));
         match candidate {
             Some(l) => {
-                peel_one(graph, &l);
+                peel_one(graph, l);
                 stats.loops_peeled += 1;
             }
             None => break,
@@ -80,34 +75,21 @@ fn should_peel(program: &Program, graph: &Graph, l: &Loop) -> bool {
         if !matches!(declared, Type::Object(_)) {
             return false;
         }
-        let tys: Vec<Type> = entry_edges
+        let tys = entry_edges
             .iter()
-            .map(|(_, args)| graph.value_type(args[i]))
-            .collect();
-        lub(program, &tys).is_some_and(|t| t != declared && program.is_assignable(t, declared))
+            .map(|(_, args)| graph.value_type(args[i]));
+        lub(program, tys).is_some_and(|t| t != declared && program.is_assignable(t, declared))
     })
 }
 
 /// (pred, args) pairs for edges into the header from outside the loop.
-fn entry_edges(graph: &Graph, l: &Loop) -> Vec<(BlockId, Vec<ValueId>)> {
+fn entry_edges<'g>(graph: &'g Graph, l: &Loop) -> Vec<(BlockId, &'g [ValueId])> {
     let mut out = Vec::new();
     for b in graph.reachable_blocks() {
         if l.contains(b) {
             continue;
         }
-        let term = &graph.block(b).term;
-        let edges: Vec<(BlockId, Vec<ValueId>)> = match term {
-            Terminator::Jump(d, args) => vec![(*d, args.clone())],
-            Terminator::Branch {
-                then_dest,
-                else_dest,
-                ..
-            } => {
-                vec![then_dest.clone(), else_dest.clone()]
-            }
-            _ => vec![],
-        };
-        for (d, args) in edges {
+        for (d, args) in graph.block(b).term.edges() {
             if d == l.header {
                 out.push((b, args));
             }
@@ -118,132 +100,124 @@ fn entry_edges(graph: &Graph, l: &Loop) -> Vec<(BlockId, Vec<ValueId>)> {
 
 /// Clones the loop body in front of the loop as the first iteration.
 fn peel_one(graph: &mut Graph, l: &Loop) {
-    let in_loop: HashSet<BlockId> = l.blocks.iter().copied().collect();
-    let edges = entry_edges(graph, l);
+    // The loop-entry edges: their sources, and per header parameter the
+    // type every one of them passes (if they agree).
+    let (preds, first_iteration_types): (Vec<BlockId>, Vec<Option<Type>>) = {
+        let edges = entry_edges(graph, l);
+        let types = (0..graph.block(l.header).params.len())
+            .map(|i| {
+                let mut tys = edges.iter().map(|(_, args)| graph.value_type(args[i]));
+                let first = tys.next()?;
+                tys.all(|t| t == first).then_some(first)
+            })
+            .collect();
+        (edges.iter().map(|&(b, _)| b).collect(), types)
+    };
+
+    // Original → clone, dense by id. Blocks and instructions outside the
+    // loop have no clone; values outside the loop map to themselves.
+    let mut block_map: Vec<Option<BlockId>> = vec![None; graph.block_count()];
+    let mut inst_map: Vec<Option<InstId>> = vec![None; graph.inst_count()];
+    let mut value_map: Vec<ValueId> = (0..graph.value_count()).map(ValueId::new).collect();
 
     // --- clone shells + params ---------------------------------------------
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    let mut value_map: HashMap<ValueId, ValueId> = HashMap::new();
     for &b in &l.blocks {
         let nb = graph.add_block();
-        block_map.insert(b, nb);
-        let params: Vec<ValueId> = graph.block(b).params.clone();
-        for p in params {
+        block_map[b.index()] = Some(nb);
+        for i in 0..graph.block(b).params.len() {
+            let p = graph.block(b).params[i];
             let np = graph.add_block_param(nb, graph.value_type(p));
-            value_map.insert(p, np);
+            value_map[p.index()] = np;
         }
     }
 
     // Narrow the cloned header's parameter types to the entry-edge types
     // (when every entry edge agrees); this is the entire point of peeling.
-    {
-        let header_params: Vec<ValueId> = graph.block(l.header).params.clone();
-        for (i, &p) in header_params.iter().enumerate() {
-            let tys: Vec<Type> = edges
-                .iter()
-                .map(|(_, args)| graph.value_type(args[i]))
-                .collect();
-            if let Some(first) = tys.first() {
-                if tys.iter().all(|t| t == first) {
-                    let np = value_map[&p];
-                    graph.set_value_type(np, *first);
-                }
-            }
+    for (i, ty) in first_iteration_types.into_iter().enumerate() {
+        if let Some(ty) = ty {
+            let np = value_map[graph.block(l.header).params[i].index()];
+            graph.set_value_type(np, ty);
         }
     }
 
     // --- clone instructions (two-phase for forward refs) --------------------
-    let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
     for &b in &l.blocks {
-        let nb = block_map[&b];
-        let insts: Vec<InstId> = graph.block(b).insts.clone();
-        for i in insts {
-            let (op, result_ty) = {
+        let nb = block_map[b.index()].expect("cloned above");
+        for pos in 0..graph.block(b).insts.len() {
+            let i = graph.block(b).insts[pos];
+            let (op, result) = {
                 let d = graph.inst(i);
-                (d.op.clone(), d.result.map(|r| graph.value_type(r)))
+                (d.op.clone(), d.result)
             };
+            let result_ty = result.map(|r| graph.value_type(r));
             let (ni, nres) = graph.append(nb, op, Vec::new(), result_ty);
-            inst_map.insert(i, ni);
-            let ores = graph.inst(i).result;
-            if let (Some(or), Some(nr)) = (ores, nres) {
-                value_map.insert(or, nr);
+            inst_map[i.index()] = Some(ni);
+            if let (Some(or), Some(nr)) = (result, nres) {
+                value_map[or.index()] = nr;
             }
         }
     }
-    let map_v = |value_map: &HashMap<ValueId, ValueId>, v: ValueId| -> ValueId {
-        value_map.get(&v).copied().unwrap_or(v) // out-of-loop values map to themselves
+    let map_args =
+        |args: &[ValueId]| -> Vec<ValueId> { args.iter().map(|&a| value_map[a.index()]).collect() };
+    // Inside-loop edges to the header go back to the ORIGINAL header
+    // (iterations 2+ run the original loop); edges to other loop blocks go
+    // to clones; exits stay.
+    let map_edge = |d: BlockId, args: &[ValueId]| -> (BlockId, Vec<ValueId>) {
+        let nd = if d == l.header {
+            l.header
+        } else {
+            block_map[d.index()].unwrap_or(d)
+        };
+        (nd, map_args(args))
     };
     for &b in &l.blocks {
-        let insts: Vec<InstId> = graph.block(b).insts.clone();
-        for i in insts {
-            let args: Vec<ValueId> = graph
-                .inst(i)
-                .args
-                .iter()
-                .map(|&a| map_v(&value_map, a))
-                .collect();
-            graph.inst_mut(inst_map[&i]).args = args;
+        for pos in 0..graph.block(b).insts.len() {
+            let i = graph.block(b).insts[pos];
+            let args = map_args(&graph.inst(i).args);
+            graph
+                .inst_mut(inst_map[i.index()].expect("cloned above"))
+                .args = args;
         }
-        // Terminators: inside-loop edges to the header go back to the
-        // ORIGINAL header (iterations 2+ run the original loop); edges to
-        // other loop blocks go to clones; exits stay.
-        let map_edge = |value_map: &HashMap<ValueId, ValueId>,
-                        block_map: &HashMap<BlockId, BlockId>,
-                        d: BlockId,
-                        args: &[ValueId]|
-         -> (BlockId, Vec<ValueId>) {
-            let nd = if d == l.header {
-                l.header
-            } else if in_loop.contains(&d) {
-                block_map[&d]
-            } else {
-                d
-            };
-            (nd, args.iter().map(|&a| map_v(value_map, a)).collect())
-        };
-        let nterm = match graph.block(b).term.clone() {
+        let nterm = match &graph.block(b).term {
             Terminator::Jump(d, args) => {
-                let (nd, nargs) = map_edge(&value_map, &block_map, d, &args);
+                let (nd, nargs) = map_edge(*d, args);
                 Terminator::Jump(nd, nargs)
             }
             Terminator::Branch {
                 cond,
                 then_dest,
                 else_dest,
-            } => {
-                let (td, targs) = map_edge(&value_map, &block_map, then_dest.0, &then_dest.1);
-                let (ed, eargs) = map_edge(&value_map, &block_map, else_dest.0, &else_dest.1);
-                Terminator::Branch {
-                    cond: map_v(&value_map, cond),
-                    then_dest: (td, targs),
-                    else_dest: (ed, eargs),
-                }
-            }
-            t @ (Terminator::Return(_) | Terminator::Deopt { .. }) => t,
+            } => Terminator::Branch {
+                cond: value_map[cond.index()],
+                then_dest: map_edge(then_dest.0, &then_dest.1),
+                else_dest: map_edge(else_dest.0, &else_dest.1),
+            },
+            t @ (Terminator::Return(_) | Terminator::Deopt { .. }) => t.clone(),
             Terminator::Unterminated => Terminator::Unterminated,
         };
-        graph.set_terminator(block_map[&b], nterm);
+        graph.set_terminator(block_map[b.index()].expect("cloned above"), nterm);
     }
 
     // --- retarget the loop-entry edges to the peeled copy -------------------
-    let peeled_header = block_map[&l.header];
-    for (pred, _) in edges {
-        let term = graph.block(pred).term.clone();
-        let retarget = |d: BlockId| if d == l.header { peeled_header } else { d };
-        let nterm = match term {
-            Terminator::Jump(d, args) => Terminator::Jump(retarget(d), args),
+    let peeled_header = block_map[l.header.index()].expect("the header is in its loop");
+    let retarget = |d: &mut BlockId| {
+        if *d == l.header {
+            *d = peeled_header;
+        }
+    };
+    for pred in preds {
+        match &mut graph.block_mut(pred).term {
+            Terminator::Jump(d, _) => retarget(d),
             Terminator::Branch {
-                cond,
                 then_dest,
                 else_dest,
-            } => Terminator::Branch {
-                cond,
-                then_dest: (retarget(then_dest.0), then_dest.1),
-                else_dest: (retarget(else_dest.0), else_dest.1),
-            },
-            t => t,
-        };
-        graph.set_terminator(pred, nterm);
+                ..
+            } => {
+                retarget(&mut then_dest.0);
+                retarget(&mut else_dest.0);
+            }
+            _ => {}
+        }
     }
 }
 

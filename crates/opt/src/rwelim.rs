@@ -12,60 +12,71 @@
 //! load is only removed when a preceding successful access proves the base
 //! non-null and, for arrays, the index in-bounds.
 
-use std::collections::{HashMap, HashSet};
-
 use incline_ir::graph::Op;
 use incline_ir::ids::{BlockId, FieldId, InstId, ValueId};
 use incline_ir::types::Type;
 use incline_ir::{Graph, Program};
 
+use crate::alias::Aliases;
+use crate::hash::{FastMap, FastSet};
 use crate::stats::OptStats;
 
 /// Runs read–write elimination; returns counts (`stats.rw_elim`).
 pub fn rw_elim(program: &Program, graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
-    for block in graph.reachable_blocks() {
-        let edits = plan_block(program, graph, block);
-        for edit in edits {
+    let order = graph.reachable_blocks();
+    // Forwarded loads are replaced through one alias table: a block's
+    // operands are brought up to date before it is planned, everything
+    // else in one closing sweep.
+    let mut aliases = Aliases::new();
+    for &block in &order {
+        aliases.apply_to_insts(graph, block);
+        let mut edits = plan_block(program, graph, block);
+        if edits.is_empty() {
+            continue;
+        }
+        stats.rw_elim += edits.len() as u64;
+        // Dead stores are discovered at the store that overwrites them, so
+        // the plan is not in block order; the sweep below needs it to be.
+        edits.sort_by_key(|&(pos, _)| pos);
+        let mut edits = edits.into_iter().peekable();
+        let insts = std::mem::take(&mut graph.block_mut(block).insts);
+        let mut kept: Vec<InstId> = Vec::with_capacity(insts.len());
+        for (pos, inst) in insts.into_iter().enumerate() {
+            let Some((_, edit)) = edits.next_if(|&(at, _)| at == pos) else {
+                kept.push(inst);
+                continue;
+            };
             match edit {
-                Edit::Forward(inst, v) => {
+                Edit::Forward(v) => {
                     let r = graph.inst(inst).result.expect("load has a result");
-                    graph.replace_all_uses(r, v);
-                    graph.remove_inst(block, inst);
-                    stats.rw_elim += 1;
+                    aliases.record(graph, r, v);
                 }
-                Edit::Default(inst, ty) => {
-                    let pos = graph
-                        .block(block)
-                        .insts
-                        .iter()
-                        .position(|&i| i == inst)
-                        .expect("inst in its block");
+                Edit::Default(ty) => {
                     let k = graph.create_inst(zero_default(ty), vec![], Some(ty));
-                    graph.insert_inst(block, pos, k);
+                    kept.push(k);
                     let kv = graph.inst(k).result.expect("const has a result");
                     let r = graph.inst(inst).result.expect("load has a result");
-                    graph.replace_all_uses(r, kv);
-                    graph.remove_inst(block, inst);
-                    stats.rw_elim += 1;
+                    aliases.record(graph, r, kv);
                 }
-                Edit::RemoveStore(inst) => {
-                    graph.remove_inst(block, inst);
-                    stats.rw_elim += 1;
-                }
+                Edit::RemoveStore => {}
             }
+            graph.neutralize_inst(inst);
         }
+        graph.block_mut(block).insts = kept;
     }
+    aliases.apply(graph, &order);
     stats
 }
 
+/// What to do with the instruction at a position of the planned block.
 enum Edit {
     /// Replace the load's result with a value and remove the load.
-    Forward(InstId, ValueId),
+    Forward(ValueId),
     /// Replace the load with a zero-default constant.
-    Default(InstId, Type),
+    Default(Type),
     /// Remove a dead store.
-    RemoveStore(InstId),
+    RemoveStore,
 }
 
 fn zero_default(ty: Type) -> Op {
@@ -77,22 +88,21 @@ fn zero_default(ty: Type) -> Op {
     }
 }
 
-fn plan_block(program: &Program, graph: &Graph, block: BlockId) -> Vec<Edit> {
+/// Plans one block: `(position in the block, edit)` pairs, loads in block
+/// order, dead stores where their overwriting store was met.
+fn plan_block(program: &Program, graph: &Graph, block: BlockId) -> Vec<(usize, Edit)> {
     // Forward-scan state.
-    let mut known_fields: HashMap<(ValueId, FieldId), ValueId> = HashMap::new();
-    let mut known_elems: HashMap<(ValueId, ValueId), ValueId> = HashMap::new();
+    let mut known_fields: FastMap<(ValueId, FieldId), ValueId> = FastMap::default();
+    let mut known_elems: FastMap<(ValueId, ValueId), ValueId> = FastMap::default();
     // Fresh allocations made in this block that have not escaped.
-    let mut fresh: HashSet<ValueId> = HashSet::new();
-    // Stores into fresh objects not yet observed by any read.
-    let mut pending_store: HashMap<(ValueId, FieldId), InstId> = HashMap::new();
+    let mut fresh: FastSet<ValueId> = FastSet::default();
+    // Stores into fresh objects not yet observed by any read, by position.
+    let mut pending_store: FastMap<(ValueId, FieldId), usize> = FastMap::default();
     // Fields of fresh objects written at least once (zero-default is gone).
-    let mut written: HashSet<(ValueId, FieldId)> = HashSet::new();
-    // Values this pass plans to delete; loads recorded from them must not
-    // be forwarded again (their result will be rewritten anyway).
-    let mut edits: Vec<Edit> = Vec::new();
+    let mut written: FastSet<(ValueId, FieldId)> = FastSet::default();
+    let mut edits: Vec<(usize, Edit)> = Vec::new();
 
-    let insts: Vec<InstId> = graph.block(block).insts.clone();
-    for inst in insts {
+    for (pos, &inst) in graph.block(block).insts.iter().enumerate() {
         let data = graph.inst(inst);
         match &data.op {
             Op::New(_) => {
@@ -103,13 +113,13 @@ fn plan_block(program: &Program, graph: &Graph, block: BlockId) -> Vec<Edit> {
             Op::GetField(f) => {
                 let base = data.args[0];
                 if let Some(&v) = known_fields.get(&(base, *f)) {
-                    edits.push(Edit::Forward(inst, v));
+                    edits.push((pos, Edit::Forward(v)));
                     continue;
                 }
                 if fresh.contains(&base) && !written.contains(&(base, *f)) {
                     // Zero-initialized and never written: fold to default.
                     // Fresh bases are non-null, so no trap is lost.
-                    edits.push(Edit::Default(inst, program.field(*f).ty));
+                    edits.push((pos, Edit::Default(program.field(*f).ty)));
                     continue;
                 }
                 // The load observes memory: stores of this field are live.
@@ -127,9 +137,9 @@ fn plan_block(program: &Program, graph: &Graph, block: BlockId) -> Vec<Edit> {
                     if let Some(prev) = pending_store.remove(&(base, *f)) {
                         // Overwritten before any read; the base is fresh,
                         // so the removed store cannot have trapped.
-                        edits.push(Edit::RemoveStore(prev));
+                        edits.push((prev, Edit::RemoveStore));
                     }
-                    pending_store.insert((base, *f), inst);
+                    pending_store.insert((base, *f), pos);
                 } else {
                     // An unknown base may alias any non-fresh object:
                     // forget this field for other non-fresh bases.
@@ -145,7 +155,7 @@ fn plan_block(program: &Program, graph: &Graph, block: BlockId) -> Vec<Edit> {
             Op::ArrayGet => {
                 let (arr, idx) = (data.args[0], data.args[1]);
                 if let Some(&v) = known_elems.get(&(arr, idx)) {
-                    edits.push(Edit::Forward(inst, v));
+                    edits.push((pos, Edit::Forward(v)));
                     continue;
                 }
                 if let Some(r) = data.result {
@@ -372,5 +382,36 @@ mod tests {
         let mut g = fb.finish();
         let stats = rw_elim(&p, &mut g);
         assert_eq!(stats.rw_elim, 0, "store before escape is observable");
+    }
+
+    /// A load forwarded to an earlier load may itself be what a later store
+    /// wrote and a still later load reads back: the second forward must
+    /// land on the surviving value, not on the load the first one deleted.
+    #[test]
+    fn forwards_through_a_forwarded_load() {
+        let mut p = Program::new();
+        let (c, f) = box_class(&mut p);
+        let m = p.declare_function("f", vec![Type::Object(c), Type::Object(c)], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let (a, b) = (fb.param(0), fb.param(1));
+        let l1 = fb.get_field(f, a);
+        let l2 = fb.get_field(f, a); // forwarded to l1
+        fb.set_field(f, b, l2);
+        let l3 = fb.get_field(f, b); // forwarded to what the store wrote
+        fb.ret(Some(l3));
+        let mut g = fb.finish();
+        let stats = rw_elim(&p, &mut g);
+        assert_eq!(stats.rw_elim, 2);
+        let incline_ir::Terminator::Return(Some(v)) = g.block(g.entry()).term.clone() else {
+            panic!()
+        };
+        assert_eq!(v, l1);
+        verify_graph(
+            &p,
+            &g,
+            &[Type::Object(c), Type::Object(c)],
+            RetType::Value(Type::Int),
+        )
+        .unwrap();
     }
 }

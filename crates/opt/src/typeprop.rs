@@ -10,17 +10,16 @@
 //! The entry block's parameters are never touched — their types are the
 //! (possibly specialized) method signature.
 
-use incline_ir::graph::Terminator;
-use incline_ir::ids::{BlockId, ValueId};
+use incline_ir::ids::BlockId;
 use incline_ir::types::Type;
 use incline_ir::{Graph, Program};
 
-/// Least upper bound of a list of types: equal types, or the closest
-/// common superclass for object types. `None` if the list is empty or has
-/// no common bound under this lattice.
-pub(crate) fn lub(program: &Program, types: &[Type]) -> Option<Type> {
+/// Least upper bound of a sequence of types: equal types, or the closest
+/// common superclass for object types. `None` if the sequence is empty or
+/// has no common bound under this lattice.
+pub(crate) fn lub(program: &Program, types: impl IntoIterator<Item = Type>) -> Option<Type> {
     let mut join: Option<Type> = None;
-    for &t in types {
+    for t in types {
         join = Some(match join {
             None => t,
             Some(prev) if prev == t => prev,
@@ -40,65 +39,52 @@ pub(crate) fn lub(program: &Program, types: &[Type]) -> Option<Type> {
     join
 }
 
-/// Incoming (arg-per-param) edges for every block except the entry.
-pub(crate) fn incoming_args(graph: &Graph) -> Vec<(BlockId, Vec<Vec<ValueId>>)> {
-    let mut per_block: Vec<(BlockId, Vec<Vec<ValueId>>)> = graph
-        .reachable_blocks()
-        .into_iter()
-        .map(|b| (b, Vec::new()))
-        .collect();
-    let index: std::collections::HashMap<BlockId, usize> = per_block
-        .iter()
-        .enumerate()
-        .map(|(i, &(b, _))| (b, i))
-        .collect();
-    for b in graph.reachable_blocks() {
-        let edges: Vec<(BlockId, Vec<ValueId>)> = match &graph.block(b).term {
-            Terminator::Jump(d, args) => vec![(*d, args.clone())],
-            Terminator::Branch {
-                then_dest,
-                else_dest,
-                ..
-            } => {
-                vec![then_dest.clone(), else_dest.clone()]
-            }
-            _ => vec![],
-        };
-        for (d, args) in edges {
-            if let Some(&i) = index.get(&d) {
-                per_block[i].1.push(args);
-            }
-        }
-    }
-    per_block
-}
-
 /// Runs type propagation to a fixpoint. Returns whether anything narrowed.
 pub fn type_prop(program: &Program, graph: &mut Graph) -> bool {
+    // Only blocks with an object-typed parameter can narrow; most graphs
+    // have none, and then there is nothing to set up.
+    let entry = graph.entry();
+    let candidates: Vec<BlockId> = graph
+        .reachable_blocks()
+        .into_iter()
+        .filter(|&b| {
+            b != entry
+                && graph
+                    .block(b)
+                    .params
+                    .iter()
+                    .any(|&p| matches!(graph.value_type(p), Type::Object(_)))
+        })
+        .collect();
+    if candidates.is_empty() {
+        return false;
+    }
+    // The pass changes types, never edges, so one table serves every round.
+    let preds = graph.predecessors();
+
     let mut changed_any = false;
     loop {
         let mut changed = false;
-        for (block, edges) in incoming_args(graph) {
-            if block == graph.entry() || edges.is_empty() {
-                continue;
-            }
-            let params: Vec<ValueId> = graph.block(block).params.clone();
-            for (i, &param) in params.iter().enumerate() {
+        for &block in &candidates {
+            for i in 0..graph.block(block).params.len() {
+                let param = graph.block(block).params[i];
                 let current = graph.value_type(param);
                 if !matches!(current, Type::Object(_)) {
                     continue; // only object types narrow
                 }
-                // Ignore self-args: a parameter passed back to itself adds
-                // no new values.
-                let tys: Vec<Type> = edges
+                // The types flowing in along every incoming edge. A branch
+                // with both arms on this block is listed twice in a row;
+                // visit its edges once. Self-args are ignored: a parameter
+                // passed back to itself adds no new values.
+                let sources = preds.of(block);
+                let incoming = sources
                     .iter()
-                    .filter(|args| args[i] != param)
-                    .map(|args| graph.value_type(args[i]))
-                    .collect();
-                if tys.is_empty() {
-                    continue;
-                }
-                if let Some(j) = lub(program, &tys) {
+                    .enumerate()
+                    .filter(|&(k, p)| k == 0 || sources[k - 1] != *p)
+                    .flat_map(|(_, &p)| graph.block(p).term.edges())
+                    .filter(|&(dest, args)| dest == block && args[i] != param)
+                    .map(|(_, args)| graph.value_type(args[i]));
+                if let Some(j) = lub(program, incoming) {
                     if j != current && program.is_assignable(j, current) {
                         graph.set_value_type(param, j);
                         changed = true;
@@ -118,7 +104,7 @@ pub fn type_prop(program: &Program, graph: &mut Graph) -> bool {
 mod tests {
     use super::*;
     use incline_ir::builder::FunctionBuilder;
-    use incline_ir::graph::CmpOp;
+    use incline_ir::graph::{CmpOp, Terminator};
     use incline_ir::types::RetType;
     use incline_ir::verify::verify_graph;
 

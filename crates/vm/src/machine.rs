@@ -2744,7 +2744,7 @@ mod tests {
         let lines = [Add, DivByZero, Add, Call, DivByZero, Add, Add];
         let (mut p, f) = line_program(&lines);
         // Make the divisions legal: divide by the constant 1 instead.
-        let graph = &mut p.method_mut(f).graph;
+        let mut graph = p.method(f).graph.clone();
         let entry = graph.entry();
         let one = graph.inst(graph.block(entry).insts[1]).result.unwrap();
         for inst in graph.block(entry).insts.clone() {
@@ -2752,6 +2752,7 @@ mod tests {
                 graph.inst_mut(inst).args[1] = one;
             }
         }
+        p.define_method(f, graph);
         let g = p.function_by_name("g").unwrap();
         let f_graph = p.method(f).graph.clone();
         let g_graph = p.method(g).graph.clone();

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Parent-versus-change evidence for the host-time ledger.
 #
-#   scripts/wall_pairs.sh [PARENT_REV] [PAIRS] > BENCH_wall.json
+#   scripts/wall_pairs.sh [PARENT_REV] [PAIRS] [TRACED_WORKLOAD] > BENCH_wall.json
 #
 # Extracts PARENT_REV (default HEAD~1) into a scratch directory with
 # `git archive`, then for every workload of BENCHMARK.json runs PAIRS
@@ -11,15 +11,18 @@
 #
 # one run in the parent's tree and one in this one, the same seed for both
 # runs of a pair and a different one for each pair, alternating which side
-# goes first. A traced run per side on `interp_only` adds the per-layer
-# numbers. Prints, per workload and end-to-end metric: each side's runs,
-# median and quartiles, how many pairs the change won, and a verdict by the
-# benchmark's own bound. Progress goes to stderr.
+# goes first. A traced run per side on TRACED_WORKLOAD (default
+# `interp_only`; name the workload the change claims its gain on) adds every
+# per-layer metric BENCHMARK.json declares, as `traced_<workload>`. Prints,
+# per workload and end-to-end metric: each side's runs, median and
+# quartiles, how many pairs the change won, and a verdict by the benchmark's
+# own bound. Progress goes to stderr.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 parent_rev="${1:-HEAD~1}"
 pairs="${2:-10}"
+traced="${3:-interp_only}"
 work="$(mktemp -d "${TMPDIR:-/tmp}/wall_pairs.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
 
@@ -50,19 +53,18 @@ for w in $workloads; do
     done
 done
 for side in parent change; do
-    echo "[interp_only] traced: $side" >&2
-    printf '{"workload": "interp_only", "side": "%s", "traced": %s}\n' \
-        "$side" "$(run_side "$side" interp_only 23 1)" >> "$work/runs.jsonl"
+    echo "[$traced] traced: $side" >&2
+    printf '{"workload": "%s", "side": "%s", "traced": %s}\n' \
+        "$traced" "$side" "$(run_side "$side" "$traced" 23 1)" >> "$work/runs.jsonl"
 done
 
-python3 - "$repo/BENCHMARK.json" "$work/runs.jsonl" "$parent_sha" "$change_sha" <<'PY'
+python3 - "$repo/BENCHMARK.json" "$work/runs.jsonl" "$parent_sha" "$change_sha" "$traced" <<'PY'
 import json, statistics, sys
 
 contract = json.load(open(sys.argv[1]))
 runs = [json.loads(line) for line in open(sys.argv[2])]
 bounds = {m["name"]: m for m in contract["end_to_end"]}
-LAYERS = ["vm.interp_iter_ms", "vm.interp_mvcycles_per_s", "vm.compiled_iter_ms",
-          "profile.record_ns", "alloc.calls_per_pass", "alloc.bytes_per_pass", "trace.null_ratio"]
+LAYERS = [m["name"] for m in contract["per_layer"]]
 
 
 def side_stats(values):
@@ -110,7 +112,9 @@ for w in [x["name"] for x in contract["workloads"]]:
                       "attempted": attempted, "failed": failed,
                       "all_correct": all(r["result"]["correct"] for r in mine), "metrics": metrics})
 
-traced = {r["side"]: {k: r["traced"]["metrics"][k]["value"] for k in LAYERS} for r in runs if "traced" in r}
+# A traced run reports the layers its workload exercises; the rest are absent.
+traced = {r["side"]: {k: r["traced"]["metrics"][k]["value"] for k in LAYERS if k in r["traced"]["metrics"]}
+          for r in runs if "traced" in r}
 json.dump({
     "figure": "host-wall-pairs",
     "command": "benchmark/run.sh --workload W --seed N --seconds 10 --trace 0",
@@ -119,7 +123,7 @@ json.dump({
             "parent's inter-quartile spread; worse = the change's median is worse than the parent's by more "
             "than the metric's bound; unresolved = the parent's spread exceeds the bound and a pair was lost",
     "workloads": workloads,
-    "traced_interp_only": traced,
+    "traced_" + sys.argv[5]: traced,
 }, sys.stdout, indent=1)
 print()
 PY

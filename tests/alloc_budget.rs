@@ -23,34 +23,34 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Per-workload allocation budgets in bytes (tuned run, 1.3× margin).
 const BUDGETS: &[(&str, u64)] = &[
-    ("avrora", 612_493),
-    ("batik", 7_278_713),
-    ("fop", 7_579_755),
-    ("h2", 2_248_502),
-    ("jython", 12_233_158),
-    ("luindex", 728_175),
-    ("lusearch", 854_223),
-    ("pmd", 7_982_869),
-    ("sunflow", 556_920),
-    ("xalan", 7_588_708),
-    ("actors", 1_395_491),
-    ("apparat", 1_060_403),
-    ("factorie", 3_651_220),
-    ("kiama", 1_776_014),
-    ("scalac", 12_723_634),
-    ("scaladoc", 21_444_849),
-    ("scalap", 1_666_333),
-    ("scalariform", 1_557_205),
-    ("scalatest", 1_087_535),
-    ("scalaxb", 1_059_932),
-    ("specs", 693_049),
-    ("tmt", 1_196_382),
-    ("gauss-mix", 2_144_611),
-    ("dec-tree", 4_670_858),
-    ("naive-bayes", 1_324_047),
-    ("neo4j", 972_832),
-    ("dotty", 1_295_105),
-    ("stmbench7", 854_872),
+    ("avrora", 276_237),
+    ("batik", 2_245_276),
+    ("fop", 2_470_348),
+    ("h2", 918_552),
+    ("jython", 2_966_273),
+    ("luindex", 335_800),
+    ("lusearch", 384_481),
+    ("pmd", 2_614_510),
+    ("sunflow", 345_317),
+    ("xalan", 2_464_758),
+    ("actors", 941_094),
+    ("apparat", 587_905),
+    ("factorie", 1_983_590),
+    ("kiama", 1_083_882),
+    ("scalac", 2_890_114),
+    ("scaladoc", 4_063_348),
+    ("scalap", 993_773),
+    ("scalariform", 945_491),
+    ("scalatest", 660_695),
+    ("scalaxb", 587_346),
+    ("specs", 299_627),
+    ("tmt", 830_230),
+    ("gauss-mix", 1_504_037),
+    ("dec-tree", 1_619_798),
+    ("naive-bayes", 504_286),
+    ("neo4j", 479_384),
+    ("dotty", 521_228),
+    ("stmbench7", 365_211),
 ];
 
 #[test]

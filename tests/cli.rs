@@ -1,5 +1,6 @@
 //! The `incline` binary, driven as a user drives it.
 
+use std::fmt::Write as _;
 use std::process::Command;
 
 /// `samples/no_such_method.ir` verifies, but its virtual call finds no
@@ -22,4 +23,34 @@ fn run_reports_an_unimplemented_virtual_call_as_a_trap() {
         );
         assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
     }
+}
+
+/// A hostile but valid program: `main` is a chain of 20 000 blocks, each
+/// jumping to the next with its one parameter. The JIT's block merging
+/// splices them all; when it did one merge per rebuild of the CFG this run
+/// took 40 s in a release build (minutes in the debug build under test).
+/// Finishing is the gate.
+#[test]
+fn run_compiles_a_20_000_block_jump_chain() {
+    const LINKS: usize = 20_000;
+    let mut text = String::from("fn main(int) -> int {\nb0(v0: int):\n  jump b1(v0)\n");
+    for i in 1..LINKS {
+        let _ = writeln!(text, "b{i}(v{i}: int):\n  jump b{}(v{i})", i + 1);
+    }
+    let _ = writeln!(
+        text,
+        "b{LINKS}(v{LINKS}: int):\n  print v{LINKS}\n  ret v{LINKS}\n}}"
+    );
+    let sample = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("jump_chain.ir");
+    std::fs::write(&sample, text).expect("write the sample");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_incline"))
+        .args(["run", sample.to_str().unwrap(), "--input", "7", "--jit"])
+        .output()
+        .expect("the incline binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stdout.contains("=> Some(Int(7))"), "{stdout}");
+    assert!(stdout.contains("1 methods compiled"), "{stdout}");
 }

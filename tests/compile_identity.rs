@@ -1,0 +1,304 @@
+//! Identity oracle for the compile ladder: what every compilation of the
+//! hot set produces, pinned in a checked-in table.
+//!
+//! For the 28 paper workloads plus `generate(23..27, GenConfig::hardened())`,
+//! profiles are warmed by three interpreted iterations and every method
+//! with hotness ≥ 5 is compiled by
+//!
+//! * the paper inliner with uncommon traps allowed (`paper+deopt`) and
+//!   without (`paper`), the greedy and the C2 baseline — each through
+//!   `Inliner::compile` under a private budget and trace sink —, and
+//! * the broker's degraded rung (`degraded`: `Machine::compile_now` with a
+//!   panic injected into every full-tier attempt),
+//!
+//! once under the default unlimited budget and once under [`TIGHT_FUEL`],
+//! which makes part of the compilations bail. Per method the oracle hashes
+//! `Graph::fingerprint()` of the produced graph (raw ids, so value and block
+//! numbering count) and of its compacted form (what is installed), the
+//! `InlineStats`, the `OptStats` summed over the compilation's
+//! `OptPassStats` events, `CompileFuel::spent()`, `work_nodes` and FNV-1a of
+//! the compilation's JSONL trace; a bailed compilation hashes its error,
+//! spend and trace.
+//!
+//! The checked-in table holds one row per (workload, mode, budget) with a
+//! 32-bit digest per method. The unhashed lines always land in
+//! `target/tmp/compile_identity.detail`; on a mismatch the actual table
+//! lands in `target/tmp/compile_identity.actual` and the failure names the
+//! first differing row and its methods. Diff the detail file against one
+//! produced at the parent commit to see which observable moved. Copy the
+//! actual table over `tests/compile_identity.table` only when the compile
+//! ladder's output moved on purpose.
+
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+use incline::bench::{default_vm, Config};
+use incline::ir::MethodId;
+use incline::opt::OptStats;
+use incline::prelude::*;
+use incline::profile::ProfileTable;
+use incline::snapshot::fnv1a;
+use incline::workloads::{generate, GenConfig};
+
+const TABLE: &str = include_str!("compile_identity.table");
+
+/// Hotness at which `default_vm()` tiers a method up.
+const HOT: u64 = 5;
+/// Interpreted iterations that warm the profiles.
+const WARM_ITERATIONS: usize = 3;
+/// The limited budget: small enough that the larger roots run out during
+/// their inlining rounds, large enough that the small ones finish.
+const TIGHT_FUEL: u64 = 1_500;
+
+const BUDGETS: [(&str, u64); 2] = [("inf", u64::MAX), ("tight", TIGHT_FUEL)];
+
+fn warm(w: &Workload) -> (ProfileTable, Vec<MethodId>) {
+    let config = VmConfig {
+        jit: false,
+        ..default_vm()
+    };
+    let mut vm = Machine::new(&w.program, Box::new(NoInline), config);
+    for _ in 0..WARM_ITERATIONS {
+        vm.run(w.entry, vec![Value::Int(w.input)])
+            .unwrap_or_else(|e| panic!("{}: warm-up failed: {e}", w.name));
+    }
+    let profiles = vm.profiles().clone();
+    let hot = w
+        .program
+        .method_ids()
+        .filter(|&m| profiles.hotness(m) >= HOT)
+        .collect();
+    (profiles, hot)
+}
+
+fn opt_list(s: OptStats) -> String {
+    format!(
+        "{},{},{},{},{},{},{},{},{},{}",
+        s.const_fold,
+        s.strength_red,
+        s.branch_prune,
+        s.typecheck_fold,
+        s.devirt,
+        s.gvn,
+        s.rw_elim,
+        s.dce,
+        s.blocks_merged,
+        s.loops_peeled
+    )
+}
+
+fn stats_list(s: &incline::vm::InlineStats) -> String {
+    format!(
+        "{},{},{},{},{},{}",
+        s.inlined_calls,
+        s.rounds,
+        s.explored_nodes,
+        s.final_size,
+        s.opt_events,
+        s.speculative_sites
+    )
+}
+
+/// One direct `Inliner::compile` under a private budget and sink.
+fn direct(
+    w: &Workload,
+    profiles: &ProfileTable,
+    inliner: &dyn Inliner,
+    speculation: Speculation,
+    limit: u64,
+    m: MethodId,
+) -> String {
+    let fuel = if limit == u64::MAX {
+        CompileFuel::unlimited()
+    } else {
+        CompileFuel::limited(limit)
+    };
+    let sink = CollectingSink::new();
+    let cx = CompileCx::new(&w.program, profiles)
+        .with_fuel(&fuel)
+        .with_trace(&sink)
+        .with_speculation(speculation);
+    let result = inliner.compile(m, &cx);
+    let events = sink.take();
+    let mut opt = OptStats::new();
+    let mut jsonl = String::new();
+    for e in &events {
+        if let CompileEvent::OptPassStats { stats, .. } = e {
+            opt += *stats;
+        }
+        jsonl.push_str(&e.to_json());
+        jsonl.push('\n');
+    }
+    let tail = format!(
+        "opt={} spent={} trace={:016x}",
+        opt_list(opt),
+        fuel.spent(),
+        fnv1a(jsonl.as_bytes())
+    );
+    match result {
+        Ok(out) => format!(
+            "ok graph={:016x} installed={:016x} stats={} work={} {tail}",
+            out.graph.fingerprint(),
+            out.graph.compacted().fingerprint(),
+            stats_list(&out.stats),
+            out.work_nodes,
+        ),
+        Err(e) => format!("bail error={e:?} {tail}"),
+    }
+}
+
+/// The degraded rung through the broker: a panic injected into every
+/// full-tier attempt. Returns one line per hot method plus the machine's
+/// totals (compile cycles, whole-run trace) under the pseudo-method `all`.
+fn degraded(
+    w: &Workload,
+    profiles: &ProfileTable,
+    hot: &[MethodId],
+    limit: u64,
+) -> Vec<(String, String)> {
+    let config = VmConfig {
+        compile_fuel: limit,
+        ..default_vm()
+    };
+    let sink = Arc::new(JsonlSink::new(Vec::new()));
+    let handle: Arc<dyn TraceSink> = sink.clone();
+    let mut vm = Machine::new(&w.program, Config::paper().build(), config);
+    vm.set_trace_sink(handle);
+    *vm.profiles_mut() = profiles.clone();
+    let mut plan = FaultPlan::new();
+    for id in 0..hot.len() as u64 {
+        plan = plan.inject(id, FaultKind::PanicInCompile);
+    }
+    vm.set_fault_plan(plan);
+    let mut lines = Vec::new();
+    for &m in hot {
+        let installed = vm.compile_now(m);
+        let line = match vm.compiled_graph(m) {
+            Some(g) if installed => {
+                let stats = vm
+                    .compile_log()
+                    .iter()
+                    .rev()
+                    .find(|(lm, _)| *lm == m)
+                    .map(|(_, s)| stats_list(s))
+                    .expect("an installed method is in the compile log");
+                format!("ok installed={:016x} stats={stats}", g.fingerprint())
+            }
+            _ => "blacklisted".to_string(),
+        };
+        lines.push((format!("{m}"), line));
+    }
+    let totals = format!(
+        "compile_cycles={} code_bytes={} bailouts={}",
+        vm.total_compile_cycles(),
+        vm.installed_bytes(),
+        vm.bailouts().total()
+    );
+    drop(vm);
+    let trace = Arc::try_unwrap(sink)
+        .map_err(|_| "sink still shared")
+        .expect("sink uniquely owned after the run")
+        .into_inner();
+    lines.push((
+        "all".to_string(),
+        format!("{totals} trace={:016x}", fnv1a(&trace)),
+    ));
+    lines
+}
+
+/// Rows and detail lines of one workload.
+fn workload_rows(w: &Workload) -> (String, String) {
+    let (profiles, hot) = warm(w);
+    let with_deopt = Speculation {
+        allow_deopt: true,
+        ..Speculation::default()
+    };
+    let direct_modes: [(&str, Box<dyn Inliner>, Speculation); 4] = [
+        ("paper+deopt", Config::paper().build(), with_deopt),
+        ("paper", Config::paper().build(), Speculation::default()),
+        ("greedy", Config::Greedy.build(), Speculation::default()),
+        ("c2", Config::C2.build(), Speculation::default()),
+    ];
+    let mut table = String::new();
+    let mut detail = String::new();
+    let mut emit = |mode: &str, budget: &str, lines: Vec<(String, String)>| {
+        let _ = write!(table, "{} {mode} {budget}", w.name);
+        for (method, line) in lines {
+            let _ = write!(table, " {method}={:08x}", fnv1a(line.as_bytes()) as u32);
+            let _ = writeln!(detail, "{} {mode} {budget} {method}: {line}", w.name);
+        }
+        table.push('\n');
+    };
+    for (budget, limit) in BUDGETS {
+        for (mode, inliner, speculation) in &direct_modes {
+            let lines = hot
+                .iter()
+                .map(|&m| {
+                    (
+                        format!("{m}"),
+                        direct(w, &profiles, inliner.as_ref(), *speculation, limit, m),
+                    )
+                })
+                .collect();
+            emit(mode, budget, lines);
+        }
+        emit("degraded", budget, degraded(w, &profiles, &hot, limit));
+    }
+    (table, detail)
+}
+
+#[test]
+fn compile_ladder_output_matches_the_checked_in_table() {
+    let workloads: Vec<Workload> = all_benchmarks()
+        .into_iter()
+        .chain((23..27).map(|seed| generate(seed, GenConfig::hardened())))
+        .collect();
+    assert_eq!(workloads.len(), 32, "28 paper workloads plus four draws");
+
+    let mut actual = String::new();
+    let mut detail = String::new();
+    for w in &workloads {
+        let (t, d) = workload_rows(w);
+        actual.push_str(&t);
+        detail.push_str(&d);
+    }
+
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let detail_path = tmp.join("compile_identity.detail");
+    std::fs::write(&detail_path, &detail).expect("write the detail lines");
+    if actual == TABLE {
+        return;
+    }
+    let actual_path = tmp.join("compile_identity.actual");
+    std::fs::write(&actual_path, &actual).expect("write the actual table");
+    let expected: Vec<&str> = TABLE.lines().collect();
+    let first = actual
+        .lines()
+        .enumerate()
+        .find(|&(i, line)| expected.get(i) != Some(&line));
+    let what = match first {
+        Some((i, line)) => {
+            let want = expected.get(i).copied().unwrap_or("<no such row>");
+            let row: Vec<&str> = line.split(' ').take(3).collect();
+            let moved: Vec<&str> = line
+                .split(' ')
+                .skip(3)
+                .filter(|cell| !want.split(' ').any(|w| w == *cell))
+                .collect();
+            format!(
+                "first differing row is #{i} `{}`, methods {moved:?}\n  expected: {want}\n    actual: {line}",
+                row.join(" ")
+            )
+        }
+        None => format!(
+            "the table has {} rows, this run produced {}",
+            expected.len(),
+            actual.lines().count()
+        ),
+    };
+    panic!(
+        "the compile ladder's output moved: {what}\nactual table: {}\nunhashed lines: {}",
+        actual_path.display(),
+        detail_path.display()
+    );
+}
