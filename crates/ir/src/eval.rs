@@ -52,33 +52,51 @@ impl std::fmt::Display for TrapKind {
 /// # Errors
 ///
 /// Returns [`TrapKind::DivByZero`] for `IDiv`/`IRem` with a zero divisor.
+#[inline]
 pub fn eval_int_bin(op: BinOp, a: i64, b: i64) -> Result<i64, TrapKind> {
-    Ok(match op {
+    if op.can_trap() {
+        eval_int_div(op, a, b)
+    } else {
+        Ok(eval_int_total(op, a, b))
+    }
+}
+
+/// Evaluates an integer binary operation that cannot trap (everything but
+/// `IDiv`/`IRem`), so callers that know the operator pay for no `Result`.
+#[inline]
+pub fn eval_int_total(op: BinOp, a: i64, b: i64) -> i64 {
+    match op {
         BinOp::IAdd => a.wrapping_add(b),
         BinOp::ISub => a.wrapping_sub(b),
         BinOp::IMul => a.wrapping_mul(b),
-        BinOp::IDiv => {
-            if b == 0 {
-                return Err(TrapKind::DivByZero);
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::IRem => {
-            if b == 0 {
-                return Err(TrapKind::DivByZero);
-            }
-            a.wrapping_rem(b)
-        }
         BinOp::IAnd => a & b,
         BinOp::IOr => a | b,
         BinOp::IXor => a ^ b,
         BinOp::IShl => a.wrapping_shl((b & 63) as u32),
         BinOp::IShr => a.wrapping_shr((b & 63) as u32),
-        _ => unreachable!("float op passed to eval_int_bin"),
+        _ => unreachable!("trapping or float op passed to eval_int_total"),
+    }
+}
+
+/// Evaluates `IDiv` or `IRem`, the two integer operations that can trap.
+///
+/// # Errors
+///
+/// Returns [`TrapKind::DivByZero`] for a zero divisor.
+#[inline]
+pub fn eval_int_div(op: BinOp, a: i64, b: i64) -> Result<i64, TrapKind> {
+    if b == 0 {
+        return Err(TrapKind::DivByZero);
+    }
+    Ok(match op {
+        BinOp::IDiv => a.wrapping_div(b),
+        BinOp::IRem => a.wrapping_rem(b),
+        _ => unreachable!("non-trapping op passed to eval_int_div"),
     })
 }
 
 /// Evaluates a float binary operation.
+#[inline]
 pub fn eval_float_bin(op: BinOp, a: f64, b: f64) -> f64 {
     match op {
         BinOp::FAdd => a + b,
@@ -90,6 +108,7 @@ pub fn eval_float_bin(op: BinOp, a: f64, b: f64) -> f64 {
 }
 
 /// Evaluates an integer comparison.
+#[inline]
 pub fn eval_int_cmp(op: CmpOp, a: i64, b: i64) -> bool {
     match op {
         CmpOp::IEq => a == b,
@@ -103,6 +122,7 @@ pub fn eval_int_cmp(op: CmpOp, a: i64, b: i64) -> bool {
 }
 
 /// Evaluates a float comparison (IEEE: any comparison with NaN is false).
+#[inline]
 pub fn eval_float_cmp(op: CmpOp, a: f64, b: f64) -> bool {
     match op {
         CmpOp::FEq => a == b,
@@ -113,11 +133,13 @@ pub fn eval_float_cmp(op: CmpOp, a: f64, b: f64) -> bool {
 }
 
 /// Float → int conversion: saturating, NaN → 0 (Rust `as` semantics).
+#[inline]
 pub fn float_to_int(f: f64) -> i64 {
     f as i64
 }
 
 /// Int → float conversion (nearest, ties to even — Rust `as` semantics).
+#[inline]
 pub fn int_to_float(k: i64) -> f64 {
     k as f64
 }

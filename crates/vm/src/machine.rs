@@ -49,8 +49,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use incline_ir::eval::TrapKind;
-use incline_ir::graph::{CallTarget, DeoptReason, Op, Terminator};
-use incline_ir::{ClassId, Graph, InstId, MethodId, Program, SelectorId};
+use incline_ir::graph::{CallTarget, DeoptReason};
+use incline_ir::{ClassId, Graph, MethodId, Program, SelectorId, Type};
 use incline_profile::{MethodProfile, ProfileTable};
 use incline_trace::{BailoutStage, CodeTier, CompileEvent, NullSink, TraceSink};
 
@@ -62,12 +62,12 @@ use crate::cost::{CostModel, Tier};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::inliner::{CompileError, InlineStats, Inliner, Speculation};
 use crate::method_map::MethodMap;
-use crate::plan::{ExecPlan, PlannedGraph};
+use crate::plan::{method_signature, ExecPlan, LowerScratch, PlannedGraph, Term};
 use crate::snapshot::{
     self, DecisionRecord, MergePolicy, ReplayMode, Snapshot, SnapshotError, SnapshotStats,
 };
-use crate::store::{reg, Store};
-use crate::value::{Output, Value};
+use crate::store::Store;
+use crate::value::{word_ref, Kind, Output, Value};
 
 /// VM configuration.
 #[derive(Clone, Copy, Debug)]
@@ -515,6 +515,15 @@ pub enum ExecError {
     StackOverflow,
     /// Step budget exceeded [`VmConfig::fuel_steps`].
     OutOfFuel,
+    /// The arguments handed to [`Machine::run`] do not fit the entry
+    /// method's signature: wrong count, wrong type, or a heap reference
+    /// (the heap is fresh per run, so none can be valid). Nothing ran.
+    BadEntryArgs {
+        /// The entry method's parameter list, e.g. `(int, float)`.
+        expected: String,
+        /// What was passed, in the same form.
+        got: String,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -523,6 +532,9 @@ impl std::fmt::Display for ExecError {
             ExecError::Trap(t) => write!(f, "trap: {t}"),
             ExecError::StackOverflow => write!(f, "stack overflow"),
             ExecError::OutOfFuel => write!(f, "out of fuel"),
+            ExecError::BadEntryArgs { expected, got } => {
+                write!(f, "entry method takes {expected}, got {got}")
+            }
         }
     }
 }
@@ -624,18 +636,22 @@ struct CacheState {
     base_backedges: u64,
 }
 
+/// What [`Program::resolve`] answers for a receiver class and a selector:
+/// the implementation with its [`method_signature`], or none.
+type Dispatch = Option<(MethodId, u64)>;
+
 /// How a graph activation left `exec_graph`.
 enum Flow {
-    /// Normal return.
-    Return(Option<Value>),
+    /// Normal return: the returned register word, 0 from a `void` method.
+    Return(u64),
     /// A compiled activation hit an uncommon trap.
     Deopt(DeoptReason),
 }
 
 /// How a compiled activation left `exec_compiled`.
 enum CompiledExit {
-    /// Normal return.
-    Returned(Option<Value>),
+    /// Normal return: the returned register word, 0 from a `void` method.
+    Returned(u64),
     /// The activation deoptimized: its effects are rolled back and its
     /// code invalidated. Its arguments are still on the register stack, so
     /// the caller can replay the activation interpreted.
@@ -649,9 +665,10 @@ pub struct Machine<'p> {
     config: VmConfig,
     profiles: ProfileTable,
     code: MethodMap<CompiledMethod>,
-    /// Execution plans of source graphs, built on a method's first
-    /// interpreted activation.
+    /// Flat code of source graphs, lowered on a method's first interpreted
+    /// activation.
     source_plans: MethodMap<Arc<ExecPlan>>,
+    lower_scratch: LowerScratch,
     installed_bytes: u64,
     compilations: u64,
     // Fault containment.
@@ -686,17 +703,16 @@ pub struct Machine<'p> {
     live_compiled: MethodMap<u32>,
     // Per-run state.
     store: Store,
-    /// The register stack: every live activation's frame, one slot per
-    /// SSA value of its graph, preceded by the arguments its caller
-    /// pushed. Reused across calls and runs.
-    stack: Vec<Option<Value>>,
-    /// Values in flight along a CFG edge (all read before any is written:
-    /// a block may pass its own parameters permuted).
-    edge_scratch: Vec<Value>,
-    /// Memo of [`Program::resolve`], `[class][selector]`: the outer option
-    /// is "looked up yet", the inner one the lookup's answer. Rows exist
-    /// only for classes that were a receiver.
-    dispatch: Vec<Vec<Option<Option<MethodId>>>>,
+    /// The register stack: every live activation's frame, one untagged
+    /// word per slot of its flat code, preceded by the arguments its
+    /// caller pushed. Reused across calls and runs.
+    stack: Vec<u64>,
+    /// Words in flight along a CFG edge whose moves cannot be applied in
+    /// place (a block passing its own parameters permuted).
+    edge_scratch: Vec<u64>,
+    /// Memo of [`Program::resolve`], `[class][selector]`; `None` is "not
+    /// looked up yet". Rows exist only for classes that were a receiver.
+    dispatch: Vec<Vec<Option<Dispatch>>>,
     exec_cycles: u64,
     run_compile_cycles: u64,
     run_stall_cycles: u64,
@@ -747,6 +763,7 @@ impl<'p> Machine<'p> {
             profiles: ProfileTable::new(),
             code: MethodMap::default(),
             source_plans: MethodMap::default(),
+            lower_scratch: LowerScratch::default(),
             installed_bytes: 0,
             compilations: 0,
             blacklist: MethodMap::default(),
@@ -764,7 +781,7 @@ impl<'p> Machine<'p> {
             cache: CacheStats::default(),
             cache_state: MethodMap::default(),
             live_compiled: MethodMap::default(),
-            store: Store::default(),
+            store: Store::new(program),
             stack: Vec::new(),
             edge_scratch: Vec::new(),
             dispatch: Vec::new(),
@@ -795,8 +812,21 @@ impl<'p> Machine<'p> {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] on traps, stack overflow or fuel exhaustion.
+    /// Returns [`ExecError`] on traps, stack overflow or fuel exhaustion,
+    /// and before executing anything when `args` do not fit `entry`.
     pub fn run(&mut self, entry: MethodId, args: Vec<Value>) -> Result<RunOutcome, ExecError> {
+        // Registers are untagged: this is the one place tagged values
+        // enter, so it is where they are checked against the signature.
+        let method = self.program.method(entry);
+        let fits =
+            |(v, ty): (&Value, &Type)| v.kind() == Kind::of(*ty) && !matches!(v, Value::Ref(_));
+        if args.len() != method.params.len() || !args.iter().zip(&method.params).all(fits) {
+            let list = |items: Vec<String>| format!("({})", items.join(", "));
+            return Err(ExecError::BadEntryArgs {
+                expected: list(method.params.iter().map(Type::to_string).collect()),
+                got: list(args.iter().map(|v| format!("{v:?}")).collect()),
+            });
+        }
         self.store.reset();
         self.exec_cycles = 0;
         self.run_compile_cycles = 0;
@@ -807,13 +837,12 @@ impl<'p> Machine<'p> {
         self.drain_compile_queue();
         // A run that ended in an error left its frames behind.
         self.stack.clear();
-        let argc = args.len();
-        self.stack.extend(args.into_iter().map(Some));
-        let value = self.exec_method(entry, argc, 0)?;
+        self.stack.extend(args.iter().map(|v| v.to_word()));
+        let word = self.exec_method(entry, args.len(), 0)?;
         self.stack.clear();
         self.vbase += self.exec_cycles + self.run_stall_cycles;
         Ok(RunOutcome {
-            value,
+            value: method.ret.value().map(|ty| Kind::of(ty).value(word)),
             exec_cycles: self.exec_cycles,
             compile_cycles: self.run_compile_cycles,
             stall_cycles: self.run_stall_cycles,
@@ -1549,8 +1578,15 @@ impl<'p> Machine<'p> {
         });
         self.decision_replayed.push(self.replay_active);
         let pinned = self.spec.get(method).is_some_and(|s| s.pinned);
-        let has_deopt = graph_has_deopt(&graph);
-        let has_virtual = graph_has_virtual_call(&graph);
+        let code = PlannedGraph::compiled(
+            &mut self.lower_scratch,
+            self.program,
+            self.program.method(method),
+            graph,
+            &self.config.cost,
+        );
+        let has_deopt = code.plan.has_deopt;
+        let has_virtual = code.plan.has_virtual_call;
         // Snapshot poison (quarantine ladder): a replayed install targeted
         // by a `PoisonSnapshot` fault traps on first entry, like ForceDeopt.
         let poisoned = self.replay_active && self.replay_poison.contains(&method);
@@ -1567,7 +1603,7 @@ impl<'p> Machine<'p> {
         self.code.insert(
             method,
             CompiledMethod {
-                code: Arc::new(PlannedGraph::compiled(graph, &self.config.cost)),
+                code: Arc::new(code),
                 bytes,
                 has_deopt,
                 drift_armed,
@@ -1919,7 +1955,7 @@ impl<'p> Machine<'p> {
     /// [`Program::resolve`], memoized: the program's method tables are
     /// hash maps walked up the class chain, too slow for every dispatch.
     #[inline]
-    fn resolve(&mut self, class: ClassId, sel: SelectorId) -> Option<MethodId> {
+    fn resolve(&mut self, class: ClassId, sel: SelectorId) -> Dispatch {
         let known = self.dispatch.get(class.index());
         if let Some(Some(target)) = known.and_then(|row| row.get(sel.index())) {
             return *target;
@@ -1928,8 +1964,9 @@ impl<'p> Machine<'p> {
     }
 
     #[cold]
-    fn resolve_uncached(&mut self, class: ClassId, sel: SelectorId) -> Option<MethodId> {
+    fn resolve_uncached(&mut self, class: ClassId, sel: SelectorId) -> Dispatch {
         let target = self.program.resolve(class, sel);
+        let target = target.map(|m| (m, method_signature(self.program.method(m))));
         if self.dispatch.len() <= class.index() {
             self.dispatch.resize_with(class.index() + 1, Vec::new);
         }
@@ -1941,26 +1978,34 @@ impl<'p> Machine<'p> {
         target
     }
 
-    /// The execution plan of `method`'s source graph, built on first use.
+    /// The flat code of `method`'s source graph, lowered on first use.
     #[inline]
     fn source_plan(&mut self, method: MethodId) -> Arc<ExecPlan> {
         if let Some(plan) = self.source_plans.get(method) {
             return Arc::clone(plan);
         }
-        let graph = &self.program.method(method).graph;
-        let plan = Arc::new(ExecPlan::build(graph, &self.config.cost, true));
+        let source = self.program.method(method);
+        let plan = Arc::new(ExecPlan::lower(
+            &mut self.lower_scratch,
+            self.program,
+            source,
+            &source.graph,
+            &self.config.cost,
+            true,
+        ));
         self.source_plans.insert(method, Arc::clone(&plan));
         plan
     }
 
     /// Runs one activation of `method`, whose `argc` arguments the caller
     /// pushed on top of the register stack; they are still there on return.
+    /// Returns the returned register word, 0 from a `void` method.
     fn exec_method(
         &mut self,
         method: MethodId,
         argc: usize,
         depth: usize,
-    ) -> Result<Option<Value>, ExecError> {
+    ) -> Result<u64, ExecError> {
         if depth > self.config.max_depth {
             return Err(ExecError::StackOverflow);
         }
@@ -2021,11 +2066,9 @@ impl<'p> Machine<'p> {
         method: MethodId,
         argc: usize,
         depth: usize,
-    ) -> Result<Option<Value>, ExecError> {
-        let program = self.program;
-        let graph = &program.method(method).graph;
+    ) -> Result<u64, ExecError> {
         let plan = self.source_plan(method);
-        match self.exec_graph(method, graph, &plan, Tier::Interpreted, argc, depth)? {
+        match self.exec_graph(method, &plan, Tier::Interpreted, argc, depth)? {
             Flow::Return(v) => Ok(v),
             Flow::Deopt(_) => unreachable!("the interpreted tier traps on deopt terminators"),
         }
@@ -2081,7 +2124,7 @@ impl<'p> Machine<'p> {
         // its compiled frame is on the stack (an install in a callee
         // could otherwise tear code out from under us mid-activation).
         self.note_compiled_entry(method);
-        let flow = self.exec_graph(method, &code.graph, &code.plan, Tier::Compiled, argc, depth);
+        let flow = self.exec_graph(method, &code.plan, Tier::Compiled, argc, depth);
         self.note_compiled_exit(method);
         if let Some(save) = &save {
             self.store
@@ -2158,28 +2201,13 @@ impl<'p> Machine<'p> {
         true
     }
 
-    /// Takes back what a summed run charged for `unexecuted`, the
-    /// instructions after the one that trapped: steps and cycles end up
-    /// exactly where charging one instruction at a time leaves them.
-    #[cold]
-    fn refund_run(&mut self, plan: &ExecPlan, tier: Tier, unexecuted: &[InstId]) {
-        self.steps -= unexecuted.len() as u64;
-        for &inst in unexecuted {
-            self.exec_cycles -=
-                self.config
-                    .cost
-                    .tier_cost(plan.op_cost(inst), tier, self.installed_bytes);
-        }
-    }
-
-    /// Runs one activation of `graph` in `tier`. The `argc` arguments are
-    /// the top of the register stack; the activation's frame goes above
-    /// them and is popped again unless the activation ends in an error
-    /// (which ends the run).
+    /// Runs one activation of the flat code `plan` in `tier`. The `argc`
+    /// arguments are the top of the register stack; the activation's frame
+    /// goes above them and is popped again unless the activation ends in
+    /// an error (which ends the run).
     fn exec_graph(
         &mut self,
         method: MethodId,
-        graph: &Graph,
         plan: &ExecPlan,
         tier: Tier,
         argc: usize,
@@ -2188,38 +2216,38 @@ impl<'p> Machine<'p> {
         let profiling = tier == Tier::Interpreted;
         let program = self.program;
         let cost = self.config.cost;
+        // What the interpreter pays on top of the compiled tier, per
+        // instruction and per edge.
+        let dispatch = if profiling { cost.interp_dispatch } else { 0 };
         let base = self.stack.len();
-        let frame = base..base + graph.value_count();
-        self.stack.resize(frame.end, None);
+        let frame = base..base + plan.frame;
+        self.stack.resize(frame.end, 0);
+        // The entry parameters are slots `0..argc`. Copied, not aliased: an
+        // entry block that is a loop header rebinds them, and a deoptimized
+        // activation is re-run from the arguments below its frame.
+        self.stack.copy_within(base - argc..base, base);
         // Charges one instruction the per-operation way: a step of fuel,
         // then its tier cost under the code size installed right now.
         macro_rules! charge_op {
-            ($inst:expr) => {
+            ($base_cost:expr) => {
                 self.steps += 1;
                 if self.steps > self.config.fuel_steps {
                     return Err(ExecError::OutOfFuel);
                 }
-                self.exec_cycles += cost.tier_cost(plan.op_cost($inst), tier, self.installed_bytes);
+                self.exec_cycles += cost.tier_cost($base_cost, tier, self.installed_bytes);
             };
         }
-        let mut block = graph.entry();
-        {
-            let params = &graph.block(block).params;
-            debug_assert_eq!(params.len(), argc, "arity mismatch at activation");
-            for (k, &p) in params.iter().enumerate() {
-                self.stack[base + p.index()] = self.stack[base - argc + k];
-            }
-        }
+        let mut block = &plan.blocks[0];
 
         loop {
             if profiling {
-                self.profiles.record_block(method, block);
+                self.profiles.record_block(method, block.id);
             }
-            let bd = graph.block(block);
-            let mut at = 0;
-            for run in plan.runs(block) {
-                let insts = &bd.insts[at..at + run.len];
-                at += run.len;
+            let mut calls = block.calls.of(&plan.calls).iter();
+            loop {
+                // Every run but a block's last ends at a call.
+                let call = calls.next();
+                let run = call.map_or(&block.tail, |call| &call.before);
                 // A run's cost is the sum of its instructions' costs when
                 // those are linear in the base cost: always interpreted,
                 // and compiled while the code cache fits the i-cache (the
@@ -2229,55 +2257,52 @@ impl<'p> Machine<'p> {
                 // `OutOfFuel` exactly when it does instruction by
                 // instruction.
                 let linear = profiling || self.installed_bytes <= cost.icache_capacity;
-                let len = run.len as u64;
+                let len = u64::from(run.insts.len());
                 let summed = linear && self.steps + len <= self.config.fuel_steps;
                 if summed {
                     self.steps += len;
-                    self.exec_cycles += run.base_cost;
-                    if profiling {
-                        self.exec_cycles += len * cost.interp_dispatch;
-                    }
+                    self.exec_cycles += run.base_cost + len * dispatch;
                 }
                 let regs = &mut self.stack[frame.clone()];
-                for (k, &inst) in insts.iter().enumerate() {
+                for inst in run.insts.of(&plan.insts) {
                     if !summed {
-                        charge_op!(inst);
+                        charge_op!(u64::from(inst.base_cost));
                     }
-                    if let Err(trap) = self.store.exec_op(program, regs, graph.inst(inst)) {
+                    if let Err(trap) = self.store.exec(program, regs, inst) {
                         if summed {
-                            self.refund_run(plan, tier, &insts[k + 1..]);
+                            // Take back what the run charged for the
+                            // instructions after the trap: steps and cycles
+                            // end up exactly where charging one instruction
+                            // at a time leaves them.
+                            let rest = u64::from(inst.rest_len);
+                            self.steps -= rest;
+                            self.exec_cycles -= inst.rest_cost + rest * dispatch;
                         }
                         return Err(ExecError::Trap(trap));
                     }
                 }
-                // Every run but a block's last ends at a call.
-                let Some(&inst) = bd.insts.get(at) else {
+                let Some(call) = call else {
                     break;
                 };
-                at += 1;
-                let data = graph.inst(inst);
-                let Op::Call(info) = &data.op else {
-                    unreachable!("execution plan out of step with its graph");
-                };
-                charge_op!(inst);
+                charge_op!(call.base_cost);
                 // The arguments go on top of the stack, where the callee's
                 // activation finds them.
-                let callee_argc = data.args.len();
-                for &a in &data.args {
-                    let v = reg(&self.stack[frame.clone()], a);
-                    self.stack.push(Some(v));
+                let callee_args = call.args.of(&plan.slots);
+                for &a in callee_args {
+                    let word = self.stack[base + a as usize];
+                    self.stack.push(word);
                 }
-                let (target, is_virtual) = match info.target {
+                let (target, is_virtual) = match call.target {
                     CallTarget::Static(m) => (m, false),
                     CallTarget::Virtual(sel) => {
-                        let Some(Value::Ref(r)) = self.stack[frame.end] else {
+                        let Some(r) = word_ref(self.stack[frame.end]) else {
                             return Err(ExecError::Trap(TrapKind::NullDeref));
                         };
                         let Some(class) = self.store.heap.class_of(r) else {
                             return Err(ExecError::Trap(TrapKind::NoSuchMethod));
                         };
                         if profiling {
-                            self.profiles.record_receiver(info.site, class);
+                            self.profiles.record_receiver(call.site, class);
                         } else if self.config.deopt {
                             // Drift monitor food: fallback virtual
                             // dispatches surviving in compiled code.
@@ -2287,94 +2312,80 @@ impl<'p> Machine<'p> {
                                 cm.virtual_dispatches += 1;
                             }
                         }
-                        let Some(m) = self.resolve(class, sel) else {
-                            return Err(ExecError::Trap(TrapKind::NoSuchMethod));
-                        };
-                        (m, true)
+                        // An implementation that reads its arguments or
+                        // returns its result as other register kinds than
+                        // this callsite passes and expects (an override
+                        // the verifier did not type the call by) is not an
+                        // implementation of the called method.
+                        match self.resolve(class, sel) {
+                            Some((m, signature)) if signature == call.signature => (m, true),
+                            _ => return Err(ExecError::Trap(TrapKind::NoSuchMethod)),
+                        }
                     }
                 };
                 if profiling {
-                    self.profiles.record_callsite(info.site);
+                    self.profiles.record_callsite(call.site);
                 }
-                self.exec_cycles += cost.call_cost(callee_argc, is_virtual);
-                let result = self.exec_method(target, callee_argc, depth + 1)?;
+                self.exec_cycles += cost.call_cost(callee_args.len(), is_virtual);
+                let result = self.exec_method(target, callee_args.len(), depth + 1)?;
                 self.stack.truncate(frame.end);
-                if let Some(res) = data.result {
-                    self.stack[base + res.index()] = result;
+                if let Some(dst) = call.dst {
+                    self.stack[base + dst as usize] = result;
                 }
             }
 
-            // Terminator.
             let regs = &mut self.stack[frame.clone()];
-            let (edge, (dest, edge_args)) = match &bd.term {
-                Terminator::Return(v) => {
-                    let value = v.map(|v| reg(regs, v));
+            let edge = match block.term {
+                Term::Return(slot) => {
+                    let word = slot.map_or(0, |s| regs[s as usize]);
                     self.stack.truncate(base);
-                    return Ok(Flow::Return(value));
+                    return Ok(Flow::Return(word));
                 }
-                Terminator::Deopt { reason } => {
+                Term::Deopt(reason) => {
                     if tier == Tier::Compiled {
                         // Uncommon trap: hand the activation back to
                         // `exec_compiled` for rollback and replay.
                         self.stack.truncate(base);
-                        return Ok(Flow::Deopt(*reason));
+                        return Ok(Flow::Deopt(reason));
                     }
                     // Hand-written IR executed interpreted: there is no
                     // lower tier to transfer to.
                     return Err(ExecError::Trap(TrapKind::Deopt));
                 }
-                Terminator::Jump(d, a) => (0, (d, a)),
-                Terminator::Branch {
+                Term::Jump(ref edge) => edge,
+                Term::Branch {
                     cond,
-                    then_dest,
-                    else_dest,
+                    ref then_edge,
+                    ref else_edge,
                 } => {
-                    if reg(regs, *cond).as_bool() {
-                        (0, (&then_dest.0, &then_dest.1))
+                    if regs[cond as usize] != 0 {
+                        then_edge
                     } else {
-                        (1, (&else_dest.0, &else_dest.1))
+                        else_edge
                     }
                 }
-                Terminator::Unterminated => {
-                    unreachable!("verified graphs have no unterminated blocks")
-                }
             };
-            self.exec_cycles += cost.edge_cost(edge_args.len(), tier);
-            if profiling && plan.is_back_edge(block, edge) {
+            self.exec_cycles += edge.cost + dispatch;
+            if profiling && edge.back_edge {
                 self.profiles.record_backedge(method);
             }
-            // Bind target params (read all values before writing: a block
-            // may pass its own params permuted).
-            self.edge_scratch.clear();
-            self.edge_scratch
-                .extend(edge_args.iter().map(|&a| reg(regs, a)));
-            let target_params = &graph.block(*dest).params;
-            for (&p, &v) in target_params.iter().zip(&self.edge_scratch) {
-                regs[p.index()] = Some(v);
+            let moves = edge.moves.of(&plan.slots).chunks_exact(2);
+            if edge.hazard {
+                // Read every source before writing any destination.
+                self.edge_scratch.clear();
+                self.edge_scratch
+                    .extend(moves.clone().map(|m| regs[m[0] as usize]));
+                for (m, &word) in moves.zip(&self.edge_scratch) {
+                    regs[m[1] as usize] = word;
+                }
+            } else {
+                for m in moves {
+                    regs[m[1] as usize] = regs[m[0] as usize];
+                }
             }
-            block = *dest;
+            block = &plan.blocks[edge.dest as usize];
         }
     }
-}
-
-/// Whether any reachable block of `graph` ends in a `deopt` terminator.
-fn graph_has_deopt(graph: &Graph) -> bool {
-    graph
-        .block_ids()
-        .any(|b| matches!(graph.block(b).term, Terminator::Deopt { .. }))
-}
-
-/// Whether `graph` still contains virtual-dispatch callsites (the drift
-/// monitor counts their executions in compiled code).
-fn graph_has_virtual_call(graph: &Graph) -> bool {
-    graph.block_ids().any(|b| {
-        graph.block(b).insts.iter().any(|&i| {
-            matches!(
-                &graph.inst(i).op,
-                Op::Call(info) if matches!(info.target, CallTarget::Virtual(_))
-            )
-        })
-    })
 }
 
 #[cfg(test)]
@@ -2382,6 +2393,7 @@ mod tests {
     use super::*;
     use crate::inliner::{CompileCx, CompileOutcome, NoInline};
     use incline_ir::builder::FunctionBuilder;
+    use incline_ir::graph::{Op, Terminator};
     use incline_ir::types::RetType;
     use incline_ir::{CmpOp, Type};
 
@@ -2794,6 +2806,313 @@ mod tests {
         }
     }
 
+    /// Both tiers over `p`: the interpreter, and every method installed
+    /// verbatim before the first run.
+    fn both_tiers(p: &Program) -> [Machine<'_>; 2] {
+        [false, true].map(|compiled| {
+            let config = VmConfig {
+                jit: compiled,
+                ..VmConfig::default()
+            };
+            let mut vm = Machine::new(p, Box::new(VerbatimInliner), config);
+            if compiled {
+                for m in p.method_ids() {
+                    assert!(vm.compile_now(m));
+                }
+            }
+            vm
+        })
+    }
+
+    #[test]
+    fn a_loop_passing_its_own_parameters_permuted_binds_them_in_parallel() {
+        // head(a, b, c, i): while i < n, jump head(<a, b, c in `order`>, i + 1);
+        // then return 100a + 10b + c. A swap and a rotation overwrite slots
+        // that later moves of the same edge still read.
+        for order in [[1, 0, 2], [1, 2, 0], [2, 2, 0], [0, 1, 2]] {
+            let mut p = Program::new();
+            let m = p.declare_function("f", vec![Type::Int; 4], Type::Int);
+            let mut fb = FunctionBuilder::new(&p, m);
+            let n = fb.param(3);
+            let zero = fb.const_int(0);
+            let (head, hp) = fb.add_block_with_params(&[Type::Int; 4]);
+            let body = fb.add_block();
+            let done = fb.add_block();
+            let entry_args = vec![fb.param(0), fb.param(1), fb.param(2), zero];
+            fb.jump(head, entry_args);
+            fb.switch_to(head);
+            let more = fb.cmp(CmpOp::ILt, hp[3], n);
+            fb.branch(more, (body, vec![]), (done, vec![]));
+            fb.switch_to(body);
+            let one = fb.const_int(1);
+            let next = fb.iadd(hp[3], one);
+            fb.jump(head, vec![hp[order[0]], hp[order[1]], hp[order[2]], next]);
+            fb.switch_to(done);
+            let (hundred, ten) = (fb.const_int(100), fb.const_int(10));
+            let a = fb.imul(hp[0], hundred);
+            let b = fb.imul(hp[1], ten);
+            let ab = fb.iadd(a, b);
+            let abc = fb.iadd(ab, hp[2]);
+            fb.ret(Some(abc));
+            let g = fb.finish();
+            p.define_method(m, g);
+            for mut vm in both_tiers(&p) {
+                for n in 0..5 {
+                    let mut v = [1, 2, 3];
+                    for _ in 0..n {
+                        v = [v[order[0]], v[order[1]], v[order[2]]];
+                    }
+                    let args = [1, 2, 3, n].map(Value::Int).to_vec();
+                    assert_eq!(
+                        vm.run(m, args).unwrap().value,
+                        Some(Value::Int(100 * v[0] + 10 * v[1] + v[2])),
+                        "order={order:?} n={n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_parameter_bound_twice_by_one_edge_keeps_the_last_argument() {
+        let mut p = Program::new();
+        let m = p.declare_function("f", vec![Type::Int, Type::Int], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let (x, y) = (fb.param(0), fb.param(1));
+        let (b1, p1) = fb.add_block_with_params(&[Type::Int]);
+        fb.switch_to(b1);
+        fb.ret(Some(p1[0]));
+        let mut g = fb.finish();
+        g.block_mut(b1).params.push(p1[0]);
+        g.set_terminator(g.entry(), Terminator::Jump(b1, vec![x, y]));
+        p.define_method(m, g);
+        for mut vm in both_tiers(&p) {
+            let out = vm.run(m, vec![Value::Int(4), Value::Int(9)]).unwrap();
+            assert_eq!(out.value, Some(Value::Int(9)));
+        }
+    }
+
+    /// Installs, for the method named `victim`, code that prints its first
+    /// argument and then takes an uncommon trap; everything else verbatim.
+    struct TrappingInliner {
+        victim: MethodId,
+    }
+    impl Inliner for TrappingInliner {
+        fn name(&self) -> &str {
+            "trapping"
+        }
+        fn compile(
+            &self,
+            method: MethodId,
+            cx: &CompileCx<'_>,
+        ) -> Result<CompileOutcome, CompileError> {
+            let mut graph = cx.program.method(method).graph.clone();
+            if method == self.victim {
+                let entry = graph.entry();
+                let first = graph.block(entry).params[0];
+                for inst in graph.block(entry).insts.clone() {
+                    graph.remove_inst(entry, inst);
+                }
+                graph.append(entry, Op::Print, vec![first], None);
+                graph.set_terminator(
+                    entry,
+                    Terminator::Deopt {
+                        reason: DeoptReason::Injected,
+                    },
+                );
+            }
+            let work_nodes = graph.size();
+            Ok(CompileOutcome {
+                graph,
+                work_nodes,
+                stats: InlineStats::default(),
+            })
+        }
+    }
+
+    #[test]
+    fn a_deoptimized_activation_is_replayed_from_the_raw_arguments_below_its_frame() {
+        // main() { b = new Box; print f(7, 2.5, true, b, null); print b.v }
+        // f(i, x, t, b, z) { print i; print x; print t; print b; print z;
+        //                    b.v = i; return i + 1 }
+        let mut p = Program::new();
+        let class = p.add_class("Box", None);
+        let field = p.add_field(class, "v", Type::Int);
+        let obj = Type::Object(class);
+        let f = p.declare_function(
+            "f",
+            vec![Type::Int, Type::Float, Type::Bool, obj, obj],
+            Type::Int,
+        );
+        let mut fb = FunctionBuilder::new(&p, f);
+        for k in 0..5 {
+            let arg = fb.param(k);
+            fb.print(arg);
+        }
+        let (i, b) = (fb.param(0), fb.param(3));
+        fb.set_field(field, b, i);
+        let one = fb.const_int(1);
+        let r = fb.iadd(i, one);
+        fb.ret(Some(r));
+        let g = fb.finish();
+        p.define_method(f, g);
+        let main = p.declare_function("main", vec![], RetType::Void);
+        let mut fb = FunctionBuilder::new(&p, main);
+        let b = fb.new_object(class);
+        let args = vec![
+            fb.const_int(7),
+            fb.const_float(2.5),
+            fb.const_bool(true),
+            b,
+            fb.const_null(obj),
+        ];
+        let r = fb.call_static(f, args).unwrap();
+        fb.print(r);
+        let v = fb.get_field(field, b);
+        fb.print(v);
+        fb.ret(None);
+        let g = fb.finish();
+        p.define_method(main, g);
+
+        let interpreted = Machine::new(
+            &p,
+            Box::new(NoInline),
+            VmConfig {
+                jit: false,
+                ..VmConfig::default()
+            },
+        )
+        .run(main, vec![])
+        .unwrap();
+        assert_eq!(
+            interpreted.output.lines(),
+            ["7", "2.5", "true", "Box", "null", "8", "7"]
+        );
+        // `main` runs compiled and calls the trapping code of `f`: what it
+        // printed is rolled back, and the interpreter replays the
+        // activation from the five words `main` pushed.
+        let mut vm = Machine::new(
+            &p,
+            Box::new(TrappingInliner { victim: f }),
+            VmConfig::default(),
+        );
+        assert!(vm.compile_now(main) && vm.compile_now(f));
+        let out = vm.run(main, vec![]).unwrap();
+        assert_eq!(vm.bailouts().deopts, 1);
+        assert_eq!(vm.compiled_methods(), vec![main]);
+        assert_eq!(out.output, interpreted.output);
+        assert_eq!(out.value, None);
+    }
+
+    #[test]
+    fn null_and_references_survive_the_heap_and_every_reference_operation() {
+        let mut p = Program::new();
+        let node = p.add_class("Node", None);
+        let next = p.add_field(node, "next", Type::Object(node));
+        let leaf = p.add_class("Leaf", Some(node));
+        let m = p.declare_function("f", vec![], Type::Bool);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let a = fb.new_object(node);
+        let b = fb.new_object(leaf);
+        let null = fb.const_null(Type::Object(node));
+        // Through a field: a reference, then null over it.
+        fb.set_field(next, a, b);
+        let x = fb.get_field(next, a);
+        fb.print(x);
+        let same = fb.cmp(CmpOp::RefEq, x, b);
+        fb.print(same);
+        let other = fb.cmp(CmpOp::RefEq, x, a);
+        fb.print(other);
+        fb.set_field(next, a, null);
+        let y = fb.get_field(next, a);
+        fb.print(y);
+        let both_null = fb.cmp(CmpOp::RefEq, y, null);
+        fb.print(both_null);
+        let null_is_not_a = fb.cmp(CmpOp::RefEq, a, y);
+        fb.print(null_is_not_a);
+        // Through an array of references (cells start out null).
+        let two = fb.const_int(2);
+        let zero = fb.const_int(0);
+        let one = fb.const_int(1);
+        let arr = fb.new_array(incline_ir::ElemType::Object(node), two);
+        fb.print(arr);
+        fb.array_set(arr, zero, b);
+        let e0 = fb.array_get(arr, zero);
+        let e1 = fb.array_get(arr, one);
+        fb.print(e0);
+        fb.print(e1);
+        // Casts and type tests: an instance, a non-instance, null.
+        let down = fb.cast(leaf, e0);
+        fb.print(down);
+        let null_cast = fb.cast(leaf, e1);
+        fb.print(null_cast);
+        for (class, obj) in [(leaf, e0), (leaf, a), (node, e0), (node, e1)] {
+            let is = fb.instance_of(class, obj);
+            fb.print(is);
+        }
+        let r = fb.cmp(CmpOp::RefEq, down, b);
+        fb.ret(Some(r));
+        let g = fb.finish();
+        p.define_method(m, g);
+        incline_ir::verify::verify(&p, p.method(m)).expect("well-typed");
+        for mut vm in both_tiers(&p) {
+            let out = vm.run(m, vec![]).unwrap();
+            assert_eq!(out.value, Some(Value::Bool(true)));
+            assert_eq!(
+                out.output.lines(),
+                [
+                    "Leaf", "true", "false", "null", "true", "false", "array[2]", "Leaf", "null",
+                    "Leaf", "null", "true", "false", "true", "false"
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn entry_arguments_are_checked_against_the_signature_before_anything_runs() {
+        let mut p = Program::new();
+        let class = p.add_class("Box", None);
+        let m = p.declare_function("f", vec![Type::Int, Type::Object(class)], RetType::Void);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let x = fb.param(0);
+        fb.print(x);
+        fb.ret(None);
+        let g = fb.finish();
+        p.define_method(m, g);
+        let mut vm = Machine::new(&p, Box::new(NoInline), VmConfig::default());
+        let rejected: [(Vec<Value>, &str); 5] = [
+            (vec![], "()"),
+            (vec![Value::Int(1)], "(Int(1))"),
+            (
+                vec![Value::Int(1), Value::Null, Value::Null],
+                "(Int(1), Null, Null)",
+            ),
+            (vec![Value::Float(1.0), Value::Null], "(Float(1.0), Null)"),
+            // The heap is fresh per run: no reference can be valid.
+            (
+                vec![Value::Int(1), Value::Ref(crate::value::HeapRef(0))],
+                "(Int(1), Ref(HeapRef(0)))",
+            ),
+        ];
+        for (args, got) in rejected {
+            let err = vm.run(m, args).unwrap_err();
+            assert_eq!(
+                err,
+                ExecError::BadEntryArgs {
+                    expected: "(int, obj.c0)".to_string(),
+                    got: got.to_string(),
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("entry method takes (int, obj.c0), got {got}")
+            );
+            assert_eq!((vm.steps, vm.profiles().invocations(m)), (0, 0));
+        }
+        let out = vm.run(m, vec![Value::Int(1), Value::Null]).unwrap();
+        assert_eq!(out.output.lines(), ["1"]);
+    }
+
     #[test]
     fn virtual_call_without_an_implementation_traps_in_both_tiers() {
         // `foo` is declared on B only; the receiver is an A. The verifier
@@ -2841,6 +3160,58 @@ mod tests {
             assert_eq!(vm.run(on_array, vec![]), trap, "compiled={compiled}");
             // The machine is still usable after the trap.
             assert_eq!(vm.run(main, vec![]), trap);
+        }
+    }
+
+    #[test]
+    fn an_override_of_other_register_kinds_is_not_an_implementation() {
+        // A.get() -> int, B.get() -> float (B extends A). The verifier types
+        // `a.get()` by A's declaration, so `go` verifies; dispatching it on
+        // a B would hand float bits to an int register (the tagged
+        // registers used to panic on the first use).
+        let mut p = Program::new();
+        let a = p.add_class("A", None);
+        let b = p.add_class("B", Some(a));
+        let get_a = p.declare_method(a, "get", vec![], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, get_a);
+        let k = fb.const_int(7);
+        fb.ret(Some(k));
+        let g = fb.finish();
+        p.define_method(get_a, g);
+        let get_b = p.declare_method(b, "get", vec![], Type::Float);
+        let mut fb = FunctionBuilder::new(&p, get_b);
+        let k = fb.const_float(2.5);
+        fb.ret(Some(k));
+        let g = fb.finish();
+        p.define_method(get_b, g);
+        let sel = p.selector_by_name("get", 1).unwrap();
+        let go = p.declare_function("go", vec![Type::Bool], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, go);
+        let pick_b = fb.param(0);
+        let (on_a, on_b) = (fb.add_block(), fb.add_block());
+        let (join, jp) = fb.add_block_with_params(&[Type::Object(a)]);
+        fb.branch(pick_b, (on_b, vec![]), (on_a, vec![]));
+        fb.switch_to(on_a);
+        let obj = fb.new_object(a);
+        fb.jump(join, vec![obj]);
+        fb.switch_to(on_b);
+        let obj = fb.new_object(b);
+        fb.jump(join, vec![obj]);
+        fb.switch_to(join);
+        let r = fb.call_virtual(sel, vec![jp[0]]).unwrap();
+        fb.ret(Some(r));
+        let g = fb.finish();
+        p.define_method(go, g);
+        for m in p.method_ids() {
+            incline_ir::verify::verify(&p, p.method(m)).expect("the verifier accepts the program");
+        }
+        for mut vm in both_tiers(&p) {
+            let on_a = vm.run(go, vec![Value::Bool(false)]).unwrap();
+            assert_eq!(on_a.value, Some(Value::Int(7)));
+            assert_eq!(
+                vm.run(go, vec![Value::Bool(true)]),
+                Err(ExecError::Trap(TrapKind::NoSuchMethod))
+            );
         }
     }
 

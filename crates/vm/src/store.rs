@@ -8,10 +8,10 @@
 //! of the machine.
 
 use incline_ir::eval::{self, TrapKind};
-use incline_ir::graph::{InstData, Op};
-use incline_ir::{CmpOp, Program, ValueId};
+use incline_ir::{BinOp, CmpOp, Program};
 
-use crate::value::{Heap, HeapCell, HeapRef, Output, Value};
+use crate::plan::{FlatOp, Inst};
+use crate::value::{word_ref, Heap, HeapCell, HeapRef, Kind, Output, Value};
 
 /// One undo entry in the deoptimization write journal.
 enum JournalEntry {
@@ -38,10 +38,15 @@ pub(crate) struct Savepoint {
 }
 
 /// Heap, output and write journal of the run in progress.
-#[derive(Default)]
 pub(crate) struct Store {
     pub heap: Heap,
     pub output: Output,
+    /// The zeroed field slots of an instance of every class, one class
+    /// after another; `new` copies its class's stretch.
+    default_fields: Vec<Value>,
+    /// Where each class's stretch of `default_fields` starts; one more
+    /// entry closes the last.
+    default_fields_at: Vec<usize>,
     journal: Vec<JournalEntry>,
     /// Live deopt-capable compiled activations. While any is live, every
     /// heap write (in any tier, including interpreted callees) is
@@ -49,13 +54,28 @@ pub(crate) struct Store {
     journal_scopes: u32,
 }
 
-/// The value of register `v`.
-#[inline(always)]
-pub(crate) fn reg(regs: &[Option<Value>], v: ValueId) -> Value {
-    regs[v.index()].expect("use of undefined register (verifier bug)")
-}
-
 impl Store {
+    /// The state of a machine over `program` before its first run.
+    pub fn new(program: &Program) -> Store {
+        let mut default_fields = Vec::new();
+        let mut default_fields_at = Vec::with_capacity(program.class_count() + 1);
+        for class in program.class_ids() {
+            let start = default_fields.len();
+            default_fields_at.push(start);
+            default_fields.resize(start + program.class(class).instance_len, Value::Int(0));
+            Heap::write_default_fields(program, class, &mut default_fields[start..]);
+        }
+        default_fields_at.push(default_fields.len());
+        Store {
+            heap: Heap::new(),
+            output: Output::new(),
+            default_fields,
+            default_fields_at,
+            journal: Vec::new(),
+            journal_scopes: 0,
+        }
+    }
+
     /// Starts a run: fresh heap and output, empty journal.
     pub fn reset(&mut self) {
         self.heap.clear();
@@ -112,73 +132,108 @@ impl Store {
         self.output.truncate(save.output_len);
     }
 
-    /// Executes one instruction that is not a call against the frame
-    /// `regs`, writing its result register.
+    /// Executes one instruction of a call-free run against the frame
+    /// `regs`, writing its result slot.
+    ///
+    /// Plainly `#[inline]`, never `always`: forced into `exec_graph` it
+    /// inflates that function's debug-build frame until the deepest legal
+    /// guest recursion overflows a test thread's 2 MiB host stack.
     ///
     /// # Errors
     ///
     /// The trap the instruction raised; registers, heap and output are as
     /// the instruction found them.
     #[inline]
-    pub fn exec_op(
+    pub fn exec(
         &mut self,
         program: &Program,
-        regs: &mut [Option<Value>],
-        data: &InstData,
+        regs: &mut [u64],
+        inst: &Inst,
     ) -> Result<(), TrapKind> {
-        let arg = |i: usize| reg(regs, data.args[i]);
-        let result: Option<Value> = match &data.op {
-            Op::Nop => None,
-            Op::ConstInt(k) => Some(Value::Int(*k)),
-            Op::ConstFloat(bits) => Some(Value::Float(f64::from_bits(*bits))),
-            Op::ConstBool(b) => Some(Value::Bool(*b)),
-            Op::ConstNull(_) => Some(Value::Null),
-            Op::Bin(op) if op.is_float() => Some(Value::Float(eval::eval_float_bin(
-                *op,
-                arg(0).as_float(),
-                arg(1).as_float(),
-            ))),
-            Op::Bin(op) => Some(Value::Int(eval::eval_int_bin(
-                *op,
-                arg(0).as_int(),
-                arg(1).as_int(),
-            )?)),
-            Op::Cmp(op) => {
-                let (a, b) = (arg(0), arg(1));
-                let r = match op {
-                    CmpOp::RefEq => match (a, b) {
-                        (Value::Null, Value::Null) => true,
-                        (Value::Ref(x), Value::Ref(y)) => x == y,
-                        _ => false,
-                    },
-                    CmpOp::FEq | CmpOp::FLt | CmpOp::FLe => {
-                        eval::eval_float_cmp(*op, a.as_float(), b.as_float())
-                    }
-                    _ => eval::eval_int_cmp(*op, a.as_int(), b.as_int()),
-                };
-                Some(Value::Bool(r))
+        let (a, b) = (inst.a as usize, inst.b as usize);
+        macro_rules! int {
+            ($op:ident) => {
+                eval::eval_int_total(BinOp::$op, regs[a] as i64, regs[b] as i64) as u64
+            };
+        }
+        macro_rules! int_div {
+            ($op:ident) => {
+                eval::eval_int_div(BinOp::$op, regs[a] as i64, regs[b] as i64)? as u64
+            };
+        }
+        macro_rules! float {
+            ($op:ident) => {
+                eval::eval_float_bin(BinOp::$op, f64::from_bits(regs[a]), f64::from_bits(regs[b]))
+                    .to_bits()
+            };
+        }
+        macro_rules! int_cmp {
+            ($op:ident) => {
+                u64::from(eval::eval_int_cmp(
+                    CmpOp::$op,
+                    regs[a] as i64,
+                    regs[b] as i64,
+                ))
+            };
+        }
+        macro_rules! float_cmp {
+            ($op:ident) => {
+                u64::from(eval::eval_float_cmp(
+                    CmpOp::$op,
+                    f64::from_bits(regs[a]),
+                    f64::from_bits(regs[b]),
+                ))
+            };
+        }
+        let result = match inst.op {
+            FlatOp::Nop => return Ok(()),
+            FlatOp::Const(word) => word,
+            FlatOp::IAdd => int!(IAdd),
+            FlatOp::ISub => int!(ISub),
+            FlatOp::IMul => int!(IMul),
+            FlatOp::IDiv => int_div!(IDiv),
+            FlatOp::IRem => int_div!(IRem),
+            FlatOp::IAnd => int!(IAnd),
+            FlatOp::IOr => int!(IOr),
+            FlatOp::IXor => int!(IXor),
+            FlatOp::IShl => int!(IShl),
+            FlatOp::IShr => int!(IShr),
+            FlatOp::FAdd => float!(FAdd),
+            FlatOp::FSub => float!(FSub),
+            FlatOp::FMul => float!(FMul),
+            FlatOp::FDiv => float!(FDiv),
+            FlatOp::IEq => int_cmp!(IEq),
+            FlatOp::INe => int_cmp!(INe),
+            FlatOp::ILt => int_cmp!(ILt),
+            FlatOp::ILe => int_cmp!(ILe),
+            FlatOp::IGt => int_cmp!(IGt),
+            FlatOp::IGe => int_cmp!(IGe),
+            FlatOp::FEq => float_cmp!(FEq),
+            FlatOp::FLt => float_cmp!(FLt),
+            FlatOp::FLe => float_cmp!(FLe),
+            // Null is 0 and a reference its index plus one.
+            FlatOp::RefEq => u64::from(regs[a] == regs[b]),
+            FlatOp::Not => regs[a] ^ 1,
+            FlatOp::INeg => (regs[a] as i64).wrapping_neg() as u64,
+            FlatOp::FNeg => (-f64::from_bits(regs[a])).to_bits(),
+            FlatOp::IntToFloat => eval::int_to_float(regs[a] as i64).to_bits(),
+            FlatOp::FloatToInt => eval::float_to_int(f64::from_bits(regs[a])) as u64,
+            FlatOp::New(class) => {
+                let at = &self.default_fields_at[class.index()..];
+                let fields = self.default_fields[at[0]..at[1]].to_vec();
+                self.heap.alloc_object_with(class, fields).to_word()
             }
-            Op::Not => Some(Value::Bool(!arg(0).as_bool())),
-            Op::INeg => Some(Value::Int(arg(0).as_int().wrapping_neg())),
-            Op::FNeg => Some(Value::Float(-arg(0).as_float())),
-            Op::IntToFloat => Some(Value::Float(eval::int_to_float(arg(0).as_int()))),
-            Op::FloatToInt => Some(Value::Int(eval::float_to_int(arg(0).as_float()))),
-            Op::New(c) => Some(Value::Ref(self.heap.alloc_object(program, *c))),
-            Op::GetField(f) => {
-                let Value::Ref(r) = arg(0) else {
-                    return Err(TrapKind::NullDeref);
-                };
+            FlatOp::GetField(offset) => {
+                let r = word_ref(regs[a]).ok_or(TrapKind::NullDeref)?;
                 let HeapCell::Object { fields, .. } = self.heap.cell(r) else {
                     return Err(TrapKind::NullDeref);
                 };
-                Some(fields[program.field(*f).offset])
+                fields[offset as usize].to_word()
             }
-            Op::SetField(f) => {
-                let Value::Ref(r) = arg(0) else {
-                    return Err(TrapKind::NullDeref);
-                };
-                let v = arg(1);
-                let offset = program.field(*f).offset;
+            FlatOp::SetField { offset, kind } => {
+                let r = word_ref(regs[a]).ok_or(TrapKind::NullDeref)?;
+                let v = kind.value(regs[b]);
+                let offset = offset as usize;
                 let HeapCell::Object { fields, .. } = self.heap.cell_mut(r) else {
                     return Err(TrapKind::NullDeref);
                 };
@@ -186,93 +241,74 @@ impl Store {
                 if self.journal_scopes > 0 {
                     self.journal.push(JournalEntry::Field { r, offset, old });
                 }
-                None
+                return Ok(());
             }
-            Op::NewArray(e) => {
-                let len = arg(0).as_int();
+            FlatOp::NewArray(elem) => {
+                let len = regs[a] as i64;
                 if len < 0 {
                     return Err(TrapKind::NegativeLength);
                 }
-                Some(Value::Ref(self.heap.alloc_array(*e, len as usize)))
+                self.heap.alloc_array(elem, len as usize).to_word()
             }
-            Op::ArrayGet => {
-                let Value::Ref(r) = arg(0) else {
+            FlatOp::ArrayGet => {
+                let r = word_ref(regs[a]).ok_or(TrapKind::NullDeref)?;
+                let idx = regs[b] as i64;
+                let HeapCell::Array { data, .. } = self.heap.cell(r) else {
                     return Err(TrapKind::NullDeref);
                 };
-                let idx = arg(1).as_int();
-                let HeapCell::Array { data: arr, .. } = self.heap.cell(r) else {
-                    return Err(TrapKind::NullDeref);
-                };
-                if idx < 0 || idx as usize >= arr.len() {
+                if idx < 0 || idx as usize >= data.len() {
                     return Err(TrapKind::Bounds);
                 }
-                Some(arr[idx as usize])
+                data[idx as usize].to_word()
             }
-            Op::ArraySet => {
-                let Value::Ref(r) = arg(0) else {
+            FlatOp::ArraySet => {
+                let r = word_ref(regs[a]).ok_or(TrapKind::NullDeref)?;
+                let idx = regs[b] as i64;
+                let word = regs[inst.c as usize];
+                let HeapCell::Array { elem, data } = self.heap.cell_mut(r) else {
                     return Err(TrapKind::NullDeref);
                 };
-                let idx = arg(1).as_int();
-                let v = arg(2);
-                let HeapCell::Array { data: arr, .. } = self.heap.cell_mut(r) else {
-                    return Err(TrapKind::NullDeref);
-                };
-                if idx < 0 || idx as usize >= arr.len() {
+                if idx < 0 || idx as usize >= data.len() {
                     return Err(TrapKind::Bounds);
                 }
                 let index = idx as usize;
-                let old = std::mem::replace(&mut arr[index], v);
+                let v = Kind::of(elem.to_type()).value(word);
+                let old = std::mem::replace(&mut data[index], v);
                 if self.journal_scopes > 0 {
                     self.journal.push(JournalEntry::Array { r, index, old });
                 }
-                None
+                return Ok(());
             }
-            Op::ArrayLen => {
-                let Value::Ref(r) = arg(0) else {
+            FlatOp::ArrayLen => {
+                let r = word_ref(regs[a]).ok_or(TrapKind::NullDeref)?;
+                let HeapCell::Array { data, .. } = self.heap.cell(r) else {
                     return Err(TrapKind::NullDeref);
                 };
-                let HeapCell::Array { data: arr, .. } = self.heap.cell(r) else {
-                    return Err(TrapKind::NullDeref);
-                };
-                Some(Value::Int(arr.len() as i64))
+                data.len() as u64
             }
-            Op::InstanceOf(c) => {
-                let r = match arg(0) {
-                    Value::Ref(r) => match self.heap.cell(r) {
-                        HeapCell::Object { class, .. } => program.is_subclass(*class, *c),
-                        HeapCell::Array { .. } => false,
-                    },
-                    _ => false,
-                };
-                Some(Value::Bool(r))
+            FlatOp::InstanceOf(c) => {
+                let is = word_ref(regs[a]).is_some_and(|r| match self.heap.cell(r) {
+                    HeapCell::Object { class, .. } => program.is_subclass(*class, c),
+                    HeapCell::Array { .. } => false,
+                });
+                u64::from(is)
             }
-            Op::Cast(c) => {
-                let v = arg(0);
-                match v {
-                    Value::Null => Some(Value::Null),
-                    Value::Ref(r) => match self.heap.cell(r) {
-                        HeapCell::Object { class, .. } if program.is_subclass(*class, *c) => {
-                            Some(v)
-                        }
+            FlatOp::Cast(c) => {
+                // Null passes through.
+                if let Some(r) = word_ref(regs[a]) {
+                    match self.heap.cell(r) {
+                        HeapCell::Object { class, .. } if program.is_subclass(*class, c) => {}
                         _ => return Err(TrapKind::CastFailed),
-                    },
-                    _ => return Err(TrapKind::CastFailed),
+                    }
                 }
+                regs[a]
             }
-            Op::Print => {
-                self.output.print(program, &self.heap, arg(0));
-                None
+            FlatOp::Print(kind) => {
+                self.output.print(program, &self.heap, kind.value(regs[a]));
+                return Ok(());
             }
-            Op::Call(_) => unreachable!("calls are executed by the machine, not the store"),
         };
-        if let Some(res) = data.result {
-            regs[res.index()] = result;
-        } else {
-            debug_assert!(
-                result.is_none(),
-                "op without a result register produced one"
-            );
-        }
+        regs[inst.dst as usize] = result;
         Ok(())
     }
 }

@@ -8,6 +8,14 @@ use incline_ir::{ClassId, ElemType, Program, Type};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct HeapRef(pub u32);
 
+impl HeapRef {
+    /// The reference as an untagged register word; see [`Value::to_word`].
+    #[inline]
+    pub(crate) fn to_word(self) -> u64 {
+        u64::from(self.0) + 1
+    }
+}
+
 /// A runtime value.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Value {
@@ -30,6 +38,7 @@ impl Value {
     ///
     /// Panics if the value is not an `Int` (verified graphs cannot trigger
     /// this; it indicates an interpreter bug).
+    #[inline]
     pub fn as_int(self) -> i64 {
         match self {
             Value::Int(k) => k,
@@ -38,6 +47,7 @@ impl Value {
     }
 
     /// The float payload. See [`Value::as_int`] for panics.
+    #[inline]
     pub fn as_float(self) -> f64 {
         match self {
             Value::Float(k) => k,
@@ -46,6 +56,7 @@ impl Value {
     }
 
     /// The bool payload. See [`Value::as_int`] for panics.
+    #[inline]
     pub fn as_bool(self) -> bool {
         match self {
             Value::Bool(k) => k,
@@ -67,6 +78,76 @@ impl Value {
     pub fn default_of_elem(e: ElemType) -> Value {
         Value::default_of(e.to_type())
     }
+
+    /// The value as an untagged register word: `Int` as its bits, `Float`
+    /// as `to_bits`, `Bool` as 0/1, `Null` as 0 and `Ref(r)` as `r + 1`, so
+    /// reference equality is bit equality and a null check one compare.
+    #[inline]
+    pub(crate) fn to_word(self) -> u64 {
+        match self {
+            Value::Int(k) => k as u64,
+            Value::Float(f) => f.to_bits(),
+            Value::Bool(b) => u64::from(b),
+            Value::Null => 0,
+            Value::Ref(r) => r.to_word(),
+        }
+    }
+
+    /// Which of the four register encodings the value uses.
+    pub(crate) fn kind(self) -> Kind {
+        match self {
+            Value::Int(_) => Kind::Int,
+            Value::Float(_) => Kind::Float,
+            Value::Bool(_) => Kind::Bool,
+            Value::Null | Value::Ref(_) => Kind::Ref,
+        }
+    }
+}
+
+/// How an untagged register word is to be read. Derived from a value's
+/// static [`Type`] when a graph is lowered, and carried only by the
+/// operations where a word turns back into a tagged [`Value`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// `i64` bits.
+    Int,
+    /// `f64` bits.
+    Float,
+    /// 0 or 1.
+    Bool,
+    /// 0 for null, otherwise a heap index plus one.
+    Ref,
+}
+
+impl Kind {
+    /// The register encoding of values of static type `ty`.
+    pub fn of(ty: Type) -> Kind {
+        match ty {
+            Type::Int => Kind::Int,
+            Type::Float => Kind::Float,
+            Type::Bool => Kind::Bool,
+            Type::Object(_) | Type::Array(_) => Kind::Ref,
+        }
+    }
+
+    /// The tagged value a register word of this kind stands for (the
+    /// inverse of [`Value::to_word`]).
+    #[inline]
+    pub fn value(self, word: u64) -> Value {
+        match self {
+            Kind::Int => Value::Int(word as i64),
+            Kind::Float => Value::Float(f64::from_bits(word)),
+            Kind::Bool => Value::Bool(word != 0),
+            Kind::Ref => word_ref(word).map_or(Value::Null, Value::Ref),
+        }
+    }
+}
+
+/// The heap cell a reference-kind register word points at; `None` for null.
+#[inline]
+pub(crate) fn word_ref(word: u64) -> Option<HeapRef> {
+    // Reference words are only ever made from a `u32` index plus one.
+    word.checked_sub(1).map(|r| HeapRef(r as u32))
 }
 
 /// A heap cell.
@@ -100,11 +181,11 @@ impl Heap {
         Self::default()
     }
 
-    /// Allocates an object of `class` with zeroed fields.
-    pub fn alloc_object(&mut self, program: &Program, class: ClassId) -> HeapRef {
-        let n = program.class(class).instance_len;
-        // Zero defaults per slot type: walk the layout.
-        let mut fields = vec![Value::Int(0); n];
+    /// Fills `fields`, the slots of a fresh instance of `class`, with the
+    /// zero of each field's type. Walks the layout up the parent chain, so
+    /// the machine does it once per class and copies the image per
+    /// allocation.
+    pub(crate) fn write_default_fields(program: &Program, class: ClassId, fields: &mut [Value]) {
         let mut cur = Some(class);
         while let Some(c) = cur {
             for &f in &program.class(c).declared_fields {
@@ -113,6 +194,17 @@ impl Heap {
             }
             cur = program.class(c).parent;
         }
+    }
+
+    /// Allocates an object of `class` with zeroed fields.
+    pub fn alloc_object(&mut self, program: &Program, class: ClassId) -> HeapRef {
+        let mut fields = vec![Value::Int(0); program.class(class).instance_len];
+        Heap::write_default_fields(program, class, &mut fields);
+        self.alloc_object_with(class, fields)
+    }
+
+    /// Allocates an object of `class` holding `fields`.
+    pub(crate) fn alloc_object_with(&mut self, class: ClassId, fields: Vec<Value>) -> HeapRef {
         let r = HeapRef(self.cells.len() as u32);
         self.cells.push(HeapCell::Object { class, fields });
         r
@@ -129,11 +221,13 @@ impl Heap {
     }
 
     /// The cell behind a reference.
+    #[inline]
     pub fn cell(&self, r: HeapRef) -> &HeapCell {
         &self.cells[r.0 as usize]
     }
 
     /// Mutable cell access.
+    #[inline]
     pub fn cell_mut(&mut self, r: HeapRef) -> &mut HeapCell {
         &mut self.cells[r.0 as usize]
     }

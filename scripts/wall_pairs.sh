@@ -17,6 +17,10 @@
 # per workload and end-to-end metric: each side's runs, median and
 # quartiles, how many pairs the change won, and a verdict by the benchmark's
 # own bound. Progress goes to stderr.
+#
+# The report on stdout replaces the last one; so that the trajectory stays
+# data, one compact row per workload (both `pass_ms` medians, pairs won,
+# verdict) is also appended to BENCH_wall_history.json, which only grows.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -58,8 +62,9 @@ for side in parent change; do
         "$traced" "$side" "$(run_side "$side" "$traced" 23 1)" >> "$work/runs.jsonl"
 done
 
-python3 - "$repo/BENCHMARK.json" "$work/runs.jsonl" "$parent_sha" "$change_sha" "$traced" <<'PY'
-import json, statistics, sys
+python3 - "$repo/BENCHMARK.json" "$work/runs.jsonl" "$parent_sha" "$change_sha" "$traced" \
+    "$repo/BENCH_wall_history.json" <<'PY'
+import json, os, statistics, sys
 
 contract = json.load(open(sys.argv[1]))
 runs = [json.loads(line) for line in open(sys.argv[2])]
@@ -126,4 +131,13 @@ json.dump({
     "traced_" + sys.argv[5]: traced,
 }, sys.stdout, indent=1)
 print()
+
+history = json.load(open(sys.argv[6])) if os.path.exists(sys.argv[6]) else []
+for w in workloads:
+    m = w["metrics"]["pass_ms"]
+    history.append({"rev": sys.argv[4], "parent": sys.argv[3], "workload": w["name"],
+                    "parent_pass_ms": m["parent"]["median"], "change_pass_ms": m["change"]["median"],
+                    "wins": m["wins"], "pairs": m["pairs"], "verdict": m["verdict"]})
+with open(sys.argv[6], "w") as out:
+    out.write("[\n" + ",\n".join(json.dumps(row) for row in history) + "\n]\n")
 PY

@@ -40,6 +40,7 @@
 use std::process::ExitCode;
 
 use incline::cli::{flag, opt_value, CommonOpts};
+use incline::ir::MethodId;
 use incline::prelude::*;
 use incline::snapshot::{FileStore, Snapshot, SnapshotIo, SnapshotStore};
 
@@ -137,11 +138,34 @@ fn load(path: &str) -> Result<Program, String> {
     Ok(program)
 }
 
-fn entry_of(program: &Program, args: &[String]) -> Result<incline::ir::MethodId, String> {
+fn entry_of(program: &Program, args: &[String]) -> Result<MethodId, String> {
     let name = opt_value(args, "--entry").unwrap_or("main");
     program
         .function_by_name(name)
         .ok_or_else(|| format!("no function `{name}`"))
+}
+
+/// The argument list `run` and `compile` call the entry with: nothing for
+/// `()`, `--input` (default 10) for `(int)`. The command line can spell no
+/// other signature.
+fn entry_args(program: &Program, entry: MethodId, args: &[String]) -> Result<Vec<Value>, String> {
+    let input: i64 = opt_value(args, "--input")
+        .unwrap_or("10")
+        .parse()
+        .map_err(|e| format!("--input: {e}"))?;
+    let method = program.method(entry);
+    match method.params.as_slice() {
+        [] => Ok(vec![]),
+        [Type::Int] => Ok(vec![Value::Int(input)]),
+        params => {
+            let params: Vec<String> = params.iter().map(Type::to_string).collect();
+            Err(format!(
+                "entry `{}` takes ({}); only `()` and `(int)` entries can be run from the command line",
+                method.name,
+                params.join(", ")
+            ))
+        }
+    }
 }
 
 fn print_snapshot_stats(stats: &SnapshotStats) {
@@ -186,10 +210,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let opts = CommonOpts::parse(args)?;
     let program = load(path)?;
     let entry = entry_of(&program, args)?;
-    let input: i64 = opt_value(args, "--input")
-        .unwrap_or("10")
-        .parse()
-        .map_err(|e| format!("--input: {e}"))?;
+    let entry_args = entry_args(&program, entry, args)?;
     let jit = flag(args, "--jit");
     let config = VmConfig {
         jit,
@@ -225,7 +246,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut last = None;
     for _ in 0..runs {
         last = Some(
-            vm.run(entry, vec![Value::Int(input)])
+            vm.run(entry, entry_args.clone())
                 .map_err(|e| e.to_string())?,
         );
     }
@@ -260,10 +281,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     let opts = CommonOpts::parse(args)?;
     let program = load(path)?;
     let entry = entry_of(&program, args)?;
-    let input: i64 = opt_value(args, "--input")
-        .unwrap_or("10")
-        .parse()
-        .map_err(|e| format!("--input: {e}"))?;
+    let entry_args = entry_args(&program, entry, args)?;
 
     // Gather profiles by interpreting the entry once.
     let mut vm = Machine::new(
@@ -274,7 +292,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
             ..VmConfig::default()
         },
     );
-    vm.run(entry, vec![Value::Int(input)])
+    vm.run(entry, entry_args)
         .map_err(|e| format!("profiling run: {e}"))?;
     let profiles = vm.profiles().clone();
     let cx = CompileCx::new(&program, &profiles);

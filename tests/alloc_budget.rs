@@ -23,34 +23,34 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Per-workload allocation budgets in bytes (tuned run, 1.3× margin).
 const BUDGETS: &[(&str, u64)] = &[
-    ("avrora", 276_237),
-    ("batik", 2_245_276),
-    ("fop", 2_470_348),
-    ("h2", 918_552),
-    ("jython", 2_966_273),
-    ("luindex", 335_800),
-    ("lusearch", 384_481),
-    ("pmd", 2_614_510),
-    ("sunflow", 345_317),
-    ("xalan", 2_464_758),
-    ("actors", 941_094),
-    ("apparat", 587_905),
-    ("factorie", 1_983_590),
-    ("kiama", 1_083_882),
-    ("scalac", 2_890_114),
-    ("scaladoc", 4_063_348),
-    ("scalap", 993_773),
-    ("scalariform", 945_491),
-    ("scalatest", 660_695),
-    ("scalaxb", 587_346),
-    ("specs", 299_627),
-    ("tmt", 830_230),
-    ("gauss-mix", 1_504_037),
-    ("dec-tree", 1_619_798),
-    ("naive-bayes", 504_286),
-    ("neo4j", 479_384),
-    ("dotty", 521_228),
-    ("stmbench7", 365_211),
+    ("avrora", 287_964),
+    ("batik", 2_303_666),
+    ("fop", 2_538_591),
+    ("h2", 937_690),
+    ("jython", 3_014_341),
+    ("luindex", 344_276),
+    ("lusearch", 395_205),
+    ("pmd", 2_680_523),
+    ("sunflow", 354_451),
+    ("xalan", 2_532_325),
+    ("actors", 980_695),
+    ("apparat", 597_582),
+    ("factorie", 2_060_591),
+    ("kiama", 1_112_517),
+    ("scalac", 2_942_235),
+    ("scaladoc", 4_132_082),
+    ("scalap", 1_020_110),
+    ("scalariform", 969_637),
+    ("scalatest", 678_407),
+    ("scalaxb", 596_919),
+    ("specs", 309_247),
+    ("tmt", 867_097),
+    ("gauss-mix", 1_587_751),
+    ("dec-tree", 1_662_390),
+    ("naive-bayes", 520_530),
+    ("neo4j", 492_072),
+    ("dotty", 537_899),
+    ("stmbench7", 375_908),
 ];
 
 #[test]

@@ -25,6 +25,34 @@ fn run_reports_an_unimplemented_virtual_call_as_a_trap() {
     }
 }
 
+/// The command line can pass an entry nothing or one int. `run` and
+/// `compile` must refuse any other signature with a message: `run` used to
+/// panic on `samples/float_main.ir` (exit 101) and, in a release build,
+/// answer `samples/two_args.ir` with a sum that read the missing argument
+/// out of the activation's own frame.
+#[test]
+fn entries_the_command_line_cannot_call_are_refused() {
+    for (sample, signature) in [("float_main", "(float)"), ("two_args", "(int, int)")] {
+        let path = format!("{}/samples/{sample}.ir", env!("CARGO_MANIFEST_DIR"));
+        for args in [&["run"][..], &["run", "--jit"], &["compile"]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_incline"))
+                .args([args[0], &path, "--input", "3"])
+                .args(&args[1..])
+                .output()
+                .expect("the incline binary runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let what = format!("{sample} {args:?}: {stdout}{stderr}");
+            assert_eq!(out.status.code(), Some(1), "{what}");
+            assert!(stderr.contains(&format!("takes {signature}")), "{what}");
+            assert!(
+                !stderr.contains("panicked") && !stdout.contains("=>"),
+                "{what}"
+            );
+        }
+    }
+}
+
 /// A hostile but valid program: `main` is a chain of 20 000 blocks, each
 /// jumping to the next with its one parameter. The JIT's block merging
 /// splices them all; when it did one merge per rebuild of the CFG this run
