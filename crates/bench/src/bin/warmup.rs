@@ -1,6 +1,6 @@
-//! Warmup elimination via persistent snapshots: cold vs eager-replay vs
-//! counter-seeded runs per workload, plus the fleet-warming server
-//! scenario, as machine-readable JSON (seeds `BENCH_warmup.json`).
+//! Warmup elimination via persistent snapshots: cold vs eager-replay runs
+//! per workload, plus the fleet-warming server scenario, as
+//! machine-readable JSON (seeds `BENCH_warmup.json`).
 
 fn main() {
     println!("{}", incline_bench::figures::warmup());

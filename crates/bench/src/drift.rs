@@ -175,7 +175,11 @@ pub fn serve_drift() -> (ServerReport, ServerReport) {
             .collect();
         let mut session = ServerSession::new(&mix.program, tenants, crate::server::standard_spec())
             .inliner(Config::paper().build())
-            .config(VmConfig::builder().hotness_threshold(4).deopt(true).build());
+            .config(VmConfig {
+                hotness_threshold: 4,
+                deopt: true,
+                ..VmConfig::default()
+            });
         if let Some(store) = snap_in {
             session = session.snapshot_in(store);
         }

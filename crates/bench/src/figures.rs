@@ -486,8 +486,7 @@ pub fn cache() -> String {
 /// Warmup elimination via persistent snapshots (beyond the paper): every
 /// standard workload is run cold (writing a snapshot to an in-memory
 /// store), then replayed eagerly (snapshot's compile decisions recompiled
-/// up front) and with counter seeding (hotness pre-warmed, decisions
-/// re-derived). Emits machine-readable JSON — the seed of
+/// up front). Emits machine-readable JSON — the seed of
 /// `BENCH_warmup.json` — with "cycles to within 5% of steady state" as the
 /// first-class metric, plus the multi-tenant server scenario where one
 /// run's snapshot warms the next server's shared cache.
@@ -500,7 +499,6 @@ pub fn warmup() -> String {
     use std::sync::Arc;
 
     use crate::json::Json;
-    use incline_vm::snapshot::ReplayMode;
     use incline_vm::{
         BenchResult, BenchSpec, MemoryStore, RunSession, ServerSession, Value, VmConfig,
     };
@@ -508,7 +506,6 @@ pub fn warmup() -> String {
     const FRAC: f64 = 0.05;
     let config = Config::paper();
     let run = |w: &Workload,
-               replay: ReplayMode,
                snap_in: Option<Arc<MemoryStore>>,
                snap_out: Option<Arc<MemoryStore>>|
      -> BenchResult {
@@ -519,10 +516,7 @@ pub fn warmup() -> String {
         };
         let mut session = RunSession::new(&w.program, spec)
             .inliner(config.build())
-            .config(VmConfig {
-                replay,
-                ..crate::default_vm()
-            });
+            .config(crate::default_vm());
         if let Some(store) = snap_in {
             session = session.snapshot_in(store);
         }
@@ -537,13 +531,11 @@ pub fn warmup() -> String {
     let mut passes = 0usize;
     for w in &benches {
         let store = Arc::new(MemoryStore::new());
-        let cold = run(w, ReplayMode::Eager, None, Some(store.clone()));
-        let eager = run(w, ReplayMode::Eager, Some(store.clone()), None);
-        let seed = run(w, ReplayMode::Seed, Some(store.clone()), None);
+        let cold = run(w, None, Some(store.clone()));
+        let eager = run(w, Some(store), None);
         let cold_cycles = cold.warmup_cycles_within(FRAC);
         let eager_cycles = eager.warmup_cycles_within(FRAC);
         let digest_ok = eager.answer_digest() == cold.answer_digest();
-        let seed_ok = seed.answer_digest() == cold.answer_digest();
         let pass = digest_ok && eager_cycles * 4 <= cold_cycles;
         if pass {
             passes += 1;
@@ -568,15 +560,6 @@ pub fn warmup() -> String {
                     ("digest_match", digest_ok.into()),
                 ]),
             ),
-            (
-                "seed",
-                Json::obj(vec![
-                    ("warmup_iters", seed.warmup_within(FRAC).into()),
-                    ("warmup_cycles", seed.warmup_cycles_within(FRAC).into()),
-                    ("seeded_methods", seed.snapshot.seeded_methods.into()),
-                    ("digest_match", seed_ok.into()),
-                ]),
-            ),
             ("pass", pass.into()),
         ]));
     }
@@ -594,7 +577,10 @@ pub fn warmup() -> String {
             crate::server::standard_spec(),
         )
         .inliner(config.build())
-        .config(VmConfig::builder().hotness_threshold(4).build());
+        .config(VmConfig {
+            hotness_threshold: 4,
+            ..VmConfig::default()
+        });
         if let Some(store) = snap_in {
             session = session.snapshot_in(store);
         }

@@ -159,6 +159,11 @@ impl CompileQueue {
         }
     }
 
+    /// The methods of the pending requests, in enqueue order.
+    pub(crate) fn pending_methods(&self) -> impl Iterator<Item = MethodId> + '_ {
+        self.pending.iter().map(|r| r.method)
+    }
+
     /// Number of pending requests.
     pub fn len(&self) -> usize {
         self.pending.len()

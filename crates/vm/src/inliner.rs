@@ -40,7 +40,7 @@ impl Default for Speculation {
     fn default() -> Self {
         Speculation {
             allow_deopt: false,
-            confidence: 0.95,
+            confidence: crate::machine::DEOPT_CONFIDENCE,
         }
     }
 }

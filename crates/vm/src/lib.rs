@@ -38,7 +38,6 @@ pub mod cost;
 pub mod faults;
 pub mod inliner;
 pub mod machine;
-mod method_map;
 mod plan;
 pub mod runner;
 pub mod server;
@@ -63,14 +62,13 @@ pub use inliner::{
 };
 pub use machine::{
     BailoutCounters, BailoutRecord, CompilationReport, CompileStage, ExecError, InstallPolicy,
-    Machine, RunOutcome, VmConfig, VmConfigBuilder,
+    Machine, RunOutcome, VmConfig,
 };
 pub use runner::{BenchError, BenchResult, BenchSpec, RunSession};
 pub use server::{ServerError, ServerReport, ServerSession, ServerSpec, TenantReport, TenantSpec};
 pub use snapshot::{
     DecisionRecord, FileStore, MemoryStore, MergePolicy, MergeStats, Merged, MethodRecord,
-    ReplayMode, Snapshot, SnapshotError, SnapshotIo, SnapshotStats, SnapshotStore,
-    SNAPSHOT_VERSION,
+    Snapshot, SnapshotError, SnapshotIo, SnapshotStats, SnapshotStore, SNAPSHOT_VERSION,
 };
 pub use stats::{fairness_index, percentile, LatencyStats};
 pub use trials::{TrialCache, TrialKey, TrialOutcome};

@@ -186,7 +186,7 @@ impl BenchResult {
 /// let spec = BenchSpec { entry: m, args: vec![Value::Int(1)], iterations: 3 };
 /// let result = RunSession::new(&p, spec)
 ///     .inliner(Box::new(NoInline))
-///     .config(VmConfig::builder().hotness_threshold(2).build())
+///     .config(VmConfig { hotness_threshold: 2, ..VmConfig::default() })
 ///     .run()?;
 /// assert_eq!(result.per_iteration.len(), 3);
 /// # Ok::<(), incline_vm::BenchError>(())
@@ -251,10 +251,10 @@ impl<'p> RunSession<'p> {
     /// Loads a warmup snapshot before the first repetition. Accepts
     /// anything [`SnapshotIo`] converts from: a path (`&str`, `String`,
     /// `&Path`, `PathBuf`), raw snapshot bytes (`Vec<u8>`), or an `Arc`ed
-    /// [`SnapshotStore`](crate::snapshot::SnapshotStore). The snapshot is
-    /// applied under [`VmConfig::replay`]; a stale, corrupt or unreadable
-    /// snapshot degrades gracefully to a cold start ([`SnapshotStats::fallbacks`]
-    /// in [`BenchResult::snapshot`]), never an error.
+    /// [`SnapshotStore`](crate::snapshot::SnapshotStore). A stale, corrupt
+    /// or unreadable snapshot degrades gracefully to a cold start
+    /// ([`SnapshotStats::fallbacks`] in [`BenchResult::snapshot`]), never an
+    /// error.
     pub fn snapshot_in(mut self, io: impl Into<SnapshotIo>) -> Self {
         self.snapshot_in = Some(io.into());
         self
@@ -309,18 +309,7 @@ impl<'p> RunSession<'p> {
         let mut vm = Machine::new(self.program, self.inliner, self.config);
         vm.set_fault_plan(self.plan);
         vm.set_trace_sink(self.sink);
-        if let Some(io) = &self.snapshot_in {
-            match io.store().read() {
-                Ok(bytes) => {
-                    vm.load_snapshot_or_cold(&bytes);
-                }
-                Err(e) => vm.note_snapshot_fallback(&e.to_string()),
-            }
-        }
-        if !self.snapshot_merge.is_empty() {
-            let replicas = read_replicas(&self.snapshot_merge, &mut vm);
-            vm.load_merged_or_cold(&replicas);
-        }
+        vm.warm_from(self.snapshot_in.as_ref(), &self.snapshot_merge);
         let mut per_iteration = Vec::with_capacity(spec.iterations);
         let mut stall_per_iteration = Vec::with_capacity(spec.iterations);
         let mut last: Option<RunOutcome> = None;
@@ -343,16 +332,7 @@ impl<'p> RunSession<'p> {
             / window as f64;
         let last = last.expect("at least one iteration");
         if let Some(io) = &self.snapshot_out {
-            let snap = vm.snapshot();
-            let bytes = snap.to_bytes();
-            match io.store().write(&bytes) {
-                Ok(()) => vm.note_snapshot_written(
-                    snap.methods.len() as u64,
-                    snap.decisions.len() as u64,
-                    bytes.len() as u64,
-                ),
-                Err(_) => vm.note_snapshot_write_failed(),
-            }
+            vm.persist_to(io);
         }
         let result = BenchResult {
             per_iteration,
@@ -373,30 +353,19 @@ impl<'p> RunSession<'p> {
     }
 }
 
-/// Reads and parses a replica set for the merge path: unreadable or
-/// unparsable sources each count a graceful fallback on `vm`; the
-/// survivors are returned for [`Machine::load_merged_or_cold`]. Shared by
-/// [`RunSession`] and [`crate::ServerSession`].
-pub(crate) fn read_replicas(ios: &[SnapshotIo], vm: &mut Machine<'_>) -> Vec<snapshot::Snapshot> {
-    let mut replicas = Vec::with_capacity(ios.len());
-    for io in ios {
-        match io.store().read() {
-            Ok(bytes) => match snapshot::Snapshot::from_bytes(&bytes) {
-                Ok(snap) => replicas.push(snap),
-                Err(e) => vm.note_snapshot_fallback(&e.to_string()),
-            },
-            Err(e) => vm.note_snapshot_fallback(&e.to_string()),
-        }
-    }
-    replicas
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::inliner::NoInline;
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::{CmpOp, Type};
+
+    fn threshold(hotness_threshold: u64) -> VmConfig {
+        VmConfig {
+            hotness_threshold,
+            ..VmConfig::default()
+        }
+    }
 
     fn loopy_program() -> (Program, MethodId) {
         let mut p = Program::new();
@@ -431,7 +400,7 @@ mod tests {
             args: vec![Value::Int(500)],
             iterations: 12,
         };
-        let config = VmConfig::builder().hotness_threshold(3).build();
+        let config = threshold(3);
         let r = RunSession::new(&p, spec)
             .inliner(Box::new(NoInline))
             .config(config)
@@ -531,7 +500,7 @@ mod tests {
             args: vec![Value::Int(500)],
             iterations: 8,
         };
-        let config = VmConfig::builder().hotness_threshold(3).build();
+        let config = threshold(3);
         let store = Arc::new(crate::snapshot::MemoryStore::new());
         let cold = RunSession::new(&p, spec.clone())
             .inliner(Box::new(NoInline))
@@ -570,7 +539,7 @@ mod tests {
             args: vec![Value::Int(100)],
             iterations: 6,
         };
-        let config = VmConfig::builder().hotness_threshold(2).build();
+        let config = threshold(2);
         let cold = RunSession::new(&p, spec.clone())
             .inliner(Box::new(NoInline))
             .config(config)
@@ -597,7 +566,7 @@ mod tests {
             args: vec![Value::Int(100)],
             iterations: 6,
         };
-        let config = VmConfig::builder().hotness_threshold(2).build();
+        let config = threshold(2);
         let a = RunSession::new(&p, spec.clone())
             .inliner(Box::new(NoInline))
             .config(config)

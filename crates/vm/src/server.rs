@@ -262,7 +262,7 @@ fn schedule(tenants: &[TenantSpec], spec: &ServerSpec) -> Vec<Arrival> {
 /// # p.define_method(m, g);
 /// let spec = ServerSpec { requests: 10, ..ServerSpec::default() };
 /// let report = ServerSession::new(&p, vec![TenantSpec::new("t0", m)], spec)
-///     .config(VmConfig::builder().hotness_threshold(3).build())
+///     .config(VmConfig { hotness_threshold: 3, ..VmConfig::default() })
 ///     .serve()?;
 /// assert_eq!(report.requests, 10);
 /// # Ok::<(), incline_vm::ServerError>(())
@@ -389,18 +389,7 @@ impl<'p> ServerSession<'p> {
         let mut vm = Machine::new(self.program, self.inliner, self.config);
         vm.set_fault_plan(self.plan);
         vm.set_trace_sink(Arc::clone(&self.sink));
-        if let Some(io) = &self.snapshot_in {
-            match io.store().read() {
-                Ok(bytes) => {
-                    vm.load_snapshot_or_cold(&bytes);
-                }
-                Err(e) => vm.note_snapshot_fallback(&e.to_string()),
-            }
-        }
-        if !self.snapshot_merge.is_empty() {
-            let replicas = crate::runner::read_replicas(&self.snapshot_merge, &mut vm);
-            vm.load_merged_or_cold(&replicas);
-        }
+        vm.warm_from(self.snapshot_in.as_ref(), &self.snapshot_merge);
 
         let mut clock = 0u64;
         let mut served = vec![0u64; n];
@@ -489,16 +478,7 @@ impl<'p> ServerSession<'p> {
             .collect();
         let max_queue_depth = queue_depth.iter().map(|&(_, d)| d).max().unwrap_or(0);
         if let Some(io) = &self.snapshot_out {
-            let snap = vm.snapshot();
-            let bytes = snap.to_bytes();
-            match io.store().write(&bytes) {
-                Ok(()) => vm.note_snapshot_written(
-                    snap.methods.len() as u64,
-                    snap.decisions.len() as u64,
-                    bytes.len() as u64,
-                ),
-                Err(_) => vm.note_snapshot_write_failed(),
-            }
+            vm.persist_to(io);
         }
         Ok(ServerReport {
             requests: arrivals.len() as u64,
@@ -523,6 +503,13 @@ mod tests {
     use super::*;
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::Type;
+
+    fn config() -> VmConfig {
+        VmConfig {
+            hotness_threshold: 4,
+            ..VmConfig::default()
+        }
+    }
 
     fn two_tenant_program() -> (Program, MethodId, MethodId) {
         let mut p = Program::new();
@@ -587,7 +574,7 @@ mod tests {
             ..ServerSpec::default()
         };
         let report = ServerSession::new(&p, tenants(a, b), spec)
-            .config(VmConfig::builder().hotness_threshold(4).build())
+            .config(config())
             .serve()
             .unwrap();
         assert_eq!(report.requests, 60);
@@ -612,12 +599,10 @@ mod tests {
                     ..ServerSpec::default()
                 },
             )
-            .config(
-                VmConfig::builder()
-                    .hotness_threshold(4)
-                    .compile_threads(threads)
-                    .build(),
-            )
+            .config(VmConfig {
+                compile_threads: threads,
+                ..config()
+            })
             .serve()
             .unwrap()
         };
@@ -661,7 +646,7 @@ mod tests {
             requests: 80,
             ..ServerSpec::default()
         };
-        let config = VmConfig::builder().hotness_threshold(4).build();
+        let config = config();
         let store = Arc::new(crate::snapshot::MemoryStore::new());
         let cold = ServerSession::new(&p, tenants(a, b), spec.clone())
             .config(config)

@@ -6,15 +6,10 @@
 //! including profiles merged back after deoptimizations) plus the
 //! per-method **compile decision log** (tier, inline-plan hash, speculation
 //! sites, in installation order). On the next run the snapshot is applied
-//! in one of two [`ReplayMode`]s:
-//!
-//! * [`ReplayMode::Eager`] — the snapshot's method set is compiled up front
-//!   **through the normal broker/ladder/cache-admission path**, so compile
-//!   budgets, verification, admission control and fault injection all still
-//!   apply. Warmup moves out of the measured iterations.
-//! * [`ReplayMode::Seed`] — only the hotness counters are pre-warmed, so
-//!   tiering triggers on the first invocation but every compile decision is
-//!   re-derived from the (seeded) profiles.
+//! eagerly: its profiles are merged into the live table and its method set
+//! is compiled up front **through the normal broker/ladder/cache-admission
+//! path**, so compile budgets, verification, admission control and fault
+//! injection all still apply. Warmup moves out of the measured iterations.
 //!
 //! # Format
 //!
@@ -50,7 +45,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 use incline_ir::{BlockId, ClassId, MethodId, Program};
@@ -60,41 +54,6 @@ use crate::machine::CompileStage;
 
 /// Current snapshot format version. Readers reject any other value.
 pub const SNAPSHOT_VERSION: u64 = 1;
-
-/// How a loaded snapshot is applied before the next run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReplayMode {
-    /// Compile the snapshot's method set up front through the normal
-    /// broker/ladder/cache-admission path (budgets and verification still
-    /// apply), in recorded decision order.
-    #[default]
-    Eager,
-    /// Pre-warm the hotness counters only; tiering triggers immediately
-    /// but every compile decision is re-derived.
-    Seed,
-}
-
-impl ReplayMode {
-    /// CLI/JSON label: `"eager"` or `"seed"`.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReplayMode::Eager => "eager",
-            ReplayMode::Seed => "seed",
-        }
-    }
-}
-
-impl FromStr for ReplayMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "eager" => Ok(ReplayMode::Eager),
-            "seed" => Ok(ReplayMode::Seed),
-            other => Err(format!("unknown replay mode `{other}` (eager, seed)")),
-        }
-    }
-}
 
 /// Lifetime snapshot counters, reported via
 /// [`CompilationReport`](crate::CompilationReport). Deterministic for a
@@ -121,8 +80,8 @@ pub struct SnapshotStats {
     /// profile no longer justified them.
     pub aged_out: u64,
     /// Replayed decisions quarantined after deoptimizing within their
-    /// first `poison_window` compiled activations (excluded from the next
-    /// `snapshot_out`).
+    /// first [`POISON_WINDOW`](crate::machine::POISON_WINDOW) compiled
+    /// activations (excluded from the next `snapshot_out`).
     pub poisoned: u64,
 }
 
@@ -290,9 +249,10 @@ impl Snapshot {
         }
     }
 
-    /// Checks every index of the profile records against `program`:
-    /// method, block, callsite and class ids must exist there. Profile
-    /// tables are dense vectors indexed by these ids, so a snapshot read
+    /// Checks every index of the profile records, and the method of every
+    /// decision, against `program`: method, block, callsite and class ids
+    /// must exist there. Profile tables and the machine's method table
+    /// are dense vectors indexed by these ids, so a snapshot read
     /// from outside must pass this before [`Snapshot::profile_table`] or
     /// [`Snapshot::merge`] sizes a table after it; the machine's load
     /// paths do that.
@@ -335,7 +295,14 @@ impl Snapshot {
                 return bad("class", c.index());
             }
         }
-        Ok(())
+        // The machine's method table is indexed by what replay compiles.
+        match (self.decisions.iter()).find(|d| d.method.index() >= program.method_count()) {
+            Some(d) => Err(SnapshotError::Corrupt(format!(
+                "decision for method {}: out of range",
+                d.method.index()
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Rebuilds a [`ProfileTable`] from the serialized per-method records.
@@ -1408,13 +1375,5 @@ mod tests {
         assert!(matches!(store.write(b"nope"), Err(SnapshotError::Io(_))));
         assert!(!store.tmp_path().exists(), "failed write must clean up tmp");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn replay_mode_labels_parse() {
-        assert_eq!("eager".parse::<ReplayMode>().unwrap(), ReplayMode::Eager);
-        assert_eq!("seed".parse::<ReplayMode>().unwrap(), ReplayMode::Seed);
-        assert!("hot".parse::<ReplayMode>().is_err());
-        assert_eq!(ReplayMode::default(), ReplayMode::Eager);
     }
 }

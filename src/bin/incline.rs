@@ -21,28 +21,49 @@
 //! [--cache-budget BYTES] [--eviction POLICY]
 //! [--icache-capacity BYTES] [--icache-scale BYTES]
 //! [--snapshot-in FILE] [--snapshot-merge FILE ...] [--snapshot-out FILE]
-//! [--replay eager|seed]
 //! ```
+//!
+//! A flag the subcommand does not list is an error, never ignored.
 //!
 //! Inliner names: `incremental` (default), `greedy`, `c2`, `none`.
 //!
 //! `--snapshot-out` writes the run's profiles and compile decisions as a
 //! versioned JSONL snapshot; `--snapshot-in` loads one before the first
-//! iteration, eliminating warmup. `--snapshot-merge` (repeatable, mutually
+//! iteration and recompiles its method set up front through the normal
+//! broker path, eliminating warmup. `--snapshot-merge` (repeatable, mutually
 //! exclusive with `--snapshot-in`) merges N replica snapshots — profile
 //! union, decision majority vote, support check — before applying the
-//! result like a single snapshot. `--replay eager` (default) recompiles the
-//! snapshot's method set up front through the normal broker path; `--replay
-//! seed` only pre-warms the hotness counters and lets decisions re-derive.
-//! Stale, truncated or corrupt snapshots fall back to a cold start — never
-//! an error.
+//! result like a single snapshot. Stale, truncated or corrupt snapshots
+//! fall back to a cold start — never an error.
 
 use std::process::ExitCode;
 
-use incline::cli::{flag, opt_value, CommonOpts};
+use incline::cli::{check_flags, flag, opt_value, CommonOpts};
 use incline::ir::MethodId;
 use incline::prelude::*;
-use incline::snapshot::{FileStore, Snapshot, SnapshotIo, SnapshotStore};
+
+/// A subcommand: its name, the flags of its own that `USAGE` lists for it,
+/// whether it also takes the COMMON surface, and its entry point.
+type Subcommand = (
+    &'static str,
+    &'static str,
+    bool,
+    fn(&[String]) -> Result<(), String>,
+);
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    ("print", "--optimize", false, cmd_print),
+    ("run", "--entry --input --jit", true, cmd_run),
+    (
+        "compile",
+        "--entry --input --inliner --explain --trace --trace-json",
+        false,
+        cmd_compile,
+    ),
+    ("bench", "--input", true, cmd_bench),
+    ("server", "--tenants --seed --requests", true, cmd_server),
+    ("dot", "--entry --optimize", false, cmd_dot),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,14 +71,13 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match cmd.as_str() {
-        "print" => cmd_print(&args[1..]),
-        "run" => cmd_run(&args[1..]),
-        "compile" => cmd_compile(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
-        "server" => cmd_server(&args[1..]),
-        "dot" => cmd_dot(&args[1..]),
-        "list-benchmarks" => {
+    let rest = &args[1..];
+    let subcommand = SUBCOMMANDS.iter().find(|(name, ..)| name == cmd);
+    let result = match (subcommand, cmd.as_str()) {
+        (Some((_, own, common, run)), _) => {
+            check_flags(rest, own, *common).and_then(|()| run(rest))
+        }
+        (None, "list-benchmarks") => {
             for w in incline::workloads::all_benchmarks() {
                 println!("{:<14} {}", w.name, w.suite.label());
             }
@@ -66,11 +86,11 @@ fn main() -> ExitCode {
             }
             Ok(())
         }
-        "--help" | "-h" | "help" => {
+        (None, "--help" | "-h" | "help") => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        (None, other) => Err(format!("unknown command `{other}`\n{USAGE}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -100,8 +120,8 @@ COMMON (identical across run, bench, server):
   [--cache-budget BYTES] [--eviction POLICY]
   [--icache-capacity BYTES] [--icache-scale BYTES]
   [--snapshot-in FILE] [--snapshot-merge FILE ...] [--snapshot-out FILE]
-  [--replay eager|seed]
 
+A flag the subcommand does not list above is an error.
 Inliners: incremental (default), greedy, c2, none.
 Server: a seeded multi-tenant serving simulation (bursty arrivals, per-tenant
 phase flips) printing request-latency and mutator-stall tails per tenant.
@@ -120,8 +140,7 @@ cost-benefit). --icache-capacity / --icache-scale tune the cost model's
 instruction-cache pressure curve.
 Snapshots: --snapshot-out FILE persists profiles + compile decisions after
 the run; --snapshot-in FILE replays them before the first iteration
-(--replay eager recompiles the decided set up front, --replay seed only
-pre-warms hotness counters). --snapshot-merge FILE (repeatable, exclusive
+(the decided set is recompiled up front). --snapshot-merge FILE (repeatable, exclusive
 with --snapshot-in) merges N divergent replica snapshots deterministically:
 profile histograms union with summed counts, compile decisions go to a
 majority vote (ties broken by observed hotness), and decisions the merged
@@ -221,27 +240,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(sink) = trace.sink() {
         vm.set_trace_sink(sink);
     }
-    if let Some(p) = &opts.snapshot_in {
-        match FileStore::new(p.as_str()).read() {
-            Ok(bytes) => {
-                vm.load_snapshot_or_cold(&bytes);
-            }
-            Err(e) => vm.note_snapshot_fallback(&e.to_string()),
-        }
-    }
-    if !opts.snapshot_merge.is_empty() {
-        let mut replicas = Vec::new();
-        for p in &opts.snapshot_merge {
-            match FileStore::new(p.as_str()).read() {
-                Ok(bytes) => match Snapshot::from_bytes(&bytes) {
-                    Ok(s) => replicas.push(s),
-                    Err(e) => vm.note_snapshot_fallback(&e.to_string()),
-                },
-                Err(e) => vm.note_snapshot_fallback(&e.to_string()),
-            }
-        }
-        vm.load_merged_or_cold(&replicas);
-    }
+    let io = |path: &String| SnapshotIo::from(path.as_str());
+    let replicas: Vec<SnapshotIo> = opts.snapshot_merge.iter().map(io).collect();
+    vm.warm_from(opts.snapshot_in.as_ref().map(io).as_ref(), &replicas);
     let runs = if jit { 8 } else { 1 };
     let mut last = None;
     for _ in 0..runs {
@@ -250,17 +251,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 .map_err(|e| e.to_string())?,
         );
     }
-    if let Some(p) = &opts.snapshot_out {
-        let snap = vm.snapshot();
-        let bytes = snap.to_bytes();
-        match FileStore::new(p.as_str()).write(&bytes) {
-            Ok(()) => vm.note_snapshot_written(
-                snap.methods.len() as u64,
-                snap.decisions.len() as u64,
-                bytes.len() as u64,
-            ),
-            Err(_) => vm.note_snapshot_write_failed(),
-        }
+    if let Some(path) = &opts.snapshot_out {
+        vm.persist_to(&io(path));
     }
     let out = last.expect("ran at least once");
     print!("{}", out.output);

@@ -3,14 +3,16 @@
 //! Every subcommand that runs the VM (`run`, `bench`, `server`) accepts the
 //! same flag surface: inliner selection, tracing, deoptimization, broker
 //! sizing, code-cache knobs, and the warmup-snapshot flags
-//! (`--snapshot-in`, `--snapshot-out`, `--replay`). [`CommonOpts::parse`]
-//! extracts and validates those flags once; each subcommand then layers its
-//! own defaults (hotness threshold, deopt default) on top via
-//! [`CommonOpts::vm_config`].
+//! (`--snapshot-in`, `--snapshot-merge`, `--snapshot-out`).
+//! [`CommonOpts::parse`] extracts and validates those flags once; each
+//! subcommand then layers its own defaults (hotness threshold, deopt
+//! default) on top via [`CommonOpts::vm_config`].
 //!
 //! Parsing is scan-based: `CommonOpts` picks out the flags it owns and
-//! ignores everything else, so subcommand-specific arguments (`--entry`,
-//! `--input`, positional file names) coexist without a central registry.
+//! leaves everything else to the subcommand (`--entry`, `--input`,
+//! positional file names). What neither knows is an error, not a no-op:
+//! [`check_flags`] refuses it before anything runs, so a misspelt
+//! `--cache-bugdet 100` cannot silently measure an unbounded cache.
 
 use std::io::Write as _;
 use std::sync::Arc;
@@ -18,8 +20,7 @@ use std::sync::Arc;
 use incline_baselines::{C2Inliner, GreedyInliner};
 use incline_core::IncrementalInliner;
 use incline_trace::{JsonlSink, StderrSink, TraceSink};
-use incline_vm::snapshot::ReplayMode;
-use incline_vm::{EvictionPolicy, Inliner, NoInline, VmConfig};
+use incline_vm::{EvictionPolicy, Inliner, InstallPolicy, NoInline, VmConfig};
 
 /// Returns true when `name` appears anywhere in `args`.
 pub fn flag(args: &[String], name: &str) -> bool {
@@ -43,6 +44,19 @@ pub fn opt_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
         .filter_map(|(i, _)| args.get(i + 1))
         .map(String::as_str)
         .collect()
+}
+
+/// Refuses any `--flag` in `args` that is neither one of the subcommand's
+/// `own` nor — when the subcommand takes the `common` surface — one of
+/// [`CommonOpts::FLAGS`]. Both lists are written the way the usage text
+/// writes them, separated by spaces.
+pub fn check_flags(args: &[String], own: &str, common: bool) -> Result<(), String> {
+    let common = if common { CommonOpts::FLAGS } else { "" };
+    let known = |a: &str| own.split(' ').chain(common.split(' ')).any(|f| f == a);
+    match args.iter().find(|a| a.starts_with("--") && !known(a)) {
+        Some(unknown) => Err(format!("unknown flag `{unknown}`")),
+        None => Ok(()),
+    }
 }
 
 /// The flag surface shared by `run`, `bench`, and `server`.
@@ -69,8 +83,6 @@ pub struct CommonOpts {
     /// Write a warmup snapshot to this file after the run
     /// (`--snapshot-out FILE`).
     pub snapshot_out: Option<String>,
-    /// How `--snapshot-in` state is applied (`--replay eager|seed`).
-    pub replay: ReplayMode,
     /// Background compile worker pool size (`--compile-threads N`).
     pub compile_threads: Option<usize>,
     /// Install at safepoints while the mutator keeps interpreting
@@ -93,6 +105,12 @@ pub struct CommonOpts {
 }
 
 impl CommonOpts {
+    /// Every flag [`CommonOpts::parse`] understands — the COMMON block of
+    /// the usage text.
+    pub const FLAGS: &'static str = "--inliner --trace --trace-json --no-deopt --compile-threads \
+        --pipelined --no-trial-cache --cache-budget --eviction --icache-capacity --icache-scale \
+        --snapshot-in --snapshot-merge --snapshot-out";
+
     /// Extracts the shared flags from `args`, validating every value.
     ///
     /// Unrecognized arguments are left for the subcommand to interpret.
@@ -117,9 +135,6 @@ impl CommonOpts {
         if opts.snapshot_in.is_some() && !opts.snapshot_merge.is_empty() {
             return Err("--snapshot-in and --snapshot-merge are mutually exclusive".to_string());
         }
-        if let Some(mode) = opt_value(args, "--replay") {
-            opts.replay = mode.parse()?;
-        }
         if let Some(n) = opt_value(args, "--compile-threads") {
             opts.compile_threads = Some(n.parse().map_err(|e| format!("--compile-threads: {e}"))?);
         }
@@ -143,26 +158,27 @@ impl CommonOpts {
     /// `hotness_threshold` and `deopt_default` are the subcommand's
     /// defaults; `--no-deopt` forces deoptimization off regardless.
     pub fn vm_config(&self, hotness_threshold: u64, deopt_default: bool) -> VmConfig {
-        let mut b = VmConfig::builder()
-            .hotness_threshold(hotness_threshold)
-            .deopt(deopt_default && !self.no_deopt)
-            .pipelined(self.pipelined)
-            .replay(self.replay)
-            .trial_cache(!self.no_trial_cache);
-        if let Some(n) = self.compile_threads {
-            b = b.compile_threads(n);
+        let defaults = VmConfig::default();
+        let capacity = self
+            .icache_capacity
+            .unwrap_or(defaults.cost.icache_capacity);
+        let scale = self.icache_scale.unwrap_or(defaults.cost.icache_scale);
+        let install_policy = if self.pipelined {
+            InstallPolicy::Safepoint
+        } else {
+            InstallPolicy::Barrier
+        };
+        VmConfig {
+            cost: defaults.cost.with_icache(capacity, scale),
+            hotness_threshold,
+            deopt: deopt_default && !self.no_deopt,
+            install_policy,
+            trial_cache: !self.no_trial_cache,
+            compile_threads: self.compile_threads.unwrap_or(defaults.compile_threads),
+            code_cache_budget: self.cache_budget.unwrap_or(defaults.code_cache_budget),
+            eviction_policy: self.eviction.unwrap_or(defaults.eviction_policy),
+            ..defaults
         }
-        if let Some(n) = self.cache_budget {
-            b = b.code_cache_budget(n);
-        }
-        if let Some(p) = self.eviction {
-            b = b.eviction_policy(p);
-        }
-        let mut config = b.build();
-        let capacity = self.icache_capacity.unwrap_or(config.cost.icache_capacity);
-        let scale = self.icache_scale.unwrap_or(config.cost.icache_scale);
-        config.cost = config.cost.with_icache(capacity, scale);
-        config
     }
 
     /// Instantiates the selected inliner.
@@ -242,11 +258,9 @@ mod tests {
         assert_eq!(o.inliner, "incremental");
         assert!(!o.trace && !o.no_deopt && !o.pipelined);
         assert!(o.trace_json.is_none() && o.snapshot_in.is_none() && o.snapshot_out.is_none());
-        assert_eq!(o.replay, ReplayMode::Eager);
         let c = o.vm_config(5, true);
         assert_eq!(c.hotness_threshold, 5);
         assert!(c.deopt);
-        assert_eq!(c.replay, ReplayMode::Eager);
     }
 
     #[test]
@@ -260,8 +274,6 @@ mod tests {
             "warm.jsonl",
             "--snapshot-out",
             "next.jsonl",
-            "--replay",
-            "seed",
             "--compile-threads",
             "4",
             "--pipelined",
@@ -279,7 +291,6 @@ mod tests {
         assert_eq!(o.inliner, "greedy");
         assert_eq!(o.snapshot_in.as_deref(), Some("warm.jsonl"));
         assert_eq!(o.snapshot_out.as_deref(), Some("next.jsonl"));
-        assert_eq!(o.replay, ReplayMode::Seed);
         let c = o.vm_config(4, true);
         assert!(!c.deopt, "--no-deopt wins over the subcommand default");
         assert!(!c.trial_cache, "--no-trial-cache must disable the memo");
@@ -320,7 +331,7 @@ mod tests {
 
     #[test]
     fn bad_values_are_reported_not_panicked() {
-        assert!(CommonOpts::parse(&args(&["--replay", "wat"])).is_err());
+        assert!(CommonOpts::parse(&args(&["--cache-budget", "wat"])).is_err());
         assert!(CommonOpts::parse(&args(&["--compile-threads", "x"])).is_err());
         assert!(CommonOpts::parse(&args(&["--eviction", "nope"])).is_err());
         let o = CommonOpts::parse(&args(&["--inliner", "nope"])).unwrap();

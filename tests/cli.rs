@@ -53,6 +53,41 @@ fn entries_the_command_line_cannot_call_are_refused() {
     }
 }
 
+/// A flag the subcommand does not list is refused by name before anything
+/// runs. It used to be ignored: `bench avrora --wat` ran and exited 0, so a
+/// misspelt `--cache-budget` measured an unbounded cache.
+#[test]
+fn flags_a_subcommand_does_not_list_are_refused() {
+    let fib = concat!(env!("CARGO_MANIFEST_DIR"), "/samples/fib.ir");
+    let cases: [(&[&str], &str); 7] = [
+        (&["bench", "avrora", "--wat"], "--wat"),
+        (&["bench", "avrora", "--replay", "eager"], "--replay"),
+        (&["run", fib, "--cache-bugdet", "100"], "--cache-bugdet"),
+        // Listed, but for another subcommand.
+        (&["compile", fib, "--cache-budget", "100"], "--cache-budget"),
+        (&["print", fib, "--jit"], "--jit"),
+        (&["dot", fib, "--explain"], "--explain"),
+        (
+            &["server", "--requests", "10", "--entry", "main"],
+            "--entry",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_incline"))
+            .args(args)
+            .output()
+            .expect("the incline binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: unknown flag `{flag}`"),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+    }
+}
+
 /// A hostile but valid program: `main` is a chain of 20 000 blocks, each
 /// jumping to the next with its one parameter. The JIT's block merging
 /// splices them all; when it did one merge per rebuild of the CFG this run

@@ -8,7 +8,8 @@
 
 use incline_ir::{FunctionBuilder, MethodId, Program, Rng64, Type};
 use incline_vm::{
-    BailoutCounters, FaultKind, FaultPlan, Machine, NoInline, QueueStats, Value, VmConfig,
+    BailoutCounters, FaultKind, FaultPlan, InstallPolicy, Machine, NoInline, QueueStats, Value,
+    VmConfig,
 };
 
 /// A program with `n` tiny distinct methods (`f_i(x) = x + i`), plus an
@@ -186,4 +187,33 @@ fn recompilation_after_invalidation_goes_through_the_queue() {
     // Executing the freshly compiled method still works.
     let out = vm.run(m, vec![Value::Int(41)]).unwrap();
     assert_eq!(out.value, Some(Value::Int(41)));
+}
+
+#[test]
+fn compile_now_drains_a_request_already_in_flight() {
+    // Pipelined mode leaves a request in the queue until a safepoint. A
+    // `compile_now` in between must drain it and report the install; it
+    // used to answer `false` (the enqueue guard refused, nothing drained)
+    // with the request still pending.
+    let (p, methods) = many_methods(2);
+    let m = methods[0];
+    let config = VmConfig {
+        install_policy: InstallPolicy::Safepoint,
+        ..VmConfig::default()
+    };
+    let mut vm = Machine::new(&p, Box::new(NoInline), config);
+    assert!(vm.enqueue_compile(m));
+    assert!(vm.compile_now(m), "the queued request must install");
+    assert_eq!(vm.pending_compiles(), 0);
+    assert_eq!(vm.compiled_methods(), vec![m]);
+
+    // Eager replay compiles through the same path: a decided method that
+    // is already queued when the snapshot arrives is replayed, not skipped.
+    let snap = vm.snapshot();
+    let mut warm = Machine::new(&p, Box::new(NoInline), config);
+    assert!(warm.enqueue_compile(m));
+    warm.apply_snapshot(&snap).expect("own snapshot applies");
+    assert_eq!(warm.pending_compiles(), 0);
+    assert_eq!(warm.compiled_methods(), vec![m]);
+    assert_eq!(warm.snapshot_stats().replayed_compiles, 1);
 }

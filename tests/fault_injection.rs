@@ -333,7 +333,6 @@ fn force_deopt_storm_trips_the_cap_and_pins() {
     let config = VmConfig {
         hotness_threshold: 2,
         deopt: true,
-        max_recompiles: 3,
         ..VmConfig::default()
     };
     let mut vm = Machine::new(&p, Box::new(IncrementalInliner::new()), config);
@@ -413,7 +412,6 @@ fn force_deopt_counters_are_deterministic() {
         let config = VmConfig {
             hotness_threshold: 2,
             deopt: true,
-            max_recompiles: 3,
             ..VmConfig::default()
         };
         let mut vm = Machine::new(&p, Box::new(IncrementalInliner::new()), config);

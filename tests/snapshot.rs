@@ -1,13 +1,13 @@
 //! Warmup-snapshot system tests: round-trip byte identity across the
-//! compile-thread matrix, deterministic replay (eager and counter-seeded)
-//! against cold runs, and graceful cold-start fallback for truncated,
+//! compile-thread matrix, deterministic eager replay against cold runs,
+//! and graceful cold-start fallback for truncated,
 //! bit-flipped, version-bumped, stale or missing snapshots — over the
 //! paper workloads and the random-program corpus.
 
 use std::sync::Arc;
 
 use incline_core::IncrementalInliner;
-use incline_vm::snapshot::{fnv1a, MemoryStore, ReplayMode, Snapshot, SnapshotStore};
+use incline_vm::snapshot::{fnv1a, MemoryStore, Snapshot, SnapshotStore};
 use incline_vm::{BenchResult, BenchSpec, RunSession, Value, VmConfig};
 use incline_workloads::{GenConfig, Workload};
 
@@ -19,12 +19,11 @@ fn spec(w: &Workload) -> BenchSpec {
     }
 }
 
-fn config(threads: usize, replay: ReplayMode) -> VmConfig {
+fn config(threads: usize) -> VmConfig {
     VmConfig {
         hotness_threshold: 2,
         deopt: true,
         compile_threads: threads,
-        replay,
         ..VmConfig::default()
     }
 }
@@ -34,7 +33,7 @@ fn cold_run(w: &Workload, threads: usize) -> (BenchResult, Vec<u8>) {
     let store = Arc::new(MemoryStore::new());
     let r = RunSession::new(&w.program, spec(w))
         .inliner(Box::new(IncrementalInliner::new()))
-        .config(config(threads, ReplayMode::Eager))
+        .config(config(threads))
         .snapshot_out(store.clone())
         .run()
         .unwrap_or_else(|e| panic!("{}: cold run failed: {e}", w.name));
@@ -43,10 +42,10 @@ fn cold_run(w: &Workload, threads: usize) -> (BenchResult, Vec<u8>) {
 }
 
 /// Runs `w` with `bytes` loaded as the warmup snapshot.
-fn warm_run(w: &Workload, bytes: Vec<u8>, threads: usize, replay: ReplayMode) -> BenchResult {
+fn warm_run(w: &Workload, bytes: Vec<u8>, threads: usize) -> BenchResult {
     RunSession::new(&w.program, spec(w))
         .inliner(Box::new(IncrementalInliner::new()))
-        .config(config(threads, replay))
+        .config(config(threads))
         .snapshot_in(bytes)
         .run()
         .unwrap_or_else(|e| panic!("{}: warm run failed: {e}", w.name))
@@ -95,30 +94,27 @@ fn snapshots_are_byte_identical_across_compile_threads() {
 fn eager_and_seeded_replay_produce_cold_answers() {
     // The replay correctness property: a replayed run must compute
     // byte-identical answers (output digest, final value, per-tenant
-    // semantics) to the cold run it was snapshotted from, in both modes,
-    // across the worker-pool matrix.
+    // semantics) to the cold run it was snapshotted from, across the
+    // worker-pool matrix.
     for w in corpus() {
         let (cold, bytes) = cold_run(&w, 0);
-        for replay in [ReplayMode::Eager, ReplayMode::Seed] {
-            let reference = warm_run(&w, bytes.clone(), 0, replay);
+        let reference = warm_run(&w, bytes.clone(), 0);
+        assert_eq!(
+            cold.answer_digest(),
+            reference.answer_digest(),
+            "{}: answers diverged under replay",
+            w.name
+        );
+        assert_eq!(cold.final_value, reference.final_value, "{}", w.name);
+        assert_eq!(cold.final_output, reference.final_output, "{}", w.name);
+        // Replay itself is deterministic across the pool size.
+        for threads in [1usize, 4] {
+            let out = warm_run(&w, bytes.clone(), threads);
             assert_eq!(
-                cold.answer_digest(),
-                reference.answer_digest(),
-                "{}: answers diverged under {replay:?} replay",
+                reference, out,
+                "{}: replayed BenchResult differs between compile_threads=0 and {threads}",
                 w.name
             );
-            assert_eq!(cold.final_value, reference.final_value, "{}", w.name);
-            assert_eq!(cold.final_output, reference.final_output, "{}", w.name);
-            // Replay itself is deterministic across the pool size.
-            for threads in [1usize, 4] {
-                let out = warm_run(&w, bytes.clone(), threads, replay);
-                assert_eq!(
-                    reference, out,
-                    "{}: replayed BenchResult differs between compile_threads=0 and \
-                     {threads} under {replay:?}",
-                    w.name
-                );
-            }
         }
     }
 }
@@ -127,7 +123,7 @@ fn eager_and_seeded_replay_produce_cold_answers() {
 fn eager_replay_eliminates_warmup_on_paper_workloads() {
     for w in incline_workloads::all_benchmarks() {
         let (cold, bytes) = cold_run(&w, 0);
-        let warm = warm_run(&w, bytes, 0, ReplayMode::Eager);
+        let warm = warm_run(&w, bytes, 0);
         assert!(
             warm.warmup_cycles_within(0.05) <= cold.warmup_cycles_within(0.05),
             "{}: eager replay must not warm up slower than cold \
@@ -143,7 +139,7 @@ fn eager_replay_eliminates_warmup_on_paper_workloads() {
 /// fallback counted, zero loads, and a `BenchResult` equal to the cold
 /// run's in every field except the snapshot counters.
 fn assert_cold_fallback(w: &Workload, cold: &BenchResult, bytes: Vec<u8>, what: &str) {
-    let out = warm_run(w, bytes, 0, ReplayMode::Eager);
+    let out = warm_run(w, bytes, 0);
     assert_eq!(
         out.snapshot.fallbacks, 1,
         "{}: {what}: fallback must be counted",
@@ -190,13 +186,14 @@ fn corrupt_snapshots_degrade_to_cold_start() {
     assert_cold_fallback(&w, &cold, bumped.into_bytes(), "version-bumped");
     // Garbage that is not even JSONL.
     assert_cold_fallback(&w, &cold, b"not a snapshot at all".to_vec(), "garbage");
-    // Well-formed, right program, valid checksum — but a profile record
-    // names an id the program does not have. Profile tables are indexed
-    // by these ids, so the loader must refuse before sizing one.
+    // Well-formed, right program, valid checksum — but a record names an
+    // id the program does not have. Profile tables and the machine's
+    // method table are indexed by these ids, so the loader must refuse
+    // before sizing or indexing one.
     let good = Snapshot::from_bytes(&bytes).unwrap();
     let far = 4_000_000_000usize;
     type Tamper = fn(&mut Snapshot, usize);
-    let tampers: [(&str, Tamper); 5] = [
+    let tampers: [(&str, Tamper); 6] = [
         ("method", |s, far| {
             s.methods[0].method = incline_ir::MethodId::new(far)
         }),
@@ -213,6 +210,9 @@ fn corrupt_snapshots_degrade_to_cold_start() {
             s.methods[0]
                 .receivers
                 .push((0, vec![(incline_ir::ClassId::new(far), 1)]))
+        }),
+        ("decided method", |s, far| {
+            s.decisions[0].method = incline_ir::MethodId::new(far)
         }),
     ];
     for (what, tamper) in tampers {
@@ -244,7 +244,7 @@ fn empty_store_degrades_to_cold_start() {
     let (cold, _) = cold_run(&w, 0);
     let out = RunSession::new(&w.program, spec(&w))
         .inliner(Box::new(IncrementalInliner::new()))
-        .config(config(0, ReplayMode::Eager))
+        .config(config(0))
         .snapshot_in(Arc::new(MemoryStore::new()))
         .run()
         .unwrap();
@@ -268,7 +268,7 @@ fn replica_run(w: &Workload, iterations: usize, input: i64) -> Vec<u8> {
         },
     )
     .inliner(Box::new(IncrementalInliner::new()))
-    .config(config(0, ReplayMode::Eager))
+    .config(config(0))
     .snapshot_out(store.clone())
     .run()
     .unwrap_or_else(|e| panic!("{}: replica run failed: {e}", w.name));
@@ -438,14 +438,14 @@ fn merged_replay_matches_cold_answers_across_compile_threads() {
             .collect();
         let cold = RunSession::new(&w.program, spec(&w))
             .inliner(Box::new(IncrementalInliner::new()))
-            .config(config(0, ReplayMode::Eager))
+            .config(config(0))
             .run()
             .unwrap();
         let mut reference: Option<BenchResult> = None;
         for threads in [0usize, 1, 4] {
             let out = RunSession::new(&w.program, spec(&w))
                 .inliner(Box::new(IncrementalInliner::new()))
-                .config(config(threads, ReplayMode::Eager))
+                .config(config(threads))
                 .snapshot_merge(replicas.iter().map(|b| b.clone().into()).collect())
                 .run()
                 .unwrap();
@@ -508,7 +508,7 @@ fn truncated_tail_on_disk_degrades_to_cold_start() {
     std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
     let out = RunSession::new(&w.program, spec(&w))
         .inliner(Box::new(IncrementalInliner::new()))
-        .config(config(0, ReplayMode::Eager))
+        .config(config(0))
         .snapshot_in(path.as_path())
         .run()
         .unwrap();
@@ -529,7 +529,7 @@ fn file_store_round_trips_through_disk() {
     FileStore::new(&path).write(&bytes).unwrap();
     let warm = RunSession::new(&w.program, spec(&w))
         .inliner(Box::new(IncrementalInliner::new()))
-        .config(config(0, ReplayMode::Eager))
+        .config(config(0))
         .snapshot_in(path.as_path())
         .run()
         .unwrap();
