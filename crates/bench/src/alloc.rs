@@ -3,7 +3,7 @@
 //! [`CountingAlloc`] wraps the system allocator with four global atomic
 //! counters: total bytes requested, allocation calls, currently live bytes,
 //! and the peak of the live count. Binaries that measure allocations (the
-//! `compile` bench bin, the allocation-budget test) register it with
+//! `incline-bench` binary, the allocation-budget test) register it with
 //! `#[global_allocator]`; the library itself never does, so ordinary
 //! builds pay nothing.
 //!

@@ -9,7 +9,7 @@
 //! from the in-repo counting allocator ([`crate::alloc`]). Allocation
 //! counts are only non-zero when the final binary registers
 //! [`CountingAlloc`](crate::alloc::CountingAlloc) with
-//! `#[global_allocator]`; the `compile` bench bin does, the library's
+//! `#[global_allocator]`; the `incline-bench` binary does, the library's
 //! test binary does not.
 //!
 //! Determinism contract: the trial cache must not change any

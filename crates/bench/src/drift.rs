@@ -16,7 +16,7 @@
 //!
 //! [`figure`] renders the `BENCH_drift.json` report and panics on any
 //! warm/cold digest divergence — that assert is the regression gate the
-//! `drift` bench binary (and the CI `snapshot-drift` job) runs.
+//! `incline-bench drift` (and the CI `snapshot-drift` job) runs.
 
 use std::sync::Arc;
 

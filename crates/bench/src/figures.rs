@@ -1,15 +1,40 @@
-//! One function per table/figure of the paper's evaluation.
+//! One function per table/figure of the paper's evaluation, and
+//! [`FIGURES`], the table that names them.
 //!
-//! Every function returns the rendered report so both the per-figure
-//! binaries and `run_all` (which assembles `EXPERIMENTS.md`) share the
+//! Every function returns the rendered report, so `incline-bench <figure>`
+//! and `incline-bench run_all` (which assembles `EXPERIMENTS.md`) share the
 //! same code path. See DESIGN.md §5 for the experiment index.
 
 use incline_core::policy::{ExpansionThreshold, InlineThreshold, PolicyConfig};
 use incline_workloads::{all_benchmarks, suite, Suite, Workload};
 
 use crate::{
-    fmt_cycles, fmt_kib, measure, measure_all, measure_with_vm, render_table, Config, Measurement,
+    compile, drift, fmt_cycles, fmt_kib, measure, measure_all, measure_with_vm, render_table,
+    server, Config, Measurement,
 };
+
+/// A figure: the name `incline-bench <name>` runs it by, the checked-in
+/// file its output seeds, and its generator (`full` asks for the complete
+/// threshold grid where there is one).
+pub type Figure = (&'static str, &'static str, fn(bool) -> String);
+
+/// Every figure, in the order `run_all` writes its share of them — the
+/// ones that seed `EXPERIMENTS.md` — into that file.
+pub const FIGURES: &[Figure] = &[
+    ("fig05_warmup", "EXPERIMENTS.md", |_| fig05()),
+    ("fig06_thresholds_dacapo", "EXPERIMENTS.md", fig06),
+    ("fig07_thresholds_scala", "EXPERIMENTS.md", fig07),
+    ("fig08_clustering", "EXPERIMENTS.md", |_| fig08()),
+    ("fig09_comparison", "EXPERIMENTS.md", |_| fig09()),
+    ("fig10_code_size", "EXPERIMENTS.md", |_| fig10_and_table1()),
+    ("ablations", "EXPERIMENTS.md", |_| ablations()),
+    ("stalls", "EXPERIMENTS.md", |_| stalls()),
+    ("cache", "BENCH_cache.json", |_| cache()),
+    ("server", "BENCH_server.json", |_| server::figure()),
+    ("warmup", "BENCH_warmup.json", |_| warmup()),
+    ("drift", "BENCH_drift.json", |_| drift::figure()),
+    ("compile", "BENCH_compile.json", |_| compile::figure()),
+];
 
 fn fixed_config(te: usize, ti: usize) -> Config {
     // Leak a small label string: configs live for the whole run.

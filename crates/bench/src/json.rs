@@ -11,6 +11,8 @@
 //! [`Json::Raw`] (see [`Json::f1`]) so rendering is byte-deterministic and
 //! never subject to float-formatting drift.
 
+use incline_vm::trace::json::{JsonArray, JsonField, JsonObj};
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -72,22 +74,6 @@ impl From<String> for Json {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Json {
     /// An object from `(key, value)` pairs (field order is preserved).
     pub fn obj(fields: Vec<(&str, Json)>) -> Json {
@@ -112,57 +98,58 @@ impl Json {
 
     /// Fully compact rendering: no whitespace anywhere.
     pub fn compact(&self) -> String {
-        match self {
-            Json::Bool(b) => b.to_string(),
-            Json::U64(v) => v.to_string(),
-            Json::I64(v) => v.to_string(),
-            Json::Raw(s) => s.clone(),
-            Json::Str(s) => format!("\"{}\"", escape(s)),
-            Json::Arr(items) => {
-                let inner: Vec<String> = items.iter().map(Json::compact).collect();
-                format!("[{}]", inner.join(","))
-            }
-            Json::Obj(fields) => {
-                let inner: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":{}", escape(k), v.compact()))
-                    .collect();
-                format!("{{{}}}", inner.join(","))
-            }
-        }
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 
     /// The house rendering: a top-level object puts each field on its own
     /// line, a direct array child puts each element on its own line, and
     /// everything deeper is compact.
     pub fn render(&self) -> String {
-        match self {
-            Json::Obj(fields) => {
-                let mut out = String::from("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&format!("  \"{}\":{}", escape(k), v.render_child()));
-                    if i + 1 < fields.len() {
-                        out.push(',');
+        let Json::Obj(fields) = self else {
+            return self.compact();
+        };
+        let mut out = String::from("{\n");
+        for (i, (k, v)) in fields.iter().enumerate() {
+            out.push_str("  ");
+            k.write_json(&mut out);
+            out.push(':');
+            match v {
+                Json::Arr(items) if !items.is_empty() => {
+                    for (j, item) in items.iter().enumerate() {
+                        out.push_str(if j > 0 { ",\n    " } else { "[\n    " });
+                        item.write_json(&mut out);
                     }
-                    out.push('\n');
+                    out.push_str("\n  ]");
                 }
-                out.push('}');
-                out
+                other => other.write_json(&mut out),
             }
-            other => other.compact(),
+            out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
         }
+        out.push('}');
+        out
     }
+}
 
-    fn render_child(&self) -> String {
+/// The tree renders through the workspace's one JSON writer (and its one
+/// string escaper), `incline_trace::json`.
+impl JsonField for Json {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Json::Arr(items) if !items.is_empty() => {
-                let inner: Vec<String> = items
-                    .iter()
-                    .map(|it| format!("    {}", it.compact()))
-                    .collect();
-                format!("[\n{}\n  ]", inner.join(",\n"))
+            Json::Bool(b) => b.write_json(out),
+            Json::U64(v) => v.write_json(out),
+            Json::I64(v) => out.push_str(&v.to_string()),
+            Json::Raw(s) => out.push_str(s),
+            Json::Str(s) => s.write_json(out),
+            Json::Arr(items) => JsonArray(items.iter()).write_json(out),
+            Json::Obj(fields) => {
+                let mut obj = JsonObj::begin(out);
+                for (k, v) in fields {
+                    obj.field(k, v);
+                }
+                obj.end();
             }
-            other => other.compact(),
         }
     }
 }

@@ -3,8 +3,9 @@
 //! # incline-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (§V). Each figure has a binary under `src/bin/`;
-//! `run_all` executes the full suite and rewrites `EXPERIMENTS.md`.
+//! paper's evaluation (§V). One binary, `incline-bench <figure>`, runs any
+//! row of [`figures::FIGURES`]; `incline-bench run_all` executes the full
+//! suite and rewrites `EXPERIMENTS.md`.
 //!
 //! Measurement protocol (paper §V): each benchmark runs `iterations`
 //! repetitions in one VM; *peak performance* is the mean of the last 40%

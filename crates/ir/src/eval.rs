@@ -23,6 +23,9 @@ pub enum TrapKind {
     CastFailed,
     /// Negative array length.
     NegativeLength,
+    /// An allocation that would take the run's heap past the executor's
+    /// bound (`incline_vm::machine::MAX_HEAP_SLOTS`).
+    HeapExhausted,
     /// A `deopt` terminator reached in a tier with nothing to fall back to
     /// (the interpreter executing hand-written IR that contains one).
     Deopt,
@@ -41,6 +44,7 @@ impl std::fmt::Display for TrapKind {
             TrapKind::Bounds => write!(f, "array index out of bounds"),
             TrapKind::CastFailed => write!(f, "checked cast failed"),
             TrapKind::NegativeLength => write!(f, "negative array length"),
+            TrapKind::HeapExhausted => write!(f, "guest heap exhausted"),
             TrapKind::Deopt => write!(f, "deopt trap outside compiled code"),
             TrapKind::NoSuchMethod => write!(f, "receiver does not implement the called method"),
         }

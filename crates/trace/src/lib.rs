@@ -12,20 +12,19 @@
 //! - [`CollectingSink`]: buffers events in memory for programmatic consumers,
 //! - [`StderrSink`]: prints human-readable lines, preserving the old
 //!   `INCLINE_TRACE` debugging workflow as explicit API,
-//! - [`JsonlSink`]: hand-rolled JSON-lines serializer with no external deps.
+//! - [`JsonlSink`]: one JSON object per line, through [`json`] — the
+//!   workspace's one JSON writer and strict reader, no external deps.
 //!
 //! The stream is deterministic: two compilations of the same program with the
 //! same configuration produce byte-identical JSONL traces. Sinks are
 //! `Send + Sync` so the VM's background compile broker can share them with
-//! worker threads, and [`order`] provides stable per-method sorting to
-//! canonicalize streams that were merged outside the broker's deterministic
-//! replay path.
+//! worker threads; the broker replays each worker's buffer in request order,
+//! so the bytes do not depend on the pool size.
 
 #![warn(missing_docs)]
 
 mod event;
-mod json;
-pub mod order;
+pub mod json;
 mod sink;
 
 pub use event::{BailoutStage, CodeTier, CompileEvent, OptPhase};

@@ -45,12 +45,10 @@ pub static NULL_SINK: NullSink = NullSink;
 
 /// Buffers events in memory for programmatic consumers (`compile_explain`,
 /// tests, visualizers) — and for the compile broker's per-request worker
-/// buffers. Each event is stamped with a monotonically increasing sequence
-/// number at emission, so concurrent consumers can stably re-order merged
-/// streams (see [`crate::order`]).
+/// buffers.
 #[derive(Debug, Default)]
 pub struct CollectingSink {
-    events: Mutex<Vec<(u64, CompileEvent)>>,
+    events: Mutex<Vec<CompileEvent>>,
 }
 
 impl CollectingSink {
@@ -72,33 +70,17 @@ impl CollectingSink {
     /// Drain and return the collected events.
     pub fn take(&self) -> Vec<CompileEvent> {
         std::mem::take(&mut *self.events.lock().expect("sink lock"))
-            .into_iter()
-            .map(|(_, e)| e)
-            .collect()
-    }
-
-    /// Drain and return the collected events together with their emission
-    /// sequence numbers (0-based, in arrival order at this sink).
-    pub fn take_sequenced(&self) -> Vec<(u64, CompileEvent)> {
-        std::mem::take(&mut *self.events.lock().expect("sink lock"))
     }
 
     /// Clone the collected events, leaving the buffer intact.
     pub fn snapshot(&self) -> Vec<CompileEvent> {
-        self.events
-            .lock()
-            .expect("sink lock")
-            .iter()
-            .map(|(_, e)| e.clone())
-            .collect()
+        self.events.lock().expect("sink lock").clone()
     }
 }
 
 impl TraceSink for CollectingSink {
     fn emit(&self, event: CompileEvent) {
-        let mut events = self.events.lock().expect("sink lock");
-        let seq = events.len() as u64;
-        events.push((seq, event));
+        self.events.lock().expect("sink lock").push(event);
     }
 }
 
@@ -115,10 +97,10 @@ impl TraceSink for StderrSink {
 }
 
 /// Serializes each event as one JSON object per line (JSONL) into any
-/// [`Write`] target. The serializer is hand-rolled (`CompileEvent::to_json`)
-/// and deterministic; write errors are swallowed so tracing can never fail a
-/// compilation. The writer sits behind a [`Mutex`] so the sink can be shared
-/// with the broker's worker threads.
+/// [`Write`] target. The serializer (`CompileEvent::to_json`) is generated
+/// from the event declaration and deterministic; write errors are swallowed
+/// so tracing can never fail a compilation. The writer sits behind a
+/// [`Mutex`] so the sink can be shared with the broker's worker threads.
 #[derive(Debug, Default)]
 pub struct JsonlSink<W: Write> {
     out: Mutex<W>,
@@ -197,19 +179,6 @@ mod tests {
             ]
         );
         assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn collecting_sink_assigns_sequence_numbers() {
-        let sink = CollectingSink::new();
-        for i in 0..4 {
-            sink.emit(CompileEvent::FuelCharged {
-                amount: i,
-                spent: i,
-            });
-        }
-        let seqs: Vec<u64> = sink.take_sequenced().into_iter().map(|(s, _)| s).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3]);
     }
 
     #[test]

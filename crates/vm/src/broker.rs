@@ -237,7 +237,7 @@ pub(crate) fn run_ladder(
                 if tracing {
                     buffer.emit(CompileEvent::Bailout {
                         method: req.method,
-                        stage: stage.bailout_stage(),
+                        stage,
                         error: error.to_string(),
                     });
                 }

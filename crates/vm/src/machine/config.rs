@@ -10,6 +10,15 @@ use crate::cost::CostModel;
 /// build, in both tiers (`max_depth_fits_the_host_stack_of_a_test_thread`).
 pub const MAX_DEPTH: usize = 400;
 
+/// Maximum guest heap of one run, in [`Value`](crate::Value)-sized slots:
+/// a cell costs two (its header is that large) plus one per field or array
+/// element. The allocation that would pass it traps with
+/// `TrapKind::HeapExhausted` instead of taking the host down: `fuel_steps`
+/// bounds the steps of a run, this bounds what each step may ask for.
+/// 16 Mi slots are 256 MiB of values; the ledger's largest workload peaks
+/// at 8 MB of resident memory.
+pub const MAX_HEAP_SLOTS: u64 = 1 << 24;
+
 /// Minimum typeswitch profile coverage (summed receiver probabilities)
 /// before the fallback becomes a `deopt` instead of a virtual call.
 pub const DEOPT_CONFIDENCE: f64 = 0.95;

@@ -437,6 +437,7 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::inliner::{CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, NoInline};
+    use crate::machine::MAX_HEAP_SLOTS;
     use crate::{Value, VmConfig};
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::graph::{Op, Terminator};
@@ -617,6 +618,49 @@ mod tests {
             assert_eq!(deepest, Ok(Some(Value::Int(400))), "jit={jit}");
             assert_eq!(beyond, Err(ExecError::StackOverflow), "jit={jit}");
             assert_eq!(compilations, u64::from(jit));
+        }
+    }
+
+    #[test]
+    fn allocation_past_the_heap_bound_traps_in_both_tiers() {
+        // `main(n)` allocates up to 16 arrays of `n` ints. A cell costs its
+        // length plus two slots, so each `n` below passes the bound — in
+        // one allocation no host could serve, in one that misses by a
+        // slot, and on the fourth lap of the loop — and must trap where it
+        // used to abort the process (`vec![_; n]` in the host allocator).
+        let src = "fn main(int) -> int {
+b0(v0: int):
+  v1 = const.int 0
+  jump b1(v1)
+b1(v2: int):
+  v3 = newarray int, v0
+  v4 = const.int 1
+  v5 = iadd v2, v4
+  v6 = const.int 16
+  v7 = ilt v5, v6
+  br v7, b1(v5), b2()
+b2():
+  ret v5
+}";
+        let p = incline_ir::parse::parse_program(src).unwrap();
+        let m = p.function_by_name("main").unwrap();
+        let bound = MAX_HEAP_SLOTS as i64;
+        for jit in [false, true] {
+            let config = VmConfig {
+                jit,
+                hotness_threshold: 1,
+                ..VmConfig::default()
+            };
+            let mut vm = Machine::new(&p, Box::new(NoInline), config);
+            for n in [1 << 62, bound - 1, bound / 4] {
+                let out = vm.run(m, vec![Value::Int(n)]).map(|o| o.value);
+                let trap = Err(ExecError::Trap(TrapKind::HeapExhausted));
+                assert_eq!(out, trap, "jit={jit} n={n}");
+            }
+            // The count restarts with the heap: the next run has room again.
+            let small = vm.run(m, vec![Value::Int(8)]).map(|o| o.value);
+            assert_eq!(small, Ok(Some(Value::Int(16))), "jit={jit}");
+            assert_eq!(vm.compilations(), u64::from(jit));
         }
     }
 

@@ -75,7 +75,7 @@ use crate::value::{Kind, Value};
 
 pub use config::{
     InstallPolicy, VmConfig, DEOPT_CONFIDENCE, DRIFT_MIN_SAMPLES, DRIFT_RATE, MAX_DEPTH,
-    MAX_RECOMPILES, POISON_WINDOW,
+    MAX_HEAP_SLOTS, MAX_RECOMPILES, POISON_WINDOW,
 };
 use exec::Dispatch;
 use methods::{MethodTable, Tier};

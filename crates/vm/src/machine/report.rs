@@ -4,46 +4,15 @@
 
 use incline_ir::eval::TrapKind;
 use incline_ir::MethodId;
-use incline_trace::{BailoutStage, CodeTier};
 
 use crate::cache::CacheStats;
 use crate::inliner::{CompileError, InlineStats};
 use crate::snapshot::SnapshotStats;
 use crate::value::{Output, Value};
 
-/// Which rung of the bailout ladder a compilation attempt ran on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CompileStage {
-    /// The configured inliner with the full pipeline.
-    Full,
-    /// Inline-free root-graph compile through the optimization pipeline.
-    Degraded,
-}
-
-impl std::fmt::Display for CompileStage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompileStage::Full => write!(f, "full"),
-            CompileStage::Degraded => write!(f, "degraded"),
-        }
-    }
-}
-
-impl CompileStage {
-    pub(crate) fn bailout_stage(self) -> BailoutStage {
-        match self {
-            CompileStage::Full => BailoutStage::Full,
-            CompileStage::Degraded => BailoutStage::Degraded,
-        }
-    }
-
-    pub(super) fn code_tier(self) -> CodeTier {
-        match self {
-            CompileStage::Full => CodeTier::Full,
-            CompileStage::Degraded => CodeTier::Degraded,
-        }
-    }
-}
+/// Which rung of the bailout ladder a compilation attempt ran on — the
+/// trace vocabulary's [`BailoutStage`](incline_trace::BailoutStage).
+pub use incline_trace::BailoutStage as CompileStage;
 
 /// One recorded bailout: a compilation attempt that failed and fell
 /// through to the next rung of the ladder.

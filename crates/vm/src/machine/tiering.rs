@@ -18,7 +18,7 @@ use crate::cache::{self, CacheEntry};
 use crate::faults::FaultKind;
 use crate::inliner::Speculation;
 use crate::plan::PlannedGraph;
-use crate::snapshot::{self, DecisionRecord};
+use crate::snapshot::DecisionRecord;
 
 impl Machine<'_> {
     /// Compiles a method now, whatever its state: returns `true` when code
@@ -295,17 +295,14 @@ impl Machine<'_> {
         let bytes = self.config.cost.code_bytes(graph_size);
         self.compilations += 1;
         self.last_compile_stats.push((method, stats));
-        // Decision log for warmup snapshots: the plan hash fingerprints the
-        // installed graph's printed text, so replayed runs can be checked
-        // against the decisions they were seeded from. Hashed here, while
-        // the graph is still unwrapped.
+        // Decision log for warmup snapshots: the plan hash is the installed
+        // graph's structural fingerprint, the vote key of `Snapshot::merge`.
+        // Taken here, while the graph is still unwrapped.
         self.decisions.push(Decision {
             record: DecisionRecord {
                 method,
                 tier: stage,
-                plan_hash: snapshot::fnv1a(
-                    incline_ir::print::graph_str(self.program, &graph).as_bytes(),
-                ),
+                plan_hash: graph.fingerprint(),
                 speculative_sites: stats.speculative_sites,
             },
             replayed: self.replay_active,

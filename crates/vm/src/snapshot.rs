@@ -13,9 +13,9 @@
 //!
 //! # Format
 //!
-//! Snapshots are versioned, dependency-free JSONL — the same hand-rolled
-//! idiom as the [`incline_trace`] JSONL sinks. One header line, one line
-//! per profiled method, one line per compile decision, and a trailing
+//! Snapshots are versioned, dependency-free JSONL, written and read through
+//! [`incline_trace::json`] like the trace sinks' lines. One header line, one
+//! line per profiled method, one line per compile decision, and a trailing
 //! checksum line (FNV-1a 64 over every preceding byte):
 //!
 //! ```text
@@ -29,10 +29,14 @@
 //! deterministic run is **byte-identical across `compile_threads`** — the
 //! round-trip tests assert it. The header's `fingerprint` hashes the
 //! printed program text; loading a snapshot against a different program
-//! fails with [`SnapshotError::StaleProgram`]. Truncated, bit-flipped or
-//! version-bumped snapshots fail parsing or the checksum — **never a
-//! panic** — and the machine falls back to a cold start, counting the
-//! event in [`SnapshotStats::fallbacks`].
+//! fails with [`SnapshotError::StaleProgram`]. Truncated, bit-flipped,
+//! version-bumped or forged snapshots fail parsing or the checksum —
+//! **never a panic** — and the machine falls back to a cold start, counting
+//! the event in [`SnapshotStats::fallbacks`]. FNV-1a is no secret, so the
+//! checksum guards against accidents only: the reader itself is bounded
+//! (arrays nest at most [`json::MAX_DEPTH`] deep, no recursion on input),
+//! nothing is allocated from a count the header claims, and an id that
+//! does not fit 32 bits is corrupt.
 //!
 //! # I/O
 //!
@@ -49,6 +53,7 @@ use std::sync::{Arc, Mutex};
 
 use incline_ir::{BlockId, ClassId, MethodId, Program};
 use incline_profile::{MethodProfile, ProfileTable};
+use incline_trace::json::{self, JsonArray, JsonField, JsonObj};
 
 use crate::machine::CompileStage;
 
@@ -109,8 +114,9 @@ pub struct DecisionRecord {
     pub method: MethodId,
     /// The ladder rung the surviving package came from.
     pub tier: CompileStage,
-    /// FNV-1a 64 hash of the installed graph's printed text — a stable
-    /// fingerprint of the inline plan the compile produced.
+    /// [`Graph::fingerprint`](incline_ir::Graph::fingerprint) of the
+    /// installed graph — the structural hash the identity tables and the
+    /// trial cache use — standing for the inline plan the compile produced.
     pub plan_hash: u64,
     /// Speculative (deopt-guarded) typeswitch sites in the installed code.
     pub speculative_sites: u64,
@@ -197,6 +203,27 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// snapshot can never seed profiles into the wrong program.
 pub fn fingerprint(program: &Program) -> u64 {
     fnv1a(incline_ir::print::program_str(program).as_bytes())
+}
+
+// ---- the record writer -------------------------------------------------------
+
+/// A `u64` written as the 16 lowercase hex digits the format uses for
+/// hashes (fingerprint, plan, crc).
+struct Hex(u64);
+
+impl JsonField for Hex {
+    fn write_json(&self, buf: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(buf, "\"{:016x}\"", self.0);
+    }
+}
+
+/// Appends one record — the object `fill` writes, and a newline.
+fn record(out: &mut String, fill: impl FnOnce(&mut JsonObj)) {
+    let mut obj = JsonObj::begin(out);
+    fill(&mut obj);
+    obj.end();
+    out.push('\n');
 }
 
 // ---- capture ---------------------------------------------------------------
@@ -319,54 +346,43 @@ impl Snapshot {
     /// Serializes to the versioned JSONL format, byte-deterministic for a
     /// given snapshot value.
     pub fn to_bytes(&self) -> Vec<u8> {
-        use std::fmt::Write as _;
         let mut out = String::with_capacity(256 + self.methods.len() * 128);
-        let _ = writeln!(
-            out,
-            "{{\"snapshot\":\"incline\",\"v\":{SNAPSHOT_VERSION},\"fingerprint\":\"{:016x}\",\
-             \"methods\":{},\"decisions\":{}}}",
-            self.fingerprint,
-            self.methods.len(),
-            self.decisions.len()
-        );
+        record(&mut out, |o| {
+            o.field("snapshot", "incline")
+                .field("v", &SNAPSHOT_VERSION)
+                .field("fingerprint", &Hex(self.fingerprint))
+                .field("methods", &self.methods.len())
+                .field("decisions", &self.decisions.len());
+        });
         for r in &self.methods {
-            let _ = write!(
-                out,
-                "{{\"rec\":\"profile\",\"method\":{},\"inv\":{},\"back\":{},\"blocks\":[",
-                r.method.index(),
-                r.invocations,
-                r.backedges
-            );
-            for (i, (b, c)) in r.blocks.iter().enumerate() {
-                let _ = write!(out, "{}[{},{c}]", if i > 0 { "," } else { "" }, b.index());
-            }
-            out.push_str("],\"sites\":[");
-            for (i, (s, c)) in r.callsites.iter().enumerate() {
-                let _ = write!(out, "{}[{s},{c}]", if i > 0 { "," } else { "" });
-            }
-            out.push_str("],\"recv\":[");
-            for (i, (site, hist)) in r.receivers.iter().enumerate() {
-                let _ = write!(out, "{}[{site},[", if i > 0 { "," } else { "" });
-                for (j, (cl, c)) in hist.iter().enumerate() {
-                    let _ = write!(out, "{}[{},{c}]", if j > 0 { "," } else { "" }, cl.index());
-                }
-                out.push_str("]]");
-            }
-            out.push_str("]}\n");
+            let blocks = r.blocks.iter().map(|&(b, c)| (b.index(), c));
+            let receivers = r.receivers.iter().map(|(site, hist)| {
+                let hist = hist.iter().map(|&(cl, c)| (cl.index(), c));
+                (*site, JsonArray(hist))
+            });
+            record(&mut out, |o| {
+                o.field("rec", "profile")
+                    .field("method", &r.method.index())
+                    .field("inv", &r.invocations)
+                    .field("back", &r.backedges)
+                    .field("blocks", &JsonArray(blocks))
+                    .field("sites", &JsonArray(r.callsites.iter()))
+                    .field("recv", &JsonArray(receivers));
+            });
         }
         for d in &self.decisions {
-            let _ = writeln!(
-                out,
-                "{{\"rec\":\"decision\",\"method\":{},\"tier\":\"{}\",\"plan\":\"{:016x}\",\
-                 \"spec\":{}}}",
-                d.method.index(),
-                d.tier,
-                d.plan_hash,
-                d.speculative_sites
-            );
+            record(&mut out, |o| {
+                o.field("rec", "decision")
+                    .field("method", &d.method.index())
+                    .field("tier", &d.tier)
+                    .field("plan", &Hex(d.plan_hash))
+                    .field("spec", &d.speculative_sites);
+            });
         }
         let crc = fnv1a(out.as_bytes());
-        let _ = writeln!(out, "{{\"rec\":\"end\",\"crc\":\"{crc:016x}\"}}");
+        record(&mut out, |o| {
+            o.field("rec", "end").field("crc", &Hex(crc));
+        });
         out.into_bytes()
     }
 
@@ -386,7 +402,7 @@ impl Snapshot {
             .rfind("{\"rec\":\"end\"")
             .ok_or_else(|| SnapshotError::Corrupt("missing end record".to_string()))?;
         let (body, end_line) = text.split_at(body_end);
-        let end = parse::object(end_line.trim_end())
+        let end = json::parse_object(end_line.trim_end())
             .map_err(|e| SnapshotError::Corrupt(format!("end record: {e}")))?;
         let crc = end
             .hex("crc")
@@ -399,7 +415,7 @@ impl Snapshot {
         let header_line = lines
             .next()
             .ok_or_else(|| SnapshotError::Corrupt("empty snapshot".to_string()))?;
-        let header = parse::object(header_line)
+        let header = json::parse_object(header_line)
             .map_err(|e| SnapshotError::Corrupt(format!("header: {e}")))?;
         if header.str("snapshot") != Some("incline") {
             return Err(SnapshotError::Corrupt(
@@ -415,13 +431,15 @@ impl Snapshot {
         let fingerprint = header
             .hex("fingerprint")
             .ok_or_else(|| SnapshotError::Corrupt("header lacks fingerprint".to_string()))?;
-        let want_methods = header.num("methods").unwrap_or(0) as usize;
-        let want_decisions = header.num("decisions").unwrap_or(0) as usize;
+        // The header's counts are checked against what was read, below;
+        // nothing is sized from them.
+        let want_methods = header.num("methods").unwrap_or(0);
+        let want_decisions = header.num("decisions").unwrap_or(0);
 
-        let mut methods = Vec::with_capacity(want_methods);
-        let mut decisions = Vec::with_capacity(want_decisions);
+        let mut methods = Vec::new();
+        let mut decisions = Vec::new();
         for (i, line) in lines.enumerate() {
-            let obj = parse::object(line)
+            let obj = json::parse_object(line)
                 .map_err(|e| SnapshotError::Corrupt(format!("record {i}: {e}")))?;
             match obj.str("rec") {
                 Some("profile") => methods.push(parse_method(&obj, i)?),
@@ -433,7 +451,7 @@ impl Snapshot {
                 }
             }
         }
-        if methods.len() != want_methods || decisions.len() != want_decisions {
+        if methods.len() as u64 != want_methods || decisions.len() as u64 != want_decisions {
             return Err(SnapshotError::Corrupt(format!(
                 "header promised {want_methods} profiles + {want_decisions} decisions, \
                  found {} + {}",
@@ -520,13 +538,6 @@ pub struct Merged {
     pub min_support: u64,
 }
 
-fn tier_rank(tier: CompileStage) -> u8 {
-    match tier {
-        CompileStage::Full => 0,
-        CompileStage::Degraded => 1,
-    }
-}
-
 impl Snapshot {
     /// Merges N replica snapshots of the *same program* into one:
     ///
@@ -587,7 +598,7 @@ impl Snapshot {
         // One ballot per replica per method: its last recorded decision.
         // Candidates are keyed by decision content; each accumulates its
         // ballot count and the total hotness of the replicas backing it.
-        type CandKey = (u8, u64, u64);
+        type CandKey = (CompileStage, u64, u64);
         let mut ballots: BTreeMap<MethodId, BTreeMap<CandKey, (u64, u64)>> = BTreeMap::new();
         for r in &uniq {
             let mut last: BTreeMap<MethodId, &DecisionRecord> = BTreeMap::new();
@@ -604,7 +615,7 @@ impl Snapshot {
                             .invocations
                             .saturating_add(r.methods[i].backedges)
                     });
-                let key = (tier_rank(d.tier), d.plan_hash, d.speculative_sites);
+                let key = (d.tier, d.plan_hash, d.speculative_sites);
                 let slot = ballots.entry(m).or_default().entry(key).or_insert((0, 0));
                 slot.0 += 1;
                 slot.1 += hot;
@@ -626,10 +637,7 @@ impl Snapshot {
                 .expect("ballot map is non-empty");
             let rec = DecisionRecord {
                 method: m,
-                tier: match tier {
-                    0 => CompileStage::Full,
-                    _ => CompileStage::Degraded,
-                },
+                tier,
                 plan_hash,
                 speculative_sites,
             };
@@ -663,272 +671,57 @@ fn corrupt(i: usize, why: &str) -> SnapshotError {
     SnapshotError::Corrupt(format!("record {i}: {why}"))
 }
 
-fn parse_method(obj: &parse::Obj, i: usize) -> Result<MethodRecord, SnapshotError> {
-    let method = MethodId::new(obj.num("method").ok_or_else(|| corrupt(i, "method"))? as usize);
-    let blocks = obj
-        .pairs("blocks")
-        .ok_or_else(|| corrupt(i, "blocks"))?
-        .into_iter()
-        .map(|(b, c)| (BlockId::new(b as usize), c))
-        .collect();
-    let callsites = obj
-        .pairs("sites")
-        .ok_or_else(|| corrupt(i, "sites"))?
-        .into_iter()
-        .map(|(s, c)| (s as u32, c))
-        .collect();
-    let receivers = obj
-        .nested_pairs("recv")
-        .ok_or_else(|| corrupt(i, "recv"))?
-        .into_iter()
-        .map(|(site, hist)| {
-            let h: Vec<(ClassId, u64)> = hist
-                .into_iter()
-                .map(|(cl, c)| (ClassId::new(cl as usize), c))
-                .collect();
-            (site as u32, h)
+fn parse_method(obj: &json::Obj, i: usize) -> Result<MethodRecord, SnapshotError> {
+    let num = |key| obj.num(key).ok_or_else(|| corrupt(i, key));
+    let pairs = |key| obj.pairs(key).ok_or_else(|| corrupt(i, key));
+    // Every id of the format is a 32-bit index (the id constructors
+    // assert it); one that does not fit makes the record corrupt.
+    let wide = std::cell::Cell::new(false);
+    let id = |n: u64| {
+        u32::try_from(n).unwrap_or_else(|_| {
+            wide.set(true);
+            0
         })
-        .collect();
-    Ok(MethodRecord {
-        method,
-        invocations: obj.num("inv").ok_or_else(|| corrupt(i, "inv"))?,
-        backedges: obj.num("back").ok_or_else(|| corrupt(i, "back"))?,
-        blocks,
-        callsites,
-        receivers,
-    })
+    };
+    let record = MethodRecord {
+        method: MethodId::new(id(num("method")?) as usize),
+        invocations: num("inv")?,
+        backedges: num("back")?,
+        blocks: (pairs("blocks")?.into_iter())
+            .map(|(b, c)| (BlockId::new(id(b) as usize), c))
+            .collect(),
+        callsites: (pairs("sites")?.into_iter())
+            .map(|(s, c)| (id(s), c))
+            .collect(),
+        receivers: (obj.nested_pairs("recv").ok_or_else(|| corrupt(i, "recv"))?)
+            .into_iter()
+            .map(|(site, hist)| {
+                let classes = hist.into_iter();
+                let hist = classes.map(|(cl, c)| (ClassId::new(id(cl) as usize), c));
+                (id(site), hist.collect())
+            })
+            .collect(),
+    };
+    match wide.get() {
+        true => Err(corrupt(i, "an id past 32 bits")),
+        false => Ok(record),
+    }
 }
 
-fn parse_decision(obj: &parse::Obj, i: usize) -> Result<DecisionRecord, SnapshotError> {
+fn parse_decision(obj: &json::Obj, i: usize) -> Result<DecisionRecord, SnapshotError> {
+    let num = |key| obj.num(key).ok_or_else(|| corrupt(i, key));
     let tier = match obj.str("tier") {
         Some("full") => CompileStage::Full,
         Some("degraded") => CompileStage::Degraded,
         other => return Err(corrupt(i, &format!("tier {other:?}"))),
     };
+    let method = u32::try_from(num("method")?).map_err(|_| corrupt(i, "method"))?;
     Ok(DecisionRecord {
-        method: MethodId::new(obj.num("method").ok_or_else(|| corrupt(i, "method"))? as usize),
+        method: MethodId::new(method as usize),
         tier,
         plan_hash: obj.hex("plan").ok_or_else(|| corrupt(i, "plan"))?,
-        speculative_sites: obj.num("spec").ok_or_else(|| corrupt(i, "spec"))?,
+        speculative_sites: num("spec")?,
     })
-}
-
-// ---- minimal JSON parsing --------------------------------------------------
-
-/// Just enough JSON to read the snapshot's own output: flat objects whose
-/// values are unsigned integers, strings, or (nested) arrays of unsigned
-/// integers. Strict — anything else is an error, which is exactly what the
-/// corruption tests want.
-mod parse {
-    /// One parsed value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Val {
-        /// An unsigned integer.
-        Num(u64),
-        /// A string (no escapes needed by the snapshot format).
-        Str(String),
-        /// An array of values.
-        Arr(Vec<Val>),
-    }
-
-    /// A parsed flat object: ordered `(key, value)` pairs.
-    #[derive(Clone, Debug, Default)]
-    pub struct Obj {
-        fields: Vec<(String, Val)>,
-    }
-
-    impl Obj {
-        fn get(&self, key: &str) -> Option<&Val> {
-            self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-
-        pub fn num(&self, key: &str) -> Option<u64> {
-            match self.get(key)? {
-                Val::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn str(&self, key: &str) -> Option<&str> {
-            match self.get(key)? {
-                Val::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// A 16-digit lowercase hex string field.
-        pub fn hex(&self, key: &str) -> Option<u64> {
-            u64::from_str_radix(self.str(key)?, 16).ok()
-        }
-
-        /// `[[a,b],...]` — an array of integer pairs.
-        pub fn pairs(&self, key: &str) -> Option<Vec<(u64, u64)>> {
-            match self.get(key)? {
-                Val::Arr(items) => items.iter().map(pair).collect(),
-                _ => None,
-            }
-        }
-
-        /// `[[k,[[a,b],...]],...]` — pairs whose second element is itself a
-        /// pair list (receiver histograms).
-        pub fn nested_pairs(&self, key: &str) -> Option<NestedPairs> {
-            let Val::Arr(items) = self.get(key)? else {
-                return None;
-            };
-            items
-                .iter()
-                .map(|item| {
-                    let Val::Arr(kv) = item else { return None };
-                    let [Val::Num(k), Val::Arr(hist)] = kv.as_slice() else {
-                        return None;
-                    };
-                    let h: Option<Vec<(u64, u64)>> = hist.iter().map(pair).collect();
-                    Some((*k, h?))
-                })
-                .collect()
-        }
-    }
-
-    /// Keys paired with `[(a, b), ...]` lists, as read by
-    /// [`Obj::nested_pairs`].
-    pub type NestedPairs = Vec<(u64, Vec<(u64, u64)>)>;
-
-    fn pair(v: &Val) -> Option<(u64, u64)> {
-        let Val::Arr(kv) = v else { return None };
-        let [Val::Num(a), Val::Num(b)] = kv.as_slice() else {
-            return None;
-        };
-        Some((*a, *b))
-    }
-
-    /// Parses one line as a flat JSON object.
-    pub fn object(line: &str) -> Result<Obj, String> {
-        let mut p = Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
-        };
-        let obj = p.object()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at {}", p.pos));
-        }
-        Ok(obj)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected `{}` at {}, found {:?}",
-                    b as char,
-                    self.pos,
-                    self.peek().map(|c| c as char)
-                ))
-            }
-        }
-
-        fn object(&mut self) -> Result<Obj, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Obj { fields });
-            }
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                let value = self.value()?;
-                fields.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Obj { fields });
-                    }
-                    other => return Err(format!("expected `,` or `}}`, found {other:?}")),
-                }
-            }
-        }
-
-        fn value(&mut self) -> Result<Val, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'"') => Ok(Val::Str(self.string()?)),
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut items = Vec::new();
-                    self.skip_ws();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                        return Ok(Val::Arr(items));
-                    }
-                    loop {
-                        items.push(self.value()?);
-                        self.skip_ws();
-                        match self.peek() {
-                            Some(b',') => self.pos += 1,
-                            Some(b']') => {
-                                self.pos += 1;
-                                return Ok(Val::Arr(items));
-                            }
-                            other => return Err(format!("expected `,` or `]`, found {other:?}")),
-                        }
-                    }
-                }
-                Some(b'0'..=b'9') => {
-                    let start = self.pos;
-                    while matches!(self.peek(), Some(b'0'..=b'9')) {
-                        self.pos += 1;
-                    }
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .ok()
-                        .and_then(|s| s.parse().ok())
-                        .map(Val::Num)
-                        .ok_or_else(|| format!("bad number at {start}"))
-                }
-                other => Err(format!("unexpected value start {other:?}")),
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "bad utf-8 in string".to_string())?;
-                    self.pos += 1;
-                    return Ok(s.to_string());
-                }
-                if b == b'\\' {
-                    return Err("escapes are not part of the snapshot format".to_string());
-                }
-                self.pos += 1;
-            }
-            Err("unterminated string".to_string())
-        }
-    }
 }
 
 // ---- stores ----------------------------------------------------------------
@@ -1134,6 +927,7 @@ impl From<Vec<u8>> for SnapshotIo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incline_ir::Rng64;
 
     fn sample() -> Snapshot {
         let mut profiles = ProfileTable::new();
@@ -1196,6 +990,115 @@ mod tests {
                 Snapshot::from_bytes(&bad).is_err(),
                 "bit flip at {flip} must fail"
             );
+        }
+    }
+
+    /// A snapshot of random records: lists from empty up, 0–40 receivers a
+    /// site, counts that are zero, `u64::MAX` or of any magnitude between.
+    fn random_snapshot(rng: &mut Rng64, methods: usize) -> Snapshot {
+        fn count(rng: &mut Rng64) -> u64 {
+            match rng.gen_index(4) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.next_u64() >> rng.gen_index(64),
+            }
+        }
+        let hist = |rng: &mut Rng64| -> Vec<(ClassId, u64)> {
+            (0..rng.gen_index(41))
+                .map(|c| (ClassId::new(c), count(rng)))
+                .collect()
+        };
+        let methods = (0..methods)
+            .map(|m| MethodRecord {
+                method: MethodId::new(m),
+                invocations: count(rng),
+                backedges: count(rng),
+                blocks: (0..rng.gen_index(5))
+                    .map(|b| (BlockId::new(b), count(rng)))
+                    .collect(),
+                callsites: (0..rng.gen_index(5) as u32)
+                    .map(|s| (s, count(rng)))
+                    .collect(),
+                receivers: (0..rng.gen_index(4) as u32)
+                    .map(|s| (s, hist(rng)))
+                    .collect(),
+            })
+            .collect();
+        let decisions = (0..rng.gen_index(4))
+            .map(|_| DecisionRecord {
+                method: MethodId::new(rng.gen_index(1 << 20)),
+                tier: [CompileStage::Full, CompileStage::Degraded][rng.gen_index(2)],
+                plan_hash: rng.next_u64(),
+                speculative_sites: count(rng),
+            })
+            .collect();
+        Snapshot {
+            fingerprint: rng.next_u64(),
+            methods,
+            decisions,
+        }
+    }
+
+    /// `body` under a valid trailer, so the checksum cannot be what
+    /// rejects it and the reader sees every byte.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let trailer = format!("{{\"rec\":\"end\",\"crc\":\"{:016x}\"}}\n", fnv1a(body));
+        [body, trailer.as_bytes()].concat()
+    }
+
+    #[test]
+    fn random_snapshots_round_trip() {
+        let mut rng = Rng64::new(0x5eed);
+        for methods in (0..60).map(|i| i % 7) {
+            let snap = random_snapshot(&mut rng, methods);
+            let bytes = snap.to_bytes();
+            assert_eq!(Snapshot::from_bytes(&bytes).as_ref(), Ok(&snap));
+        }
+    }
+
+    #[test]
+    fn resealed_truncations_and_bitflips_never_panic() {
+        // The first small one that has every kind of record and list.
+        let snap = (0..)
+            .map(|seed| random_snapshot(&mut Rng64::new(seed), 2))
+            .find(|s| {
+                let nested = s
+                    .methods
+                    .iter()
+                    .any(|m| m.receivers.iter().any(|r| !r.1.is_empty()));
+                nested && !s.decisions.is_empty() && s.to_bytes().len() < 1200
+            })
+            .expect("some seed does");
+        let bytes = snap.to_bytes();
+        let body = &bytes[..bytes.len() - sealed(b"").len()];
+        assert_eq!(sealed(body), bytes);
+        // Cut anywhere, with and without a trailer that vouches for the
+        // cut: an error, except where nothing but a last newline is lost.
+        for cut in 0..bytes.len() {
+            let whole =
+                |r: Result<Snapshot, _>, len: usize| r == Ok(snap.clone()) && cut + 1 == len;
+            let raw = Snapshot::from_bytes(&bytes[..cut]);
+            assert!(raw.is_err() || whole(raw, bytes.len()), "cut at {cut}");
+            if cut < body.len() {
+                let resealed = Snapshot::from_bytes(&sealed(&body[..cut]));
+                assert!(
+                    resealed.is_err() || whole(resealed, body.len()),
+                    "sealed cut at {cut}"
+                );
+            }
+        }
+        // Flip any bit under a recomputed trailer: an error, or — a digit
+        // became another digit — a snapshot that reads back as itself.
+        for bit in 0..body.len() * 8 {
+            let mut flipped = body.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(read) = Snapshot::from_bytes(&sealed(&flipped)) {
+                assert_eq!(
+                    Snapshot::from_bytes(&read.to_bytes()),
+                    Ok(read),
+                    "bit {bit}"
+                );
+            }
         }
     }
 

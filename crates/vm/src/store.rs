@@ -10,6 +10,7 @@
 use incline_ir::eval::{self, TrapKind};
 use incline_ir::{BinOp, CmpOp, Program};
 
+use crate::machine::MAX_HEAP_SLOTS;
 use crate::plan::{FlatOp, Inst};
 use crate::value::{word_ref, Heap, HeapCell, HeapRef, Kind, Output, Value};
 
@@ -40,6 +41,8 @@ pub(crate) struct Savepoint {
 /// Heap, output and write journal of the run in progress.
 pub(crate) struct Store {
     pub heap: Heap,
+    /// What the cells of `heap` cost against [`MAX_HEAP_SLOTS`].
+    heap_slots: u64,
     pub output: Output,
     /// The zeroed field slots of an instance of every class, one class
     /// after another; `new` copies its class's stretch.
@@ -68,6 +71,7 @@ impl Store {
         default_fields_at.push(default_fields.len());
         Store {
             heap: Heap::new(),
+            heap_slots: 0,
             output: Output::new(),
             default_fields,
             default_fields_at,
@@ -79,6 +83,7 @@ impl Store {
     /// Starts a run: fresh heap and output, empty journal.
     pub fn reset(&mut self) {
         self.heap.clear();
+        self.heap_slots = 0;
         self.output = Output::new();
         self.journal.clear();
         self.journal_scopes = 0;
@@ -128,8 +133,32 @@ impl Store {
                 }
             }
         }
+        // The freed cells give their slots back (summed here rather than
+        // remembered in every `Savepoint`, which sits in the host frame of
+        // each compiled activation).
+        let slots = |heap: &Heap, cells: std::ops::Range<usize>| -> u64 {
+            cells
+                .map(|r| match heap.cell(HeapRef(r as u32)) {
+                    HeapCell::Object { fields, .. } => fields.len() as u64 + 2,
+                    HeapCell::Array { data, .. } => data.len() as u64 + 2,
+                })
+                .sum()
+        };
+        self.heap_slots -= slots(&self.heap, save.heap_len..self.heap.len());
+        debug_assert_eq!(self.heap_slots, slots(&self.heap, 0..save.heap_len));
         self.heap.truncate(save.heap_len);
         self.output.truncate(save.output_len);
+    }
+
+    /// Charges a cell of `len` fields or elements, about to be allocated,
+    /// against the run's heap bound.
+    fn charge_cell(&mut self, len: u64) -> Result<(), TrapKind> {
+        let slots = self.heap_slots.saturating_add(len).saturating_add(2);
+        if slots > MAX_HEAP_SLOTS {
+            return Err(TrapKind::HeapExhausted);
+        }
+        self.heap_slots = slots;
+        Ok(())
     }
 
     /// Executes one instruction of a call-free run against the frame
@@ -220,7 +249,9 @@ impl Store {
             FlatOp::FloatToInt => eval::float_to_int(f64::from_bits(regs[a])) as u64,
             FlatOp::New(class) => {
                 let at = &self.default_fields_at[class.index()..];
-                let fields = self.default_fields[at[0]..at[1]].to_vec();
+                let (start, end) = (at[0], at[1]);
+                self.charge_cell((end - start) as u64)?;
+                let fields = self.default_fields[start..end].to_vec();
                 self.heap.alloc_object_with(class, fields).to_word()
             }
             FlatOp::GetField(offset) => {
@@ -248,6 +279,7 @@ impl Store {
                 if len < 0 {
                     return Err(TrapKind::NegativeLength);
                 }
+                self.charge_cell(len as u64)?;
                 self.heap.alloc_array(elem, len as usize).to_word()
             }
             FlatOp::ArrayGet => {

@@ -1,80 +1,78 @@
 //! The `incline` command-line tool: parse, verify, optimize, compile, run
-//! and explain programs written in the textual IR format.
-//!
-//! ```text
-//! incline print   <file.ir> [--optimize]
-//! incline run     <file.ir> [--entry main] [--input N] [--jit] [COMMON]
-//! incline compile <file.ir> [--entry main] [--input N] [--inliner NAME] [--explain]
-//!                           [--trace] [--trace-json FILE]
-//! incline bench   <benchmark-name> [--input N] [COMMON]
-//! incline server  [--tenants N] [--seed N] [--requests N] [COMMON]
-//! incline dot     <file.ir> [--entry main] [--optimize]
-//! incline list-benchmarks
-//! ```
-//!
-//! `COMMON` is the shared flag surface parsed by [`incline::cli::CommonOpts`]
-//! — identical across `run`, `bench`, and `server`:
-//!
-//! ```text
-//! [--inliner NAME] [--trace] [--trace-json FILE] [--no-deopt]
-//! [--compile-threads N] [--pipelined] [--no-trial-cache]
-//! [--cache-budget BYTES] [--eviction POLICY]
-//! [--icache-capacity BYTES] [--icache-scale BYTES]
-//! [--snapshot-in FILE] [--snapshot-merge FILE ...] [--snapshot-out FILE]
-//! ```
-//!
-//! A flag the subcommand does not list is an error, never ignored.
-//!
-//! Inliner names: `incremental` (default), `greedy`, `c2`, `none`.
-//!
-//! `--snapshot-out` writes the run's profiles and compile decisions as a
-//! versioned JSONL snapshot; `--snapshot-in` loads one before the first
-//! iteration and recompiles its method set up front through the normal
-//! broker path, eliminating warmup. `--snapshot-merge` (repeatable, mutually
-//! exclusive with `--snapshot-in`) merges N replica snapshots — profile
-//! union, decision majority vote, support check — before applying the
-//! result like a single snapshot. Stale, truncated or corrupt snapshots
-//! fall back to a cold start — never an error.
+//! and explain programs written in the textual IR format. `incline help`
+//! prints the usage text, rendered from the flag tables below.
 
 use std::process::ExitCode;
 
-use incline::cli::{check_flags, flag, opt_value, CommonOpts};
+use incline::cli::{
+    check_flags, flag, opt_value, usage_flags, CommonOpts, Flag, INLINER, TRACE, TRACE_JSON,
+};
 use incline::ir::MethodId;
 use incline::prelude::*;
 
-/// A subcommand: its name, the flags of its own that `USAGE` lists for it,
-/// whether it also takes the COMMON surface, and its entry point.
+/// A subcommand: its name, its operand as the usage text shows it, the
+/// flags of its own, whether it also takes the COMMON surface, and its
+/// entry point.
 type Subcommand = (
     &'static str,
     &'static str,
+    &'static [Flag],
     bool,
     fn(&[String]) -> Result<(), String>,
 );
 
+const ENTRY: Flag = ("--entry", Some("NAME"));
+const INPUT: Flag = ("--input", Some("N"));
+const OPTIMIZE: Flag = ("--optimize", None);
+
 const SUBCOMMANDS: &[Subcommand] = &[
-    ("print", "--optimize", false, cmd_print),
-    ("run", "--entry --input --jit", true, cmd_run),
+    ("print", "<file.ir>", &[OPTIMIZE], false, cmd_print),
+    (
+        "run",
+        "<file.ir>",
+        &[ENTRY, INPUT, ("--jit", None)],
+        true,
+        cmd_run,
+    ),
     (
         "compile",
-        "--entry --input --inliner --explain --trace --trace-json",
+        "<file.ir>",
+        &[
+            ENTRY,
+            INPUT,
+            INLINER,
+            ("--explain", None),
+            TRACE,
+            TRACE_JSON,
+        ],
         false,
         cmd_compile,
     ),
-    ("bench", "--input", true, cmd_bench),
-    ("server", "--tenants --seed --requests", true, cmd_server),
-    ("dot", "--entry --optimize", false, cmd_dot),
+    ("bench", "<benchmark-name>", &[INPUT], true, cmd_bench),
+    (
+        "server",
+        "",
+        &[
+            ("--tenants", Some("N")),
+            ("--seed", Some("N")),
+            ("--requests", Some("N")),
+        ],
+        true,
+        cmd_server,
+    ),
+    ("dot", "<file.ir>", &[ENTRY, OPTIMIZE], false, cmd_dot),
 ];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
     let subcommand = SUBCOMMANDS.iter().find(|(name, ..)| name == cmd);
     let result = match (subcommand, cmd.as_str()) {
-        (Some((_, own, common, run)), _) => {
+        (Some((_, _, own, common, run)), _) => {
             check_flags(rest, own, *common).and_then(|()| run(rest))
         }
         (None, "list-benchmarks") => {
@@ -87,10 +85,10 @@ fn main() -> ExitCode {
             Ok(())
         }
         (None, "--help" | "-h" | "help") => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
-        (None, other) => Err(format!("unknown command `{other}`\n{USAGE}")),
+        (None, other) => Err(format!("unknown command `{other}`\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -101,26 +99,32 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-incline — optimization-driven incremental inline substitution (CGO'19)
+/// The usage text: the synopsis of every subcommand and the COMMON block,
+/// rendered from the flag tables, then the notes.
+fn usage() -> String {
+    let mut text = String::from(
+        "incline — optimization-driven incremental inline substitution (CGO'19)\n\nUSAGE:\n",
+    );
+    for (name, operand, own, common, _) in SUBCOMMANDS {
+        let mut head = format!("  incline {name:<7} ");
+        if !operand.is_empty() {
+            head += &format!("{operand} ");
+        }
+        let mut flags = usage_flags(own, 78usize.saturating_sub(head.len()));
+        if *common {
+            flags.last_mut().expect("one line").push_str(" [COMMON]");
+        }
+        let indent = format!("\n{:1$}", "", head.len());
+        text.push_str(&format!("{head}{}\n", flags.join(&indent)));
+    }
+    text.push_str("  incline list-benchmarks\n\nCOMMON (identical across run, bench, server):\n");
+    for line in usage_flags(CommonOpts::FLAGS, 76) {
+        text.push_str(&format!("  {line}\n"));
+    }
+    text + NOTES
+}
 
-USAGE:
-  incline print   <file.ir> [--optimize]
-  incline run     <file.ir> [--entry main] [--input N] [--jit] [COMMON]
-  incline compile <file.ir> [--entry main] [--input N] [--inliner NAME] [--explain]
-                            [--trace] [--trace-json FILE]
-  incline bench   <benchmark-name> [--input N] [COMMON]
-  incline server  [--tenants N] [--seed N] [--requests N] [COMMON]
-  incline dot     <file.ir> [--entry main] [--optimize]
-  incline list-benchmarks
-
-COMMON (identical across run, bench, server):
-  [--inliner NAME] [--trace] [--trace-json FILE] [--no-deopt]
-  [--compile-threads N] [--pipelined] [--no-trial-cache]
-  [--cache-budget BYTES] [--eviction POLICY]
-  [--icache-capacity BYTES] [--icache-scale BYTES]
-  [--snapshot-in FILE] [--snapshot-merge FILE ...] [--snapshot-out FILE]
-
+const NOTES: &str = "
 A flag the subcommand does not list above is an error.
 Inliners: incremental (default), greedy, c2, none.
 Server: a seeded multi-tenant serving simulation (bursty arrivals, per-tenant

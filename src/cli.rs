@@ -11,8 +11,10 @@
 //! Parsing is scan-based: `CommonOpts` picks out the flags it owns and
 //! leaves everything else to the subcommand (`--entry`, `--input`,
 //! positional file names). What neither knows is an error, not a no-op:
-//! [`check_flags`] refuses it before anything runs, so a misspelt
-//! `--cache-bugdet 100` cannot silently measure an unbounded cache.
+//! [`check_flags`] walks the arguments with the one [`Flag`] table before
+//! anything runs, so neither a misspelt `--cache-bugdet 100` nor a
+//! `--cache-budget` whose value was forgotten can silently measure an
+//! unbounded cache.
 
 use std::io::Write as _;
 use std::sync::Arc;
@@ -46,17 +48,61 @@ pub fn opt_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
         .collect()
 }
 
-/// Refuses any `--flag` in `args` that is neither one of the subcommand's
-/// `own` nor — when the subcommand takes the `common` surface — one of
-/// [`CommonOpts::FLAGS`]. Both lists are written the way the usage text
-/// writes them, separated by spaces.
-pub fn check_flags(args: &[String], own: &str, common: bool) -> Result<(), String> {
-    let common = if common { CommonOpts::FLAGS } else { "" };
-    let known = |a: &str| own.split(' ').chain(common.split(' ')).any(|f| f == a);
-    match args.iter().find(|a| a.starts_with("--") && !known(a)) {
-        Some(unknown) => Err(format!("unknown flag `{unknown}`")),
-        None => Ok(()),
+/// One row of a flag table: the flag and, when it takes a value, the
+/// metavariable the usage text shows for it. The tables — a subcommand's
+/// own and [`CommonOpts::FLAGS`] — are what [`check_flags`] accepts and
+/// what [`usage_flags`] prints; nothing else lists the flags.
+pub type Flag = (&'static str, Option<&'static str>);
+
+/// The COMMON flags `compile` takes too, without the rest of the surface.
+pub const INLINER: Flag = ("--inliner", Some("NAME"));
+/// See [`INLINER`].
+pub const TRACE: Flag = ("--trace", None);
+/// See [`INLINER`].
+pub const TRACE_JSON: Flag = ("--trace-json", Some("FILE"));
+
+/// Walks `args` with the subcommand's `own` flags and — when it takes the
+/// `common` surface — [`CommonOpts::FLAGS`]: a `--flag` in neither table is
+/// refused, and so is a value-taking flag that is last or followed by
+/// another `--flag`.
+pub fn check_flags(args: &[String], own: &[Flag], common: bool) -> Result<(), String> {
+    let common = if common { CommonOpts::FLAGS } else { &[] };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let Some((_, metavar)) = own.iter().chain(common).find(|(name, _)| name == arg) else {
+            return Err(format!("unknown flag `{arg}`"));
+        };
+        if let Some(metavar) = metavar {
+            if args.next().is_none_or(|value| value.starts_with("--")) {
+                return Err(format!("{arg} needs a value ({metavar})"));
+            }
+        }
     }
+    Ok(())
+}
+
+/// `flags` as the usage text lists them: `[--name METAVAR]` each, wrapped
+/// into lines of at most `width` columns.
+pub fn usage_flags(flags: &[Flag], width: usize) -> Vec<String> {
+    let mut lines = vec![String::new()];
+    for (name, metavar) in flags {
+        let item = match metavar {
+            Some(metavar) => format!("[{name} {metavar}]"),
+            None => format!("[{name}]"),
+        };
+        let line = lines.last_mut().expect("starts with one line");
+        if line.is_empty() {
+            *line = item;
+        } else if line.len() + 1 + item.len() <= width {
+            *line = format!("{line} {item}");
+        } else {
+            lines.push(item);
+        }
+    }
+    lines
 }
 
 /// The flag surface shared by `run`, `bench`, and `server`.
@@ -107,9 +153,22 @@ pub struct CommonOpts {
 impl CommonOpts {
     /// Every flag [`CommonOpts::parse`] understands — the COMMON block of
     /// the usage text.
-    pub const FLAGS: &'static str = "--inliner --trace --trace-json --no-deopt --compile-threads \
-        --pipelined --no-trial-cache --cache-budget --eviction --icache-capacity --icache-scale \
-        --snapshot-in --snapshot-merge --snapshot-out";
+    pub const FLAGS: &'static [Flag] = &[
+        INLINER,
+        TRACE,
+        TRACE_JSON,
+        ("--no-deopt", None),
+        ("--compile-threads", Some("N")),
+        ("--pipelined", None),
+        ("--no-trial-cache", None),
+        ("--cache-budget", Some("BYTES")),
+        ("--eviction", Some("POLICY")),
+        ("--icache-capacity", Some("BYTES")),
+        ("--icache-scale", Some("BYTES")),
+        ("--snapshot-in", Some("FILE")),
+        ("--snapshot-merge", Some("FILE ...")),
+        ("--snapshot-out", Some("FILE")),
+    ];
 
     /// Extracts the shared flags from `args`, validating every value.
     ///

@@ -3,26 +3,41 @@
 use std::fmt::Write as _;
 use std::process::Command;
 
-/// `samples/no_such_method.ir` verifies, but its virtual call finds no
-/// implementation on the receiver's class: every way of running it must
-/// report a trap and exit non-zero, never panic.
-#[test]
-fn run_reports_an_unimplemented_virtual_call_as_a_trap() {
-    let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/samples/no_such_method.ir");
+/// Every way of running `samples/<sample>.ir` must report `trap` and exit
+/// non-zero, never panic or abort.
+fn assert_run_traps(sample: &str, trap: &str) {
+    let sample = format!("{}/samples/{sample}.ir", env!("CARGO_MANIFEST_DIR"));
     for extra in [&[][..], &["--jit"], &["--jit", "--no-deopt"]] {
         let out = Command::new(env!("CARGO_BIN_EXE_incline"))
-            .args(["run", sample, "--input", "1"])
+            .args(["run", &sample, "--input", "1"])
             .args(extra)
             .output()
             .expect("the incline binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
-        assert!(
-            stderr.contains("trap: receiver does not implement the called method"),
-            "{extra:?}: {stderr}"
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: trap: {trap}"),
+            "{extra:?}"
         );
-        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
     }
+}
+
+/// `samples/no_such_method.ir` verifies, but its virtual call finds no
+/// implementation on the receiver's class.
+#[test]
+fn run_reports_an_unimplemented_virtual_call_as_a_trap() {
+    assert_run_traps(
+        "no_such_method",
+        "receiver does not implement the called method",
+    );
+}
+
+/// `samples/huge_array.ir` asks for an array of 2^62 elements, which used
+/// to end in the host allocator: `capacity overflow`, exit 101.
+#[test]
+fn run_reports_an_allocation_past_the_heap_bound_as_a_trap() {
+    assert_run_traps("huge_array", "guest heap exhausted");
 }
 
 /// The command line can pass an entry nothing or one int. `run` and
@@ -54,38 +69,94 @@ fn entries_the_command_line_cannot_call_are_refused() {
 }
 
 /// A flag the subcommand does not list is refused by name before anything
-/// runs. It used to be ignored: `bench avrora --wat` ran and exited 0, so a
-/// misspelt `--cache-budget` measured an unbounded cache.
+/// runs, and so is a listed flag whose value is missing. Both used to be
+/// accepted: `bench avrora --wat` ran and exited 0, so a misspelt
+/// `--cache-budget` — or one whose value was forgotten — measured an
+/// unbounded cache, and `--trace-json --pipelined` traced into a file
+/// named `--pipelined`.
 #[test]
 fn flags_a_subcommand_does_not_list_are_refused() {
     let fib = concat!(env!("CARGO_MANIFEST_DIR"), "/samples/fib.ir");
-    let cases: [(&[&str], &str); 7] = [
-        (&["bench", "avrora", "--wat"], "--wat"),
-        (&["bench", "avrora", "--replay", "eager"], "--replay"),
-        (&["run", fib, "--cache-bugdet", "100"], "--cache-bugdet"),
+    // The arguments, the flag refused, and — when it is listed but lacks
+    // its value — the metavariable the message names.
+    type Case<'a> = (&'a [&'a str], &'a str, Option<&'a str>);
+    let cases: [Case; 10] = [
+        (&["bench", "avrora", "--wat"], "--wat", None),
+        (&["bench", "avrora", "--replay", "eager"], "--replay", None),
+        (
+            &["run", fib, "--cache-bugdet", "100"],
+            "--cache-bugdet",
+            None,
+        ),
         // Listed, but for another subcommand.
-        (&["compile", fib, "--cache-budget", "100"], "--cache-budget"),
-        (&["print", fib, "--jit"], "--jit"),
-        (&["dot", fib, "--explain"], "--explain"),
+        (
+            &["compile", fib, "--cache-budget", "100"],
+            "--cache-budget",
+            None,
+        ),
+        (&["print", fib, "--jit"], "--jit", None),
+        (&["dot", fib, "--explain"], "--explain", None),
         (
             &["server", "--requests", "10", "--entry", "main"],
             "--entry",
+            None,
         ),
+        // Listed, but the value is missing: last, or another flag follows.
+        (
+            &["bench", "avrora", "--cache-budget"],
+            "--cache-budget",
+            Some("BYTES"),
+        ),
+        (
+            &["bench", "avrora", "--trace-json", "--pipelined"],
+            "--trace-json",
+            Some("FILE"),
+        ),
+        (&["run", fib, "--input"], "--input", Some("N")),
     ];
-    for (args, flag) in cases {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (args, flag, metavar) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_incline"))
             .args(args)
+            .current_dir(dir)
             .output()
             .expect("the incline binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert_eq!(
-            stderr.trim_end(),
-            format!("error: unknown flag `{flag}`"),
-            "{args:?}"
-        );
+        let message = match metavar {
+            Some(metavar) => format!("error: {flag} needs a value ({metavar})"),
+            None => format!("error: unknown flag `{flag}`"),
+        };
+        assert_eq!(stderr.trim_end(), message, "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
     }
+    assert!(!dir.join("--pipelined").exists(), "no trace by that name");
+}
+
+/// A snapshot whose header claims 2^64-1 profiles, under a valid checksum
+/// (FNV-1a is no secret): a counted cold start. The loader used to size a
+/// vector from the claim and abort (exit 101; 134 for smaller lies).
+#[test]
+fn bench_survives_a_forged_snapshot_header() {
+    let body = format!(
+        "{{\"snapshot\":\"incline\",\"v\":1,\"fingerprint\":\"00\",\"methods\":{},\"decisions\":0}}\n",
+        u64::MAX
+    );
+    let crc = incline::snapshot::fnv1a(body.as_bytes());
+    let forged = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("forged.snap");
+    let text = format!("{body}{{\"rec\":\"end\",\"crc\":\"{crc:016x}\"}}\n");
+    std::fs::write(&forged, text).expect("write the forgery");
+    let out = Command::new(env!("CARGO_BIN_EXE_incline"))
+        .args(["bench", "scalatest", "--snapshot-in"])
+        .arg(&forged)
+        .output()
+        .expect("the incline binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("snapshot: 0 loaded, 1 fallbacks"),
+        "{stdout}"
+    );
 }
 
 /// A hostile but valid program: `main` is a chain of 20 000 blocks, each

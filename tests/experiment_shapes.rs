@@ -1,7 +1,7 @@
 //! Shape tests: the qualitative claims of the paper's evaluation must
 //! hold on this reproduction (§V; DESIGN.md §7). These run on a benchmark
 //! subset to stay fast in debug builds; `cargo run --release -p
-//! incline-bench --bin run_all` checks the full suite.
+//! incline-bench -- run_all` checks the full suite.
 
 use incline::baselines::{C2Inliner, GreedyInliner};
 use incline::prelude::*;

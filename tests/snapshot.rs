@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use incline_core::IncrementalInliner;
-use incline_vm::snapshot::{fnv1a, MemoryStore, Snapshot, SnapshotStore};
+use incline_vm::snapshot::{fnv1a, MemoryStore, Snapshot, SnapshotError, SnapshotStore};
 use incline_vm::{BenchResult, BenchSpec, RunSession, Value, VmConfig};
 use incline_workloads::{GenConfig, Workload};
 
@@ -173,24 +173,57 @@ fn corrupt_snapshots_degrade_to_cold_start() {
         flipped[pos] ^= 0x10;
         assert_cold_fallback(&w, &cold, flipped, "bit-flipped");
     }
-    // Version bump with a *valid* checksum: only the version check fires.
+    // Forgeries with a *valid* checksum (FNV-1a is no secret), so the
+    // trailer cannot be what rejects them. `body` is everything before it.
     let text = String::from_utf8(bytes.clone()).unwrap();
-    let body = text
-        .split_once("{\"rec\":\"end\"")
-        .map(|(b, _)| b.replace("\"v\":1", "\"v\":2"))
-        .unwrap();
-    let bumped = format!(
-        "{body}{{\"rec\":\"end\",\"crc\":\"{:016x}\"}}\n",
-        fnv1a(body.as_bytes())
-    );
-    assert_cold_fallback(&w, &cold, bumped.into_bytes(), "version-bumped");
+    let (body, _) = text.split_once("{\"rec\":\"end\"").unwrap();
+    let sealed = |body: String| {
+        format!(
+            "{body}{{\"rec\":\"end\",\"crc\":\"{:016x}\"}}\n",
+            fnv1a(body.as_bytes())
+        )
+        .into_bytes()
+    };
+    let with = |from: &str, to: &str| {
+        assert!(body.contains(from), "the snapshot has {from}");
+        sealed(body.replacen(from, to, 1))
+    };
+    // A version bump: only the version check fires.
+    assert_cold_fallback(&w, &cold, with("\"v\":1", "\"v\":2"), "version-bumped");
+    // Header counts no file could hold (the reader must not size a vector
+    // from them: 2^64-1 overflowed the capacity, 4e12 exhausted memory),
+    // two million open brackets (it must not recurse per bracket), and an
+    // id past 32 bits (the id constructors assert; the reader must not).
+    let good = Snapshot::from_bytes(&bytes).unwrap();
+    let methods = format!("\"methods\":{},", good.methods.len());
+    let decisions = format!("\"decisions\":{}}}", good.decisions.len());
+    let forgeries = [
+        (methods.as_str(), format!("\"methods\":{},", u64::MAX)),
+        (methods.as_str(), "\"methods\":4000000000000,".to_string()),
+        (decisions.as_str(), format!("\"decisions\":{}}}", u64::MAX)),
+        (
+            "\"blocks\":[",
+            format!("\"blocks\":{}", "[".repeat(2_000_000)),
+        ),
+        ("\"method\":", "\"method\":4294967296".to_string()),
+    ];
+    for (from, to) in forgeries {
+        let forged = with(from, &to);
+        assert!(
+            matches!(
+                Snapshot::from_bytes(&forged),
+                Err(SnapshotError::Corrupt(_))
+            ),
+            "{from} forged: corrupt, though the checksum holds"
+        );
+        assert_cold_fallback(&w, &cold, forged, from);
+    }
     // Garbage that is not even JSONL.
     assert_cold_fallback(&w, &cold, b"not a snapshot at all".to_vec(), "garbage");
     // Well-formed, right program, valid checksum — but a record names an
     // id the program does not have. Profile tables and the machine's
     // method table are indexed by these ids, so the loader must refuse
     // before sizing or indexing one.
-    let good = Snapshot::from_bytes(&bytes).unwrap();
     let far = 4_000_000_000usize;
     type Tamper = fn(&mut Snapshot, usize);
     let tampers: [(&str, Tamper); 6] = [

@@ -120,9 +120,8 @@ fn jsonl_identical_across_worker_pool_sizes() {
     // The tentpole trace-determinism property: the worker pool must be
     // invisible in the JSONL stream. The broker buffers each request's
     // events on the worker and replays the buffers in request-id order at
-    // the install point, so the raw bytes — not just some canonical
-    // sort — are identical for 0, 1 and 4 workers, with and without the
-    // deoptimization lifecycle in the stream.
+    // the install point, so the raw bytes are identical for 0, 1 and 4
+    // workers, with and without the deoptimization lifecycle in the stream.
     for (bench, deopt) in [("scalatest", false), ("phase_change", true)] {
         let w = || incline::workloads::by_name(bench).expect("benchmark exists");
         let reference = jsonl_trace_threads(w(), deopt, 0);
@@ -132,23 +131,6 @@ fn jsonl_identical_across_worker_pool_sizes() {
             assert_eq!(
                 reference, got,
                 "{bench}: raw JSONL must not depend on compile_threads={threads}"
-            );
-        }
-        // The canonical per-method sort is stable and idempotent on top of
-        // the already-deterministic stream: sorting cannot un-determinize.
-        let text = String::from_utf8(reference).expect("JSONL is UTF-8");
-        let sorted = incline::trace::order::sort_jsonl_by_method(&text);
-        assert_eq!(
-            incline::trace::order::sort_jsonl_by_method(&sorted),
-            sorted,
-            "canonicalization must be idempotent"
-        );
-        for threads in [1usize, 4] {
-            let got = String::from_utf8(jsonl_trace_threads(w(), deopt, threads)).expect("UTF-8");
-            assert_eq!(
-                incline::trace::order::sort_jsonl_by_method(&got),
-                sorted,
-                "{bench}: canonically sorted JSONL must match at compile_threads={threads}"
             );
         }
     }
