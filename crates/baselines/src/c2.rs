@@ -105,7 +105,8 @@ impl Inliner for C2Inliner {
             cx.fuel,
             cx.trace,
             OptPhase::Baseline,
-        );
+        )
+        .stats;
         let final_size = graph.size();
         Ok(CompileOutcome {
             graph,

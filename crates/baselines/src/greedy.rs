@@ -249,7 +249,8 @@ impl Inliner for GreedyInliner {
             cx.fuel,
             cx.trace,
             OptPhase::Baseline,
-        );
+        )
+        .stats;
         let final_size = graph.size();
         Ok(CompileOutcome {
             graph,

@@ -79,7 +79,8 @@ impl IncrementalInliner {
     /// inlining step and specialization refresh asserts that the numbers the
     /// call tree stores or sweeps — `|ir(n)|`, `S_ir`, `S_b`, `N_c`, the
     /// intrinsic priorities and the open-cutoff flags — equal the recursive,
-    /// freshly measured reference, bit for bit.
+    /// freshly measured reference, bit for bit, and that the shape analyses
+    /// cached on the root and on every attached graph equal a fresh walk.
     ///
     /// # Errors
     ///
@@ -106,20 +107,13 @@ impl IncrementalInliner {
         let config = &self.config;
         let mut opt_total = OptStats::new();
 
-        let mut graph = cx.program.method(method).graph.clone();
+        let graph = cx.program.method(method).graph.clone();
         if !cx.charge(graph.size() as u64) {
             return Err(out_of_fuel(cx.fuel));
         }
-        opt_total += incline_trace::optimize_with_trace(
-            cx.program,
-            &mut graph,
-            Default::default(),
-            cx.fuel,
-            cx.trace,
-            OptPhase::Initial,
-        );
-
-        let mut tree = CallTree::new(method, graph, cx, config);
+        let mut tree = CallTree::with_root(method, graph);
+        opt_total += tree.optimize_root(cx, OptPhase::Initial);
+        tree.create_children(tree.root(), cx, config);
         let mut rounds = 0u64;
         let mut inlined_calls = 0u64;
         let mut speculative_sites = 0u64;
@@ -146,17 +140,9 @@ impl IncrementalInliner {
             inlined_calls += inlined;
 
             // End of round (§IV, Other optimizations): read–write
-            // elimination and loop peeling run on the root.
-            opt_total += tree.edit_root(|root| {
-                incline_trace::optimize_with_trace(
-                    cx.program,
-                    root,
-                    Default::default(),
-                    cx.fuel,
-                    cx.trace,
-                    OptPhase::Round,
-                )
-            });
+            // elimination and loop peeling run on the root — unless the
+            // round inlined nothing into a root already at its fixpoint.
+            opt_total += tree.optimize_root(cx, OptPhase::Round);
             let live = RootIndex::new(tree.root_graph());
             tree.sync_root_children(cx, &live);
             refresh_specializations(&mut tree, cx, config, &live, audit);
@@ -193,16 +179,7 @@ impl IncrementalInliner {
             }
         }
 
-        opt_total += tree.edit_root(|root| {
-            incline_trace::optimize_with_trace(
-                cx.program,
-                root,
-                Default::default(),
-                cx.fuel,
-                cx.trace,
-                OptPhase::Final,
-            )
-        });
+        opt_total += tree.optimize_root(cx, OptPhase::Final);
         let final_size = tree.root_size();
         let explored = tree.explored_nodes;
         Ok(CompileOutcome {
@@ -847,8 +824,14 @@ mod reference {
                 &fresh
             }
         };
+        // The analyses cached on the graphs the tree reads must be those of
+        // the graphs as they are.
+        tree.root_graph().assert_shape_analyses_fresh();
         for n in tree.node_ids() {
             let kind = tree.node(n).kind;
+            if let Some(graph) = &tree.node(n).graph {
+                graph.assert_shape_analyses_fresh();
+            }
             assert_eq!(
                 tree.ir_size(n, cx).to_bits(),
                 tree.reference_ir_size(n, cx).to_bits(),

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use incline_ir::graph::{CallTarget, Op};
 use incline_ir::ids::{BlockId, CallSiteId, ClassId, InstId, MethodId};
 use incline_ir::{Graph, GraphPool, StructuralHasher, Type};
+use incline_opt::OptStats;
 use incline_vm::{CompileCx, TrialKey, TrialOutcome};
 
 use crate::metrics::Tuple;
@@ -132,6 +133,11 @@ pub struct CallTree {
     root_graph: Graph,
     /// `root_graph.size()`.
     root_size: usize,
+    /// Whether the last pipeline run on the root left it at its fixpoint
+    /// (`PipelineRun::converged`) and nothing has edited it since. Set by
+    /// [`CallTree::optimize_root`] only, cleared by every
+    /// [`CallTree::edit_root`].
+    root_converged: bool,
     root_method: MethodId,
     /// Total IR nodes attached by expansions (compile-work accounting).
     pub explored_nodes: usize,
@@ -150,20 +156,28 @@ impl CallTree {
         cx: &CompileCx<'_>,
         config: &PolicyConfig,
     ) -> Self {
-        let mut tree = CallTree {
-            nodes: Vec::new(),
+        let mut tree = Self::with_root(method, root_graph);
+        tree.create_children(tree.root, cx, config);
+        tree
+    }
+
+    /// The tree of [`CallTree::new`] before the root has children: a
+    /// compilation optimizes the root first ([`CallTree::optimize_root`])
+    /// and hangs the callsites that survive under it
+    /// ([`CallTree::create_children`]).
+    pub fn with_root(method: MethodId, root_graph: Graph) -> Self {
+        let mut root = CallNode::new(NodeKind::Root);
+        root.method = Some(method);
+        CallTree {
+            nodes: vec![root],
             root: NodeId(0),
             root_size: root_graph.size(),
+            root_converged: false,
             root_graph,
             root_method: method,
             explored_nodes: 0,
             pool: GraphPool::new(),
-        };
-        let mut root = CallNode::new(NodeKind::Root);
-        root.method = Some(method);
-        tree.nodes.push(root);
-        tree.create_children(tree.root, cx, config);
-        tree
+        }
     }
 
     /// The root node id.
@@ -213,9 +227,39 @@ impl CallTree {
 
     /// Changes the root graph and re-measures it.
     pub fn edit_root<R>(&mut self, edit: impl FnOnce(&mut Graph) -> R) -> R {
+        self.root_converged = false;
         let result = edit(&mut self.root_graph);
         self.root_size = self.root_graph.size();
         result
+    }
+
+    /// Runs the optimization pipeline on the root (§IV: at the start, at
+    /// the end of every round, at the end of the compilation) and returns
+    /// what it counted.
+    ///
+    /// Remembers whether the run left the root at the pipeline's fixpoint.
+    /// While no [`CallTree::edit_root`] has touched the root since, the next
+    /// call is [`incline_opt::optimize_converged`]: the fuel such a run
+    /// pays, in the order it pays it, and nothing else — it would change,
+    /// count and emit nothing. That is every round that inlined nothing and
+    /// every final run: three quarters of all runs.
+    pub fn optimize_root(
+        &mut self,
+        cx: &CompileCx<'_>,
+        phase: incline_trace::OptPhase,
+    ) -> OptStats {
+        let config = incline_opt::PipelineConfig::default();
+        let run = if self.root_converged {
+            incline_opt::optimize_converged(&self.root_graph, config, cx.fuel)
+        } else {
+            self.edit_root(|root| {
+                incline_trace::optimize_with_trace(
+                    cx.program, root, config, cx.fuel, cx.trace, phase,
+                )
+            })
+        };
+        self.root_converged = run.converged;
+        run.stats
     }
 
     /// Ends the compilation: the root graph is the result.
@@ -616,7 +660,8 @@ impl CallTree {
                 &incline_opt::UNLIMITED_FUEL,
                 &local,
                 incline_trace::OptPhase::Trial,
-            );
+            )
+            .stats;
             let events = local.take();
             for e in &events {
                 cx.trace.emit(e.clone());
@@ -630,7 +675,8 @@ impl CallTree {
                 &incline_opt::UNLIMITED_FUEL,
                 cx.trace,
                 incline_trace::OptPhase::Trial,
-            );
+            )
+            .stats;
             (stats.simple_count(), Vec::new())
         };
         if let (Some(trials), Some(key)) = (cx.trials, key) {
@@ -747,7 +793,7 @@ impl RootIndex {
     /// Indexes the reachable blocks of `graph`.
     pub(crate) fn new(graph: &Graph) -> Self {
         let mut block_of = vec![None; graph.inst_count()];
-        for b in graph.reachable_blocks() {
+        for &b in graph.block_order().iter() {
             for &i in &graph.block(b).insts {
                 block_of[i.index()] = Some(b);
             }

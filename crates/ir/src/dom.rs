@@ -14,7 +14,7 @@ use crate::ids::BlockId;
 const UNREACHABLE: u32 = u32::MAX;
 
 /// Immediate-dominator tree for the reachable blocks of a graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DomTree {
     /// Reverse postorder of reachable blocks.
     rpo: Vec<BlockId>,
@@ -37,7 +37,8 @@ pub struct DomTree {
 }
 
 impl DomTree {
-    /// Computes the dominator tree of `graph`.
+    /// Computes the dominator tree of `graph` afresh: the specification of
+    /// [`Graph::dom_tree`], which optimization passes share instead.
     pub fn compute(graph: &Graph) -> Self {
         Self::with_rpo(graph, reverse_postorder(graph))
     }

@@ -42,7 +42,7 @@ pub fn graph_to_dot(program: &Program, graph: &Graph, name: &str) -> String {
         out,
         "  node [shape=record, fontname=\"monospace\", fontsize=10];"
     );
-    for b in graph.reachable_blocks() {
+    for &b in graph.block_order().iter() {
         let bd = graph.block(b);
         let params = bd
             .params

@@ -8,7 +8,11 @@
 //! call-tree nodes, specializes them and finally transplants them into the
 //! root method (see [`crate::inline`]).
 
+use std::sync::{Arc, OnceLock};
+
+use crate::dom::DomTree;
 use crate::ids::{BlockId, CallSiteId, ClassId, FieldId, InstId, MethodId, SelectorId, ValueId};
+use crate::loops::LoopForest;
 use crate::types::{ElemType, Type};
 
 /// Integer and float binary arithmetic operators.
@@ -560,6 +564,29 @@ pub struct Graph {
     insts: Vec<InstData>,
     blocks: Vec<BlockData>,
     entry: BlockId,
+    shape: ShapeAnalyses,
+}
+
+/// The analyses that depend on nothing but the CFG's shape — which blocks
+/// there are and where their terminators lead — computed when first asked
+/// for and kept until an edit that can change a successor.
+///
+/// Every method of [`Graph`] that hands out a terminator or adds a block
+/// empties this first ([`Graph::set_terminator`], [`Graph::fold_branch`],
+/// [`Graph::block_mut`], [`Graph::add_block`]); no other method can reach
+/// one, so a filled slot is always the analysis of the graph as it is. The
+/// slots are handles: a sweep that edits the shape while it walks keeps the
+/// order it started with alive by holding its own, and a clone of the graph
+/// — same shape — shares them.
+#[derive(Clone, Debug, Default)]
+struct ShapeAnalyses {
+    /// [`Graph::block_order`]: a word per block, wanted by every reader, so
+    /// it stays for as long as the shape does.
+    order: OnceLock<Arc<[BlockId]>>,
+    /// [`Graph::dom_tree`]: ten times that and wanted by optimization
+    /// passes only, so the pipeline lets go of it when a run ends
+    /// ([`Graph::release_dom_tree`]) and graphs at rest carry none.
+    dom: OnceLock<Arc<DomTree>>,
 }
 
 impl Clone for Graph {
@@ -569,6 +596,7 @@ impl Clone for Graph {
             insts: self.insts.clone(),
             blocks: self.blocks.clone(),
             entry: self.entry,
+            shape: self.shape.clone(),
         }
     }
 
@@ -580,6 +608,7 @@ impl Clone for Graph {
         self.insts.clone_from(&source.insts);
         self.blocks.clone_from(&source.blocks);
         self.entry = source.entry;
+        self.shape.clone_from(&source.shape);
     }
 }
 
@@ -601,6 +630,7 @@ impl Graph {
                 term: Terminator::Unterminated,
             }],
             entry: BlockId::new(0),
+            shape: ShapeAnalyses::default(),
         }
     }
 
@@ -609,8 +639,10 @@ impl Graph {
         self.entry
     }
 
-    /// Adds a new empty block and returns its id.
+    /// Adds a new empty block and returns its id. Drops the cached shape
+    /// analyses: their tables are sized by the block count.
     pub fn add_block(&mut self) -> BlockId {
+        self.shape = ShapeAnalyses::default();
         let id = BlockId::new(self.blocks.len());
         self.blocks.push(BlockData {
             params: Vec::new(),
@@ -669,18 +701,21 @@ impl Graph {
         self.blocks[block.index()].insts.insert(pos, inst);
     }
 
-    /// Sets the terminator of `block`.
+    /// Sets the terminator of `block`. Drops the cached shape analyses.
     pub fn set_terminator(&mut self, block: BlockId, term: Terminator) {
+        self.shape = ShapeAnalyses::default();
         self.blocks[block.index()].term = term;
     }
 
     /// Replaces the two-way branch ending `block` by a jump along its then
     /// arm (`take_then`) or its else arm, keeping that arm's arguments.
+    /// Drops the cached shape analyses.
     ///
     /// # Panics
     ///
     /// Panics if `block` does not end in a branch.
     pub fn fold_branch(&mut self, block: BlockId, take_then: bool) {
+        self.shape = ShapeAnalyses::default();
         let term = &mut self.blocks[block.index()].term;
         let Terminator::Branch {
             then_dest,
@@ -699,9 +734,27 @@ impl Graph {
         &self.blocks[id.index()]
     }
 
-    /// Mutable block data.
+    /// Mutable block data, terminator included — so this drops the cached
+    /// shape analyses. Edits that cannot retarget an edge go through
+    /// [`Graph::insts_mut`] and [`Graph::for_each_term_use_mut`], which
+    /// keep them.
     pub fn block_mut(&mut self, id: BlockId) -> &mut BlockData {
+        self.shape = ShapeAnalyses::default();
         &mut self.blocks[id.index()]
+    }
+
+    /// The instruction list of `block`, for passes that rebuild it in
+    /// place. Cannot reach the terminator, so the cached shape analyses
+    /// stay.
+    pub fn insts_mut(&mut self, block: BlockId) -> &mut Vec<InstId> {
+        &mut self.blocks[block.index()].insts
+    }
+
+    /// Calls `f` on every value slot of `block`'s terminator (see
+    /// [`Terminator::for_each_use_mut`]). Operands only, never a
+    /// destination, so the cached shape analyses stay.
+    pub fn for_each_term_use_mut(&mut self, block: BlockId, f: impl FnMut(&mut ValueId)) {
+        self.blocks[block.index()].term.for_each_use_mut(f);
     }
 
     /// Returns instruction data.
@@ -749,7 +802,66 @@ impl Graph {
         (0..self.blocks.len()).map(BlockId::new)
     }
 
-    /// Blocks reachable from the entry, in depth-first preorder.
+    /// Blocks reachable from the entry, in depth-first preorder: the order
+    /// every sweep over the graph visits them in. Computed on first use per
+    /// CFG shape and then shared; equal to [`Graph::reachable_blocks`].
+    ///
+    /// A sweep that only reads borrows it; one that edits the graph as it
+    /// goes clones the handle (no copy), and thereby keeps walking the
+    /// order it started with even when its own edits change the shape.
+    pub fn block_order(&self) -> &Arc<[BlockId]> {
+        self.shape
+            .order
+            .get_or_init(|| self.reachable_blocks().into())
+    }
+
+    /// The dominator tree, with the predecessor table it was built from
+    /// ([`DomTree::preds`]). Computed on first use per CFG shape and then
+    /// shared; equal to [`DomTree::compute`].
+    pub fn dom_tree(&self) -> &Arc<DomTree> {
+        self.shape
+            .dom
+            .get_or_init(|| Arc::new(DomTree::compute(self)))
+    }
+
+    /// Lets go of the cached dominator tree. The pipeline calls this when a
+    /// run is over: no later reader exists — the next thing to happen to
+    /// the graph is an edit that would drop the tree anyway, or nothing —
+    /// while the graph may live long (an expanded call-tree node, a
+    /// trial-cache entry, installed code).
+    pub fn release_dom_tree(&mut self) {
+        self.shape.dom = OnceLock::new();
+    }
+
+    /// The natural loops: from the dominator tree when the graph already
+    /// has one, otherwise by [`LoopForest::compute`], which finds out that
+    /// there is no loop — the common case — without building a tree. Not
+    /// kept: whoever finds a loop changes the shape next.
+    pub fn loop_forest(&self) -> LoopForest {
+        match self.shape.dom.get() {
+            Some(dom) => LoopForest::compute_with(self, dom),
+            None => LoopForest::compute(self),
+        }
+    }
+
+    /// Asserts that every cached shape analysis equals its uncached
+    /// specification — the audit of [`ShapeAnalyses`]' invalidation rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale analysis.
+    #[cfg(any(test, debug_assertions))]
+    pub fn assert_shape_analyses_fresh(&self) {
+        if let Some(order) = self.shape.order.get() {
+            assert_eq!(order[..], self.reachable_blocks()[..], "stale block order");
+        }
+        if let Some(dom) = self.shape.dom.get() {
+            assert!(**dom == DomTree::compute(self), "stale dominator tree");
+        }
+    }
+
+    /// Blocks reachable from the entry, in depth-first preorder, by a fresh
+    /// walk: the specification of [`Graph::block_order`].
     pub fn reachable_blocks(&self) -> Vec<BlockId> {
         let mut seen = vec![false; self.blocks.len()];
         let mut order = Vec::new();
@@ -770,13 +882,13 @@ impl Graph {
     /// Predecessor table over reachable blocks, in depth-first preorder
     /// of the predecessors.
     pub fn predecessors(&self) -> Preds {
-        Preds::over(self, &self.reachable_blocks())
+        Preds::over(self, self.block_order())
     }
 
     /// The paper's `|ir(n)|`: number of live IR nodes — block parameters,
     /// instructions and terminators of reachable blocks.
     pub fn size(&self) -> usize {
-        self.reachable_blocks()
+        self.block_order()
             .iter()
             .map(|&b| {
                 let bd = &self.blocks[b.index()];
@@ -788,7 +900,7 @@ impl Graph {
     /// All call instructions in reachable blocks, in block order.
     pub fn callsites(&self) -> Vec<(BlockId, InstId)> {
         let mut out = Vec::new();
-        for b in self.reachable_blocks() {
+        for &b in self.block_order().iter() {
             for &i in &self.blocks[b.index()].insts {
                 if matches!(self.insts[i.index()].op, Op::Call(_)) {
                     out.push((b, i));
@@ -893,7 +1005,7 @@ impl Graph {
     /// `CallSiteId`s stored inside call instructions are preserved.
     pub fn compacted(&self) -> Graph {
         let mut out = Graph::empty();
-        let reachable = self.reachable_blocks();
+        let reachable = self.block_order();
         // Old id → new id, dense; `None` marks what compaction drops.
         let mut block_map: Vec<Option<BlockId>> = vec![None; self.blocks.len()];
         let mut value_map: Vec<Option<ValueId>> = vec![None; self.values.len()];
@@ -912,7 +1024,7 @@ impl Graph {
         // Pass 2: instruction shells (fresh results; args later), remembered
         // in creation order for pass 3.
         let mut new_insts: Vec<InstId> = Vec::new();
-        for &b in &reachable {
+        for &b in reachable.iter() {
             for &i in &self.block(b).insts {
                 let data = self.inst(i);
                 let result_ty = data.result.map(|r| self.value_type(r));
@@ -931,7 +1043,7 @@ impl Graph {
         let map_args =
             |args: &[ValueId]| -> Vec<ValueId> { args.iter().map(|&a| map_v(a)).collect() };
         let mut new_insts = new_insts.into_iter();
-        for &b in &reachable {
+        for &b in reachable.iter() {
             for &i in &self.block(b).insts {
                 let ni = new_insts.next().expect("one shell per instruction");
                 out.inst_mut(ni).args = map_args(&self.inst(i).args);
@@ -960,15 +1072,15 @@ impl Graph {
     /// block parameters (ids + types), instructions (op, operands, result),
     /// and terminators, walked in depth-first preorder. Two graphs that
     /// print identically fingerprint identically; the hash never allocates
-    /// beyond the reachability scratch, unlike hashing the printed text.
+    /// (the block order is shared), unlike hashing the printed text.
     ///
     /// This is the `graph_fp` component of the deep-inlining trial-cache
     /// key (DESIGN.md §15).
     pub fn fingerprint(&self) -> u64 {
         let mut h = StructuralHasher::new();
-        let reach = self.reachable_blocks();
+        let reach = self.block_order();
         h.write_u64(reach.len() as u64);
-        for &b in &reach {
+        for &b in reach.iter() {
             let bd = &self.blocks[b.index()];
             h.write_u64(b.index() as u64);
             h.write_u64(bd.params.len() as u64);
@@ -1006,7 +1118,7 @@ impl Graph {
 /// block lists its source twice there, so `of(b).len()` counts incoming
 /// *edges*. Unreachable sources are not listed, and unreachable blocks have
 /// no predecessors.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Preds {
     /// `edges[starts[b] .. starts[b + 1]]` are the predecessors of block `b`.
     starts: Vec<u32>,
@@ -1296,6 +1408,9 @@ impl GraphPool {
         self.free.len()
     }
 }
+
+#[cfg(test)]
+mod coherence;
 
 #[cfg(test)]
 mod tests {

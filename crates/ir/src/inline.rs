@@ -96,12 +96,12 @@ pub fn inline_call(
     caller.neutralize_inst(call);
 
     // --- clone callee blocks ------------------------------------------------
-    let callee_blocks = callee.reachable_blocks();
+    let callee_blocks = callee.block_order();
     let mut block_map: Vec<Option<BlockId>> = vec![None; callee.block_count()];
     let mut value_map: Vec<Option<ValueId>> = vec![None; callee.value_count()];
 
     // Pass 1: block shells and parameters.
-    for &cb in &callee_blocks {
+    for &cb in callee_blocks.iter() {
         let nb = caller.add_block();
         block_map[cb.index()] = Some(nb);
         for &p in &callee.block(cb).params {
@@ -115,7 +115,7 @@ pub fn inline_call(
     // that forward references across blocks resolve).
     let mut inst_map: Vec<Option<InstId>> = vec![None; callee.inst_count()];
     let mut calls: Vec<(InstId, InstId)> = Vec::new();
-    for &cb in &callee_blocks {
+    for &cb in callee_blocks.iter() {
         let nb = map_b(cb);
         for &ci in &callee.block(cb).insts {
             let cinst = callee.inst(ci);
@@ -137,7 +137,7 @@ pub fn inline_call(
     };
     let map_args = |args: &[ValueId]| -> Vec<ValueId> { args.iter().map(|&a| map_v(a)).collect() };
     let mut return_edges = 0;
-    for &cb in &callee_blocks {
+    for &cb in callee_blocks.iter() {
         for &ci in &callee.block(cb).insts {
             let ni = inst_map[ci.index()].expect("cloned in pass 2");
             caller.inst_mut(ni).args = map_args(&callee.inst(ci).args);

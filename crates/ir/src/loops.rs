@@ -11,7 +11,7 @@ use crate::graph::Graph;
 use crate::ids::BlockId;
 
 /// One natural loop.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Loop {
     /// The loop header (dominates all body blocks).
     pub header: BlockId,
@@ -29,7 +29,7 @@ impl Loop {
 }
 
 /// All natural loops of a graph, with a per-block nesting depth.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoopForest {
     /// Loops, one per distinct header (back edges to a header are merged),
     /// in ascending header order.
@@ -40,7 +40,9 @@ pub struct LoopForest {
 }
 
 impl LoopForest {
-    /// Computes the loop forest of `graph`.
+    /// Computes the loop forest of `graph` from nothing. Optimization
+    /// passes ask [`Graph::loop_forest`], which reuses the graph's
+    /// dominator tree when it has one.
     pub fn compute(graph: &Graph) -> Self {
         // A loop needs an edge that goes backwards in reverse postorder;
         // most graphs the optimizer sees have none, and then neither the
@@ -63,18 +65,20 @@ impl LoopForest {
         Self::compute_with(graph, &DomTree::with_rpo(graph, rpo))
     }
 
-    /// Computes the loop forest with a precomputed dominator tree.
+    /// Computes the loop forest with a precomputed dominator tree. Without
+    /// a back edge — most graphs — nothing is allocated.
     pub fn compute_with(graph: &Graph, dom: &DomTree) -> Self {
         let blocks = graph.block_count();
         // Back edges in reverse postorder of their tails, grouped by header:
         // `loop_of[h]` is the index into `loops` of header `h`.
         const NO_LOOP: u32 = u32::MAX;
-        let mut loop_of = vec![NO_LOOP; blocks];
+        let mut loop_of: Vec<u32> = Vec::new();
         let mut loops: Vec<Loop> = Vec::new();
         for &b in dom.rpo() {
             for succ in graph.block(b).term.successors() {
                 if dom.dominates(succ, b) {
                     // b -> succ is a back edge; succ is the header.
+                    loop_of.resize(blocks, NO_LOOP);
                     if loop_of[succ.index()] == NO_LOOP {
                         loop_of[succ.index()] = loops.len() as u32;
                         loops.push(Loop {

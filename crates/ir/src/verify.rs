@@ -107,6 +107,9 @@ pub fn verify_graph(
         }
     }
 
+    // A tree of its own rather than `graph.dom_tree()`: what gets verified
+    // is a method body or code about to be installed, checked once and kept
+    // for long, and the shared tree would stay on it.
     let dom = DomTree::compute(graph);
     let reachable = dom.rpo();
 

@@ -67,10 +67,7 @@ impl Aliases {
             return;
         }
         for &b in blocks {
-            graph
-                .block_mut(b)
-                .term
-                .for_each_use_mut(|v| *v = self.resolve(*v));
+            graph.for_each_term_use_mut(b, |v| *v = self.resolve(*v));
         }
     }
 

@@ -18,6 +18,8 @@
 //! All rewrites are counted in [`OptStats`]; the *simple* ones feed the
 //! inliner's benefit estimate `N_o(n)` (Equation 4 of the paper).
 
+use std::sync::Arc;
+
 use incline_ir::eval;
 use incline_ir::graph::{BinOp, CallInfo, CallTarget, CmpOp, Op, Terminator};
 use incline_ir::ids::{BlockId, InstId, ValueId};
@@ -70,11 +72,11 @@ enum Rewrite {
 fn fold_insts(program: &Program, graph: &mut Graph, stats: &mut OptStats) -> bool {
     let mut changed = false;
     let mut aliases = Aliases::new();
-    let order = graph.reachable_blocks();
-    for &block in &order {
+    let order = Arc::clone(graph.block_order());
+    for &block in order.iter() {
         // The block's list is rebuilt as it is swept: rewrites insert and
         // drop instructions without searching or shifting.
-        let insts = std::mem::take(&mut graph.block_mut(block).insts);
+        let insts = std::mem::take(graph.insts_mut(block));
         let mut kept: Vec<InstId> = Vec::with_capacity(insts.len());
         for inst in insts {
             aliases.resolve_all(&mut graph.inst_mut(inst).args);
@@ -86,7 +88,7 @@ fn fold_insts(program: &Program, graph: &mut Graph, stats: &mut OptStats) -> boo
             *bump_field(stats, bump) += 1;
             changed = true;
         }
-        graph.block_mut(block).insts = kept;
+        *graph.insts_mut(block) = kept;
     }
     aliases.apply_to_terminators(graph, &order);
     changed
@@ -495,7 +497,10 @@ fn is_allocation(graph: &Graph, v: ValueId) -> bool {
 
 fn prune_branches(graph: &mut Graph, stats: &mut OptStats) -> bool {
     let mut changed = false;
-    for block in graph.reachable_blocks() {
+    // The order as it is before the first fold: blocks a fold cuts off are
+    // still visited, as they always were.
+    let order = Arc::clone(graph.block_order());
+    for &block in order.iter() {
         let Terminator::Branch {
             cond,
             then_dest,
@@ -531,9 +536,9 @@ fn prune_branches(graph: &mut Graph, stats: &mut OptStats) -> bool {
 /// absorbed blocks' parameters are replaced by the jump arguments through
 /// one alias table, applied in one closing sweep.
 fn merge_blocks(graph: &mut Graph, stats: &mut OptStats) -> bool {
-    let order = graph.reachable_blocks();
+    let order = Arc::clone(graph.block_order());
     let mut incoming = vec![0u32; graph.block_count()];
-    for &b in &order {
+    for &b in order.iter() {
         for s in graph.block(b).term.successors() {
             incoming[s.index()] += 1;
         }
@@ -542,7 +547,7 @@ fn merge_blocks(graph: &mut Graph, stats: &mut OptStats) -> bool {
     let mut aliases = Aliases::new();
     let mut absorbed = vec![false; graph.block_count()];
     let mut merged = false;
-    for &head in &order {
+    for &head in order.iter() {
         if absorbed[head.index()] {
             continue;
         }
@@ -573,7 +578,11 @@ fn merge_blocks(graph: &mut Graph, stats: &mut OptStats) -> bool {
         }
     }
     if merged {
-        let survivors: Vec<BlockId> = order.into_iter().filter(|b| !absorbed[b.index()]).collect();
+        let survivors: Vec<BlockId> = order
+            .iter()
+            .copied()
+            .filter(|b| !absorbed[b.index()])
+            .collect();
         aliases.apply(graph, &survivors);
     }
     merged
@@ -897,6 +906,46 @@ mod tests {
         assert_eq!(stats.strength_red, LINKS as u64);
         assert_eq!(g.block(e).term, Terminator::Return(Some(x)));
         assert_eq!(g.block(e).insts.len(), 1, "only the constant is left");
+    }
+
+    /// Hostile shape for the cached block order: a ladder of 5 000 diamonds
+    /// on a constant condition. One `prune_branches` sweep folds 5 000
+    /// branches and the next `merge_blocks` splices the whole chain; every
+    /// one of those edits drops the graph's cached analyses. A sweep that
+    /// asked for the order again after each of its own edits would walk
+    /// 15 000 blocks 15 000 times — the sweep holds the order it started
+    /// with, and the edits cost one walk afterwards.
+    #[test]
+    fn prunes_and_splices_a_5_000_rung_constant_ladder() {
+        const RUNGS: usize = 5_000;
+        let p = Program::new();
+        let mut g = Graph::empty();
+        let x = g.add_block_param(g.entry(), Type::Int);
+        let c = g.append(g.entry(), Op::ConstBool(true), vec![], Some(Type::Bool));
+        let c = c.1.expect("a constant has a result");
+        let mut head = g.entry();
+        for _ in 0..RUNGS {
+            let (t, f, join) = (g.add_block(), g.add_block(), g.add_block());
+            g.set_terminator(
+                head,
+                Terminator::Branch {
+                    cond: c,
+                    then_dest: (t, vec![]),
+                    else_dest: (f, vec![]),
+                },
+            );
+            g.set_terminator(t, Terminator::Jump(join, vec![]));
+            g.set_terminator(f, Terminator::Jump(join, vec![]));
+            head = join;
+        }
+        g.set_terminator(head, Terminator::Return(Some(x)));
+        assert_eq!(g.block_order().len(), 3 * RUNGS + 1);
+
+        let stats = opt(&p, &mut g);
+        assert_eq!(stats.branch_prune, RUNGS as u64);
+        assert_eq!(stats.blocks_merged, 2 * RUNGS as u64);
+        assert_eq!(g.block_order()[..], [g.entry()]);
+        assert_eq!(g.block(g.entry()).term, Terminator::Return(Some(x)));
     }
 
     /// A branch whose arms are the same edge counts twice among the

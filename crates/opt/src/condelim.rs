@@ -10,6 +10,8 @@
 //! branch pruning, and matters after inlining duplicates guard patterns
 //! (e.g. two inlined bodies both checking `mode == FAST`).
 
+use std::sync::Arc;
+
 use incline_ir::dom::DomTree;
 use incline_ir::graph::{Op, Terminator};
 use incline_ir::ids::{BlockId, ValueId};
@@ -26,11 +28,13 @@ pub fn cond_elim(graph: &mut Graph) -> OptStats {
             .any(|b| matches!(g.block(b).term, Terminator::Branch { .. }))
     };
     while branches(graph) {
-        let dom = DomTree::compute(graph);
+        // The walk keeps the tree it started with while its folds drop the
+        // graph's.
+        let dom = Arc::clone(graph.dom_tree());
         if !walk(graph, &dom, &mut stats) {
             break;
         }
-        // CFG changed: recompute dominance and retry (rarely loops twice).
+        // CFG changed: the next turn gets a new tree (rarely loops twice).
     }
     stats
 }

@@ -6,6 +6,8 @@
 //! and an operand whose last use that was joins the worklist — one count of
 //! the uses and one sweep of the blocks, however long the chains.
 
+use std::sync::Arc;
+
 use incline_ir::ids::InstId;
 use incline_ir::{Graph, ValueDef};
 
@@ -14,13 +16,13 @@ use crate::stats::OptStats;
 /// Removes dead instructions; returns counts (`stats.dce`).
 pub fn dce(graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
-    let reachable = graph.reachable_blocks();
+    let reachable = Arc::clone(graph.block_order());
 
     // Uses of every value by reachable instructions and terminators, and
     // which instructions those are (only they can be removed).
     let mut uses = vec![0u32; graph.value_count()];
     let mut placed = vec![false; graph.inst_count()];
-    for &b in &reachable {
+    for &b in reachable.iter() {
         for &i in &graph.block(b).insts {
             placed[i.index()] = true;
             for &a in &graph.inst(i).args {
@@ -38,7 +40,7 @@ pub fn dce(graph: &mut Graph) -> OptStats {
     };
     let mut dead = vec![false; graph.inst_count()];
     let mut work: Vec<InstId> = Vec::new();
-    for &b in &reachable {
+    for &b in reachable.iter() {
         for &i in &graph.block(b).insts {
             if unused(graph, &uses, i) {
                 dead[i.index()] = true;
@@ -60,15 +62,15 @@ pub fn dce(graph: &mut Graph) -> OptStats {
     }
 
     if stats.dce > 0 {
-        for &b in &reachable {
-            let mut insts = std::mem::take(&mut graph.block_mut(b).insts);
+        for &b in reachable.iter() {
+            let mut insts = std::mem::take(graph.insts_mut(b));
             insts.retain(|&i| {
                 if dead[i.index()] {
                     graph.neutralize_inst(i);
                 }
                 !dead[i.index()]
             });
-            graph.block_mut(b).insts = insts;
+            *graph.insts_mut(b) = insts;
         }
     }
     stats

@@ -5,7 +5,8 @@
 //! is replaced by it. Commutative operators are normalized by sorting their
 //! operands first.
 
-use incline_ir::dom::DomTree;
+use std::sync::Arc;
+
 use incline_ir::graph::Op;
 use incline_ir::ids::{BlockId, InstId, ValueId};
 use incline_ir::Graph;
@@ -69,7 +70,7 @@ fn key_of(graph: &Graph, inst: InstId) -> Option<Key> {
 /// the terminators in one closing sweep.
 pub fn gvn(graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
-    let dom = DomTree::compute(graph);
+    let dom = Arc::clone(graph.dom_tree());
     let mut scope: FastMap<Key, ValueId> = FastMap::default();
     let mut shadow: Vec<(Key, Option<ValueId>)> = Vec::new();
     let mut aliases = Aliases::new();
@@ -129,7 +130,7 @@ fn number_block(
     aliases: &mut Aliases,
     stats: &mut OptStats,
 ) {
-    let insts = std::mem::take(&mut graph.block_mut(block).insts);
+    let insts = std::mem::take(graph.insts_mut(block));
     let mut kept: Vec<InstId> = Vec::with_capacity(insts.len());
     for inst in insts {
         aliases.resolve_all(&mut graph.inst_mut(inst).args);
@@ -153,7 +154,7 @@ fn number_block(
             }
         }
     }
-    graph.block_mut(block).insts = kept;
+    *graph.insts_mut(block) = kept;
 }
 
 #[cfg(test)]

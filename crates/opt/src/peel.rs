@@ -11,7 +11,7 @@
 
 use incline_ir::graph::Terminator;
 use incline_ir::ids::{BlockId, InstId, ValueId};
-use incline_ir::loops::{Loop, LoopForest};
+use incline_ir::loops::Loop;
 use incline_ir::types::Type;
 use incline_ir::{Graph, Program};
 
@@ -31,11 +31,13 @@ const PEEL_SIZE_CAP: usize = 120;
 /// specialization is possible in the first iteration alone.
 pub fn peel_loops(program: &Program, graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
-    // Recompute after each peel: block sets change. (A graph without a
-    // retreating edge gets an empty forest without any analysis.)
+    // Recompute after each peel: block sets change. (After the scalar
+    // bundle the forest comes from the dominator tree the graph already
+    // has; a graph without one and without a retreating edge gets an empty
+    // forest without any analysis.)
     loop {
         type_prop(program, graph);
-        let forest = LoopForest::compute(graph);
+        let forest = graph.loop_forest();
         let candidate = forest.loops.iter().find(|l| should_peel(program, graph, l));
         match candidate {
             Some(l) => {
@@ -85,7 +87,7 @@ fn should_peel(program: &Program, graph: &Graph, l: &Loop) -> bool {
 /// (pred, args) pairs for edges into the header from outside the loop.
 fn entry_edges<'g>(graph: &'g Graph, l: &Loop) -> Vec<(BlockId, &'g [ValueId])> {
     let mut out = Vec::new();
-    for b in graph.reachable_blocks() {
+    for &b in graph.block_order().iter() {
         if l.contains(b) {
             continue;
         }
@@ -226,6 +228,7 @@ mod tests {
     use super::*;
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::graph::CmpOp;
+    use incline_ir::loops::LoopForest;
     use incline_ir::types::RetType;
     use incline_ir::verify::verify_graph;
 

@@ -8,12 +8,14 @@
 use incline_ir::{Graph, Program};
 
 use crate::canonicalize::canonicalize;
+use crate::condelim::cond_elim;
 use crate::dce::dce;
 use crate::fuel::{CompileFuel, UNLIMITED_FUEL};
 use crate::gvn::gvn;
 use crate::peel::peel_loops;
 use crate::rwelim::rw_elim;
 use crate::stats::OptStats;
+use crate::typeprop::type_prop;
 
 /// A stage of one pipeline invocation, for observers of per-stage
 /// [`OptStats`] deltas.
@@ -55,6 +57,45 @@ impl Default for PipelineConfig {
     }
 }
 
+/// What one pipeline run did and where it left the graph.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PipelineRun {
+    /// The summed events of every stage.
+    pub stats: OptStats,
+    /// Whether the run left the graph at the pipeline's fixpoint: every fuel
+    /// charge was granted, the last scalar round found nothing, and peeling
+    /// was off or peeled nothing. Running the same configuration again on
+    /// the graph as it is would change nothing — see
+    /// [`optimize_converged`]. Not a function of `stats`: a run that stops
+    /// at `max_rounds` while still progressing, runs out of fuel, or peels
+    /// (the clean-up after a peel is not the whole bundle) has not
+    /// converged, whatever it counted.
+    pub converged: bool,
+}
+
+type Pass = fn(&Program, &mut Graph) -> OptStats;
+
+/// The scalar bundle after type propagation, in pipeline order. The flag
+/// marks the passes that also clean up after a peel (narrowed types enable
+/// folding in the peeled copy; there is no new branch to learn from).
+const SCALAR_PASSES: [(Pass, bool); 5] = [
+    (canonicalize, true),
+    (|_, graph| gvn(graph), true),
+    (|_, graph| cond_elim(graph), false),
+    (rw_elim, true),
+    (|_, graph| dce(graph), true),
+];
+
+fn scalar_bundle(program: &Program, graph: &mut Graph, after_peel: bool) -> OptStats {
+    let mut stats = OptStats::new();
+    for (pass, cleans_up) in SCALAR_PASSES {
+        if cleans_up || !after_peel {
+            stats += pass(program, graph);
+        }
+    }
+    stats
+}
+
 /// Runs the full pipeline with the default configuration.
 pub fn optimize(program: &Program, graph: &mut Graph) -> OptStats {
     optimize_with(program, graph, PipelineConfig::default())
@@ -75,53 +116,82 @@ pub fn optimize_fueled(
     config: PipelineConfig,
     fuel: &CompileFuel,
 ) -> OptStats {
-    optimize_observed(program, graph, config, fuel, &mut |_, _| {})
+    optimize_observed(program, graph, config, fuel, &mut |_, _| {}).stats
 }
 
 /// [`optimize_fueled`] with a per-stage observer: after every fixpoint round
 /// of the scalar bundle and after the peeling step, `observer` receives the
-/// stage tag and that stage's [`OptStats`] delta. The return value is still
-/// the summed total.
+/// stage tag and that stage's [`OptStats`] delta. Returns the summed total
+/// and whether the graph was left at the pipeline's fixpoint.
 pub fn optimize_observed(
     program: &Program,
     graph: &mut Graph,
     config: PipelineConfig,
     fuel: &CompileFuel,
     observer: &mut dyn FnMut(PipelineStage, OptStats),
-) -> OptStats {
-    let mut total = OptStats::new();
+) -> PipelineRun {
+    let run = run_stages(program, graph, config, fuel, observer);
+    // The passes of one run share the graph's dominator tree; nobody
+    // after them does.
+    graph.release_dom_tree();
+    run
+}
+
+fn run_stages(
+    program: &Program,
+    graph: &mut Graph,
+    config: PipelineConfig,
+    fuel: &CompileFuel,
+    observer: &mut dyn FnMut(PipelineStage, OptStats),
+) -> PipelineRun {
+    let mut run = PipelineRun {
+        stats: OptStats::new(),
+        converged: false,
+    };
     for _ in 0..config.max_rounds {
         if !fuel.charge(graph.size() as u64) {
-            return total;
+            return run;
         }
-        let mut round = OptStats::new();
-        let narrowed = crate::typeprop::type_prop(program, graph);
-        round += canonicalize(program, graph);
-        round += gvn(graph);
-        round += crate::condelim::cond_elim(graph);
-        round += rw_elim(program, graph);
-        round += dce(graph);
-        let progress = round.any() || narrowed;
-        total += round;
+        let narrowed = type_prop(program, graph);
+        let round = scalar_bundle(program, graph, false);
+        run.stats += round;
         observer(PipelineStage::Scalar, round);
-        if !progress {
+        run.converged = !(narrowed || round.any());
+        if run.converged {
             break;
         }
     }
-    if config.peel_loops && fuel.charge(graph.size() as u64) {
+    if config.peel_loops {
+        if !fuel.charge(graph.size() as u64) {
+            run.converged = false;
+            return run;
+        }
         let peeled = peel_loops(program, graph);
         if peeled.any() {
-            let mut stage = peeled;
-            // Clean up the peeled copy (narrowed types enable folding).
-            stage += canonicalize(program, graph);
-            stage += gvn(graph);
-            stage += rw_elim(program, graph);
-            stage += dce(graph);
-            total += stage;
+            let stage = peeled + scalar_bundle(program, graph, true);
+            run.stats += stage;
             observer(PipelineStage::Peel, stage);
+            run.converged = false;
         }
     }
-    total
+    run
+}
+
+/// [`optimize_observed`] on a graph that a run under the same `config`
+/// left [`PipelineRun::converged`] and nothing has edited since, without
+/// the passes: such a run pays for its first scalar round and, if that
+/// charge is granted, for its peeling step, and changes, counts and reports
+/// nothing. The graph stays converged unless the budget ran out on the way.
+pub fn optimize_converged(
+    graph: &Graph,
+    config: PipelineConfig,
+    fuel: &CompileFuel,
+) -> PipelineRun {
+    let size = graph.size() as u64;
+    PipelineRun {
+        stats: OptStats::new(),
+        converged: fuel.charge(size) && (!config.peel_loops || fuel.charge(size)),
+    }
 }
 
 /// Runs only the scalar bundle (no peeling) — used by deep inlining trials,
@@ -145,15 +215,14 @@ mod tests {
     use incline_ir::types::{RetType, Type};
     use incline_ir::verify::verify_graph;
 
-    #[test]
-    fn pipeline_reaches_fixpoint_and_verifies() {
+    /// Storage round-trip + constant branch + dead code, all at once.
+    fn needs_two_rounds() -> (Program, Graph) {
         let mut p = Program::new();
         let c = p.add_class("Box", None);
         let f = p.add_field(c, "v", Type::Int);
         let m = p.declare_function("f", vec![Type::Int], Type::Int);
         let mut fb = FunctionBuilder::new(&p, m);
         let x = fb.param(0);
-        // Storage round-trip + constant branch + dead code, all at once.
         let obj = fb.new_object(c);
         fb.set_field(f, obj, x);
         let l = fb.get_field(f, obj);
@@ -168,16 +237,116 @@ mod tests {
         fb.switch_to(b2);
         let dead = fb.iadd(x, x);
         fb.ret(Some(dead));
-        let mut g = fb.finish();
-        let stats = optimize(&p, &mut g);
+        let g = fb.finish();
+        (p, g)
+    }
+
+    /// A loop whose object parameter is a `Sub` on entry and a `Base` from
+    /// the second iteration on: the peeling trigger, which type propagation
+    /// alone cannot satisfy.
+    fn peelable_loop() -> (Program, Graph) {
+        let mut p = Program::new();
+        let base = p.add_class("Base", None);
+        let sub = p.add_class("Sub", Some(base));
+        let m = p.declare_function("f", vec![Type::Int], RetType::Void);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let n = fb.param(0);
+        let first = fb.new_object(sub);
+        let zero = fb.const_int(0);
+        let (head, hp) = fb.add_block_with_params(&[Type::Int, Type::Object(base)]);
+        let body = fb.add_block();
+        let done = fb.add_block();
+        fb.jump(head, vec![zero, first]);
+        fb.switch_to(head);
+        let more = fb.cmp(CmpOp::ILt, hp[0], n);
+        fb.branch(more, (body, vec![]), (done, vec![]));
+        fb.switch_to(body);
+        let is_sub = fb.instance_of(sub, hp[1]);
+        fb.print(is_sub);
+        let one = fb.const_int(1);
+        let next_i = fb.iadd(hp[0], one);
+        let next_o = fb.new_object(base);
+        fb.jump(head, vec![next_i, next_o]);
+        fb.switch_to(done);
+        fb.ret(None);
+        let g = fb.finish();
+        (p, g)
+    }
+
+    fn observed(
+        p: &Program,
+        g: &mut Graph,
+        config: PipelineConfig,
+        fuel: &CompileFuel,
+    ) -> (PipelineRun, usize) {
+        let mut stages = 0;
+        let run = optimize_observed(p, g, config, fuel, &mut |_, stats| {
+            stages += usize::from(stats.any());
+        });
+        (run, stages)
+    }
+
+    #[test]
+    fn pipeline_reaches_fixpoint_and_verifies() {
+        let (p, mut g) = needs_two_rounds();
+        let config = PipelineConfig::default();
+        let (first, _) = observed(&p, &mut g, config, &UNLIMITED_FUEL);
+        let stats = first.stats;
         assert!(stats.rw_elim >= 1, "{stats:?}");
         assert!(stats.branch_prune >= 1, "{stats:?}");
         assert!(stats.strength_red >= 1, "{stats:?}");
         assert!(stats.dce >= 1, "{stats:?}");
+        assert!(first.converged);
         verify_graph(&p, &g, &[Type::Int], RetType::Value(Type::Int)).unwrap();
-        // Re-running the pipeline finds nothing new.
-        let again = optimize(&p, &mut g);
-        assert!(!again.any(), "{again:?}");
+        // Re-running the pipeline finds nothing new: the graph stays as it
+        // is, no stage has anything to report, and the run spends what
+        // `optimize_converged` charges in its place.
+        let before = g.fingerprint();
+        let (real, skipped) = (CompileFuel::limited(1 << 20), CompileFuel::limited(1 << 20));
+        let (again, stages) = observed(&p, &mut g, config, &real);
+        assert!(!again.stats.any(), "{:?}", again.stats);
+        assert_eq!((again.converged, stages), (true, 0));
+        assert_eq!(g.fingerprint(), before);
+        assert_eq!(optimize_converged(&g, config, &skipped), again);
+        assert_eq!(real.spent(), skipped.spent());
+        assert_eq!(real.spent(), 2 * g.size() as u64);
+    }
+
+    #[test]
+    fn a_run_that_did_not_reach_the_fixpoint_says_so() {
+        // Stopped by `max_rounds` while still progressing.
+        let (p, mut g) = needs_two_rounds();
+        let one_round = PipelineConfig {
+            peel_loops: false,
+            max_rounds: 1,
+        };
+        let (run, _) = observed(&p, &mut g, one_round, &UNLIMITED_FUEL);
+        assert!(run.stats.any() && !run.converged);
+        let (run, _) = observed(&p, &mut g, one_round, &UNLIMITED_FUEL);
+        assert!(run.converged, "the second round finds nothing: {run:?}");
+
+        // A budget that runs out mid-run: before the second round, and —
+        // on a graph already at its fixpoint — before the peeling step.
+        let (p, mut g) = needs_two_rounds();
+        let config = PipelineConfig::default();
+        let fuel = CompileFuel::limited(g.size() as u64);
+        let (run, _) = observed(&p, &mut g, config, &fuel);
+        assert!(run.stats.any() && !run.converged && fuel.exhausted());
+        assert!(observed(&p, &mut g, config, &UNLIMITED_FUEL).0.converged);
+        let fuel = CompileFuel::limited(g.size() as u64);
+        let (run, _) = observed(&p, &mut g, config, &fuel);
+        assert!(!run.stats.any() && !run.converged && fuel.exhausted());
+
+        // A peel: its clean-up is not the whole bundle, so only the next
+        // run can tell.
+        let (p, mut g) = peelable_loop();
+        let (run, _) = observed(&p, &mut g, config, &UNLIMITED_FUEL);
+        assert_eq!(run.stats.loops_peeled, 1, "{:?}", run.stats);
+        assert!(!run.converged);
+        verify_graph(&p, &g, &[Type::Int], RetType::Void).unwrap();
+        let (next, _) = observed(&p, &mut g, config, &UNLIMITED_FUEL);
+        assert_eq!(next.stats.loops_peeled, 0);
+        assert!(next.converged, "{next:?}");
     }
 
     #[test]

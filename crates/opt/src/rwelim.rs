@@ -12,6 +12,8 @@
 //! load is only removed when a preceding successful access proves the base
 //! non-null and, for arrays, the index in-bounds.
 
+use std::sync::Arc;
+
 use incline_ir::graph::Op;
 use incline_ir::ids::{BlockId, FieldId, InstId, ValueId};
 use incline_ir::types::Type;
@@ -24,12 +26,12 @@ use crate::stats::OptStats;
 /// Runs read–write elimination; returns counts (`stats.rw_elim`).
 pub fn rw_elim(program: &Program, graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
-    let order = graph.reachable_blocks();
+    let order = Arc::clone(graph.block_order());
     // Forwarded loads are replaced through one alias table: a block's
     // operands are brought up to date before it is planned, everything
     // else in one closing sweep.
     let mut aliases = Aliases::new();
-    for &block in &order {
+    for &block in order.iter() {
         aliases.apply_to_insts(graph, block);
         let mut edits = plan_block(program, graph, block);
         if edits.is_empty() {
@@ -40,7 +42,7 @@ pub fn rw_elim(program: &Program, graph: &mut Graph) -> OptStats {
         // the plan is not in block order; the sweep below needs it to be.
         edits.sort_by_key(|&(pos, _)| pos);
         let mut edits = edits.into_iter().peekable();
-        let insts = std::mem::take(&mut graph.block_mut(block).insts);
+        let insts = std::mem::take(graph.insts_mut(block));
         let mut kept: Vec<InstId> = Vec::with_capacity(insts.len());
         for (pos, inst) in insts.into_iter().enumerate() {
             let Some((_, edit)) = edits.next_if(|&(at, _)| at == pos) else {
@@ -63,7 +65,7 @@ pub fn rw_elim(program: &Program, graph: &mut Graph) -> OptStats {
             }
             graph.neutralize_inst(inst);
         }
-        graph.block_mut(block).insts = kept;
+        *graph.insts_mut(block) = kept;
     }
     aliases.apply(graph, &order);
     stats

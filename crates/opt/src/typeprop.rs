@@ -45,8 +45,9 @@ pub fn type_prop(program: &Program, graph: &mut Graph) -> bool {
     // have none, and then there is nothing to set up.
     let entry = graph.entry();
     let candidates: Vec<BlockId> = graph
-        .reachable_blocks()
-        .into_iter()
+        .block_order()
+        .iter()
+        .copied()
         .filter(|&b| {
             b != entry
                 && graph

@@ -31,13 +31,14 @@ pub use event::{BailoutStage, CodeTier, CompileEvent, OptPhase};
 pub use sink::{CollectingSink, JsonlSink, NullSink, StderrSink, TraceSink, NULL_SINK};
 
 use incline_ir::{Graph, Program};
-use incline_opt::{optimize_observed, CompileFuel, OptStats, PipelineConfig};
+use incline_opt::{optimize_observed, CompileFuel, PipelineConfig, PipelineRun};
 
-/// Run the optimization pipeline, forwarding per-stage [`OptStats`] deltas to
+/// Run the optimization pipeline, forwarding per-stage `OptStats` deltas to
 /// `sink` as [`CompileEvent::OptPassStats`] events tagged with `phase`.
 ///
-/// When the sink is disabled this is exactly `optimize_fueled` — no closure
-/// state, no event construction.
+/// When the sink is disabled no event is constructed. A stage that found
+/// nothing is not an event, so a run on a graph the previous one left
+/// [`PipelineRun::converged`] emits none.
 pub fn optimize_with_trace(
     program: &Program,
     graph: &mut Graph,
@@ -45,12 +46,10 @@ pub fn optimize_with_trace(
     fuel: &CompileFuel,
     sink: &dyn TraceSink,
     phase: OptPhase,
-) -> OptStats {
-    if !sink.enabled() {
-        return incline_opt::optimize_fueled(program, graph, config, fuel);
-    }
+) -> PipelineRun {
+    let enabled = sink.enabled();
     optimize_observed(program, graph, config, fuel, &mut |stage, stats| {
-        if stats.any() {
+        if enabled && stats.any() {
             sink.emit(CompileEvent::OptPassStats {
                 phase,
                 stage,

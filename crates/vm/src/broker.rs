@@ -341,7 +341,7 @@ fn degraded_tier(program: &Program, req: &CompileRequest, sink: &dyn TraceSink) 
                 sink,
                 OptPhase::Degraded,
             );
-            Ok((graph, before, opt.total()))
+            Ok((graph, before, opt.stats.total()))
         }))
     });
     let (graph, before, opt_events) = match guarded {

@@ -248,7 +248,8 @@ impl Inliner for NoInline {
             cx.fuel,
             cx.trace,
             incline_trace::OptPhase::Baseline,
-        );
+        )
+        .stats;
         let final_size = graph.size();
         Ok(CompileOutcome {
             graph,

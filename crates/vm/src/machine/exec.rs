@@ -12,7 +12,7 @@ use incline_trace::CompileEvent;
 use super::methods::Tier;
 use super::{ExecError, InstallPolicy, Machine, MAX_DEPTH};
 use crate::cost::Tier as ExecTier;
-use crate::plan::{method_signature, ExecPlan, Term};
+use crate::plan::{method_signature, ExecPlan, Run, Term};
 use crate::value::word_ref;
 
 /// What [`Program::resolve`] answers for a receiver class and a selector:
@@ -243,6 +243,37 @@ impl Machine<'_> {
         CompiledExit::Deoptimized
     }
 
+    /// Charges `run` at once if that is exact, and says whether it did;
+    /// `None` when the tank is empty. (Out of line in a debug build, where
+    /// every local of `exec_graph` is paid per guest frame.)
+    ///
+    /// A run's cost is the sum of its instructions' costs when those are
+    /// linear in the base cost: always interpreted, and compiled while the
+    /// code cache fits the i-cache (the scaled cost rounds down per
+    /// instruction). And the run may only be charged at once if it cannot
+    /// run out of fuel part-way, so a trap inside it still comes before
+    /// `OutOfFuel` exactly when it does instruction by instruction.
+    #[inline]
+    fn charge_run(&mut self, run: &Run, profiling: bool, dispatch: u64) -> Option<bool> {
+        let linear =
+            profiling || self.methods.installed_bytes() <= self.config.cost.icache_capacity;
+        let steps = u64::from(run.steps);
+        let summed = linear && self.steps + steps <= self.config.fuel_steps;
+        if summed {
+            self.steps += steps;
+            self.exec_cycles += run.base_cost + u64::from(run.insts.len()) * dispatch;
+        } else if run.steps > run.insts.len() {
+            // The step of a block without instructions: no cycles, but
+            // fuel like an instruction's, or a loop of such blocks would
+            // never run out.
+            self.steps += 1;
+            if self.steps > self.config.fuel_steps {
+                return None;
+            }
+        }
+        Some(summed)
+    }
+
     /// Runs one activation of the flat code `plan` in `tier`. The `argc`
     /// arguments are the top of the register stack; the activation's frame
     /// goes above them and is popped again unless the activation ends in
@@ -291,21 +322,9 @@ impl Machine<'_> {
                 // Every run but a block's last ends at a call.
                 let call = calls.next();
                 let run = call.map_or(&block.tail, |call| &call.before);
-                // A run's cost is the sum of its instructions' costs when
-                // those are linear in the base cost: always interpreted,
-                // and compiled while the code cache fits the i-cache (the
-                // scaled cost rounds down per instruction). And the run
-                // may only be charged at once if it cannot run out of fuel
-                // part-way, so a trap inside it still comes before
-                // `OutOfFuel` exactly when it does instruction by
-                // instruction.
-                let linear = profiling || self.methods.installed_bytes() <= cost.icache_capacity;
-                let len = u64::from(run.insts.len());
-                let summed = linear && self.steps + len <= self.config.fuel_steps;
-                if summed {
-                    self.steps += len;
-                    self.exec_cycles += run.base_cost + len * dispatch;
-                }
+                let Some(summed) = self.charge_run(run, profiling, dispatch) else {
+                    return Err(ExecError::OutOfFuel);
+                };
                 let regs = &mut self.stack[frame.clone()];
                 for inst in run.insts.of(&plan.insts) {
                     if !summed {
@@ -788,6 +807,90 @@ b2():
                 assert_eq!(steps, fuel + 1, "the step that found the tank empty");
                 assert!(short < cycles, "fuel={fuel}");
             }
+        }
+    }
+
+    /// `main(int) -> int` from `.ir` text, run once with `fuel` steps in both
+    /// tiers (the compiled one installed verbatim through `compile_now`).
+    /// Returns what each run ended in and the steps it took.
+    fn run_text(src: &str, fuel: u64) -> [(Result<Option<Value>, ExecError>, u64); 2] {
+        let p = incline_ir::parse::parse_program(src).expect("the test program parses");
+        let main = p.function_by_name("main").expect("main");
+        [false, true].map(|compiled| {
+            let config = VmConfig {
+                jit: compiled,
+                fuel_steps: fuel,
+                ..VmConfig::default()
+            };
+            let mut vm = Machine::new(&p, Box::new(VerbatimInliner), config);
+            if compiled {
+                assert!(vm.compile_now(main));
+            }
+            let outcome = vm.run(main, vec![Value::Int(7)]).map(|o| o.value);
+            (outcome, vm.steps)
+        })
+    }
+
+    #[test]
+    fn a_loop_of_blocks_without_instructions_runs_out_of_fuel() {
+        // An edge is free and a step used to be an instruction, so these
+        // loops consumed nothing and never ended. Every block activation
+        // now takes at least one step.
+        let self_loop = include_str!("../../../../samples/empty_loop.ir");
+        let two_block_cycle = "fn main(int) -> int {
+            b0(v0: int):
+              jump b1(v0)
+            b1(v1: int):
+              jump b2(v1)
+            b2(v2: int):
+              jump b1(v2)
+            }";
+        for src in [self_loop, two_block_cycle] {
+            // Enough fuel to charge runs at once, and too little (the
+            // instruction-by-instruction path): both must notice.
+            for fuel in [1_000, 1, 0] {
+                for (outcome, steps) in run_text(src, fuel) {
+                    assert_eq!(outcome, Err(ExecError::OutOfFuel), "fuel={fuel}");
+                    assert_eq!(steps, fuel + 1, "the step that found the tank empty");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_block_on_a_straight_path_takes_a_step_and_no_cycles() {
+        let with_empty = "fn main(int) -> int {
+            b0(v0: int):
+              jump b1(v0)
+            b1(v1: int):
+              jump b2(v1)
+            b2(v2: int):
+              v3 = const.int 1
+              v4 = iadd v2, v3
+              ret v4
+            }";
+        for (outcome, steps) in run_text(with_empty, 4) {
+            assert_eq!(outcome, Ok(Some(Value::Int(8))));
+            assert_eq!(steps, 4, "two empty blocks and two instructions");
+        }
+        for (outcome, _) in run_text(with_empty, 3) {
+            assert_eq!(outcome, Err(ExecError::OutOfFuel));
+        }
+        // Steps are not cycles: the path costs its two instructions and its
+        // two jumps, as it always did.
+        let p = incline_ir::parse::parse_program(with_empty).expect("parses");
+        let main = p.function_by_name("main").expect("main");
+        let cost = CostModel::default();
+        for (tier, mut vm) in [ExecTier::Interpreted, ExecTier::Compiled]
+            .into_iter()
+            .zip(both_tiers(&p))
+        {
+            let out = vm.run(main, vec![Value::Int(7)]).unwrap();
+            let insts: u64 = [Op::ConstInt(1), Op::Bin(incline_ir::BinOp::IAdd)]
+                .iter()
+                .map(|op| cost.exec_cost(op, tier, vm.installed_bytes()))
+                .sum();
+            assert_eq!(out.exec_cycles, insts + 2 * cost.edge_cost(1, tier));
         }
     }
 

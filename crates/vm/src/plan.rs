@@ -148,6 +148,11 @@ pub(crate) struct Run {
     pub insts: Span,
     /// Σ base cost over the run.
     pub base_cost: u64,
+    /// Steps of fuel the run takes: one per instruction — and one for the
+    /// only run of a block that has neither instructions nor calls, so that
+    /// no cycle of the CFG runs for free. A step, not a cycle: `base_cost`
+    /// knows nothing of it.
+    pub steps: u32,
 }
 
 /// A call, with the run of its block that leads up to it.
@@ -503,7 +508,10 @@ impl Lowering<'_> {
                 self.plan.insts.push(lowered);
             }
         }
-        let tail = self.close_run(run_start);
+        let mut tail = self.close_run(run_start);
+        if bd.insts.is_empty() {
+            tail.steps = 1;
+        }
         let term = match &bd.term {
             Terminator::Return(v) => {
                 let want = ret.value().map(Kind::of);
@@ -558,6 +566,7 @@ impl Lowering<'_> {
                 end: self.plan.insts.len() as u32,
             },
             base_cost: rest_cost,
+            steps: rest_len,
         }
     }
 

@@ -23,34 +23,34 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Per-workload allocation budgets in bytes (tuned run, 1.3× margin).
 const BUDGETS: &[(&str, u64)] = &[
-    ("avrora", 287_964),
-    ("batik", 2_303_666),
-    ("fop", 2_538_591),
-    ("h2", 937_690),
-    ("jython", 3_014_341),
-    ("luindex", 344_276),
-    ("lusearch", 395_205),
-    ("pmd", 2_680_523),
-    ("sunflow", 354_451),
-    ("xalan", 2_532_325),
-    ("actors", 980_695),
-    ("apparat", 597_582),
-    ("factorie", 2_060_591),
-    ("kiama", 1_112_517),
-    ("scalac", 2_942_235),
-    ("scaladoc", 4_132_082),
-    ("scalap", 1_020_110),
-    ("scalariform", 969_637),
-    ("scalatest", 678_407),
-    ("scalaxb", 596_919),
-    ("specs", 309_247),
-    ("tmt", 867_097),
-    ("gauss-mix", 1_587_751),
-    ("dec-tree", 1_662_390),
-    ("naive-bayes", 520_530),
-    ("neo4j", 492_072),
-    ("dotty", 537_899),
-    ("stmbench7", 375_908),
+    ("avrora", 178_798),
+    ("batik", 1_465_625),
+    ("fop", 1_563_534),
+    ("h2", 600_780),
+    ("jython", 2_031_690),
+    ("luindex", 219_345),
+    ("lusearch", 245_984),
+    ("pmd", 1_661_192),
+    ("sunflow", 256_935),
+    ("xalan", 1_558_087),
+    ("actors", 701_633),
+    ("apparat", 454_897),
+    ("factorie", 1_318_942),
+    ("kiama", 757_529),
+    ("scalac", 2_243_814),
+    ("scaladoc", 2_898_975),
+    ("scalap", 688_390),
+    ("scalariform", 667_301),
+    ("scalatest", 467_846),
+    ("scalaxb", 454_437),
+    ("specs", 189_079),
+    ("tmt", 606_547),
+    ("gauss-mix", 1_015_933),
+    ("dec-tree", 1_086_961),
+    ("naive-bayes", 285_477),
+    ("neo4j", 309_257),
+    ("dotty", 328_936),
+    ("stmbench7", 227_960),
 ];
 
 #[test]

@@ -28,6 +28,11 @@
 //! produced at the parent commit to see which observable moved. Copy the
 //! actual table over `tests/compile_identity.table` only when the compile
 //! ladder's output moved on purpose.
+//!
+//! A second test holds the premise of the call tree's convergence skip on
+//! the same corpus: a pipeline run on a graph the previous run left
+//! converged changes nothing, counts nothing, emits nothing, and spends
+//! exactly what `optimize_converged` charges in its place.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -247,13 +252,86 @@ fn workload_rows(w: &Workload) -> (String, String) {
     (table, detail)
 }
 
-#[test]
-fn compile_ladder_output_matches_the_checked_in_table() {
+fn corpus() -> Vec<Workload> {
     let workloads: Vec<Workload> = all_benchmarks()
         .into_iter()
         .chain((23..27).map(|seed| generate(seed, GenConfig::hardened())))
         .collect();
     assert_eq!(workloads.len(), 32, "28 paper workloads plus four draws");
+    workloads
+}
+
+/// Every method body of `w` and every graph the paper configuration
+/// installs for its hot set.
+fn bodies_and_installed(w: &Workload) -> Vec<(String, Graph)> {
+    let (profiles, hot) = warm(w);
+    let mut graphs: Vec<(String, Graph)> = w
+        .program
+        .method_ids()
+        .map(|m| (format!("{m} body"), w.program.method(m).graph.clone()))
+        .collect();
+    let mut vm = Machine::new(&w.program, Config::paper().build(), default_vm());
+    *vm.profiles_mut() = profiles;
+    for m in hot {
+        if vm.compile_now(m) {
+            let installed = vm.compiled_graph(m).expect("compile_now installed it");
+            graphs.push((format!("{m} installed"), installed.clone()));
+        }
+    }
+    graphs
+}
+
+#[test]
+fn a_pipeline_run_on_a_converged_graph_is_the_two_charges_of_the_skip() {
+    use incline::opt::{optimize_converged, PipelineConfig, UNLIMITED_FUEL};
+    use incline::trace::{optimize_with_trace, OptPhase};
+
+    let config = PipelineConfig::default();
+    let mut checked = 0;
+    for w in &corpus() {
+        for (what, mut graph) in bodies_and_installed(w) {
+            let what = format!("{} {what}", w.name);
+            // Run until a run says it left the graph at its fixpoint.
+            let settled = (0..8).any(|_| {
+                let (fuel, sink, phase) = (&UNLIMITED_FUEL, &NullSink, OptPhase::Round);
+                optimize_with_trace(&w.program, &mut graph, config, fuel, sink, phase).converged
+            });
+            assert!(settled, "{what}: no run converged");
+
+            // Then once more for real, beside the skip, under a budget that
+            // lasts and under every budget that runs out on the way.
+            let size = graph.size() as u64;
+            for limit in [u64::MAX / 2, 2 * size, 2 * size - 1, size, size - 1, 0] {
+                let before = graph.fingerprint();
+                let (real_fuel, skip_fuel) =
+                    (CompileFuel::limited(limit), CompileFuel::limited(limit));
+                let sink = CollectingSink::new();
+                let real = optimize_with_trace(
+                    &w.program,
+                    &mut graph,
+                    config,
+                    &real_fuel,
+                    &sink,
+                    OptPhase::Round,
+                );
+                let skip = optimize_converged(&graph, config, &skip_fuel);
+                let what = format!("{what} limit={limit}");
+                assert_eq!(graph.fingerprint(), before, "{what}: the graph moved");
+                assert!(!real.stats.any(), "{what}: {:?}", real.stats);
+                assert!(sink.take().is_empty(), "{what}: the run emitted events");
+                assert_eq!(real, skip, "{what}: verdicts differ");
+                assert_eq!(real_fuel.spent(), skip_fuel.spent(), "{what}: spend");
+                assert_eq!(real.converged, limit >= 2 * size, "{what}");
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 400, "only {checked} graphs");
+}
+
+#[test]
+fn compile_ladder_output_matches_the_checked_in_table() {
+    let workloads = corpus();
 
     let mut actual = String::new();
     let mut detail = String::new();
