@@ -12,7 +12,7 @@ use incline_trace::CompileEvent;
 use super::methods::Tier;
 use super::{ExecError, InstallPolicy, Machine, MAX_DEPTH};
 use crate::cost::Tier as ExecTier;
-use crate::plan::{method_signature, ExecPlan, Run, Term};
+use crate::plan::{method_signature, ExecPlan, Slot, Term};
 use crate::value::word_ref;
 
 /// What [`Program::resolve`] answers for a receiver class and a selector:
@@ -243,35 +243,15 @@ impl Machine<'_> {
         CompiledExit::Deoptimized
     }
 
-    /// Charges `run` at once if that is exact, and says whether it did;
-    /// `None` when the tank is empty. (Out of line in a debug build, where
-    /// every local of `exec_graph` is paid per guest frame.)
-    ///
-    /// A run's cost is the sum of its instructions' costs when those are
-    /// linear in the base cost: always interpreted, and compiled while the
-    /// code cache fits the i-cache (the scaled cost rounds down per
-    /// instruction). And the run may only be charged at once if it cannot
-    /// run out of fuel part-way, so a trap inside it still comes before
-    /// `OutOfFuel` exactly when it does instruction by instruction.
-    #[inline]
-    fn charge_run(&mut self, run: &Run, profiling: bool, dispatch: u64) -> Option<bool> {
-        let linear =
-            profiling || self.methods.installed_bytes() <= self.config.cost.icache_capacity;
-        let steps = u64::from(run.steps);
-        let summed = linear && self.steps + steps <= self.config.fuel_steps;
-        if summed {
-            self.steps += steps;
-            self.exec_cycles += run.base_cost + u64::from(run.insts.len()) * dispatch;
-        } else if run.steps > run.insts.len() {
-            // The step of a block without instructions: no cycles, but
-            // fuel like an instruction's, or a loop of such blocks would
-            // never run out.
-            self.steps += 1;
-            if self.steps > self.config.fuel_steps {
-                return None;
-            }
-        }
-        Some(summed)
+    /// Takes one step of fuel and says whether the tank was empty. (A
+    /// function of its own because in a debug build every temporary of
+    /// `exec_graph` is paid once per guest frame; out of line in a release
+    /// build too, as blocks without instructions are rare.)
+    #[cold]
+    #[inline(never)]
+    fn out_of_fuel_after_a_step(&mut self) -> bool {
+        self.steps += 1;
+        self.steps > self.config.fuel_steps
     }
 
     /// Runs one activation of the flat code `plan` in `tier`. The `argc`
@@ -317,14 +297,32 @@ impl Machine<'_> {
             if profiling {
                 self.profiles.record_block(method, block.id);
             }
+            // A block without instructions: no cycles, but a step of fuel
+            // like an instruction's, or a loop of such blocks would never
+            // run out.
+            if block.idle && self.out_of_fuel_after_a_step() {
+                return Err(ExecError::OutOfFuel);
+            }
             let mut calls = block.calls.of(&plan.calls).iter();
             loop {
                 // Every run but a block's last ends at a call.
                 let call = calls.next();
                 let run = call.map_or(&block.tail, |call| &call.before);
-                let Some(summed) = self.charge_run(run, profiling, dispatch) else {
-                    return Err(ExecError::OutOfFuel);
-                };
+                // A run's cost is the sum of its instructions' costs when
+                // those are linear in the base cost: always interpreted,
+                // and compiled while the code cache fits the i-cache (the
+                // scaled cost rounds down per instruction). And the run
+                // may only be charged at once if it cannot run out of fuel
+                // part-way, so a trap inside it still comes before
+                // `OutOfFuel` exactly when it does instruction by
+                // instruction.
+                let linear = profiling || self.methods.installed_bytes() <= cost.icache_capacity;
+                let len = u64::from(run.insts.len());
+                let summed = linear && self.steps + len <= self.config.fuel_steps;
+                if summed {
+                    self.steps += len;
+                    self.exec_cycles += run.base_cost + len * dispatch;
+                }
                 let regs = &mut self.stack[frame.clone()];
                 for inst in run.insts.of(&plan.insts) {
                     if !summed {
@@ -431,21 +429,30 @@ impl Machine<'_> {
             if profiling && edge.back_edge {
                 self.profiles.record_backedge(method);
             }
-            let moves = edge.moves.of(&plan.slots).chunks_exact(2);
-            if edge.hazard {
-                // Read every source before writing any destination.
-                self.edge_scratch.clear();
-                self.edge_scratch
-                    .extend(moves.clone().map(|m| regs[m[0] as usize]));
-                for (m, &word) in moves.zip(&self.edge_scratch) {
-                    regs[m[1] as usize] = word;
-                }
-            } else {
-                for m in moves {
-                    regs[m[1] as usize] = regs[m[0] as usize];
-                }
-            }
+            let moves = edge.moves.of(&plan.slots);
+            bind_parameters(regs, &mut self.edge_scratch, moves, edge.hazard);
             block = &plan.blocks[edge.dest as usize];
+        }
+    }
+}
+
+/// Applies the moves of an edge — source and destination slot, alternating
+/// — to the frame `regs`; with `hazard`, through `scratch`. (A function of
+/// its own because in a debug build every temporary of `exec_graph`, these
+/// iterators included, is paid once per guest frame.)
+#[inline]
+fn bind_parameters(regs: &mut [u64], scratch: &mut Vec<u64>, moves: &[Slot], hazard: bool) {
+    let moves = moves.chunks_exact(2);
+    if hazard {
+        // Read every source before writing any destination.
+        scratch.clear();
+        scratch.extend(moves.clone().map(|m| regs[m[0] as usize]));
+        for (m, &word) in moves.zip(scratch.iter()) {
+            regs[m[1] as usize] = word;
+        }
+    } else {
+        for m in moves {
+            regs[m[1] as usize] = regs[m[0] as usize];
         }
     }
 }

@@ -148,11 +148,6 @@ pub(crate) struct Run {
     pub insts: Span,
     /// Σ base cost over the run.
     pub base_cost: u64,
-    /// Steps of fuel the run takes: one per instruction — and one for the
-    /// only run of a block that has neither instructions nor calls, so that
-    /// no cycle of the CFG runs for free. A step, not a cycle: `base_cost`
-    /// knows nothing of it.
-    pub steps: u32,
 }
 
 /// A call, with the run of its block that leads up to it.
@@ -219,6 +214,10 @@ pub(crate) struct Block {
     /// The run after the last call — of a block without calls, the only one.
     pub tail: Run,
     pub term: Term,
+    /// The block has neither instructions nor calls. Activating it takes a
+    /// step of fuel all the same (a step, not a cycle), so that no cycle of
+    /// the CFG runs for free.
+    pub idle: bool,
 }
 
 /// The flat code of one graph.
@@ -508,10 +507,7 @@ impl Lowering<'_> {
                 self.plan.insts.push(lowered);
             }
         }
-        let mut tail = self.close_run(run_start);
-        if bd.insts.is_empty() {
-            tail.steps = 1;
-        }
+        let tail = self.close_run(run_start);
         let term = match &bd.term {
             Terminator::Return(v) => {
                 let want = ret.value().map(Kind::of);
@@ -547,6 +543,7 @@ impl Lowering<'_> {
             },
             tail,
             term,
+            idle: bd.insts.is_empty(),
         });
     }
 
@@ -566,7 +563,6 @@ impl Lowering<'_> {
                 end: self.plan.insts.len() as u32,
             },
             base_cost: rest_cost,
-            steps: rest_len,
         }
     }
 
