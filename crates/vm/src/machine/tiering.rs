@@ -789,6 +789,68 @@ mod tests {
         );
     }
 
+    /// `f_i(x) = x + 1 + … + 1` with `i + 1` additions: nine methods whose
+    /// compile costs all differ.
+    fn ladder_of_adders() -> (Program, Vec<MethodId>) {
+        use incline_ir::builder::FunctionBuilder;
+        use incline_ir::Type;
+        let mut p = Program::new();
+        let mut ids = Vec::new();
+        for i in 0..9 {
+            let m = p.declare_function(format!("f{i}"), vec![Type::Int], Type::Int);
+            let mut fb = FunctionBuilder::new(&p, m);
+            let one = fb.const_int(1);
+            let mut x = fb.param(0);
+            for _ in 0..=i {
+                x = fb.iadd(x, one);
+            }
+            fb.ret(Some(x));
+            let g = fb.finish();
+            p.define_method(m, g);
+            ids.push(m);
+        }
+        (p, ids)
+    }
+
+    #[test]
+    fn workers_made_on_demand_stall_like_a_pool_made_up_front() {
+        // Three requests enqueued at one instant, installed at the entry of
+        // the next run, three times over: with fewer than three workers they
+        // wait for one another, and the next batch arrives while the last
+        // one's workers are still busy.
+        let (p, methods) = ladder_of_adders();
+        let stalls = |workers: usize, up_front: bool| {
+            let config = VmConfig {
+                compile_threads: workers,
+                install_policy: InstallPolicy::Safepoint,
+                ..VmConfig::default()
+            };
+            let mut vm = Machine::new(&p, Box::new(NoInline), config);
+            if up_front {
+                vm.worker_free = vec![0; workers];
+            }
+            let mut stalls = Vec::new();
+            for batch in methods.chunks(3) {
+                for &m in batch {
+                    assert!(vm.enqueue_compile(m));
+                }
+                let out = vm.run(batch[0], vec![Value::Int(1)]).unwrap();
+                stalls.push(out.stall_cycles);
+            }
+            assert_eq!(vm.total_stall_cycles(), stalls.iter().sum::<u64>());
+            stalls
+        };
+        for workers in [1, 2, 4] {
+            assert_eq!(
+                stalls(workers, false),
+                stalls(workers, true),
+                "{workers} workers"
+            );
+        }
+        let total = |workers| stalls(workers, false).iter().sum::<u64>();
+        assert!(total(1) > total(2) && total(2) > total(4));
+    }
+
     fn machine_with_threshold(threshold: u64) -> (MethodId, Machine<'static>) {
         // Leak the program so the machine can borrow it with a 'static
         // lifetime — these tests only probe pure arithmetic helpers.

@@ -2,15 +2,19 @@
 //! workload, pinned in a checked-in table.
 //!
 //! For the 28 paper workloads plus `phase_change` and `cache_pressure`,
-//! each run interpreter-only (`jit: false`, `NoInline`) and with the JIT
-//! on (paper inliner, `default_vm()`, deopt on) at its default input and
-//! iteration count, the table holds
+//! each run interpreter-only (`jit: false`, `NoInline`), with the JIT on
+//! (paper inliner, `default_vm()`, deopt on) and pipelined (the same with
+//! `InstallPolicy::Safepoint` and four modelled compile workers) at its
+//! default input and iteration count, the table holds
 //!
 //! * every iteration's `exec_cycles`,
 //! * the final answer digest ([`BenchResult::answer_digest`]'s bytes),
 //! * FNV-1a of `Machine::snapshot().to_bytes()` — the only observable
-//!   that sees block, callsite and receiver counters, and
-//! * FNV-1a of the JSONL trace.
+//!   that sees block, callsite and receiver counters,
+//! * FNV-1a of the JSONL trace, and
+//! * on the pipelined rows, every iteration's `stall_cycles` and the final
+//!   [`QueueStats`] — the virtual-time stall account and the queue's
+//!   bookkeeping, which the other two kinds cannot move.
 //!
 //! A change to `Machine::exec_graph`, the profile tables or the cost
 //! model that moves any of these fails here and names the row. When a
@@ -26,15 +30,25 @@ use incline::snapshot::fnv1a;
 
 const TABLE: &str = include_str!("exec_identity.table");
 
-fn row(w: &Workload, jit: bool) -> String {
-    let config = VmConfig {
+/// The three ways a workload is run; one table row each.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Interp,
+    Jit,
+    Pipelined,
+}
+
+fn row(w: &Workload, mode: Mode) -> String {
+    let jit = mode != Mode::Interp;
+    let mut config = VmConfig {
         jit,
         deopt: jit,
-        // `compile_threads` follows INCLINE_COMPILE_THREADS: barrier mode
-        // is byte-identical under every pool size, and CI runs this test
-        // under 0 and 4.
         ..default_vm()
     };
+    if mode == Mode::Pipelined {
+        config.install_policy = InstallPolicy::Safepoint;
+        config.compile_threads = 4;
+    }
     let inliner: Box<dyn Inliner> = if jit {
         Config::paper().build()
     } else {
@@ -45,12 +59,14 @@ fn row(w: &Workload, jit: bool) -> String {
     let mut vm = Machine::new(&w.program, inliner, config);
     vm.set_trace_sink(handle);
     let mut cycles = Vec::with_capacity(w.iterations);
+    let mut stalls = Vec::with_capacity(w.iterations);
     let mut answer = String::new();
     for _ in 0..w.iterations {
         let out = vm
             .run(w.entry, vec![Value::Int(w.input)])
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         cycles.push(out.exec_cycles.to_string());
+        stalls.push(out.stall_cycles.to_string());
         answer.clear();
         for line in out.output.lines() {
             answer.push_str(line);
@@ -61,19 +77,35 @@ fn row(w: &Workload, jit: bool) -> String {
         }
     }
     let snapshot = fnv1a(&vm.snapshot().to_bytes());
+    let queue = vm.queue_stats();
     drop(vm);
     let trace = Arc::try_unwrap(sink)
         .map_err(|_| "sink still shared")
         .expect("sink uniquely owned after the run")
         .into_inner();
-    format!(
+    let mut row = format!(
         "{} {} answer={:016x} snapshot={snapshot:016x} trace={:016x} exec_cycles={}",
         w.name,
-        if jit { "jit" } else { "interp" },
+        match mode {
+            Mode::Interp => "interp",
+            Mode::Jit => "jit",
+            Mode::Pipelined => "pipelined",
+        },
         fnv1a(answer.as_bytes()),
         fnv1a(&trace),
         cycles.join(","),
-    )
+    );
+    if mode == Mode::Pipelined {
+        let _ = write!(
+            row,
+            " stall_cycles={} queue={}/{}/{}",
+            stalls.join(","),
+            queue.enqueued,
+            queue.completed,
+            queue.installed,
+        );
+    }
+    row
 }
 
 #[test]
@@ -85,8 +117,8 @@ fn modelled_ledger_matches_the_checked_in_table() {
     assert_eq!(workloads.len(), 30, "28 paper workloads plus two extras");
     let mut actual = String::new();
     for w in &workloads {
-        for jit in [false, true] {
-            actual.push_str(&row(w, jit));
+        for mode in [Mode::Interp, Mode::Jit, Mode::Pipelined] {
+            actual.push_str(&row(w, mode));
             actual.push('\n');
         }
     }

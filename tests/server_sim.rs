@@ -12,20 +12,21 @@ use incline::bench::server::{
 };
 use incline::bench::Config;
 use incline::prelude::*;
+use incline::snapshot::fnv1a;
 use incline::workloads::tenants::TenantMix;
 
 /// Serves the standard scenario with a JSONL sink attached and returns
 /// both the report and the raw trace bytes.
-fn traced_serve(mix: &TenantMix, threads: usize) -> (ServerReport, Vec<u8>) {
+fn traced_serve(
+    mix: &TenantMix,
+    install: InstallPolicy,
+    threads: usize,
+) -> (ServerReport, Vec<u8>) {
     let sink = Arc::new(JsonlSink::new(Vec::new()));
     let handle: Arc<dyn TraceSink> = sink.clone();
     let report = ServerSession::new(&mix.program, tenant_specs(mix), standard_spec())
         .inliner(Config::paper().build())
-        .config(standard_vm(
-            InstallPolicy::Barrier,
-            EvictionPolicy::Lru,
-            threads,
-        ))
+        .config(standard_vm(install, EvictionPolicy::Lru, threads))
         .trace(handle)
         .serve()
         .expect("standard scenario serves");
@@ -39,9 +40,9 @@ fn traced_serve(mix: &TenantMix, threads: usize) -> (ServerReport, Vec<u8>) {
 #[test]
 fn barrier_report_and_trace_are_identical_across_worker_pools() {
     let mix = standard_mix();
-    let (synchronous_report, synchronous_trace) = traced_serve(&mix, 0);
+    let (synchronous_report, synchronous_trace) = traced_serve(&mix, InstallPolicy::Barrier, 0);
     for threads in [1usize, 4] {
-        let (report, trace) = traced_serve(&mix, threads);
+        let (report, trace) = traced_serve(&mix, InstallPolicy::Barrier, threads);
         assert_eq!(
             synchronous_report, report,
             "barrier installs must hide a {threads}-worker pool from the report"
@@ -51,6 +52,27 @@ fn barrier_report_and_trace_are_identical_across_worker_pools() {
             "barrier installs must hide a {threads}-worker pool from the JSONL trace"
         );
     }
+}
+
+#[test]
+fn pipelined_standard_mix_matches_its_pinned_digests() {
+    // The one witness of safepoint installs that does not compare the
+    // machine with itself: the standard mix at four modelled workers, down
+    // to the trace bytes and every field of the report.
+    let (report, trace) = traced_serve(&standard_mix(), InstallPolicy::Safepoint, 4);
+    // `max_queue_depth` has its own test below.
+    let row = format!(
+        "{:?}",
+        ServerReport {
+            max_queue_depth: 0,
+            ..report
+        }
+    );
+    assert_eq!(
+        (fnv1a(&trace), fnv1a(row.as_bytes())),
+        (0x1dea0161b09bc3eb, 0x4e5f446b8e811573),
+        "trace or report moved; the report is now\n{row}"
+    );
 }
 
 #[test]
