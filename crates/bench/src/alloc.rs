@@ -9,10 +9,10 @@
 //!
 //! Measurement windows are taken with [`start_window`]/[`Window::finish`]:
 //! counters are global and monotone, so a window is a pair of snapshots.
-//! Counts are deterministic for a single-threaded measured section (the
-//! compiler-throughput figures pin `compile_threads = 0`); with worker
-//! threads the totals are still exact but attribution between concurrent
-//! windows is not meaningful.
+//! Counts are deterministic for a single-threaded measured section, which
+//! every figure's is (the VM starts no thread); windows open on several
+//! threads at once would still add up exactly but could not tell whose
+//! bytes were whose.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

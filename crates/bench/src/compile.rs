@@ -90,11 +90,9 @@ impl WorkloadCost {
 }
 
 /// Measures one workload under the paper inliner with the trial cache
-/// on or off. Compilation is pinned synchronous (`compile_threads = 0`)
-/// so the allocation window attributes every byte to this run.
+/// on or off.
 pub fn measure_cost(w: &Workload, trial_cache: bool) -> CostSample {
     let vm = VmConfig {
-        compile_threads: 0,
         trial_cache,
         ..crate::default_vm()
     };
@@ -148,7 +146,7 @@ fn deterministic_json(s: &CostSample) -> Json {
 }
 
 /// Digest over the deterministic subset of every row. Stable across
-/// machines and across `compile_threads`; the CI `compile-throughput`
+/// machines; the CI `compile-throughput`
 /// job diffs this against the checked-in figure.
 pub fn digest(costs: &[WorkloadCost]) -> String {
     let mut text = String::new();

@@ -109,7 +109,15 @@ fn phase_run(
     session.run().unwrap_or_else(|e| panic!("{}: {e}", w.name))
 }
 
-fn measure_with(w: &Workload, config: VmConfig) -> DriftRow {
+/// Snapshots `w` under its phase-A (default) input, then serves the
+/// drifted phase-B input cold and warmed by that snapshot. Runs with
+/// deoptimization enabled — stale speculation must trap and recover, not
+/// stay conservatively correct.
+pub fn measure(w: &Workload) -> DriftRow {
+    let config = VmConfig {
+        deopt: true,
+        ..crate::default_vm()
+    };
     let store = Arc::new(MemoryStore::new());
     phase_run(w, &config, None, Some(store.clone()));
     let phase_b = w.clone().with_input(drifted_input(w.input));
@@ -121,34 +129,6 @@ fn measure_with(w: &Workload, config: VmConfig) -> DriftRow {
         cold,
         warm,
     }
-}
-
-/// Snapshots `w` under its phase-A (default) input, then serves the
-/// drifted phase-B input cold and warmed by that snapshot. Runs with
-/// deoptimization enabled — stale speculation must trap and recover, not
-/// stay conservatively correct.
-pub fn measure(w: &Workload) -> DriftRow {
-    measure_with(
-        w,
-        VmConfig {
-            deopt: true,
-            ..crate::default_vm()
-        },
-    )
-}
-
-/// Like [`measure`] with an explicit compile-worker pool size: every
-/// drift-run observable must be byte-identical across pool sizes, and the
-/// system tests pin that down.
-pub fn measure_with_threads(w: &Workload, threads: usize) -> DriftRow {
-    measure_with(
-        w,
-        VmConfig {
-            deopt: true,
-            compile_threads: threads,
-            ..crate::default_vm()
-        },
-    )
 }
 
 /// Drift rows for every standard workload.

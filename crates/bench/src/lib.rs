@@ -117,9 +117,9 @@ pub fn measure(w: &Workload, config: &Config) -> Measurement {
     measure_with_vm(w, config, config.vm())
 }
 
-/// Like [`measure`] with an explicit [`VmConfig`] — the background-
-/// compilation experiments vary `compile_threads` and `install_policy`
-/// on top of the shared defaults.
+/// Like [`measure`] with an explicit [`VmConfig`] — the pipelined-install
+/// experiments vary `compile_threads` (the modelled worker count) and
+/// `install_policy` on top of the shared defaults.
 pub fn measure_with_vm(w: &Workload, config: &Config, vm: VmConfig) -> Measurement {
     let spec = BenchSpec {
         entry: w.entry,

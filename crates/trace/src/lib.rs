@@ -17,9 +17,8 @@
 //!
 //! The stream is deterministic: two compilations of the same program with the
 //! same configuration produce byte-identical JSONL traces. Sinks are
-//! `Send + Sync` so the VM's background compile broker can share them with
-//! worker threads; the broker replays each worker's buffer in request order,
-//! so the bytes do not depend on the pool size.
+//! `Send + Sync`, so a handle can be shared across threads; the VM itself
+//! compiles, and emits, on one.
 
 #![warn(missing_docs)]
 

@@ -8,13 +8,11 @@ use crate::event::CompileEvent;
 /// A consumer of [`CompileEvent`]s.
 ///
 /// Sinks take `&self` and use interior mutability where they need state.
-/// Since the compile broker runs compilations on background worker threads,
-/// every sink must be `Send + Sync`: the bundled sinks use a [`Mutex`]
-/// around their state, which is uncontended in practice because workers
-/// buffer their events per request and the broker replays each buffer from
-/// the mutator thread at the install safepoint (see `incline-vm`'s broker
-/// module). The trait is still carried by reference inside `Copy` contexts
-/// (the same way `CompileFuel` is).
+/// Every sink must be `Send + Sync`, so one handle can be shared between a
+/// machine and whoever reads the events: the bundled sinks use a [`Mutex`]
+/// around their state, uncontended in practice because the VM compiles and
+/// emits on one thread. The trait is still carried by reference inside
+/// `Copy` contexts (the same way `CompileFuel` is).
 pub trait TraceSink: Send + Sync {
     /// Whether this sink wants events at all. Producers consult this before
     /// building an event, so a disabled sink costs one virtual call and no
@@ -44,8 +42,7 @@ impl TraceSink for NullSink {
 pub static NULL_SINK: NullSink = NullSink;
 
 /// Buffers events in memory for programmatic consumers (`compile_explain`,
-/// tests, visualizers) — and for the compile broker's per-request worker
-/// buffers.
+/// tests, visualizers).
 #[derive(Debug, Default)]
 pub struct CollectingSink {
     events: Mutex<Vec<CompileEvent>>,
@@ -100,7 +97,7 @@ impl TraceSink for StderrSink {
 /// [`Write`] target. The serializer (`CompileEvent::to_json`) is generated
 /// from the event declaration and deterministic; write errors are swallowed
 /// so tracing can never fail a compilation. The writer sits behind a
-/// [`Mutex`] so the sink can be shared with the broker's worker threads.
+/// [`Mutex`] so the sink is `Sync` like every other.
 #[derive(Debug, Default)]
 pub struct JsonlSink<W: Write> {
     out: Mutex<W>,

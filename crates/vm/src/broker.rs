@@ -1,42 +1,34 @@
-//! The background compile broker: per-request compilation off the mutator
-//! path.
+//! The compile broker: what one compilation is asked ([`CompileRequest`]),
+//! how it runs ([`run_ladder`]) and what it hands back
+//! ([`CompileResponse`]), plus the queue requests wait in.
 //!
-//! The broker decouples *when a compilation is requested* from *where it
-//! runs*. A hot-method trigger enqueues a [`CompileRequest`] — a
-//! self-contained description of one compilation: the root method, the
-//! compile-fuel budget, the injected fault (if any), the speculation policy
-//! and (in pipelined mode) a profile snapshot. Requests drain through
-//! [`process`]: with `threads == 0` they run inline on the mutator, with
-//! `threads == N` a pool of scoped worker threads pulls them from a shared
-//! queue. Either way each request runs the same pure function,
-//! [`run_ladder`] — the full bailout ladder (panic-fenced full tier →
-//! inline-free degraded tier, verify-before-install on both) — and returns a
-//! [`CompileResponse`].
+//! Everything here runs on the mutator, one request at a time: the machine
+//! pops a request, runs the ladder with its own trace sink, charges the
+//! response and applies it before it takes the next (see
+//! `Machine::drain_compile_queue`). A request is self-contained — root
+//! method, compile-fuel budget, injected fault, speculation policy and, in
+//! pipelined mode, the profile table, all as they were at enqueue — so
+//! [`run_ladder`], the full bailout ladder (panic-fenced full tier →
+//! inline-free degraded tier, verify-before-install on both), is a pure
+//! function of `(program, profiles, inliner, request)` whose only effect is
+//! the events it emits. That purity is what lets pipelined mode compile
+//! long after the enqueue and still see the enqueue's state.
 //!
-//! # Determinism
+//! Compilation running *beside* the mutator exists in virtual time only:
+//! the machine's stall account (`Machine::charge_response`) places every
+//! request on the earliest free of [`VmConfig::compile_threads`] modelled
+//! workers and charges the mutator the part of the compile that had not
+//! finished when it installs.
 //!
-//! Responses carry everything the mutator needs to *apply* the result
-//! (install or blacklist, counters, wasted-work charges) plus the
-//! compilation's buffered trace events. Workers never touch shared VM state
-//! and never emit into the machine's sink directly: each request's events go
-//! into a private [`CollectingSink`] whose buffer index is the request's
-//! per-method sequence number, and the mutator replays the buffers in
-//! request-id order at the install safepoint. Compilation itself is a pure
-//! function of `(program, profiles, inliner, request)`, so the *contents* of
-//! every response are independent of thread count and arrival order — only
-//! wall-clock timing differs, which the machine models separately with
-//! virtual-time stall accounting. This is what makes `compile_threads ∈
-//! {0, 1, N}` produce byte-identical observable behavior in deterministic
-//! mode.
+//! [`VmConfig::compile_threads`]: crate::VmConfig::compile_threads
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Mutex;
 
 use incline_ir::{Graph, MethodId, Program};
 use incline_opt::CompileFuel;
 use incline_profile::ProfileTable;
-use incline_trace::{CollectingSink, CompileEvent, OptPhase, TraceSink, NULL_SINK};
+use incline_trace::{CompileEvent, OptPhase, TraceSink};
 
 use crate::faults::{self, FaultKind};
 use crate::inliner::{
@@ -44,14 +36,10 @@ use crate::inliner::{
 };
 use crate::machine::CompileStage;
 
-/// One compilation request, snapshotted at enqueue time so it can run on
-/// any thread at any later point without observing mutator-side changes.
+/// One compilation request, snapshotted at enqueue time so it can run at
+/// any later point without observing mutator-side changes.
 #[derive(Clone, Debug)]
-pub struct CompileRequest {
-    /// Request index: the Nth compilation the broker was asked for,
-    /// counting from 0. Keys the fault plan and orders response
-    /// application.
-    pub id: u64,
+pub(crate) struct CompileRequest {
     /// The root method to compile.
     pub method: MethodId,
     /// Compile-fuel budget for this request (`u64::MAX` = unmetered).
@@ -68,13 +56,14 @@ pub struct CompileRequest {
     /// mutator profiling cannot leak into an in-flight compilation.
     pub profiles: Option<ProfileTable>,
     /// Virtual cycle timestamp of the enqueue (mutator clock). Drives the
-    /// stall model: a worker cannot start the request before this point.
+    /// stall model: a modelled worker cannot start the request before
+    /// this point.
     pub enqueued_at: u64,
 }
 
 /// A verified graph ready for installation, produced by a ladder rung.
 #[derive(Debug)]
-pub struct InstallPackage {
+pub(crate) struct InstallPackage {
     /// Which rung produced it.
     pub stage: CompileStage,
     /// The verified, compacted graph.
@@ -85,50 +74,29 @@ pub struct InstallPackage {
     pub stats: InlineStats,
 }
 
-/// Everything a completed compilation hands back to the mutator.
+/// What a completed compilation hands back to the machine.
 #[derive(Debug)]
-pub struct CompileResponse {
-    /// The request's id (responses apply in id order).
-    pub id: u64,
-    /// The root method.
-    pub method: MethodId,
-    /// The request's injected fault (the install path needs the
-    /// speculation faults).
-    pub fault: Option<FaultKind>,
-    /// The request's enqueue timestamp, echoed for the stall model.
-    pub enqueued_at: u64,
+pub(crate) struct CompileResponse {
     /// Fuel units burned by failed attempts, to be charged as wasted
     /// compile cycles (the cost model is linear, so one aggregate charge
-    /// equals the synchronous broker's incremental charges).
+    /// equals a charge per attempt).
     pub wasted_work: u64,
     /// Every rung failure, in ladder order.
     pub failures: Vec<(CompileStage, CompileError)>,
     /// The install package, or `None` if the whole ladder failed (the
-    /// mutator blacklists the method).
+    /// machine blacklists the method).
     pub package: Option<InstallPackage>,
-    /// The compilation's buffered trace events, in emission order. Empty
-    /// when the machine's sink is disabled. The buffer index is this
-    /// request's per-method sequence number; the mutator replays buffers
-    /// in request-id order, which keeps merged streams byte-identical
-    /// across thread counts.
-    pub events: Vec<CompileEvent>,
-    /// Host wall-clock nanoseconds the ladder spent on this request.
-    /// Real time, not virtual time: feeds the compiler-throughput report
-    /// only and never any deterministic observable.
-    pub wall_nanos: u64,
 }
 
-/// The pending-request queue plus lifetime accounting, owned by the
-/// mutator (workers see requests only after [`process`] moves them into
-/// its own shared pool).
+/// The pending requests, in enqueue order, plus lifetime accounting.
 #[derive(Debug, Default)]
-pub struct CompileQueue {
+pub(crate) struct CompileQueue {
     pending: VecDeque<CompileRequest>,
     stats: QueueStats,
 }
 
-/// Lifetime counters of a [`CompileQueue`]. `enqueued == completed` after
-/// every drain — the stress tests assert no request is ever lost.
+/// Lifetime counters of a machine's compile queue. `enqueued == completed`
+/// after every drain — the stress tests assert no request is ever lost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Requests ever enqueued.
@@ -137,6 +105,9 @@ pub struct QueueStats {
     pub completed: u64,
     /// Responses that installed code.
     pub installed: u64,
+    /// The most requests that ever waited at once, the one just pushed
+    /// included.
+    pub max_depth: u64,
 }
 
 impl CompileQueue {
@@ -144,11 +115,12 @@ impl CompileQueue {
     pub(crate) fn push(&mut self, request: CompileRequest) {
         self.stats.enqueued += 1;
         self.pending.push_back(request);
+        self.stats.max_depth = self.stats.max_depth.max(self.pending.len() as u64);
     }
 
-    /// Removes and returns all pending requests, in enqueue order.
-    pub(crate) fn take_all(&mut self) -> Vec<CompileRequest> {
-        self.pending.drain(..).collect()
+    /// Removes and returns the oldest pending request.
+    pub(crate) fn pop(&mut self) -> Option<CompileRequest> {
+        self.pending.pop_front()
     }
 
     /// Marks one response as applied.
@@ -165,17 +137,17 @@ impl CompileQueue {
     }
 
     /// Number of pending requests.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pending.len()
     }
 
     /// Whether no requests are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
 
     /// Lifetime counters.
-    pub fn stats(&self) -> QueueStats {
+    pub(crate) fn stats(&self) -> QueueStats {
         self.stats
     }
 }
@@ -205,20 +177,24 @@ type RungResult = Result<InstallPackage, (CompileError, u64)>;
 
 /// Runs the whole bailout ladder for one request. Pure with respect to the
 /// VM: reads only the program, the (snapshotted or live) profiles and the
-/// inliner; all effects are returned in the [`CompileResponse`]. Safe to
-/// call from any thread.
+/// inliner; its events — a `Bailout` per failed rung included, in rung
+/// order — go into `sink` as they happen, everything else is returned in
+/// the [`CompileResponse`].
+///
+/// Out of line on purpose: with one call site it would otherwise be inlined
+/// towards `Machine::exec_method`, the frame every guest call recurses
+/// through, and the executor measurably slows (the note on
+/// `Machine::drain_compile_queue` has the numbers).
+#[inline(never)]
 pub(crate) fn run_ladder(
     program: &Program,
     live_profiles: &ProfileTable,
     inliner: &dyn Inliner,
     req: &CompileRequest,
-    tracing: bool,
+    sink: &dyn TraceSink,
     trials: Option<&crate::trials::TrialCache>,
 ) -> CompileResponse {
-    let started = std::time::Instant::now();
     let profiles = req.profiles.as_ref().unwrap_or(live_profiles);
-    let buffer = CollectingSink::new();
-    let sink: &dyn TraceSink = if tracing { &buffer } else { &NULL_SINK };
     let mut wasted_work = 0u64;
     let mut failures = Vec::new();
     let mut package = None;
@@ -234,8 +210,8 @@ pub(crate) fn run_ladder(
             }
             Err((error, waste)) => {
                 wasted_work += waste;
-                if tracing {
-                    buffer.emit(CompileEvent::Bailout {
+                if sink.enabled() {
+                    sink.emit(CompileEvent::Bailout {
                         method: req.method,
                         stage,
                         error: error.to_string(),
@@ -246,15 +222,9 @@ pub(crate) fn run_ladder(
         }
     }
     CompileResponse {
-        id: req.id,
-        method: req.method,
-        fault: req.fault,
-        enqueued_at: req.enqueued_at,
         wasted_work,
         failures,
         package,
-        events: buffer.take(),
-        wall_nanos: started.elapsed().as_nanos() as u64,
     }
 }
 
@@ -377,8 +347,7 @@ fn degraded_tier(program: &Program, req: &CompileRequest, sink: &dyn TraceSink) 
 /// package is too big to admit under the budget, the mutator retries with
 /// this smaller package before deferring the compile entirely. The rung
 /// verifies its graph like any other; `None` means it failed and the
-/// caller must defer. Runs on the mutator, so its events go straight into
-/// the machine's sink in deterministic order.
+/// caller must defer.
 pub(crate) fn degraded_package(
     program: &Program,
     method: MethodId,
@@ -386,7 +355,6 @@ pub(crate) fn degraded_package(
     sink: &dyn TraceSink,
 ) -> Option<InstallPackage> {
     let req = CompileRequest {
-        id: u64::MAX,
         method,
         fuel_limit,
         fault: None,
@@ -405,55 +373,13 @@ fn verify(program: &Program, method: MethodId, graph: &Graph) -> Result<(), Comp
         .map_err(|e| CompileError::Rejected(format!("{} (method {})", e.message, decl.name)))
 }
 
-/// Runs a batch of requests and returns the responses sorted by request id.
-///
-/// `threads == 0` compiles inline on the calling thread. `threads >= 1`
-/// spawns `min(threads, requests)` scoped workers that pull requests from a
-/// shared queue — real concurrency, bounded by the pool size. Both paths
-/// produce identical responses ([`run_ladder`] is pure); sorting by id
-/// erases completion-order nondeterminism before the mutator applies them.
-pub(crate) fn process(
-    program: &Program,
-    inliner: &dyn Inliner,
-    live_profiles: &ProfileTable,
-    requests: Vec<CompileRequest>,
-    threads: usize,
-    tracing: bool,
-    trials: Option<&crate::trials::TrialCache>,
-) -> Vec<CompileResponse> {
-    let mut responses = if threads == 0 || requests.len() <= 1 {
-        requests
-            .iter()
-            .map(|req| run_ladder(program, live_profiles, inliner, req, tracing, trials))
-            .collect::<Vec<_>>()
-    } else {
-        let workers = threads.min(requests.len());
-        let queue = Mutex::new(VecDeque::from(requests));
-        let done = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // Take the next request; the lock is released before
-                    // compiling so workers overlap.
-                    let next = queue.lock().expect("queue lock").pop_front();
-                    let Some(req) = next else { break };
-                    let resp = run_ladder(program, live_profiles, inliner, &req, tracing, trials);
-                    done.lock().expect("done lock").push(resp);
-                });
-            }
-        });
-        done.into_inner().expect("done lock")
-    };
-    responses.sort_by_key(|r| r.id);
-    responses
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::inliner::NoInline;
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::Type;
+    use incline_trace::NULL_SINK;
 
     fn straight_line_program(functions: usize) -> (Program, Vec<MethodId>) {
         let mut p = Program::new();
@@ -472,9 +398,8 @@ mod tests {
         (p, ids)
     }
 
-    fn request(id: u64, method: MethodId) -> CompileRequest {
+    fn request(method: MethodId) -> CompileRequest {
         CompileRequest {
-            id,
             method,
             fuel_limit: u64::MAX,
             fault: None,
@@ -488,8 +413,7 @@ mod tests {
     fn ladder_produces_full_tier_package() {
         let (p, ids) = straight_line_program(1);
         let profiles = ProfileTable::new();
-        let resp = run_ladder(&p, &profiles, &NoInline, &request(0, ids[0]), false, None);
-        assert_eq!(resp.id, 0);
+        let resp = run_ladder(&p, &profiles, &NoInline, &request(ids[0]), &NULL_SINK, None);
         assert!(resp.failures.is_empty());
         assert_eq!(resp.wasted_work, 0);
         let pkg = resp.package.expect("straight-line compile succeeds");
@@ -500,9 +424,9 @@ mod tests {
     fn injected_panic_fails_full_tier_only() {
         let (p, ids) = straight_line_program(1);
         let profiles = ProfileTable::new();
-        let mut req = request(0, ids[0]);
+        let mut req = request(ids[0]);
         req.fault = Some(FaultKind::PanicInCompile);
-        let resp = run_ladder(&p, &profiles, &NoInline, &req, false, None);
+        let resp = run_ladder(&p, &profiles, &NoInline, &req, &NULL_SINK, None);
         assert_eq!(resp.failures.len(), 1);
         assert!(matches!(
             resp.failures[0],
@@ -510,28 +434,5 @@ mod tests {
         ));
         let pkg = resp.package.expect("degraded rung rescues the compile");
         assert_eq!(pkg.stage, CompileStage::Degraded);
-    }
-
-    #[test]
-    fn worker_pool_matches_inline_processing() {
-        let (p, ids) = straight_line_program(12);
-        let profiles = ProfileTable::new();
-        let requests: Vec<CompileRequest> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| request(i as u64, m))
-            .collect();
-        let inline = process(&p, &NoInline, &profiles, requests.clone(), 0, true, None);
-        let pooled = process(&p, &NoInline, &profiles, requests, 4, true, None);
-        assert_eq!(inline.len(), pooled.len());
-        for (a, b) in inline.iter().zip(&pooled) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.method, b.method);
-            assert_eq!(a.events, b.events, "trace buffers must match exactly");
-            assert_eq!(
-                a.package.as_ref().map(|p| (p.stage, p.work_nodes)),
-                b.package.as_ref().map(|p| (p.stage, p.work_nodes)),
-            );
-        }
     }
 }

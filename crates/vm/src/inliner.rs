@@ -194,9 +194,10 @@ pub struct CompileOutcome {
 
 /// An inlining algorithm driving a compilation.
 ///
-/// `Send + Sync` is a supertrait requirement: the VM's compile broker shares
-/// one inliner across its worker threads, and every inliner in the workspace
-/// is immutable configuration plus pure functions, so the bound is free.
+/// `Send + Sync` is a supertrait requirement, so that a machine and what it
+/// compiles with can move to, or be shared with, another thread; every
+/// inliner in the workspace is immutable configuration plus pure functions,
+/// so the bound is free.
 pub trait Inliner: Send + Sync {
     /// Short stable name used in benchmark tables.
     fn name(&self) -> &str;

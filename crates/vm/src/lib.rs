@@ -47,7 +47,7 @@ mod store;
 pub mod trials;
 pub mod value;
 
-pub use broker::{CompileQueue, CompileRequest, CompileResponse, InstallPackage, QueueStats};
+pub use broker::QueueStats;
 pub use cache::{CacheEntry, CacheStats, EvictionPolicy};
 pub use cost::{CostModel, Tier};
 pub use faults::{FaultKind, FaultPlan};

@@ -66,13 +66,16 @@ pub struct VmConfig {
     /// the drift monitor). Off by default so speculation stays
     /// always-correct; the CLI enables it unless `--no-deopt`.
     pub deopt: bool,
-    /// Size of the background compile-worker pool. `0` compiles inline on
-    /// the mutator thread (today's synchronous broker); `N >= 1` runs each
-    /// queue drain on up to `N` scoped worker threads. In
-    /// [`InstallPolicy::Barrier`] mode any value produces byte-identical
-    /// observable behavior — the differential matrix tests assert it.
-    /// Defaults to the `INCLINE_COMPILE_THREADS` environment variable
-    /// (read once), or `0`.
+    /// How many *modelled* compile workers the virtual-time stall account
+    /// has (`Machine::charge_response`); no host thread is ever started —
+    /// every compilation runs on the mutator's. `0`, the default: the
+    /// mutator pays every compile cycle as stall. `N >= 1`: a request
+    /// compiles from its enqueue on the earliest free of N workers and the
+    /// mutator stalls only for what is unfinished at the install. Under
+    /// [`InstallPolicy::Barrier`] every value gives `stall == cycles`, so
+    /// nothing observable depends on it; under
+    /// [`InstallPolicy::Safepoint`] it sets how much compile latency
+    /// overlaps mutator progress.
     pub compile_threads: usize,
     /// Where compile-queue drains happen; see [`InstallPolicy`].
     pub install_policy: InstallPolicy,
@@ -103,32 +106,23 @@ pub struct VmConfig {
 /// When the compile queue drains and installed code becomes visible.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum InstallPolicy {
-    /// **Deterministic mode**: the virtual-time barrier sits at the hotness
-    /// trigger — the request is enqueued and the queue drained before the
-    /// triggering invocation proceeds, so the mutator observes exactly the
-    /// synchronous broker's behavior (cycles, trace stream, tier-up point)
-    /// regardless of [`VmConfig::compile_threads`].
+    /// **Synchronous mode**: the request is enqueued and the queue drained
+    /// at the hotness trigger, before the triggering invocation proceeds —
+    /// the method tiers up there and the mutator stalls for the whole
+    /// compilation, whatever [`VmConfig::compile_threads`] says.
     #[default]
     Barrier,
-    /// **Pipelined mode**: the triggering invocation keeps interpreting;
-    /// in-flight compilations install at the next safepoint (an activation
-    /// boundary of the method, or the start of the next `run`), and tier-up
+    /// **Pipelined mode**: the triggering invocation keeps interpreting; the
+    /// request waits in the queue until the next safepoint (an activation
+    /// boundary of the method, or the start of the next `run`), compiles and
+    /// installs there against the profiles it saw at enqueue, and tier-up
     /// happens on the following invocation. Semantics are still exactly
-    /// preserved — only the timeline differs: compile latency overlaps
-    /// mutator progress, so [`RunOutcome::stall_cycles`] shrinks.
+    /// preserved — only the timeline differs: in virtual time the
+    /// compilation ran on a modelled worker while the mutator made
+    /// progress, so [`RunOutcome::stall_cycles`] shrinks.
     ///
     /// [`RunOutcome::stall_cycles`]: super::RunOutcome::stall_cycles
     Safepoint,
-}
-
-fn env_compile_threads() -> usize {
-    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("INCLINE_COMPILE_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0)
-    })
 }
 
 impl Default for VmConfig {
@@ -140,7 +134,7 @@ impl Default for VmConfig {
             fuel_steps: 500_000_000,
             compile_fuel: u64::MAX,
             deopt: false,
-            compile_threads: env_compile_threads(),
+            compile_threads: 0,
             install_policy: InstallPolicy::Barrier,
             code_cache_budget: 0,
             eviction_policy: EvictionPolicy::default(),

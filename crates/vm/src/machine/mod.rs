@@ -31,24 +31,23 @@
 //! per-method [`BailoutRecord`] log, and the deterministic fault-injection
 //! harness in [`crate::faults`] exercises all three rungs.
 //!
-//! # Background compilation
+//! # The compile queue
 //!
-//! The ladder itself lives in [`crate::broker`] as a pure function over a
-//! [`CompileRequest`]: the machine *enqueues* requests (snapshotting fuel,
-//! fault and speculation per request) and *drains* the queue through a pool
-//! of [`VmConfig::compile_threads`] scoped worker threads — or inline when
-//! the pool size is 0. [`InstallPolicy`] picks the drain points: `Barrier`
-//! drains at the hotness trigger (observably identical to the synchronous
-//! broker, cycle for cycle and event for event), `Safepoint` lets the
-//! mutator keep interpreting and installs at activation boundaries, with
-//! the compile latency hidden by a virtual-time worker model — only the
-//! queue wait that outlives the mutator's progress is charged as
-//! [`RunOutcome::stall_cycles`].
+//! The ladder itself lives in [`crate::broker`] as a pure function of one
+//! request: the machine *enqueues* requests (snapshotting fuel, fault,
+//! speculation and — pipelined — the profile table per request) and
+//! *drains* the queue on its own thread, one request at a time: compile,
+//! charge, install, next. [`InstallPolicy`] picks the drain points:
+//! `Barrier` drains at the hotness trigger, `Safepoint` lets the mutator
+//! keep interpreting and drains at activation boundaries. Compilation
+//! beside the mutator exists in virtual time only: a stall account places
+//! each request on one of [`VmConfig::compile_threads`] modelled workers,
+//! and only the part of the compile that outlives the mutator's progress
+//! is charged as [`RunOutcome::stall_cycles`].
 //!
 //! [`CostModel`]: crate::CostModel
 //! [`CompileError::Panicked`]: crate::CompileError::Panicked
 //! [`CompileError::Rejected`]: crate::CompileError::Rejected
-//! [`CompileRequest`]: crate::CompileRequest
 
 mod config;
 mod exec;
@@ -107,11 +106,11 @@ pub struct Machine<'p> {
     fault_plan: FaultPlan,
     compile_requests: u64,
     trace: Arc<dyn TraceSink + 'p>,
-    // Background compilation.
+    // The compile queue and its virtual-time stall account.
     queue: CompileQueue,
-    /// Virtual-time broker model: the cycle at which each worker in the
-    /// pool finishes its last assigned request. Indexed 0..compile_threads
-    /// (one slot for the synchronous broker).
+    /// The cycle at which each modelled worker that ever ran finishes its
+    /// last request; at most `compile_threads` long, and only as long as
+    /// the requests have made it.
     worker_free: Vec<u64>,
     /// Virtual cycles accumulated by completed runs; the live clock is
     /// `vbase + exec_cycles + run_stall_cycles`.
@@ -175,7 +174,7 @@ impl<'p> Machine<'p> {
             compile_requests: 0,
             trace: Arc::new(NullSink),
             queue: CompileQueue::default(),
-            worker_free: vec![0; config.compile_threads.max(1)],
+            worker_free: Vec::new(),
             vbase: 0,
             use_seq: 0,
             cache: CacheStats::default(),

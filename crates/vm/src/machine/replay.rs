@@ -21,8 +21,7 @@ impl Machine<'_> {
     /// Captures the machine's learned state — the full profile table plus
     /// the compile decision log — as a [`Snapshot`] fingerprinted against
     /// the running program. Byte-deterministic: two machines that observed
-    /// the same run produce identical [`Snapshot::to_bytes`] output
-    /// regardless of [`VmConfig::compile_threads`](super::VmConfig::compile_threads).
+    /// the same run produce identical [`Snapshot::to_bytes`] output.
     ///
     /// Decisions that were replayed from a snapshot and later quarantined
     /// as poisoned are excluded — a bad snapshot does not propagate its
@@ -218,8 +217,8 @@ impl Machine<'_> {
             }
         }
         // One request per decided method, enqueued and drained
-        // sequentially — exactly the Barrier-mode hotness trigger, so
-        // stall accounting is identical across worker-pool sizes.
+        // sequentially — exactly the Barrier-mode hotness trigger, so the
+        // stall does not depend on the modelled worker count.
         self.replay_active = true;
         for m in decided {
             let tier = self.methods.get(m).tier();
@@ -230,7 +229,7 @@ impl Machine<'_> {
         self.replay_active = false;
         // The replay is pre-run warmup: fold its stall into the virtual
         // clock base so the first measured run starts clean (and the
-        // worker-pool timeline stays monotone).
+        // modelled workers' timeline stays monotone).
         self.vbase += self.exec_cycles + self.run_stall_cycles;
         self.exec_cycles = 0;
         self.run_compile_cycles = 0;

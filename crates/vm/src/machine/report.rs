@@ -110,10 +110,9 @@ pub struct CompilationReport {
     /// deterministic observable.
     pub compile_wall_nanos: u64,
     /// Deep-inlining-trial cache hits (0 when the cache is disabled).
-    /// Under worker threads concurrent misses on one key may both count,
-    /// so treat these as telemetry, not exact dedup counts.
     pub trial_hits: u64,
-    /// Deep-inlining-trial cache misses (0 when the cache is disabled).
+    /// Deep-inlining-trial cache misses (0 when the cache is disabled):
+    /// the trials actually run. Exact, like the hits.
     pub trial_misses: u64,
 }
 
@@ -161,15 +160,14 @@ pub struct RunOutcome {
     pub value: Option<Value>,
     /// Cycles spent executing code this run.
     pub exec_cycles: u64,
-    /// Cycles of compile work performed for requests applied this run
-    /// (wherever the work ran — mutator or worker pool).
+    /// Cycles of compile work performed for requests applied this run.
     pub compile_cycles: u64,
-    /// Cycles the mutator was stalled on compilation this run. With the
-    /// synchronous broker (`compile_threads == 0`) or in
+    /// Cycles the mutator was stalled on compilation this run. With no
+    /// modelled worker (`compile_threads == 0`) or in
     /// [`InstallPolicy::Barrier`] mode this equals `compile_cycles`; in
-    /// pipelined mode it is only the portion of compile latency that was
-    /// not hidden behind mutator progress (see the virtual-time model in
-    /// the broker docs).
+    /// pipelined mode with workers it is only the portion of compile
+    /// latency that was not hidden behind mutator progress in virtual time
+    /// (see [`VmConfig::compile_threads`](super::VmConfig::compile_threads)).
     ///
     /// [`InstallPolicy::Barrier`]: super::InstallPolicy::Barrier
     pub stall_cycles: u64,

@@ -27,6 +27,7 @@ impl Machine<'_> {
     /// admission control deferred the install. A cold method is enqueued
     /// first; the whole queue is drained, so a request already in flight
     /// (and any other pipelined one) installs here too.
+    #[inline(never)]
     pub fn compile_now(&mut self, method: MethodId) -> bool {
         match self.methods.get(method).tier() {
             Tier::Installed(_) => return true,
@@ -58,15 +59,13 @@ impl Machine<'_> {
         if !matches!(self.methods.get(method).tier(), Tier::Cold) {
             return false;
         }
-        let id = self.compile_requests;
+        let fault = self.fault_plan.fault_at(self.compile_requests);
         self.compile_requests += 1;
-        let fault = self.fault_plan.fault_at(id);
 
         // Storm throttle: a method that deoptimized past the recompile cap
         // is pinned — this compile and every later one emit fallback-only
         // (never `deopt`) code and the drift monitor stays off. Decided at
-        // enqueue (same point as the synchronous broker: request counted,
-        // compilation not yet started).
+        // enqueue: request counted, compilation not yet started.
         if self.config.deopt {
             if let Some(s) = &mut self.methods.get_mut(method).spec {
                 if !s.pinned && s.recompiles >= MAX_RECOMPILES {
@@ -84,7 +83,6 @@ impl Machine<'_> {
             InstallPolicy::Safepoint => Some(self.profiles.clone()),
         };
         self.queue.push(CompileRequest {
-            id,
             method,
             fuel_limit: self.config.compile_fuel,
             fault,
@@ -99,29 +97,36 @@ impl Machine<'_> {
         true
     }
 
-    /// Drains the compile queue: runs every pending request through the
-    /// worker pool (or inline for a pool size of 0) and applies the
-    /// responses in request-id order — counters, wasted-work charges,
-    /// trace-buffer replay, then install or blacklist.
+    /// Drains the compile queue, oldest request first: compile (the ladder
+    /// emits into the machine's own sink), charge the cycles and the stall,
+    /// then install or blacklist — and only then the next request, so the
+    /// trace reads compile(k), apply(k), compile(k+1), ….
+    ///
+    /// Out of line on purpose, like `compile_now` and `broker::run_ladder`:
+    /// inlined into `exec_method`, the frame every guest call recurses
+    /// through, the compile path cost the *executor* 4 % (`interp_only`
+    /// and `peak_compiled`, with the JIT off as much as on).
+    #[inline(never)]
     pub fn drain_compile_queue(&mut self) {
         if self.queue.is_empty() {
             return;
         }
-        let requests = self.queue.take_all();
-        let responses = broker::process(
-            self.program,
-            &*self.inliner,
-            &self.profiles,
-            requests,
-            self.config.compile_threads,
-            self.trace.enabled(),
-            self.trials.as_deref(),
-        );
-        for resp in responses {
-            self.compile_wall_nanos += resp.wall_nanos;
-            self.charge_response(&resp);
-            self.apply_response(resp);
+        while let Some(req) = self.queue.pop() {
+            let started = std::time::Instant::now();
+            let resp = broker::run_ladder(
+                self.program,
+                &self.profiles,
+                &*self.inliner,
+                &req,
+                &*self.trace,
+                self.trials.as_deref(),
+            );
+            self.compile_wall_nanos += started.elapsed().as_nanos() as u64;
+            self.charge_response(&req, &resp);
+            self.apply_response(&req, resp);
         }
+        // A popped request's method stays `Queued` until its response is
+        // applied, so the table and the queue agree only out here.
         self.check_methods(false);
     }
 
@@ -159,7 +164,7 @@ impl Machine<'_> {
     /// The simulated compile cycles one response cost: wasted work from
     /// failed rungs plus (on success) the installed graph's compile cost.
     /// `compile_cost` is linear in work nodes, so charging the aggregate
-    /// here equals the synchronous broker's incremental charges exactly.
+    /// here equals a charge per attempt exactly.
     fn response_cycles(&self, resp: &CompileResponse) -> u64 {
         let mut cycles = self.config.cost.compile_cost(resp.wasted_work as usize);
         if let Some(pkg) = &resp.package {
@@ -169,46 +174,46 @@ impl Machine<'_> {
     }
 
     /// Charges a response's compile cycles to the accounting counters and
-    /// computes the mutator-visible stall it caused. With a worker pool the
-    /// compile ran in the background from `enqueued_at` on the earliest-free
-    /// worker, so the mutator only stalls for the portion not yet finished
-    /// at the install safepoint; with zero threads the mutator did the work
+    /// computes the mutator-visible stall it caused — the virtual-time
+    /// account of compilation beside the mutator, and the one reader of
+    /// [`VmConfig::compile_threads`](super::VmConfig::compile_threads). With
+    /// N ≥ 1 modelled workers the compile ran from `enqueued_at` on the
+    /// earliest-free one, so the mutator stalls only for the part not yet
+    /// finished now, at the install; with none the mutator did the work
     /// itself and stalls for all of it. In `Barrier` mode every drain holds
-    /// exactly one request whose enqueue time is "now", so both formulas
-    /// yield `stall == cycles` and the policies stay cycle-identical.
-    fn charge_response(&mut self, resp: &CompileResponse) {
+    /// one request whose enqueue time is "now" and no worker is busy past
+    /// it, so both formulas yield `stall == cycles`.
+    fn charge_response(&mut self, req: &CompileRequest, resp: &CompileResponse) {
         let cycles = self.response_cycles(resp);
         self.run_compile_cycles += cycles;
         self.total_compile_cycles += cycles;
         let stall = if self.config.compile_threads == 0 {
             cycles
         } else {
-            let (w, free_at) = self
-                .worker_free
-                .iter()
-                .copied()
-                .enumerate()
-                .min_by_key(|&(_, free)| free)
-                .expect("worker_free is never empty");
-            let start = resp.enqueued_at.max(free_at);
-            let finish = start + cycles;
-            self.worker_free[w] = finish;
+            // A worker that never ran is free at 0, like the idlest worker
+            // there can be, so one is made only when every existing one has
+            // run: the pool is as large as the requests made it, whatever
+            // `compile_threads` says.
+            let workers = &mut self.worker_free;
+            let w = match (0..workers.len()).min_by_key(|&w| workers[w]) {
+                Some(w) if workers[w] == 0 || workers.len() >= self.config.compile_threads => w,
+                _ => {
+                    workers.push(0);
+                    workers.len() - 1
+                }
+            };
+            let finish = req.enqueued_at.max(workers[w]) + cycles;
+            workers[w] = finish;
             finish.saturating_sub(self.vnow())
         };
         self.run_stall_cycles += stall;
         self.total_stall_cycles += stall;
     }
 
-    /// Applies one compile response on the mutator: replays the worker's
-    /// buffered trace events in order, records failed-rung bailouts, then
+    /// Applies one compile response: records failed-rung bailouts, then
     /// installs the surviving package or blacklists the method.
-    fn apply_response(&mut self, resp: CompileResponse) {
-        let method = resp.method;
-        if self.trace.enabled() {
-            for event in resp.events {
-                self.trace.emit(event);
-            }
-        }
+    fn apply_response(&mut self, req: &CompileRequest, resp: CompileResponse) {
+        let method = req.method;
         for (stage, error) in resp.failures {
             self.bailouts.record(stage, &error);
             self.bailout_log.push(BailoutRecord {
@@ -221,7 +226,7 @@ impl Machine<'_> {
             Some(pkg) => {
                 // Admission control can still refuse the package, so the
                 // queue's install counter reflects the actual outcome.
-                let installed = self.install_package(method, pkg, resp.fault);
+                let installed = self.install_package(method, pkg, req.fault);
                 self.queue.note_completed(installed);
             }
             None => {
@@ -238,17 +243,15 @@ impl Machine<'_> {
 
     /// Installs a verified package into the code cache: budget admission,
     /// cache accounting, speculation bookkeeping, and the tier-transition /
-    /// install events. The graph was already verified on the worker —
-    /// verification is part of the ladder, so a rejected graph never
-    /// reaches this point. Returns whether code was actually installed;
+    /// install events. The graph is already verified — verification is
+    /// part of the ladder, so a rejected graph never reaches this point. Returns whether code was actually installed;
     /// `false` means admission control deferred the compile (the method is
     /// *not* blacklisted — it can re-heat through the backed-off bar).
     ///
     /// This is also where Safepoint-mode installs re-check admission: the
-    /// cache state is read here, at the install point on the mutator in
-    /// request-id order, never at enqueue — so in-flight compilations can
-    /// never race an eviction, and the decision stream is byte-identical
-    /// across worker-pool sizes.
+    /// cache state is read here, at the install point in request order,
+    /// never at enqueue — so a compilation in flight never races an
+    /// eviction.
     fn install_package(
         &mut self,
         method: MethodId,
@@ -490,9 +493,9 @@ impl Machine<'_> {
     }
 
     /// Recompiles `method` on the inline-free degraded tier at the install
-    /// safepoint, for the admission retry. This is mutator work (the
-    /// worker already finished its full-tier package), so its compile cost
-    /// is charged entirely as stall — no worker-pool overlap.
+    /// safepoint, for the admission retry. No modelled worker does this
+    /// one (the request's worker finished with its full-tier package), so
+    /// its compile cost is charged entirely as stall.
     fn degraded_retry(&mut self, method: MethodId) -> Option<InstallPackage> {
         let trace = Arc::clone(&self.trace);
         let sink: &dyn TraceSink = if trace.enabled() { &*trace } else { &NullSink };

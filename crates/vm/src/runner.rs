@@ -32,8 +32,8 @@ pub struct BenchSpec {
 
 /// Measurements from one benchmark run.
 ///
-/// `PartialEq` so the deterministic-mode tests can assert that different
-/// `compile_threads` settings produce *identical* results wholesale.
+/// `PartialEq` so the identity tests can assert that two configurations
+/// produce *identical* results wholesale.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchResult {
     /// Total cycles (execution + mutator-visible compile stall) of each
@@ -50,8 +50,8 @@ pub struct BenchResult {
     /// Cycles spent compiling over the whole run.
     pub compile_cycles: u64,
     /// Cycles the mutator observably stalled waiting on compilations —
-    /// equals `compile_cycles` for the synchronous broker, strictly less
-    /// when background workers overlap compilation with interpretation.
+    /// equals `compile_cycles` under barrier installs, less when pipelined
+    /// installs overlap compilation with interpretation in virtual time.
     pub stall_cycles: u64,
     /// Output lines of the final repetition (for cross-config checking).
     pub final_output: Vec<String>,

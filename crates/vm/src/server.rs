@@ -23,11 +23,12 @@
 //!   per-tenant failure counts — one tenant degrading never aborts another
 //!   tenant's traffic.
 //!
-//! Everything is virtual-time and seeded, so a [`ServerReport`] is
-//! byte-identical across `compile_threads ∈ {0, 1, N}` under
-//! [`InstallPolicy::Barrier`](crate::InstallPolicy::Barrier), while
+//! Everything is virtual-time and seeded, so a [`ServerReport`] repeats
+//! exactly. Under [`InstallPolicy::Barrier`](crate::InstallPolicy::Barrier)
+//! it does not depend on the modelled worker count, while
 //! [`InstallPolicy::Safepoint`](crate::InstallPolicy::Safepoint) overlaps
-//! compilation with the request stream and shows up as a measured p99 win.
+//! compilation with the request stream in virtual time and shows up as a
+//! measured p99 win.
 
 use std::sync::Arc;
 
@@ -161,8 +162,8 @@ pub struct TenantReport {
 
 /// Aggregate result of one serving run.
 ///
-/// `PartialEq` so the determinism tests can assert that different worker
-/// pools produce *identical* reports wholesale.
+/// `PartialEq` so the determinism tests can assert that two runs produce
+/// *identical* reports wholesale.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServerReport {
     /// Requests served (all tenants, including failed ones).
@@ -174,7 +175,9 @@ pub struct ServerReport {
     pub stall: LatencyStats,
     /// `(request index, queue depth)` samples of the compile queue.
     pub queue_depth: Vec<(u64, u64)>,
-    /// Deepest compile-queue backlog observed at a sample point.
+    /// The most compile requests that ever waited at once
+    /// ([`QueueStats::max_depth`](crate::QueueStats::max_depth)) — taken at
+    /// every push, so no backlog falls between two samples.
     pub max_queue_depth: u64,
     /// Jain's fairness index over per-tenant mean latencies (1.0 = every
     /// tenant sees the same mean latency).
@@ -205,7 +208,7 @@ struct Arrival {
 /// Generates the arrival schedule: weighted tenant picks with alternating
 /// calm/burst inter-arrival gaps, jittered uniformly in `[¾·gap, 1¼·gap)`.
 /// Pure function of `(tenants, spec)` — the serve loop never touches the
-/// RNG, so schedules are independent of install policy and pool size.
+/// RNG, so schedules are independent of install policy and worker count.
 fn schedule(tenants: &[TenantSpec], spec: &ServerSpec) -> Vec<Arrival> {
     let mut rng = Rng64::new(spec.seed);
     let total_weight: u64 = tenants.iter().map(|t| u64::from(t.weight)).sum();
@@ -476,7 +479,6 @@ impl<'p> ServerSession<'p> {
                 digest: digests[i],
             })
             .collect();
-        let max_queue_depth = queue_depth.iter().map(|&(_, d)| d).max().unwrap_or(0);
         if let Some(io) = &self.snapshot_out {
             vm.persist_to(io);
         }
@@ -485,7 +487,7 @@ impl<'p> ServerSession<'p> {
             latency: LatencyStats::of(&lat_all),
             stall: LatencyStats::of(&stall_all),
             queue_depth,
-            max_queue_depth,
+            max_queue_depth: vm.queue_stats().max_depth,
             fairness: fairness_index(&tenant_means),
             tenants,
             compilations: vm.compilations(),

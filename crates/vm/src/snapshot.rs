@@ -25,9 +25,9 @@
 //! {"rec":"end","crc":"77f0a..."}
 //! ```
 //!
-//! Every map is sorted before serialization, so a snapshot of a
-//! deterministic run is **byte-identical across `compile_threads`** — the
-//! round-trip tests assert it. The header's `fingerprint` hashes the
+//! Every map is sorted before serialization, so two machines that saw the
+//! same run write **byte-identical** snapshots — the round-trip tests
+//! assert it. The header's `fingerprint` hashes the
 //! printed program text; loading a snapshot against a different program
 //! fails with [`SnapshotError::StaleProgram`]. Truncated, bit-flipped,
 //! version-bumped or forged snapshots fail parsing or the checksum —

@@ -29,10 +29,10 @@
 //! evicted by time or chance; capacity overflow drops entries FIFO, which
 //! only ever costs a recompute, never changes a result).
 //!
-//! The cache is shared across the broker's worker threads. Hit/miss
-//! counters can race benignly when two workers miss on the same key
-//! concurrently (both compute the same bytes); they surface only in
-//! [`crate::CompilationReport`], never in a `BenchResult`.
+//! Compilations run one at a time on the mutator, so the hit/miss counters
+//! are exact; they surface only in [`crate::CompilationReport`], never in a
+//! `BenchResult`. The table is still `Sync` (a mutex and two atomics):
+//! [`crate::CompileCx`] hands it out by shared reference.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -133,9 +133,10 @@ Tracing: --trace streams compile events to stderr; --trace-json FILE writes JSON
 Deoptimization is on by default for run/bench: hot typeswitches may speculate
 with uncommon traps, deoptimize, and recompile. --no-deopt restricts compiled
 code to the always-correct virtual fallback.
-Broker: --compile-threads N sizes the background worker pool (0 = compile on
-the mutator thread); --pipelined installs at safepoints while the mutator
-keeps interpreting (INCLINE_COMPILE_THREADS sets the pool from the env).
+Broker: every compilation runs on the one host thread. --pipelined installs
+at safepoints while the mutator keeps interpreting; --compile-threads N is
+the number of modelled workers compiling beside it in virtual time (0, the
+default: the mutator pays every compile cycle as stall).
 --no-trial-cache disables deep-inlining-trial memoization (results are
 byte-identical either way; the cache only speeds compilation up).
 Code cache: --cache-budget BYTES bounds installed code (0 = unbounded,

@@ -129,7 +129,8 @@ pub struct CommonOpts {
     /// Write a warmup snapshot to this file after the run
     /// (`--snapshot-out FILE`).
     pub snapshot_out: Option<String>,
-    /// Background compile worker pool size (`--compile-threads N`).
+    /// Modelled compile workers in the virtual-time stall account
+    /// (`--compile-threads N`).
     pub compile_threads: Option<usize>,
     /// Install at safepoints while the mutator keeps interpreting
     /// (`--pipelined`).

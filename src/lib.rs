@@ -49,10 +49,10 @@ pub mod prelude {
     };
     pub use incline_vm::{
         BailoutCounters, BenchSpec, CacheStats, CompilationReport, CompileCx, CompileError,
-        CompileFuel, CompileQueue, EvictionPolicy, FaultKind, FaultPlan, FileStore, Inliner,
-        InstallPolicy, LatencyStats, Machine, MemoryStore, NoInline, QueueStats, RunSession,
-        ServerReport, ServerSession, ServerSpec, Snapshot, SnapshotIo, SnapshotStats,
-        SnapshotStore, Speculation, TenantSpec, Value, VmConfig,
+        CompileFuel, EvictionPolicy, FaultKind, FaultPlan, FileStore, Inliner, InstallPolicy,
+        LatencyStats, Machine, MemoryStore, NoInline, QueueStats, RunSession, ServerReport,
+        ServerSession, ServerSpec, Snapshot, SnapshotIo, SnapshotStats, SnapshotStore, Speculation,
+        TenantSpec, Value, VmConfig,
     };
     pub use incline_workloads::{all_benchmarks, by_name, extra_benchmarks, Suite, Workload};
 }

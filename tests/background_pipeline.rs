@@ -1,11 +1,11 @@
-//! Pipelined background compilation: with `InstallPolicy::Safepoint` the
-//! hotness trigger only *enqueues* a request — the triggering activation
-//! keeps interpreting while a background worker compiles, and the result
-//! installs at the next safepoint (an activation of an in-flight method,
-//! or the start of the next run). Two properties are locked down here:
-//! the mode is observably semantics-preserving, and it buys the thing it
-//! exists for — strictly fewer mutator-visible stall cycles than the
-//! synchronous broker on real workloads.
+//! Pipelined compilation: with `InstallPolicy::Safepoint` the hotness
+//! trigger only *enqueues* a request — the triggering activation keeps
+//! interpreting while, in virtual time, a modelled worker compiles, and the
+//! result installs at the next safepoint (an activation of an in-flight
+//! method, or the start of the next run). Two properties are locked down
+//! here: the mode is observably semantics-preserving, and it buys the thing
+//! it exists for — strictly fewer mutator-visible stall cycles than
+//! barrier installs on real workloads.
 
 use incline_core::IncrementalInliner;
 use incline_vm::{

@@ -159,6 +159,33 @@ fn bench_survives_a_forged_snapshot_header() {
     );
 }
 
+/// `--compile-threads` counts modelled workers, and any count is a run with
+/// the answers of four. The machine used to allocate a slot per worker up
+/// front: `capacity overflow` (exit 101) at `usize::MAX`, a failed 8 TB
+/// allocation (exit 134) at 10^12.
+#[test]
+fn bench_takes_any_modelled_worker_count() {
+    for install in [&[][..], &["--pipelined"]] {
+        let digest = |workers: &str| {
+            let out = Command::new(env!("CARGO_BIN_EXE_incline"))
+                .args(["bench", "scalac", "--compile-threads", workers])
+                .args(install)
+                .output()
+                .expect("the incline binary runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{workers}: {stderr}");
+            let line = stdout.lines().find(|l| l.starts_with("answer digest"));
+            line.unwrap_or_else(|| panic!("{workers}: {stdout}"))
+                .to_string()
+        };
+        let four = digest("4");
+        for workers in ["1000000000000", &usize::MAX.to_string()] {
+            assert_eq!(digest(workers), four, "{workers} {install:?}");
+        }
+    }
+}
+
 /// A hostile but valid program: `main` is a chain of 20 000 blocks, each
 /// jumping to the next with its one parameter. The JIT's block merging
 /// splices them all; when it did one merge per rebuild of the CFG this run

@@ -1,7 +1,6 @@
 //! Compile-broker stress tests: hundreds of methods pushed through the
 //! queue in a seeded random interleaving of enqueues, invalidations,
-//! synchronous compiles and drains, across worker-pool sizes. The
-//! invariants under test are the broker's bookkeeping laws — no request is
+//! synchronous compiles and drains. The invariants under test are the broker's bookkeeping laws — no request is
 //! ever lost, no method is ever double-installed, and the code-cache byte
 //! accounting is exactly symmetric (installing then invalidating
 //! everything returns `installed_bytes` to zero).
@@ -31,27 +30,23 @@ fn many_methods(n: usize) -> (Program, Vec<MethodId>) {
     (p, methods)
 }
 
-/// Drives one machine through `steps` seeded random queue operations and
-/// returns the observable fingerprint of the run.
+/// Drives one machine through `steps` seeded random queue operations,
+/// asserts the bookkeeping laws, and returns the queue counters, the
+/// compilations and the bailouts of the run.
 fn stress(
     program: &Program,
     methods: &[MethodId],
-    threads: usize,
     plan: FaultPlan,
     steps: usize,
-) -> (QueueStats, u64, u64, BailoutCounters) {
-    let config = VmConfig {
-        compile_threads: threads,
-        ..VmConfig::default()
-    };
-    let mut vm = Machine::new(program, Box::new(NoInline), config);
+) -> (QueueStats, u64, BailoutCounters) {
+    let mut vm = Machine::new(program, Box::new(NoInline), VmConfig::default());
     vm.set_fault_plan(plan);
     let mut rng = Rng64::new(0xC0FF_EE00);
     for _ in 0..steps {
         let m = methods[rng.gen_index(methods.len())];
         match rng.gen_index(10) {
-            // Mostly enqueues: build up batches so drains actually hand
-            // multiple requests to the worker pool at once.
+            // Mostly enqueues: build up batches so drains actually hold
+            // several requests at once.
             0..=4 => {
                 vm.enqueue_compile(m);
             }
@@ -77,15 +72,14 @@ fn stress(
     // Every request that went in came out: nothing lost, nothing invented.
     assert_eq!(
         stats.enqueued, stats.completed,
-        "lost or duplicated compile requests (threads={threads})"
+        "lost or duplicated compile requests"
     );
     // Every completion either installed code or blacklisted the method.
     assert_eq!(
         stats.installed + vm.bailouts().blacklisted,
         stats.completed,
-        "completions must split into installs and blacklists (threads={threads})"
+        "completions must split into installs and blacklists"
     );
-    let bytes_at_peak = vm.installed_bytes();
     let compilations = vm.compilations();
     let bailouts = vm.bailouts();
     // Symmetry: tearing every install down again returns the byte
@@ -97,28 +91,24 @@ fn stress(
     assert_eq!(
         vm.installed_bytes(),
         0,
-        "install/invalidate byte accounting must be symmetric (threads={threads})"
+        "install/invalidate byte accounting must be symmetric"
     );
-    (stats, bytes_at_peak, compilations, bailouts)
+    (stats, compilations, bailouts)
 }
 
 #[test]
 fn queue_stress_invariants_hold_across_worker_pools() {
     let (p, methods) = many_methods(300);
-    let reference = stress(&p, &methods, 0, FaultPlan::new(), 3000);
+    let (stats, compilations, _) = stress(&p, &methods, FaultPlan::new(), 3000);
     assert!(
-        reference.0.enqueued > 500,
-        "the schedule should generate real traffic, got {:?}",
-        reference.0
+        stats.enqueued > 500,
+        "the schedule should generate real traffic, got {stats:?}"
     );
-    assert!(reference.2 > 0, "some methods must have compiled");
-    for threads in [1usize, 2, 4, 8] {
-        let got = stress(&p, &methods, threads, FaultPlan::new(), 3000);
-        assert_eq!(
-            reference, got,
-            "queue observables must not depend on worker-pool size"
-        );
-    }
+    assert!(
+        stats.max_depth > 1,
+        "drains should hold several requests, got {stats:?}"
+    );
+    assert!(compilations > 0, "some methods must have compiled");
 }
 
 #[test]
@@ -136,19 +126,11 @@ fn queue_stress_with_injected_faults_still_balances() {
             _ => {}
         }
     }
-    let reference = stress(&p, &methods, 0, plan.clone(), 2000);
+    let (_, _, bailouts) = stress(&p, &methods, plan, 2000);
     assert!(
-        reference.3.full_tier > 0,
-        "the fault plan must actually trip full-tier bailouts: {:?}",
-        reference.3
+        bailouts.full_tier > 0,
+        "the fault plan must actually trip full-tier bailouts: {bailouts:?}"
     );
-    for threads in [1usize, 4] {
-        let got = stress(&p, &methods, threads, plan.clone(), 2000);
-        assert_eq!(
-            reference, got,
-            "fault handling must not depend on worker-pool size"
-        );
-    }
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! Drift-harness system tests: a snapshot taken under phase-A traffic and
-//! replayed against drifted phase-B traffic must compute cold answers,
-//! recover within the documented bound, and produce byte-identical
-//! observables whatever the compile-worker pool size.
+//! replayed against drifted phase-B traffic must compute cold answers and
+//! recover within the documented bound.
 
 use incline_bench::drift;
 
@@ -10,31 +9,6 @@ fn sample() -> Vec<incline::workloads::Workload> {
         .iter()
         .map(|n| incline::workloads::by_name(n).expect("benchmark exists"))
         .collect()
-}
-
-#[test]
-fn drift_observables_are_identical_across_compile_threads() {
-    for w in sample() {
-        let reference = drift::measure_with_threads(&w, 0);
-        assert!(
-            reference.digest_match(),
-            "{}: warm phase-B answer diverged from cold",
-            w.name
-        );
-        for threads in [1usize, 4] {
-            let out = drift::measure_with_threads(&w, threads);
-            assert_eq!(
-                reference.cold, out.cold,
-                "{}: cold phase-B run differs at compile_threads={threads}",
-                w.name
-            );
-            assert_eq!(
-                reference.warm, out.warm,
-                "{}: warm phase-B run differs at compile_threads={threads}",
-                w.name
-            );
-        }
-    }
 }
 
 #[test]

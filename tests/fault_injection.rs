@@ -169,8 +169,7 @@ fn every_seeded_fault_is_contained() {
     assert_eq!(vm.bailout_log().len() as u64, triggered);
 }
 
-/// Like [`run_faulted`] but with an explicit broker worker-pool size, so
-/// the injected faults fire on background worker threads.
+/// Like [`run_faulted`] but with an explicit modelled worker count.
 fn run_faulted_threads(w: &Workload, plan: FaultPlan, runs: usize, threads: usize) -> Machine<'_> {
     let input = 4;
     let expected = reference(w, input);
@@ -193,38 +192,29 @@ fn run_faulted_threads(w: &Workload, plan: FaultPlan, runs: usize, threads: usiz
 
 #[test]
 fn worker_thread_panics_are_contained_by_the_ladder() {
-    // The panic now fires on a background worker thread, not the mutator.
-    // The ladder's catch_unwind fence sits inside the worker's request
-    // processing, so the panic must neither abort the process nor poison
-    // the thread pool: it is counted, the degraded rung installs code, and
-    // nothing is blacklisted — exactly as in the synchronous broker.
+    // Two compilations in a row panic. The ladder's catch_unwind fence sits
+    // on the mutator's own stack, around each rung, so a panic must neither
+    // abort the process nor leave the machine half-updated: it is counted,
+    // the degraded rung installs code, and nothing is blacklisted.
     let w = workload();
-    for threads in [1usize, 2, 4] {
-        let plan = FaultPlan::new()
-            .inject(0, FaultKind::PanicInCompile)
-            .inject(1, FaultKind::PanicInCompile);
-        let vm = run_faulted_threads(&w, plan, 8, threads);
-        let b = vm.bailouts();
-        assert_eq!(
-            b.contained_panics, 2,
-            "both worker-thread panics must be caught (threads={threads})"
-        );
-        assert_eq!(b.full_tier, 2, "each panic costs one full-tier bailout");
-        assert_eq!(b.degraded_tier, 0, "the degraded tier absorbs the panics");
-        assert_eq!(b.blacklisted, 0, "nothing reaches the blacklist");
-        assert!(
-            vm.compilations() >= 1,
-            "the ladder still installs code from the worker"
-        );
-        assert!(vm.blacklisted_methods().is_empty());
-    }
+    let plan = FaultPlan::new()
+        .inject(0, FaultKind::PanicInCompile)
+        .inject(1, FaultKind::PanicInCompile);
+    let vm = run_faulted_threads(&w, plan, 8, 4);
+    let b = vm.bailouts();
+    assert_eq!(b.contained_panics, 2, "both panics must be caught");
+    assert_eq!(b.full_tier, 2, "each panic costs one full-tier bailout");
+    assert_eq!(b.degraded_tier, 0, "the degraded tier absorbs the panics");
+    assert_eq!(b.blacklisted, 0, "nothing reaches the blacklist");
+    assert!(vm.compilations() >= 1, "the ladder still installs code");
+    assert!(vm.blacklisted_methods().is_empty());
 }
 
 #[test]
 fn seeded_fault_counters_are_identical_across_worker_pools() {
-    // Whole-plan equivalence: a seeded storm of mixed faults handled on
-    // four background workers must land exactly the same counters and
-    // bailout log as the synchronous broker handling it on the mutator.
+    // Whole-plan equivalence: under barrier installs a seeded storm of
+    // mixed faults must land exactly the same counters and bailout log
+    // with four modelled workers as with none.
     let w = workload();
     let plan = FaultPlan::seeded(0xFA17, 16, 0.5);
     assert!(!plan.is_empty());
@@ -235,22 +225,20 @@ fn seeded_fault_counters_are_identical_across_worker_pools() {
         .map(|r| format!("{:?}/{:?}/{}", r.method, r.stage, r.error))
         .collect();
     assert!(reference_vm.bailouts().total() > 0);
-    for threads in [1usize, 4] {
-        let vm = run_faulted_threads(&w, plan.clone(), 10, threads);
-        assert_eq!(
-            vm.bailouts(),
-            reference_vm.bailouts(),
-            "bailout counters must not depend on the worker pool (threads={threads})"
-        );
-        let log: Vec<String> = vm
-            .bailout_log()
-            .iter()
-            .map(|r| format!("{:?}/{:?}/{}", r.method, r.stage, r.error))
-            .collect();
-        assert_eq!(log, reference_log, "bailout log must be identical");
-        assert_eq!(vm.compilations(), reference_vm.compilations());
-        assert_eq!(vm.installed_bytes(), reference_vm.installed_bytes());
-    }
+    let vm = run_faulted_threads(&w, plan, 10, 4);
+    assert_eq!(
+        vm.bailouts(),
+        reference_vm.bailouts(),
+        "bailout counters must not depend on the modelled workers"
+    );
+    let log: Vec<String> = vm
+        .bailout_log()
+        .iter()
+        .map(|r| format!("{:?}/{:?}/{}", r.method, r.stage, r.error))
+        .collect();
+    assert_eq!(log, reference_log, "bailout log must be identical");
+    assert_eq!(vm.compilations(), reference_vm.compilations());
+    assert_eq!(vm.installed_bytes(), reference_vm.installed_bytes());
 }
 
 #[test]
@@ -537,10 +525,10 @@ fn force_evict_storm_cycles_without_pinning_or_blacklisting() {
 
 #[test]
 fn force_evict_counters_are_identical_across_worker_pools() {
-    // Forced evictions happen on the mutator immediately after the install
-    // commits, in request-id order — so an eviction storm handled by four
-    // background workers must land exactly the same cache statistics as
-    // the synchronous broker.
+    // Forced evictions happen immediately after the install commits, in
+    // request order — so under barrier installs an eviction storm must land
+    // exactly the same cache statistics with four modelled workers as with
+    // none.
     let w = workload();
     let mut plan = FaultPlan::new();
     for request in 0..=2 {
@@ -549,17 +537,15 @@ fn force_evict_counters_are_identical_across_worker_pools() {
     let reference_vm = run_faulted_threads(&w, plan.clone(), 10, 0);
     let reference_stats = reference_vm.cache_stats();
     assert!(reference_stats.forced_evictions > 0, "the storm must bite");
-    for threads in [1usize, 4] {
-        let vm = run_faulted_threads(&w, plan.clone(), 10, threads);
-        assert_eq!(
-            vm.cache_stats(),
-            reference_stats,
-            "cache counters must not depend on the worker pool (threads={threads})"
-        );
-        assert_eq!(vm.compilations(), reference_vm.compilations());
-        assert_eq!(vm.installed_bytes(), reference_vm.installed_bytes());
-        assert_eq!(vm.bailouts(), reference_vm.bailouts());
-    }
+    let vm = run_faulted_threads(&w, plan, 10, 4);
+    assert_eq!(
+        vm.cache_stats(),
+        reference_stats,
+        "cache counters must not depend on the modelled workers"
+    );
+    assert_eq!(vm.compilations(), reference_vm.compilations());
+    assert_eq!(vm.installed_bytes(), reference_vm.installed_bytes());
+    assert_eq!(vm.bailouts(), reference_vm.bailouts());
 }
 
 // ---- snapshot faults: poisoned warmup state --------------------------------
@@ -784,13 +770,11 @@ fn poison_counters_are_identical_across_worker_pools() {
     let plan = FaultPlan::new().inject(0, FaultKind::PoisonSnapshot { decision_idx: idx });
     let reference = run_poisoned(&w, bytes.clone(), plan.clone(), 10, 0);
     assert_eq!(reference.snapshot.poisoned, 1);
-    for threads in [1usize, 4] {
-        let out = run_poisoned(&w, bytes.clone(), plan.clone(), 10, threads);
-        assert_eq!(
-            reference, out,
-            "poisoned-run results must not depend on the worker pool (threads={threads})"
-        );
-    }
+    let out = run_poisoned(&w, bytes, plan, 10, 4);
+    assert_eq!(
+        reference, out,
+        "poisoned-run results must not depend on the modelled workers"
+    );
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Warmup-snapshot system tests: round-trip byte identity across the
-//! compile-thread matrix, deterministic eager replay against cold runs,
+//! Warmup-snapshot system tests: round-trip byte identity,
+//! deterministic eager replay against cold runs,
 //! and graceful cold-start fallback for truncated,
 //! bit-flipped, version-bumped, stale or missing snapshots — over the
 //! paper workloads and the random-program corpus.
@@ -19,21 +19,20 @@ fn spec(w: &Workload) -> BenchSpec {
     }
 }
 
-fn config(threads: usize) -> VmConfig {
+fn config() -> VmConfig {
     VmConfig {
         hotness_threshold: 2,
         deopt: true,
-        compile_threads: threads,
         ..VmConfig::default()
     }
 }
 
 /// Runs `w` cold and returns the result plus the snapshot it wrote.
-fn cold_run(w: &Workload, threads: usize) -> (BenchResult, Vec<u8>) {
+fn cold_run(w: &Workload) -> (BenchResult, Vec<u8>) {
     let store = Arc::new(MemoryStore::new());
     let r = RunSession::new(&w.program, spec(w))
         .inliner(Box::new(IncrementalInliner::new()))
-        .config(config(threads))
+        .config(config())
         .snapshot_out(store.clone())
         .run()
         .unwrap_or_else(|e| panic!("{}: cold run failed: {e}", w.name));
@@ -42,10 +41,10 @@ fn cold_run(w: &Workload, threads: usize) -> (BenchResult, Vec<u8>) {
 }
 
 /// Runs `w` with `bytes` loaded as the warmup snapshot.
-fn warm_run(w: &Workload, bytes: Vec<u8>, threads: usize) -> BenchResult {
+fn warm_run(w: &Workload, bytes: Vec<u8>) -> BenchResult {
     RunSession::new(&w.program, spec(w))
         .inliner(Box::new(IncrementalInliner::new()))
-        .config(config(threads))
+        .config(config())
         .snapshot_in(bytes)
         .run()
         .unwrap_or_else(|e| panic!("{}: warm run failed: {e}", w.name))
@@ -65,19 +64,12 @@ fn corpus() -> Vec<Workload> {
 
 #[test]
 fn snapshots_are_byte_identical_across_compile_threads() {
-    // The format sorts every map before writing, and in barrier mode the
-    // worker-pool size is observably invisible — so the snapshot written
-    // at the end of a run must not depend on `compile_threads` either.
+    // The format sorts every map before writing, so two machines that saw
+    // the same run write the same bytes.
     for w in corpus() {
-        let (_, reference) = cold_run(&w, 0);
-        for threads in [1usize, 4] {
-            let (_, bytes) = cold_run(&w, threads);
-            assert_eq!(
-                reference, bytes,
-                "{}: snapshot bytes differ between compile_threads=0 and {threads}",
-                w.name
-            );
-        }
+        let (_, reference) = cold_run(&w);
+        let (_, bytes) = cold_run(&w);
+        assert_eq!(reference, bytes, "{}: snapshot bytes differ", w.name);
         // Parse → re-serialize is the identity on valid snapshots.
         let snap = Snapshot::from_bytes(&reference)
             .unwrap_or_else(|e| panic!("{}: snapshot must parse: {e}", w.name));
@@ -94,11 +86,10 @@ fn snapshots_are_byte_identical_across_compile_threads() {
 fn eager_and_seeded_replay_produce_cold_answers() {
     // The replay correctness property: a replayed run must compute
     // byte-identical answers (output digest, final value, per-tenant
-    // semantics) to the cold run it was snapshotted from, across the
-    // worker-pool matrix.
+    // semantics) to the cold run it was snapshotted from.
     for w in corpus() {
-        let (cold, bytes) = cold_run(&w, 0);
-        let reference = warm_run(&w, bytes.clone(), 0);
+        let (cold, bytes) = cold_run(&w);
+        let reference = warm_run(&w, bytes);
         assert_eq!(
             cold.answer_digest(),
             reference.answer_digest(),
@@ -107,23 +98,14 @@ fn eager_and_seeded_replay_produce_cold_answers() {
         );
         assert_eq!(cold.final_value, reference.final_value, "{}", w.name);
         assert_eq!(cold.final_output, reference.final_output, "{}", w.name);
-        // Replay itself is deterministic across the pool size.
-        for threads in [1usize, 4] {
-            let out = warm_run(&w, bytes.clone(), threads);
-            assert_eq!(
-                reference, out,
-                "{}: replayed BenchResult differs between compile_threads=0 and {threads}",
-                w.name
-            );
-        }
     }
 }
 
 #[test]
 fn eager_replay_eliminates_warmup_on_paper_workloads() {
     for w in incline_workloads::all_benchmarks() {
-        let (cold, bytes) = cold_run(&w, 0);
-        let warm = warm_run(&w, bytes, 0);
+        let (cold, bytes) = cold_run(&w);
+        let warm = warm_run(&w, bytes);
         assert!(
             warm.warmup_cycles_within(0.05) <= cold.warmup_cycles_within(0.05),
             "{}: eager replay must not warm up slower than cold \
@@ -139,7 +121,7 @@ fn eager_replay_eliminates_warmup_on_paper_workloads() {
 /// fallback counted, zero loads, and a `BenchResult` equal to the cold
 /// run's in every field except the snapshot counters.
 fn assert_cold_fallback(w: &Workload, cold: &BenchResult, bytes: Vec<u8>, what: &str) {
-    let out = warm_run(w, bytes, 0);
+    let out = warm_run(w, bytes);
     assert_eq!(
         out.snapshot.fallbacks, 1,
         "{}: {what}: fallback must be counted",
@@ -158,7 +140,7 @@ fn assert_cold_fallback(w: &Workload, cold: &BenchResult, bytes: Vec<u8>, what: 
 #[test]
 fn corrupt_snapshots_degrade_to_cold_start() {
     let w = incline_workloads::by_name("scalatest").unwrap();
-    let (cold, bytes) = cold_run(&w, 0);
+    let (cold, bytes) = cold_run(&w);
 
     // Truncations at several depths, including into the checksum digits.
     // (Losing only the trailing newline is tolerated: the footer and the
@@ -265,8 +247,8 @@ fn corrupt_snapshots_degrade_to_cold_start() {
 fn stale_snapshot_from_another_program_degrades_to_cold_start() {
     let w = incline_workloads::by_name("scalatest").unwrap();
     let other = incline_workloads::by_name("avrora").unwrap();
-    let (cold, _) = cold_run(&w, 0);
-    let (_, stale) = cold_run(&other, 0);
+    let (cold, _) = cold_run(&w);
+    let (_, stale) = cold_run(&other);
     // Valid bytes, valid checksum — but the program fingerprint differs.
     assert_cold_fallback(&w, &cold, stale, "stale-program");
 }
@@ -274,10 +256,10 @@ fn stale_snapshot_from_another_program_degrades_to_cold_start() {
 #[test]
 fn empty_store_degrades_to_cold_start() {
     let w = incline_workloads::by_name("scalatest").unwrap();
-    let (cold, _) = cold_run(&w, 0);
+    let (cold, _) = cold_run(&w);
     let out = RunSession::new(&w.program, spec(&w))
         .inliner(Box::new(IncrementalInliner::new()))
-        .config(config(0))
+        .config(config())
         .snapshot_in(Arc::new(MemoryStore::new()))
         .run()
         .unwrap();
@@ -301,7 +283,7 @@ fn replica_run(w: &Workload, iterations: usize, input: i64) -> Vec<u8> {
         },
     )
     .inliner(Box::new(IncrementalInliner::new()))
-    .config(config(0))
+    .config(config())
     .snapshot_out(store.clone())
     .run()
     .unwrap_or_else(|e| panic!("{}: replica run failed: {e}", w.name));
@@ -471,37 +453,26 @@ fn merged_replay_matches_cold_answers_across_compile_threads() {
             .collect();
         let cold = RunSession::new(&w.program, spec(&w))
             .inliner(Box::new(IncrementalInliner::new()))
-            .config(config(0))
+            .config(config())
             .run()
             .unwrap();
-        let mut reference: Option<BenchResult> = None;
-        for threads in [0usize, 1, 4] {
-            let out = RunSession::new(&w.program, spec(&w))
-                .inliner(Box::new(IncrementalInliner::new()))
-                .config(config(threads))
-                .snapshot_merge(replicas.iter().map(|b| b.clone().into()).collect())
-                .run()
-                .unwrap();
-            assert_eq!(
-                out.snapshot.merged, 3,
-                "{}: all three replicas must fold into the merge",
-                w.name
-            );
-            assert_eq!(
-                cold.answer_digest(),
-                out.answer_digest(),
-                "{}: merged replay diverged from the cold answer",
-                w.name
-            );
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(
-                    r, &out,
-                    "{}: merged replay differs at compile_threads={threads}",
-                    w.name
-                ),
-            }
-        }
+        let out = RunSession::new(&w.program, spec(&w))
+            .inliner(Box::new(IncrementalInliner::new()))
+            .config(config())
+            .snapshot_merge(replicas.into_iter().map(Into::into).collect())
+            .run()
+            .unwrap();
+        assert_eq!(
+            out.snapshot.merged, 3,
+            "{}: all three replicas must fold into the merge",
+            w.name
+        );
+        assert_eq!(
+            cold.answer_digest(),
+            out.answer_digest(),
+            "{}: merged replay diverged from the cold answer",
+            w.name
+        );
     }
 }
 
@@ -537,11 +508,11 @@ fn truncated_tail_on_disk_degrades_to_cold_start() {
     // reader must treat it exactly like any corrupt snapshot.
     let w = incline_workloads::by_name("scalatest").unwrap();
     let path = std::env::temp_dir().join(format!("incline-torn-{}.jsonl", std::process::id()));
-    let (cold, bytes) = cold_run(&w, 0);
+    let (cold, bytes) = cold_run(&w);
     std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
     let out = RunSession::new(&w.program, spec(&w))
         .inliner(Box::new(IncrementalInliner::new()))
-        .config(config(0))
+        .config(config())
         .snapshot_in(path.as_path())
         .run()
         .unwrap();
@@ -558,11 +529,11 @@ fn file_store_round_trips_through_disk() {
     use incline_vm::snapshot::FileStore;
     let w = incline_workloads::by_name("scalatest").unwrap();
     let path = std::env::temp_dir().join(format!("incline-snap-{}.jsonl", std::process::id()));
-    let (cold, bytes) = cold_run(&w, 0);
+    let (cold, bytes) = cold_run(&w);
     FileStore::new(&path).write(&bytes).unwrap();
     let warm = RunSession::new(&w.program, spec(&w))
         .inliner(Box::new(IncrementalInliner::new()))
-        .config(config(0))
+        .config(config())
         .snapshot_in(path.as_path())
         .run()
         .unwrap();

@@ -21,12 +21,6 @@ fn jsonl_trace() -> Vec<u8> {
 
 /// [`jsonl_trace`] for an arbitrary workload, with deoptimization toggled.
 fn jsonl_trace_of(w: Workload, deopt: bool) -> Vec<u8> {
-    let threads = VmConfig::default().compile_threads;
-    jsonl_trace_threads(w, deopt, threads)
-}
-
-/// [`jsonl_trace_of`] with an explicit broker worker-pool size.
-fn jsonl_trace_threads(w: Workload, deopt: bool, threads: usize) -> Vec<u8> {
     let spec = BenchSpec {
         entry: w.entry,
         args: vec![Value::Int(4)],
@@ -35,7 +29,6 @@ fn jsonl_trace_threads(w: Workload, deopt: bool, threads: usize) -> Vec<u8> {
     let config = VmConfig {
         hotness_threshold: 2,
         deopt,
-        compile_threads: threads,
         ..VmConfig::default()
     };
     let sink = Arc::new(JsonlSink::new(Vec::new()));
@@ -116,33 +109,11 @@ fn deopt_enabled_runs_produce_byte_identical_jsonl() {
 }
 
 #[test]
-fn jsonl_identical_across_worker_pool_sizes() {
-    // The tentpole trace-determinism property: the worker pool must be
-    // invisible in the JSONL stream. The broker buffers each request's
-    // events on the worker and replays the buffers in request-id order at
-    // the install point, so the raw bytes are identical for 0, 1 and 4
-    // workers, with and without the deoptimization lifecycle in the stream.
-    for (bench, deopt) in [("scalatest", false), ("phase_change", true)] {
-        let w = || incline::workloads::by_name(bench).expect("benchmark exists");
-        let reference = jsonl_trace_threads(w(), deopt, 0);
-        assert!(!reference.is_empty());
-        for threads in [1usize, 4] {
-            let got = jsonl_trace_threads(w(), deopt, threads);
-            assert_eq!(
-                reference, got,
-                "{bench}: raw JSONL must not depend on compile_threads={threads}"
-            );
-        }
-    }
-}
-
-#[test]
 fn per_method_lifecycle_order_survives_the_worker_pool() {
-    // With four background workers compiling concurrently, each method's
-    // lifecycle must still read in program order after the broker's
-    // replay: its RoundStart strictly before its CodeInstalled, any
-    // InlineDecisions in between, and no other compilation's events
-    // spliced into the window (requests replay atomically).
+    // Each method's lifecycle must read in program order: its RoundStart
+    // strictly before its CodeInstalled, any InlineDecisions in between,
+    // and no other compilation's events spliced into the window (a request
+    // is compiled and applied before the next one starts).
     let w = incline::workloads::by_name("phase_change").expect("benchmark exists");
     let config = VmConfig {
         hotness_threshold: 2,
