@@ -180,12 +180,6 @@ type RungResult = Result<InstallPackage, (CompileError, u64)>;
 /// inliner; its events — a `Bailout` per failed rung included, in rung
 /// order — go into `sink` as they happen, everything else is returned in
 /// the [`CompileResponse`].
-///
-/// Out of line on purpose: with one call site it would otherwise be inlined
-/// towards `Machine::exec_method`, the frame every guest call recurses
-/// through, and the executor measurably slows (the note on
-/// `Machine::drain_compile_queue` has the numbers).
-#[inline(never)]
 pub(crate) fn run_ladder(
     program: &Program,
     live_profiles: &ProfileTable,

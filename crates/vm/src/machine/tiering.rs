@@ -27,7 +27,6 @@ impl Machine<'_> {
     /// admission control deferred the install. A cold method is enqueued
     /// first; the whole queue is drained, so a request already in flight
     /// (and any other pipelined one) installs here too.
-    #[inline(never)]
     pub fn compile_now(&mut self, method: MethodId) -> bool {
         match self.methods.get(method).tier() {
             Tier::Installed(_) => return true,
@@ -102,10 +101,12 @@ impl Machine<'_> {
     /// then install or blacklist — and only then the next request, so the
     /// trace reads compile(k), apply(k), compile(k+1), ….
     ///
-    /// Out of line on purpose, like `compile_now` and `broker::run_ladder`:
-    /// inlined into `exec_method`, the frame every guest call recurses
-    /// through, the compile path cost the *executor* 4 % (`interp_only`
-    /// and `peak_compiled`, with the JIT off as much as on).
+    /// Out of line on purpose: this is the one door from `exec_method`, the
+    /// frame every guest call recurses through, to the compile path, and
+    /// with the ladder, the charge and the install inlined into that frame
+    /// the *executor* slows (4 % on `interp_only` and `peak_compiled` in a
+    /// draft of this loop, with the JIT off as much as on). Whether the
+    /// optimizer would do that to this version is its choice; this is not.
     #[inline(never)]
     pub fn drain_compile_queue(&mut self) {
         if self.queue.is_empty() {
