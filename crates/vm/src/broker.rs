@@ -38,7 +38,7 @@ use crate::machine::CompileStage;
 
 /// One compilation request, snapshotted at enqueue time so it can run at
 /// any later point without observing mutator-side changes.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct CompileRequest {
     /// The root method to compile.
     pub method: MethodId,
@@ -375,21 +375,17 @@ mod tests {
     use incline_ir::Type;
     use incline_trace::NULL_SINK;
 
-    fn straight_line_program(functions: usize) -> (Program, Vec<MethodId>) {
+    fn straight_line_program() -> (Program, MethodId) {
         let mut p = Program::new();
-        let mut ids = Vec::new();
-        for i in 0..functions {
-            let m = p.declare_function(format!("f{i}"), vec![Type::Int], Type::Int);
-            let mut fb = FunctionBuilder::new(&p, m);
-            let x = fb.param(0);
-            let k = fb.const_int(i as i64);
-            let r = fb.iadd(x, k);
-            fb.ret(Some(r));
-            let g = fb.finish();
-            p.define_method(m, g);
-            ids.push(m);
-        }
-        (p, ids)
+        let m = p.declare_function("f", vec![Type::Int], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let x = fb.param(0);
+        let k = fb.const_int(1);
+        let r = fb.iadd(x, k);
+        fb.ret(Some(r));
+        let g = fb.finish();
+        p.define_method(m, g);
+        (p, m)
     }
 
     fn request(method: MethodId) -> CompileRequest {
@@ -405,9 +401,9 @@ mod tests {
 
     #[test]
     fn ladder_produces_full_tier_package() {
-        let (p, ids) = straight_line_program(1);
+        let (p, m) = straight_line_program();
         let profiles = ProfileTable::new();
-        let resp = run_ladder(&p, &profiles, &NoInline, &request(ids[0]), &NULL_SINK, None);
+        let resp = run_ladder(&p, &profiles, &NoInline, &request(m), &NULL_SINK, None);
         assert!(resp.failures.is_empty());
         assert_eq!(resp.wasted_work, 0);
         let pkg = resp.package.expect("straight-line compile succeeds");
@@ -416,9 +412,9 @@ mod tests {
 
     #[test]
     fn injected_panic_fails_full_tier_only() {
-        let (p, ids) = straight_line_program(1);
+        let (p, m) = straight_line_program();
         let profiles = ProfileTable::new();
-        let mut req = request(ids[0]);
+        let mut req = request(m);
         req.fault = Some(FaultKind::PanicInCompile);
         let resp = run_ladder(&p, &profiles, &NoInline, &req, &NULL_SINK, None);
         assert_eq!(resp.failures.len(), 1);

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use incline_ir::MethodId;
-use incline_trace::{CodeTier, CompileEvent, NullSink, TraceSink};
+use incline_trace::{CodeTier, CompileEvent};
 
 use super::methods::{hotness, CompiledMethod, Exit, Tier};
 use super::{
@@ -498,9 +498,8 @@ impl Machine<'_> {
     /// one (the request's worker finished with its full-tier package), so
     /// its compile cost is charged entirely as stall.
     fn degraded_retry(&mut self, method: MethodId) -> Option<InstallPackage> {
-        let trace = Arc::clone(&self.trace);
-        let sink: &dyn TraceSink = if trace.enabled() { &*trace } else { &NullSink };
-        let pkg = broker::degraded_package(self.program, method, self.config.compile_fuel, sink)?;
+        let fuel = self.config.compile_fuel;
+        let pkg = broker::degraded_package(self.program, method, fuel, &*self.trace)?;
         let cycles = self.config.cost.compile_cost(pkg.work_nodes);
         self.run_compile_cycles += cycles;
         self.total_compile_cycles += cycles;
