@@ -89,7 +89,7 @@ impl IncrementalInliner {
     /// # Panics
     ///
     /// Panics on the first number that differs.
-    #[cfg(any(test, debug_assertions))]
+    #[cfg(debug_assertions)]
     pub fn compile_audited(
         &self,
         method: MethodId,
@@ -637,7 +637,6 @@ fn inline_cluster(
                 .take()
                 .expect("expanded node has a graph");
             let res = tree.edit_root(|root_graph| inline_call(root_graph, block, callsite, &body));
-            tree.recycle_graph(body);
             step.index
                 .absorb_step(tree.root_graph(), res.continuation, res.return_edges > 0);
             step.inlined += 1;
@@ -741,17 +740,12 @@ fn refresh_specializations(
         }
         if tree.potential_ns(c, cx) > tree.node(c).ns {
             // Re-run the trial with the improved argument facts.
-            let stale = {
-                let n = tree.node_mut(c);
-                n.kind = NodeKind::Cutoff;
-                n.children.clear();
-                n.ns = 0;
-                n.no = 0;
-                n.graph.take()
-            };
-            if let Some(g) = stale {
-                tree.recycle_graph(g);
-            }
+            let n = tree.node_mut(c);
+            n.kind = NodeKind::Cutoff;
+            n.children.clear();
+            n.ns = 0;
+            n.no = 0;
+            n.graph = None;
             tree.expand_node(c, cx, config);
             if let Some(audit) = audit {
                 audit(tree, None, cx, config);
@@ -763,7 +757,7 @@ fn refresh_specializations(
 /// The recursive, freshly measured definitions of the numbers the call tree
 /// stores or sweeps — what [`IncrementalInliner::compile_audited`] holds
 /// the maintained ones to.
-#[cfg(any(test, debug_assertions))]
+#[cfg(debug_assertions)]
 mod reference {
     use super::*;
 

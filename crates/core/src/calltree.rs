@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use incline_ir::graph::{CallTarget, Op};
 use incline_ir::ids::{BlockId, CallSiteId, ClassId, InstId, MethodId};
-use incline_ir::{Graph, GraphPool, StructuralHasher, Type};
+use incline_ir::{Graph, StructuralHasher, Type};
 use incline_opt::OptStats;
 use incline_vm::{CompileCx, TrialKey, TrialOutcome};
 
@@ -141,10 +141,6 @@ pub struct CallTree {
     root_method: MethodId,
     /// Total IR nodes attached by expansions (compile-work accounting).
     pub explored_nodes: usize,
-    /// Recycling arena for expansion/trial graphs: consumed bodies go back
-    /// via [`CallTree::recycle_graph`] and the next expansion reuses their
-    /// buffers instead of allocating a fresh graph.
-    pool: GraphPool,
 }
 
 impl CallTree {
@@ -176,7 +172,6 @@ impl CallTree {
             root_graph,
             root_method: method,
             explored_nodes: 0,
-            pool: GraphPool::new(),
         }
     }
 
@@ -357,7 +352,7 @@ impl CallTree {
     /// `|ir(n)|` measured afresh with `Graph::size()` — what
     /// [`CallTree::ir_size`] must equal. The reference the call-tree
     /// invariant tests compare the stored sizes against.
-    #[cfg(any(test, debug_assertions))]
+    #[cfg(debug_assertions)]
     pub fn reference_ir_size(&self, n: NodeId, cx: &CompileCx<'_>) -> f64 {
         let node = &self.nodes[n.0];
         match node.kind {
@@ -373,7 +368,7 @@ impl CallTree {
 
     /// Subtree metrics by recursion over freshly measured sizes — what the
     /// table of [`CallTree::subtree_metrics_into`] must equal.
-    #[cfg(any(test, debug_assertions))]
+    #[cfg(debug_assertions)]
     pub fn reference_subtree_metrics(&self, n: NodeId, cx: &CompileCx<'_>) -> SubtreeMetrics {
         let node = &self.nodes[n.0];
         let mut m = SubtreeMetrics::default();
@@ -586,8 +581,7 @@ impl CallTree {
             let arg_info = self.callsite_arg_info(n, cx);
             self.run_trial(method, &arg_info, cx)
         } else {
-            let graph = self.pool.clone_graph(&cx.program.method(method).graph);
-            (graph, 0, 0)
+            (cx.program.method(method).graph.clone(), 0, 0)
         };
 
         let attached = graph.size();
@@ -604,12 +598,6 @@ impl CallTree {
         attached
     }
 
-    /// Returns a consumed expansion graph's buffers to the tree's pool so
-    /// the next expansion reuses them.
-    pub fn recycle_graph(&mut self, graph: Graph) {
-        self.pool.recycle(graph);
-    }
-
     /// Runs the deep-inlining trial bundle for `(method, args)` — clone,
     /// specialize, trial-optimize — or replays a memoized outcome from the
     /// [`incline_vm::TrialCache`] when one is attached.
@@ -620,7 +608,7 @@ impl CallTree {
     /// `(ns, no)` and re-emits the same trace events a fresh run would
     /// produce. The differential tests assert this end to end.
     fn run_trial(
-        &mut self,
+        &self,
         method: MethodId,
         args: &[ArgInfo],
         cx: &CompileCx<'_>,
@@ -638,10 +626,10 @@ impl CallTree {
                         cx.trace.emit(e.clone());
                     }
                 }
-                return (self.pool.clone_graph(&hit.graph), hit.ns, hit.no);
+                return (hit.graph.clone(), hit.ns, hit.no);
             }
         }
-        let mut graph = self.pool.clone_graph(template);
+        let mut graph = template.clone();
         let ns = specialize_params(&mut graph, args);
         // The trial bundle (canonicalize_bundle) runs unmetered and
         // reports per-stage deltas to the trace as Trial-phase events.
@@ -877,13 +865,7 @@ pub fn specialize_params(graph: &mut Graph, args: &[ArgInfo]) -> u32 {
     for (i, info) in args.iter().enumerate() {
         let Some(&param) = params.get(i) else { break };
         if let Some(op) = &info.konst {
-            let ty = match op {
-                Op::ConstInt(_) => Type::Int,
-                Op::ConstFloat(_) => Type::Float,
-                Op::ConstBool(_) => Type::Bool,
-                Op::ConstNull(t) => *t,
-                _ => unreachable!("const_op returns constants only"),
-            };
+            let ty = op.const_type().expect("const_op returns constants only");
             let k = graph.create_inst(op.clone(), vec![], Some(ty));
             graph.insert_inst(entry, 0, k);
             let kv = graph.inst(k).result.expect("constant has a result");

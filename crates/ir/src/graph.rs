@@ -290,6 +290,18 @@ impl Op {
             _ => None,
         }
     }
+
+    /// The type of the value a constant op produces; `None` for any other
+    /// op.
+    pub fn const_type(&self) -> Option<Type> {
+        match self {
+            Op::ConstInt(_) => Some(Type::Int),
+            Op::ConstFloat(_) => Some(Type::Float),
+            Op::ConstBool(_) => Some(Type::Bool),
+            Op::ConstNull(t) => Some(*t),
+            _ => None,
+        }
+    }
 }
 
 /// Where a value comes from.
@@ -311,7 +323,7 @@ pub struct ValueData {
 }
 
 /// An instruction: operation, operands and optional result value.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct InstData {
     /// The operation.
     pub op: Op,
@@ -319,25 +331,6 @@ pub struct InstData {
     pub args: Vec<ValueId>,
     /// Result value, if the operation produces one.
     pub result: Option<ValueId>,
-}
-
-impl Clone for InstData {
-    fn clone(&self) -> Self {
-        InstData {
-            op: self.op.clone(),
-            args: self.args.clone(),
-            result: self.result,
-        }
-    }
-
-    // Reuses the operand buffer — `Vec::clone_from` keeps the existing
-    // allocation — so pooled graph clones (see [`GraphPool`]) do not
-    // re-allocate per instruction.
-    fn clone_from(&mut self, source: &Self) {
-        self.op = source.op.clone();
-        self.args.clone_from(&source.args);
-        self.result = source.result;
-    }
 }
 
 /// Why a [`Terminator::Deopt`] uncommon trap was emitted.
@@ -376,7 +369,7 @@ impl std::fmt::Display for DeoptReason {
 }
 
 /// Block terminators.
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Terminator {
     /// Unconditional jump passing `args` to the target's parameters.
     Jump(BlockId, Vec<ValueId>),
@@ -401,55 +394,6 @@ pub enum Terminator {
     },
     /// Marker for not-yet-terminated blocks; invalid in finished graphs.
     Unterminated,
-}
-
-impl Clone for Terminator {
-    fn clone(&self) -> Self {
-        match self {
-            Terminator::Jump(b, args) => Terminator::Jump(*b, args.clone()),
-            Terminator::Branch {
-                cond,
-                then_dest,
-                else_dest,
-            } => Terminator::Branch {
-                cond: *cond,
-                then_dest: then_dest.clone(),
-                else_dest: else_dest.clone(),
-            },
-            Terminator::Return(v) => Terminator::Return(*v),
-            Terminator::Deopt { reason } => Terminator::Deopt { reason: *reason },
-            Terminator::Unterminated => Terminator::Unterminated,
-        }
-    }
-
-    // Same-variant clones reuse the argument buffers (pooled graph reuse).
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (Terminator::Jump(b, args), Terminator::Jump(sb, sargs)) => {
-                *b = *sb;
-                args.clone_from(sargs);
-            }
-            (
-                Terminator::Branch {
-                    cond,
-                    then_dest,
-                    else_dest,
-                },
-                Terminator::Branch {
-                    cond: sc,
-                    then_dest: st,
-                    else_dest: se,
-                },
-            ) => {
-                *cond = *sc;
-                then_dest.0 = st.0;
-                then_dest.1.clone_from(&st.1);
-                else_dest.0 = se.0;
-                else_dest.1.clone_from(&se.1);
-            }
-            (this, source) => *this = source.clone(),
-        }
-    }
 }
 
 impl Terminator {
@@ -531,7 +475,7 @@ impl Terminator {
 }
 
 /// A basic block: parameters, instruction list, terminator.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct BlockData {
     /// Parameter values of the block (the SSA phi replacement).
     pub params: Vec<ValueId>,
@@ -541,24 +485,8 @@ pub struct BlockData {
     pub term: Terminator,
 }
 
-impl Clone for BlockData {
-    fn clone(&self) -> Self {
-        BlockData {
-            params: self.params.clone(),
-            insts: self.insts.clone(),
-            term: self.term.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.params.clone_from(&source.params);
-        self.insts.clone_from(&source.insts);
-        self.term.clone_from(&source.term);
-    }
-}
-
 /// An IR graph: the body of one method.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     values: Vec<ValueData>,
     insts: Vec<InstData>,
@@ -587,29 +515,6 @@ struct ShapeAnalyses {
     /// passes only, so the pipeline lets go of it when a run ends
     /// ([`Graph::release_dom_tree`]) and graphs at rest carry none.
     dom: OnceLock<Arc<DomTree>>,
-}
-
-impl Clone for Graph {
-    fn clone(&self) -> Self {
-        Graph {
-            values: self.values.clone(),
-            insts: self.insts.clone(),
-            blocks: self.blocks.clone(),
-            entry: self.entry,
-            shape: self.shape.clone(),
-        }
-    }
-
-    // Field-wise `clone_from` so a recycled graph (see [`GraphPool`]) reuses
-    // its outer vectors and every inner operand/parameter buffer instead of
-    // re-allocating the whole arena.
-    fn clone_from(&mut self, source: &Self) {
-        self.values.clone_from(&source.values);
-        self.insts.clone_from(&source.insts);
-        self.blocks.clone_from(&source.blocks);
-        self.entry = source.entry;
-        self.shape.clone_from(&source.shape);
-    }
 }
 
 impl Default for Graph {
@@ -1350,65 +1255,6 @@ impl StructuralHasher {
     }
 }
 
-/// A recycling pool of [`Graph`] allocations — the arena the incremental
-/// inliner draws trial and expansion graphs from.
-///
-/// Call-tree expansion clones a callee graph per expanded node and the
-/// trial pipeline churns through scratch graphs every round; allocating
-/// each from scratch dominated the compiler's allocation profile (see
-/// `BENCH_compile.json`). The pool keeps up to [`GraphPool::CAPACITY`]
-/// retired graphs and re-populates them with [`Clone::clone_from`], which
-/// reuses the value/instruction/block vectors and every inner operand
-/// buffer.
-#[derive(Debug, Default)]
-pub struct GraphPool {
-    free: Vec<Graph>,
-}
-
-impl Clone for GraphPool {
-    // Pooled graphs are scratch buffers, not state: a clone starts empty
-    // and warms its own pool, which keeps cloning a pool-holding structure
-    // cheap.
-    fn clone(&self) -> Self {
-        GraphPool::new()
-    }
-}
-
-impl GraphPool {
-    /// Retired graphs kept for reuse; beyond this, recycled graphs drop.
-    pub const CAPACITY: usize = 32;
-
-    /// An empty pool.
-    pub fn new() -> Self {
-        GraphPool::default()
-    }
-
-    /// Clones `template`, reusing a retired graph's buffers when one is
-    /// available. The result is indistinguishable from `template.clone()`.
-    pub fn clone_graph(&mut self, template: &Graph) -> Graph {
-        match self.free.pop() {
-            Some(mut g) => {
-                g.clone_from(template);
-                g
-            }
-            None => template.clone(),
-        }
-    }
-
-    /// Returns a graph's buffers to the pool for a later
-    /// [`GraphPool::clone_graph`].
-    pub fn recycle(&mut self, graph: Graph) {
-        if self.free.len() < Self::CAPACITY {
-            self.free.push(graph);
-        }
-    }
-
-    /// Number of retired graphs currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod coherence;
 
@@ -1640,49 +1486,6 @@ mod tests {
         k(&mut g, dead, 99);
         g.set_terminator(dead, Terminator::Return(None));
         assert_eq!(g.fingerprint(), build(2).fingerprint());
-    }
-
-    #[test]
-    fn pooled_clone_matches_fresh_clone() {
-        let mut g = Graph::empty();
-        let e = g.entry();
-        let a = k(&mut g, e, 1);
-        let b = k(&mut g, e, 2);
-        let (_, s) = g.append(e, Op::Bin(BinOp::IAdd), vec![a, b], Some(Type::Int));
-        g.set_terminator(e, Terminator::Return(s));
-
-        let mut pool = GraphPool::new();
-        // Seed the pool with a retired graph of a very different shape.
-        let mut other = Graph::empty();
-        let o = other.entry();
-        for v in 0..8 {
-            k(&mut other, o, v);
-        }
-        other.set_terminator(o, Terminator::Return(None));
-        pool.recycle(other);
-        assert_eq!(pool.pooled(), 1);
-
-        let cloned = pool.clone_graph(&g);
-        assert_eq!(pool.pooled(), 0);
-        assert_eq!(cloned.fingerprint(), g.fingerprint());
-        assert_eq!(cloned.size(), g.size());
-        assert_eq!(cloned.inst_count(), g.inst_count());
-        assert_eq!(cloned.value_count(), g.value_count());
-        // And a pool miss falls back to a fresh clone.
-        let fresh = pool.clone_graph(&g);
-        assert_eq!(fresh.fingerprint(), g.fingerprint());
-    }
-
-    #[test]
-    fn terminator_clone_from_reuses_same_variant() {
-        let mut t = Terminator::Jump(BlockId::new(0), vec![ValueId::new(0)]);
-        let s = Terminator::Jump(BlockId::new(2), vec![ValueId::new(3), ValueId::new(4)]);
-        t.clone_from(&s);
-        assert_eq!(t, s);
-        // Cross-variant falls back to a plain clone.
-        let r = Terminator::Return(None);
-        t.clone_from(&r);
-        assert_eq!(t, r);
     }
 
     #[test]

@@ -57,11 +57,11 @@ fn random_terminator(rng: &mut Rng64, g: &Graph, c: ValueId) -> Terminator {
     }
 }
 
-/// One random edit through the public `&mut Graph` surface (or a clone, a
-/// pooled clone, an inlining step, a compaction). Returns its name.
-fn random_edit(rng: &mut Rng64, g: &mut Graph, c: ValueId, pool: &mut GraphPool) -> &'static str {
+/// One random edit through the public `&mut Graph` surface (or a clone, an
+/// inlining step, a compaction). Returns its name.
+fn random_edit(rng: &mut Rng64, g: &mut Graph, c: ValueId) -> &'static str {
     let block = random_block(rng, g);
-    match rng.gen_index(19) {
+    match rng.gen_index(18) {
         0 => {
             // The tables of the cached analyses are sized by the block
             // count, so even an unreachable newcomer must be seen. It is
@@ -137,8 +137,8 @@ fn random_edit(rng: &mut Rng64, g: &mut Graph, c: ValueId, pool: &mut GraphPool)
             "clone"
         }
         15 => {
-            // Onto a dirty graph: a recycled one of another shape, with
-            // whatever analyses it had cached.
+            // Onto a dirty graph: one of another shape, with whatever
+            // analyses it had cached.
             let (mut dirty, _) = seed_graph();
             let extra = dirty.add_block();
             dirty.set_terminator(extra, Terminator::Return(None));
@@ -149,11 +149,6 @@ fn random_edit(rng: &mut Rng64, g: &mut Graph, c: ValueId, pool: &mut GraphPool)
             "clone_from"
         }
         16 => {
-            let copy = pool.clone_graph(g);
-            pool.recycle(std::mem::replace(g, copy));
-            "GraphPool::clone_graph + recycle"
-        }
-        17 => {
             // Inline a copy of the graph into itself at a fresh call.
             let callee = g.clone();
             let reachable = g.block_order()[rng.gen_index(g.block_order().len())];
@@ -191,7 +186,6 @@ fn cached_shape_analyses_equal_the_uncached_ones_under_every_mutator() {
     for seed in 0..40 {
         let mut rng = Rng64::new(0x5ea1_0000 + seed);
         let (mut g, c) = seed_graph();
-        let mut pool = GraphPool::new();
         for step in 0..150 {
             // Edits meet a full cache, an order-only cache (what graphs at
             // rest carry) and an empty one.
@@ -203,7 +197,7 @@ fn cached_shape_analyses_equal_the_uncached_ones_under_every_mutator() {
                 }
                 _ => {}
             }
-            let edit = random_edit(&mut rng, &mut g, c, &mut pool);
+            let edit = random_edit(&mut rng, &mut g, c);
             assert_coherent(&g, &format!("seed {seed} step {step} after {edit}"));
         }
     }

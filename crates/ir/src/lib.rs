@@ -49,8 +49,8 @@ pub mod verify;
 
 pub use builder::FunctionBuilder;
 pub use graph::{
-    BinOp, CallInfo, CallTarget, CmpOp, DeoptReason, Graph, GraphPool, InstData, Op,
-    StructuralHasher, Terminator, ValueDef,
+    BinOp, CallInfo, CallTarget, CmpOp, DeoptReason, Graph, InstData, Op, StructuralHasher,
+    Terminator, ValueDef,
 };
 pub use ids::{BlockId, CallSiteId, ClassId, FieldId, InstId, MethodId, SelectorId, ValueId};
 pub use program::{Class, Field, Method, MethodKind, Program, Selector};

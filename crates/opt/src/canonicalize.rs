@@ -1,26 +1,32 @@
 //! Canonicalization: the paper's "simple optimizations" bundle.
 //!
 //! Graal's canonicalizer is the workhorse that deep inlining trials invoke
-//! after propagating callsite arguments (§IV, *Deep inlining trials*). Our
-//! reproduction bundles the same families of rewrites:
+//! after propagating callsite arguments (§IV, *Deep inlining trials*). Each
+//! instruction is inspected in three steps, and the first that proposes a
+//! rewrite wins:
 //!
-//! * **constant folding** — arithmetic, comparisons, conversions,
-//! * **strength reduction** — algebraic identities, `x*2ᵏ → x<<k`,
-//!   comparison inversion under `not`,
-//! * **branch pruning** — conditional branches on known conditions,
-//! * **type-check folding** — `instanceof`/`cast` decided from static types
-//!   and allocation sites,
-//! * **devirtualization** — exact-type receivers and class-hierarchy
-//!   analysis turn virtual callsites into direct calls,
-//! * **block merging** — straight-line jump chains are spliced so the other
-//!   rewrites can see across them.
+//! 1. **constant folding** ([`fold`]) — arithmetic, comparisons, negations
+//!    and conversions over constant operands, through [`incline_ir::eval`],
+//!    the interpreter's own semantics; a fold that would trap ends the
+//!    inspection and leaves the instruction for runtime;
+//! 2. **algebraic identities** ([`rules`]) — a first-match table of the
+//!    two-operand identities of `Bin` and `Cmp` (`x+0`, `x*2ᵏ → x<<k`,
+//!    `x-x`, `null == new C`, …), each row with the counter it bumps;
+//! 3. **rewrites that read the program or a defining instruction** —
+//!    `!!x`, `--x`, comparison inversion under `not`, `instanceof`/`cast`
+//!    decided from static types and allocation sites, and devirtualization
+//!    of exact-type or class-hierarchy-unique receivers.
+//!
+//! Around the instruction sweep, **branch pruning** folds conditional
+//! branches on known conditions and **block merging** splices straight-line
+//! jump chains so the other rewrites can see across them.
 //!
 //! All rewrites are counted in [`OptStats`]; the *simple* ones feed the
 //! inliner's benefit estimate `N_o(n)` (Equation 4 of the paper).
 
 use std::sync::Arc;
 
-use incline_ir::eval;
+use incline_ir::eval::{self, TrapKind};
 use incline_ir::graph::{BinOp, CallInfo, CallTarget, CmpOp, Op, Terminator};
 use incline_ir::ids::{BlockId, InstId, ValueId};
 use incline_ir::{Graph, Program, Type, ValueDef};
@@ -52,8 +58,8 @@ pub fn canonicalize(program: &Program, graph: &mut Graph) -> OptStats {
 enum Rewrite {
     /// Replace the result with an existing value and delete the inst.
     Alias(ValueId),
-    /// Replace the inst with a constant op of the given type.
-    Const(Op, Type),
+    /// Replace the inst with a constant op.
+    Const(Op),
     /// Swap the operation in place (args unchanged).
     Retarget(Op),
     /// Swap operation and arguments in place.
@@ -127,7 +133,8 @@ fn apply(
             aliases.record(graph, result, v);
             graph.neutralize_inst(inst);
         }
-        Rewrite::Const(op, ty) => {
+        Rewrite::Const(op) => {
+            let ty = op.const_type().expect("a constant op");
             let k = graph.create_inst(op, vec![], Some(ty));
             kept.push(k);
             let kv = graph.inst(k).result.expect("constant produces a value");
@@ -157,284 +164,71 @@ fn apply(
     }
 }
 
-/// Inspects one instruction and proposes a rewrite.
+/// Inspects one instruction and proposes a rewrite: [`fold`], then the
+/// first row of [`rules`] that holds, then the rewrites that read the
+/// program or an operand's defining instruction.
 fn simplify(program: &Program, graph: &Graph, inst: InstId) -> Option<(Rewrite, Bump)> {
     let data = graph.inst(inst);
     let arg = |k: usize| data.args[k];
+    let folded = |k: Result<Op, TrapKind>| k.ok().map(|k| (Rewrite::Const(k), Bump::ConstFold));
     match &data.op {
-        Op::Bin(op) if op.is_float() => {
+        op @ (Op::Bin(_) | Op::Cmp(_)) => {
             let (a, b) = (arg(0), arg(1));
-            if let (Some(x), Some(y)) = (graph.as_const_float(a), graph.as_const_float(b)) {
-                let r = eval::eval_float_bin(*op, x, y);
-                return Some((
-                    Rewrite::Const(Op::ConstFloat(r.to_bits()), Type::Float),
-                    Bump::ConstFold,
-                ));
+            let pair = Operands {
+                a,
+                b,
+                ka: graph.const_op(a),
+                kb: graph.const_op(b),
+            };
+            if let Some(k) = fold(op, pair.ka, pair.kb) {
+                return folded(k);
             }
-            // x * 1.0 and x / 1.0 are exact in IEEE-754.
-            if matches!(op, BinOp::FMul | BinOp::FDiv) && graph.as_const_float(b) == Some(1.0) {
-                return Some((Rewrite::Alias(a), Bump::Strength));
-            }
-            if matches!(op, BinOp::FMul) && graph.as_const_float(a) == Some(1.0) {
-                return Some((Rewrite::Alias(b), Bump::Strength));
-            }
-            None
+            let &(_, then, bump) = rules(op).iter().find(|row| pair.holds(row.0, graph))?;
+            Some((pair.rewrite(then), bump))
         }
-        Op::Bin(op) => {
-            let (a, b) = (arg(0), arg(1));
-            let (ka, kb) = (graph.as_const_int(a), graph.as_const_int(b));
-            if let (Some(x), Some(y)) = (ka, kb) {
-                if let Ok(r) = eval::eval_int_bin(*op, x, y) {
-                    return Some((Rewrite::Const(Op::ConstInt(r), Type::Int), Bump::ConstFold));
-                }
-                return None; // would trap; leave for runtime
-            }
-            let strength = |r: Rewrite| Some((r, Bump::Strength));
-            match op {
-                BinOp::IAdd => {
-                    if kb == Some(0) {
-                        return strength(Rewrite::Alias(a));
-                    }
-                    if ka == Some(0) {
-                        return strength(Rewrite::Alias(b));
-                    }
-                }
-                BinOp::ISub => {
-                    if kb == Some(0) {
-                        return strength(Rewrite::Alias(a));
-                    }
-                    if a == b {
-                        return strength(Rewrite::Const(Op::ConstInt(0), Type::Int));
-                    }
-                }
-                BinOp::IMul => {
-                    if kb == Some(1) {
-                        return strength(Rewrite::Alias(a));
-                    }
-                    if ka == Some(1) {
-                        return strength(Rewrite::Alias(b));
-                    }
-                    if ka == Some(0) || kb == Some(0) {
-                        return strength(Rewrite::Const(Op::ConstInt(0), Type::Int));
-                    }
-                    // Classic strength reduction: multiply by a power of two.
-                    if let Some(k) = kb {
-                        if k > 1 && (k as u64).is_power_of_two() {
-                            return strength(Rewrite::MulToShift {
-                                x: a,
-                                shift: k.trailing_zeros() as i64,
-                            });
-                        }
-                    }
-                    if let Some(k) = ka {
-                        if k > 1 && (k as u64).is_power_of_two() {
-                            return strength(Rewrite::MulToShift {
-                                x: b,
-                                shift: k.trailing_zeros() as i64,
-                            });
-                        }
-                    }
-                }
-                BinOp::IDiv if kb == Some(1) => {
-                    return strength(Rewrite::Alias(a));
-                }
-                BinOp::IRem if kb == Some(1) => {
-                    return strength(Rewrite::Const(Op::ConstInt(0), Type::Int));
-                }
-                BinOp::IAnd => {
-                    if a == b {
-                        return strength(Rewrite::Alias(a));
-                    }
-                    if ka == Some(0) || kb == Some(0) {
-                        return strength(Rewrite::Const(Op::ConstInt(0), Type::Int));
-                    }
-                }
-                BinOp::IOr => {
-                    if a == b || kb == Some(0) {
-                        return strength(Rewrite::Alias(a));
-                    }
-                    if ka == Some(0) {
-                        return strength(Rewrite::Alias(b));
-                    }
-                }
-                BinOp::IXor => {
-                    if a == b {
-                        return strength(Rewrite::Const(Op::ConstInt(0), Type::Int));
-                    }
-                    if kb == Some(0) {
-                        return strength(Rewrite::Alias(a));
-                    }
-                    if ka == Some(0) {
-                        return strength(Rewrite::Alias(b));
-                    }
-                }
-                BinOp::IShl | BinOp::IShr if kb == Some(0) => {
-                    return strength(Rewrite::Alias(a));
-                }
-                _ => {}
-            }
-            None
-        }
-        Op::Cmp(op) => {
-            let (a, b) = (arg(0), arg(1));
-            match op.operand_kind() {
-                Some(Type::Int) => {
-                    if let (Some(x), Some(y)) = (graph.as_const_int(a), graph.as_const_int(b)) {
-                        let r = eval::eval_int_cmp(*op, x, y);
-                        return Some((
-                            Rewrite::Const(Op::ConstBool(r), Type::Bool),
-                            Bump::ConstFold,
-                        ));
-                    }
-                    if a == b {
-                        // x ⊛ x is decided for every integer comparison.
-                        let r = matches!(op, CmpOp::IEq | CmpOp::ILe | CmpOp::IGe);
-                        return Some((
-                            Rewrite::Const(Op::ConstBool(r), Type::Bool),
-                            Bump::Strength,
-                        ));
-                    }
-                }
-                Some(Type::Float) => {
-                    if let (Some(x), Some(y)) = (graph.as_const_float(a), graph.as_const_float(b)) {
-                        let r = eval::eval_float_cmp(*op, x, y);
-                        return Some((
-                            Rewrite::Const(Op::ConstBool(r), Type::Bool),
-                            Bump::ConstFold,
-                        ));
-                    }
-                    // x ⊛ x is NOT decidable for floats (NaN).
-                }
-                _ => {
-                    // RefEq.
-                    if a == b {
-                        return Some((
-                            Rewrite::Const(Op::ConstBool(true), Type::Bool),
-                            Bump::Strength,
-                        ));
-                    }
-                    if graph.is_const_null(a) && graph.is_const_null(b) {
-                        return Some((
-                            Rewrite::Const(Op::ConstBool(true), Type::Bool),
-                            Bump::ConstFold,
-                        ));
-                    }
-                    // null vs. fresh allocation is always false.
-                    if (graph.is_const_null(a) && is_allocation(graph, b))
-                        || (graph.is_const_null(b) && is_allocation(graph, a))
-                    {
-                        return Some((
-                            Rewrite::Const(Op::ConstBool(false), Type::Bool),
-                            Bump::ConstFold,
-                        ));
-                    }
-                }
-            }
-            None
-        }
-        Op::Not => {
+        op @ (Op::Not | Op::INeg | Op::FNeg | Op::IntToFloat | Op::FloatToInt) => {
             let a = arg(0);
-            if let Some(k) = graph.as_const_bool(a) {
-                return Some((
-                    Rewrite::Const(Op::ConstBool(!k), Type::Bool),
-                    Bump::ConstFold,
-                ));
+            if let Some(k) = fold(op, graph.const_op(a), None) {
+                return folded(k);
             }
-            if let ValueDef::Inst(def) = graph.value(a).def {
-                match &graph.inst(def).op {
-                    Op::Not => {
-                        let inner = graph.inst(def).args[0];
-                        return Some((Rewrite::Alias(inner), Bump::Strength));
-                    }
-                    Op::Cmp(c) => {
-                        let inv = match c {
-                            CmpOp::IEq => Some(CmpOp::INe),
-                            CmpOp::INe => Some(CmpOp::IEq),
-                            CmpOp::ILt => Some(CmpOp::IGe),
-                            CmpOp::ILe => Some(CmpOp::IGt),
-                            CmpOp::IGt => Some(CmpOp::ILe),
-                            CmpOp::IGe => Some(CmpOp::ILt),
-                            // Float comparisons do not invert under NaN.
-                            _ => None,
-                        };
-                        if let Some(inv) = inv {
-                            let args = graph.inst(def).args.clone();
-                            return Some((Rewrite::Replace(Op::Cmp(inv), args), Bump::Strength));
-                        }
-                    }
-                    _ => {}
+            let ValueDef::Inst(def) = graph.value(a).def else {
+                return None;
+            };
+            let def = graph.inst(def);
+            let rewrite = match (op, &def.op) {
+                (Op::Not, Op::Not) | (Op::INeg, Op::INeg) => Rewrite::Alias(def.args[0]),
+                (Op::Not, Op::Cmp(c)) => {
+                    let inv = match c {
+                        CmpOp::IEq => CmpOp::INe,
+                        CmpOp::INe => CmpOp::IEq,
+                        CmpOp::ILt => CmpOp::IGe,
+                        CmpOp::ILe => CmpOp::IGt,
+                        CmpOp::IGt => CmpOp::ILe,
+                        CmpOp::IGe => CmpOp::ILt,
+                        // Float comparisons do not invert under NaN.
+                        _ => return None,
+                    };
+                    Rewrite::Replace(Op::Cmp(inv), def.args.clone())
                 }
-            }
-            None
-        }
-        Op::INeg => {
-            let a = arg(0);
-            if let Some(k) = graph.as_const_int(a) {
-                return Some((
-                    Rewrite::Const(Op::ConstInt(k.wrapping_neg()), Type::Int),
-                    Bump::ConstFold,
-                ));
-            }
-            if let ValueDef::Inst(def) = graph.value(a).def {
-                if matches!(graph.inst(def).op, Op::INeg) {
-                    return Some((Rewrite::Alias(graph.inst(def).args[0]), Bump::Strength));
-                }
-            }
-            None
-        }
-        Op::FNeg => {
-            let a = arg(0);
-            if let Some(k) = graph.as_const_float(a) {
-                return Some((
-                    Rewrite::Const(Op::ConstFloat((-k).to_bits()), Type::Float),
-                    Bump::ConstFold,
-                ));
-            }
-            None
-        }
-        Op::IntToFloat => {
-            let a = arg(0);
-            graph.as_const_int(a).map(|k| {
-                (
-                    Rewrite::Const(Op::ConstFloat(eval::int_to_float(k).to_bits()), Type::Float),
-                    Bump::ConstFold,
-                )
-            })
-        }
-        Op::FloatToInt => {
-            let a = arg(0);
-            graph.as_const_float(a).map(|k| {
-                (
-                    Rewrite::Const(Op::ConstInt(eval::float_to_int(k)), Type::Int),
-                    Bump::ConstFold,
-                )
-            })
+                _ => return None,
+            };
+            Some((rewrite, Bump::Strength))
         }
         Op::InstanceOf(class) => {
             let a = arg(0);
+            let decided = |k| Some((Rewrite::Const(Op::ConstBool(k)), Bump::TypeCheck));
             if graph.is_const_null(a) {
-                return Some((
-                    Rewrite::Const(Op::ConstBool(false), Type::Bool),
-                    Bump::TypeCheck,
-                ));
+                return decided(false);
             }
-            let static_ty = graph.value_type(a);
-            if let Type::Object(d) = static_ty {
+            if let Type::Object(d) = graph.value_type(a) {
                 if is_allocation(graph, a) {
                     // Exact dynamic class known.
-                    let r = program.is_subclass(d, *class);
-                    return Some((
-                        Rewrite::Const(Op::ConstBool(r), Type::Bool),
-                        Bump::TypeCheck,
-                    ));
+                    return decided(program.is_subclass(d, *class));
                 }
                 // If the static class is unrelated to the tested class, no
                 // instance can pass (single inheritance).
                 if !program.is_subclass(d, *class) && !program.is_subclass(*class, d) {
-                    return Some((
-                        Rewrite::Const(Op::ConstBool(false), Type::Bool),
-                        Bump::TypeCheck,
-                    ));
+                    return decided(false);
                 }
                 // Subtype receivers still might be null; fold only when the
                 // value is provably non-null (allocation handled above).
@@ -449,13 +243,10 @@ fn simplify(program: &Program, graph: &Graph, inst: InstId) -> Option<(Rewrite, 
                     return Some((Rewrite::Alias(a), Bump::TypeCheck));
                 }
             }
-            if graph.is_const_null(a) {
-                return Some((
-                    Rewrite::Const(Op::ConstNull(Type::Object(*class)), Type::Object(*class)),
-                    Bump::TypeCheck,
-                ));
-            }
-            None
+            let null = Op::ConstNull(Type::Object(*class));
+            graph
+                .is_const_null(a)
+                .then_some((Rewrite::Const(null), Bump::TypeCheck))
         }
         Op::Call(CallInfo {
             target: CallTarget::Virtual(sel),
@@ -472,17 +263,181 @@ fn simplify(program: &Program, graph: &Graph, inst: InstId) -> Option<(Rewrite, 
                 // Class-hierarchy analysis.
                 program.resolve_unique(static_class, *sel)
             };
-            target.map(|m| {
-                (
-                    Rewrite::Retarget(Op::Call(CallInfo {
-                        target: CallTarget::Static(m),
-                        site: *site,
-                    })),
-                    Bump::Devirt,
-                )
-            })
+            let target = CallTarget::Static(target?);
+            let call = Op::Call(CallInfo {
+                target,
+                site: *site,
+            });
+            Some((Rewrite::Retarget(call), Bump::Devirt))
         }
         _ => None,
+    }
+}
+
+/// Constant-folds `op` through [`eval`] when every operand is a constant:
+/// `ka` and `kb` are the constant definitions of its operands, `kb` is
+/// `None` for a unary op. `Some(Err(_))`: the fold would trap.
+fn fold(op: &Op, ka: Option<&Op>, kb: Option<&Op>) -> Option<Result<Op, TrapKind>> {
+    use Op::{ConstBool as Bool, ConstFloat as Float, ConstInt as Int};
+    let f = |bits: &u64| f64::from_bits(*bits);
+    Some(Ok(match (op, ka?, kb) {
+        (Op::Bin(o), Int(x), Some(Int(y))) if !o.is_float() => {
+            return Some(eval::eval_int_bin(*o, *x, *y).map(Int));
+        }
+        (Op::Bin(o), Float(x), Some(Float(y))) if o.is_float() => {
+            Float(eval::eval_float_bin(*o, f(x), f(y)).to_bits())
+        }
+        (Op::Cmp(o), Int(x), Some(Int(y))) if o.operand_kind() == Some(Type::Int) => {
+            Bool(eval::eval_int_cmp(*o, *x, *y))
+        }
+        (Op::Cmp(o), Float(x), Some(Float(y))) if o.operand_kind() == Some(Type::Float) => {
+            Bool(eval::eval_float_cmp(*o, f(x), f(y)))
+        }
+        (Op::Not, Bool(k), None) => Bool(!k),
+        (Op::INeg, Int(k), None) => Int(k.wrapping_neg()),
+        (Op::FNeg, Float(k), None) => Float((-f(k)).to_bits()),
+        (Op::IntToFloat, Int(k), None) => Float(eval::int_to_float(*k).to_bits()),
+        (Op::FloatToInt, Float(k), None) => Int(eval::float_to_int(f(k))),
+        _ => return None,
+    }))
+}
+
+/// What a row of [`rules`] asks of the operands `a ⊛ b`.
+#[derive(Clone, Copy, Debug)]
+enum When {
+    /// `a` is the integer constant.
+    IntA(i64),
+    /// `b` is the integer constant.
+    IntB(i64),
+    /// `a` is the float constant (compared as a value: `-0.0 == 0.0`).
+    FloatA(f64),
+    /// `b` is the float constant.
+    FloatB(f64),
+    /// `a` is an integer constant `2ᵏ`, `k ≥ 1`.
+    Pow2A,
+    /// `b` is an integer constant `2ᵏ`, `k ≥ 1`.
+    Pow2B,
+    /// `a` and `b` are one value.
+    Same,
+    /// Both are null constants.
+    BothNull,
+    /// One is a null constant, the other a fresh allocation.
+    NullAndNew,
+}
+
+/// What a row of [`rules`] rewrites `a ⊛ b` to.
+#[derive(Clone, Copy, Debug)]
+enum Then {
+    /// The operand `a`.
+    A,
+    /// The operand `b`.
+    B,
+    /// An integer constant.
+    Int(i64),
+    /// A boolean constant.
+    Bool(bool),
+    /// `a << k` for `b = 2ᵏ`.
+    ShlA,
+    /// `b << k` for `a = 2ᵏ`.
+    ShlB,
+}
+
+/// The two-operand identities of `op` (a `Bin` or `Cmp`), tried in order
+/// after [`fold`]; the first row whose [`When`] holds is the rewrite.
+fn rules(op: &Op) -> &'static [(When, Then, Bump)] {
+    use Bump::{ConstFold as C, Strength as S};
+    use Then::{Bool, Int, ShlA, ShlB, A, B};
+    use When::*;
+    match op {
+        Op::Bin(BinOp::IAdd) => &[(IntB(0), A, S), (IntA(0), B, S)],
+        Op::Bin(BinOp::ISub) => &[(IntB(0), A, S), (Same, Int(0), S)],
+        Op::Bin(BinOp::IMul) => &[
+            (IntB(1), A, S),
+            (IntA(1), B, S),
+            (IntA(0), Int(0), S),
+            (IntB(0), Int(0), S),
+            (Pow2B, ShlA, S),
+            (Pow2A, ShlB, S),
+        ],
+        Op::Bin(BinOp::IDiv) => &[(IntB(1), A, S)],
+        Op::Bin(BinOp::IRem) => &[(IntB(1), Int(0), S)],
+        Op::Bin(BinOp::IAnd) => &[(Same, A, S), (IntA(0), Int(0), S), (IntB(0), Int(0), S)],
+        Op::Bin(BinOp::IOr) => &[(Same, A, S), (IntB(0), A, S), (IntA(0), B, S)],
+        Op::Bin(BinOp::IXor) => &[(Same, Int(0), S), (IntB(0), A, S), (IntA(0), B, S)],
+        Op::Bin(BinOp::IShl | BinOp::IShr) => &[(IntB(0), A, S)],
+        // x * 1.0 and x / 1.0 are exact in IEEE-754.
+        Op::Bin(BinOp::FMul) => &[(FloatB(1.0), A, S), (FloatA(1.0), B, S)],
+        Op::Bin(BinOp::FDiv) => &[(FloatB(1.0), A, S)],
+        // x ⊛ x is decided for every integer comparison — and for no float
+        // one (NaN).
+        Op::Cmp(CmpOp::IEq | CmpOp::ILe | CmpOp::IGe) => &[(Same, Bool(true), S)],
+        Op::Cmp(CmpOp::INe | CmpOp::ILt | CmpOp::IGt) => &[(Same, Bool(false), S)],
+        Op::Cmp(CmpOp::RefEq) => &[
+            (Same, Bool(true), S),
+            (BothNull, Bool(true), C),
+            (NullAndNew, Bool(false), C),
+        ],
+        _ => &[],
+    }
+}
+
+/// The operands of a `Bin` or `Cmp` with their constant definitions, looked
+/// up once for [`fold`] and every row of [`rules`].
+struct Operands<'g> {
+    a: ValueId,
+    b: ValueId,
+    ka: Option<&'g Op>,
+    kb: Option<&'g Op>,
+}
+
+impl Operands<'_> {
+    fn holds(&self, when: When, graph: &Graph) -> bool {
+        let int = |k: Option<&Op>| match k {
+            Some(&Op::ConstInt(k)) => Some(k),
+            _ => None,
+        };
+        let float = |k: Option<&Op>| match k {
+            Some(&Op::ConstFloat(bits)) => Some(f64::from_bits(bits)),
+            _ => None,
+        };
+        let pow2 = |k| int(k).is_some_and(|k| k > 1 && (k as u64).is_power_of_two());
+        let null = |k: Option<&Op>| matches!(k, Some(Op::ConstNull(_)));
+        let (a, b, ka, kb) = (self.a, self.b, self.ka, self.kb);
+        match when {
+            When::IntA(k) => int(ka) == Some(k),
+            When::IntB(k) => int(kb) == Some(k),
+            When::FloatA(k) => float(ka) == Some(k),
+            When::FloatB(k) => float(kb) == Some(k),
+            When::Pow2A => pow2(ka),
+            When::Pow2B => pow2(kb),
+            When::Same => a == b,
+            When::BothNull => null(ka) && null(kb),
+            When::NullAndNew => {
+                (null(ka) && is_allocation(graph, b)) || (null(kb) && is_allocation(graph, a))
+            }
+        }
+    }
+
+    fn rewrite(&self, then: Then) -> Rewrite {
+        // The `k` of a `Pow2` operand.
+        let log2 = |k: Option<&Op>| match k {
+            Some(Op::ConstInt(k)) => k.trailing_zeros() as i64,
+            _ => unreachable!("a Pow2 row matched a constant"),
+        };
+        match then {
+            Then::A => Rewrite::Alias(self.a),
+            Then::B => Rewrite::Alias(self.b),
+            Then::Int(k) => Rewrite::Const(Op::ConstInt(k)),
+            Then::Bool(k) => Rewrite::Const(Op::ConstBool(k)),
+            Then::ShlA => Rewrite::MulToShift {
+                x: self.a,
+                shift: log2(self.kb),
+            },
+            Then::ShlB => Rewrite::MulToShift {
+                x: self.b,
+                shift: log2(self.ka),
+            },
+        }
     }
 }
 
@@ -594,6 +549,7 @@ mod tests {
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::types::RetType;
     use incline_ir::verify::verify_graph;
+    use incline_ir::Rng64;
 
     fn opt(program: &Program, graph: &mut Graph) -> OptStats {
         let stats = canonicalize(program, graph);
@@ -833,6 +789,82 @@ mod tests {
             0,
             "x==x must survive for floats"
         );
+    }
+
+    /// Every row of `rules` is an identity of `eval` (through `fold`): for
+    /// operands that satisfy its `When`, `a ⊛ b` evaluates to what its
+    /// `Then` names. Integer rows draw 256 seeded pairs — the constrained
+    /// operand is the row's constant, `2ᵏ` for k in 1..=62, or the other
+    /// operand; float rows run over a list of awkward values, NaN equal to
+    /// NaN. `refeq` has no `eval`: its rows are covered by the graph-level
+    /// tests.
+    #[test]
+    fn every_rule_is_an_identity_of_eval() {
+        use BinOp::*;
+        use CmpOp::*;
+        let (int, float) = (Op::ConstInt, |v: f64| Op::ConstFloat(v.to_bits()));
+        let floats = [0.0, -0.0, 1.0, -1.0, 2.5, f64::MAX, f64::MIN_POSITIVE / 8.0]
+            .into_iter()
+            .chain([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        let bins = [IAdd, ISub, IMul, IDiv, IRem, IAnd, IOr, IXor, IShl, IShr];
+        let bins = bins
+            .into_iter()
+            .chain([FAdd, FSub, FMul, FDiv])
+            .map(Op::Bin);
+        let cmps = [IEq, INe, ILt, ILe, IGt, IGe, FEq, FLt, FLe].map(Op::Cmp);
+        let nan = |k: &Option<Result<Op, TrapKind>>| matches!(k, Some(Ok(Op::ConstFloat(bits))) if f64::from_bits(*bits).is_nan());
+        let mut rng = Rng64::new(0xca_2019);
+        let mut rows = 0;
+        for op in bins.chain(cmps) {
+            for &(when, then, _) in rules(&op) {
+                rows += 1;
+                let pairs: Vec<(Op, Op)> = match when {
+                    When::FloatA(k) => floats.clone().map(|y| (float(k), float(y))).collect(),
+                    When::FloatB(k) => floats.clone().map(|y| (float(y), float(k))).collect(),
+                    _ => (0..256)
+                        .map(|i| {
+                            let x = match i % 4 {
+                                0 => rng.gen_range(-4, 5),
+                                _ => rng.next_u64() as i64,
+                            };
+                            let p = 1 << rng.gen_range(1, 63);
+                            match when {
+                                When::IntA(k) => (int(k), int(x)),
+                                When::IntB(k) => (int(x), int(k)),
+                                When::Pow2A => (int(p), int(x)),
+                                When::Pow2B => (int(x), int(p)),
+                                When::Same => (int(x), int(x)),
+                                other => unreachable!("{other:?} is a refeq row"),
+                            }
+                        })
+                        .collect(),
+                };
+                for (a, b) in pairs {
+                    let shl = |x: &Op, p: &Op| {
+                        let Op::ConstInt(p) = p else { unreachable!() };
+                        fold(
+                            &Op::Bin(IShl),
+                            Some(x),
+                            Some(&int(p.trailing_zeros() as i64)),
+                        )
+                    };
+                    let want = match then {
+                        Then::A => Some(Ok(a.clone())),
+                        Then::B => Some(Ok(b.clone())),
+                        Then::Int(k) => Some(Ok(int(k))),
+                        Then::Bool(k) => Some(Ok(Op::ConstBool(k))),
+                        Then::ShlA => shl(&a, &b),
+                        Then::ShlB => shl(&b, &a),
+                    };
+                    let got = fold(&op, Some(&a), Some(&b));
+                    assert!(
+                        got == want || (nan(&got) && nan(&want)),
+                        "{op:?}: ({when:?}, {then:?}) at ({a:?}, {b:?}) gives {got:?}, not {want:?}"
+                    );
+                }
+            }
+        }
+        assert_eq!(rows, 32, "every row but refeq's three");
     }
 
     #[test]

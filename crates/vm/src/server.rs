@@ -125,6 +125,8 @@ pub enum ServerError {
     ZeroRequests,
     /// Every tenant has weight zero — the arrival process is undefined.
     ZeroWeights,
+    /// The arrival schedule for this many requests cannot be allocated.
+    TooManyRequests(usize),
 }
 
 impl std::fmt::Display for ServerError {
@@ -133,6 +135,7 @@ impl std::fmt::Display for ServerError {
             ServerError::NoTenants => write!(f, "server spec has no tenants"),
             ServerError::ZeroRequests => write!(f, "server spec requests zero requests"),
             ServerError::ZeroWeights => write!(f, "all tenant weights are zero"),
+            ServerError::TooManyRequests(n) => write!(f, "cannot schedule {n} requests"),
         }
     }
 }
@@ -209,10 +212,13 @@ struct Arrival {
 /// calm/burst inter-arrival gaps, jittered uniformly in `[¾·gap, 1¼·gap)`.
 /// Pure function of `(tenants, spec)` — the serve loop never touches the
 /// RNG, so schedules are independent of install policy and worker count.
-fn schedule(tenants: &[TenantSpec], spec: &ServerSpec) -> Vec<Arrival> {
+/// Fails when the schedule cannot be allocated.
+fn schedule(tenants: &[TenantSpec], spec: &ServerSpec) -> Result<Vec<Arrival>, ServerError> {
     let mut rng = Rng64::new(spec.seed);
     let total_weight: u64 = tenants.iter().map(|t| u64::from(t.weight)).sum();
-    let mut out = Vec::with_capacity(spec.requests);
+    let mut out = Vec::new();
+    out.try_reserve_exact(spec.requests)
+        .map_err(|_| ServerError::TooManyRequests(spec.requests))?;
     let mut at = 0u64;
     let mut in_window = 0usize;
     let mut bursting = false;
@@ -247,7 +253,7 @@ fn schedule(tenants: &[TenantSpec], spec: &ServerSpec) -> Vec<Arrival> {
         }
         out.push(Arrival { tenant, at });
     }
-    out
+    Ok(out)
 }
 
 /// A configured serving run, built fluently and executed once — the
@@ -360,9 +366,9 @@ impl<'p> ServerSession<'p> {
     /// # Errors
     ///
     /// Returns a [`ServerError`] when the spec is degenerate (no tenants,
-    /// zero requests, all-zero weights). Per-request execution failures do
-    /// **not** abort the run — they are counted in
-    /// [`TenantReport::failed`].
+    /// zero requests, all-zero weights, more requests than can be
+    /// scheduled). Per-request execution failures do **not** abort the run
+    /// — they are counted in [`TenantReport::failed`].
     pub fn serve(self) -> Result<ServerReport, ServerError> {
         if self.tenants.is_empty() {
             return Err(ServerError::NoTenants);
@@ -374,7 +380,7 @@ impl<'p> ServerSession<'p> {
             return Err(ServerError::ZeroWeights);
         }
 
-        let arrivals = schedule(&self.tenants, &self.spec);
+        let arrivals = schedule(&self.tenants, &self.spec)?;
         // Per-tenant request totals decide each tenant's flip point:
         // tenant i serves `flip_at[i]` phase-A requests, then flips.
         let n = self.tenants.len();
@@ -553,8 +559,8 @@ mod tests {
         let (_p, a, b) = two_tenant_program();
         let ts = tenants(a, b);
         let spec = ServerSpec::default();
-        let s1 = schedule(&ts, &spec);
-        let s2 = schedule(&ts, &spec);
+        let s1 = schedule(&ts, &spec).unwrap();
+        let s2 = schedule(&ts, &spec).unwrap();
         assert_eq!(s1.len(), spec.requests);
         assert!(s1
             .iter()
@@ -639,6 +645,22 @@ mod tests {
             .serve()
             .unwrap_err();
         assert_eq!(err, ServerError::ZeroWeights);
+    }
+
+    /// A request count whose schedule cannot be allocated is an error that
+    /// names the count; reserving it used to abort (`capacity overflow`).
+    #[test]
+    fn an_unschedulable_request_count_is_an_error() {
+        let (p, a, b) = two_tenant_program();
+        let spec = ServerSpec {
+            requests: usize::MAX,
+            ..ServerSpec::default()
+        };
+        let err = ServerSession::new(&p, tenants(a, b), spec)
+            .serve()
+            .unwrap_err();
+        assert_eq!(err, ServerError::TooManyRequests(usize::MAX));
+        assert!(err.to_string().contains(&usize::MAX.to_string()), "{err}");
     }
 
     #[test]

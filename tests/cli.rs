@@ -186,6 +186,29 @@ fn bench_takes_any_modelled_worker_count() {
     }
 }
 
+/// `server` refuses a spec it cannot serve, with a message. `--tenants 0`
+/// used to trip an assertion in the tenant generator, and a request count
+/// of 2^64-1 aborted reserving its schedule (`capacity overflow`): exit 101
+/// both.
+#[test]
+fn server_refuses_a_spec_it_cannot_serve() {
+    let max = usize::MAX.to_string();
+    let too_many = format!("error: cannot schedule {max} requests");
+    for (args, message) in [
+        (["--tenants", "0"], "error: server spec has no tenants"),
+        (["--requests", &max], too_many.as_str()),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_incline"))
+            .arg("server")
+            .args(args)
+            .output()
+            .expect("the incline binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), message, "{args:?}");
+    }
+}
+
 /// A hostile but valid program: `main` is a chain of 20 000 blocks, each
 /// jumping to the next with its one parameter. The JIT's block merging
 /// splices them all; when it did one merge per rebuild of the CFG this run
