@@ -16,12 +16,12 @@
 //! * one optimization pass afterwards — no alternation, no clustering,
 //!   no inlining trials.
 
-use incline_core::typeswitch::{emit_typeswitch, FallbackMode, TypeswitchCase};
+use incline_core::typeswitch::{emit_typeswitch, TypeswitchCase};
+use incline_core::{optimize_once, CompileCx, CompileError, CompileOutcome, InlineStats, Inliner};
 use incline_ir::graph::{CallTarget, Op};
 use incline_ir::inline::inline_call;
 use incline_ir::{Graph, InstId, MethodId};
-use incline_trace::{CompileEvent, OptPhase};
-use incline_vm::{CompileCx, CompileError, CompileOutcome, InlineStats, Inliner};
+use incline_trace::CompileEvent;
 
 /// Tunables of the C2-style baseline.
 #[derive(Clone, Copy, Debug)]
@@ -81,12 +81,7 @@ impl Inliner for C2Inliner {
         method: MethodId,
         cx: &CompileCx<'_>,
     ) -> Result<CompileOutcome, CompileError> {
-        let mut graph = cx.program.method(method).graph.clone();
-        if !cx.charge(graph.size() as u64) {
-            return Err(CompileError::OutOfFuel {
-                limit: cx.fuel.limit().unwrap_or(u64::MAX),
-            });
-        }
+        let mut graph = cx.root_graph(method)?;
         let mut state = State {
             inlined_calls: 0,
             explored: 0,
@@ -98,28 +93,13 @@ impl Inliner for C2Inliner {
         for inst in sites {
             self.try_inline(cx, &mut graph, inst, 1.0, 0, 0, &mut state);
         }
-        let stats = incline_trace::optimize_with_trace(
-            cx.program,
-            &mut graph,
-            incline_opt::PipelineConfig::default(),
-            cx.fuel,
-            cx.trace,
-            OptPhase::Baseline,
-        )
-        .stats;
-        let final_size = graph.size();
-        Ok(CompileOutcome {
-            graph,
-            work_nodes: state.explored + final_size,
-            stats: InlineStats {
-                inlined_calls: state.inlined_calls,
-                rounds: 1,
-                explored_nodes: state.explored as u64,
-                final_size: final_size as u64,
-                opt_events: stats.total(),
-                speculative_sites: state.spec_sites,
-            },
-        })
+        let stats = InlineStats {
+            inlined_calls: state.inlined_calls,
+            explored_nodes: state.explored as u64,
+            speculative_sites: state.spec_sites,
+            ..InlineStats::default()
+        };
+        Ok(optimize_once(cx, graph, state.explored, stats))
     }
 }
 
@@ -248,12 +228,7 @@ impl C2Inliner {
                 // With deoptimization support and near-total coverage the
                 // fallback becomes an uncommon trap instead of the virtual
                 // call (the classic C2 uncommon-trap shape).
-                let spec = cx.speculation;
-                let fallback = if spec.allow_deopt && coverage >= spec.confidence {
-                    FallbackMode::Deopt
-                } else {
-                    FallbackMode::Virtual
-                };
+                let fallback = cx.speculation.fallback(coverage);
                 let res = emit_typeswitch(cx.program, graph, block, inst, &cases, fallback);
                 state.inlined_calls += 1;
                 state.spec_sites += 1;

@@ -18,12 +18,12 @@
 
 use std::collections::HashMap;
 
-use incline_core::typeswitch::{emit_typeswitch, FallbackMode, TypeswitchCase};
+use incline_core::typeswitch::{emit_typeswitch, TypeswitchCase};
+use incline_core::{optimize_once, CompileCx, CompileError, CompileOutcome, InlineStats, Inliner};
 use incline_ir::graph::{CallTarget, Op};
 use incline_ir::inline::inline_call;
 use incline_ir::{CallSiteId, InstId, MethodId};
-use incline_trace::{CompileEvent, OptPhase};
-use incline_vm::{CompileCx, CompileError, CompileOutcome, InlineStats, Inliner};
+use incline_trace::CompileEvent;
 
 /// Tunables of the greedy baseline.
 #[derive(Clone, Copy, Debug)]
@@ -84,12 +84,7 @@ impl Inliner for GreedyInliner {
         cx: &CompileCx<'_>,
     ) -> Result<CompileOutcome, CompileError> {
         let c = &self.config;
-        let mut graph = cx.program.method(method).graph.clone();
-        if !cx.charge(graph.size() as u64) {
-            return Err(CompileError::OutOfFuel {
-                limit: cx.fuel.limit().unwrap_or(u64::MAX),
-            });
-        }
+        let mut graph = cx.root_graph(method)?;
         let mut inlined_calls = 0u64;
         let mut explored = 0usize;
         let mut spec_sites = 0u64;
@@ -162,19 +157,13 @@ impl Inliner for GreedyInliner {
                         });
                         // Monomorphic uncommon trap when the dominant
                         // receiver alone clears the confidence bar.
-                        let spec = cx.speculation;
-                        let fallback = if spec.allow_deopt && prob >= spec.confidence {
-                            FallbackMode::Deopt
-                        } else {
-                            FallbackMode::Virtual
-                        };
                         let res = emit_typeswitch(
                             cx.program,
                             &mut graph,
                             block,
                             item.inst,
                             &[TypeswitchCase { target: m, guard }],
-                            fallback,
+                            cx.speculation.fallback(prob),
                         );
                         inlined_calls += 1; // the speculation itself
                         spec_sites += 1;
@@ -242,28 +231,13 @@ impl Inliner for GreedyInliner {
         }
 
         // One optimization pass at the end (no alternation).
-        let stats = incline_trace::optimize_with_trace(
-            cx.program,
-            &mut graph,
-            incline_opt::PipelineConfig::default(),
-            cx.fuel,
-            cx.trace,
-            OptPhase::Baseline,
-        )
-        .stats;
-        let final_size = graph.size();
-        Ok(CompileOutcome {
-            graph,
-            work_nodes: explored + final_size,
-            stats: InlineStats {
-                inlined_calls,
-                rounds: 1,
-                explored_nodes: explored as u64,
-                final_size: final_size as u64,
-                opt_events: stats.total(),
-                speculative_sites: spec_sites,
-            },
-        })
+        let stats = InlineStats {
+            inlined_calls,
+            explored_nodes: explored as u64,
+            speculative_sites: spec_sites,
+            ..InlineStats::default()
+        };
+        Ok(optimize_once(cx, graph, explored, stats))
     }
 }
 

@@ -10,16 +10,17 @@
 //! * [`C2Inliner`] — HotSpot-C2-style: depth-first parse-time inlining of
 //!   trivial methods, fixed size/frequency/level limits, bimorphic
 //!   receiver speculation,
-//! * [`incline_vm::NoInline`] (re-exported) — compiles without inlining,
-//!   isolating scalar optimization effects.
+//! * [`NoInline`] (re-exported from `incline-core`) — compiles without
+//!   inlining, isolating scalar optimization effects.
 //!
-//! All of them implement [`incline_vm::Inliner`] and are driven by the
-//! same VM as the paper's algorithm, so measured differences come from
-//! inlining policy alone.
+//! All of them implement [`incline_core::Inliner`], the contract the VM
+//! drives the paper's algorithm through, so measured differences come from
+//! inlining policy alone. Like `incline-core`, this crate does not depend
+//! on the VM.
 
 pub mod c2;
 pub mod greedy;
 
 pub use c2::{C2Config, C2Inliner};
 pub use greedy::{GreedyConfig, GreedyInliner};
-pub use incline_vm::NoInline;
+pub use incline_core::NoInline;

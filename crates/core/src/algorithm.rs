@@ -10,17 +10,17 @@
 
 use incline_ir::inline::inline_call;
 use incline_ir::{InstId, MethodId};
-use incline_opt::{CompileFuel, OptStats};
+use incline_opt::OptStats;
 use incline_trace::{CollectingSink, CompileEvent, OptPhase};
-use incline_vm::{CompileCx, CompileError, CompileOutcome, InlineStats, Inliner};
 
 use crate::calltree::{CallTree, NodeId, NodeKind, RootIndex, SubtreeMetrics};
+use crate::inliner::{CompileCx, CompileError, CompileOutcome, InlineStats, Inliner};
 use crate::metrics::{
     expansion_bar, exploration_penalty, inline_bar, may_inline, recursion_penalty, should_expand,
     Tuple,
 };
 use crate::policy::{Clustering, PolicyConfig};
-use crate::typeswitch::{emit_typeswitch, FallbackMode, TypeswitchCase};
+use crate::typeswitch::{emit_typeswitch, TypeswitchCase};
 
 /// The paper's inliner, parameterized by a [`PolicyConfig`] so that every
 /// ablation of the evaluation is expressible.
@@ -107,11 +107,7 @@ impl IncrementalInliner {
         let config = &self.config;
         let mut opt_total = OptStats::new();
 
-        let graph = cx.program.method(method).graph.clone();
-        if !cx.charge(graph.size() as u64) {
-            return Err(out_of_fuel(cx.fuel));
-        }
-        let mut tree = CallTree::with_root(method, graph);
+        let mut tree = CallTree::with_root(method, cx.root_graph(method)?);
         opt_total += tree.optimize_root(cx, OptPhase::Initial);
         tree.create_children(tree.root(), cx, config);
         let mut rounds = 0u64;
@@ -126,7 +122,7 @@ impl IncrementalInliner {
             // budget aborts the compilation so the broker's ladder can
             // fall back to a cheaper tier.
             if !cx.charge(tree.root_size() as u64) {
-                return Err(out_of_fuel(cx.fuel));
+                return Err(CompileError::out_of_fuel(cx.fuel));
             }
             cx.emit(|| CompileEvent::RoundStart {
                 method,
@@ -194,13 +190,6 @@ impl IncrementalInliner {
                 speculative_sites,
             },
         })
-    }
-}
-
-/// The error the broker's bailout ladder expects on a spent budget.
-fn out_of_fuel(fuel: &CompileFuel) -> CompileError {
-    CompileError::OutOfFuel {
-        limit: fuel.limit().unwrap_or(u64::MAX),
     }
 }
 
@@ -665,12 +654,7 @@ fn inline_cluster(
             // speculated receivers cover (almost) all profiled traffic
             // replaces the virtual fallback with an uncommon trap.
             let coverage: f64 = children.iter().map(|&c| tree.node(c).poly_prob).sum();
-            let spec = cx.speculation;
-            let fallback = if spec.allow_deopt && coverage >= spec.confidence {
-                FallbackMode::Deopt
-            } else {
-                FallbackMode::Virtual
-            };
+            let fallback = cx.speculation.fallback(coverage);
             let res = tree.edit_root(|root_graph| {
                 emit_typeswitch(cx.program, root_graph, block, callsite, &cases, fallback)
             });

@@ -18,10 +18,11 @@ use incline_ir::graph::{CallTarget, Op};
 use incline_ir::ids::{BlockId, CallSiteId, ClassId, InstId, MethodId};
 use incline_ir::{Graph, StructuralHasher, Type};
 use incline_opt::OptStats;
-use incline_vm::{CompileCx, TrialKey, TrialOutcome};
 
+use crate::inliner::CompileCx;
 use crate::metrics::Tuple;
 use crate::policy::{PolicyConfig, Trials};
+use crate::trials::{TrialKey, TrialOutcome};
 
 /// Index of a node in the call tree arena.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -600,7 +601,7 @@ impl CallTree {
 
     /// Runs the deep-inlining trial bundle for `(method, args)` — clone,
     /// specialize, trial-optimize — or replays a memoized outcome from the
-    /// [`incline_vm::TrialCache`] when one is attached.
+    /// [`TrialCache`](crate::TrialCache) when one is attached.
     ///
     /// The trial reads no profile data (profiles enter only through
     /// `args`), so its output is a pure function of the callee graph and

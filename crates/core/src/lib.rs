@@ -5,7 +5,8 @@
 //! The paper's contribution: an **optimization-driven incremental inline
 //! substitution algorithm** for JIT compilers (Prokopec, Duboscq,
 //! Leopoldseder, Würthinger — CGO 2019), reimplemented over the
-//! [`incline_ir`]/[`incline_opt`]/[`incline_vm`] substrate.
+//! [`incline_ir`]/[`incline_opt`]/[`incline_profile`]/[`incline_trace`]
+//! substrate.
 //!
 //! The algorithm alternates three phases over a *partial call tree*
 //! ([`calltree::CallTree`]) until termination:
@@ -23,19 +24,28 @@
 //! Benefits are estimated by **deep inlining trials**: every explored node
 //! holds a private copy of its callee's IR, specialized with the concrete
 //! argument types and constants of its callsite and pre-optimized; the
-//! count of triggered optimizations feeds Equation 4.
+//! count of triggered optimizations feeds Equation 4. A [`TrialCache`]
+//! memoizes them across rounds and compilations.
 //!
-//! The entry point is [`IncrementalInliner`], an [`incline_vm::Inliner`].
-//! Every ablation of the paper's evaluation is a [`PolicyConfig`].
+//! The entry point is [`IncrementalInliner`], an [`Inliner`]. Every
+//! ablation of the paper's evaluation is a [`PolicyConfig`]. The contract
+//! ([`inliner`]) lives here, below the VM that drives and re-exports it.
 
 pub mod algorithm;
 pub mod calltree;
+pub mod inliner;
 pub mod metrics;
 pub mod policy;
 pub mod render;
+pub mod trials;
 pub mod typeswitch;
 
 pub use algorithm::IncrementalInliner;
 pub use calltree::{CallNode, CallTree, NodeId, NodeKind};
+pub use inliner::{
+    optimize_once, CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, NoInline,
+    Speculation, DEOPT_CONFIDENCE,
+};
 pub use metrics::Tuple;
 pub use policy::{Clustering, ExpansionThreshold, InlineThreshold, PolicyConfig, Trials};
+pub use trials::{TrialCache, TrialKey, TrialOutcome};

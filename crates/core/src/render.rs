@@ -8,9 +8,9 @@
 use std::fmt::Write as _;
 
 use incline_trace::CompileEvent;
-use incline_vm::CompileCx;
 
 use crate::calltree::{CallTree, NodeId, NodeKind};
+use crate::inliner::CompileCx;
 
 /// Single-letter tag for a node kind (paper notation).
 pub fn kind_tag(kind: NodeKind) -> char {

@@ -21,9 +21,10 @@ pub enum FallbackMode {
     /// deoptimization support.
     Virtual,
     /// Emit an uncommon trap: the compiled activation deoptimizes and the
-    /// VM replays it in the interpreter. Only valid when the broker grants
-    /// [`Speculation::allow_deopt`](incline_vm::Speculation) and profile
-    /// coverage clears the confidence bar.
+    /// VM replays it in the interpreter. Chosen by
+    /// [`Speculation::fallback`](crate::Speculation::fallback): only when
+    /// the broker allows deoptimization and profile coverage clears the
+    /// confidence bar.
     Deopt,
 }
 

@@ -103,11 +103,6 @@ impl<'p> FunctionBuilder<'p> {
         self.cur = block;
     }
 
-    /// The block currently being appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
-    }
-
     // ---- constants --------------------------------------------------------
 
     /// Appends an integer constant.

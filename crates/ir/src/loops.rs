@@ -122,14 +122,6 @@ impl LoopForest {
         LoopForest { loops, depth }
     }
 
-    /// Loop with the given header, if any.
-    pub fn loop_at(&self, header: BlockId) -> Option<&Loop> {
-        self.loops
-            .binary_search_by_key(&header, |l| l.header)
-            .ok()
-            .map(|i| &self.loops[i])
-    }
-
     /// Nesting depth of a block (0 if not in a loop).
     pub fn depth_of(&self, block: BlockId) -> u32 {
         self.depth.get(block.index()).copied().unwrap_or(0)

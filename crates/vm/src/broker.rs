@@ -31,10 +31,10 @@ use incline_profile::ProfileTable;
 use incline_trace::{CompileEvent, OptPhase, TraceSink};
 
 use crate::faults::{self, FaultKind};
-use crate::inliner::{
-    fuel_error, CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, Speculation,
-};
 use crate::machine::CompileStage;
+use crate::{
+    CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, Speculation, TrialCache,
+};
 
 /// One compilation request, snapshotted at enqueue time so it can run at
 /// any later point without observing mutator-side changes.
@@ -186,7 +186,7 @@ pub(crate) fn run_ladder(
     inliner: &dyn Inliner,
     req: &CompileRequest,
     sink: &dyn TraceSink,
-    trials: Option<&crate::trials::TrialCache>,
+    trials: Option<&TrialCache>,
 ) -> CompileResponse {
     let profiles = req.profiles.as_ref().unwrap_or(live_profiles);
     let mut wasted_work = 0u64;
@@ -229,7 +229,7 @@ fn full_tier(
     inliner: &dyn Inliner,
     req: &CompileRequest,
     sink: &dyn TraceSink,
-    trials: Option<&crate::trials::TrialCache>,
+    trials: Option<&TrialCache>,
 ) -> RungResult {
     let fuel = if req.fault == Some(FaultKind::ExhaustFuel) {
         CompileFuel::limited(0)
@@ -295,7 +295,7 @@ fn degraded_tier(program: &Program, req: &CompileRequest, sink: &dyn TraceSink) 
             let mut graph = program.method(method).graph.clone();
             let before = graph.size();
             if !fuel.charge(before as u64) {
-                return Err(fuel_error(&fuel));
+                return Err(CompileError::out_of_fuel(&fuel));
             }
             let opt = incline_trace::optimize_with_trace(
                 program,
@@ -370,7 +370,7 @@ fn verify(program: &Program, method: MethodId, graph: &Graph) -> Result<(), Comp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inliner::NoInline;
+    use crate::NoInline;
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::Type;
     use incline_trace::NULL_SINK;

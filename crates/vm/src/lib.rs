@@ -14,6 +14,9 @@
 //! * [`runner`]: the paper's measurement protocol (peak performance =
 //!   mean of the last 40% of repetitions, at most 20).
 //!
+//! The inliner contract ([`Inliner`], [`CompileCx`], …), [`NoInline`] and
+//! the [`TrialCache`] are [`incline_core`]'s, re-exported here.
+//!
 //! ```
 //! use incline_ir::{Program, FunctionBuilder, Type};
 //! use incline_vm::{Machine, VmConfig, Value, NoInline};
@@ -36,7 +39,6 @@ pub mod broker;
 pub mod cache;
 pub mod cost;
 pub mod faults;
-pub mod inliner;
 pub mod machine;
 mod plan;
 pub mod runner;
@@ -44,21 +46,21 @@ pub mod server;
 pub mod snapshot;
 pub mod stats;
 mod store;
-pub mod trials;
 pub mod value;
 
 pub use broker::QueueStats;
 pub use cache::{CacheEntry, CacheStats, EvictionPolicy};
 pub use cost::{CostModel, Tier};
 pub use faults::{FaultKind, FaultPlan};
+pub use incline_core::{
+    CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, NoInline, Speculation,
+    TrialCache, TrialKey, TrialOutcome,
+};
 pub use incline_opt::{CompileFuel, UNLIMITED_FUEL};
 /// The structured tracing layer, re-exported for consumers of this crate.
 pub use incline_trace as trace;
 pub use incline_trace::{
     CollectingSink, CompileEvent, JsonlSink, NullSink, StderrSink, TraceSink, NULL_SINK,
-};
-pub use inliner::{
-    CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, NoInline, Speculation,
 };
 pub use machine::{
     BailoutCounters, BailoutRecord, CompilationReport, CompileStage, ExecError, InstallPolicy,
@@ -71,5 +73,4 @@ pub use snapshot::{
     Snapshot, SnapshotError, SnapshotIo, SnapshotStats, SnapshotStore, SNAPSHOT_VERSION,
 };
 pub use stats::{fairness_index, percentile, LatencyStats};
-pub use trials::{TrialCache, TrialKey, TrialOutcome};
 pub use value::{Heap, HeapCell, HeapRef, Output, Value};

@@ -19,9 +19,7 @@ pub const MAX_DEPTH: usize = 400;
 /// at 8 MB of resident memory.
 pub const MAX_HEAP_SLOTS: u64 = 1 << 24;
 
-/// Minimum typeswitch profile coverage (summed receiver probabilities)
-/// before the fallback becomes a `deopt` instead of a virtual call.
-pub const DEOPT_CONFIDENCE: f64 = 0.95;
+pub use incline_core::DEOPT_CONFIDENCE;
 
 /// Drift monitor: a compiled method is invalidated once it executes more
 /// than this many fallback virtual dispatches per compiled invocation —
@@ -95,7 +93,7 @@ pub struct VmConfig {
     /// budget.
     pub cache_age_window: u64,
     /// Whether deep-inlining-trial results are memoized across rounds and
-    /// compilations (see [`crate::trials::TrialCache`]). Trials are pure
+    /// compilations (see [`crate::TrialCache`]). Trials are pure
     /// functions of (callee graph, argument specialization), so caching
     /// never changes an observable — the differential tests assert
     /// byte-identical results with the cache on and off. On by default;

@@ -462,9 +462,10 @@ mod tests {
     use super::super::tests::sum_program;
     use super::*;
     use crate::cost::CostModel;
-    use crate::inliner::{CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, NoInline};
     use crate::machine::MAX_HEAP_SLOTS;
-    use crate::{Value, VmConfig};
+    use crate::{
+        CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, NoInline, Value, VmConfig,
+    };
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::graph::{Op, Terminator};
     use incline_ir::types::RetType;

@@ -65,12 +65,11 @@ use incline_trace::{CompileEvent, NullSink, TraceSink};
 use crate::broker::{CompileQueue, QueueStats};
 use crate::cache::CacheStats;
 use crate::faults::FaultPlan;
-use crate::inliner::{InlineStats, Inliner};
 use crate::plan::LowerScratch;
 use crate::snapshot::{DecisionRecord, SnapshotStats};
 use crate::store::Store;
-use crate::trials::TrialCache;
 use crate::value::{Kind, Value};
+use crate::{InlineStats, Inliner, TrialCache};
 
 pub use config::{
     InstallPolicy, VmConfig, DEOPT_CONFIDENCE, DRIFT_MIN_SAMPLES, DRIFT_RATE, MAX_DEPTH,
@@ -351,12 +350,6 @@ impl<'p> Machine<'p> {
         self.methods.ids_where(|s| s.pinned())
     }
 
-    /// Methods whose replayed snapshot decision was quarantined as
-    /// poisoned, sorted. See [`POISON_WINDOW`].
-    pub fn poisoned_methods(&self) -> Vec<MethodId> {
-        self.methods.ids_where(|s| s.poisoned)
-    }
-
     /// Number of compilation requests the broker has handled (each request
     /// runs the whole ladder; blacklisted methods generate no requests).
     pub fn compile_requests(&self) -> u64 {
@@ -402,7 +395,7 @@ impl<'p> Machine<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inliner::NoInline;
+    use crate::NoInline;
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::types::RetType;
     use incline_ir::CmpOp;

@@ -6,9 +6,9 @@ use incline_ir::eval::TrapKind;
 use incline_ir::MethodId;
 
 use crate::cache::CacheStats;
-use crate::inliner::{CompileError, InlineStats};
 use crate::snapshot::SnapshotStats;
 use crate::value::{Output, Value};
+use crate::{CompileError, InlineStats};
 
 /// Which rung of the bailout ladder a compilation attempt ran on — the
 /// trace vocabulary's [`BailoutStage`](incline_trace::BailoutStage).

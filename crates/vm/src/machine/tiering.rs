@@ -16,9 +16,9 @@ use super::{
 use crate::broker::{self, CompileRequest, CompileResponse, InstallPackage};
 use crate::cache::{self, CacheEntry};
 use crate::faults::FaultKind;
-use crate::inliner::Speculation;
 use crate::plan::PlannedGraph;
 use crate::snapshot::DecisionRecord;
+use crate::Speculation;
 
 impl Machine<'_> {
     /// Compiles a method now, whatever its state: returns `true` when code
@@ -555,8 +555,9 @@ mod tests {
     use super::super::tests::sum_program;
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::inliner::{CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, NoInline};
-    use crate::{Value, VmConfig};
+    use crate::{
+        CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, NoInline, Value, VmConfig,
+    };
     use incline_ir::Program;
 
     #[test]

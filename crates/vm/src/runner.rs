@@ -14,10 +14,10 @@ use incline_trace::{NullSink, TraceSink};
 
 use crate::cache::CacheStats;
 use crate::faults::FaultPlan;
-use crate::inliner::Inliner;
 use crate::machine::{BailoutCounters, ExecError, Machine, RunOutcome, VmConfig};
 use crate::snapshot::{self, SnapshotIo, SnapshotStats};
 use crate::value::Value;
+use crate::Inliner;
 
 /// A runnable benchmark: entry point plus arguments and repetition count.
 #[derive(Clone, Debug)]
@@ -211,7 +211,7 @@ impl<'p> RunSession<'p> {
         RunSession {
             program,
             spec,
-            inliner: Box::new(crate::inliner::NoInline),
+            inliner: Box::new(crate::NoInline),
             config: VmConfig::default(),
             plan: FaultPlan::new(),
             sink: Arc::new(NullSink),
@@ -356,7 +356,7 @@ impl<'p> RunSession<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inliner::NoInline;
+    use crate::NoInline;
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::{CmpOp, Type};
 

@@ -37,11 +37,11 @@ use incline_trace::{CompileEvent, NullSink, TraceSink};
 
 use crate::cache::CacheStats;
 use crate::faults::FaultPlan;
-use crate::inliner::Inliner;
 use crate::machine::{BailoutCounters, Machine, VmConfig};
 use crate::snapshot::{SnapshotIo, SnapshotStats};
 use crate::stats::{fairness_index, LatencyStats};
 use crate::value::Value;
+use crate::Inliner;
 
 /// One tenant sharing the simulated server.
 #[derive(Clone, Debug, PartialEq)]
@@ -298,7 +298,7 @@ impl<'p> ServerSession<'p> {
             program,
             tenants,
             spec,
-            inliner: Box::new(crate::inliner::NoInline),
+            inliner: Box::new(crate::NoInline),
             config: VmConfig::default(),
             plan: FaultPlan::new(),
             sink: Arc::new(NullSink),

@@ -46,24 +46,6 @@ impl Value {
         }
     }
 
-    /// The float payload. See [`Value::as_int`] for panics.
-    #[inline]
-    pub fn as_float(self) -> f64 {
-        match self {
-            Value::Float(k) => k,
-            other => panic!("expected float, got {other:?}"),
-        }
-    }
-
-    /// The bool payload. See [`Value::as_int`] for panics.
-    #[inline]
-    pub fn as_bool(self) -> bool {
-        match self {
-            Value::Bool(k) => k,
-            other => panic!("expected bool, got {other:?}"),
-        }
-    }
-
     /// The zero/default value of a type (fields and array elements).
     pub fn default_of(ty: Type) -> Value {
         match ty {

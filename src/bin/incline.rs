@@ -292,24 +292,12 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     vm.run(entry, entry_args)
         .map_err(|e| format!("profiling run: {e}"))?;
     let profiles = vm.profiles().clone();
-    let cx = CompileCx::new(&program, &profiles);
-
-    // Optional structured tracing: JSONL to a file, or one-liners to
-    // stderr (the replacement for the old INCLINE_TRACE env var).
-    let json_path = opts.trace_json.as_deref();
-    let json_sink = match json_path {
-        Some(path) => {
-            let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(JsonlSink::new(std::io::BufWriter::new(f)))
-        }
-        None => None,
-    };
-    let stderr_sink = StderrSink;
-    let cx = match (&json_sink, opts.trace) {
-        (Some(sink), _) => cx.with_trace(sink),
-        (None, true) => cx.with_trace(&stderr_sink),
-        (None, false) => cx,
-    };
+    let trace = opts.trace_out()?;
+    let sink = trace.sink();
+    let mut cx = CompileCx::new(&program, &profiles);
+    if let Some(sink) = &sink {
+        cx = cx.with_trace(sink.as_ref());
+    }
 
     if flag(args, "--explain") {
         if opts.inliner != "incremental" {
@@ -330,13 +318,9 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         println!("{}", incline::ir::print::graph_str(&program, &out.graph));
         eprintln!("stats: {:?}", out.stats);
     }
-    if let Some(sink) = json_sink {
-        use std::io::Write as _;
-        let mut w = sink.into_inner();
-        w.flush().map_err(|e| e.to_string())?;
-        eprintln!("trace written to {}", json_path.expect("path set"));
-    }
-    Ok(())
+    // The context borrowed the sink; `finish` needs the only handle.
+    drop(sink);
+    trace.finish()
 }
 
 fn cmd_dot(args: &[String]) -> Result<(), String> {

@@ -133,6 +133,28 @@ fn flags_a_subcommand_does_not_list_are_refused() {
     assert!(!dir.join("--pipelined").exists(), "no trace by that name");
 }
 
+/// `compile --trace-json FILE` writes the compilation's JSONL trace to FILE,
+/// flushed, and says so.
+#[test]
+fn compile_writes_its_trace_to_the_named_file() {
+    let fib = concat!(env!("CARGO_MANIFEST_DIR"), "/samples/fib.ir");
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("compile_trace.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_incline"))
+        .args(["compile", fib, "--trace-json"])
+        .arg(&file)
+        .output()
+        .expect("the incline binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let written = format!("trace written to {}", file.display());
+    assert!(stderr.contains(&written), "{stderr}");
+    let trace = std::fs::read_to_string(&file).expect("the trace file exists");
+    assert!(
+        trace.lines().any(|l| l.contains(r#""ev":"RoundStart""#)),
+        "{trace}"
+    );
+}
+
 /// A snapshot whose header claims 2^64-1 profiles, under a valid checksum
 /// (FNV-1a is no secret): a counted cold start. The loader used to size a
 /// vector from the claim and abort (exit 101; 134 for smaller lies).
