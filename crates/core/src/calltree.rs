@@ -607,7 +607,7 @@ impl CallTree {
     /// `args`), so its output is a pure function of the callee graph and
     /// the argument facts: a hit returns the same graph bytes, the same
     /// `(ns, no)` and re-emits the same trace events a fresh run would
-    /// produce. The differential tests assert this end to end.
+    /// produce. The conformance matrix asserts this end to end.
     fn run_trial(
         &self,
         method: MethodId,

@@ -257,11 +257,6 @@ impl Op {
         }
     }
 
-    /// Whether the op reads mutable memory (fields or array slots).
-    pub fn reads_memory(&self) -> bool {
-        matches!(self, Op::GetField(_) | Op::ArrayGet)
-    }
-
     /// Whether two executions with identical arguments yield identical
     /// results and effects — the candidate set for global value numbering.
     ///
@@ -1402,7 +1397,6 @@ mod tests {
         assert!(!Op::ArrayGet.is_removable_if_unused());
         assert!(Op::Bin(BinOp::IAdd).is_value_numberable());
         assert!(!Op::GetField(FieldId::new(0)).is_value_numberable());
-        assert!(Op::GetField(FieldId::new(0)).reads_memory());
     }
 
     #[test]

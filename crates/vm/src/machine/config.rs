@@ -95,7 +95,7 @@ pub struct VmConfig {
     /// Whether deep-inlining-trial results are memoized across rounds and
     /// compilations (see [`crate::TrialCache`]). Trials are pure
     /// functions of (callee graph, argument specialization), so caching
-    /// never changes an observable — the differential tests assert
+    /// never changes an observable — the conformance matrix asserts
     /// byte-identical results with the cache on and off. On by default;
     /// the CLI disables it with `--no-trial-cache`.
     pub trial_cache: bool,

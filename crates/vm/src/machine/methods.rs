@@ -560,4 +560,15 @@ mod tests {
         table.get_mut(m).live_frames = 1;
         table.check(&CompileQueue::default(), 0, &[], true);
     }
+
+    #[test]
+    #[should_panic(expected = "words left above the arguments")]
+    fn the_checker_refuses_a_word_left_above_the_arguments() {
+        let (p, m) = sum_program();
+        let mut vm = Machine::new(&p, Box::new(NoInline), VmConfig::default());
+        let args = [crate::Value::Int(3)];
+        vm.run(m, args.to_vec()).expect("sum runs");
+        vm.stack.extend([args[0].to_word(), 7]);
+        vm.check_methods(true, Some(&args));
+    }
 }

@@ -228,7 +228,7 @@ impl<'p> Machine<'p> {
         self.stack.clear();
         self.stack.extend(args.iter().map(|v| v.to_word()));
         let word = self.exec_method(entry, args.len(), 0);
-        self.check_methods(true);
+        self.check_methods(true, word.is_ok().then_some(&args[..]));
         let word = word?;
         self.stack.clear();
         self.vbase += self.exec_cycles + self.run_stall_cycles;
@@ -241,12 +241,23 @@ impl<'p> Machine<'p> {
         })
     }
 
-    /// Debug builds audit the method table wherever the machine comes to
-    /// rest; `idle` is false while guest frames may be on the stack.
-    fn check_methods(&self, idle: bool) {
+    /// Debug builds audit the machine wherever it comes to rest: the method
+    /// table; the store once no guest frame is live (`idle`); and after a
+    /// run that `returned`, a register stack of exactly its arguments.
+    fn check_methods(&self, idle: bool, returned: Option<&[Value]>) {
         let budget = self.config.code_cache_budget;
         self.methods
             .check(&self.queue, budget, &self.decisions, idle);
+        if idle {
+            self.store.check();
+        }
+        if let Some(args) = returned.filter(|_| cfg!(debug_assertions)) {
+            let words = args.iter().map(|v| v.to_word());
+            assert!(
+                self.stack.iter().copied().eq(words),
+                "words left above the arguments"
+            );
+        }
     }
 
     /// The live virtual clock: cycles accumulated by completed runs plus

@@ -234,7 +234,7 @@ impl Machine<'_> {
         self.exec_cycles = 0;
         self.run_compile_cycles = 0;
         self.run_stall_cycles = 0;
-        self.check_methods(true);
+        self.check_methods(true, None);
         Ok(())
     }
 

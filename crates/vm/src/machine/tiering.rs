@@ -128,7 +128,7 @@ impl Machine<'_> {
         }
         // A popped request's method stays `Queued` until its response is
         // applied, so the table and the queue agree only out here.
-        self.check_methods(false);
+        self.check_methods(false, None);
     }
 
     pub(super) fn hot(&self, method: MethodId) -> bool {

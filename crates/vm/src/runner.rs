@@ -151,8 +151,8 @@ impl BenchResult {
 
     /// FNV-1a 64 digest of the run's observable answer: the final
     /// repetition's output lines and return value. Replayed runs must
-    /// produce the same digest as cold runs — the differential tests and
-    /// the CI warmup job compare exactly this.
+    /// produce the same digest as cold runs — the CI warmup job compares
+    /// exactly this.
     pub fn answer_digest(&self) -> u64 {
         let mut text = String::new();
         for line in &self.final_output {

@@ -136,18 +136,29 @@ impl Store {
         // The freed cells give their slots back (summed here rather than
         // remembered in every `Savepoint`, which sits in the host frame of
         // each compiled activation).
-        let slots = |heap: &Heap, cells: std::ops::Range<usize>| -> u64 {
-            cells
-                .map(|r| match heap.cell(HeapRef(r as u32)) {
-                    HeapCell::Object { fields, .. } => fields.len() as u64 + 2,
-                    HeapCell::Array { data, .. } => data.len() as u64 + 2,
-                })
-                .sum()
-        };
-        self.heap_slots -= slots(&self.heap, save.heap_len..self.heap.len());
-        debug_assert_eq!(self.heap_slots, slots(&self.heap, 0..save.heap_len));
+        self.heap_slots -= self.slots(save.heap_len..self.heap.len());
         self.heap.truncate(save.heap_len);
         self.output.truncate(save.output_len);
+    }
+
+    /// What the cells `cells` of the heap cost against [`MAX_HEAP_SLOTS`].
+    fn slots(&self, cells: std::ops::Range<usize>) -> u64 {
+        let cost = |r| match self.heap.cell(HeapRef(r as u32)) {
+            HeapCell::Object { fields, .. } => fields.len() as u64 + 2,
+            HeapCell::Array { data, .. } => data.len() as u64 + 2,
+        };
+        cells.map(cost).sum()
+    }
+
+    /// A store at rest (no guest frame live), checked in debug builds: no
+    /// open scope, an empty journal, and `heap_slots` what the cells cost.
+    pub fn check(&self) {
+        if cfg!(debug_assertions) {
+            assert_eq!(self.journal_scopes, 0, "journal scopes open at rest");
+            assert!(self.journal.is_empty(), "journal entries left at rest");
+            let cost = self.slots(0..self.heap.len());
+            assert_eq!(self.heap_slots, cost, "heap_slots drifted from the heap");
+        }
     }
 
     /// Charges a cell of `len` fields or elements, about to be allocated,
@@ -342,5 +353,47 @@ impl Store {
         };
         regs[inst.dst as usize] = result;
         Ok(())
+    }
+}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use super::*;
+
+    /// A store over a program with one class, holding one instance of it.
+    fn store() -> Store {
+        let mut p = Program::new();
+        let class = p.add_class("Box", None);
+        p.add_field(class, "v", incline_ir::Type::Int);
+        let mut store = Store::new(&p);
+        store.charge_cell(1).expect("room for one cell");
+        store.heap.alloc_object(&p, class);
+        store.check();
+        store
+    }
+
+    #[test]
+    #[should_panic(expected = "journal scopes open at rest")]
+    fn the_checker_refuses_an_open_scope() {
+        let mut store = store();
+        store.begin_scope();
+        store.check();
+    }
+
+    #[test]
+    #[should_panic(expected = "journal entries left at rest")]
+    fn the_checker_refuses_a_journal_entry() {
+        let mut store = store();
+        let (r, offset, old) = (HeapRef(0), 0, Value::Int(0));
+        store.journal.push(JournalEntry::Field { r, offset, old });
+        store.check();
+    }
+
+    #[test]
+    #[should_panic(expected = "heap_slots drifted from the heap")]
+    fn the_checker_refuses_heap_slots_the_heap_does_not_hold() {
+        let mut store = store();
+        store.heap_slots += 1;
+        store.check();
     }
 }

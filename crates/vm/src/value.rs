@@ -32,20 +32,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The integer payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not an `Int` (verified graphs cannot trigger
-    /// this; it indicates an interpreter bug).
-    #[inline]
-    pub fn as_int(self) -> i64 {
-        match self {
-            Value::Int(k) => k,
-            other => panic!("expected int, got {other:?}"),
-        }
-    }
-
     /// The zero/default value of a type (fields and array elements).
     pub fn default_of(ty: Type) -> Value {
         match ty {
@@ -54,11 +40,6 @@ impl Value {
             Type::Bool => Value::Bool(false),
             Type::Object(_) | Type::Array(_) => Value::Null,
         }
-    }
-
-    /// The zero/default value of an array element type.
-    pub fn default_of_elem(e: ElemType) -> Value {
-        Value::default_of(e.to_type())
     }
 
     /// The value as an untagged register word: `Int` as its bits, `Float`
@@ -197,7 +178,7 @@ impl Heap {
         let r = HeapRef(self.cells.len() as u32);
         self.cells.push(HeapCell::Array {
             elem,
-            data: vec![Value::default_of_elem(elem); len],
+            data: vec![Value::default_of(elem.to_type()); len],
         });
         r
     }

@@ -91,7 +91,7 @@ pub fn build(name: &str, seed: u64, groups: usize, fns_per_group: usize, input: 
     }
 
     // main(n): round-robin over the groups, printing a checkpoint every
-    // 8 iterations so differential runs compare observable output.
+    // 8 iterations so the conformance matrix compares observable output.
     let main = p.declare_function("main", vec![Type::Int], Type::Int);
     let mut fb = FunctionBuilder::new(&p, main);
     let n = fb.param(0);
@@ -124,7 +124,7 @@ pub fn build(name: &str, seed: u64, groups: usize, fns_per_group: usize, input: 
 }
 
 /// The default cache-pressure instance used by the extra-benchmark
-/// registry: modest enough for the differential matrices.
+/// registry: modest enough for the conformance matrix.
 pub fn standard() -> Workload {
     build("cache_pressure", 0xCA4E, 24, 12, 48)
 }

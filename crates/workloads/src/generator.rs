@@ -53,7 +53,7 @@ impl Default for GenConfig {
 impl GenConfig {
     /// The hardened corpus preset: deeper call chains, megamorphic
     /// receiver sets and loop-nested polymorphic callsites. This is the
-    /// configuration the differential trial-cache identity tests sweep.
+    /// corpus the conformance matrix's trial-cache rows sweep.
     pub fn hardened() -> GenConfig {
         GenConfig {
             functions: 12,
@@ -333,9 +333,9 @@ fn shrink_candidates(c: GenConfig) -> Vec<GenConfig> {
 /// deterministic for a deterministic predicate: the search order is
 /// fixed and regeneration is seeded.
 ///
-/// The differential tests call this before reporting a divergence, so
-/// the assertion message names the smallest reproducer found rather
-/// than the original (much larger) program.
+/// The conformance matrix calls this before reporting a divergence, so
+/// the failure message names the smallest reproducer found rather than
+/// the original (much larger) program.
 pub fn shrink<F>(seed: u64, config: GenConfig, failing: &mut F) -> (GenConfig, Workload)
 where
     F: FnMut(&Workload) -> bool,

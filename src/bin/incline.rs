@@ -128,7 +128,8 @@ const NOTES: &str = "
 A flag the subcommand does not list above is an error.
 Inliners: incremental (default), greedy, c2, none.
 Server: a seeded multi-tenant serving simulation (bursty arrivals, per-tenant
-phase flips) printing request-latency and mutator-stall tails per tenant.
+phase flips) printing request-latency and mutator-stall tails per tenant, for
+at most 1024 tenants.
 Tracing: --trace streams compile events to stderr; --trace-json FILE writes JSONL.
 Deoptimization is on by default for run/bench: hot typeswitches may speculate
 with uncommon traps, deoptimize, and recompile. --no-deopt restricts compiled
@@ -416,12 +417,22 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The most tenants `server` builds a mix of. Each tenant adds its own
+/// classes and methods to the one shared program: 10^5 of them take half a
+/// minute to build in a release build, and 2^32 never finish.
+const MAX_TENANTS: usize = 1024;
+
 fn cmd_server(args: &[String]) -> Result<(), String> {
     let opts = CommonOpts::parse(args)?;
     let tenants: usize = opt_value(args, "--tenants")
         .unwrap_or("6")
         .parse()
         .map_err(|e| format!("--tenants: {e}"))?;
+    if tenants > MAX_TENANTS {
+        return Err(format!(
+            "--tenants {tenants} is over the limit of {MAX_TENANTS}"
+        ));
+    }
     let seed: u64 = opt_value(args, "--seed")
         .unwrap_or("23")
         .parse()

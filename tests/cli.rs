@@ -1,7 +1,8 @@
 //! The `incline` binary, driven as a user drives it.
 
 use std::fmt::Write as _;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Every way of running `samples/<sample>.ir` must report `trap` and exit
 /// non-zero, never panic or abort.
@@ -209,16 +210,20 @@ fn bench_takes_any_modelled_worker_count() {
 }
 
 /// `server` refuses a spec it cannot serve, with a message. `--tenants 0`
-/// used to trip an assertion in the tenant generator, and a request count
-/// of 2^64-1 aborted reserving its schedule (`capacity overflow`): exit 101
-/// both.
+/// used to trip an assertion in the tenant generator, a request count of
+/// 2^64-1 aborted reserving its schedule (`capacity overflow`): exit 101
+/// both. And 2^32 tenants or more never finished building their program.
 #[test]
 fn server_refuses_a_spec_it_cannot_serve() {
     let max = usize::MAX.to_string();
     let too_many = format!("error: cannot schedule {max} requests");
+    let over = |n: &str| format!("error: --tenants {n} is over the limit of 1024");
+    let (two_to_32, more) = (over("4294967296"), over(&max));
     for (args, message) in [
         (["--tenants", "0"], "error: server spec has no tenants"),
         (["--requests", &max], too_many.as_str()),
+        (["--tenants", "4294967296"], two_to_32.as_str()),
+        (["--tenants", &max], more.as_str()),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_incline"))
             .arg("server")
@@ -259,4 +264,107 @@ fn run_compiles_a_20_000_block_jump_chain() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stdout.contains("=> Some(Int(7))"), "{stdout}");
     assert!(stdout.contains("1 methods compiled"), "{stdout}");
+}
+
+/// Every numeric flag of every subcommand, at the values that found the
+/// last defects by hand — 0, 1, 2^32, 2^63−1, 2^64−1 and −1 — ends in exit
+/// 0, or in exit 1 with a message: never in a panic (101), a signal or a
+/// hang. `bench --input` at 2^32 and at 2^63−1 is left out: the workload
+/// then runs until the fuel limit stops it, which takes 5 s in a release
+/// build and far longer in this debug build — slow, but no defect.
+#[test]
+fn every_numeric_flag_survives_extreme_values() {
+    const VALUES: [&str; 6] = [
+        "0",
+        "1",
+        "4294967296",
+        "9223372036854775807",
+        "18446744073709551615",
+        "-1",
+    ];
+    const COMMON: [&str; 4] = [
+        "--compile-threads",
+        "--cache-budget",
+        "--icache-capacity",
+        "--icache-scale",
+    ];
+    let fib = concat!(env!("CARGO_MANIFEST_DIR"), "/samples/fib.ir");
+    let with_common = |own: &[&'static str]| [own, &COMMON[..]].concat();
+    // Each subcommand with cheap operands, its numeric flags, and the cheap
+    // value a flag keeps while another one is under test.
+    type Subcommand<'a> = (&'a [&'a str], Vec<&'a str>, &'a [(&'a str, &'a str)]);
+    let subcommands: [Subcommand; 4] = [
+        (&["run", fib, "--jit"], with_common(&["--input"]), &[]),
+        (&["compile", fib], vec!["--input"], &[]),
+        (
+            &["bench", "scalatest"],
+            with_common(&["--input"]),
+            &[("--input", "1")],
+        ),
+        (
+            &["server"],
+            with_common(&["--tenants", "--seed", "--requests"]),
+            &[("--requests", "50")],
+        ),
+    ];
+    let mut cases: Vec<Vec<&str>> = Vec::new();
+    for (operands, flags, cheap) in &subcommands {
+        for &flag in flags {
+            for value in VALUES {
+                let trips = matches!(value, "4294967296" | "9223372036854775807");
+                if operands[0] == "bench" && flag == "--input" && trips {
+                    continue;
+                }
+                let mut args = operands.to_vec();
+                args.extend([flag, value]);
+                for &(other, cheap) in cheap.iter().filter(|(other, _)| *other != flag) {
+                    args.extend([other, cheap]);
+                }
+                cases.push(args);
+            }
+        }
+    }
+    assert_eq!(cases.len(), 106);
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let halves = cases.chunks(cases.len().div_ceil(2));
+        let workers: Vec<_> = halves
+            .map(|half| {
+                s.spawn(move || {
+                    half.iter()
+                        .filter_map(|a| misbehaves(a))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a worker"))
+            .collect()
+    });
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// How `incline args` misbehaves, if it does: an exit other than 0 or 1, a
+/// signal, or no exit within a minute.
+fn misbehaves(args: &[&str]) -> Option<String> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_incline"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("the incline binary runs");
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("the child can be waited for") {
+            break status;
+        }
+        if start.elapsed() > Duration::from_secs(60) {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Some(format!("{args:?}: still running after a minute"));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let fine = matches!(status.code(), Some(0 | 1));
+    (!fine).then(|| format!("{args:?}: {status}"))
 }

@@ -97,7 +97,7 @@ fn stress(
 }
 
 #[test]
-fn queue_stress_invariants_hold_across_worker_pools() {
+fn queue_stress_invariants_hold() {
     let (p, methods) = many_methods(300);
     let (stats, compilations, _) = stress(&p, &methods, FaultPlan::new(), 3000);
     assert!(

@@ -11,11 +11,14 @@
 //! at the flip, rolls back, replays interpreted, and recompiles against
 //! the merged profile — which must cover the new dominant receiver.
 
+mod support;
+
 use std::sync::Arc;
 
 use incline::ir::graph::{Op, Terminator};
 use incline::ir::Graph;
 use incline::prelude::*;
+use support::{answer, expected};
 
 fn phase_change() -> Workload {
     by_name("phase_change").expect("extra benchmark exists")
@@ -44,18 +47,8 @@ fn has_deopt_terminator(graph: &Graph) -> bool {
 fn phase_change_deopts_then_recompiles_for_the_new_receiver() {
     let w = phase_change();
 
-    // Interpreted ground truth.
-    let mut reference = Machine::new(
-        &w.program,
-        Box::new(NoInline),
-        VmConfig {
-            jit: false,
-            ..VmConfig::default()
-        },
-    );
-    let expected = reference
-        .run(w.entry, vec![Value::Int(w.input)])
-        .expect("reference runs");
+    // Ground truth from the reference evaluator.
+    let expected = expected(&w, w.input);
 
     let config = VmConfig {
         hotness_threshold: 2,
@@ -69,8 +62,7 @@ fn phase_change_deopts_then_recompiles_for_the_new_receiver() {
         let out = vm
             .run(w.entry, vec![Value::Int(w.input)])
             .expect("run completes");
-        assert_eq!(out.value, expected.value, "no divergence from interpreter");
-        assert_eq!(out.output, expected.output, "no output divergence");
+        assert_eq!(answer(&out), expected, "no divergence from the oracle");
     }
 
     let b = vm.bailouts();

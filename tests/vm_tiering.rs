@@ -230,3 +230,28 @@ fn callsite_ids_survive_deep_inlining() {
         }
     }
 }
+
+#[test]
+fn compiled_steady_state_takes_fewer_cycles_than_interpreting() {
+    // Sanity on the cost model: the last of four runs of factorie, all
+    // compiled by then, beats a purely interpreted run.
+    let w = incline::workloads::by_name("factorie").unwrap();
+    let cycles = |jit, inliner: Box<dyn Inliner>| {
+        let config = VmConfig {
+            jit,
+            hotness_threshold: 2,
+            ..VmConfig::default()
+        };
+        let mut vm = Machine::new(&w.program, inliner, config);
+        let runs: Vec<u64> = (0..4)
+            .map(|_| vm.run(w.entry, vec![Value::Int(8)]).unwrap().exec_cycles)
+            .collect();
+        runs[3]
+    };
+    let interpreted = cycles(false, Box::new(NoInline));
+    let compiled = cycles(true, Box::new(IncrementalInliner::new()));
+    assert!(
+        compiled < interpreted,
+        "compiled ({compiled}) should beat interpreted ({interpreted})"
+    );
+}
