@@ -632,8 +632,9 @@ impl CallTree {
         }
         let mut graph = template.clone();
         let ns = specialize_params(&mut graph, args);
-        // The trial bundle (canonicalize_bundle) runs unmetered and
-        // reports per-stage deltas to the trace as Trial-phase events.
+        // The trial bundle — the scalar passes only, no peeling — runs
+        // unmetered and reports per-stage deltas to the trace as
+        // Trial-phase events.
         let trial_config = incline_opt::PipelineConfig {
             peel_loops: false,
             max_rounds: 3,

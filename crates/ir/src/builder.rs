@@ -1,10 +1,11 @@
 //! Convenience builder for authoring method bodies.
 //!
-//! [`FunctionBuilder`] wraps a [`Graph`] with a current-block cursor, typed
-//! helpers for every [`Op`], and automatic minting of stable
-//! [`CallSiteId`]s. It borrows the [`Program`] immutably so that field and
-//! method signatures do not have to be restated at every use; declare all
-//! classes, fields and method signatures first, then build bodies.
+//! [`FunctionBuilder`] wraps a [`Graph`] with a current-block cursor, a
+//! helper for every [`Op`], and automatic minting of stable
+//! [`CallSiteId`]s. Each helper types its instruction by
+//! [`Graph::result_type`] against the borrowed [`Program`], and panics
+//! where that rule refuses the operands; declare all classes, fields and
+//! method signatures first, then build bodies.
 //!
 //! ```
 //! use incline_ir::{Program, FunctionBuilder, Type};
@@ -24,7 +25,7 @@
 use crate::graph::{BinOp, CallInfo, CallTarget, CmpOp, Graph, Op, Terminator};
 use crate::ids::{BlockId, CallSiteId, ClassId, FieldId, MethodId, SelectorId, ValueId};
 use crate::program::Program;
-use crate::types::{ElemType, RetType, Type};
+use crate::types::{ElemType, Type};
 
 /// Builds the body of one declared method.
 #[derive(Debug)]
@@ -107,17 +108,17 @@ impl<'p> FunctionBuilder<'p> {
 
     /// Appends an integer constant.
     pub fn const_int(&mut self, k: i64) -> ValueId {
-        self.emit(Op::ConstInt(k), vec![], Some(Type::Int))
+        self.value(Op::ConstInt(k), vec![])
     }
 
     /// Appends a float constant.
     pub fn const_float(&mut self, k: f64) -> ValueId {
-        self.emit(Op::ConstFloat(k.to_bits()), vec![], Some(Type::Float))
+        self.value(Op::ConstFloat(k.to_bits()), vec![])
     }
 
     /// Appends a boolean constant.
     pub fn const_bool(&mut self, k: bool) -> ValueId {
-        self.emit(Op::ConstBool(k), vec![], Some(Type::Bool))
+        self.value(Op::ConstBool(k), vec![])
     }
 
     /// Appends a null constant of reference type `ty`.
@@ -126,16 +127,14 @@ impl<'p> FunctionBuilder<'p> {
     ///
     /// Panics if `ty` is not a reference type.
     pub fn const_null(&mut self, ty: Type) -> ValueId {
-        assert!(ty.is_reference(), "null must have a reference type");
-        self.emit(Op::ConstNull(ty), vec![], Some(ty))
+        self.value(Op::ConstNull(ty), vec![])
     }
 
     // ---- arithmetic -------------------------------------------------------
 
     /// Appends a binary arithmetic instruction.
     pub fn binop(&mut self, op: BinOp, a: ValueId, b: ValueId) -> ValueId {
-        let ty = op.result_type();
-        self.emit(Op::Bin(op), vec![a, b], Some(ty))
+        self.value(Op::Bin(op), vec![a, b])
     }
 
     /// Integer add.
@@ -165,55 +164,54 @@ impl<'p> FunctionBuilder<'p> {
 
     /// Appends a comparison instruction.
     pub fn cmp(&mut self, op: CmpOp, a: ValueId, b: ValueId) -> ValueId {
-        self.emit(Op::Cmp(op), vec![a, b], Some(Type::Bool))
+        self.value(Op::Cmp(op), vec![a, b])
     }
 
     /// Boolean negation.
     pub fn not(&mut self, a: ValueId) -> ValueId {
-        self.emit(Op::Not, vec![a], Some(Type::Bool))
+        self.value(Op::Not, vec![a])
     }
 
     /// Integer negation.
     pub fn ineg(&mut self, a: ValueId) -> ValueId {
-        self.emit(Op::INeg, vec![a], Some(Type::Int))
+        self.value(Op::INeg, vec![a])
     }
 
     /// Float negation.
     pub fn fneg(&mut self, a: ValueId) -> ValueId {
-        self.emit(Op::FNeg, vec![a], Some(Type::Float))
+        self.value(Op::FNeg, vec![a])
     }
 
     /// Int-to-float conversion.
     pub fn int_to_float(&mut self, a: ValueId) -> ValueId {
-        self.emit(Op::IntToFloat, vec![a], Some(Type::Float))
+        self.value(Op::IntToFloat, vec![a])
     }
 
     /// Float-to-int (truncating) conversion.
     pub fn float_to_int(&mut self, a: ValueId) -> ValueId {
-        self.emit(Op::FloatToInt, vec![a], Some(Type::Int))
+        self.value(Op::FloatToInt, vec![a])
     }
 
     // ---- objects & arrays -------------------------------------------------
 
     /// Allocates an instance of `class`.
     pub fn new_object(&mut self, class: ClassId) -> ValueId {
-        self.emit(Op::New(class), vec![], Some(Type::Object(class)))
+        self.value(Op::New(class), vec![])
     }
 
-    /// Loads a field; result type comes from the field declaration.
+    /// Loads a field.
     pub fn get_field(&mut self, field: FieldId, obj: ValueId) -> ValueId {
-        let ty = self.program.field(field).ty;
-        self.emit(Op::GetField(field), vec![obj], Some(ty))
+        self.value(Op::GetField(field), vec![obj])
     }
 
     /// Stores a field.
     pub fn set_field(&mut self, field: FieldId, obj: ValueId, value: ValueId) {
-        self.emit_void(Op::SetField(field), vec![obj, value]);
+        self.emit(Op::SetField(field), vec![obj, value]);
     }
 
     /// Allocates an array of `elem` with length `len`.
     pub fn new_array(&mut self, elem: ElemType, len: ValueId) -> ValueId {
-        self.emit(Op::NewArray(elem), vec![len], Some(Type::Array(elem)))
+        self.value(Op::NewArray(elem), vec![len])
     }
 
     /// Loads an array element.
@@ -222,21 +220,17 @@ impl<'p> FunctionBuilder<'p> {
     ///
     /// Panics if `arr`'s static type is not an array.
     pub fn array_get(&mut self, arr: ValueId, idx: ValueId) -> ValueId {
-        let ty = match self.graph.value_type(arr) {
-            Type::Array(e) => e.to_type(),
-            other => panic!("array_get on non-array value of type {other}"),
-        };
-        self.emit(Op::ArrayGet, vec![arr, idx], Some(ty))
+        self.value(Op::ArrayGet, vec![arr, idx])
     }
 
     /// Stores an array element.
     pub fn array_set(&mut self, arr: ValueId, idx: ValueId, value: ValueId) {
-        self.emit_void(Op::ArraySet, vec![arr, idx, value]);
+        self.emit(Op::ArraySet, vec![arr, idx, value]);
     }
 
     /// Array length.
     pub fn array_len(&mut self, arr: ValueId) -> ValueId {
-        self.emit(Op::ArrayLen, vec![arr], Some(Type::Int))
+        self.value(Op::ArrayLen, vec![arr])
     }
 
     // ---- calls ------------------------------------------------------------
@@ -244,63 +238,40 @@ impl<'p> FunctionBuilder<'p> {
     /// Direct call to `target`; returns the result value unless `target` is
     /// `void`.
     pub fn call_static(&mut self, target: MethodId, args: Vec<ValueId>) -> Option<ValueId> {
-        let ret = self.program.method(target).ret;
         let site = self.fresh_site();
-        self.emit_call(
-            CallInfo {
-                target: CallTarget::Static(target),
-                site,
-            },
-            args,
-            ret,
-        )
+        let target = CallTarget::Static(target);
+        self.emit(Op::Call(CallInfo { target, site }), args)
     }
 
     /// Virtual call through `selector`; `args[0]` is the receiver. The
-    /// return type is taken from any declaration of the selector.
+    /// result is typed by the method the selector resolves to on the
+    /// receiver's static class ([`Graph::result_type`]).
     ///
     /// # Panics
     ///
-    /// Panics if no class method with this selector exists yet.
+    /// Panics if the receiver is not an object, or no class method with
+    /// this selector exists yet.
     pub fn call_virtual(&mut self, selector: SelectorId, args: Vec<ValueId>) -> Option<ValueId> {
-        let ret = self
-            .program
-            .method_ids()
-            .map(|m| self.program.method(m))
-            .find(|m| m.selector == Some(selector))
-            .unwrap_or_else(|| {
-                panic!(
-                    "no method declares selector {}",
-                    self.program.selector(selector)
-                )
-            })
-            .ret;
         let site = self.fresh_site();
-        self.emit_call(
-            CallInfo {
-                target: CallTarget::Virtual(selector),
-                site,
-            },
-            args,
-            ret,
-        )
+        let target = CallTarget::Virtual(selector);
+        self.emit(Op::Call(CallInfo { target, site }), args)
     }
 
     // ---- type tests -------------------------------------------------------
 
     /// Dynamic type test.
     pub fn instance_of(&mut self, class: ClassId, obj: ValueId) -> ValueId {
-        self.emit(Op::InstanceOf(class), vec![obj], Some(Type::Bool))
+        self.value(Op::InstanceOf(class), vec![obj])
     }
 
     /// Checked downcast to `class`.
     pub fn cast(&mut self, class: ClassId, obj: ValueId) -> ValueId {
-        self.emit(Op::Cast(class), vec![obj], Some(Type::Object(class)))
+        self.value(Op::Cast(class), vec![obj])
     }
 
     /// Prints a value to the program output stream.
     pub fn print(&mut self, value: ValueId) {
-        self.emit_void(Op::Print, vec![value]);
+        self.emit(Op::Print, vec![value]);
     }
 
     // ---- terminators ------------------------------------------------------
@@ -345,26 +316,28 @@ impl<'p> FunctionBuilder<'p> {
         site
     }
 
-    fn emit(&mut self, op: Op, args: Vec<ValueId>, ty: Option<Type>) -> ValueId {
-        let (_, v) = self.graph.append(self.cur, op, args, ty);
-        v.expect("emit used for value-producing op")
-    }
-
-    fn emit_void(&mut self, op: Op, args: Vec<ValueId>) {
-        self.graph.append(self.cur, op, args, None);
-    }
-
-    fn emit_call(&mut self, info: CallInfo, args: Vec<ValueId>, ret: RetType) -> Option<ValueId> {
-        let (_, v) = self
+    /// Appends `op` typed by [`Graph::result_type`]; returns its result.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the rule's reason if `op` refuses `args`.
+    fn emit(&mut self, op: Op, args: Vec<ValueId>) -> Option<ValueId> {
+        let ty = self
             .graph
-            .append(self.cur, Op::Call(info), args, ret.value());
-        v
+            .result_type(self.program, &op, &args)
+            .unwrap_or_else(|why| panic!("{why}"));
+        self.graph.append(self.cur, op, args, ty).1
+    }
+
+    fn value(&mut self, op: Op, args: Vec<ValueId>) -> ValueId {
+        self.emit(op, args).expect("the operation produces a value")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::RetType;
 
     #[test]
     fn builds_loop_with_params() {

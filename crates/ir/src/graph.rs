@@ -13,6 +13,7 @@ use std::sync::{Arc, OnceLock};
 use crate::dom::DomTree;
 use crate::ids::{BlockId, CallSiteId, ClassId, FieldId, InstId, MethodId, SelectorId, ValueId};
 use crate::loops::LoopForest;
+use crate::program::Program;
 use crate::types::{ElemType, Type};
 
 /// Integer and float binary arithmetic operators.
@@ -72,35 +73,6 @@ impl BinOp {
                 | BinOp::FMul
         )
     }
-
-    /// Result type of the operator.
-    pub fn result_type(self) -> Type {
-        if self.is_float() {
-            Type::Float
-        } else {
-            Type::Int
-        }
-    }
-
-    /// Mnemonic used by the printer/parser.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            BinOp::IAdd => "iadd",
-            BinOp::ISub => "isub",
-            BinOp::IMul => "imul",
-            BinOp::IDiv => "idiv",
-            BinOp::IRem => "irem",
-            BinOp::IAnd => "iand",
-            BinOp::IOr => "ior",
-            BinOp::IXor => "ixor",
-            BinOp::IShl => "ishl",
-            BinOp::IShr => "ishr",
-            BinOp::FAdd => "fadd",
-            BinOp::FSub => "fsub",
-            BinOp::FMul => "fmul",
-            BinOp::FDiv => "fdiv",
-        }
-    }
 }
 
 /// Comparison operators producing a `bool`.
@@ -129,22 +101,6 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// Mnemonic used by the printer/parser.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            CmpOp::IEq => "ieq",
-            CmpOp::INe => "ine",
-            CmpOp::ILt => "ilt",
-            CmpOp::ILe => "ile",
-            CmpOp::IGt => "igt",
-            CmpOp::IGe => "ige",
-            CmpOp::FEq => "feq",
-            CmpOp::FLt => "flt",
-            CmpOp::FLe => "fle",
-            CmpOp::RefEq => "refeq",
-        }
-    }
-
     /// Operand type expected on both sides.
     pub fn operand_kind(self) -> Option<Type> {
         match self {
@@ -177,8 +133,8 @@ pub struct CallInfo {
 
 /// Instruction operations.
 ///
-/// Operand arity/typing is documented per variant and enforced by
-/// [`crate::verify`].
+/// Operand arity and typing are [`Graph::result_type`]'s, and nobody
+/// else's; the text form of each is in one table, `MNEMONICS`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Op {
     /// Placeholder left behind by passes; never executed, never printed.
@@ -232,7 +188,101 @@ pub enum Op {
     Print,
 }
 
+/// A placeholder payload, for the [`MNEMONICS`] entries of call ops.
+const ANY_SITE: CallSiteId = CallSiteId {
+    method: MethodId::new(0),
+    index: 0,
+};
+
+/// Every operation's name in the text format, with a representative of its
+/// kind — the one table the printer ([`Op::mnemonic`]) and the parser read.
+/// Payloads (constants, classes, fields, call targets) are placeholders: an
+/// op matches the entry of the same variant, operator, and static or
+/// virtual call target.
+pub(crate) const MNEMONICS: &[(&str, Op)] = &[
+    ("nop", Op::Nop),
+    ("const.int", Op::ConstInt(0)),
+    ("const.float", Op::ConstFloat(0)),
+    ("const.bool", Op::ConstBool(false)),
+    ("const.null", Op::ConstNull(Type::Int)),
+    ("iadd", Op::Bin(BinOp::IAdd)),
+    ("isub", Op::Bin(BinOp::ISub)),
+    ("imul", Op::Bin(BinOp::IMul)),
+    ("idiv", Op::Bin(BinOp::IDiv)),
+    ("irem", Op::Bin(BinOp::IRem)),
+    ("iand", Op::Bin(BinOp::IAnd)),
+    ("ior", Op::Bin(BinOp::IOr)),
+    ("ixor", Op::Bin(BinOp::IXor)),
+    ("ishl", Op::Bin(BinOp::IShl)),
+    ("ishr", Op::Bin(BinOp::IShr)),
+    ("fadd", Op::Bin(BinOp::FAdd)),
+    ("fsub", Op::Bin(BinOp::FSub)),
+    ("fmul", Op::Bin(BinOp::FMul)),
+    ("fdiv", Op::Bin(BinOp::FDiv)),
+    ("ieq", Op::Cmp(CmpOp::IEq)),
+    ("ine", Op::Cmp(CmpOp::INe)),
+    ("ilt", Op::Cmp(CmpOp::ILt)),
+    ("ile", Op::Cmp(CmpOp::ILe)),
+    ("igt", Op::Cmp(CmpOp::IGt)),
+    ("ige", Op::Cmp(CmpOp::IGe)),
+    ("feq", Op::Cmp(CmpOp::FEq)),
+    ("flt", Op::Cmp(CmpOp::FLt)),
+    ("fle", Op::Cmp(CmpOp::FLe)),
+    ("refeq", Op::Cmp(CmpOp::RefEq)),
+    ("not", Op::Not),
+    ("ineg", Op::INeg),
+    ("fneg", Op::FNeg),
+    ("i2f", Op::IntToFloat),
+    ("f2i", Op::FloatToInt),
+    ("new", Op::New(ClassId::new(0))),
+    ("getfield", Op::GetField(FieldId::new(0))),
+    ("setfield", Op::SetField(FieldId::new(0))),
+    ("newarray", Op::NewArray(ElemType::Int)),
+    ("aget", Op::ArrayGet),
+    ("aset", Op::ArraySet),
+    ("alen", Op::ArrayLen),
+    (
+        "call",
+        Op::Call(CallInfo {
+            target: CallTarget::Static(MethodId::new(0)),
+            site: ANY_SITE,
+        }),
+    ),
+    (
+        "callv",
+        Op::Call(CallInfo {
+            target: CallTarget::Virtual(SelectorId::new(0)),
+            site: ANY_SITE,
+        }),
+    ),
+    ("instanceof", Op::InstanceOf(ClassId::new(0))),
+    ("cast", Op::Cast(ClassId::new(0))),
+    ("print", Op::Print),
+];
+
 impl Op {
+    /// The op's name in the text format ([`MNEMONICS`]).
+    pub(crate) fn mnemonic(&self) -> &'static str {
+        MNEMONICS
+            .iter()
+            .find(|(_, kind)| kind.same_kind(self))
+            .expect("every op has an entry")
+            .0
+    }
+
+    /// Whether two ops are the same operation, payloads aside.
+    fn same_kind(&self, other: &Op) -> bool {
+        match (self, other) {
+            (Op::Bin(a), Op::Bin(b)) => a == b,
+            (Op::Cmp(a), Op::Cmp(b)) => a == b,
+            (Op::Call(a), Op::Call(b)) => {
+                matches!(a.target, CallTarget::Static(_))
+                    == matches!(b.target, CallTarget::Static(_))
+            }
+            _ => std::mem::discriminant(self) == std::mem::discriminant(other),
+        }
+    }
+
     /// Whether the op writes memory or produces output.
     pub fn has_side_effect(&self) -> bool {
         matches!(
@@ -594,6 +644,181 @@ impl Graph {
         self.blocks[block.index()].insts.push(id);
         let result = self.insts[id.index()].result;
         (id, result)
+    }
+
+    /// The typing rule of every operation, and the only statement of it:
+    /// checks that `args` are operands `op` accepts — their number, and
+    /// each one's type — and returns the type of the value `op` produces
+    /// (`None`: it produces none). The verifier compares the answer with
+    /// each instruction's recorded result; the parser and
+    /// [`crate::FunctionBuilder`] record it. Every operand must be a value
+    /// of this graph.
+    ///
+    /// A static call passes values assignable to the callee's parameters
+    /// and yields its return type. A virtual call yields the return type of
+    /// the method its selector resolves to on the receiver's static class —
+    /// or, when that class has none, of any method declaring the selector
+    /// (dispatch then traps at run time).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first operand `op` refuses.
+    pub fn result_type(
+        &self,
+        program: &Program,
+        op: &Op,
+        args: &[ValueId],
+    ) -> Result<Option<Type>, String> {
+        let ty = |k: usize| self.value_type(args[k]);
+        let arity = |n: usize| {
+            let argc = args.len();
+            ensure(argc == n, || {
+                format!("{} expects {n} operands, got {argc}", op.mnemonic())
+            })
+        };
+        // `n` operands, every one of type `t`.
+        let all = |n: usize, t: Type| {
+            arity(n)?;
+            let plural = if n == 1 { "" } else { " operands" };
+            ensure(args.iter().all(|&a| self.value_type(a) == t), || {
+                format!("{} expects {t}{plural}", op.mnemonic())
+            })
+        };
+        let reference = |t: Type, what: &str| {
+            ensure(t.is_reference(), || {
+                format!("{what} must be a reference, got {t}")
+            })
+        };
+        let assignable = |k: usize, to: Type, what: &str| {
+            let from = ty(k);
+            ensure(program.is_assignable(from, to), || {
+                format!("{what} {from} not assignable to {to}")
+            })
+        };
+        let receiver = |holder: ClassId, what: &str| {
+            ensure(program.is_assignable(ty(0), Type::Object(holder)), || {
+                format!("{what} receiver {} not an instance of holder", ty(0))
+            })
+        };
+        // `[array, index, ..]`; the element type.
+        let element = |what: &str| {
+            let Type::Array(e) = ty(0) else {
+                return Err(format!("{what} on non-array"));
+            };
+            ensure(ty(1) == Type::Int, || "array index must be int".to_string())?;
+            Ok(e.to_type())
+        };
+        Ok(match op {
+            Op::Nop => return Err("nop must not appear in a block".to_string()),
+            Op::ConstInt(_) | Op::ConstFloat(_) | Op::ConstBool(_) => {
+                arity(0)?;
+                op.const_type()
+            }
+            Op::ConstNull(t) => {
+                arity(0)?;
+                reference(*t, "null type")?;
+                Some(*t)
+            }
+            Op::Bin(b) => {
+                let t = if b.is_float() { Type::Float } else { Type::Int };
+                all(2, t)?;
+                Some(t)
+            }
+            Op::Cmp(c) => {
+                match c.operand_kind() {
+                    Some(t) => all(2, t)?,
+                    None => {
+                        arity(2)?;
+                        reference(ty(0), "refeq lhs")?;
+                        reference(ty(1), "refeq rhs")?;
+                    }
+                }
+                Some(Type::Bool)
+            }
+            Op::Not => all(1, Type::Bool).map(|()| Some(Type::Bool))?,
+            Op::INeg => all(1, Type::Int).map(|()| Some(Type::Int))?,
+            Op::FNeg => all(1, Type::Float).map(|()| Some(Type::Float))?,
+            Op::IntToFloat => all(1, Type::Int).map(|()| Some(Type::Float))?,
+            Op::FloatToInt => all(1, Type::Float).map(|()| Some(Type::Int))?,
+            Op::New(c) => arity(0).map(|()| Some(Type::Object(*c)))?,
+            Op::GetField(f) => {
+                arity(1)?;
+                let fd = program.field(*f);
+                receiver(fd.holder, "getfield")?;
+                Some(fd.ty)
+            }
+            Op::SetField(f) => {
+                arity(2)?;
+                let fd = program.field(*f);
+                receiver(fd.holder, "setfield")?;
+                assignable(1, fd.ty, "setfield value")?;
+                None
+            }
+            Op::NewArray(e) => all(1, Type::Int).map(|()| Some(Type::Array(*e)))?,
+            Op::ArrayGet => {
+                arity(2)?;
+                Some(element("arrayget")?)
+            }
+            Op::ArraySet => {
+                arity(3)?;
+                let elem = element("arrayset")?;
+                assignable(2, elem, "arrayset value")?;
+                None
+            }
+            Op::ArrayLen => {
+                arity(1)?;
+                ensure(matches!(ty(0), Type::Array(_)), || {
+                    "arraylen on non-array".to_string()
+                })?;
+                Some(Type::Int)
+            }
+            Op::Call(info) => match info.target {
+                CallTarget::Static(m) => {
+                    let callee = program.method(m);
+                    let (argc, want) = (args.len(), callee.params.len());
+                    ensure(argc == want, || {
+                        format!("call to {} passes {argc} args, expects {want}", callee.name)
+                    })?;
+                    for (k, &pt) in callee.params.iter().enumerate() {
+                        ensure(program.is_assignable(ty(k), pt), || {
+                            format!("call arg {k}: {} not assignable to {pt}", ty(k))
+                        })?;
+                    }
+                    callee.ret.value()
+                }
+                CallTarget::Virtual(sel) => {
+                    let sd = program.selector(sel);
+                    let argc = args.len();
+                    ensure(sd.arity == argc, || {
+                        format!("virtual call arity {argc} != selector {sd}")
+                    })?;
+                    let Some(Type::Object(class)) = args.first().map(|&a| self.value_type(a))
+                    else {
+                        return Err("virtual call receiver must be an object".to_string());
+                    };
+                    let decl = program.resolve(class, sel).or_else(|| {
+                        program
+                            .method_ids()
+                            .find(|&m| program.method(m).selector == Some(sel))
+                    });
+                    let Some(decl) = decl else {
+                        return Err(format!("no declaration of selector {sd}"));
+                    };
+                    program.method(decl).ret.value()
+                }
+            },
+            Op::InstanceOf(_) => {
+                arity(1)?;
+                reference(ty(0), "instanceof operand")?;
+                Some(Type::Bool)
+            }
+            Op::Cast(c) => {
+                arity(1)?;
+                reference(ty(0), "cast operand")?;
+                Some(Type::Object(*c))
+            }
+            Op::Print => arity(1).map(|()| None)?,
+        })
     }
 
     /// Inserts an existing instruction at `pos` within `block`.
@@ -1011,6 +1236,15 @@ impl Graph {
     }
 }
 
+/// `Ok` when `ok`, otherwise the error `why` describes; built only then.
+fn ensure(ok: bool, why: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(why())
+    }
+}
+
 /// Predecessors of every reachable block: a dense table indexed by
 /// [`BlockId`] (compressed rows — one offset array, one edge array).
 ///
@@ -1068,7 +1302,8 @@ impl std::ops::Index<BlockId> for Preds {
 /// FNV-1a 64 accumulator with typed writers for IR entities — the shared
 /// substrate of [`Graph::fingerprint`] and the inliner's trial-cache
 /// argument hashing (which hashes `Op` constants and `Type` narrowings
-/// without a graph in hand).
+/// without a graph in hand) — and a byte writer, which snapshot checksums
+/// and the server's answer digests use.
 #[derive(Clone, Copy, Debug)]
 pub struct StructuralHasher {
     state: u64,
@@ -1088,12 +1323,18 @@ impl StructuralHasher {
         }
     }
 
-    /// Folds eight little-endian bytes into the state.
-    pub fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.state ^= byte as u64;
+    /// Folds bytes into the state, one at a time: plain FNV-1a 64, the
+    /// workspace's one byte digest.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.state ^= u64::from(byte);
             self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    /// Folds eight little-endian bytes into the state.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
     }
 
     /// The accumulated digest.
@@ -1386,6 +1627,13 @@ mod tests {
         k(&mut g, dead, 7);
         g.set_terminator(dead, Terminator::Return(None));
         assert_eq!(g.size(), 1);
+    }
+
+    #[test]
+    fn every_mnemonic_names_its_own_entry() {
+        for (name, op) in MNEMONICS {
+            assert_eq!(op.mnemonic(), *name);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ macro_rules! entity_id {
             ///
             /// Panics if `index` does not fit in `u32`.
             #[inline]
-            pub fn new(index: usize) -> Self {
+            pub const fn new(index: usize) -> Self {
                 assert!(index <= u32::MAX as usize, "entity index overflow");
                 Self(index as u32)
             }

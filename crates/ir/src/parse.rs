@@ -2,7 +2,10 @@
 //!
 //! The parser performs two passes so that bodies may reference methods and
 //! selectors declared later in the file: first all classes, fields and
-//! method signatures are registered, then bodies are parsed.
+//! method signatures are registered, then bodies are parsed. Operation
+//! names come from `MNEMONICS`, the printer's table, and each instruction
+//! is typed by [`Graph::result_type`] as it is read: an instruction that
+//! rule refuses is a [`ParseError`] at the instruction's position.
 //!
 //! ```
 //! let src = r#"
@@ -23,10 +26,10 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use crate::graph::{BinOp, CallInfo, CallTarget, CmpOp, DeoptReason, Graph, Op, Terminator};
-use crate::ids::{BlockId, CallSiteId, MethodId, ValueId};
+use crate::graph::{CallInfo, CallTarget, DeoptReason, Graph, Op, Terminator, MNEMONICS};
+use crate::ids::{BlockId, CallSiteId, ClassId, MethodId, ValueId};
 use crate::program::Program;
-use crate::types::{RetType, Type};
+use crate::types::{ElemType, RetType, Type};
 
 /// A parse failure with source position.
 #[derive(Clone, Debug, PartialEq)]
@@ -418,15 +421,8 @@ fn parse_class(p: &mut Parser, program: &mut Program) -> Result<(), ParseError> 
 fn parse_type(p: &mut Parser, program: &Program) -> Result<Type, ParseError> {
     if *p.peek() == Tok::LBracket {
         p.next();
-        let inner = parse_type(p, program)?;
+        let elem = parse_elem_type(p, program)?;
         p.expect(Tok::RBracket)?;
-        let elem = match inner {
-            Type::Int => crate::types::ElemType::Int,
-            Type::Float => crate::types::ElemType::Float,
-            Type::Bool => crate::types::ElemType::Bool,
-            Type::Object(c) => crate::types::ElemType::Object(c),
-            Type::Array(_) => return p.fail("arrays do not nest"),
-        };
         return Ok(Type::Array(elem));
     }
     let name = p.ident()?;
@@ -438,6 +434,25 @@ fn parse_type(p: &mut Parser, program: &Program) -> Result<Type, ParseError> {
             Some(c) => Ok(Type::Object(c)),
             None => p.fail(format!("unknown type `{name}`")),
         },
+    }
+}
+
+/// An array's element type, written as the type it stores.
+fn parse_elem_type(p: &mut Parser, program: &Program) -> Result<ElemType, ParseError> {
+    Ok(match parse_type(p, program)? {
+        Type::Int => ElemType::Int,
+        Type::Float => ElemType::Float,
+        Type::Bool => ElemType::Bool,
+        Type::Object(c) => ElemType::Object(c),
+        Type::Array(_) => return p.fail("arrays do not nest"),
+    })
+}
+
+fn parse_class_name(p: &mut Parser, program: &Program) -> Result<ClassId, ParseError> {
+    let name = p.ident()?;
+    match program.class_by_name(&name) {
+        Some(c) => Ok(c),
+        None => p.fail(format!("unknown class `{name}`")),
     }
 }
 
@@ -456,10 +471,7 @@ fn parse_signature(p: &mut Parser, program: &mut Program) -> Result<(MethodId, u
     let (holder, name) = if p.eat_ident("fn") {
         (None, p.ident()?)
     } else if p.eat_ident("method") {
-        let cname = p.ident()?;
-        let Some(c) = program.class_by_name(&cname) else {
-            return p.fail(format!("unknown class `{cname}`"));
-        };
+        let c = parse_class_name(p, program)?;
         p.expect(Tok::Dot)?;
         (Some(c), p.ident()?)
     } else {
@@ -711,206 +723,73 @@ fn parse_paren_values(p: &mut Parser, cx: &BodyCx<'_>) -> Result<Vec<ValueId>, P
     Ok(args)
 }
 
-fn bin_op(name: &str) -> Option<BinOp> {
-    Some(match name {
-        "iadd" => BinOp::IAdd,
-        "isub" => BinOp::ISub,
-        "imul" => BinOp::IMul,
-        "idiv" => BinOp::IDiv,
-        "irem" => BinOp::IRem,
-        "iand" => BinOp::IAnd,
-        "ior" => BinOp::IOr,
-        "ixor" => BinOp::IXor,
-        "ishl" => BinOp::IShl,
-        "ishr" => BinOp::IShr,
-        "fadd" => BinOp::FAdd,
-        "fsub" => BinOp::FSub,
-        "fmul" => BinOp::FMul,
-        "fdiv" => BinOp::FDiv,
-        _ => return None,
-    })
-}
-
-fn cmp_op(name: &str) -> Option<CmpOp> {
-    Some(match name {
-        "ieq" => CmpOp::IEq,
-        "ine" => CmpOp::INe,
-        "ilt" => CmpOp::ILt,
-        "ile" => CmpOp::ILe,
-        "igt" => CmpOp::IGt,
-        "ige" => CmpOp::IGe,
-        "feq" => CmpOp::FEq,
-        "flt" => CmpOp::FLt,
-        "fle" => CmpOp::FLe,
-        "refeq" => CmpOp::RefEq,
-        _ => return None,
-    })
-}
-
 fn parse_inst(p: &mut Parser, cx: &mut BodyCx<'_>, block: BlockId) -> Result<(), ParseError> {
     // Either `v = op ...` or a void op.
+    let (line, col) = p.here();
     let first = p.ident()?;
-    let (result_name, opname) = if *p.peek() == Tok::Eq {
+    let (result_name, mut name) = if *p.peek() == Tok::Eq {
         p.next();
         (Some(first), p.ident()?)
     } else {
         (None, first)
     };
-
-    let program = cx.program;
-    let define = |cx: &mut BodyCx<'_>,
-                  op: Op,
-                  args: Vec<ValueId>,
-                  ty: Option<Type>,
-                  p: &Parser|
-     -> Result<(), ParseError> {
-        let (_, res) = cx.graph.append(block, op, args, ty);
-        match (&result_name, res) {
-            (Some(name), Some(v)) => {
-                if cx.values.insert(name.clone(), v).is_some() {
-                    return p.fail(format!("duplicate value `{name}`"));
-                }
-                Ok(())
-            }
-            (None, None) => Ok(()),
-            (Some(_), None) => p.fail("operation produces no result"),
-            (None, Some(_)) => p.fail("operation result must be named"),
-        }
+    if *p.peek() == Tok::Dot {
+        // A dotted mnemonic: `const.int`.
+        p.next();
+        name = format!("{name}.{}", p.ident()?);
+    }
+    let Some((_, kind)) = MNEMONICS.iter().find(|(m, _)| *m == name) else {
+        return p.fail(format!("unknown instruction `{name}`"));
     };
 
-    match opname.as_str() {
-        "const" => {
-            p.expect(Tok::Dot)?;
-            let kind = p.ident()?;
-            match kind.as_str() {
-                "int" => {
-                    let k = match p.next().tok {
-                        Tok::Int(k) => k,
-                        other => return p.fail(format!("expected integer, found {other}")),
-                    };
-                    define(cx, Op::ConstInt(k), vec![], Some(Type::Int), p)
-                }
-                "float" => {
-                    let k = match p.next().tok {
-                        Tok::Float(f) => f,
-                        Tok::Int(k) => k as f64,
-                        other => return p.fail(format!("expected float, found {other}")),
-                    };
-                    define(
-                        cx,
-                        Op::ConstFloat(k.to_bits()),
-                        vec![],
-                        Some(Type::Float),
-                        p,
-                    )
-                }
-                "bool" => {
-                    let b = if p.eat_ident("true") {
-                        true
-                    } else if p.eat_ident("false") {
-                        false
-                    } else {
-                        return p.fail("expected `true` or `false`");
-                    };
-                    define(cx, Op::ConstBool(b), vec![], Some(Type::Bool), p)
-                }
-                "null" => {
-                    let ty = parse_type(p, program)?;
-                    if !ty.is_reference() {
-                        return p.fail("const.null requires a reference type");
-                    }
-                    define(cx, Op::ConstNull(ty), vec![], Some(ty), p)
-                }
-                other => p.fail(format!("unknown constant kind `{other}`")),
-            }
-        }
-        name if bin_op(name).is_some() => {
-            let op = bin_op(name).unwrap();
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::Bin(op), args, Some(op.result_type()), p)
-        }
-        name if cmp_op(name).is_some() => {
-            let op = cmp_op(name).unwrap();
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::Cmp(op), args, Some(Type::Bool), p)
-        }
-        "not" => {
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::Not, args, Some(Type::Bool), p)
-        }
-        "ineg" => {
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::INeg, args, Some(Type::Int), p)
-        }
-        "fneg" => {
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::FNeg, args, Some(Type::Float), p)
-        }
-        "i2f" => {
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::IntToFloat, args, Some(Type::Float), p)
-        }
-        "f2i" => {
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::FloatToInt, args, Some(Type::Int), p)
-        }
-        "new" => {
-            let cname = p.ident()?;
-            let Some(c) = program.class_by_name(&cname) else {
-                return p.fail(format!("unknown class `{cname}`"));
+    // The payload, then the operands.
+    let program = cx.program;
+    let (op, args) = match kind {
+        Op::Nop => (Op::Nop, Vec::new()),
+        Op::ConstInt(_) => match p.next().tok {
+            Tok::Int(k) => (Op::ConstInt(k), Vec::new()),
+            other => return p.fail(format!("expected integer, found {other}")),
+        },
+        Op::ConstFloat(_) => match p.next().tok {
+            Tok::Float(f) => (Op::ConstFloat(f.to_bits()), Vec::new()),
+            Tok::Int(k) => (Op::ConstFloat((k as f64).to_bits()), Vec::new()),
+            other => return p.fail(format!("expected float, found {other}")),
+        },
+        Op::ConstBool(_) => {
+            let b = if p.eat_ident("true") {
+                true
+            } else if p.eat_ident("false") {
+                false
+            } else {
+                return p.fail("expected `true` or `false`");
             };
-            define(cx, Op::New(c), vec![], Some(Type::Object(c)), p)
+            (Op::ConstBool(b), Vec::new())
         }
-        "getfield" | "setfield" => {
-            let cname = p.ident()?;
-            let Some(c) = program.class_by_name(&cname) else {
-                return p.fail(format!("unknown class `{cname}`"));
-            };
+        Op::ConstNull(_) => (Op::ConstNull(parse_type(p, program)?), Vec::new()),
+        Op::New(_) => (Op::New(parse_class_name(p, program)?), Vec::new()),
+        Op::GetField(_) | Op::SetField(_) => {
+            let c = parse_class_name(p, program)?;
             p.expect(Tok::Dot)?;
             let fname = p.ident()?;
             let Some(f) = program.field_by_name(c, &fname) else {
+                let cname = &program.class(c).name;
                 return p.fail(format!("unknown field `{cname}.{fname}`"));
             };
-            let args = parse_value_list(p, cx)?;
-            if opname == "getfield" {
-                let ty = program.field(f).ty;
-                define(cx, Op::GetField(f), args, Some(ty), p)
-            } else {
-                define(cx, Op::SetField(f), args, None, p)
-            }
-        }
-        "newarray" => {
-            let ty = parse_type(p, program)?;
-            let elem = match ty {
-                Type::Int => crate::types::ElemType::Int,
-                Type::Float => crate::types::ElemType::Float,
-                Type::Bool => crate::types::ElemType::Bool,
-                Type::Object(c) => crate::types::ElemType::Object(c),
-                Type::Array(_) => return p.fail("arrays do not nest"),
+            let op = match kind {
+                Op::GetField(_) => Op::GetField(f),
+                _ => Op::SetField(f),
             };
+            (op, parse_value_list(p, cx)?)
+        }
+        Op::NewArray(_) => {
+            let elem = parse_elem_type(p, program)?;
             p.expect(Tok::Comma)?;
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::NewArray(elem), args, Some(Type::Array(elem)), p)
+            (Op::NewArray(elem), parse_value_list(p, cx)?)
         }
-        "aget" => {
-            let args = parse_value_list(p, cx)?;
-            let Some(&arr) = args.first() else {
-                return p.fail("aget needs operands");
-            };
-            let Type::Array(e) = cx.graph.value_type(arr) else {
-                return p.fail("aget on non-array value");
-            };
-            define(cx, Op::ArrayGet, args, Some(e.to_type()), p)
-        }
-        "aset" => {
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::ArraySet, args, None, p)
-        }
-        "alen" => {
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::ArrayLen, args, Some(Type::Int), p)
-        }
-        "call" => {
+        Op::Call(CallInfo {
+            target: CallTarget::Static(_),
+            ..
+        }) => {
             let name = p.ident()?;
             let target = if *p.peek() == Tok::ColonColon {
                 p.next();
@@ -933,61 +812,47 @@ fn parse_inst(p: &mut Parser, cx: &mut BodyCx<'_>, block: BlockId) -> Result<(),
                 }
             };
             let args = parse_paren_values(p, cx)?;
+            let target = CallTarget::Static(target);
             let site = cx.fresh_site();
-            let ret = program.method(target).ret.value();
-            define(
-                cx,
-                Op::Call(CallInfo {
-                    target: CallTarget::Static(target),
-                    site,
-                }),
-                args,
-                ret,
-                p,
-            )
+            (Op::Call(CallInfo { target, site }), args)
         }
-        "callv" => {
+        Op::Call(_) => {
             let name = p.ident()?;
             let args = parse_paren_values(p, cx)?;
             let Some(sel) = program.selector_by_name(&name, args.len()) else {
                 return p.fail(format!("unknown selector `{name}/{}`", args.len()));
             };
-            let decl = program
-                .method_ids()
-                .find(|&m| program.method(m).selector == Some(sel));
-            let Some(decl) = decl else {
-                return p.fail(format!("no method declares selector `{name}`"));
-            };
+            let target = CallTarget::Virtual(sel);
             let site = cx.fresh_site();
-            let ret = program.method(decl).ret.value();
-            define(
-                cx,
-                Op::Call(CallInfo {
-                    target: CallTarget::Virtual(sel),
-                    site,
-                }),
-                args,
-                ret,
-                p,
-            )
+            (Op::Call(CallInfo { target, site }), args)
         }
-        "instanceof" | "cast" => {
-            let cname = p.ident()?;
-            let Some(c) = program.class_by_name(&cname) else {
-                return p.fail(format!("unknown class `{cname}`"));
+        Op::InstanceOf(_) | Op::Cast(_) => {
+            let c = parse_class_name(p, program)?;
+            let op = match kind {
+                Op::InstanceOf(_) => Op::InstanceOf(c),
+                _ => Op::Cast(c),
             };
-            let args = parse_value_list(p, cx)?;
-            if opname == "instanceof" {
-                define(cx, Op::InstanceOf(c), args, Some(Type::Bool), p)
-            } else {
-                define(cx, Op::Cast(c), args, Some(Type::Object(c)), p)
+            (op, parse_value_list(p, cx)?)
+        }
+        operands_only => (operands_only.clone(), parse_value_list(p, cx)?),
+    };
+
+    // The rule refuses an ill-typed instruction where it starts.
+    let ty = cx
+        .graph
+        .result_type(program, &op, &args)
+        .map_err(|message| ParseError { line, col, message })?;
+    let (_, result) = cx.graph.append(block, op, args, ty);
+    match (result_name, result) {
+        (Some(name), Some(v)) => {
+            if cx.values.insert(name.clone(), v).is_some() {
+                return p.fail(format!("duplicate value `{name}`"));
             }
+            Ok(())
         }
-        "print" => {
-            let args = parse_value_list(p, cx)?;
-            define(cx, Op::Print, args, None, p)
-        }
-        other => p.fail(format!("unknown instruction `{other}`")),
+        (None, None) => Ok(()),
+        (Some(_), None) => p.fail("operation produces no result"),
+        (None, Some(_)) => p.fail("operation result must be named"),
     }
 }
 
@@ -1145,6 +1010,16 @@ b0(v0: int):
         )
         .unwrap_err();
         assert!(e.message.contains("duplicate value"), "{e}");
+    }
+
+    #[test]
+    fn type_errors_are_reported_where_the_instruction_starts() {
+        let e = parse_program(
+            "fn f(float) -> int {\nb0(v0: float):\n  v1 = iadd v0, v0\n  ret v1\n}\n",
+        )
+        .unwrap_err();
+        assert!(e.message.contains("iadd expects int"), "{e}");
+        assert_eq!((e.line, e.col), (3, 3));
     }
 
     #[test]

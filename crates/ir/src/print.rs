@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 
 use crate::dom::reverse_postorder;
 use crate::graph::{CallTarget, Graph, Op, Terminator};
-use crate::ids::{BlockId, ValueId};
+use crate::ids::{BlockId, ClassId, ValueId};
 use crate::program::{MethodKind, Program};
 use crate::types::{RetType, Type};
 
@@ -57,84 +57,44 @@ fn edge_str(dest: BlockId, args: &[ValueId]) -> String {
     format!("{dest}({})", args_str(args))
 }
 
-/// Renders one instruction (without trailing newline).
+/// Renders one instruction (without trailing newline): its result, its
+/// mnemonic, the payload, then the operands.
 pub fn inst_str(program: &Program, graph: &Graph, inst: crate::ids::InstId) -> String {
     let data = graph.inst(inst);
-    let lhs = match data.result {
-        Some(r) => format!("{r} = "),
-        None => String::new(),
-    };
-    let rhs = match &data.op {
-        Op::Nop => "nop".to_string(),
-        Op::ConstInt(k) => format!("const.int {k}"),
-        Op::ConstFloat(bits) => format!("const.float {:?}", f64::from_bits(*bits)),
-        Op::ConstBool(k) => format!("const.bool {k}"),
-        Op::ConstNull(t) => format!("const.null {}", type_str(program, *t)),
-        Op::Bin(op) => format!("{} {}", op.mnemonic(), args_str(&data.args)),
-        Op::Cmp(op) => format!("{} {}", op.mnemonic(), args_str(&data.args)),
-        Op::Not => format!("not {}", args_str(&data.args)),
-        Op::INeg => format!("ineg {}", args_str(&data.args)),
-        Op::FNeg => format!("fneg {}", args_str(&data.args)),
-        Op::IntToFloat => format!("i2f {}", args_str(&data.args)),
-        Op::FloatToInt => format!("f2i {}", args_str(&data.args)),
-        Op::New(c) => format!("new {}", program.class(*c).name),
-        Op::GetField(f) => {
+    let mut out = String::new();
+    if let Some(r) = data.result {
+        let _ = write!(out, "{r} = ");
+    }
+    out.push_str(data.op.mnemonic());
+    let args = args_str(&data.args);
+    let class = |c: ClassId| &program.class(c).name;
+    let _ = match &data.op {
+        Op::Nop => Ok(()),
+        Op::ConstInt(k) => write!(out, " {k}"),
+        Op::ConstFloat(bits) => write!(out, " {:?}", f64::from_bits(*bits)),
+        Op::ConstBool(k) => write!(out, " {k}"),
+        Op::ConstNull(t) => write!(out, " {}", type_str(program, *t)),
+        Op::New(c) => write!(out, " {}", class(*c)),
+        Op::GetField(f) | Op::SetField(f) => {
             let fd = program.field(*f);
-            format!(
-                "getfield {}.{} {}",
-                program.class(fd.holder).name,
-                fd.name,
-                args_str(&data.args)
-            )
+            write!(out, " {}.{} {args}", class(fd.holder), fd.name)
         }
-        Op::SetField(f) => {
-            let fd = program.field(*f);
-            format!(
-                "setfield {}.{} {}",
-                program.class(fd.holder).name,
-                fd.name,
-                args_str(&data.args)
-            )
-        }
-        Op::NewArray(e) => format!(
-            "newarray {}, {}",
-            type_str(program, e.to_type()),
-            args_str(&data.args)
-        ),
-        Op::ArrayGet => format!("aget {}", args_str(&data.args)),
-        Op::ArraySet => format!("aset {}", args_str(&data.args)),
-        Op::ArrayLen => format!("alen {}", args_str(&data.args)),
+        Op::NewArray(e) => write!(out, " {}, {args}", type_str(program, e.to_type())),
         Op::Call(info) => match info.target {
             CallTarget::Static(m) => {
                 let md = program.method(m);
                 match md.holder {
                     // Devirtualized calls target class methods directly.
-                    Some(h) => format!(
-                        "call {}::{}({})",
-                        program.class(h).name,
-                        md.name,
-                        args_str(&data.args)
-                    ),
-                    None => format!("call {}({})", md.name, args_str(&data.args)),
+                    Some(h) => write!(out, " {}::{}({args})", class(h), md.name),
+                    None => write!(out, " {}({args})", md.name),
                 }
             }
-            CallTarget::Virtual(sel) => {
-                format!(
-                    "callv {}({})",
-                    program.selector(sel).name,
-                    args_str(&data.args)
-                )
-            }
+            CallTarget::Virtual(sel) => write!(out, " {}({args})", program.selector(sel).name),
         },
-        Op::InstanceOf(c) => format!(
-            "instanceof {} {}",
-            program.class(*c).name,
-            args_str(&data.args)
-        ),
-        Op::Cast(c) => format!("cast {} {}", program.class(*c).name, args_str(&data.args)),
-        Op::Print => format!("print {}", args_str(&data.args)),
+        Op::InstanceOf(c) | Op::Cast(c) => write!(out, " {} {args}", class(*c)),
+        _ => write!(out, " {args}"),
     };
-    format!("{lhs}{rhs}")
+    out
 }
 
 /// Renders a graph body (blocks in reverse postorder).

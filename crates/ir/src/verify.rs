@@ -6,8 +6,8 @@
 //!
 //! * every reachable block is terminated,
 //! * branch/jump arguments match target block parameters (count + types),
-//! * instruction operands exist and are well-typed for the operation,
-//! * call arguments match the callee signature,
+//! * instruction operands exist, and each instruction's result is what
+//!   the operation's typing rule ([`Graph::result_type`]) says,
 //! * every value definition dominates each of its uses,
 //! * returned values match the method's return type,
 //! * entry-block parameters agree with the declared signature (parameter
@@ -17,7 +17,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::dom::DomTree;
-use crate::graph::{CallTarget, Graph, InstData, Op, Terminator};
+use crate::graph::{Graph, Terminator};
 use crate::ids::{BlockId, InstId, ValueId};
 use crate::program::{Method, Program};
 use crate::types::{RetType, Type};
@@ -180,7 +180,25 @@ pub fn verify_graph(
             for &a in &inst.args {
                 use_ok(a, b, Some(pos))?;
             }
-            check_inst_types(program, graph, b, i, inst)?;
+            let expected = graph
+                .result_type(program, &inst.op, &inst.args)
+                .or_else(|message| err(Some(b), Some(i), message))?;
+            match (expected, inst.result) {
+                (Some(t), Some(r)) if graph.value_type(r) == t => {}
+                (Some(t), Some(r)) => {
+                    let rt = graph.value_type(r);
+                    return err(
+                        Some(b),
+                        Some(i),
+                        format!("result type {rt} != expected {t}"),
+                    );
+                }
+                (Some(t), None) => {
+                    return err(Some(b), Some(i), format!("missing result of type {t}"))
+                }
+                (None, Some(_)) => return err(Some(b), Some(i), "op should not produce a result"),
+                (None, None) => {}
+            }
         }
         match &bd.term {
             Terminator::Unterminated => {
@@ -249,298 +267,11 @@ pub fn verify_graph(
     Ok(())
 }
 
-fn check_inst_types(
-    program: &Program,
-    graph: &Graph,
-    b: BlockId,
-    i: InstId,
-    inst: &InstData,
-) -> Result<(), VerifyError> {
-    let argc = inst.args.len();
-    let at = |k: usize| graph.value_type(inst.args[k]);
-    let want_argc = |n: usize| -> Result<(), VerifyError> {
-        if argc != n {
-            return err(
-                Some(b),
-                Some(i),
-                format!("expected {n} operands, got {argc}"),
-            );
-        }
-        Ok(())
-    };
-    let result_is = |t: Type| -> Result<(), VerifyError> {
-        match inst.result {
-            Some(r) if graph.value_type(r) == t => Ok(()),
-            Some(r) => err(
-                Some(b),
-                Some(i),
-                format!("result type {} != expected {t}", graph.value_type(r)),
-            ),
-            None => err(Some(b), Some(i), format!("missing result of type {t}")),
-        }
-    };
-    let no_result = || -> Result<(), VerifyError> {
-        if inst.result.is_some() {
-            return err(Some(b), Some(i), "op should not produce a result");
-        }
-        Ok(())
-    };
-    let want_ref = |t: Type, what: &str| -> Result<(), VerifyError> {
-        if !t.is_reference() {
-            return err(
-                Some(b),
-                Some(i),
-                format!("{what} must be a reference, got {t}"),
-            );
-        }
-        Ok(())
-    };
-
-    match &inst.op {
-        Op::Nop => return err(Some(b), Some(i), "nop must not appear in a block"),
-        Op::ConstInt(_) => {
-            want_argc(0)?;
-            result_is(Type::Int)?;
-        }
-        Op::ConstFloat(_) => {
-            want_argc(0)?;
-            result_is(Type::Float)?;
-        }
-        Op::ConstBool(_) => {
-            want_argc(0)?;
-            result_is(Type::Bool)?;
-        }
-        Op::ConstNull(t) => {
-            want_argc(0)?;
-            want_ref(*t, "null type")?;
-            result_is(*t)?;
-        }
-        Op::Bin(op) => {
-            want_argc(2)?;
-            let expect = if op.is_float() {
-                Type::Float
-            } else {
-                Type::Int
-            };
-            if at(0) != expect || at(1) != expect {
-                return err(
-                    Some(b),
-                    Some(i),
-                    format!("{} expects {expect} operands", op.mnemonic()),
-                );
-            }
-            result_is(op.result_type())?;
-        }
-        Op::Cmp(op) => {
-            want_argc(2)?;
-            match op.operand_kind() {
-                Some(t) => {
-                    if at(0) != t || at(1) != t {
-                        return err(
-                            Some(b),
-                            Some(i),
-                            format!("{} expects {t} operands", op.mnemonic()),
-                        );
-                    }
-                }
-                None => {
-                    want_ref(at(0), "refeq lhs")?;
-                    want_ref(at(1), "refeq rhs")?;
-                }
-            }
-            result_is(Type::Bool)?;
-        }
-        Op::Not => {
-            want_argc(1)?;
-            if at(0) != Type::Bool {
-                return err(Some(b), Some(i), "not expects bool");
-            }
-            result_is(Type::Bool)?;
-        }
-        Op::INeg => {
-            want_argc(1)?;
-            if at(0) != Type::Int {
-                return err(Some(b), Some(i), "ineg expects int");
-            }
-            result_is(Type::Int)?;
-        }
-        Op::FNeg => {
-            want_argc(1)?;
-            if at(0) != Type::Float {
-                return err(Some(b), Some(i), "fneg expects float");
-            }
-            result_is(Type::Float)?;
-        }
-        Op::IntToFloat => {
-            want_argc(1)?;
-            if at(0) != Type::Int {
-                return err(Some(b), Some(i), "i2f expects int");
-            }
-            result_is(Type::Float)?;
-        }
-        Op::FloatToInt => {
-            want_argc(1)?;
-            if at(0) != Type::Float {
-                return err(Some(b), Some(i), "f2i expects float");
-            }
-            result_is(Type::Int)?;
-        }
-        Op::New(c) => {
-            want_argc(0)?;
-            result_is(Type::Object(*c))?;
-        }
-        Op::GetField(f) => {
-            want_argc(1)?;
-            let fd = program.field(*f);
-            if !program.is_assignable(at(0), Type::Object(fd.holder)) {
-                return err(
-                    Some(b),
-                    Some(i),
-                    format!("getfield receiver {} not an instance of holder", at(0)),
-                );
-            }
-            result_is(fd.ty)?;
-        }
-        Op::SetField(f) => {
-            want_argc(2)?;
-            let fd = program.field(*f);
-            if !program.is_assignable(at(0), Type::Object(fd.holder)) {
-                return err(
-                    Some(b),
-                    Some(i),
-                    "setfield receiver not an instance of holder",
-                );
-            }
-            if !program.is_assignable(at(1), fd.ty) {
-                return err(
-                    Some(b),
-                    Some(i),
-                    format!("setfield value {} not assignable to field {}", at(1), fd.ty),
-                );
-            }
-            no_result()?;
-        }
-        Op::NewArray(e) => {
-            want_argc(1)?;
-            if at(0) != Type::Int {
-                return err(Some(b), Some(i), "newarray length must be int");
-            }
-            result_is(Type::Array(*e))?;
-        }
-        Op::ArrayGet => {
-            want_argc(2)?;
-            let Type::Array(e) = at(0) else {
-                return err(Some(b), Some(i), "arrayget on non-array");
-            };
-            if at(1) != Type::Int {
-                return err(Some(b), Some(i), "array index must be int");
-            }
-            result_is(e.to_type())?;
-        }
-        Op::ArraySet => {
-            want_argc(3)?;
-            let Type::Array(e) = at(0) else {
-                return err(Some(b), Some(i), "arrayset on non-array");
-            };
-            if at(1) != Type::Int {
-                return err(Some(b), Some(i), "array index must be int");
-            }
-            if !program.is_assignable(at(2), e.to_type()) {
-                return err(
-                    Some(b),
-                    Some(i),
-                    "arrayset value not assignable to element type",
-                );
-            }
-            no_result()?;
-        }
-        Op::ArrayLen => {
-            want_argc(1)?;
-            if !matches!(at(0), Type::Array(_)) {
-                return err(Some(b), Some(i), "arraylen on non-array");
-            }
-            result_is(Type::Int)?;
-        }
-        Op::Call(info) => match info.target {
-            CallTarget::Static(m) => {
-                let callee = program.method(m);
-                if callee.params.len() != argc {
-                    return err(
-                        Some(b),
-                        Some(i),
-                        format!(
-                            "call to {} passes {argc} args, expects {}",
-                            callee.name,
-                            callee.params.len()
-                        ),
-                    );
-                }
-                for (k, &pt) in callee.params.iter().enumerate() {
-                    if !program.is_assignable(at(k), pt) {
-                        return err(
-                            Some(b),
-                            Some(i),
-                            format!("call arg {k}: {} not assignable to {pt}", at(k)),
-                        );
-                    }
-                }
-                match callee.ret {
-                    RetType::Void => no_result()?,
-                    RetType::Value(t) => result_is(t)?,
-                }
-            }
-            CallTarget::Virtual(sel) => {
-                let sd = program.selector(sel);
-                if sd.arity != argc {
-                    return err(
-                        Some(b),
-                        Some(i),
-                        format!("virtual call arity {argc} != selector {sd}"),
-                    );
-                }
-                let Type::Object(recv_class) = at(0) else {
-                    return err(Some(b), Some(i), "virtual call receiver must be an object");
-                };
-                // The receiver's static class (or an ancestor) should
-                // declare the selector; tolerate unresolvable receivers only
-                // if some class in the program declares the selector.
-                let decl = program.resolve(recv_class, sel).or_else(|| {
-                    program
-                        .method_ids()
-                        .find(|&m| program.method(m).selector == Some(sel))
-                });
-                let Some(decl) = decl else {
-                    return err(Some(b), Some(i), format!("no declaration of selector {sd}"));
-                };
-                match program.method(decl).ret {
-                    RetType::Void => no_result()?,
-                    RetType::Value(t) => result_is(t)?,
-                }
-            }
-        },
-        Op::InstanceOf(_) => {
-            want_argc(1)?;
-            want_ref(at(0), "instanceof operand")?;
-            result_is(Type::Bool)?;
-        }
-        Op::Cast(c) => {
-            want_argc(1)?;
-            want_ref(at(0), "cast operand")?;
-            result_is(Type::Object(*c))?;
-        }
-        Op::Print => {
-            want_argc(1)?;
-            no_result()?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::graph::{BinOp, CmpOp};
+    use crate::graph::{BinOp, CallTarget, CmpOp, Op};
 
     fn check(p: &Program, m: crate::ids::MethodId) -> Result<(), VerifyError> {
         verify(p, p.method(m))

@@ -54,8 +54,7 @@ pub use fuel::{CompileFuel, UNLIMITED_FUEL};
 pub use gvn::gvn;
 pub use peel::peel_loops;
 pub use pipeline::{
-    canonicalize_bundle, optimize, optimize_converged, optimize_fueled, optimize_observed,
-    optimize_with, PipelineConfig, PipelineRun, PipelineStage,
+    optimize, optimize_converged, optimize_observed, PipelineConfig, PipelineRun, PipelineStage,
 };
 pub use rwelim::rw_elim;
 pub use stats::OptStats;

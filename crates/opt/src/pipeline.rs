@@ -96,33 +96,27 @@ fn scalar_bundle(program: &Program, graph: &mut Graph, after_peel: bool) -> OptS
     stats
 }
 
-/// Runs the full pipeline with the default configuration.
+/// Runs the full pipeline with the default configuration and no budget.
 pub fn optimize(program: &Program, graph: &mut Graph) -> OptStats {
-    optimize_with(program, graph, PipelineConfig::default())
+    optimize_observed(
+        program,
+        graph,
+        PipelineConfig::default(),
+        &UNLIMITED_FUEL,
+        &mut |_, _| {},
+    )
+    .stats
 }
 
-/// Runs the full pipeline with an explicit configuration.
-pub fn optimize_with(program: &Program, graph: &mut Graph, config: PipelineConfig) -> OptStats {
-    optimize_fueled(program, graph, config, &UNLIMITED_FUEL)
-}
-
-/// Runs the pipeline under a compile budget: each fixpoint round charges
-/// the graph size to `fuel` and the pipeline winds down once the budget is
-/// spent. The graph is always left in a valid (if less optimized) state —
-/// exhaustion degrades quality, never correctness.
-pub fn optimize_fueled(
-    program: &Program,
-    graph: &mut Graph,
-    config: PipelineConfig,
-    fuel: &CompileFuel,
-) -> OptStats {
-    optimize_observed(program, graph, config, fuel, &mut |_, _| {}).stats
-}
-
-/// [`optimize_fueled`] with a per-stage observer: after every fixpoint round
-/// of the scalar bundle and after the peeling step, `observer` receives the
-/// stage tag and that stage's [`OptStats`] delta. Returns the summed total
-/// and whether the graph was left at the pipeline's fixpoint.
+/// Runs the pipeline under a compile budget, with a per-stage observer.
+///
+/// Each fixpoint round charges the graph size to `fuel` and the pipeline
+/// winds down once the budget is spent; the graph is always left in a valid
+/// (if less optimized) state — exhaustion degrades quality, never
+/// correctness. After every fixpoint round of the scalar bundle and after
+/// the peeling step, `observer` receives the stage tag and that stage's
+/// [`OptStats`] delta. Returns the summed total and whether the graph was
+/// left at the pipeline's fixpoint.
 pub fn optimize_observed(
     program: &Program,
     graph: &mut Graph,
@@ -192,19 +186,6 @@ pub fn optimize_converged(
         stats: OptStats::new(),
         converged: fuel.charge(size) && (!config.peel_loops || fuel.charge(size)),
     }
-}
-
-/// Runs only the scalar bundle (no peeling) — used by deep inlining trials,
-/// which the paper describes as running "canonicalization".
-pub fn canonicalize_bundle(program: &Program, graph: &mut Graph) -> OptStats {
-    optimize_with(
-        program,
-        graph,
-        PipelineConfig {
-            peel_loops: false,
-            max_rounds: 3,
-        },
-    )
 }
 
 #[cfg(test)]
@@ -364,15 +345,15 @@ mod tests {
         let reference = g.clone();
         // Zero budget: no round runs, the graph is untouched and valid.
         let fuel = crate::fuel::CompileFuel::limited(0);
-        let stats = optimize_fueled(&p, &mut g, PipelineConfig::default(), &fuel);
-        assert!(!stats.any(), "no work under a zero budget: {stats:?}");
+        let (run, _) = observed(&p, &mut g, PipelineConfig::default(), &fuel);
+        assert!(!run.stats.any(), "no work under a zero budget: {run:?}");
         assert!(fuel.exhausted());
         assert_eq!(g.size(), reference.size());
         verify_graph(&p, &g, &[Type::Int], RetType::Value(Type::Int)).unwrap();
         // An ample budget performs the folding and records its spend.
         let fuel = crate::fuel::CompileFuel::limited(10_000);
-        let stats = optimize_fueled(&p, &mut g, PipelineConfig::default(), &fuel);
-        assert!(stats.const_fold >= 1, "{stats:?}");
+        let (run, _) = observed(&p, &mut g, PipelineConfig::default(), &fuel);
+        assert!(run.stats.const_fold >= 1, "{run:?}");
         assert!(fuel.spent() > 0 && !fuel.exhausted());
         verify_graph(&p, &g, &[Type::Int], RetType::Value(Type::Int)).unwrap();
     }

@@ -19,7 +19,7 @@
 //!   fewest modeled cycles per occupied byte goes first.
 //!
 //! **Aging** floors a score: an entry marked `aged` (idle past
-//! [`crate::VmConfig::cache_age_window`]) sorts before every non-aged
+//! [`crate::machine::CACHE_AGE_WINDOW`]) sorts before every non-aged
 //! entry under *every* policy, so dead code is always the preferred
 //! victim.
 //!

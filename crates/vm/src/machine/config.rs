@@ -42,6 +42,12 @@ pub const MAX_RECOMPILES: u32 = 3;
 /// the next snapshot.
 pub const POISON_WINDOW: u64 = 8;
 
+/// Code-cache aging window, in compiled-entry ticks: a resident idle this
+/// long has its eviction score floored, making it the preferred victim
+/// under every policy. Only evaluated under a finite
+/// [`VmConfig::code_cache_budget`].
+pub const CACHE_AGE_WINDOW: u64 = 1024;
+
 /// VM configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct VmConfig {
@@ -87,11 +93,6 @@ pub struct VmConfig {
     /// Victim-selection policy under a finite budget; see
     /// [`EvictionPolicy`]. Ignored when the budget is 0.
     pub eviction_policy: EvictionPolicy,
-    /// Aging window in compiled-entry ticks: a resident idle this long has
-    /// its eviction score floored, making it the preferred victim under
-    /// every policy. `0` disables aging. Only evaluated under a finite
-    /// budget.
-    pub cache_age_window: u64,
     /// Whether deep-inlining-trial results are memoized across rounds and
     /// compilations (see [`crate::TrialCache`]). Trials are pure
     /// functions of (callee graph, argument specialization), so caching
@@ -136,7 +137,6 @@ impl Default for VmConfig {
             install_policy: InstallPolicy::Barrier,
             code_cache_budget: 0,
             eviction_policy: EvictionPolicy::default(),
-            cache_age_window: 1024,
             trial_cache: true,
         }
     }

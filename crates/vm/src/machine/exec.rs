@@ -1245,15 +1245,23 @@ b2():
         let g = fb.finish();
         p.define_method(main, g);
         incline_ir::verify::verify(&p, p.method(main)).expect("the verifier tolerates the call");
-        // An array receiver (which only unverified IR can produce) has no
-        // class at all.
+        // An array receiver (which only unverified IR can produce, so the
+        // call goes in through the raw graph API) has no class at all.
         let on_array = p.declare_function("on_array", vec![], Type::Int);
         let mut fb = FunctionBuilder::new(&p, on_array);
         let len = fb.const_int(2);
         let arr = fb.new_array(incline_ir::ElemType::Int, len);
-        let r = fb.call_virtual(sel, vec![arr]).unwrap();
-        fb.ret(Some(r));
-        let g = fb.finish();
+        let mut g = fb.finish();
+        let entry = g.entry();
+        let info = incline_ir::CallInfo {
+            target: incline_ir::CallTarget::Virtual(sel),
+            site: incline_ir::CallSiteId {
+                method: on_array,
+                index: 0,
+            },
+        };
+        let (_, r) = g.append(entry, Op::Call(info), vec![arr], Some(Type::Int));
+        g.set_terminator(entry, Terminator::Return(r));
         p.define_method(on_array, g);
 
         for compiled in [false, true] {

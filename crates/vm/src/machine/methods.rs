@@ -67,7 +67,7 @@ pub(super) struct CompiledMethod {
     /// `bytes` above is the `c`). Drives the cost-benefit eviction policy
     /// and the admission rule.
     pub benefit: u64,
-    /// Idle past `VmConfig::cache_age_window`; cleared on the next use.
+    /// Idle past [`super::CACHE_AGE_WINDOW`]; cleared on the next use.
     pub aged: bool,
 }
 

@@ -72,8 +72,8 @@ use crate::value::{Kind, Value};
 use crate::{InlineStats, Inliner, TrialCache};
 
 pub use config::{
-    InstallPolicy, VmConfig, DEOPT_CONFIDENCE, DRIFT_MIN_SAMPLES, DRIFT_RATE, MAX_DEPTH,
-    MAX_HEAP_SLOTS, MAX_RECOMPILES, POISON_WINDOW,
+    InstallPolicy, VmConfig, CACHE_AGE_WINDOW, DEOPT_CONFIDENCE, DRIFT_MIN_SAMPLES, DRIFT_RATE,
+    MAX_DEPTH, MAX_HEAP_SLOTS, MAX_RECOMPILES, POISON_WINDOW,
 };
 use exec::Dispatch;
 use methods::{MethodTable, Tier};

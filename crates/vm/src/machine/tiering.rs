@@ -10,8 +10,8 @@ use incline_trace::{CodeTier, CompileEvent};
 
 use super::methods::{hotness, CompiledMethod, Exit, Tier};
 use super::{
-    BailoutRecord, CompileStage, Decision, InstallPolicy, Machine, DEOPT_CONFIDENCE,
-    DRIFT_MIN_SAMPLES, DRIFT_RATE, MAX_RECOMPILES,
+    BailoutRecord, CompileStage, Decision, InstallPolicy, Machine, CACHE_AGE_WINDOW,
+    DEOPT_CONFIDENCE, DRIFT_MIN_SAMPLES, DRIFT_RATE, MAX_RECOMPILES,
 };
 use crate::broker::{self, CompileRequest, CompileResponse, InstallPackage};
 use crate::cache::{self, CacheEntry};
@@ -508,18 +508,14 @@ impl Machine<'_> {
         Some(pkg)
     }
 
-    /// Marks residents idle past `VmConfig::cache_age_window` use ticks
-    /// as aged, flooring their eviction score under every policy. Runs on
-    /// demand when the cache is under pressure; methods un-age on their
-    /// next compiled activation.
+    /// Marks residents idle past [`CACHE_AGE_WINDOW`] use ticks as aged,
+    /// flooring their eviction score under every policy. Runs on demand
+    /// when the cache is under pressure; methods un-age on their next
+    /// compiled activation.
     fn age_scan(&mut self) {
-        let window = self.config.cache_age_window;
-        if window == 0 {
-            return;
-        }
         for (method, cm) in self.methods.installed_mut() {
             let idle = self.use_seq.saturating_sub(cm.last_used);
-            if !cm.aged && idle >= window {
+            if !cm.aged && idle >= CACHE_AGE_WINDOW {
                 cm.aged = true;
                 self.cache.aged += 1;
                 if self.trace.enabled() {

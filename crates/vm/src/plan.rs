@@ -158,9 +158,9 @@ pub(crate) struct Call {
     pub site: CallSiteId,
     /// The [`kind_signature`] the callsite assumes of its callee. A static
     /// callee was checked against it at lowering; virtual dispatch checks
-    /// the method it resolves to, because the verifier types a virtual
-    /// call by one declaration of the selector and an override is free to
-    /// differ from it.
+    /// the method it resolves to, because the IR types a virtual call by
+    /// the receiver's static class ([`incline_ir::Graph::result_type`]) and
+    /// an override in a subclass is free to differ from it.
     pub signature: u64,
     /// The argument slots, in [`ExecPlan::slots`].
     pub args: Span,

@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use incline_ir::{MethodId, Program, Rng64};
+use incline_ir::{MethodId, Program, Rng64, StructuralHasher};
 use incline_trace::{CompileEvent, NullSink, TraceSink};
 
 use crate::cache::CacheStats;
@@ -403,7 +403,7 @@ impl<'p> ServerSession<'p> {
         let mut clock = 0u64;
         let mut served = vec![0u64; n];
         let mut failed = vec![0u64; n];
-        let mut digests = vec![0xcbf2_9ce4_8422_2325u64; n];
+        let mut digests = vec![StructuralHasher::new(); n];
         let mut lat_all = Vec::with_capacity(arrivals.len());
         let mut stall_all = Vec::with_capacity(arrivals.len());
         let mut lat_tenant: Vec<Vec<u64>> = vec![Vec::new(); n];
@@ -437,9 +437,7 @@ impl<'p> ServerSession<'p> {
                         Some(v) => format!("{v:?}"),
                         None => "()".to_string(),
                     };
-                    for b in rendered.bytes() {
-                        digests[t] = (digests[t] ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-                    }
+                    digests[t].write_bytes(rendered.as_bytes());
                     if self.sink.enabled() {
                         self.sink.emit(CompileEvent::RequestRetired {
                             tenant: tenant.name.clone(),
@@ -482,7 +480,7 @@ impl<'p> ServerSession<'p> {
                 failed: failed[i],
                 latency: LatencyStats::of(&lat_tenant[i]),
                 stall: LatencyStats::of(&stall_tenant[i]),
-                digest: digests[i],
+                digest: digests[i].finish(),
             })
             .collect();
         if let Some(io) = &self.snapshot_out {

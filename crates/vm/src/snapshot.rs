@@ -51,7 +51,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use incline_ir::{BlockId, ClassId, MethodId, Program};
+use incline_ir::{BlockId, ClassId, MethodId, Program, StructuralHasher};
 use incline_profile::{MethodProfile, ProfileTable};
 use incline_trace::json::{self, JsonArray, JsonField, JsonObj};
 
@@ -185,17 +185,11 @@ impl std::error::Error for SnapshotError {}
 
 // ---- fingerprint & hashing -------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a 64 over a byte slice — the workspace's stock digest (same
-/// constants as the server report's answer digests).
+/// FNV-1a 64 over a byte slice ([`StructuralHasher::write_bytes`]).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = StructuralHasher::new();
+    h.write_bytes(bytes);
+    h.finish()
 }
 
 /// Fingerprints a program by hashing its printed text: any change to a

@@ -25,7 +25,6 @@ use support::{answer, expected};
 fn budget_zero_knobs_are_inert_on_all_workloads() {
     let knobs = VmConfig {
         eviction_policy: EvictionPolicy::CostBenefit,
-        cache_age_window: 1,
         ..hot()
     };
     let twins = vec![knobs];
@@ -142,7 +141,7 @@ fn budget_zero_makes_no_cache_decisions() {
 fn bench_traced(w: &Workload, config: VmConfig) -> (BenchResult, Vec<String>) {
     let spec = BenchSpec {
         entry: w.entry,
-        args: vec![Value::Int(w.input.min(48))],
+        args: vec![Value::Int(w.input)],
         iterations: 8,
     };
     let sink = Arc::new(CollectingSink::new());
@@ -177,15 +176,13 @@ fn evicted_methods_retier_through_the_normal_hotness_path() {
 
 #[test]
 fn aging_floors_idle_methods_under_pressure() {
-    let w = pressure_workload();
-    let config = VmConfig {
-        cache_age_window: 8,
-        ..budget_config(3000, EvictionPolicy::HotnessDecay, 0)
-    };
-    let (r, jsonl) = bench_traced(&w, config);
+    // The storm's registry is eight times `cache_pressure`'s, so a method
+    // waits longer than `CACHE_AGE_WINDOW` ticks between two of its uses.
+    let w = incline::workloads::cache_pressure::storm();
+    let (r, jsonl) = bench_traced(&w, budget_config(8 * 1024, EvictionPolicy::CostBenefit, 0));
     assert!(
         r.cache.aged > 0,
-        "a cycling working set with an 8-tick window must age methods out"
+        "a cycling working set must age methods out"
     );
     assert!(
         jsonl.iter().any(|l| l.contains("\"ev\":\"MethodAged\"")),
