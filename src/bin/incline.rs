@@ -271,6 +271,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         vm.installed_bytes()
     );
     print_snapshot_stats(&vm.snapshot_stats());
+    // The machine holds the sink; `finish` needs the only handle.
+    drop(vm);
     trace.finish()
 }
 

@@ -170,17 +170,162 @@ fn bench_survives_a_forged_snapshot_header() {
     let text = format!("{body}{{\"rec\":\"end\",\"crc\":\"{crc:016x}\"}}\n");
     std::fs::write(&forged, text).expect("write the forgery");
     let out = Command::new(env!("CARGO_BIN_EXE_incline"))
-        .args(["bench", "scalatest", "--snapshot-in"])
+        .args(["bench", "scalatest", "--trace", "--snapshot-in"])
         .arg(&forged)
         .output()
         .expect("the incline binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(
         stdout.contains("snapshot: 0 loaded, 1 fallbacks"),
         "{stdout}"
     );
+    assert!(
+        stderr.contains("corrupt snapshot: header promised 18446744073709551615 profiles"),
+        "{stderr}"
+    );
 }
+
+/// Runs `incline args`, which must exit 0, and returns its stdout.
+fn incline_stdout(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_incline"))
+        .args(args)
+        .output()
+        .expect("the incline binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}{stderr}");
+    stdout
+}
+
+/// The value of the `bench` report line that starts with `prefix`.
+fn bench_line<'a>(stdout: &'a str, prefix: &str) -> &'a str {
+    let line = stdout.lines().find(|l| l.starts_with(prefix));
+    line.unwrap_or_else(|| panic!("no `{prefix}` line in\n{stdout}"))
+}
+
+/// The warmup cycles of a `bench` report: `warmup: N iterations (C cycles) …`.
+fn warmup_cycles(stdout: &str) -> u64 {
+    let line = bench_line(stdout, "warmup:");
+    let cycles = line.split('(').nth(1).and_then(|s| s.split(' ').next());
+    cycles.and_then(|c| c.parse().ok()).expect(line)
+}
+
+/// The snapshot and trace flags of `run`, `bench` and `server`, end to end:
+/// each command cold with `--snapshot-out` and `--trace-json`, then warm
+/// from that snapshot; a three-replica `--snapshot-merge`; and a snapshot
+/// cut short, which is a counted cold start with the cold answer. Every
+/// command's stdout and every file a command writes is pinned by its FNV-1a
+/// digest, so a change to how the command line builds a session shows up
+/// here byte for byte.
+#[test]
+fn snapshot_and_trace_flags_of_run_bench_and_server() {
+    use incline::snapshot::fnv1a;
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("snapshot_flags");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let path = |name: &str| dir.join(name).to_str().expect("a UTF-8 path").to_string();
+    let read = |name: &str| std::fs::read(path(name)).expect("the command wrote the file");
+    let fib = concat!(env!("CARGO_MANIFEST_DIR"), "/samples/fib.ir");
+    let mut pinned = String::new();
+    let mut pin = |what: &str, bytes: &[u8]| {
+        let _ = writeln!(pinned, "{what} {:016x}", fnv1a(bytes));
+    };
+
+    let commands: [(&str, &[&str]); 3] = [
+        ("run", &["run", fib, "--jit"]),
+        ("bench", &["bench", "scalatest"]),
+        ("server", &["server", "--requests", "200"]),
+    ];
+    let mut bench_cold = String::new();
+    for (name, args) in commands {
+        let (snap, trace) = (
+            path(&format!("{name}.snap")),
+            path(&format!("{name}.jsonl")),
+        );
+        let cold =
+            incline_stdout(&[args, &["--snapshot-out", &snap, "--trace-json", &trace]].concat());
+        assert!(cold.contains(" 1 written,"), "{name}: {cold}");
+        let warm = incline_stdout(&[args, &["--snapshot-in", &snap]].concat());
+        assert!(
+            warm.contains("snapshot: 1 loaded, 0 fallbacks"),
+            "{name}: {warm}"
+        );
+        pin(&format!("{name} cold"), cold.as_bytes());
+        pin(&format!("{name} snapshot"), &read(&format!("{name}.snap")));
+        pin(&format!("{name} trace"), &read(&format!("{name}.jsonl")));
+        pin(&format!("{name} warm"), warm.as_bytes());
+        if name == "bench" {
+            let digest = "answer digest";
+            assert_eq!(bench_line(&warm, digest), bench_line(&cold, digest));
+            assert!(warmup_cycles(&warm) < warmup_cycles(&cold), "{cold}{warm}");
+            bench_cold = cold;
+        }
+    }
+
+    let mut merge = vec!["bench", "scalatest"];
+    let replicas: Vec<String> = ["4", "6", "8"]
+        .iter()
+        .map(|input| {
+            let replica = path(&format!("replica-{input}.snap"));
+            let out = incline_stdout(&[
+                "bench",
+                "scalatest",
+                "--input",
+                input,
+                "--snapshot-out",
+                &replica,
+            ]);
+            pin(&format!("replica {input}"), out.as_bytes());
+            pin(
+                &format!("replica {input} snapshot"),
+                &read(&format!("replica-{input}.snap")),
+            );
+            replica
+        })
+        .collect();
+    for replica in &replicas {
+        merge.extend(["--snapshot-merge", replica]);
+    }
+    let merged = incline_stdout(&merge);
+    assert!(merged.contains(" 3 merged,"), "{merged}");
+    pin("merged", merged.as_bytes());
+
+    std::fs::write(path("cut.snap"), &read("bench.snap")[..100]).expect("write the cut snapshot");
+    let cut = incline_stdout(&["bench", "scalatest", "--snapshot-in", &path("cut.snap")]);
+    assert!(cut.contains("snapshot: 0 loaded, 1 fallbacks"), "{cut}");
+    let digest = "answer digest";
+    assert_eq!(bench_line(&cut, digest), bench_line(&bench_cold, digest));
+    pin("cut", cut.as_bytes());
+
+    assert_eq!(
+        pinned, PINNED_SNAPSHOT_AND_TRACE_DIGESTS,
+        "a command's output moved; the digests are now\n{pinned}"
+    );
+}
+
+const PINNED_SNAPSHOT_AND_TRACE_DIGESTS: &str = "\
+run cold 7081e3380befdc83
+run snapshot 7de7288e9d0aa32f
+run trace 1e0e567eafb51713
+run warm 4e65a809fed9b0e1
+bench cold 0c749f2136a14152
+bench snapshot a841cd62300cef08
+bench trace dedb843400a49530
+bench warm 554e5d9a5f9886b5
+server cold f1a92746a8fcf036
+server snapshot edd1d122336f132c
+server trace db20ee5bb6deb057
+server warm f6fde1603c16f128
+replica 4 f48402c6223233c4
+replica 4 snapshot 74238aad5c56efab
+replica 6 2ac2061b0c07066b
+replica 6 snapshot 3ff8bf91dcfb372f
+replica 8 52031a599b8a6211
+replica 8 snapshot 3592fd0021812e9b
+merged 0ba45233c715e37c
+cut 605930f9e2be62be
+";
 
 /// `--compile-threads` counts modelled workers, and any count is a run with
 /// the answers of four. The machine used to allocate a slot per worker up
