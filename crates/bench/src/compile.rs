@@ -30,7 +30,7 @@
 use crate::json::Json;
 use crate::{alloc, Config};
 use incline_vm::snapshot::fnv1a;
-use incline_vm::{BenchSpec, RunSession, Value, VmConfig};
+use incline_vm::VmConfig;
 use incline_workloads::{all_benchmarks, Workload};
 
 /// Compiler cost of one (workload, configuration) run.
@@ -96,15 +96,8 @@ pub fn measure_cost(w: &Workload, trial_cache: bool) -> CostSample {
         trial_cache,
         ..crate::default_vm()
     };
-    let spec = BenchSpec {
-        entry: w.entry,
-        args: vec![Value::Int(w.input)],
-        iterations: w.iterations,
-    };
     let window = alloc::start_window();
-    let (result, report) = RunSession::new(&w.program, spec)
-        .inliner(Config::paper().build())
-        .config(vm)
+    let (result, report) = crate::session(w, &Config::paper(), vm)
         .run_with_report()
         .expect("benchmark workloads run to completion");
     let a = window.finish();

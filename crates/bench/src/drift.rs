@@ -20,9 +20,8 @@
 
 use std::sync::Arc;
 
-use incline_vm::{
-    BenchResult, BenchSpec, MemoryStore, RunSession, ServerReport, ServerSession, Value, VmConfig,
-};
+use incline_vm::{BenchResult, MemoryStore, RunSession, ServerReport, ServerSession, VmConfig};
+use incline_workloads::tenants::TenantMix;
 use incline_workloads::{all_benchmarks, Workload};
 
 use crate::Config;
@@ -86,29 +85,6 @@ impl DriftRow {
     }
 }
 
-fn phase_run(
-    w: &Workload,
-    config: &VmConfig,
-    snap_in: Option<Arc<MemoryStore>>,
-    snap_out: Option<Arc<MemoryStore>>,
-) -> BenchResult {
-    let spec = BenchSpec {
-        entry: w.entry,
-        args: vec![Value::Int(w.input)],
-        iterations: w.iterations,
-    };
-    let mut session = RunSession::new(&w.program, spec)
-        .inliner(Config::paper().build())
-        .config(*config);
-    if let Some(store) = snap_in {
-        session = session.snapshot_in(store);
-    }
-    if let Some(store) = snap_out {
-        session = session.snapshot_out(store);
-    }
-    session.run().unwrap_or_else(|e| panic!("{}: {e}", w.name))
-}
-
 /// Snapshots `w` under its phase-A (default) input, then serves the
 /// drifted phase-B input cold and warmed by that snapshot. Runs with
 /// deoptimization enabled — stale speculation must trap and recover, not
@@ -118,11 +94,13 @@ pub fn measure(w: &Workload) -> DriftRow {
         deopt: true,
         ..crate::default_vm()
     };
+    let run = |session: RunSession| session.run().unwrap_or_else(|e| panic!("{}: {e}", w.name));
+    let paper = Config::paper();
     let store = Arc::new(MemoryStore::new());
-    phase_run(w, &config, None, Some(store.clone()));
+    run(crate::session(w, &paper, config).snapshot_out(store.clone()));
     let phase_b = w.clone().with_input(drifted_input(w.input));
-    let cold = phase_run(&phase_b, &config, None, None);
-    let warm = phase_run(&phase_b, &config, Some(store), None);
+    let cold = run(crate::session(&phase_b, &paper, config));
+    let warm = run(crate::session(&phase_b, &paper, config).snapshot_in(store));
     DriftRow {
         name: w.name.clone(),
         suite: w.suite.label().to_string(),
@@ -141,37 +119,21 @@ pub fn measure_all() -> Vec<DriftRow> {
 /// (phase B) cold and warmed by that snapshot. Returns
 /// `(cold phase-B, warm phase-B)` reports.
 pub fn serve_drift() -> (ServerReport, ServerReport) {
-    let mix = crate::server::standard_mix();
-    let serve = |flip_after: f64,
-                 snap_in: Option<Arc<MemoryStore>>,
-                 snap_out: Option<Arc<MemoryStore>>|
-     -> ServerReport {
-        let tenants = crate::server::tenant_specs(&mix)
-            .into_iter()
-            .map(|mut t| {
-                t.flip_after = flip_after;
-                t
-            })
-            .collect();
-        let mut session = ServerSession::new(&mix.program, tenants, crate::server::standard_spec())
-            .inliner(Config::paper().build())
-            .config(VmConfig {
-                hotness_threshold: 4,
-                deopt: true,
-                ..VmConfig::default()
-            });
-        if let Some(store) = snap_in {
-            session = session.snapshot_in(store);
-        }
-        if let Some(store) = snap_out {
-            session = session.snapshot_out(store);
-        }
-        session.serve().expect("drift server scenario must serve")
+    let mut mix = crate::server::standard_mix();
+    let vm = VmConfig {
+        hotness_threshold: 4,
+        deopt: true,
+        ..VmConfig::default()
     };
+    let serve = |session: ServerSession| session.serve().expect("drift server scenario must serve");
+    let flip =
+        |mix: &mut TenantMix, after| mix.tenants.iter_mut().for_each(|t| t.flip_after = after);
     let store = Arc::new(MemoryStore::new());
-    serve(1.0, None, Some(store.clone()));
-    let cold = serve(0.0, None, None);
-    let warm = serve(0.0, Some(store), None);
+    flip(&mut mix, 1.0);
+    serve(crate::server::session(&mix, vm).snapshot_out(store.clone()));
+    flip(&mut mix, 0.0);
+    let cold = serve(crate::server::session(&mix, vm));
+    let warm = serve(crate::server::session(&mix, vm).snapshot_in(store));
     (cold, warm)
 }
 

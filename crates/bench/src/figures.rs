@@ -524,40 +524,19 @@ pub fn warmup() -> String {
     use std::sync::Arc;
 
     use crate::json::Json;
-    use incline_vm::{
-        BenchResult, BenchSpec, MemoryStore, RunSession, ServerSession, Value, VmConfig,
-    };
+    use incline_vm::{MemoryStore, RunSession, ServerSession, VmConfig};
 
     const FRAC: f64 = 0.05;
     let config = Config::paper();
-    let run = |w: &Workload,
-               snap_in: Option<Arc<MemoryStore>>,
-               snap_out: Option<Arc<MemoryStore>>|
-     -> BenchResult {
-        let spec = BenchSpec {
-            entry: w.entry,
-            args: vec![Value::Int(w.input)],
-            iterations: w.iterations,
-        };
-        let mut session = RunSession::new(&w.program, spec)
-            .inliner(config.build())
-            .config(crate::default_vm());
-        if let Some(store) = snap_in {
-            session = session.snapshot_in(store);
-        }
-        if let Some(store) = snap_out {
-            session = session.snapshot_out(store);
-        }
-        session.run().unwrap_or_else(|e| panic!("{}: {e}", w.name))
-    };
-
     let benches = all_benchmarks();
     let mut rows = Vec::new();
     let mut passes = 0usize;
     for w in &benches {
+        let session = || crate::session(w, &config, crate::default_vm());
+        let run = |s: RunSession| s.run().unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let store = Arc::new(MemoryStore::new());
-        let cold = run(w, None, Some(store.clone()));
-        let eager = run(w, Some(store), None);
+        let cold = run(session().snapshot_out(store.clone()));
+        let eager = run(session().snapshot_in(store));
         let cold_cycles = cold.warmup_cycles_within(FRAC);
         let eager_cycles = eager.warmup_cycles_within(FRAC);
         let digest_ok = eager.answer_digest() == cold.answer_digest();
@@ -594,28 +573,14 @@ pub fn warmup() -> String {
     // cache-churn grid this serves with an unbounded cache — the point is
     // the warmup, not eviction pressure.
     let mix = crate::server::standard_mix();
-    let server_store = Arc::new(MemoryStore::new());
-    let serve = |snap_in: Option<Arc<MemoryStore>>, snap_out: Option<Arc<MemoryStore>>| {
-        let mut session = ServerSession::new(
-            &mix.program,
-            crate::server::tenant_specs(&mix),
-            crate::server::standard_spec(),
-        )
-        .inliner(config.build())
-        .config(VmConfig {
-            hotness_threshold: 4,
-            ..VmConfig::default()
-        });
-        if let Some(store) = snap_in {
-            session = session.snapshot_in(store);
-        }
-        if let Some(store) = snap_out {
-            session = session.snapshot_out(store);
-        }
-        session.serve().expect("server scenario must serve")
+    let vm = VmConfig {
+        hotness_threshold: 4,
+        ..VmConfig::default()
     };
-    let cold_srv = serve(None, Some(server_store.clone()));
-    let warm_srv = serve(Some(server_store), None);
+    let serve = |s: ServerSession| s.serve().expect("server scenario must serve");
+    let server_store = Arc::new(MemoryStore::new());
+    let cold_srv = serve(crate::server::session(&mix, vm).snapshot_out(server_store.clone()));
+    let warm_srv = serve(crate::server::session(&mix, vm).snapshot_in(server_store));
     let tenants_match = cold_srv
         .tenants
         .iter()

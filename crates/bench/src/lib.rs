@@ -12,14 +12,9 @@
 //! (at most 20) repetitions; installed code size is read off the code
 //! cache at the end.
 
-use std::sync::Arc;
-
 use incline_baselines::{C2Inliner, GreedyInliner};
 use incline_core::{IncrementalInliner, PolicyConfig};
-use incline_vm::{
-    BenchResult, BenchSpec, CollectingSink, CompileEvent, Inliner, NoInline, RunSession, TraceSink,
-    Value, VmConfig,
-};
+use incline_vm::{BenchResult, BenchSpec, Inliner, NoInline, RunSession, Value, VmConfig};
 use incline_workloads::Workload;
 
 /// The inliner configurations the experiments compare.
@@ -112,6 +107,19 @@ impl Measurement {
     }
 }
 
+/// A session running `w` at its own input and repetition count, under
+/// `config`'s inliner and `vm` — how every figure runs a workload.
+pub(crate) fn session<'w>(w: &'w Workload, config: &Config, vm: VmConfig) -> RunSession<'w> {
+    let spec = BenchSpec {
+        entry: w.entry,
+        args: vec![Value::Int(w.input)],
+        iterations: w.iterations,
+    };
+    RunSession::new(&w.program, spec)
+        .inliner(config.build())
+        .config(vm)
+}
+
 /// Measures one benchmark under one configuration.
 pub fn measure(w: &Workload, config: &Config) -> Measurement {
     measure_with_vm(w, config, config.vm())
@@ -121,14 +129,7 @@ pub fn measure(w: &Workload, config: &Config) -> Measurement {
 /// experiments vary `compile_threads` (the modelled worker count) and
 /// `install_policy` on top of the shared defaults.
 pub fn measure_with_vm(w: &Workload, config: &Config, vm: VmConfig) -> Measurement {
-    let spec = BenchSpec {
-        entry: w.entry,
-        args: vec![Value::Int(w.input)],
-        iterations: w.iterations,
-    };
-    let result = RunSession::new(&w.program, spec)
-        .inliner(config.build())
-        .config(vm)
+    let result = session(w, config, vm)
         .run()
         .unwrap_or_else(|e| panic!("{} under {}: {e}", w.name, config.name()));
     Measurement {
@@ -136,32 +137,6 @@ pub fn measure_with_vm(w: &Workload, config: &Config, vm: VmConfig) -> Measureme
         config: config.name().to_string(),
         result,
     }
-}
-
-/// Like [`measure`], but with a [`CollectingSink`] attached: returns the
-/// measurement together with every [`CompileEvent`] the compiler emitted.
-/// Useful for experiments that want to correlate performance with what
-/// the inliner actually decided (rounds, expansions, inline decisions).
-pub fn measure_traced(w: &Workload, config: &Config) -> (Measurement, Vec<CompileEvent>) {
-    let spec = BenchSpec {
-        entry: w.entry,
-        args: vec![Value::Int(w.input)],
-        iterations: w.iterations,
-    };
-    let sink = Arc::new(CollectingSink::new());
-    let handle: Arc<dyn TraceSink> = sink.clone();
-    let result = RunSession::new(&w.program, spec)
-        .inliner(config.build())
-        .config(config.vm())
-        .trace(handle)
-        .run()
-        .unwrap_or_else(|e| panic!("{} under {}: {e}", w.name, config.name()));
-    let measurement = Measurement {
-        benchmark: w.name.clone(),
-        config: config.name().to_string(),
-        result,
-    };
-    (measurement, sink.take())
 }
 
 /// Measures one benchmark under several configurations, checking that all
@@ -259,22 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_measurement_matches_untraced_cycles() {
-        let w = incline_workloads::by_name("scalatest")
-            .unwrap()
-            .with_input(4)
-            .with_iterations(4);
-        let plain = measure(&w, &Config::paper());
-        let (traced, events) = measure_traced(&w, &Config::paper());
-        // A NullSink-free run must not perturb the deterministic cycle
-        // counts, and the captured stream must be non-trivial.
-        assert_eq!(plain.cycles(), traced.cycles());
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, CompileEvent::CodeInstalled { .. })));
-    }
-
-    #[test]
     fn cross_config_outputs_agree() {
         let w = incline_workloads::by_name("avrora")
             .unwrap()
@@ -309,4 +268,3 @@ pub mod drift;
 pub mod figures;
 pub mod json;
 pub mod server;
-pub mod stats;

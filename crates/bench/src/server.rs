@@ -10,12 +10,12 @@
 //! integration tests, `examples/server_sim.rs`) goes through these
 //! builders so every consumer serves the *same* deterministic scenario.
 
+use incline_vm::stats::percentile;
 use incline_vm::{
     EvictionPolicy, InstallPolicy, ServerReport, ServerSession, ServerSpec, TenantSpec, VmConfig,
 };
 use incline_workloads::tenants::TenantMix;
 
-use crate::stats::percentile;
 use crate::Config;
 
 /// Default tenant-mix seed shared by the figure, the CLI and the tests.
@@ -67,6 +67,14 @@ pub fn standard_vm(install: InstallPolicy, policy: EvictionPolicy, threads: usiz
     }
 }
 
+/// A session serving `mix` under the standard arrival spec and the paper
+/// inliner, in `vm` — how every figure serves a tenant mix.
+pub(crate) fn session(mix: &TenantMix, vm: VmConfig) -> ServerSession<'_> {
+    ServerSession::new(&mix.program, tenant_specs(mix), standard_spec())
+        .inliner(Config::paper().build())
+        .config(vm)
+}
+
 /// Serves the standard scenario once and returns the report.
 pub fn serve_standard(
     mix: &TenantMix,
@@ -74,9 +82,7 @@ pub fn serve_standard(
     policy: EvictionPolicy,
     threads: usize,
 ) -> ServerReport {
-    ServerSession::new(&mix.program, tenant_specs(mix), standard_spec())
-        .inliner(Config::paper().build())
-        .config(standard_vm(install, policy, threads))
+    session(mix, standard_vm(install, policy, threads))
         .serve()
         .expect("standard server scenario must serve")
 }

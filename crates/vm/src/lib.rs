@@ -12,7 +12,8 @@
 //!   call overheads, and instruction-cache pressure — the terrain on which
 //!   inlining decisions are evaluated (see DESIGN.md §6).
 //! * [`runner`]: the paper's measurement protocol (peak performance =
-//!   mean of the last 40% of repetitions, at most 20).
+//!   mean of the last 40% of repetitions, at most 20), and [`Session`],
+//!   the one builder behind [`RunSession`] and [`ServerSession`].
 //!
 //! The inliner contract ([`Inliner`], [`CompileCx`], …), [`NoInline`] and
 //! the [`TrialCache`] are [`incline_core`]'s, re-exported here.
@@ -66,7 +67,7 @@ pub use machine::{
     BailoutCounters, BailoutRecord, CompilationReport, CompileStage, ExecError, InstallPolicy,
     Machine, RunOutcome, VmConfig,
 };
-pub use runner::{BenchError, BenchResult, BenchSpec, RunSession};
+pub use runner::{BenchError, BenchResult, BenchSpec, RunSession, Session};
 pub use server::{ServerError, ServerReport, ServerSession, ServerSpec, TenantReport, TenantSpec};
 pub use snapshot::{
     DecisionRecord, FileStore, MemoryStore, MergePolicy, MergeStats, Merged, MethodRecord,

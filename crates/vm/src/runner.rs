@@ -1,4 +1,4 @@
-//! Benchmark measurement protocol.
+//! Benchmark measurement protocol, and the one session builder.
 //!
 //! Follows the paper's §V methodology adapted to a deterministic VM: each
 //! benchmark is executed for a fixed number of repetitions in one machine
@@ -6,6 +6,13 @@
 //! repetitions (at most 20), by which point warmup (interpretation +
 //! compilation) has finished. Per-iteration cycles are retained so warmup
 //! curves (Figure 5) can be plotted.
+//!
+//! [`Session`] sets up that machine — inliner, configuration, fault plan,
+//! trace sink, warmup snapshots in, snapshot out — for any work: a
+//! [`BenchSpec`] here ([`RunSession`]), or tenants under a
+//! [`ServerSpec`](crate::ServerSpec) in [`crate::server`]
+//! ([`ServerSession`](crate::ServerSession)). Each kind of work adds only
+//! its constructor and what it does with the machine.
 
 use std::sync::Arc;
 
@@ -151,8 +158,8 @@ impl BenchResult {
 
     /// FNV-1a 64 digest of the run's observable answer: the final
     /// repetition's output lines and return value. Replayed runs must
-    /// produce the same digest as cold runs — the CI warmup job compares
-    /// exactly this.
+    /// produce the same digest as cold runs — `incline bench` prints it,
+    /// and `tests/cli.rs` compares exactly this.
     pub fn answer_digest(&self) -> u64 {
         let mut text = String::new();
         for line in &self.final_output {
@@ -166,12 +173,28 @@ impl BenchResult {
     }
 }
 
-/// A configured benchmark run, built fluently and executed once.
+/// A configured session over one program, built fluently and executed
+/// once: a benchmark run ([`RunSession`]) or a serving run
+/// ([`ServerSession`](crate::ServerSession)). `W` is the work.
 ///
 /// Every optional capability — inliner, VM configuration, fault plan,
-/// trace sink, warmup snapshots — is a builder method, so new capabilities
-/// extend the builder instead of forking another entry point (the old
-/// positional-argument function ladder is gone).
+/// trace sink, warmup snapshots — is a setter declared once here for both
+/// kinds of work, so a new capability extends this builder instead of
+/// forking another entry point.
+pub struct Session<'p, W> {
+    program: &'p Program,
+    pub(crate) work: W,
+    inliner: Box<dyn Inliner + 'p>,
+    config: VmConfig,
+    plan: FaultPlan,
+    sink: Arc<dyn TraceSink + 'p>,
+    snapshot_in: Option<SnapshotIo>,
+    snapshot_merge: Vec<SnapshotIo>,
+    snapshot_out: Option<SnapshotIo>,
+}
+
+/// A configured benchmark run: `spec.iterations` repetitions of one entry
+/// on one machine.
 ///
 /// ```
 /// use incline_vm::{RunSession, BenchSpec, NoInline, Value, VmConfig};
@@ -191,26 +214,16 @@ impl BenchResult {
 /// assert_eq!(result.per_iteration.len(), 3);
 /// # Ok::<(), incline_vm::BenchError>(())
 /// ```
-pub struct RunSession<'p> {
-    program: &'p Program,
-    spec: BenchSpec,
-    inliner: Box<dyn Inliner + 'p>,
-    config: VmConfig,
-    plan: FaultPlan,
-    sink: Arc<dyn TraceSink + 'p>,
-    snapshot_in: Option<SnapshotIo>,
-    snapshot_merge: Vec<SnapshotIo>,
-    snapshot_out: Option<SnapshotIo>,
-}
+pub type RunSession<'p> = Session<'p, BenchSpec>;
 
-impl<'p> RunSession<'p> {
-    /// Starts a session over `program` running `spec`. Defaults: the
+impl<'p, W> Session<'p, W> {
+    /// Starts a session over `program` doing `work`. Defaults: the
     /// [`NoInline`](crate::NoInline) inliner, [`VmConfig::default`], no
-    /// faults, no tracing.
-    pub fn new(program: &'p Program, spec: BenchSpec) -> Self {
-        RunSession {
+    /// faults, no tracing, no snapshots.
+    pub(crate) fn with_work(program: &'p Program, work: W) -> Self {
+        Session {
             program,
-            spec,
+            work,
             inliner: Box::new(crate::NoInline),
             config: VmConfig::default(),
             plan: FaultPlan::new(),
@@ -233,53 +246,84 @@ impl<'p> RunSession<'p> {
         self
     }
 
-    /// Installs a deterministic [`FaultPlan`] before the first repetition —
-    /// the entry point of the fault-injection harness.
+    /// Installs a deterministic [`FaultPlan`] before the work starts — the
+    /// entry point of the fault-injection harness.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
         self
     }
 
     /// Routes every compilation's [`incline_trace::CompileEvent`] stream
-    /// into `sink` — the way to capture a whole benchmark's trace (see
+    /// into `sink`, and a serving run's timeline markers as well
+    /// ([`CompileEvent::RequestRetired`](incline_trace::CompileEvent::RequestRetired),
+    /// [`CompileEvent::QueueDepth`](incline_trace::CompileEvent::QueueDepth))
+    /// — the way to capture a whole session's trace (see
     /// `examples/trace_dump.rs`).
     pub fn trace(mut self, sink: Arc<dyn TraceSink + 'p>) -> Self {
         self.sink = sink;
         self
     }
 
-    /// Loads a warmup snapshot before the first repetition. Accepts
-    /// anything [`SnapshotIo`] converts from: a path (`&str`, `String`,
-    /// `&Path`, `PathBuf`), raw snapshot bytes (`Vec<u8>`), or an `Arc`ed
+    /// Loads a warmup snapshot before the work starts. Accepts anything
+    /// [`SnapshotIo`] converts from: a path (`&str`, `String`, `&Path`,
+    /// `PathBuf`), raw snapshot bytes (`Vec<u8>`), or an `Arc`ed
     /// [`SnapshotStore`](crate::snapshot::SnapshotStore). A stale, corrupt
     /// or unreadable snapshot degrades gracefully to a cold start
-    /// ([`SnapshotStats::fallbacks`] in [`BenchResult::snapshot`]), never an
-    /// error.
+    /// ([`SnapshotStats::fallbacks`]), never an error. On a server, one
+    /// snapshot warms the shared cache for every tenant.
     pub fn snapshot_in(mut self, io: impl Into<SnapshotIo>) -> Self {
         self.snapshot_in = Some(io.into());
         self
     }
 
-    /// Merges N replica snapshots before the first repetition (fleet
+    /// Merges N replica snapshots before the work starts (fleet
     /// distribution): each source is read and parsed, unreadable or
     /// corrupt replicas degrade to fallbacks, and the survivors go through
-    /// [`Snapshot`](crate::Snapshot)'s N-way merge
-    /// (profile union, decision majority vote, support check) before being
-    /// applied like a single warmup snapshot. Zero usable replicas is a
-    /// cold start, never an error. Overrides nothing: combine with
-    /// [`RunSession::snapshot_in`] and the merge set simply includes it —
-    /// but the CLI keeps them mutually exclusive for clarity.
+    /// [`Snapshot`](crate::Snapshot)'s N-way merge (profile union, decision
+    /// majority vote, support check) before being applied like a single
+    /// warmup snapshot. Zero usable replicas is a cold start, never an
+    /// error. Combined with [`Session::snapshot_in`], that snapshot is
+    /// applied first and is not one of the replicas: the merge of the
+    /// replicas is applied on top of it ([`Machine::warm_from`]). The CLI
+    /// keeps the two flags mutually exclusive.
     pub fn snapshot_merge(mut self, ios: Vec<SnapshotIo>) -> Self {
         self.snapshot_merge = ios;
         self
     }
 
     /// Writes the machine's end-of-run snapshot (profiles + compile
-    /// decision log) to `io` after the last repetition. Write failures are
+    /// decision log) to `io` once the work is done. Write failures are
     /// counted in [`SnapshotStats::write_failures`], never an error.
     pub fn snapshot_out(mut self, io: impl Into<SnapshotIo>) -> Self {
         self.snapshot_out = Some(io.into());
         self
+    }
+
+    /// Runs `work` on a fresh [`Machine`] set up by this session — fault
+    /// plan, trace sink, then warmup snapshots — and, when it succeeds,
+    /// writes the end-of-run snapshot. Returns the machine so the caller
+    /// reads its counters after that write.
+    pub(crate) fn drive<T, E>(
+        self,
+        work: impl FnOnce(&mut Machine<'p>, &W, &dyn TraceSink) -> Result<T, E>,
+    ) -> Result<(Machine<'p>, T), E> {
+        let mut vm = Machine::new(self.program, self.inliner, self.config);
+        vm.set_fault_plan(self.plan);
+        vm.set_trace_sink(Arc::clone(&self.sink));
+        vm.warm_from(self.snapshot_in.as_ref(), &self.snapshot_merge);
+        let done = work(&mut vm, &self.work, &*self.sink)?;
+        if let Some(io) = &self.snapshot_out {
+            vm.persist_to(io);
+        }
+        Ok((vm, done))
+    }
+}
+
+impl<'p> RunSession<'p> {
+    /// Starts a session over `program` running `spec`, with the defaults
+    /// of every setter.
+    pub fn new(program: &'p Program, spec: BenchSpec) -> Self {
+        Session::with_work(program, spec)
     }
 
     /// Executes the configured run on a fresh [`Machine`].
@@ -302,24 +346,23 @@ impl<'p> RunSession<'p> {
     ///
     /// Same contract as [`RunSession::run`].
     pub fn run_with_report(self) -> Result<(BenchResult, crate::CompilationReport), BenchError> {
-        let spec = &self.spec;
-        if spec.iterations == 0 {
+        let iterations = self.work.iterations;
+        if iterations == 0 {
             return Err(BenchError::ZeroIterations);
         }
-        let mut vm = Machine::new(self.program, self.inliner, self.config);
-        vm.set_fault_plan(self.plan);
-        vm.set_trace_sink(self.sink);
-        vm.warm_from(self.snapshot_in.as_ref(), &self.snapshot_merge);
-        let mut per_iteration = Vec::with_capacity(spec.iterations);
-        let mut stall_per_iteration = Vec::with_capacity(spec.iterations);
-        let mut last: Option<RunOutcome> = None;
-        for _ in 0..spec.iterations {
-            let out = vm.run(spec.entry, spec.args.clone())?;
-            per_iteration.push(out.total_cycles());
-            stall_per_iteration.push(out.stall_cycles);
-            last = Some(out);
-        }
-        let window = BenchResult::steady_window(spec.iterations);
+        let (vm, (per_iteration, stall_per_iteration, last)) = self.drive(|vm, spec, _| {
+            let mut per_iteration = Vec::with_capacity(iterations);
+            let mut stall_per_iteration = Vec::with_capacity(iterations);
+            let mut last: Option<RunOutcome> = None;
+            for _ in 0..iterations {
+                let out = vm.run(spec.entry, spec.args.clone())?;
+                per_iteration.push(out.total_cycles());
+                stall_per_iteration.push(out.stall_cycles);
+                last = Some(out);
+            }
+            Ok::<_, ExecError>((per_iteration, stall_per_iteration, last))
+        })?;
+        let window = BenchResult::steady_window(iterations);
         let steady = &per_iteration[per_iteration.len() - window..];
         let mean = steady.iter().copied().sum::<u64>() as f64 / window as f64;
         let var = steady
@@ -331,9 +374,6 @@ impl<'p> RunSession<'p> {
             .sum::<f64>()
             / window as f64;
         let last = last.expect("at least one iteration");
-        if let Some(io) = &self.snapshot_out {
-            vm.persist_to(io);
-        }
         let result = BenchResult {
             per_iteration,
             steady_state: mean,
@@ -529,6 +569,38 @@ mod tests {
             warm.warmup_cycles_within(0.05),
             cold.warmup_cycles_within(0.05)
         );
+    }
+
+    /// `snapshot_in` is not one of the replicas: it is applied first, and
+    /// the merge of the two replicas is applied on top of it, so the run
+    /// counts two loads and two merged replicas.
+    #[test]
+    fn snapshot_in_is_applied_before_the_merge_not_inside_it() {
+        let (p, m) = loopy_program();
+        let config = threshold(3);
+        let spec = |n| BenchSpec {
+            entry: m,
+            args: vec![Value::Int(n)],
+            iterations: 4,
+        };
+        let stores = [100, 200, 300].map(|n| {
+            let store = Arc::new(crate::snapshot::MemoryStore::new());
+            RunSession::new(&p, spec(n))
+                .config(config)
+                .snapshot_out(store.clone())
+                .run()
+                .unwrap();
+            store
+        });
+        let [first, a, b] = stores;
+        let warm = RunSession::new(&p, spec(100))
+            .config(config)
+            .snapshot_in(first)
+            .snapshot_merge(vec![a.into(), b.into()])
+            .run()
+            .unwrap();
+        assert_eq!(warm.snapshot.fallbacks, 0);
+        assert_eq!((warm.snapshot.loaded, warm.snapshot.merged), (2, 2));
     }
 
     #[test]

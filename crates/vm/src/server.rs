@@ -7,7 +7,10 @@
 //! request-latency distribution — the p99/p999 requests that stall behind
 //! someone else's compilation or re-warm a method the cache evicted.
 //!
-//! [`ServerSession`] models that as a deterministic virtual-time loop:
+//! [`ServerSession`] models that as a deterministic virtual-time loop. It
+//! is the [`Session`] builder of the benchmark harness with tenants and a
+//! [`ServerSpec`] as its work, so the two share every setter and the
+//! machine's set-up and snapshot write:
 //!
 //! * a seeded [`Rng64`] arrival process generates a bursty request schedule
 //!   (alternating calm and burst windows, weighted tenant selection);
@@ -15,10 +18,10 @@
 //!   requests (`flip_after`), generalizing the `phase_change` workload —
 //!   entry methods branch on the argument, so the flip changes the hot
 //!   receiver mix and invalidates speculation made during the first phase;
-//! * requests retire in arrival order on the shared [`Machine`]; the serve
-//!   clock advances as `max(clock, arrival) + service`, so a request's
-//!   latency is queueing delay plus execution plus mutator-visible compile
-//!   stall;
+//! * requests retire in arrival order on the shared
+//!   [`Machine`](crate::Machine); the serve clock advances as
+//!   `max(clock, arrival) + service`, so a request's latency is queueing
+//!   delay plus execution plus mutator-visible compile stall;
 //! * per-request failures (injected faults, trap storms) are absorbed into
 //!   per-tenant failure counts — one tenant degrading never aborts another
 //!   tenant's traffic.
@@ -30,18 +33,15 @@
 //! compilation with the request stream in virtual time and shows up as a
 //! measured p99 win.
 
-use std::sync::Arc;
-
 use incline_ir::{MethodId, Program, Rng64, StructuralHasher};
-use incline_trace::{CompileEvent, NullSink, TraceSink};
+use incline_trace::CompileEvent;
 
 use crate::cache::CacheStats;
-use crate::faults::FaultPlan;
-use crate::machine::{BailoutCounters, Machine, VmConfig};
-use crate::snapshot::{SnapshotIo, SnapshotStats};
+use crate::machine::BailoutCounters;
+use crate::runner::Session;
+use crate::snapshot::SnapshotStats;
 use crate::stats::{fairness_index, LatencyStats};
 use crate::value::Value;
-use crate::Inliner;
 
 /// One tenant sharing the simulated server.
 #[derive(Clone, Debug, PartialEq)]
@@ -256,8 +256,8 @@ fn schedule(tenants: &[TenantSpec], spec: &ServerSpec) -> Result<Vec<Arrival>, S
     Ok(out)
 }
 
-/// A configured serving run, built fluently and executed once — the
-/// server-side sibling of [`crate::RunSession`].
+/// A configured serving run: `tenants` share one machine under the
+/// arrival process of a [`ServerSpec`]. Its setters are [`Session`]'s.
 ///
 /// ```
 /// use incline_vm::{ServerSession, ServerSpec, TenantSpec, VmConfig};
@@ -276,92 +276,16 @@ fn schedule(tenants: &[TenantSpec], spec: &ServerSpec) -> Result<Vec<Arrival>, S
 /// assert_eq!(report.requests, 10);
 /// # Ok::<(), incline_vm::ServerError>(())
 /// ```
-pub struct ServerSession<'p> {
-    program: &'p Program,
-    tenants: Vec<TenantSpec>,
-    spec: ServerSpec,
-    inliner: Box<dyn Inliner + 'p>,
-    config: VmConfig,
-    plan: FaultPlan,
-    sink: Arc<dyn TraceSink + 'p>,
-    snapshot_in: Option<SnapshotIo>,
-    snapshot_merge: Vec<SnapshotIo>,
-    snapshot_out: Option<SnapshotIo>,
-}
+pub type ServerSession<'p> = Session<'p, (Vec<TenantSpec>, ServerSpec)>;
 
 impl<'p> ServerSession<'p> {
-    /// Starts a session over `program` serving `tenants` under `spec`.
-    /// Defaults: the [`NoInline`](crate::NoInline) inliner,
-    /// [`VmConfig::default`], no faults, no tracing.
+    /// Starts a session over `program` serving `tenants` under `spec`,
+    /// with the defaults of every setter.
     pub fn new(program: &'p Program, tenants: Vec<TenantSpec>, spec: ServerSpec) -> Self {
-        ServerSession {
-            program,
-            tenants,
-            spec,
-            inliner: Box::new(crate::NoInline),
-            config: VmConfig::default(),
-            plan: FaultPlan::new(),
-            sink: Arc::new(NullSink),
-            snapshot_in: None,
-            snapshot_merge: Vec::new(),
-            snapshot_out: None,
-        }
+        Session::with_work(program, (tenants, spec))
     }
 
-    /// Drives compilation with `inliner` (default: no inlining).
-    pub fn inliner(mut self, inliner: Box<dyn Inliner + 'p>) -> Self {
-        self.inliner = inliner;
-        self
-    }
-
-    /// Runs under `config` (default: [`VmConfig::default`]).
-    pub fn config(mut self, config: VmConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Installs a deterministic [`FaultPlan`] before the first request.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.plan = plan;
-        self
-    }
-
-    /// Routes compile events plus the server timeline markers
-    /// ([`CompileEvent::RequestRetired`], [`CompileEvent::QueueDepth`])
-    /// into `sink`.
-    pub fn trace(mut self, sink: Arc<dyn TraceSink + 'p>) -> Self {
-        self.sink = sink;
-        self
-    }
-
-    /// Loads a warmup snapshot into the shared machine before the first
-    /// request — the fleet-warming path: one server's snapshot warms
-    /// another server's shared cache for *all* tenants. Same conversions
-    /// and graceful-fallback semantics as
-    /// [`RunSession::snapshot_in`](crate::RunSession::snapshot_in).
-    pub fn snapshot_in(mut self, io: impl Into<SnapshotIo>) -> Self {
-        self.snapshot_in = Some(io.into());
-        self
-    }
-
-    /// Merges N replica snapshots into the shared machine before the first
-    /// request — the fleet-distribution path: divergent replicas' warmup
-    /// state folds into one deterministic merge (profile union, decision
-    /// majority vote, support check). Degrades per replica, exactly like
-    /// [`RunSession::snapshot_merge`](crate::RunSession::snapshot_merge).
-    pub fn snapshot_merge(mut self, ios: Vec<SnapshotIo>) -> Self {
-        self.snapshot_merge = ios;
-        self
-    }
-
-    /// Writes the shared machine's end-of-run snapshot to `io` after the
-    /// last request. Write failures are counted, never an error.
-    pub fn snapshot_out(mut self, io: impl Into<SnapshotIo>) -> Self {
-        self.snapshot_out = Some(io.into());
-        self
-    }
-
-    /// Executes the configured serving run on a fresh [`Machine`].
+    /// Executes the configured serving run on a fresh [`Machine`](crate::Machine).
     ///
     /// # Errors
     ///
@@ -370,35 +294,30 @@ impl<'p> ServerSession<'p> {
     /// scheduled). Per-request execution failures do **not** abort the run
     /// — they are counted in [`TenantReport::failed`].
     pub fn serve(self) -> Result<ServerReport, ServerError> {
-        if self.tenants.is_empty() {
+        let (tenants, spec) = &self.work;
+        if tenants.is_empty() {
             return Err(ServerError::NoTenants);
         }
-        if self.spec.requests == 0 {
+        if spec.requests == 0 {
             return Err(ServerError::ZeroRequests);
         }
-        if self.tenants.iter().all(|t| t.weight == 0) {
+        if tenants.iter().all(|t| t.weight == 0) {
             return Err(ServerError::ZeroWeights);
         }
 
-        let arrivals = schedule(&self.tenants, &self.spec)?;
+        let arrivals = schedule(tenants, spec)?;
         // Per-tenant request totals decide each tenant's flip point:
         // tenant i serves `flip_at[i]` phase-A requests, then flips.
-        let n = self.tenants.len();
+        let n = tenants.len();
         let mut totals = vec![0u64; n];
         for a in &arrivals {
             totals[a.tenant] += 1;
         }
-        let flip_at: Vec<u64> = self
-            .tenants
+        let flip_at: Vec<u64> = tenants
             .iter()
             .zip(&totals)
             .map(|(t, &total)| (total as f64 * t.flip_after.clamp(0.0, 1.0)).round() as u64)
             .collect();
-
-        let mut vm = Machine::new(self.program, self.inliner, self.config);
-        vm.set_fault_plan(self.plan);
-        vm.set_trace_sink(Arc::clone(&self.sink));
-        vm.warm_from(self.snapshot_in.as_ref(), &self.snapshot_merge);
 
         let mut clock = 0u64;
         let mut served = vec![0u64; n];
@@ -410,82 +329,81 @@ impl<'p> ServerSession<'p> {
         let mut stall_tenant: Vec<Vec<u64>> = vec![Vec::new(); n];
         let mut queue_depth = Vec::new();
 
-        for (r, arrival) in arrivals.iter().enumerate() {
-            let t = arrival.tenant;
-            clock = clock.max(arrival.at);
-            let queueing = clock - arrival.at;
-            let tenant = &self.tenants[t];
-            let phase_b = served[t] >= flip_at[t];
-            let x = if phase_b {
-                tenant.pivot.saturating_add(tenant.work)
-            } else {
-                tenant.work
-            };
-            served[t] += 1;
-            match vm.run(tenant.entry, vec![Value::Int(x)]) {
-                Ok(out) => {
-                    let service = out.total_cycles();
-                    clock += service;
-                    let latency = queueing + service;
-                    lat_all.push(latency);
-                    stall_all.push(out.stall_cycles);
-                    lat_tenant[t].push(latency);
-                    stall_tenant[t].push(out.stall_cycles);
-                    // FNV-1a over the rendered return value: cheap,
-                    // order-sensitive, stable across platforms.
-                    let rendered = match &out.value {
-                        Some(v) => format!("{v:?}"),
-                        None => "()".to_string(),
-                    };
-                    digests[t].write_bytes(rendered.as_bytes());
-                    if self.sink.enabled() {
-                        self.sink.emit(CompileEvent::RequestRetired {
-                            tenant: tenant.name.clone(),
+        let (vm, tenants) = self.drive(|vm, (tenants, spec), sink| {
+            for (r, arrival) in arrivals.iter().enumerate() {
+                let t = arrival.tenant;
+                clock = clock.max(arrival.at);
+                let queueing = clock - arrival.at;
+                let tenant = &tenants[t];
+                let phase_b = served[t] >= flip_at[t];
+                let x = if phase_b {
+                    tenant.pivot.saturating_add(tenant.work)
+                } else {
+                    tenant.work
+                };
+                served[t] += 1;
+                match vm.run(tenant.entry, vec![Value::Int(x)]) {
+                    Ok(out) => {
+                        let service = out.total_cycles();
+                        clock += service;
+                        let latency = queueing + service;
+                        lat_all.push(latency);
+                        stall_all.push(out.stall_cycles);
+                        lat_tenant[t].push(latency);
+                        stall_tenant[t].push(out.stall_cycles);
+                        // FNV-1a over the rendered return value: cheap,
+                        // order-sensitive, stable across platforms.
+                        let rendered = match &out.value {
+                            Some(v) => format!("{v:?}"),
+                            None => "()".to_string(),
+                        };
+                        digests[t].write_bytes(rendered.as_bytes());
+                        if sink.enabled() {
+                            sink.emit(CompileEvent::RequestRetired {
+                                tenant: tenant.name.clone(),
+                                request: r as u64,
+                                latency,
+                                stall: out.stall_cycles,
+                            });
+                        }
+                    }
+                    Err(_) => {
+                        // Graceful degradation: the failure is charged to
+                        // the tenant, the clock does not advance, and the
+                        // next request proceeds on the same machine.
+                        failed[t] += 1;
+                    }
+                }
+                if spec.queue_sample_every > 0 && r % spec.queue_sample_every == 0 {
+                    let depth = vm.pending_compiles() as u64;
+                    queue_depth.push((r as u64, depth));
+                    if sink.enabled() {
+                        sink.emit(CompileEvent::QueueDepth {
                             request: r as u64,
-                            latency,
-                            stall: out.stall_cycles,
+                            depth,
                         });
                     }
                 }
-                Err(_) => {
-                    // Graceful degradation: the failure is charged to the
-                    // tenant, the clock does not advance, and the next
-                    // request proceeds on the same machine.
-                    failed[t] += 1;
-                }
             }
-            if self.spec.queue_sample_every > 0 && r % self.spec.queue_sample_every == 0 {
-                let depth = vm.pending_compiles() as u64;
-                queue_depth.push((r as u64, depth));
-                if self.sink.enabled() {
-                    self.sink.emit(CompileEvent::QueueDepth {
-                        request: r as u64,
-                        depth,
-                    });
-                }
-            }
-        }
+            let tenants = tenants
+                .iter()
+                .enumerate()
+                .map(|(i, t)| TenantReport {
+                    name: t.name.clone(),
+                    requests: totals[i],
+                    failed: failed[i],
+                    latency: LatencyStats::of(&lat_tenant[i]),
+                    stall: LatencyStats::of(&stall_tenant[i]),
+                    digest: digests[i].finish(),
+                })
+                .collect();
+            Ok::<_, ServerError>(tenants)
+        })?;
 
         let tenant_means: Vec<f64> = lat_tenant
             .iter()
             .map(|l| LatencyStats::of(l).mean)
             .collect();
-        let tenants = self
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| TenantReport {
-                name: t.name.clone(),
-                requests: totals[i],
-                failed: failed[i],
-                latency: LatencyStats::of(&lat_tenant[i]),
-                stall: LatencyStats::of(&stall_tenant[i]),
-                digest: digests[i].finish(),
-            })
-            .collect();
-        if let Some(io) = &self.snapshot_out {
-            vm.persist_to(io);
-        }
         Ok(ServerReport {
             requests: arrivals.len() as u64,
             latency: LatencyStats::of(&lat_all),
@@ -506,7 +424,10 @@ impl<'p> ServerSession<'p> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::VmConfig;
     use incline_ir::builder::FunctionBuilder;
     use incline_ir::Type;
 

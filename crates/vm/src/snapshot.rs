@@ -44,7 +44,7 @@
 //! stays testable without touching disk: [`MemoryStore`] keeps bytes in a
 //! mutex-guarded cell (share it via `Arc` between a writing and a reading
 //! session), [`FileStore`] reads/writes one file. [`SnapshotIo`] is the
-//! `Into`-friendly handle the builders accept, with conversions from
+//! `Into`-friendly handle the session builder accepts, with conversions from
 //! paths, raw bytes and `Arc`ed stores.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -834,7 +834,7 @@ impl SnapshotStore for FileStore {
     }
 }
 
-/// The `Into`-friendly store handle the session builders accept:
+/// The `Into`-friendly store handle the session builder accepts:
 /// `session.snapshot_in("warm.snap")`, `.snapshot_in(bytes)`, or
 /// `.snapshot_out(Arc::new(MemoryStore::new()))` all convert here.
 #[derive(Clone)]
@@ -843,11 +843,6 @@ pub struct SnapshotIo {
 }
 
 impl SnapshotIo {
-    /// Wraps an arbitrary store.
-    pub fn new(store: Arc<dyn SnapshotStore>) -> Self {
-        SnapshotIo { store }
-    }
-
     /// The wrapped store.
     pub fn store(&self) -> &dyn SnapshotStore {
         &*self.store

@@ -2,8 +2,8 @@
 //!
 //! The server simulation ([`crate::server`]) and the bench harness both
 //! summarize latency/stall series into tail percentiles, and the
-//! multi-tenant report needs a fairness number. The math lives here once —
-//! `incline_bench::stats` re-exports it — so every figure and report uses
+//! multi-tenant report needs a fairness number. The math lives here once,
+//! and the bench harness calls it here, so every figure and report uses
 //! the same deterministic definitions: nearest-rank percentiles on a
 //! sorted copy (integer ranks, no interpolation) and Jain's fairness
 //! index.

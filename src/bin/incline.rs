@@ -246,9 +246,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(sink) = trace.sink() {
         vm.set_trace_sink(sink);
     }
-    let io = |path: &String| SnapshotIo::from(path.as_str());
-    let replicas: Vec<SnapshotIo> = opts.snapshot_merge.iter().map(io).collect();
-    vm.warm_from(opts.snapshot_in.as_ref().map(io).as_ref(), &replicas);
+    let (snapshot_in, replicas, snapshot_out) = opts.snapshots();
+    vm.warm_from(snapshot_in.as_ref(), &replicas);
     let runs = if jit { 8 } else { 1 };
     let mut last = None;
     for _ in 0..runs {
@@ -257,8 +256,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 .map_err(|e| e.to_string())?,
         );
     }
-    if let Some(path) = &opts.snapshot_out {
-        vm.persist_to(&io(path));
+    if let Some(io) = &snapshot_out {
+        vm.persist_to(io);
     }
     let out = last.expect("ran at least once");
     print!("{}", out.output);
@@ -355,27 +354,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         args: vec![Value::Int(input)],
         iterations: w.iterations,
     };
-    let mut session = RunSession::new(&w.program, spec)
-        .inliner(opts.make_inliner()?)
-        .config(opts.vm_config(5, true));
-    if let Some(p) = &opts.snapshot_in {
-        session = session.snapshot_in(p.as_str());
-    }
-    if !opts.snapshot_merge.is_empty() {
-        session = session.snapshot_merge(
-            opts.snapshot_merge
-                .iter()
-                .map(|p| SnapshotIo::from(p.as_str()))
-                .collect(),
-        );
-    }
-    if let Some(p) = &opts.snapshot_out {
-        session = session.snapshot_out(p.as_str());
-    }
-    let trace = opts.trace_out()?;
-    if let Some(sink) = trace.sink() {
-        session = session.trace(sink);
-    }
+    let (session, trace) = opts.session(RunSession::new(&w.program, spec), 5, true)?;
     let r = session.run().map_err(|e| e.to_string())?;
     trace.finish()?;
     println!("benchmark: {} ({})", w.name, w.suite.label());
@@ -448,31 +427,9 @@ fn cmd_server(args: &[String]) -> Result<(), String> {
         requests,
         ..ServerSpec::default()
     };
-    let mut session = ServerSession::new(
-        &mix.program,
-        incline::bench::server::tenant_specs(&mix),
-        spec,
-    )
-    .inliner(opts.make_inliner()?)
-    .config(opts.vm_config(4, false));
-    if let Some(p) = &opts.snapshot_in {
-        session = session.snapshot_in(p.as_str());
-    }
-    if !opts.snapshot_merge.is_empty() {
-        session = session.snapshot_merge(
-            opts.snapshot_merge
-                .iter()
-                .map(|p| SnapshotIo::from(p.as_str()))
-                .collect(),
-        );
-    }
-    if let Some(p) = &opts.snapshot_out {
-        session = session.snapshot_out(p.as_str());
-    }
-    let trace = opts.trace_out()?;
-    if let Some(sink) = trace.sink() {
-        session = session.trace(sink);
-    }
+    let tenants = incline::bench::server::tenant_specs(&mix);
+    let (session, trace) =
+        opts.session(ServerSession::new(&mix.program, tenants, spec), 4, false)?;
     let report = session.serve().map_err(|e| e.to_string())?;
     trace.finish()?;
     println!(

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use incline_baselines::{C2Inliner, GreedyInliner};
 use incline_core::IncrementalInliner;
 use incline_trace::{JsonlSink, StderrSink, TraceSink};
-use incline_vm::{EvictionPolicy, Inliner, InstallPolicy, NoInline, VmConfig};
+use incline_vm::{EvictionPolicy, Inliner, InstallPolicy, NoInline, Session, SnapshotIo, VmConfig};
 
 /// Returns true when `name` appears anywhere in `args`.
 pub fn flag(args: &[String], name: &str) -> bool {
@@ -121,14 +121,14 @@ pub struct CommonOpts {
     pub no_deopt: bool,
     /// Load a warmup snapshot from this file before the run
     /// (`--snapshot-in FILE`).
-    pub snapshot_in: Option<String>,
+    snapshot_in: Option<String>,
     /// Merge N replica snapshots before the run, one path per occurrence
     /// of the repeatable flag (`--snapshot-merge FILE ...`). Mutually
     /// exclusive with `--snapshot-in`.
-    pub snapshot_merge: Vec<String>,
+    snapshot_merge: Vec<String>,
     /// Write a warmup snapshot to this file after the run
     /// (`--snapshot-out FILE`).
-    pub snapshot_out: Option<String>,
+    snapshot_out: Option<String>,
     /// Modelled compile workers in the virtual-time stall account
     /// (`--compile-threads N`).
     pub compile_threads: Option<usize>,
@@ -250,6 +250,46 @@ impl CommonOpts {
             "none" => Box::new(NoInline),
             other => return Err(format!("unknown inliner `{other}`")),
         })
+    }
+
+    /// The warmup snapshots these options name: the one to load
+    /// (`--snapshot-in`), the replicas to merge (`--snapshot-merge`) and
+    /// the one to write (`--snapshot-out`).
+    pub fn snapshots(&self) -> (Option<SnapshotIo>, Vec<SnapshotIo>, Option<SnapshotIo>) {
+        let io = |path: &String| SnapshotIo::from(path.as_str());
+        (
+            self.snapshot_in.as_ref().map(io),
+            self.snapshot_merge.iter().map(io).collect(),
+            self.snapshot_out.as_ref().map(io),
+        )
+    }
+
+    /// Turns these options into `session`'s set-up: the inliner, the
+    /// [`VmConfig`] of [`CommonOpts::vm_config`], the warmup snapshots and
+    /// the trace destination. Call [`TraceOut::finish`] once the session
+    /// has run.
+    pub fn session<'p, W>(
+        &self,
+        session: Session<'p, W>,
+        hotness_threshold: u64,
+        deopt_default: bool,
+    ) -> Result<(Session<'p, W>, TraceOut), String> {
+        let (snapshot_in, replicas, snapshot_out) = self.snapshots();
+        let mut session = session
+            .inliner(self.make_inliner()?)
+            .config(self.vm_config(hotness_threshold, deopt_default))
+            .snapshot_merge(replicas);
+        if let Some(io) = snapshot_in {
+            session = session.snapshot_in(io);
+        }
+        if let Some(io) = snapshot_out {
+            session = session.snapshot_out(io);
+        }
+        let trace = self.trace_out()?;
+        if let Some(sink) = trace.sink() {
+            session = session.trace(sink);
+        }
+        Ok((session, trace))
     }
 
     /// Opens the trace destination these options describe (JSONL file,

@@ -70,6 +70,32 @@ fn identical_runs_produce_byte_identical_jsonl() {
     ] {
         assert!(text.contains(needle), "trace must contain {needle}");
     }
+
+    // A sink observes and never steers: collecting every event measures
+    // exactly what a run with no sink measures.
+    let w = workload();
+    let run = |sink: Arc<dyn TraceSink>| {
+        let spec = BenchSpec {
+            entry: w.entry,
+            args: vec![Value::Int(4)],
+            iterations: 6,
+        };
+        RunSession::new(&w.program, spec)
+            .inliner(Box::new(IncrementalInliner::new()))
+            .config(VmConfig {
+                hotness_threshold: 2,
+                ..VmConfig::default()
+            })
+            .trace(sink)
+            .run()
+            .expect("benchmark completes")
+    };
+    let collecting = Arc::new(CollectingSink::new());
+    assert_eq!(run(collecting.clone()), run(Arc::new(NullSink)));
+    assert!(collecting
+        .take()
+        .iter()
+        .any(|e| matches!(e, CompileEvent::CodeInstalled { .. })));
 }
 
 #[test]
