@@ -6,13 +6,13 @@
 //! later phase), with a greedy heuristic". Our reproduction follows C2's
 //! well-known knobs, rescaled to IR nodes:
 //!
-//! * trivial callees (≤ `trivial_size`, cf. `MaxTrivialSize`) inline
+//! * trivial callees (≤ `TRIVIAL_SIZE`, cf. `MaxTrivialSize`) inline
 //!   always during the depth-first "parse" pass,
-//! * hot callees inline when ≤ `freq_inline_size` (cf. `FreqInlineSize`),
-//! * nesting is bounded by `max_inline_level` (cf. `MaxInlineLevel` = 9),
-//! * direct recursion is bounded by `max_recursive_inline` (= 1),
+//! * hot callees inline when ≤ `FREQ_INLINE_SIZE` (cf. `FreqInlineSize`),
+//! * nesting is bounded by `MAX_INLINE_LEVEL` (cf. `MaxInlineLevel` = 9),
+//! * direct recursion is bounded by `MAX_RECURSIVE_INLINE` (= 1),
 //! * bimorphic speculation: up to two receiver types from the profile
-//!   (C2's bimorphic inlining), each receiver needing ≥ `min_prob`,
+//!   (C2's bimorphic inlining), each receiver needing ≥ `MIN_RECEIVER_PROB`,
 //! * one optimization pass afterwards — no alternation, no clustering,
 //!   no inlining trials.
 
@@ -23,51 +23,29 @@ use incline_ir::inline::inline_call;
 use incline_ir::{Graph, InstId, MethodId};
 use incline_trace::CompileEvent;
 
-/// Tunables of the C2-style baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct C2Config {
-    /// Always-inline size (cf. `MaxTrivialSize`).
-    pub trivial_size: usize,
-    /// Hot-callee inline size (cf. `FreqInlineSize`).
-    pub freq_inline_size: usize,
-    /// Hotness: minimum relative callsite frequency for non-trivial
-    /// inlining.
-    pub min_frequency: f64,
-    /// Maximum inline nesting depth (cf. `MaxInlineLevel`).
-    pub max_inline_level: usize,
-    /// Maximum direct-recursive inlines (cf. `MaxRecursiveInline`).
-    pub max_recursive_inline: usize,
-    /// Root size limit (cf. `DesiredMethodLimit`).
-    pub method_limit: usize,
-    /// Minimum per-receiver probability for bimorphic speculation.
-    pub min_receiver_prob: f64,
-}
-
-impl Default for C2Config {
-    fn default() -> Self {
-        C2Config {
-            trivial_size: 10,
-            freq_inline_size: 80,
-            min_frequency: 0.25,
-            max_inline_level: 9,
-            max_recursive_inline: 1,
-            method_limit: 2_000,
-            min_receiver_prob: 0.20,
-        }
-    }
-}
+/// Always-inline size (cf. `MaxTrivialSize`).
+const TRIVIAL_SIZE: usize = 10;
+/// Hot-callee inline size (cf. `FreqInlineSize`).
+const FREQ_INLINE_SIZE: usize = 80;
+/// Hotness: minimum relative callsite frequency for non-trivial inlining.
+const MIN_FREQUENCY: f64 = 0.25;
+/// Maximum inline nesting depth (cf. `MaxInlineLevel`).
+const MAX_INLINE_LEVEL: usize = 9;
+/// Maximum direct-recursive inlines (cf. `MaxRecursiveInline`).
+const MAX_RECURSIVE_INLINE: usize = 1;
+/// Root size limit (cf. `DesiredMethodLimit`).
+const METHOD_LIMIT: usize = 2_000;
+/// Minimum per-receiver probability for bimorphic speculation.
+const MIN_RECEIVER_PROB: f64 = 0.20;
 
 /// The C2-style inliner.
 #[derive(Clone, Debug, Default)]
-pub struct C2Inliner {
-    /// Tunables.
-    pub config: C2Config,
-}
+pub struct C2Inliner;
 
 impl C2Inliner {
-    /// Creates the baseline with default tunables.
+    /// Creates the baseline.
     pub fn new() -> Self {
-        Self::default()
+        C2Inliner
     }
 }
 
@@ -123,8 +101,7 @@ impl C2Inliner {
         rec: usize,
         state: &mut State,
     ) {
-        let c = &self.config;
-        if level >= c.max_inline_level || graph.size() > c.method_limit {
+        if level >= MAX_INLINE_LEVEL || graph.size() > METHOD_LIMIT {
             return;
         }
         let Some((block, _)) = graph.callsites().into_iter().find(|&(_, i)| i == inst) else {
@@ -142,21 +119,21 @@ impl C2Inliner {
                     return;
                 }
                 let size = callee.ir_size();
-                let trivial = size <= c.trivial_size;
-                let hot = site_freq >= c.min_frequency && size <= c.freq_inline_size;
+                let trivial = size <= TRIVIAL_SIZE;
+                let hot = site_freq >= MIN_FREQUENCY && size <= FREQ_INLINE_SIZE;
                 if !(trivial || hot) {
                     cx.emit(|| CompileEvent::InlineDecision {
                         method: Some(target),
                         benefit: site_freq,
                         cost: size as f64,
-                        threshold: c.min_frequency,
+                        threshold: MIN_FREQUENCY,
                         root_size: graph.size() as f64,
                         accepted: false,
                     });
                     return;
                 }
                 let next_rec = if target == state.root { rec + 1 } else { rec };
-                if target == state.root && next_rec > c.max_recursive_inline {
+                if target == state.root && next_rec > MAX_RECURSIVE_INLINE {
                     return;
                 }
                 // A spent compile budget winds the parse down gracefully.
@@ -167,7 +144,7 @@ impl C2Inliner {
                     method: Some(target),
                     benefit: site_freq,
                     cost: size as f64,
-                    threshold: c.min_frequency,
+                    threshold: MIN_FREQUENCY,
                     root_size: graph.size() as f64,
                     accepted: true,
                 });
@@ -195,7 +172,7 @@ impl C2Inliner {
                 let profile = cx.profiles.receiver_profile(info.site);
                 let mut cases = Vec::new();
                 for e in profile.iter().take(2) {
-                    if e.probability < c.min_receiver_prob {
+                    if e.probability < MIN_RECEIVER_PROB {
                         continue;
                     }
                     if let Some(m) = cx.program.resolve(e.class, sel) {

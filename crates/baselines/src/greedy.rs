@@ -25,44 +25,25 @@ use incline_ir::inline::inline_call;
 use incline_ir::{CallSiteId, InstId, MethodId};
 use incline_trace::CompileEvent;
 
-/// Tunables of the greedy baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct GreedyConfig {
-    /// Callees at or below this IR size always inline.
-    pub trivial_size: usize,
-    /// Callees above this IR size never inline.
-    pub max_callee_size: usize,
-    /// Minimum relative callsite frequency for non-trivial inlining.
-    pub min_frequency: f64,
-    /// Stop inlining once the root exceeds this IR size.
-    pub root_budget: usize,
-    /// Minimum receiver probability for monomorphic speculation.
-    pub mono_speculation: f64,
-}
-
-impl Default for GreedyConfig {
-    fn default() -> Self {
-        GreedyConfig {
-            trivial_size: 12,
-            max_callee_size: 150,
-            min_frequency: 0.5,
-            root_budget: 2_500,
-            mono_speculation: 0.90,
-        }
-    }
-}
+/// Callees at or below this IR size always inline.
+const TRIVIAL_SIZE: usize = 12;
+/// Callees above this IR size never inline.
+const MAX_CALLEE_SIZE: usize = 150;
+/// Minimum relative callsite frequency for non-trivial inlining.
+const MIN_FREQUENCY: f64 = 0.5;
+/// Stop inlining once the root exceeds this IR size.
+const ROOT_BUDGET: usize = 2_500;
+/// Minimum receiver probability for monomorphic speculation.
+const MONO_SPECULATION: f64 = 0.90;
 
 /// The greedy inliner.
 #[derive(Clone, Debug, Default)]
-pub struct GreedyInliner {
-    /// Tunables.
-    pub config: GreedyConfig,
-}
+pub struct GreedyInliner;
 
 impl GreedyInliner {
-    /// Creates the baseline with default tunables.
+    /// Creates the baseline.
     pub fn new() -> Self {
-        Self::default()
+        GreedyInliner
     }
 }
 
@@ -83,7 +64,6 @@ impl Inliner for GreedyInliner {
         method: MethodId,
         cx: &CompileCx<'_>,
     ) -> Result<CompileOutcome, CompileError> {
-        let c = &self.config;
         let mut graph = cx.root_graph(method)?;
         let mut inlined_calls = 0u64;
         let mut explored = 0usize;
@@ -118,7 +98,7 @@ impl Inliner for GreedyInliner {
                 .expect("queue nonempty");
             let item = queue.swap_remove(idx);
 
-            if graph.size() > c.root_budget {
+            if graph.size() > ROOT_BUDGET {
                 break;
             }
             // The callsite may have been rewritten by a prior speculation.
@@ -140,7 +120,7 @@ impl Inliner for GreedyInliner {
                     let profile = cx.profiles.receiver_profile(info.site);
                     let dominant = profile
                         .first()
-                        .filter(|e| e.probability >= c.mono_speculation)
+                        .filter(|e| e.probability >= MONO_SPECULATION)
                         .and_then(|e| {
                             cx.program
                                 .resolve(e.class, sel)
@@ -151,7 +131,7 @@ impl Inliner for GreedyInliner {
                             method: Some(m),
                             benefit: prob,
                             cost: 0.0,
-                            threshold: c.mono_speculation,
+                            threshold: MONO_SPECULATION,
                             root_size: graph.size() as f64,
                             accepted: true,
                         });
@@ -183,14 +163,14 @@ impl Inliner for GreedyInliner {
                 continue;
             }
             let callee_size = callee.ir_size();
-            let trivial = callee_size <= c.trivial_size;
-            let worthwhile = item.freq >= c.min_frequency && callee_size <= c.max_callee_size;
+            let trivial = callee_size <= TRIVIAL_SIZE;
+            let worthwhile = item.freq >= MIN_FREQUENCY && callee_size <= MAX_CALLEE_SIZE;
             if !(trivial || worthwhile) {
                 cx.emit(|| CompileEvent::InlineDecision {
                     method: Some(target),
                     benefit: item.freq,
                     cost: callee_size as f64,
-                    threshold: c.min_frequency,
+                    threshold: MIN_FREQUENCY,
                     root_size: graph.size() as f64,
                     accepted: false,
                 });
@@ -210,7 +190,7 @@ impl Inliner for GreedyInliner {
                 method: Some(target),
                 benefit: item.freq,
                 cost: callee_size as f64,
-                threshold: c.min_frequency,
+                threshold: MIN_FREQUENCY,
                 root_size: graph.size() as f64,
                 accepted: true,
             });

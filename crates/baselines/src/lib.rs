@@ -21,6 +21,6 @@
 pub mod c2;
 pub mod greedy;
 
-pub use c2::{C2Config, C2Inliner};
-pub use greedy::{GreedyConfig, GreedyInliner};
+pub use c2::C2Inliner;
+pub use greedy::GreedyInliner;
 pub use incline_core::NoInline;

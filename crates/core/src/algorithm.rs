@@ -11,7 +11,7 @@
 use incline_ir::inline::inline_call;
 use incline_ir::{InstId, MethodId};
 use incline_opt::OptStats;
-use incline_trace::{CollectingSink, CompileEvent, OptPhase};
+use incline_trace::{CompileEvent, OptPhase};
 
 use crate::calltree::{CallTree, NodeId, NodeKind, RootIndex, SubtreeMetrics};
 use crate::inliner::{CompileCx, CompileError, CompileOutcome, InlineStats, Inliner};
@@ -54,27 +54,6 @@ impl IncrementalInliner {
 }
 
 impl IncrementalInliner {
-    /// Like [`Inliner::compile`], but also returns a human-readable trace:
-    /// the rendered call tree (paper Figures 2–4) after each round.
-    ///
-    /// Implemented as a pure consumer of the structured event stream: the
-    /// compilation runs against a [`CollectingSink`] and the transcript is
-    /// rendered from the captured [`CompileEvent`]s.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Inliner::compile`].
-    pub fn compile_explain(
-        &self,
-        method: MethodId,
-        cx: &CompileCx<'_>,
-    ) -> Result<(CompileOutcome, String), CompileError> {
-        let sink = CollectingSink::new();
-        let traced = cx.with_trace(&sink);
-        let out = self.compile_impl(method, &traced, None)?;
-        Ok((out, crate::render::render_trace(&sink.take())))
-    }
-
     /// Like [`Inliner::compile`], but after every expansion, refusal,
     /// inlining step and specialization refresh asserts that the numbers the
     /// call tree stores or sweeps — `|ir(n)|`, `S_ir`, `S_b`, `N_c`, the

@@ -7,8 +7,6 @@
 
 use std::fmt::Write as _;
 
-use incline_trace::CompileEvent;
-
 use crate::calltree::{CallTree, NodeId, NodeKind};
 use crate::inliner::CompileCx;
 
@@ -29,110 +27,6 @@ pub fn kind_tag(kind: NodeKind) -> char {
 pub fn render(tree: &CallTree, cx: &CompileCx<'_>) -> String {
     let mut out = String::new();
     render_node(tree, tree.root(), cx, "", true, &mut out);
-    out
-}
-
-/// Renders a per-round transcript (the `compile_explain` output) from a
-/// captured event stream: one header line per [`CompileEvent::RoundEnd`]
-/// followed by that round's [`CompileEvent::TreeSnapshot`].
-///
-/// This is a pure consumer of the structured trace — it never touches the
-/// call tree itself, so any `CollectingSink`-captured compilation can be
-/// replayed into the same human-readable form.
-pub fn render_trace(events: &[CompileEvent]) -> String {
-    let mut out = String::new();
-    for event in events {
-        match event {
-            CompileEvent::RoundEnd {
-                round,
-                expanded,
-                inlined,
-                root_size,
-                ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "── round {round}: expanded={expanded} inlined={inlined} root={root_size:.0} ──"
-                );
-            }
-            CompileEvent::TreeSnapshot { text, .. } => out.push_str(text),
-            // Deoptimization lifecycle: rendered inline so a replayed
-            // transcript shows why a method left (and re-entered) the code
-            // cache between compilations.
-            CompileEvent::Deoptimized { method, reason } => {
-                let _ = writeln!(out, "!! deopt {method}: {reason}");
-            }
-            CompileEvent::CodeInvalidated {
-                method,
-                bytes,
-                recompiles,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "!! invalidated {method}: {bytes} bytes, recompiles={recompiles}"
-                );
-            }
-            CompileEvent::Recompiled {
-                method,
-                recompiles,
-                threshold,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "!! recompiled {method}: attempt {recompiles}, bar {threshold}"
-                );
-            }
-            CompileEvent::SpeculationPinned { method } => {
-                let _ = writeln!(out, "!! pinned {method}: fallback-only from here");
-            }
-            // Code-cache lifecycle: evictions, admission verdicts and
-            // re-admissions are part of the same between-compilations story.
-            CompileEvent::CodeEvicted {
-                method,
-                bytes,
-                policy,
-                resident_uses,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "!! evicted {method}: {bytes} bytes by {policy}, uses={resident_uses}"
-                );
-            }
-            CompileEvent::AdmissionRejected {
-                method,
-                bytes,
-                reason,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "!! admission rejected {method}: {bytes} bytes, {reason}"
-                );
-            }
-            CompileEvent::MethodAged { method, idle } => {
-                let _ = writeln!(out, "!! aged {method}: idle for {idle} uses");
-            }
-            CompileEvent::ReTiered { method, evictions } => {
-                let _ = writeln!(out, "!! re-tiered {method} after {evictions} evictions");
-            }
-            // Server-simulation timeline markers, interleaved so a replayed
-            // transcript shows which requests paid for which compilations.
-            CompileEvent::RequestRetired {
-                tenant,
-                request,
-                latency,
-                stall,
-            } => {
-                let _ = writeln!(
-                    out,
-                    ">> request {request} ({tenant}): latency={latency} stall={stall}"
-                );
-            }
-            CompileEvent::QueueDepth { request, depth } => {
-                let _ = writeln!(out, ">> queue depth @{request}: {depth}");
-            }
-            _ => {}
-        }
-    }
     out
 }
 

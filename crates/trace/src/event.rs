@@ -96,8 +96,8 @@ impl fmt::Display for CodeTier {
 // used to restate it: `name()` (the variant's identifier), `to_json()`
 // (`"ev"` first, then every field under its own name in declaration order,
 // encoded by its type's `JsonField` impl) and `method()` (the field named
-// `method`). Adding an event is a variant here, its arm in the hand-written
-// `Display` below and its row in `tests/trace_schema.table`.
+// `method`). `to_json()` is the only rendering of an event, so adding one is
+// a variant here and its row in `tests/trace_schema.table`.
 macro_rules! events {
     (
         $(#[$meta:meta])*
@@ -474,224 +474,5 @@ events! {
             /// The support bar it failed to meet.
             required: u64,
         },
-    }
-}
-
-fn opt_method(method: &Option<MethodId>) -> String {
-    match method {
-        Some(m) => m.to_string(),
-        None => "-".to_string(),
-    }
-}
-
-impl fmt::Display for CompileEvent {
-    /// Human-readable one-line rendering, used by [`crate::StderrSink`].
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileEvent::RoundStart {
-                method,
-                round,
-                root_size,
-                tree_nodes,
-            } => write!(
-                f,
-                "round {round} start: root {method} |ir|={root_size:.0} tree={tree_nodes}"
-            ),
-            CompileEvent::RoundEnd {
-                method,
-                round,
-                expanded,
-                inlined,
-                root_size,
-                tree_nodes,
-            } => write!(
-                f,
-                "round {round} end: root {method} expanded={expanded} inlined={inlined} \
-                 |ir|={root_size:.0} tree={tree_nodes}"
-            ),
-            CompileEvent::NodeExpanded {
-                method,
-                kind,
-                freq,
-                priority,
-                ns,
-                no,
-                attached,
-            } => write!(
-                f,
-                "  expand {method} [{kind}] f={freq:.2} p={priority:.2} \
-                 Ns={ns} No={no} attached={attached}"
-            ),
-            CompileEvent::CutoffDeferred {
-                method,
-                local_benefit,
-                ir_size,
-                root_ir,
-                required_density,
-                penalty,
-            } => write!(
-                f,
-                "  defer {method} b_l={local_benefit:.2} |ir|={ir_size:.0} \
-                 root={root_ir:.0} bar={required_density:.4} penalty={penalty:.2}"
-            ),
-            CompileEvent::ClusterFormed {
-                method,
-                members,
-                benefit,
-                cost,
-            } => write!(
-                f,
-                "  cluster {} members={members} b|c={benefit:.1}|{cost:.0}",
-                opt_method(method)
-            ),
-            CompileEvent::InlineDecision {
-                method,
-                benefit,
-                cost,
-                threshold,
-                root_size,
-                accepted,
-            } => write!(
-                f,
-                "  {} {} b|c={benefit:.1}|{cost:.0} bar={threshold:.4} root={root_size:.0}",
-                if *accepted { "inline" } else { "reject" },
-                opt_method(method)
-            ),
-            CompileEvent::OptPassStats {
-                phase,
-                stage,
-                stats,
-            } => write!(
-                f,
-                "  opt[{phase}/{stage}] {} transforms ({} simple, {} dce, {} gvn)",
-                stats.total(),
-                stats.simple_count(),
-                stats.dce,
-                stats.gvn
-            ),
-            CompileEvent::FuelCharged { amount, spent } => {
-                write!(f, "  fuel +{amount} (spent {spent})")
-            }
-            CompileEvent::TreeSnapshot { round, text } => {
-                write!(f, "call tree after round {round}:\n{text}")
-            }
-            CompileEvent::TierTransition { method, tier } => {
-                write!(f, "{method} -> {tier} tier")
-            }
-            CompileEvent::Bailout {
-                method,
-                stage,
-                error,
-            } => write!(f, "bailout {method} at {stage} tier: {error}"),
-            CompileEvent::CodeInstalled {
-                method,
-                bytes,
-                graph_size,
-                work_nodes,
-            } => write!(
-                f,
-                "installed {method}: {bytes} bytes, |ir|={graph_size}, work={work_nodes}"
-            ),
-            CompileEvent::Deoptimized { method, reason } => {
-                write!(f, "{method} deoptimized: {reason}")
-            }
-            CompileEvent::CodeInvalidated {
-                method,
-                bytes,
-                recompiles,
-            } => write!(
-                f,
-                "invalidated {method}: {bytes} bytes released, recompiles={recompiles}"
-            ),
-            CompileEvent::Recompiled {
-                method,
-                recompiles,
-                threshold,
-            } => write!(
-                f,
-                "recompiled {method}: attempt {recompiles}, hotness bar {threshold}"
-            ),
-            CompileEvent::SpeculationPinned { method } => {
-                write!(f, "{method} pinned to fallback-only code")
-            }
-            CompileEvent::CodeEvicted {
-                method,
-                bytes,
-                policy,
-                resident_uses,
-            } => write!(
-                f,
-                "evicted {method}: {bytes} bytes freed by {policy}, uses={resident_uses}"
-            ),
-            CompileEvent::AdmissionRejected {
-                method,
-                bytes,
-                reason,
-            } => write!(f, "admission rejected {method}: {bytes} bytes, {reason}"),
-            CompileEvent::MethodAged { method, idle } => {
-                write!(f, "{method} aged: idle for {idle} uses")
-            }
-            CompileEvent::ReTiered { method, evictions } => {
-                write!(f, "re-tiered {method} after {evictions} evictions")
-            }
-            CompileEvent::RequestRetired {
-                tenant,
-                request,
-                latency,
-                stall,
-            } => write!(
-                f,
-                "request {request} retired for {tenant}: latency={latency} stall={stall}"
-            ),
-            CompileEvent::QueueDepth { request, depth } => {
-                write!(f, "queue depth at request {request}: {depth}")
-            }
-            CompileEvent::SnapshotLoaded {
-                methods,
-                decisions,
-                mode,
-            } => write!(
-                f,
-                "snapshot loaded: {methods} profiles, {decisions} decisions, replay={mode}"
-            ),
-            CompileEvent::SnapshotFallback { reason } => {
-                write!(f, "snapshot fallback to cold start: {reason}")
-            }
-            CompileEvent::SnapshotWritten {
-                methods,
-                decisions,
-                bytes,
-            } => write!(
-                f,
-                "snapshot written: {methods} profiles, {decisions} decisions, {bytes} bytes"
-            ),
-            CompileEvent::SnapshotMerged {
-                replicas,
-                methods,
-                decisions,
-                conflicts,
-                aged_out,
-            } => write!(
-                f,
-                "snapshot merged: {replicas} replicas -> {methods} profiles, \
-                 {decisions} decisions ({conflicts} conflicts, {aged_out} aged out)"
-            ),
-            CompileEvent::DecisionPoisoned {
-                method,
-                activations,
-                window,
-            } => write!(
-                f,
-                "{method} poisoned: deopt after {activations} activations (window {window})"
-            ),
-            CompileEvent::DecisionAgedOut {
-                method,
-                hotness,
-                required,
-            } => write!(
-                f,
-                "{method} decision aged out: hotness {hotness} < support {required}"
-            ),
-        }
     }
 }

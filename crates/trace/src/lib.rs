@@ -10,10 +10,12 @@
 //! - [`NullSink`]: the zero-cost default (reports `enabled() == false`, so
 //!   producers skip event construction entirely),
 //! - [`CollectingSink`]: buffers events in memory for programmatic consumers,
-//! - [`StderrSink`]: prints human-readable lines, preserving the old
-//!   `INCLINE_TRACE` debugging workflow as explicit API,
 //! - [`JsonlSink`]: one JSON object per line, through [`json`] — the
 //!   workspace's one JSON writer and strict reader, no external deps.
+//!
+//! [`CompileEvent::to_json`], generated from the declaration, is the only
+//! rendering of an event: the command line's `--trace` and `--trace-json`
+//! both stream it.
 //!
 //! The stream is deterministic: two compilations of the same program with the
 //! same configuration produce byte-identical JSONL traces. Sinks are
@@ -27,7 +29,7 @@ pub mod json;
 mod sink;
 
 pub use event::{BailoutStage, CodeTier, CompileEvent, OptPhase};
-pub use sink::{CollectingSink, JsonlSink, NullSink, StderrSink, TraceSink, NULL_SINK};
+pub use sink::{CollectingSink, JsonlSink, NullSink, TraceSink, NULL_SINK};
 
 use incline_ir::{Graph, Program};
 use incline_opt::{optimize_observed, CompileFuel, PipelineConfig, PipelineRun};

@@ -41,7 +41,7 @@ impl TraceSink for NullSink {
 /// A shared [`NullSink`] for contexts that need a `&'static dyn TraceSink`.
 pub static NULL_SINK: NullSink = NullSink;
 
-/// Buffers events in memory for programmatic consumers (`compile_explain`,
+/// Buffers events in memory for programmatic consumers (`compile --explain`,
 /// tests, visualizers).
 #[derive(Debug, Default)]
 pub struct CollectingSink {
@@ -68,28 +68,11 @@ impl CollectingSink {
     pub fn take(&self) -> Vec<CompileEvent> {
         std::mem::take(&mut *self.events.lock().expect("sink lock"))
     }
-
-    /// Clone the collected events, leaving the buffer intact.
-    pub fn snapshot(&self) -> Vec<CompileEvent> {
-        self.events.lock().expect("sink lock").clone()
-    }
 }
 
 impl TraceSink for CollectingSink {
     fn emit(&self, event: CompileEvent) {
         self.events.lock().expect("sink lock").push(event);
-    }
-}
-
-/// Prints each event as a human-readable `[incline]`-prefixed line on
-/// stderr — the explicit-API replacement for the old `INCLINE_TRACE`
-/// environment variable.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StderrSink;
-
-impl TraceSink for StderrSink {
-    fn emit(&self, event: CompileEvent) {
-        eprintln!("[incline] {event}");
     }
 }
 
@@ -114,15 +97,6 @@ impl<W: Write> JsonlSink<W> {
     /// Unwrap the writer.
     pub fn into_inner(self) -> W {
         self.out.into_inner().expect("sink lock")
-    }
-
-    /// Take the writer out through a shared reference, leaving a default one
-    /// behind — handy when the sink is held as `Arc<JsonlSink<Vec<u8>>>`.
-    pub fn take(&self) -> W
-    where
-        W: Default,
-    {
-        std::mem::take(&mut *self.out.lock().expect("sink lock"))
     }
 }
 

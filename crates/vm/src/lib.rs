@@ -60,9 +60,7 @@ pub use incline_core::{
 pub use incline_opt::{CompileFuel, UNLIMITED_FUEL};
 /// The structured tracing layer, re-exported for consumers of this crate.
 pub use incline_trace as trace;
-pub use incline_trace::{
-    CollectingSink, CompileEvent, JsonlSink, NullSink, StderrSink, TraceSink, NULL_SINK,
-};
+pub use incline_trace::{CollectingSink, CompileEvent, JsonlSink, NullSink, TraceSink, NULL_SINK};
 pub use machine::{
     BailoutCounters, BailoutRecord, CompilationReport, CompileStage, ExecError, InstallPolicy,
     Machine, RunOutcome, VmConfig,

@@ -130,7 +130,8 @@ Inliners: incremental (default), greedy, c2, none.
 Server: a seeded multi-tenant serving simulation (bursty arrivals, per-tenant
 phase flips) printing request-latency and mutator-stall tails per tenant, for
 at most 1024 tenants.
-Tracing: --trace streams compile events to stderr; --trace-json FILE writes JSONL.
+Tracing: --trace streams compile events to stderr as JSONL, one line per event;
+--trace-json FILE writes the same lines to FILE.
 Deoptimization is on by default for run/bench: hot typeswitches may speculate
 with uncommon traps, deoptimize, and recompile. --no-deopt restricts compiled
 code to the always-correct virtual fallback.
@@ -294,35 +295,47 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     vm.run(entry, entry_args)
         .map_err(|e| format!("profiling run: {e}"))?;
     let profiles = vm.profiles().clone();
-    let trace = opts.trace_out()?;
-    let sink = trace.sink();
-    let mut cx = CompileCx::new(&program, &profiles);
-    if let Some(sink) = &sink {
-        cx = cx.with_trace(sink.as_ref());
+    let explain = flag(args, "--explain");
+    if explain && opts.inliner != "incremental" {
+        return Err("--explain requires the incremental inliner".to_string());
     }
-
-    if flag(args, "--explain") {
-        if opts.inliner != "incremental" {
-            return Err("--explain requires the incremental inliner".to_string());
+    let inliner = opts.make_inliner()?;
+    let trace = opts.trace_out()?;
+    // Collected, then forwarded: `--explain` prints each round's `RoundEnd`
+    // line and call tree from the very events the trace receives.
+    let events = CollectingSink::new();
+    let out = inliner.compile(
+        entry,
+        &CompileCx::new(&program, &profiles).with_trace(&events),
+    );
+    let sink = trace.sink();
+    if explain {
+        println!("=== call tree per round ===");
+    }
+    for event in events.take() {
+        match &event {
+            CompileEvent::RoundEnd { .. } if explain => println!("{}", event.to_json()),
+            CompileEvent::TreeSnapshot { text, .. } if explain => print!("{text}"),
+            _ => {}
         }
-        let (out, explain) = IncrementalInliner::new()
-            .compile_explain(entry, &cx)
-            .map_err(|e| e.to_string())?;
-        println!("=== call tree per round ===\n{explain}");
+        if let Some(sink) = &sink {
+            sink.emit(event);
+        }
+    }
+    drop(sink);
+    trace.finish()?;
+    let out = out.map_err(|e| e.to_string())?;
+    if explain {
         println!(
-            "=== compiled IR ===\n{}",
+            "\n=== compiled IR ===\n{}",
             incline::ir::print::graph_str(&program, &out.graph)
         );
         println!("stats: {:?}", out.stats);
     } else {
-        let inliner = opts.make_inliner()?;
-        let out = inliner.compile(entry, &cx).map_err(|e| e.to_string())?;
         println!("{}", incline::ir::print::graph_str(&program, &out.graph));
         eprintln!("stats: {:?}", out.stats);
     }
-    // The context borrowed the sink; `finish` needs the only handle.
-    drop(sink);
-    trace.finish()
+    Ok(())
 }
 
 fn cmd_dot(args: &[String]) -> Result<(), String> {

@@ -16,12 +16,12 @@
 //! `--cache-budget` whose value was forgotten can silently measure an
 //! unbounded cache.
 
-use std::io::Write as _;
+use std::io::{BufWriter, LineWriter, Write};
 use std::sync::Arc;
 
 use incline_baselines::{C2Inliner, GreedyInliner};
 use incline_core::IncrementalInliner;
-use incline_trace::{JsonlSink, StderrSink, TraceSink};
+use incline_trace::{JsonlSink, TraceSink};
 use incline_vm::{EvictionPolicy, Inliner, InstallPolicy, NoInline, Session, SnapshotIo, VmConfig};
 
 /// Returns true when `name` appears anywhere in `args`.
@@ -113,7 +113,7 @@ pub fn usage_flags(flags: &[Flag], width: usize) -> Vec<String> {
 pub struct CommonOpts {
     /// Inliner name: `incremental` (default), `greedy`, `c2`, or `none`.
     pub inliner: String,
-    /// Stream compile events to stderr (`--trace`).
+    /// Stream compile events to stderr as JSONL (`--trace`).
     pub trace: bool,
     /// Write compile events as JSONL to this file (`--trace-json FILE`).
     pub trace_json: Option<String>,
@@ -292,52 +292,57 @@ impl CommonOpts {
         Ok((session, trace))
     }
 
-    /// Opens the trace destination these options describe (JSONL file,
-    /// stderr, or none). Call [`TraceOut::finish`] after the run to flush.
+    /// Opens the trace destination these options describe: JSONL into the
+    /// file of `--trace-json FILE`, else into stderr for `--trace`, else
+    /// none. Call [`TraceOut::finish`] after the run to flush.
     pub fn trace_out(&self) -> Result<TraceOut, String> {
-        let json = match &self.trace_json {
+        let out: Box<dyn Write + Send> = match &self.trace_json {
             Some(path) => {
                 let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-                let sink = Arc::new(JsonlSink::new(std::io::BufWriter::new(f)));
-                Some((sink, path.clone()))
+                Box::new(BufWriter::new(f))
             }
-            None => None,
+            None if self.trace => Box::new(LineWriter::new(std::io::stderr())),
+            None => return Ok(TraceOut::default()),
         };
         Ok(TraceOut {
-            json,
-            stderr: self.trace,
+            sink: Some(Arc::new(JsonlSink::new(out))),
+            path: self.trace_json.clone(),
         })
     }
 }
 
 /// An open trace destination: hand [`TraceOut::sink`] to the session,
-/// then [`TraceOut::finish`] to flush once the run completes.
+/// then [`TraceOut::finish`] to flush once the run completes. `--trace` and
+/// `--trace-json` write the same bytes, one [`CompileEvent::to_json`] line
+/// per event.
+///
+/// [`CompileEvent::to_json`]: incline_trace::CompileEvent::to_json
+#[derive(Default)]
 pub struct TraceOut {
-    json: Option<(Arc<JsonlSink<std::io::BufWriter<std::fs::File>>>, String)>,
-    stderr: bool,
+    sink: Option<Arc<JsonlSink<Box<dyn Write + Send>>>>,
+    /// The file of `--trace-json`; `None` when the trace goes to stderr.
+    path: Option<String>,
 }
 
 impl TraceOut {
     /// The sink to install on the session, if any tracing was requested.
     pub fn sink(&self) -> Option<Arc<dyn TraceSink>> {
-        if let Some((sink, _)) = &self.json {
-            Some(sink.clone())
-        } else if self.stderr {
-            Some(Arc::new(StderrSink))
-        } else {
-            None
-        }
+        self.sink.clone().map(|sink| sink as Arc<dyn TraceSink>)
     }
 
-    /// Flushes a JSONL trace to disk. Call after the session has finished
-    /// (and dropped its sink handle).
+    /// Flushes the trace. Call after the session has finished (and dropped
+    /// its sink handle).
     pub fn finish(self) -> Result<(), String> {
-        if let Some((sink, path)) = self.json {
-            let owned = Arc::try_unwrap(sink).map_err(|_| "trace sink still shared".to_string())?;
-            owned
-                .into_inner()
-                .flush()
-                .map_err(|e| format!("{path}: {e}"))?;
+        let Some(sink) = self.sink else {
+            return Ok(());
+        };
+        let owned = Arc::try_unwrap(sink).map_err(|_| "trace sink still shared".to_string())?;
+        let dest = self.path.as_deref().unwrap_or("stderr");
+        owned
+            .into_inner()
+            .flush()
+            .map_err(|e| format!("{dest}: {e}"))?;
+        if let Some(path) = self.path {
             eprintln!("trace written to {path}");
         }
         Ok(())

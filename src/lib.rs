@@ -44,9 +44,7 @@ pub mod prelude {
     pub use incline_core::typeswitch::FallbackMode;
     pub use incline_core::{IncrementalInliner, PolicyConfig};
     pub use incline_ir::{DeoptReason, FunctionBuilder, Graph, Program, Type};
-    pub use incline_trace::{
-        CollectingSink, CompileEvent, JsonlSink, NullSink, StderrSink, TraceSink,
-    };
+    pub use incline_trace::{CollectingSink, CompileEvent, JsonlSink, NullSink, TraceSink};
     pub use incline_vm::{
         BailoutCounters, BenchSpec, CacheStats, CompilationReport, CompileCx, CompileError,
         CompileFuel, EvictionPolicy, FaultKind, FaultPlan, FileStore, Inliner, InstallPolicy,

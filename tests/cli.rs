@@ -156,6 +156,53 @@ fn compile_writes_its_trace_to_the_named_file() {
     );
 }
 
+/// `compile --explain` prints every round's `RoundEnd` line followed by that
+/// round's call tree, and its `--trace-json FILE` holds the bytes a compile
+/// without `--explain` writes. FILE used to be left empty.
+#[test]
+fn compile_explain_writes_the_trace_of_a_plain_compile() {
+    let fib = concat!(env!("CARGO_MANIFEST_DIR"), "/samples/fib.ir");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let file = |name: &str| dir.join(name).to_str().expect("a UTF-8 path").to_string();
+    let (explained, plain) = (file("explain_trace.jsonl"), file("plain_trace.jsonl"));
+    let stdout = incline_stdout(&["compile", fib, "--explain", "--trace-json", &explained]);
+    incline_stdout(&["compile", fib, "--trace-json", &plain]);
+    let trace = std::fs::read_to_string(&explained).expect("the trace file exists");
+    assert_eq!(
+        trace,
+        std::fs::read_to_string(&plain).expect("the trace file exists")
+    );
+    let rounds: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.starts_with(r#"{"ev":"RoundEnd""#))
+        .collect();
+    assert!(!rounds.is_empty(), "{trace}");
+    for round in rounds {
+        assert!(stdout.contains(&format!("{round}\n[R] main")), "{stdout}");
+    }
+}
+
+/// `bench --trace` streams to stderr exactly the JSONL that `--trace-json
+/// FILE` writes to FILE, the deoptimization lifecycle included.
+#[test]
+fn bench_trace_streams_the_jsonl_of_trace_json() {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("phase_change.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_incline"))
+        .args(["bench", "phase_change", "--trace"])
+        .output()
+        .expect("the incline binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    incline_stdout(&[
+        "bench",
+        "phase_change",
+        "--trace-json",
+        file.to_str().expect("a UTF-8 path"),
+    ]);
+    let written = std::fs::read_to_string(&file).expect("the trace file exists");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), written);
+    assert!(written.contains(r#""ev":"Deoptimized""#), "{written}");
+}
+
 /// A snapshot whose header claims 2^64-1 profiles, under a valid checksum
 /// (FNV-1a is no secret): a counted cold start. The loader used to size a
 /// vector from the claim and abort (exit 101; 134 for smaller lies).
