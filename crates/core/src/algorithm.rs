@@ -200,11 +200,13 @@ type Audit =
 /// to cutoff nodes) and whether the subtree still holds a cutoff that has
 /// not been refused.
 ///
-/// Rebuilt after every expansion and refusal in two sweeps over the node
-/// arena from the back (children are created after their parents, so a
-/// child's entry is final when its parent reads it) — `descend` then costs
-/// a lookup per candidate instead of a walk of the candidate's subtree.
-#[derive(Debug, Default)]
+/// Built once per expansion phase in one sweep over the node arena from the
+/// back (children are created after their parents, so a child's entry is
+/// final when its parent reads it), then kept current along the changed
+/// node's ancestor path after every expansion and refusal. `descend` costs
+/// a lookup per candidate instead of a walk of the candidate's subtree, and
+/// a step costs its depth times the fan-out instead of a sweep of the tree.
+#[derive(Debug)]
 struct ExpansionView {
     metrics: Vec<SubtreeMetrics>,
     intrinsic: Vec<f64>,
@@ -212,42 +214,83 @@ struct ExpansionView {
 }
 
 impl ExpansionView {
-    /// `refused[n]` marks cutoffs the expansion test turned down this phase.
-    fn refresh(
-        &mut self,
-        tree: &CallTree,
-        refused: &[bool],
-        cx: &CompileCx<'_>,
-        config: &PolicyConfig,
-    ) {
-        tree.subtree_metrics_into(cx, &mut self.metrics);
-        self.intrinsic.clear();
+    /// The view of `tree`, in which no cutoff has been refused yet.
+    fn new(tree: &CallTree, cx: &CompileCx<'_>, config: &PolicyConfig) -> Self {
+        let mut view = ExpansionView {
+            metrics: Vec::new(),
+            intrinsic: Vec::new(),
+            open: Vec::new(),
+        };
+        view.enter_new_nodes(tree, cx, config);
+        view
+    }
+
+    /// Sizes the tables for the nodes created since the last call and
+    /// settles them from the back.
+    fn enter_new_nodes(&mut self, tree: &CallTree, cx: &CompileCx<'_>, config: &PolicyConfig) {
+        let first = self.metrics.len();
+        self.metrics.resize(tree.len(), SubtreeMetrics::default());
         self.intrinsic.resize(tree.len(), f64::NEG_INFINITY);
-        self.open.clear();
         self.open.resize(tree.len(), false);
-        for n in tree.node_ids().rev() {
-            let node = tree.node(n);
-            match node.kind {
-                NodeKind::Cutoff => {
-                    let mut p = tree.local_benefit(n) / tree.ir_size(n, cx).max(1.0);
-                    if config.recursion_penalty {
-                        p -= recursion_penalty(node.freq, node.rec_depth);
-                    }
-                    self.intrinsic[n.0] = p;
-                    self.open[n.0] = !refused[n.0];
+        for n in (first..tree.len()).rev() {
+            self.settle(tree, NodeId(n), cx, config);
+        }
+    }
+
+    /// Recomputes the entries of `n` from its children's, which must be
+    /// final. The sums are integer-valued, so they are exact in any order,
+    /// and the priority maximum is folded in child order, as the recursive
+    /// definition does, so it is the same float. A cutoff reaching here has
+    /// not been refused: a refusal only clears flags.
+    fn settle(&mut self, tree: &CallTree, n: NodeId, cx: &CompileCx<'_>, config: &PolicyConfig) {
+        self.metrics[n.0] = tree.subtree_metrics_from(n, cx, &self.metrics);
+        let node = tree.node(n);
+        match node.kind {
+            NodeKind::Cutoff => {
+                let mut p = tree.local_benefit(n) / tree.ir_size(n, cx).max(1.0);
+                if config.recursion_penalty {
+                    p -= recursion_penalty(node.freq, node.rec_depth);
                 }
-                NodeKind::Expanded | NodeKind::Polymorphic | NodeKind::Root => {
-                    // Folded in child order, as the recursive definition
-                    // does, so the result is the same float.
-                    self.intrinsic[n.0] = node
-                        .children
-                        .iter()
-                        .map(|&c| self.intrinsic[c.0])
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    self.open[n.0] = node.children.iter().any(|&c| self.open[c.0]);
-                }
-                _ => {}
+                self.intrinsic[n.0] = p;
+                self.open[n.0] = true;
             }
+            NodeKind::Expanded | NodeKind::Polymorphic | NodeKind::Root => {
+                self.intrinsic[n.0] = node
+                    .children
+                    .iter()
+                    .map(|&c| self.intrinsic[c.0])
+                    .fold(f64::NEG_INFINITY, f64::max);
+                self.open[n.0] = node.children.iter().any(|&c| self.open[c.0]);
+            }
+            _ => {}
+        }
+    }
+
+    /// After `expand_node(c)`: enters the nodes it created (all in `c`'s
+    /// subtree), then settles `c` and every ancestor, whose sums changed
+    /// and whose maximum may have gone down as well as up.
+    fn expanded(&mut self, tree: &CallTree, c: NodeId, cx: &CompileCx<'_>, config: &PolicyConfig) {
+        self.enter_new_nodes(tree, cx, config);
+        let mut up = Some(c);
+        while let Some(a) = up {
+            self.settle(tree, a, cx, config);
+            up = tree.node(a).parent;
+        }
+    }
+
+    /// After the expansion test turned the cutoff `c` down: closes it for
+    /// the rest of the phase, and every ancestor left without an open
+    /// cutoff. Nothing above the first ancestor whose flag stays can change.
+    fn refused(&mut self, tree: &CallTree, c: NodeId) {
+        self.open[c.0] = false;
+        let mut up = tree.node(c).parent;
+        while let Some(a) = up {
+            let open = tree.node(a).children.iter().any(|&k| self.open[k.0]);
+            if open == self.open[a.0] {
+                break;
+            }
+            self.open[a.0] = open;
+            up = tree.node(a).parent;
         }
     }
 
@@ -292,14 +335,13 @@ fn expand_phase(
     audit: Audit,
 ) -> usize {
     let mut refused: Vec<bool> = Vec::new();
-    let mut view = ExpansionView::default();
+    let mut view = ExpansionView::new(tree, cx, config);
     let mut expansions = 0usize;
     loop {
         if expansions >= config.max_expansions_per_round {
             break;
         }
         refused.resize(tree.len(), false);
-        view.refresh(tree, &refused, cx, config);
         if let Some(audit) = audit {
             audit(tree, Some((&view, &refused)), cx, config);
         }
@@ -314,6 +356,7 @@ fn expand_phase(
         if should_expand(&config.expansion, b_l, ir, root_metrics.s_ir) {
             let won_priority = view.intrinsic[cutoff.0];
             let attached = tree.expand_node(cutoff, cx, config);
+            view.expanded(tree, cutoff, cx, config);
             expansions += 1;
             cx.emit(|| {
                 let node = tree.node(cutoff);
@@ -340,6 +383,7 @@ fn expand_phase(
                 }
             });
             refused[cutoff.0] = true;
+            view.refused(tree, cutoff);
         }
     }
     expansions
@@ -596,7 +640,8 @@ fn inline_cluster(
         return Vec::new();
     };
 
-    let children: Vec<NodeId> = tree.node(n).children.clone();
+    // The node is consumed: its children will hang off the root.
+    let children = std::mem::take(&mut tree.node_mut(n).children);
     match kind {
         NodeKind::Expanded => {
             let body = tree
@@ -604,9 +649,11 @@ fn inline_cluster(
                 .graph
                 .take()
                 .expect("expanded node has a graph");
-            let res = tree.edit_root(|root_graph| inline_call(root_graph, block, callsite, &body));
-            step.index
-                .absorb_step(tree.root_graph(), res.continuation, res.return_edges > 0);
+            let res = tree.inline_step(&mut step.index, block, |root_graph| {
+                let res = inline_call(root_graph, block, callsite, &body);
+                let (continuation, returns) = (res.continuation, res.return_edges > 0);
+                (res, continuation, returns)
+            });
             step.inlined += 1;
             tree.node_mut(n).kind = NodeKind::Inlined;
             for &c in &children {
@@ -634,12 +681,13 @@ fn inline_cluster(
             // replaces the virtual fallback with an uncommon trap.
             let coverage: f64 = children.iter().map(|&c| tree.node(c).poly_prob).sum();
             let fallback = cx.speculation.fallback(coverage);
-            let res = tree.edit_root(|root_graph| {
-                emit_typeswitch(cx.program, root_graph, block, callsite, &cases, fallback)
+            let res = tree.inline_step(&mut step.index, block, |root_graph| {
+                let res =
+                    emit_typeswitch(cx.program, root_graph, block, callsite, &cases, fallback);
+                // Every case jumps to the continuation, so it stays reachable.
+                let continuation = res.continuation;
+                (res, continuation, true)
             });
-            // Every case jumps to the continuation, so it stays reachable.
-            step.index
-                .absorb_step(tree.root_graph(), res.continuation, true);
             step.inlined += 1; // the typeswitch itself is an inlining decision
             *step.spec_sites += 1;
             tree.node_mut(n).kind = NodeKind::Inlined;
@@ -772,7 +820,7 @@ mod reference {
         config: &PolicyConfig,
     ) {
         // Inside the expansion phase the table under audit is the phase's
-        // own (it must have been refreshed); elsewhere a fresh sweep.
+        // own, kept current step by step; elsewhere a fresh sweep.
         let mut fresh = Vec::new();
         let swept = match phase {
             Some((view, _)) => &view.metrics,
@@ -1058,6 +1106,58 @@ mod tests {
             "recursion penalty must bound growth, got {}",
             out.stats.final_size
         );
+    }
+
+    /// A hot callee that never returns: inlining it leaves the continuation,
+    /// and the blocks after it, unreachable, so the root's `|ir|` cannot be
+    /// updated by the step's delta and must be re-measured. The audit holds
+    /// the stored size to a fresh `Graph::size()` after the step.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn inlining_a_callee_that_never_returns_re_measures_the_root() {
+        let mut p = Program::new();
+        let spin = p.declare_function("spin", vec![Type::Int], Type::Int);
+        let root = p.declare_function("root", vec![Type::Int], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, spin);
+        let forever = fb.add_block();
+        fb.jump(forever, vec![]);
+        fb.switch_to(forever);
+        fb.jump(forever, vec![]);
+        let g = fb.finish();
+        p.define_method(spin, g);
+
+        // root(x) = spin(x) < 1 ? 1 : 2
+        let mut fb = FunctionBuilder::new(&p, root);
+        let x = fb.param(0);
+        let r = fb.call_static(spin, vec![x]).unwrap();
+        let one = fb.const_int(1);
+        let c = fb.cmp(CmpOp::ILt, r, one);
+        let (small, large) = (fb.add_block(), fb.add_block());
+        fb.branch(c, (small, vec![]), (large, vec![]));
+        fb.switch_to(small);
+        fb.ret(Some(one));
+        fb.switch_to(large);
+        let two = fb.const_int(2);
+        fb.ret(Some(two));
+        let g = fb.finish();
+        p.define_method(root, g);
+
+        let mut profiles = ProfileTable::new();
+        for _ in 0..100 {
+            profiles.record_invocation(root);
+            profiles.record_callsite(incline_ir::CallSiteId {
+                method: root,
+                index: 0,
+            });
+            profiles.record_invocation(spin);
+        }
+        let out = IncrementalInliner::new()
+            .compile_audited(root, &cx(&p, &profiles))
+            .unwrap();
+        assert_eq!(out.stats.inlined_calls, 1, "{:?}", out.stats);
+        assert!(out.graph.callsites().is_empty());
+        assert_eq!(out.stats.final_size, out.graph.size() as u64);
+        verify_graph(&p, &out.graph, &[Type::Int], RetType::Value(Type::Int)).unwrap();
     }
 
     #[test]

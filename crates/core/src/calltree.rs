@@ -129,15 +129,14 @@ pub struct CallTree {
     nodes: Vec<CallNode>,
     root: NodeId,
     /// The evolving root graph (the compilation result). Private so every
-    /// change goes through [`CallTree::edit_root`], which keeps `root_size`
-    /// true.
+    /// change goes through [`CallTree::optimize_root`] or
+    /// [`CallTree::inline_step`], which keep `root_size` true.
     root_graph: Graph,
     /// `root_graph.size()`.
     root_size: usize,
     /// Whether the last pipeline run on the root left it at its fixpoint
     /// (`PipelineRun::converged`) and nothing has edited it since. Set by
-    /// [`CallTree::optimize_root`] only, cleared by every
-    /// [`CallTree::edit_root`].
+    /// [`CallTree::optimize_root`] only, cleared by every edit.
     root_converged: bool,
     root_method: MethodId,
     /// Total IR nodes attached by expansions (compile-work accounting).
@@ -216,16 +215,45 @@ impl CallTree {
         &self.root_graph
     }
 
-    /// `|ir|` of the root graph, as of the last [`CallTree::edit_root`].
+    /// `|ir|` of the root graph, kept current by every edit.
     pub fn root_size(&self) -> usize {
         self.root_size
     }
 
-    /// Changes the root graph and re-measures it.
-    pub fn edit_root<R>(&mut self, edit: impl FnOnce(&mut Graph) -> R) -> R {
+    /// Changes the root graph and re-measures it: the way of an edit that
+    /// can touch any block (the optimization pipeline). An inlining step
+    /// goes through [`CallTree::inline_step`].
+    fn edit_root<R>(&mut self, edit: impl FnOnce(&mut Graph) -> R) -> R {
         self.root_converged = false;
         let result = edit(&mut self.root_graph);
         self.root_size = self.root_graph.size();
+        result
+    }
+
+    /// Runs one inlining step (`inline_call` or typeswitch emission) on the
+    /// root: `edit` splits the reachable `block` at a call and returns the
+    /// continuation block and whether it is still reachable. Brings `index`
+    /// up to date and updates `|ir|` by what the step changed — the split
+    /// block's new count and the appended blocks' counts in place of the
+    /// split block's old one — instead of re-measuring the root. A step
+    /// whose continuation is unreachable (the body never returns) may have
+    /// cut off the blocks after the call too; only then is the root
+    /// re-measured.
+    pub(crate) fn inline_step<R>(
+        &mut self,
+        index: &mut RootIndex,
+        block: BlockId,
+        edit: impl FnOnce(&mut Graph) -> (R, BlockId, bool),
+    ) -> R {
+        self.root_converged = false;
+        let before = live_count(&self.root_graph, block);
+        let (result, continuation, reachable) = edit(&mut self.root_graph);
+        let added = index.absorb_step(&self.root_graph, continuation, reachable);
+        self.root_size = if reachable {
+            self.root_size + live_count(&self.root_graph, block) + added - before
+        } else {
+            self.root_graph.size()
+        };
         result
     }
 
@@ -234,11 +262,11 @@ impl CallTree {
     /// what it counted.
     ///
     /// Remembers whether the run left the root at the pipeline's fixpoint.
-    /// While no [`CallTree::edit_root`] has touched the root since, the next
-    /// call is [`incline_opt::optimize_converged`]: the fuel such a run
-    /// pays, in the order it pays it, and nothing else — it would change,
-    /// count and emit nothing. That is every round that inlined nothing and
-    /// every final run: three quarters of all runs.
+    /// While no inlining step has touched the root since, the next call is
+    /// [`incline_opt::optimize_converged`]: the fuel such a run pays, in the
+    /// order it pays it, and nothing else — it would change, count and emit
+    /// nothing. That is every round that inlined nothing and every final
+    /// run: three quarters of all runs.
     pub fn optimize_root(
         &mut self,
         cx: &CompileCx<'_>,
@@ -295,8 +323,8 @@ impl CallTree {
     /// typeswitch size for polymorphic nodes, zero otherwise.
     ///
     /// Stored, not measured: graphs are sized when they are attached
-    /// (methods at `define_method`, expansions at `expand_node`, the root at
-    /// `edit_root`), so asking is free however often the heuristics do.
+    /// (methods at `define_method`, expansions at `expand_node`, the root
+    /// after every edit), so asking is free however often the heuristics do.
     pub fn ir_size(&self, n: NodeId, cx: &CompileCx<'_>) -> f64 {
         let node = &self.nodes[n.0];
         match node.kind {
@@ -321,24 +349,36 @@ impl CallTree {
     pub fn subtree_metrics_into(&self, cx: &CompileCx<'_>, out: &mut Vec<SubtreeMetrics>) {
         out.clear();
         out.resize(self.nodes.len(), SubtreeMetrics::default());
-        for (i, node) in self.nodes.iter().enumerate().rev() {
-            let size = self.ir_size(NodeId(i), cx);
-            let mut m = SubtreeMetrics {
-                s_ir: size,
-                ..SubtreeMetrics::default()
-            };
-            if node.kind == NodeKind::Cutoff {
-                m.s_b = size;
-                m.n_c = 1;
-            }
-            for &c in &node.children {
-                debug_assert!(c.0 > i, "children are created after their parents");
-                m.s_ir += out[c.0].s_ir;
-                m.s_b += out[c.0].s_b;
-                m.n_c += out[c.0].n_c;
-            }
-            out[i] = m;
+        for n in self.node_ids().rev() {
+            out[n.0] = self.subtree_metrics_from(n, cx, out);
         }
+    }
+
+    /// Subtree metrics of `n` from its children's entries in `table`, which
+    /// must be final.
+    pub(crate) fn subtree_metrics_from(
+        &self,
+        n: NodeId,
+        cx: &CompileCx<'_>,
+        table: &[SubtreeMetrics],
+    ) -> SubtreeMetrics {
+        let node = &self.nodes[n.0];
+        let size = self.ir_size(n, cx);
+        let mut m = SubtreeMetrics {
+            s_ir: size,
+            ..SubtreeMetrics::default()
+        };
+        if node.kind == NodeKind::Cutoff {
+            m.s_b = size;
+            m.n_c = 1;
+        }
+        for &c in &node.children {
+            debug_assert!(c.0 > n.0, "children are created after their parents");
+            m.s_ir += table[c.0].s_ir;
+            m.s_b += table[c.0].s_b;
+            m.n_c += table[c.0].n_c;
+        }
+        m
     }
 
     /// Subtree metrics of one node. Sweeps the whole tree; callers that need
@@ -805,22 +845,36 @@ impl RootIndex {
     /// since the last call is indexed. The step's blocks are all reachable
     /// except possibly `continuation` — when the inlined body never
     /// returns, the code after the call is dead, and its instructions
-    /// leave the index.
-    pub(crate) fn absorb_step(
+    /// leave the index. Returns the live count of the reachable blocks it
+    /// indexed.
+    fn absorb_step(
         &mut self,
         graph: &Graph,
         continuation: BlockId,
         continuation_reachable: bool,
-    ) {
+    ) -> usize {
         self.block_of.resize(graph.inst_count(), None);
+        let mut live = 0;
         for b in (self.blocks..graph.block_count()).map(BlockId::new) {
-            let holder = (b != continuation || continuation_reachable).then_some(b);
+            let reachable = b != continuation || continuation_reachable;
+            let holder = reachable.then_some(b);
             for &i in &graph.block(b).insts {
                 self.block_of[i.index()] = holder;
             }
+            if reachable {
+                live += live_count(graph, b);
+            }
         }
         self.blocks = graph.block_count();
+        live
     }
+}
+
+/// A reachable block's share of `Graph::size()`: its parameters, its
+/// instructions and its terminator.
+fn live_count(graph: &Graph, b: BlockId) -> usize {
+    let block = graph.block(b);
+    block.params.len() + block.insts.len() + 1
 }
 
 /// Per-argument specialization facts.

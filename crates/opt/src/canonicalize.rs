@@ -79,12 +79,15 @@ fn fold_insts(program: &Program, graph: &mut Graph, stats: &mut OptStats) -> boo
     let mut changed = false;
     let mut aliases = Aliases::new();
     let order = Arc::clone(graph.block_order());
+    // The block's list is rebuilt as it is swept: rewrites insert and drop
+    // instructions without searching or shifting. The old list becomes the
+    // next block's new one, so the sweep allocates only to grow a list.
+    let mut kept: Vec<InstId> = Vec::new();
     for &block in order.iter() {
-        // The block's list is rebuilt as it is swept: rewrites insert and
-        // drop instructions without searching or shifting.
         let insts = std::mem::take(graph.insts_mut(block));
-        let mut kept: Vec<InstId> = Vec::with_capacity(insts.len());
-        for inst in insts {
+        kept.clear();
+        kept.reserve(insts.len());
+        for &inst in &insts {
             aliases.resolve_all(&mut graph.inst_mut(inst).args);
             let Some((rewrite, bump)) = simplify(program, graph, inst) else {
                 kept.push(inst);
@@ -94,7 +97,7 @@ fn fold_insts(program: &Program, graph: &mut Graph, stats: &mut OptStats) -> boo
             *bump_field(stats, bump) += 1;
             changed = true;
         }
-        *graph.insts_mut(block) = kept;
+        *graph.insts_mut(block) = std::mem::replace(&mut kept, insts);
     }
     aliases.apply_to_terminators(graph, &order);
     changed

@@ -74,6 +74,7 @@ pub fn gvn(graph: &mut Graph) -> OptStats {
     let mut scope: FastMap<Key, ValueId> = FastMap::default();
     let mut shadow: Vec<(Key, Option<ValueId>)> = Vec::new();
     let mut aliases = Aliases::new();
+    let mut kept: Vec<InstId> = Vec::new();
 
     // (block, index of its next unvisited child, shadow height on entry)
     let mut stack: Vec<(BlockId, usize, usize)> = Vec::new();
@@ -85,6 +86,7 @@ pub fn gvn(graph: &mut Graph) -> OptStats {
         &mut shadow,
         &mut aliases,
         &mut stats,
+        &mut kept,
     );
     stack.push((entry, 0, 0));
     while let Some(top) = stack.last_mut() {
@@ -99,6 +101,7 @@ pub fn gvn(graph: &mut Graph) -> OptStats {
                 &mut shadow,
                 &mut aliases,
                 &mut stats,
+                &mut kept,
             );
             stack.push((child, 0, height));
             continue;
@@ -121,7 +124,9 @@ pub fn gvn(graph: &mut Graph) -> OptStats {
     stats
 }
 
-/// Numbers the instructions of one block against the enclosing scope.
+/// Numbers the instructions of one block against the enclosing scope. The
+/// block's list is rebuilt in `kept`, and its old list is handed back there
+/// for the next block to rebuild into.
 fn number_block(
     graph: &mut Graph,
     block: BlockId,
@@ -129,10 +134,12 @@ fn number_block(
     shadow: &mut Vec<(Key, Option<ValueId>)>,
     aliases: &mut Aliases,
     stats: &mut OptStats,
+    kept: &mut Vec<InstId>,
 ) {
     let insts = std::mem::take(graph.insts_mut(block));
-    let mut kept: Vec<InstId> = Vec::with_capacity(insts.len());
-    for inst in insts {
+    kept.clear();
+    kept.reserve(insts.len());
+    for &inst in &insts {
         aliases.resolve_all(&mut graph.inst_mut(inst).args);
         let Some(key) = key_of(graph, inst) else {
             kept.push(inst);
@@ -154,7 +161,7 @@ fn number_block(
             }
         }
     }
-    *graph.insts_mut(block) = kept;
+    *graph.insts_mut(block) = std::mem::replace(kept, insts);
 }
 
 #[cfg(test)]

@@ -227,3 +227,156 @@ fn maintained_metrics_equal_the_recursive_reference_at_every_step() {
     }
     assert!(audited >= 2 * 28, "every workload has a hot method");
 }
+
+/// One hot root over hubs with wide fan-out, a deep chain of tiny
+/// forwarders and a self-recursive method, with profiles synthesised rather
+/// than recorded. The root's hottest callee, `bait`, is tiny, so its cutoff
+/// has the best priority of the tree; it expands into one large, cold
+/// callee, which lowers the priority maximum along its whole ancestor path.
+/// Every hub calls `bait` and the cold `big` too, so cutoffs the expansion
+/// test refuses sit under ancestors with many other children.
+#[cfg(debug_assertions)]
+fn hostile_shape() -> (
+    Program,
+    incline::ir::MethodId,
+    incline::profile::ProfileTable,
+) {
+    use incline::ir::{CallSiteId, CmpOp, MethodId};
+
+    const HUBS: usize = 3;
+    const LEAVES: usize = 8;
+    const CHAIN: usize = 24;
+    let mut p = Program::new();
+    let mut declare = |name: String| p.declare_function(name, vec![Type::Int], Type::Int);
+    let leaves: Vec<MethodId> = (0..LEAVES).map(|k| declare(format!("leaf{k}"))).collect();
+    let big = declare("big".into());
+    let bait = declare("bait".into());
+    let hubs: Vec<MethodId> = (0..HUBS).map(|j| declare(format!("hub{j}"))).collect();
+    let chain: Vec<MethodId> = (0..CHAIN).map(|i| declare(format!("fwd{i}"))).collect();
+    let rec = declare("rec".into());
+    let root = declare("root".into());
+
+    // `m(x) = x + extra + Σ callee(x)`, one callsite per callee in order.
+    let define_sum = |p: &mut Program, m: MethodId, callees: &[MethodId], extra: i64| {
+        let mut fb = FunctionBuilder::new(p, m);
+        let x = fb.param(0);
+        let k = fb.const_int(extra);
+        let mut acc = fb.iadd(x, k);
+        for &c in callees {
+            let r = fb.call_static(c, vec![x]).unwrap();
+            acc = fb.iadd(acc, r);
+        }
+        fb.ret(Some(acc));
+        let g = fb.finish();
+        p.define_method(m, g);
+    };
+    for (k, &leaf) in leaves.iter().enumerate() {
+        define_sum(&mut p, leaf, &[], k as i64);
+    }
+    let mut fb = FunctionBuilder::new(&p, big);
+    let mut acc = fb.param(0);
+    for i in 0..40 {
+        let three = fb.const_int(3);
+        let k = fb.const_int(i);
+        let scaled = fb.imul(acc, three);
+        acc = fb.iadd(scaled, k);
+    }
+    fb.ret(Some(acc));
+    let g = fb.finish();
+    p.define_method(big, g);
+    define_sum(&mut p, bait, &[big], 1);
+    let hub_callees: Vec<MethodId> = leaves.iter().copied().chain([bait, big]).collect();
+    for &hub in &hubs {
+        define_sum(&mut p, hub, &hub_callees, 0);
+    }
+    for (i, &fwd) in chain.iter().enumerate() {
+        define_sum(&mut p, fwd, &[*chain.get(i + 1).unwrap_or(&hubs[0])], 0);
+    }
+    // rec(x) = x < 1 ? 0 : rec(x - 1) + hub1(x)
+    let mut fb = FunctionBuilder::new(&p, rec);
+    let x = fb.param(0);
+    let one = fb.const_int(1);
+    let done = fb.cmp(CmpOp::ILt, x, one);
+    let (base, step) = (fb.add_block(), fb.add_block());
+    fb.branch(done, (base, vec![]), (step, vec![]));
+    fb.switch_to(base);
+    let zero = fb.const_int(0);
+    fb.ret(Some(zero));
+    fb.switch_to(step);
+    let down = fb.isub(x, one);
+    let inner = fb.call_static(rec, vec![down]).unwrap();
+    let side = fb.call_static(hubs[1], vec![x]).unwrap();
+    let r = fb.iadd(inner, side);
+    fb.ret(Some(r));
+    let g = fb.finish();
+    p.define_method(rec, g);
+    let root_callees: Vec<MethodId> = hubs.iter().copied().chain([chain[0], rec, bait]).collect();
+    define_sum(&mut p, root, &root_callees, 0);
+
+    // Every method runs 1 000 times; a callsite's count over that is its
+    // local frequency.
+    let mut profiles = incline::profile::ProfileTable::new();
+    let mut site = |method: MethodId, index: u32, count: u64| {
+        for _ in 0..count {
+            profiles.record_callsite(CallSiteId { method, index });
+        }
+    };
+    for (j, _) in hubs.iter().enumerate() {
+        site(root, j as u32, 1_000);
+    }
+    site(root, HUBS as u32, 2_000); // the chain
+    site(root, HUBS as u32 + 1, 1_000); // rec
+    site(root, HUBS as u32 + 2, 50_000); // bait: the best cutoff
+    site(bait, 0, 1); // …over a cold, large child
+    for &hub in &hubs {
+        for k in 0..LEAVES {
+            site(hub, k as u32, 300 * (k as u64 + 1));
+        }
+        site(hub, LEAVES as u32, 1_000); // bait
+        site(hub, LEAVES as u32 + 1, 1); // big: refused
+    }
+    for &fwd in &chain {
+        site(fwd, 0, 1_000);
+    }
+    site(rec, 0, 900);
+    site(rec, 1, 1_000);
+    for m in p.method_ids() {
+        for _ in 0..1_000 {
+            profiles.record_invocation(m);
+        }
+    }
+    (p, root, profiles)
+}
+
+/// The hostile shape under `compile_audited`: the adaptive policy, which
+/// refuses the cold callsites and inlines across rounds, and a fixed one
+/// that expands some 180 nodes, then refuses every cutoff left and inlines
+/// nothing. An ancestor walk that stops too early, a priority maximum that
+/// is never lowered, or an open flag left set after a refusal fails the
+/// audit at that step.
+#[cfg(debug_assertions)]
+#[test]
+fn maintained_metrics_survive_a_hostile_tree_shape() {
+    use incline::core::IncrementalInliner;
+
+    let (p, root, profiles) = hostile_shape();
+    for (config, min_expanded) in [
+        (PolicyConfig::tuned(), 30),
+        (PolicyConfig::fixed(4_000, 0), 150),
+    ] {
+        let sink = CollectingSink::new();
+        let cx = CompileCx::new(&p, &profiles).with_trace(&sink);
+        let out = IncrementalInliner::with_config(config)
+            .compile_audited(root, &cx)
+            .expect("the hostile shape compiles");
+        let events = sink.take();
+        let count = |f: fn(&CompileEvent) -> bool| events.iter().filter(|e| f(e)).count();
+        let expanded = count(|e| matches!(e, CompileEvent::NodeExpanded { .. }));
+        let refused = count(|e| matches!(e, CompileEvent::CutoffDeferred { .. }));
+        assert!(
+            expanded >= min_expanded && refused > 0,
+            "{expanded} expansions, {refused} refusals: {:?}",
+            out.stats
+        );
+    }
+}
