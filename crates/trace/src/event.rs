@@ -415,10 +415,8 @@ events! {
         SnapshotLoaded {
             /// Method profiles seeded from the snapshot.
             methods: u64,
-            /// Compile decisions carried by the snapshot.
+            /// Methods the snapshot's decision log replays.
             decisions: u64,
-            /// Replay mode applied: `eager` or `seed`.
-            mode: String,
         },
         /// A snapshot could not be applied (stale, corrupt, version mismatch,
         /// unreadable) and the machine fell back to a cold start.
@@ -431,23 +429,21 @@ events! {
         SnapshotWritten {
             /// Method profiles captured.
             methods: u64,
-            /// Compile decisions captured.
+            /// Methods in the captured decision log.
             decisions: u64,
             /// Serialized snapshot size in bytes.
             bytes: u64,
         },
         /// N replica snapshots were merged into one before the run: profile
-        /// histograms unioned with weighted counts, the decision log settled by
-        /// majority vote (ties broken by total observed hotness).
+        /// histograms unioned with weighted counts, the decision logs unioned
+        /// and checked against the merged profile.
         SnapshotMerged {
             /// Distinct replica snapshots that contributed.
             replicas: u64,
             /// Method profiles in the merged snapshot.
             methods: u64,
-            /// Compile decisions that survived the vote and the support check.
+            /// Decided methods that survived the support check.
             decisions: u64,
-            /// Methods on which replicas voted for different decisions.
-            conflicts: u64,
             /// Decisions dropped because the merged profile no longer
             /// justified them.
             aged_out: u64,

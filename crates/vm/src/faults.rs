@@ -62,7 +62,7 @@ pub enum FaultKind {
     /// re-tier cycle and its backoff. Never drawn by [`FaultPlan::seeded`].
     ForceEvict,
     /// Poison one decision of a replayed warmup snapshot: the decision at
-    /// index `decision_idx` of the snapshot's decided-method order is
+    /// index `decision_idx` of the snapshot's decision log is
     /// installed normally during eager replay but takes an uncommon trap
     /// on its first compiled activation, driving the quarantine ladder
     /// (poison attribution, profile rollback, `snapshot_out` exclusion)
@@ -72,8 +72,8 @@ pub enum FaultKind {
     /// effective when deoptimization is enabled and the method is not
     /// pinned; never drawn by [`FaultPlan::seeded`].
     PoisonSnapshot {
-        /// Index into the snapshot's decided-method order (the order
-        /// eager replay compiles, i.e. `Snapshot::decided_methods`).
+        /// Index into the snapshot's decision log, the order eager replay
+        /// compiles its methods in ([`Snapshot::decisions`](crate::Snapshot::decisions)).
         decision_idx: u64,
     },
 }
@@ -136,7 +136,7 @@ impl FaultPlan {
         self.faults.iter().map(|(&r, &k)| (r, k))
     }
 
-    /// The decided-method indices poisoned by [`FaultKind::PoisonSnapshot`]
+    /// The decision-log indices poisoned by [`FaultKind::PoisonSnapshot`]
     /// entries, in sorted order — consumed by snapshot replay.
     pub fn poisoned_decisions(&self) -> std::collections::BTreeSet<u64> {
         self.faults

@@ -68,8 +68,8 @@ pub use machine::{
 pub use runner::{BenchError, BenchResult, BenchSpec, RunSession, Session};
 pub use server::{ServerError, ServerReport, ServerSession, ServerSpec, TenantReport, TenantSpec};
 pub use snapshot::{
-    DecisionRecord, FileStore, MemoryStore, MergePolicy, MergeStats, Merged, MethodRecord,
-    Snapshot, SnapshotError, SnapshotIo, SnapshotStats, SnapshotStore, SNAPSHOT_VERSION,
+    FileStore, MemoryStore, MergePolicy, MergeStats, Merged, MethodRecord, Snapshot, SnapshotError,
+    SnapshotIo, SnapshotStats, SnapshotStore, SNAPSHOT_VERSION,
 };
 pub use stats::{fairness_index, percentile, LatencyStats};
 pub use value::{Heap, HeapCell, HeapRef, Output, Value};

@@ -351,7 +351,7 @@ impl MethodTable {
                 Tier::Queued => queued += 1,
                 Tier::Installed(code) => {
                     bytes += code.bytes;
-                    let last = || decisions.iter().rev().find(|d| d.record.method == m);
+                    let last = || decisions.iter().rev().find(|d| d.method == m);
                     assert!(
                         !code.probation || last().is_some_and(|d| d.replayed),
                         "{m:?}: on probation, but its last install was not a replay"

@@ -66,7 +66,7 @@ use crate::broker::{CompileQueue, QueueStats};
 use crate::cache::CacheStats;
 use crate::faults::FaultPlan;
 use crate::plan::LowerScratch;
-use crate::snapshot::{DecisionRecord, SnapshotStats};
+use crate::snapshot::SnapshotStats;
 use crate::store::Store;
 use crate::value::{Kind, Value};
 use crate::{InlineStats, Inliner, TrialCache};
@@ -83,7 +83,7 @@ pub use report::{
 
 /// One successful install, in the log a snapshot captures.
 struct Decision {
-    record: DecisionRecord,
+    method: MethodId,
     /// Installed during snapshot replay. Replayed installs of a
     /// later-poisoned method are excluded from [`Machine::snapshot`] output.
     replayed: bool,

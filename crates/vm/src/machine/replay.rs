@@ -7,9 +7,7 @@ use incline_trace::CompileEvent;
 
 use super::methods::{Exit, Tier};
 use super::{Machine, POISON_WINDOW};
-use crate::snapshot::{
-    self, DecisionRecord, MergePolicy, Snapshot, SnapshotError, SnapshotIo, SnapshotStats,
-};
+use crate::snapshot::{self, MergePolicy, Snapshot, SnapshotError, SnapshotIo, SnapshotStats};
 
 impl Machine<'_> {
     /// Lifetime snapshot counters (loads, graceful fallbacks, replayed
@@ -19,20 +17,21 @@ impl Machine<'_> {
     }
 
     /// Captures the machine's learned state — the full profile table plus
-    /// the compile decision log — as a [`Snapshot`] fingerprinted against
-    /// the running program. Byte-deterministic: two machines that observed
-    /// the same run produce identical [`Snapshot::to_bytes`] output.
+    /// the compiled methods, in first-install order — as a [`Snapshot`]
+    /// fingerprinted against the running program. Byte-deterministic: two
+    /// machines that observed the same run produce identical
+    /// [`Snapshot::to_bytes`] output.
     ///
-    /// Decisions that were replayed from a snapshot and later quarantined
-    /// as poisoned are excluded — a bad snapshot does not propagate its
-    /// poison to the next generation. A decision the method *re-earned*
-    /// from live traffic after quarantine is included normally.
+    /// A replayed install of a method later quarantined as poisoned is
+    /// left out — a bad snapshot does not propagate its poison to the next
+    /// generation. An install the method *re-earned* from live traffic
+    /// after quarantine is included normally.
     pub fn snapshot(&self) -> Snapshot {
-        let decisions: Vec<DecisionRecord> = self
-            .decisions
-            .iter()
-            .filter(|d| !(d.replayed && self.methods.get(d.record.method).poisoned))
-            .map(|d| d.record.clone())
+        let mut seen = std::collections::HashSet::new();
+        let decisions: Vec<MethodId> = (self.decisions.iter())
+            .filter(|d| !(d.replayed && self.methods.get(d.method).poisoned))
+            .map(|d| d.method)
+            .filter(|&m| seen.insert(m))
             .collect();
         Snapshot::capture(
             snapshot::fingerprint(self.program),
@@ -144,12 +143,10 @@ impl Machine<'_> {
             replicas: stats.replicas,
             methods: stats.methods,
             decisions: stats.decisions,
-            conflicts: stats.conflicts,
             aged_out: stats.aged_out,
         });
         let required = merged.min_support;
-        for (rec, hotness) in &merged.aged_out {
-            let (method, hotness) = (rec.method, *hotness);
+        for &(method, hotness) in &merged.aged_out {
             self.emit(|| CompileEvent::DecisionAgedOut {
                 method,
                 hotness,
@@ -201,18 +198,12 @@ impl Machine<'_> {
         self.profiles.merge(&table);
         self.snapshot_stats.loaded += 1;
         let (methods, decisions) = (snap.methods.len() as u64, snap.decisions.len() as u64);
-        self.emit(|| CompileEvent::SnapshotLoaded {
-            methods,
-            decisions,
-            // The one replay mode there is; the field keeps traces stable.
-            mode: "eager".to_string(),
-        });
-        // Injected snapshot poison: `decision_idx` indexes the decided-
-        // method order about to be replayed; the targeted installs take
-        // an uncommon trap on first entry.
-        let decided = snap.decided_methods();
+        self.emit(|| CompileEvent::SnapshotLoaded { methods, decisions });
+        // Injected snapshot poison: `decision_idx` indexes the decision
+        // log about to be replayed; the targeted installs take an uncommon
+        // trap on first entry.
         for idx in self.fault_plan.poisoned_decisions() {
-            if let Some(&m) = decided.get(idx as usize) {
+            if let Some(&m) = snap.decisions.get(idx as usize) {
                 self.methods.get_mut(m).poison_target = true;
             }
         }
@@ -220,7 +211,7 @@ impl Machine<'_> {
         // sequentially — exactly the Barrier-mode hotness trigger, so the
         // stall does not depend on the modelled worker count.
         self.replay_active = true;
-        for m in decided {
+        for &m in &snap.decisions {
             let tier = self.methods.get(m).tier();
             if matches!(tier, Tier::Cold | Tier::Queued) && self.compile_now(m) {
                 self.snapshot_stats.replayed_compiles += 1;

@@ -17,7 +17,6 @@ use crate::broker::{self, CompileRequest, CompileResponse, InstallPackage};
 use crate::cache::{self, CacheEntry};
 use crate::faults::FaultKind;
 use crate::plan::PlannedGraph;
-use crate::snapshot::DecisionRecord;
 use crate::Speculation;
 
 impl Machine<'_> {
@@ -299,16 +298,8 @@ impl Machine<'_> {
         let bytes = self.config.cost.code_bytes(graph_size);
         self.compilations += 1;
         self.last_compile_stats.push((method, stats));
-        // Decision log for warmup snapshots: the plan hash is the installed
-        // graph's structural fingerprint, the vote key of `Snapshot::merge`.
-        // Taken here, while the graph is still unwrapped.
         self.decisions.push(Decision {
-            record: DecisionRecord {
-                method,
-                tier: stage,
-                plan_hash: graph.fingerprint(),
-                speculative_sites: stats.speculative_sites,
-            },
+            method,
             replayed: self.replay_active,
         });
         let code = PlannedGraph::compiled(

@@ -279,8 +279,8 @@ impl<'p, W> Session<'p, W> {
     /// Merges N replica snapshots before the work starts (fleet
     /// distribution): each source is read and parsed, unreadable or
     /// corrupt replicas degrade to fallbacks, and the survivors go through
-    /// [`Snapshot`](crate::Snapshot)'s N-way merge (profile union, decision
-    /// majority vote, support check) before being applied like a single
+    /// [`Snapshot`](crate::Snapshot)'s N-way merge (profile union, union of
+    /// the decided methods, support check) before being applied like a single
     /// warmup snapshot. Zero usable replicas is a cold start, never an
     /// error. Combined with [`Session::snapshot_in`], that snapshot is
     /// applied first and is not one of the replicas: the merge of the

@@ -145,13 +145,12 @@ Code cache: --cache-budget BYTES bounds installed code (0 = unbounded,
 the default); --eviction picks the victim policy (lru, hotness,
 cost-benefit). --icache-capacity / --icache-scale tune the cost model's
 instruction-cache pressure curve.
-Snapshots: --snapshot-out FILE persists profiles + compile decisions after
+Snapshots: --snapshot-out FILE persists profiles + the compiled methods after
 the run; --snapshot-in FILE replays them before the first iteration
-(the decided set is recompiled up front). --snapshot-merge FILE (repeatable, exclusive
-with --snapshot-in) merges N divergent replica snapshots deterministically:
-profile histograms union with summed counts, compile decisions go to a
-majority vote (ties broken by observed hotness), and decisions the merged
-profile no longer supports age out. Corrupt or stale snapshots (and
+(those methods are recompiled up front, in order). --snapshot-merge FILE
+(repeatable, exclusive with --snapshot-in) merges N divergent replica snapshots
+deterministically: profile histograms union with summed counts, the compiled
+methods union, and methods the merged profile no longer supports age out. Corrupt or stale snapshots (and
 replicas) fall back to a cold start, counted in the compilation report.";
 
 fn load(path: &str) -> Result<Program, String> {

@@ -209,7 +209,8 @@ fn bench_trace_streams_the_jsonl_of_trace_json() {
 #[test]
 fn bench_survives_a_forged_snapshot_header() {
     let body = format!(
-        "{{\"snapshot\":\"incline\",\"v\":1,\"fingerprint\":\"00\",\"methods\":{},\"decisions\":0}}\n",
+        "{{\"snapshot\":\"incline\",\"v\":{},\"fingerprint\":\"00\",\"methods\":{},\"decisions\":0}}\n",
+        incline::snapshot::SNAPSHOT_VERSION,
         u64::MAX
     );
     let crc = incline::snapshot::fnv1a(body.as_bytes());
@@ -353,23 +354,23 @@ fn snapshot_and_trace_flags_of_run_bench_and_server() {
 
 const PINNED_SNAPSHOT_AND_TRACE_DIGESTS: &str = "\
 run cold 7081e3380befdc83
-run snapshot 7de7288e9d0aa32f
-run trace 1e0e567eafb51713
+run snapshot adc7d53b02b8c6c5
+run trace e6dc3e7c0dbc7da4
 run warm 4e65a809fed9b0e1
 bench cold 0c749f2136a14152
-bench snapshot a841cd62300cef08
-bench trace dedb843400a49530
+bench snapshot 62031e11a90d6568
+bench trace 4635da96fac6374e
 bench warm 554e5d9a5f9886b5
 server cold f1a92746a8fcf036
-server snapshot edd1d122336f132c
-server trace db20ee5bb6deb057
+server snapshot 1b517e4a2b018822
+server trace 40128ec6bb9a4da6
 server warm f6fde1603c16f128
 replica 4 f48402c6223233c4
-replica 4 snapshot 74238aad5c56efab
+replica 4 snapshot d362ba4706e95c2a
 replica 6 2ac2061b0c07066b
-replica 6 snapshot 3ff8bf91dcfb372f
+replica 6 snapshot 2a48a2b1c780031b
 replica 8 52031a599b8a6211
-replica 8 snapshot 3592fd0021812e9b
+replica 8 snapshot 5fcaf07206702dd8
 merged 0ba45233c715e37c
 cut 605930f9e2be62be
 ";

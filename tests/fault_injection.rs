@@ -421,14 +421,14 @@ fn snapshot_of(w: &Workload, iterations: usize) -> (BenchResult, Vec<u8>) {
     (r, store.bytes().expect("snapshot written"))
 }
 
-/// The decided-method index of `w.entry` in `bytes` — the one decision
+/// The decision-log index of `w.entry` in `bytes` — the one decision
 /// guaranteed to activate standalone every iteration (leaf decisions can
 /// be inlined into their callers and never run their own code, in which
 /// case poisoning them is a no-op).
 fn entry_decision_idx(w: &Workload, bytes: &[u8]) -> u64 {
     use incline::snapshot::Snapshot;
     let snap = Snapshot::from_bytes(bytes).expect("snapshot parses");
-    snap.decided_methods()
+    snap.decisions
         .iter()
         .position(|&m| m == w.entry)
         .expect("the benchmark entry must be hot enough to be decided") as u64
@@ -496,7 +496,7 @@ fn poison_snapshot_excludes_the_decision_from_the_next_snapshot() {
     let (_, bytes) = snapshot_of(&w, 10);
     let idx = entry_decision_idx(&w, &bytes);
     let original = Snapshot::from_bytes(&bytes).expect("snapshot parses");
-    let victim = original.decided_methods()[idx as usize];
+    let victim = original.decisions[idx as usize];
     // One iteration: the poisoned method traps on its first activation and
     // its subtracted profile cannot re-cross the tier threshold, so the
     // re-snapshot must not carry any decision for it.
@@ -508,7 +508,7 @@ fn poison_snapshot_excludes_the_decision_from_the_next_snapshot() {
     let next = Snapshot::from_bytes(&store.bytes().expect("re-snapshot written"))
         .expect("re-snapshot parses");
     assert!(
-        !next.decided_methods().contains(&victim),
+        !next.decisions.contains(&victim),
         "the poisoned decision must be excluded from snapshot_out"
     );
     assert!(

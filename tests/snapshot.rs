@@ -11,8 +11,13 @@ mod support;
 use std::sync::Arc;
 
 use incline_core::IncrementalInliner;
-use incline_vm::snapshot::{fnv1a, MemoryStore, Snapshot, SnapshotError, SnapshotStore};
-use incline_vm::{BenchResult, BenchSpec, RunSession, Value, VmConfig};
+use incline_ir::MethodId;
+use incline_vm::snapshot::{
+    fnv1a, MemoryStore, Snapshot, SnapshotError, SnapshotStore, SNAPSHOT_VERSION,
+};
+use incline_vm::{
+    BenchResult, BenchSpec, CollectingSink, CompileEvent, Machine, RunSession, Value, VmConfig,
+};
 use incline_workloads::{GenConfig, Workload};
 use support::matrix::{run, with_threads, Corpus, Row, Snap};
 
@@ -123,6 +128,48 @@ fn eager_replay_eliminates_warmup_on_paper_workloads() {
     }
 }
 
+/// The replay contract: eager replay installs the snapshot's decision log
+/// and nothing else, in its order, before the first run. The only methods
+/// it may skip are those the ladder blacklisted and those cache admission
+/// deferred; a budget too small for the whole log makes the second kind
+/// happen.
+#[test]
+fn eager_replay_installs_the_decision_log_in_order() {
+    let budgets = [0, 150];
+    let mut skipped = [0usize; 2];
+    for w in corpus() {
+        let (_, bytes) = cold_run(&w);
+        let decisions = Snapshot::from_bytes(&bytes).unwrap().decisions;
+        for (budget, skipped) in budgets.iter().zip(&mut skipped) {
+            let sink = Arc::new(CollectingSink::new());
+            let config = VmConfig {
+                code_cache_budget: *budget,
+                ..config()
+            };
+            let mut vm = Machine::new(&w.program, Box::new(IncrementalInliner::new()), config);
+            vm.set_trace_sink(sink.clone());
+            vm.load_snapshot(&bytes).unwrap();
+            let events = sink.take();
+            assert_eq!(events[0].name(), "SnapshotLoaded", "{}", w.name);
+            let installed: Vec<MethodId> = (events.iter())
+                .filter_map(|e| match e {
+                    CompileEvent::CodeInstalled { method, .. } => Some(*method),
+                    _ => None,
+                })
+                .collect();
+            let refused = |m: &MethodId| {
+                let deferred = |e: &CompileEvent| matches!(e, CompileEvent::AdmissionRejected { method, .. } if method == m);
+                vm.blacklisted_methods().contains(m) || events.iter().any(deferred)
+            };
+            let (skip, kept): (Vec<MethodId>, _) = decisions.iter().partition(|m| refused(m));
+            assert_eq!(installed, kept, "{} under budget {budget}", w.name);
+            *skipped += skip.len();
+        }
+    }
+    assert_eq!(skipped[0], 0, "an unbounded cache defers nothing");
+    assert!(skipped[1] > 0, "a tight budget defers some of the log");
+}
+
 /// Asserts that a session fed `bytes` falls back to a cold start: one
 /// fallback counted, zero loads, and a `BenchResult` equal to the cold
 /// run's in every field except the snapshot counters.
@@ -176,8 +223,17 @@ fn corrupt_snapshots_degrade_to_cold_start() {
         assert!(body.contains(from), "the snapshot has {from}");
         sealed(body.replacen(from, to, 1))
     };
-    // A version bump: only the version check fires.
-    assert_cold_fallback(&w, &cold, with("\"v\":1", "\"v\":2"), "version-bumped");
+    // A version bump, and the previous version: only the version check
+    // fires.
+    let v = |n: u64| format!("\"v\":{n},");
+    for other in [SNAPSHOT_VERSION + 1, SNAPSHOT_VERSION - 1] {
+        let forged = with(&v(SNAPSHOT_VERSION), &v(other));
+        assert_eq!(
+            Snapshot::from_bytes(&forged),
+            Err(SnapshotError::VersionMismatch { found: other })
+        );
+        assert_cold_fallback(&w, &cold, forged, "version-bumped");
+    }
     // Header counts no file could hold (the reader must not size a vector
     // from them: 2^64-1 overflowed the capacity, 4e12 exhausted memory),
     // two million open brackets (it must not recurse per bracket), and an
@@ -233,7 +289,7 @@ fn corrupt_snapshots_degrade_to_cold_start() {
                 .push((0, vec![(incline_ir::ClassId::new(far), 1)]))
         }),
         ("decided method", |s, far| {
-            s.decisions[0].method = incline_ir::MethodId::new(far)
+            s.decisions[0] = incline_ir::MethodId::new(far)
         }),
     ];
     for (what, tamper) in tampers {
@@ -314,7 +370,7 @@ fn divergent_replicas(w: &Workload) -> Vec<Snapshot> {
 
 /// A synthetic replica: `snap` with every profile count multiplied by
 /// `k` — the shape a longer-lived replica of identical traffic would
-/// have. Decisions are untouched, so scaled replicas never conflict.
+/// have. Decisions are untouched.
 fn scaled(snap: &Snapshot, k: u64) -> Snapshot {
     let mut out = snap.clone();
     for m in &mut out.methods {
@@ -404,19 +460,20 @@ fn merge_is_permutation_invariant_and_idempotent() {
 }
 
 #[test]
-fn merge_is_associative_on_conflict_free_replicas() {
-    // Conflict-free replicas: identical decision plans, distinct profile
-    // weights (replicas of the same traffic observed for different
-    // lifetimes, one of which hadn't tiered its last method up yet). On
-    // such sets profile union is pure count addition and every ballot
-    // agrees, so grouping must not matter. Conflict *resolution* is
-    // deliberately a single N-way vote — majority-with-pruning is not
-    // associative under disagreement — and is covered by the unit tests.
+fn merge_is_associative() {
+    // Distinct replicas (count-scaled, so deduplication never collapses
+    // two of them) that decided different method sets: replicas of the
+    // same traffic observed for different lifetimes, one of which had not
+    // tiered its first method up yet and one its last. Profile union is
+    // count addition and the decision logs are a set union, so grouping
+    // must not matter.
     use incline_vm::snapshot::MergePolicy;
     let policy = MergePolicy::with_support(1);
     for w in corpus() {
         let a = parse(&replica_run(&w, 6, w.input.min(8)));
-        let b = scaled(&a, 2);
+        let mut b = scaled(&a, 2);
+        let first = a.decisions.first().copied();
+        b.decisions.retain(|&m| Some(m) != first);
         let mut c = scaled(&a, 3);
         c.decisions.pop();
         let all = Snapshot::merge(&[a.clone(), b.clone(), c.clone()], &policy)

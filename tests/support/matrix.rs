@@ -310,7 +310,7 @@ impl Row {
             EvictStorm => evictions.fold(FaultPlan::new(), |p, (r, k)| p.inject(r, k)),
             PoisonEntry => {
                 let snap = Snapshot::from_bytes(snapshot.as_deref().unwrap_or_default());
-                let decided = snap.map(|s| s.decided_methods()).unwrap_or_default();
+                let decided = snap.map(|s| s.decisions).unwrap_or_default();
                 let entry = decided.iter().position(|&m| m == case.workload.entry);
                 let poison = |i| FaultKind::PoisonSnapshot { decision_idx: i };
                 let plan = entry.map(|i| FaultPlan::new().inject(0, poison(i as u64)));

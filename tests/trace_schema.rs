@@ -157,7 +157,6 @@ fn instances() -> Vec<CompileEvent> {
         CompileEvent::SnapshotLoaded {
             methods: 4,
             decisions: 3,
-            mode: "eager".to_string(),
         },
         CompileEvent::SnapshotFallback {
             reason: "corrupt snapshot: header: expected `{` at 0, found Some('n')".to_string(),
@@ -171,7 +170,6 @@ fn instances() -> Vec<CompileEvent> {
             replicas: 3,
             methods: 9,
             decisions: 5,
-            conflicts: 1,
             aged_out: 2,
         },
         CompileEvent::DecisionPoisoned {
