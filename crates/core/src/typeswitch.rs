@@ -66,12 +66,6 @@ pub fn emit_typeswitch(
     fallback: FallbackMode,
 ) -> TypeswitchResult {
     assert!(!cases.is_empty(), "typeswitch needs at least one case");
-    let pos = graph
-        .block(block)
-        .insts
-        .iter()
-        .position(|&i| i == call)
-        .expect("call must be inside the given block");
     let Op::Call(info) = graph.inst(call).op.clone() else {
         panic!("typeswitch target must be a call instruction");
     };
@@ -80,31 +74,7 @@ pub fn emit_typeswitch(
     };
     let args = graph.inst(call).args.clone();
     let recv = args[0];
-    let result = graph.inst(call).result;
-
-    // Split: continuation takes the trailing instructions + terminator.
-    let continuation = graph.add_block();
-    let cont_param = result.map(|r| {
-        let ty = graph.value_type(r);
-        graph.add_block_param(continuation, ty)
-    });
-    let tail: Vec<InstId> = graph.block(block).insts[pos + 1..].to_vec();
-    let old_term = graph.block(block).term.clone();
-    {
-        let bd = graph.block_mut(block);
-        bd.insts.truncate(pos);
-        bd.term = Terminator::Unterminated;
-    }
-    graph.block_mut(continuation).insts = tail;
-    graph.block_mut(continuation).term = old_term;
-    if let (Some(r), Some(p)) = (result, cont_param) {
-        graph.replace_all_uses(r, p);
-    }
-    {
-        let data = graph.inst_mut(call);
-        data.op = Op::Nop;
-        data.args.clear();
-    }
+    let (continuation, cont_param) = graph.split_at_call(block, call);
 
     // Cascade: tests run in `block`, then in fresh chain blocks.
     let mut case_calls = Vec::with_capacity(cases.len());
