@@ -13,16 +13,18 @@
 //!
 //! once under the default unlimited budget and once under [`TIGHT_FUEL`],
 //! which makes part of the compilations bail. Per method the oracle hashes
-//! `Graph::fingerprint()` of the produced graph (raw ids, so value and block
-//! numbering count) and of its compacted form (what is installed), the
-//! `InlineStats`, the `OptStats` summed over the compilation's
+//! `Graph::fingerprint()` of the produced graph's compacted form (what is
+//! installed, with ids renumbered densely, so a pass whose output depends
+//! on raw value numbering moves it), the `InlineStats`, the `OptStats` summed over the compilation's
 //! `OptPassStats` events, `CompileFuel::spent()`, `work_nodes` and FNV-1a of
 //! the compilation's JSONL trace; a bailed compilation hashes its error,
 //! spend and trace.
 //!
 //! The checked-in table holds one row per (workload, mode, budget) with a
 //! 32-bit digest per method. The unhashed lines always land in
-//! `target/tmp/compile_identity.detail`; on a mismatch the actual table
+//! `target/tmp/compile_identity.detail`, each with the fingerprint of the
+//! produced graph over raw ids too (`graph=`: it moves whenever an edit
+//! allocates ids in another order, and is not hashed); on a mismatch the actual table
 //! lands in `target/tmp/compile_identity.actual` and the failure names the
 //! first differing row and its methods. Diff the detail file against one
 //! produced at the parent commit to see which observable moved. Copy the
@@ -112,7 +114,7 @@ fn direct(
     speculation: Speculation,
     limit: u64,
     m: MethodId,
-) -> String {
+) -> (String, Option<u64>) {
     let fuel = if limit == u64::MAX {
         CompileFuel::unlimited()
     } else {
@@ -141,14 +143,16 @@ fn direct(
         fnv1a(jsonl.as_bytes())
     );
     match result {
-        Ok(out) => format!(
-            "ok graph={:016x} installed={:016x} stats={} work={} {tail}",
-            out.graph.fingerprint(),
-            out.graph.compacted().fingerprint(),
-            stats_list(&out.stats),
-            out.work_nodes,
+        Ok(out) => (
+            format!(
+                "ok installed={:016x} stats={} work={} {tail}",
+                out.graph.compacted().fingerprint(),
+                stats_list(&out.stats),
+                out.work_nodes,
+            ),
+            Some(out.graph.fingerprint()),
         ),
-        Err(e) => format!("bail error={e:?} {tail}"),
+        Err(e) => (format!("bail error={e:?} {tail}"), None),
     }
 }
 
@@ -160,7 +164,7 @@ fn degraded(
     profiles: &ProfileTable,
     hot: &[MethodId],
     limit: u64,
-) -> Vec<(String, String)> {
+) -> Vec<(String, String, Option<u64>)> {
     let config = VmConfig {
         compile_fuel: limit,
         ..default_vm()
@@ -191,7 +195,7 @@ fn degraded(
             }
             _ => "blacklisted".to_string(),
         };
-        lines.push((format!("{m}"), line));
+        lines.push((format!("{m}"), line, None));
     }
     let totals = format!(
         "compile_cycles={} code_bytes={} bailouts={}",
@@ -207,6 +211,7 @@ fn degraded(
     lines.push((
         "all".to_string(),
         format!("{totals} trace={:016x}", fnv1a(&trace)),
+        None,
     ));
     lines
 }
@@ -226,11 +231,15 @@ fn workload_rows(w: &Workload) -> (String, String) {
     ];
     let mut table = String::new();
     let mut detail = String::new();
-    let mut emit = |mode: &str, budget: &str, lines: Vec<(String, String)>| {
+    let mut emit = |mode: &str, budget: &str, lines: Vec<(String, String, Option<u64>)>| {
         let _ = write!(table, "{} {mode} {budget}", w.name);
-        for (method, line) in lines {
+        for (method, line, raw) in lines {
             let _ = write!(table, " {method}={:08x}", fnv1a(line.as_bytes()) as u32);
-            let _ = writeln!(detail, "{} {mode} {budget} {method}: {line}", w.name);
+            let _ = write!(detail, "{} {mode} {budget} {method}: {line}", w.name);
+            let _ = match raw {
+                Some(fp) => writeln!(detail, " graph={fp:016x}"),
+                None => writeln!(detail),
+            };
         }
         table.push('\n');
     };
@@ -239,10 +248,9 @@ fn workload_rows(w: &Workload) -> (String, String) {
             let lines = hot
                 .iter()
                 .map(|&m| {
-                    (
-                        format!("{m}"),
-                        direct(w, &profiles, inliner.as_ref(), *speculation, limit, m),
-                    )
+                    let (line, raw) =
+                        direct(w, &profiles, inliner.as_ref(), *speculation, limit, m);
+                    (format!("{m}"), line, raw)
                 })
                 .collect();
             emit(mode, budget, lines);
