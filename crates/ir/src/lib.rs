@@ -14,7 +14,11 @@
 //! * a typed [`FunctionBuilder`],
 //! * a structural/type/dominance [`verify`]-er,
 //! * dominator and natural-loop analyses ([`dom`], [`loops`]),
-//! * the inline-substitution primitive itself ([`inline::inline_call`]),
+//! * graph surgery in one place: the one copy of blocks
+//!   ([`Graph::transplant`]), the one split at a call
+//!   ([`Graph::split_at_call`]) and the O(1) move of a value to another
+//!   definition ([`Graph::redefine`]) — and on them the inline-substitution
+//!   primitive itself ([`inline::inline_call`]),
 //! * a text format with printer and parser ([`mod@print`], [`parse`]).
 //!
 //! ```
