@@ -31,34 +31,21 @@ pub const DEOPT_CONFIDENCE: f64 = 0.95;
 /// standalone compilations default to the conservative setting (no
 /// uncommon traps), so compiled graphs are always safe to run without
 /// deoptimization support.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Speculation {
     /// Whether typeswitch emission may use a `deopt` fallback instead of
     /// the always-correct virtual call. `false` for pinned methods and
     /// whenever the VM runs with deoptimization disabled.
     pub allow_deopt: bool,
-    /// Minimum profile coverage (sum of speculated receiver probabilities)
-    /// a typeswitch must reach before its fallback becomes an uncommon
-    /// trap.
-    pub confidence: f64,
-}
-
-impl Default for Speculation {
-    fn default() -> Self {
-        Speculation {
-            allow_deopt: false,
-            confidence: DEOPT_CONFIDENCE,
-        }
-    }
 }
 
 impl Speculation {
     /// The fallback of a typeswitch whose speculated receivers cover
     /// `coverage` of the profiled traffic (paper §IV): an uncommon trap
-    /// when deoptimization is allowed and the coverage reaches the
-    /// confidence bar, the virtual call otherwise.
+    /// when deoptimization is allowed and the coverage reaches
+    /// [`DEOPT_CONFIDENCE`], the virtual call otherwise.
     pub fn fallback(&self, coverage: f64) -> FallbackMode {
-        if self.allow_deopt && coverage >= self.confidence {
+        if self.allow_deopt && coverage >= DEOPT_CONFIDENCE {
             FallbackMode::Deopt
         } else {
             FallbackMode::Virtual
@@ -367,17 +354,11 @@ mod tests {
 
     #[test]
     fn fallback_deopts_from_the_confidence_bar_up() {
-        let spec = Speculation {
-            allow_deopt: true,
-            confidence: DEOPT_CONFIDENCE,
-        };
+        let spec = Speculation { allow_deopt: true };
         assert_eq!(spec.fallback(DEOPT_CONFIDENCE), FallbackMode::Deopt);
         let below = f64::from_bits(DEOPT_CONFIDENCE.to_bits() - 1);
         assert_eq!(spec.fallback(below), FallbackMode::Virtual);
-        let no_deopt = Speculation {
-            allow_deopt: false,
-            ..spec
-        };
+        let no_deopt = Speculation { allow_deopt: false };
         assert_eq!(no_deopt.fallback(1.0), FallbackMode::Virtual);
     }
 }

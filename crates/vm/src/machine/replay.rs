@@ -7,15 +7,9 @@ use incline_trace::CompileEvent;
 
 use super::methods::{Exit, Tier};
 use super::{Machine, POISON_WINDOW};
-use crate::snapshot::{self, MergePolicy, Snapshot, SnapshotError, SnapshotIo, SnapshotStats};
+use crate::snapshot::{self, MergePolicy, Snapshot, SnapshotError, SnapshotIo};
 
 impl Machine<'_> {
-    /// Lifetime snapshot counters (loads, graceful fallbacks, replayed
-    /// compiles, writes). Deterministic for a given run setup.
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        self.snapshot_stats
-    }
-
     /// Captures the machine's learned state — the full profile table plus
     /// the compiled methods, in first-install order — as a [`Snapshot`]
     /// fingerprinted against the running program. Byte-deterministic: two

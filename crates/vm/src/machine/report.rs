@@ -74,11 +74,14 @@ impl BailoutCounters {
     }
 }
 
-/// Consolidated compilation telemetry, the one-stop alternative to the
-/// individual `Machine` getters (which remain as thin delegates).
+/// Consolidated compilation telemetry, read in one snapshot by
+/// `Machine::report`.
 #[derive(Clone, Debug, Default)]
 pub struct CompilationReport {
-    /// Compilation requests the broker handled (each runs the full ladder).
+    /// Compilation requests ever enqueued, those still pending in pipelined
+    /// mode included (each runs the full ladder once drained; blacklisted
+    /// methods generate none). A [`crate::FaultPlan`] is keyed by this
+    /// index: request N is the one enqueued when this read N.
     pub compile_requests: u64,
     /// Compilations that installed code.
     pub compilations: u64,

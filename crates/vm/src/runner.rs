@@ -374,22 +374,23 @@ impl<'p> RunSession<'p> {
             .sum::<f64>()
             / window as f64;
         let last = last.expect("at least one iteration");
+        let report = vm.report();
         let result = BenchResult {
             per_iteration,
             steady_state: mean,
             std_dev: var.sqrt(),
-            installed_bytes: vm.installed_bytes(),
-            compilations: vm.compilations(),
-            compile_cycles: vm.total_compile_cycles(),
-            stall_cycles: vm.total_stall_cycles(),
+            installed_bytes: report.installed_bytes,
+            compilations: report.compilations,
+            compile_cycles: report.total_compile_cycles,
+            stall_cycles: report.total_stall_cycles,
             final_output: last.output.lines().to_vec(),
             final_value: last.value.map(|v| format!("{v:?}")),
-            bailouts: vm.bailouts(),
+            bailouts: report.bailouts,
             stall_per_iteration,
-            cache: vm.cache_stats(),
-            snapshot: vm.snapshot_stats(),
+            cache: report.cache,
+            snapshot: report.snapshot,
         };
-        Ok((result, vm.report()))
+        Ok((result, report))
     }
 }
 

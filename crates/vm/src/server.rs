@@ -404,6 +404,7 @@ impl<'p> ServerSession<'p> {
             .iter()
             .map(|l| LatencyStats::of(l).mean)
             .collect();
+        let report = vm.report();
         Ok(ServerReport {
             requests: arrivals.len() as u64,
             latency: LatencyStats::of(&lat_all),
@@ -412,12 +413,12 @@ impl<'p> ServerSession<'p> {
             max_queue_depth: vm.queue_stats().max_depth,
             fairness: fairness_index(&tenant_means),
             tenants,
-            compilations: vm.compilations(),
-            installed_bytes: vm.installed_bytes(),
-            cache: vm.cache_stats(),
-            bailouts: vm.bailouts(),
+            compilations: report.compilations,
+            installed_bytes: report.installed_bytes,
+            cache: report.cache,
+            bailouts: report.bailouts,
             total_cycles: clock,
-            snapshot: vm.snapshot_stats(),
+            snapshot: report.snapshot,
         })
     }
 }

@@ -97,7 +97,7 @@ fn main() -> Result<(), incline::vm::ExecError> {
     }
 
     println!("\n=== what the JIT did ===");
-    for (m, stats) in vm.compile_log() {
+    for (m, stats) in &vm.report().compile_log {
         println!(
             "compiled {:>6}: {} callsites inlined over {} rounds, {} IR explored, final size {}",
             p.method(*m).name,

@@ -269,7 +269,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         vm.compilations(),
         vm.installed_bytes()
     );
-    print_snapshot_stats(&vm.snapshot_stats());
+    print_snapshot_stats(&vm.report().snapshot);
     // The machine holds the sink; `finish` needs the only handle.
     drop(vm);
     trace.finish()

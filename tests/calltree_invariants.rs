@@ -213,10 +213,8 @@ fn maintained_metrics_equal_the_recursive_reference_at_every_step() {
                 continue;
             }
             for allow_deopt in [false, true] {
-                let cx = CompileCx::new(&w.program, &profiles).with_speculation(Speculation {
-                    allow_deopt,
-                    ..Speculation::default()
-                });
+                let cx = CompileCx::new(&w.program, &profiles)
+                    .with_speculation(Speculation { allow_deopt });
                 let out = inliner
                     .compile_audited(m, &cx)
                     .unwrap_or_else(|e| panic!("{}: {m} failed to compile: {e}", w.name));

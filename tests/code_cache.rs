@@ -16,6 +16,7 @@ mod support;
 use std::sync::Arc;
 
 use incline::prelude::*;
+use incline::trace::OptPhase;
 use incline::vm::BenchResult;
 use incline::workloads::Workload;
 use support::matrix::{hot, run, Corpus::Pressure, Row};
@@ -55,6 +56,93 @@ fn finite_budget_is_byte_identical_across_worker_pools() {
         results.iter().any(|r| r.cache.admission_rejections > 0),
         "no install was deferred"
     );
+}
+
+/// A `main` with a constant to fold and a callee to inline.
+const FIB_MAIN: &str = "
+fn fib(int) -> int {
+b0(v0: int):
+  v1 = const.int 2
+  v2 = ilt v0, v1
+  br v2, b1(), b2()
+b1():
+  ret v0
+b2():
+  v3 = const.int 1
+  v4 = isub v0, v3
+  v5 = isub v0, v1
+  v6 = call fib(v4)
+  v7 = call fib(v5)
+  v8 = iadd v6, v7
+  ret v8
+}
+
+fn main(int) -> int {
+b0(v0: int):
+  v1 = const.int 1
+  v2 = const.int 2
+  v3 = iadd v1, v2
+  v4 = iadd v0, v3
+  v5 = call fib(v4)
+  ret v5
+}
+";
+
+/// [`FIB_MAIN`]'s `main`, its profiles warmed by interpreted runs, compiled
+/// once under `budget` (0 = unbounded) and `plan`: the report, the
+/// installed graph's fingerprint and the JSONL line of every
+/// degraded-phase `OptPassStats` event the compile emitted.
+fn compile_fib_main(budget: u64, plan: FaultPlan) -> (CompilationReport, u64, Vec<String>) {
+    let p = incline::ir::parse::parse_program(FIB_MAIN).unwrap();
+    let main = p.function_by_name("main").unwrap();
+    let config = VmConfig {
+        hotness_threshold: u64::MAX,
+        code_cache_budget: budget,
+        ..VmConfig::default()
+    };
+    let mut vm = Machine::new(&p, Box::new(IncrementalInliner::new()), config);
+    for _ in 0..4 {
+        vm.run(main, vec![Value::Int(8)]).unwrap();
+    }
+    let sink = Arc::new(CollectingSink::new());
+    vm.set_trace_sink(sink.clone());
+    vm.set_fault_plan(plan);
+    assert!(vm.compile_now(main), "budget {budget}: nothing installed");
+    let degraded = |e: &CompileEvent| {
+        matches!(
+            e,
+            CompileEvent::OptPassStats {
+                phase: OptPhase::Degraded,
+                ..
+            }
+        )
+    };
+    let lines = sink.take().into_iter().filter(degraded);
+    let lines = lines.map(|e| e.to_json()).collect();
+    let fingerprint = vm.compiled_graph(main).unwrap().fingerprint();
+    (vm.report(), fingerprint, lines)
+}
+
+#[test]
+fn admission_retry_installs_what_the_degraded_rung_installs() {
+    // Down the ladder: the full tier runs out of fuel and the degraded
+    // rung installs. Then through the cache: a budget of exactly that
+    // install refuses the bigger inlined full-tier package, and the
+    // admission retry must install the very same degraded code.
+    let exhaust = FaultPlan::new().inject(0, FaultKind::ExhaustFuel);
+    let (ladder, ladder_graph, ladder_lines) = compile_fib_main(0, exhaust);
+    assert_eq!(ladder.bailouts.fuel_exhaustions, 1);
+    assert!(
+        !ladder_lines.is_empty(),
+        "the degraded rung ran its pipeline"
+    );
+    let (retry, retry_graph, retry_lines) =
+        compile_fib_main(ladder.installed_bytes, FaultPlan::new());
+    assert_eq!(retry.cache.degraded_admissions, 1);
+    assert_eq!(retry.bailouts.total(), 0);
+    assert_eq!(retry_graph, ladder_graph, "graph fingerprint");
+    assert_eq!(retry.compile_log, ladder.compile_log);
+    assert_eq!(retry_lines, ladder_lines);
 }
 
 fn pressure_workload() -> Workload {
@@ -97,7 +185,7 @@ fn budget_is_never_exceeded_at_any_observable_point() {
                 );
                 assert_eq!(answer(&out), expected, "results must not change");
             }
-            let stats = vm.cache_stats();
+            let stats = vm.report().cache;
             assert!(
                 stats.high_water_bytes <= budget,
                 "high water {} exceeds budget {budget} under {policy}",
@@ -212,11 +300,12 @@ fn tiny_budgets_degrade_gracefully_without_panics() {
                 assert!(vm.installed_bytes() <= budget);
                 assert_eq!(answer(&out), expected);
             }
+            let report = vm.report();
             assert!(
-                vm.cache_stats().admission_rejections > 0,
+                report.cache.admission_rejections > 0,
                 "a {budget}-byte budget must reject installs under {policy}"
             );
-            assert_eq!(vm.blacklisted_methods().len(), 0, "deferral, not blacklist");
+            assert_eq!(report.blacklisted.len(), 0, "deferral, not blacklist");
         }
     }
 }
@@ -270,7 +359,7 @@ fn teardown_releases_every_byte_under_mixed_deopt_and_eviction() {
             .expect("run completes");
     }
     assert!(
-        vm.bailouts().invalidations > 0 && vm.cache_stats().evictions > 0,
+        vm.bailouts().invalidations > 0 && vm.report().cache.evictions > 0,
         "the scenario must actually mix invalidation and eviction"
     );
     for m in w.program.method_ids() {

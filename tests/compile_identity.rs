@@ -185,7 +185,8 @@ fn degraded(
         let line = match vm.compiled_graph(m) {
             Some(g) if installed => {
                 let stats = vm
-                    .compile_log()
+                    .report()
+                    .compile_log
                     .iter()
                     .rev()
                     .find(|(lm, _)| *lm == m)
@@ -219,10 +220,7 @@ fn degraded(
 /// Rows and detail lines of one workload.
 fn workload_rows(w: &Workload) -> (String, String) {
     let (profiles, hot) = warm(w);
-    let with_deopt = Speculation {
-        allow_deopt: true,
-        ..Speculation::default()
-    };
+    let with_deopt = Speculation { allow_deopt: true };
     let direct_modes: [(&str, Box<dyn Inliner>, Speculation); 4] = [
         ("paper+deopt", Config::paper().build(), with_deopt),
         ("paper", Config::paper().build(), Speculation::default()),

@@ -197,5 +197,5 @@ fn compile_now_drains_a_request_already_in_flight() {
     warm.apply_snapshot(&snap).expect("own snapshot applies");
     assert_eq!(warm.pending_compiles(), 0);
     assert_eq!(warm.compiled_methods(), vec![m]);
-    assert_eq!(warm.snapshot_stats().replayed_compiles, 1);
+    assert_eq!(warm.report().snapshot.replayed_compiles, 1);
 }

@@ -133,7 +133,7 @@ fn injected_panic_is_contained_and_ladder_completes() {
         vm.compilations() >= 1,
         "the bailout ladder still installs code"
     );
-    assert!(vm.blacklisted_methods().is_empty());
+    assert!(vm.report().blacklisted.is_empty());
 }
 
 #[test]
@@ -185,9 +185,10 @@ fn every_seeded_fault_is_contained() {
     let (vm, _) = run_workload(&w, plan.clone(), 10, false);
     // Every fault whose request index was actually reached costs the full
     // tier exactly one bailout — no fault escapes, none double-counts.
+    let requests = vm.report().compile_requests;
     let triggered = plan
         .entries()
-        .filter(|&(request, _)| request < vm.compile_requests())
+        .filter(|&(request, _)| request < requests)
         .count() as u64;
     assert!(
         triggered > 0,
@@ -199,7 +200,7 @@ fn every_seeded_fault_is_contained() {
         0,
         "the degraded tier absorbs every fault"
     );
-    assert_eq!(vm.bailout_log().len() as u64, triggered);
+    assert_eq!(vm.report().bailout_log.len() as u64, triggered);
 }
 
 #[test]
@@ -219,7 +220,7 @@ fn worker_thread_panics_are_contained_by_the_ladder() {
     assert_eq!(b.degraded_tier, 0, "the degraded tier absorbs the panics");
     assert_eq!(b.blacklisted, 0, "nothing reaches the blacklist");
     assert!(vm.compilations() >= 1, "the ladder still installs code");
-    assert!(vm.blacklisted_methods().is_empty());
+    assert!(vm.report().blacklisted.is_empty());
 }
 
 #[test]
@@ -277,7 +278,7 @@ fn force_deopt_triggers_one_invalidate_reprofile_recompile_cycle() {
         "the method must come back through the broker"
     );
     assert_eq!(b.pinned, 0, "one deopt is far from the storm cap");
-    assert!(vm.pinned_methods().is_empty());
+    assert!(vm.report().pinned.is_empty());
     assert_eq!(b.total(), 0, "deoptimization is not a compile-path bailout");
 }
 
@@ -293,7 +294,6 @@ fn force_deopt_storm_trips_the_cap_and_pins() {
     assert_eq!(b.invalidations, 4);
     assert_eq!(b.recompiles, 4);
     assert_eq!(b.pinned, 1);
-    assert_eq!(vm.pinned_methods(), vec![m]);
     assert_eq!(vm.report().pinned, vec![m]);
     assert!(
         vm.installed_bytes() > 0,
@@ -330,7 +330,12 @@ fn force_deopt_counters_are_deterministic() {
     let (p, m) = single_method_program();
     let run = || {
         let (vm, _) = storm(&p, m, FaultKind::ForceDeopt, true);
-        (vm.bailouts(), vm.compile_requests(), vm.installed_bytes())
+        let report = vm.report();
+        (
+            report.bailouts,
+            report.compile_requests,
+            report.installed_bytes,
+        )
     };
     assert_eq!(run(), run(), "storm runs must be byte-identical");
 }
@@ -347,7 +352,7 @@ fn force_evict_triggers_evict_reprofile_retier_cycle() {
     let w = workload();
     let plan = FaultPlan::new().inject(0, FaultKind::ForceEvict);
     let (vm, events) = run_workload(&w, plan, 8, false);
-    let stats = vm.cache_stats();
+    let stats = vm.report().cache;
     assert_eq!(
         stats.forced_evictions, 1,
         "the injected eviction fires once"
@@ -367,7 +372,7 @@ fn force_evict_triggers_evict_reprofile_retier_cycle() {
         0,
         "eviction is not a speculation event"
     );
-    assert!(vm.blacklisted_methods().is_empty());
+    assert!(vm.report().blacklisted.is_empty());
     let count = |name: &str| events.iter().filter(|e| e.name() == name).count();
     assert_eq!(count("CodeEvicted"), 1);
     assert!(count("ReTiered") >= 1);
@@ -388,7 +393,7 @@ fn force_evict_storm_cycles_without_pinning_or_blacklisting() {
     // the sixth install sticks.
     let (p, m) = single_method_program();
     let (vm, events) = storm(&p, m, FaultKind::ForceEvict, false);
-    let stats = vm.cache_stats();
+    let stats = vm.report().cache;
     assert_eq!(stats.forced_evictions, 5, "every scheduled eviction fires");
     assert_eq!(stats.evictions, 5);
     assert_eq!(
@@ -398,8 +403,8 @@ fn force_evict_storm_cycles_without_pinning_or_blacklisting() {
     let b = vm.bailouts();
     assert_eq!(b.total(), 0, "the bailout ladder never gets involved");
     assert_eq!(b.pinned, 0, "eviction storms must not pin");
-    assert!(vm.pinned_methods().is_empty());
-    assert!(vm.blacklisted_methods().is_empty());
+    assert!(vm.report().pinned.is_empty());
+    assert!(vm.report().blacklisted.is_empty());
     assert!(
         vm.installed_bytes() > 0,
         "the post-storm install must stick"

@@ -157,9 +157,10 @@ fn eager_replay_installs_the_decision_log_in_order() {
                     _ => None,
                 })
                 .collect();
+            let blacklisted = vm.report().blacklisted;
             let refused = |m: &MethodId| {
                 let deferred = |e: &CompileEvent| matches!(e, CompileEvent::AdmissionRejected { method, .. } if method == m);
-                vm.blacklisted_methods().contains(m) || events.iter().any(deferred)
+                blacklisted.contains(m) || events.iter().any(deferred)
             };
             let (skip, kept): (Vec<MethodId>, _) = decisions.iter().partition(|m| refused(m));
             assert_eq!(installed, kept, "{} under budget {budget}", w.name);

@@ -281,7 +281,8 @@ fn bailout_events_agree_with_bailout_log() {
         })
         .collect();
     let from_log: Vec<(String, String, String)> = vm
-        .bailout_log()
+        .report()
+        .bailout_log
         .iter()
         .map(|r| {
             (
