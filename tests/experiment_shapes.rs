@@ -1,9 +1,11 @@
 //! Shape tests: the qualitative claims of the paper's evaluation must
-//! hold on this reproduction (§V; DESIGN.md §7). These run on a benchmark
-//! subset to stay fast in debug builds; `cargo run --release -p
-//! incline-bench -- run_all` checks the full suite.
+//! hold on this reproduction (§V; DESIGN.md §7). Most run on a benchmark
+//! subset to stay fast in debug builds; the footers of Figures 6, 7 and 10
+//! are pinned over all 28 workloads, as `cargo run --release -p
+//! incline-bench -- run_all` prints them into EXPERIMENTS.md.
 
-use incline::baselines::{C2Inliner, GreedyInliner};
+use incline::baselines::GreedyInliner;
+use incline::bench::figures;
 use incline::prelude::*;
 
 fn steady(w: &Workload, inliner: Box<dyn Inliner + '_>) -> (f64, u64) {
@@ -76,23 +78,16 @@ fn inlining_beats_no_inlining_broadly() {
 
 #[test]
 fn code_size_grows_but_moderately() {
-    // Table I shape: the proposed inliner generates more code than the
-    // baselines, but the growth stays within the tolerable range the
-    // paper argues for (the per-benchmark average is ≈1.9–2.4×).
-    let subset = ["xalan", "factorie", "scalatest", "jython", "h2"];
-    let mut ratios = Vec::new();
-    for name in subset {
-        let w = incline::workloads::by_name(name).unwrap();
-        let (_, incr_code) = steady(&w, Box::new(IncrementalInliner::new()));
-        let (_, c2_code) = steady(&w, Box::new(C2Inliner::new()));
-        ratios.push(incr_code as f64 / c2_code.max(1) as f64);
-    }
-    let avg = ratios.iter().sum::<f64>() / ratios.len() as f64;
-    assert!(
-        avg >= 1.0,
-        "the proposed inliner should not shrink code on average: {avg:.2}"
+    // Table I shape over all 28 workloads: the proposed inliner installs
+    // more code than the baselines, within the tolerable range the paper
+    // argues for (≈2.37× greedy, ≈1.88× C2). Pinned at today's averages:
+    // an inliner or optimizer change that makes the installed code grow or
+    // shrink moves the second decimal and fails here.
+    assert_eq!(
+        footer(&figures::fig10_and_table1()),
+        "average code size: incremental/greedy 2.02x (paper: ≈2.37x), \
+         incremental/c2 1.51x (paper: ≈1.88x)."
     );
-    assert!(avg < 8.0, "code growth must stay moderate: {avg:.2}x vs C2");
 }
 
 #[test]
@@ -140,32 +135,28 @@ fn deep_trials_help_on_trial_sensitive_benchmarks() {
     );
 }
 
+/// The last line of a rendered figure: its footer.
+fn footer(report: &str) -> &str {
+    report.lines().last().expect("the figure renders")
+}
+
 #[test]
 fn adaptive_tracks_best_fixed_threshold() {
-    // Figures 6/7 shape: adaptive within 10% of the best fixed setting on
-    // a majority of the subset, without per-benchmark tuning.
-    let subset = ["avrora", "scalatest", "kiama", "stmbench7", "h2"];
-    let mut ok = 0;
-    for name in subset {
-        let w = incline::workloads::by_name(name).unwrap();
-        let (adaptive, _) = steady(&w, Box::new(IncrementalInliner::new()));
-        let mut best_fixed = f64::INFINITY;
-        for (te, ti) in [(250, 500), (1500, 1500), (3500, 3000)] {
-            let (t, _) = steady(
-                &w,
-                Box::new(IncrementalInliner::with_config(PolicyConfig::fixed(te, ti))),
-            );
-            best_fixed = best_fixed.min(t);
-        }
-        if adaptive <= best_fixed * 1.10 {
-            ok += 1;
-        } else {
-            eprintln!("{name}: adaptive {adaptive:.0} vs best fixed {best_fixed:.0}");
-        }
-    }
-    assert!(
-        ok >= 4,
-        "adaptive must track the best fixed setting on ≥4/5, got {ok}"
+    // Figures 6/7 over all 28 workloads: the untuned adaptive thresholds
+    // against the best fixed (T_e, T_i) per benchmark. Pinned at today's
+    // counts: one adaptive-vs-fixed cell that flips — a fixed budget newly
+    // faster than adaptive, or adaptive catching up with the fixed budget
+    // that beats it on jython, factorie or gauss-mix — changes a count and
+    // fails here.
+    assert_eq!(
+        footer(&figures::fig06(false)),
+        "adaptive beats every fixed setting on 9/10 benchmarks; \
+         within 5% of the best per-benchmark fixed setting on 9/10."
+    );
+    assert_eq!(
+        footer(&figures::fig07(false)),
+        "adaptive beats every fixed setting on 16/18 benchmarks; \
+         within 5% of the best per-benchmark fixed setting on 16/18."
     );
 }
 
