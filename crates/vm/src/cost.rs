@@ -18,15 +18,6 @@
 
 use incline_ir::graph::Op;
 
-/// Execution tier of a method activation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tier {
-    /// Profiling interpreter.
-    Interpreted,
-    /// JIT-compiled code.
-    Compiled,
-}
-
 /// Tunable constants of the cost model.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
@@ -108,30 +99,17 @@ impl CostModel {
         }
     }
 
-    /// Full cost of executing `op` once in `tier`, given the currently
-    /// installed code size in bytes.
-    pub fn exec_cost(&self, op: &Op, tier: Tier, installed_bytes: u64) -> u64 {
-        self.tier_cost(self.op_cost(op), tier, installed_bytes)
-    }
-
-    /// [`CostModel::exec_cost`] of an operation whose [`CostModel::op_cost`]
-    /// is `base`. Interpreted and unscaled compiled costs are linear in
-    /// `base`, so a sum of bases prices a whole run of instructions; the
-    /// i-cache-scaled cost rounds down per operation and is not.
+    /// What compiled code pays per unit of [`CostModel::op_cost`] while
+    /// `installed_bytes` are installed, in 1/256ths (integer, to stay
+    /// deterministic): 256 up to the i-cache capacity, and 256 more for
+    /// every `icache_scale` bytes beyond it.
     #[inline]
-    pub fn tier_cost(&self, base: u64, tier: Tier, installed_bytes: u64) -> u64 {
-        match tier {
-            Tier::Interpreted => base + self.interp_dispatch,
-            Tier::Compiled => {
-                // Integer i-cache factor in 1/256ths to stay deterministic.
-                let over = installed_bytes.saturating_sub(self.icache_capacity);
-                if over == 0 {
-                    base
-                } else {
-                    let factor_num = 256 + (over * 256) / self.icache_scale.max(1);
-                    (base * factor_num) / 256
-                }
-            }
+    pub fn icache_factor(&self, installed_bytes: u64) -> u64 {
+        let over = installed_bytes.saturating_sub(self.icache_capacity);
+        if over == 0 {
+            256
+        } else {
+            256 + over * 256 / self.icache_scale.max(1)
         }
     }
 
@@ -144,13 +122,10 @@ impl CostModel {
         c
     }
 
-    /// Cycles for taking a CFG edge passing `argc` block arguments.
-    pub fn edge_cost(&self, argc: usize, tier: Tier) -> u64 {
-        let base = self.edge_move * argc as u64 + 1;
-        match tier {
-            Tier::Interpreted => base + self.interp_dispatch,
-            Tier::Compiled => base,
-        }
+    /// Cycles for taking a CFG edge passing `argc` block arguments in
+    /// compiled code; the interpreter adds its dispatch premium.
+    pub fn edge_cost(&self, argc: usize) -> u64 {
+        self.edge_move * argc as u64 + 1
     }
 
     /// Machine-code bytes a compiled graph of `ir_nodes` occupies.
@@ -170,35 +145,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interpreter_pays_dispatch_premium() {
-        let m = CostModel::default();
-        let op = Op::ConstInt(1);
-        let i = m.exec_cost(&op, Tier::Interpreted, 0);
-        let c = m.exec_cost(&op, Tier::Compiled, 0);
-        assert!(i > c);
-        assert_eq!(i - c, m.interp_dispatch);
-    }
-
-    #[test]
     fn icache_pressure_kicks_in_past_capacity() {
         let m = CostModel::default();
-        let op = Op::Bin(incline_ir::BinOp::FAdd);
-        let small = m.exec_cost(&op, Tier::Compiled, m.icache_capacity);
-        let big = m.exec_cost(&op, Tier::Compiled, m.icache_capacity + 4 * m.icache_scale);
-        assert!(
-            big > small,
-            "i-cache pressure must slow compiled code: {big} vs {small}"
+        assert_eq!(m.icache_factor(0), 256);
+        assert_eq!(m.icache_factor(m.icache_capacity), 256);
+        assert_eq!(m.icache_factor(m.icache_capacity + m.icache_scale / 2), 384);
+        // 4 scales over → 5× cost.
+        assert_eq!(
+            m.icache_factor(m.icache_capacity + 4 * m.icache_scale),
+            5 * 256
         );
-        assert_eq!(big, small * 5); // 4 scales over → 5× cost
-    }
-
-    #[test]
-    fn icache_no_penalty_for_interpreter() {
-        let m = CostModel::default();
-        let op = Op::ConstInt(3);
-        let a = m.exec_cost(&op, Tier::Interpreted, 0);
-        let b = m.exec_cost(&op, Tier::Interpreted, 100 * 1024 * 1024);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -215,10 +171,9 @@ mod more_tests {
     use incline_ir::graph::Op;
 
     #[test]
-    fn edge_cost_scales_with_args_and_tier() {
+    fn edge_cost_scales_with_args() {
         let m = CostModel::default();
-        assert!(m.edge_cost(4, Tier::Interpreted) > m.edge_cost(0, Tier::Interpreted));
-        assert!(m.edge_cost(0, Tier::Interpreted) > m.edge_cost(0, Tier::Compiled));
+        assert!(m.edge_cost(4) > m.edge_cost(0));
     }
 
     #[test]
@@ -233,11 +188,6 @@ mod more_tests {
     fn nop_is_free() {
         let m = CostModel::default();
         assert_eq!(m.op_cost(&Op::Nop), 0);
-        // Even interpreted, only the dispatch premium applies.
-        assert_eq!(
-            m.exec_cost(&Op::Nop, Tier::Interpreted, 0),
-            m.interp_dispatch
-        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod value;
 
 pub use broker::QueueStats;
 pub use cache::{CacheEntry, CacheStats, EvictionPolicy};
-pub use cost::{CostModel, Tier};
+pub use cost::CostModel;
 pub use faults::{FaultKind, FaultPlan};
 pub use incline_core::{
     CompileCx, CompileError, CompileOutcome, InlineStats, Inliner, NoInline, Speculation,

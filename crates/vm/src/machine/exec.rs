@@ -11,8 +11,7 @@ use incline_trace::CompileEvent;
 
 use super::methods::Tier;
 use super::{ExecError, InstallPolicy, Machine, MAX_DEPTH};
-use crate::cost::Tier as ExecTier;
-use crate::plan::{method_signature, ExecPlan, Slot, Term};
+use crate::plan::{method_signature, Call, ExecPlan, Run, Slot, Term};
 use crate::value::word_ref;
 
 /// What [`Program::resolve`] answers for a receiver class and a selector:
@@ -154,7 +153,7 @@ impl Machine<'_> {
         depth: usize,
     ) -> Result<u64, ExecError> {
         let plan = self.source_plan(method);
-        match self.exec_graph(method, &plan, ExecTier::Interpreted, argc, depth)? {
+        match self.exec_graph(method, &plan, true, argc, depth)? {
             Flow::Return(v) => Ok(v),
             Flow::Deopt(_) => unreachable!("the interpreted tier traps on deopt terminators"),
         }
@@ -211,7 +210,7 @@ impl Machine<'_> {
         // its compiled frame is on the stack (an install in a callee
         // could otherwise tear code out from under us mid-activation).
         self.methods.get_mut(method).live_frames += 1;
-        let flow = self.exec_graph(method, &code.plan, ExecTier::Compiled, argc, depth);
+        let flow = self.exec_graph(method, &code.plan, false, argc, depth);
         let frames = &mut self.methods.get_mut(method).live_frames;
         debug_assert!(*frames > 0, "compiled-frame exit without a matching entry");
         *frames -= 1;
@@ -254,24 +253,86 @@ impl Machine<'_> {
         self.steps > self.config.fuel_steps
     }
 
-    /// Runs one activation of the flat code `plan` in `tier`. The `argc`
-    /// arguments are the top of the register stack; the activation's frame
-    /// goes above them and is popped again unless the activation ends in
-    /// an error (which ends the run).
+    /// Charges `steps` instructions whose base costs sum to `base`: the
+    /// steps, and in cycles `base` times the i-cache factor of the code
+    /// installed now, in 1/256ths, with what the product leaves of a cycle
+    /// carried into the next charge. The interpreter's factor is 256, which
+    /// leaves the carry as it is, and it pays its dispatch premium per step.
+    #[inline]
+    fn charge_insts(&mut self, profiling: bool, steps: u64, base: u64) {
+        let cost = &self.config.cost;
+        self.steps += steps;
+        if profiling {
+            self.exec_cycles += base + steps * cost.interp_dispatch;
+            return;
+        }
+        let factor = cost.icache_factor(self.methods.installed_bytes());
+        let scaled = base * factor + self.exec_fraction;
+        self.exec_cycles += scaled / 256;
+        self.exec_fraction = scaled % 256;
+    }
+
+    /// Executes the call-free `run` of `plan` on the frame at `base`, and
+    /// then takes the step of the `call` instruction that ends it, if any —
+    /// as far as the fuel covers them. Charges once for what ran: up to and
+    /// including a trapping instruction, and the step that found the tank
+    /// empty without its cost.
+    #[inline]
+    fn exec_run(
+        &mut self,
+        plan: &ExecPlan,
+        run: &Run,
+        call: Option<&Call>,
+        base: usize,
+        profiling: bool,
+    ) -> Result<(), ExecError> {
+        let program = self.program;
+        let insts = run.insts.of(&plan.insts);
+        let fuel = self.config.fuel_steps.saturating_sub(self.steps);
+        let covered = &insts[..insts.len().min(fuel.try_into().unwrap_or(usize::MAX))];
+        let regs = &mut self.stack[base..base + plan.frame];
+        let mut left = covered.iter();
+        while let Some(inst) = left.next() {
+            if let Err(trap) = self.store.exec(program, regs, inst) {
+                // What ran, the trapping instruction included.
+                let steps = (covered.len() - left.len()) as u64;
+                self.charge_insts(profiling, steps, run.base_cost - inst.rest_cost);
+                return Err(ExecError::Trap(trap));
+            }
+        }
+        let steps = insts.len() as u64 + u64::from(call.is_some());
+        if steps <= fuel {
+            let call_cost = call.map_or(0, |call| call.base_cost);
+            self.charge_insts(profiling, steps, run.base_cost + call_cost);
+            return Ok(());
+        }
+        let ran = covered
+            .last()
+            .map_or(0, |last| run.base_cost - last.rest_cost);
+        self.charge_insts(profiling, covered.len() as u64, ran);
+        self.steps += 1;
+        Err(ExecError::OutOfFuel)
+    }
+
+    /// Runs one activation of the flat code `plan`, interpreted (and
+    /// profiling) or compiled. The `argc` arguments are the top of the
+    /// register stack; the activation's frame goes above them and is
+    /// popped again unless the activation ends in an error (which ends the
+    /// run).
     fn exec_graph(
         &mut self,
         method: MethodId,
         plan: &ExecPlan,
-        tier: ExecTier,
+        profiling: bool,
         argc: usize,
         depth: usize,
     ) -> Result<Flow, ExecError> {
-        let profiling = tier == ExecTier::Interpreted;
-        let program = self.program;
-        let cost = self.config.cost;
-        // What the interpreter pays on top of the compiled tier, per
-        // instruction and per edge.
-        let dispatch = if profiling { cost.interp_dispatch } else { 0 };
+        // What the interpreter pays on top of the compiled tier per edge.
+        let dispatch = if profiling {
+            self.config.cost.interp_dispatch
+        } else {
+            0
+        };
         let base = self.stack.len();
         let frame = base..base + plan.frame;
         self.stack.resize(frame.end, 0);
@@ -279,18 +340,6 @@ impl Machine<'_> {
         // entry block that is a loop header rebinds them, and a deoptimized
         // activation is re-run from the arguments below its frame.
         self.stack.copy_within(base - argc..base, base);
-        // Charges one instruction the per-operation way: a step of fuel,
-        // then its tier cost under the code size installed right now.
-        macro_rules! charge_op {
-            ($base_cost:expr) => {
-                self.steps += 1;
-                if self.steps > self.config.fuel_steps {
-                    return Err(ExecError::OutOfFuel);
-                }
-                self.exec_cycles +=
-                    cost.tier_cost($base_cost, tier, self.methods.installed_bytes());
-            };
-        }
         let mut block = &plan.blocks[0];
 
         loop {
@@ -308,43 +357,10 @@ impl Machine<'_> {
                 // Every run but a block's last ends at a call.
                 let call = calls.next();
                 let run = call.map_or(&block.tail, |call| &call.before);
-                // A run's cost is the sum of its instructions' costs when
-                // those are linear in the base cost: always interpreted,
-                // and compiled while the code cache fits the i-cache (the
-                // scaled cost rounds down per instruction). And the run
-                // may only be charged at once if it cannot run out of fuel
-                // part-way, so a trap inside it still comes before
-                // `OutOfFuel` exactly when it does instruction by
-                // instruction.
-                let linear = profiling || self.methods.installed_bytes() <= cost.icache_capacity;
-                let len = u64::from(run.insts.len());
-                let summed = linear && self.steps + len <= self.config.fuel_steps;
-                if summed {
-                    self.steps += len;
-                    self.exec_cycles += run.base_cost + len * dispatch;
-                }
-                let regs = &mut self.stack[frame.clone()];
-                for inst in run.insts.of(&plan.insts) {
-                    if !summed {
-                        charge_op!(u64::from(inst.base_cost));
-                    }
-                    if let Err(trap) = self.store.exec(program, regs, inst) {
-                        if summed {
-                            // Take back what the run charged for the
-                            // instructions after the trap: steps and cycles
-                            // end up exactly where charging one instruction
-                            // at a time leaves them.
-                            let rest = u64::from(inst.rest_len);
-                            self.steps -= rest;
-                            self.exec_cycles -= inst.rest_cost + rest * dispatch;
-                        }
-                        return Err(ExecError::Trap(trap));
-                    }
-                }
+                self.exec_run(plan, run, call, base, profiling)?;
                 let Some(call) = call else {
                     break;
                 };
-                charge_op!(call.base_cost);
                 // The arguments go on top of the stack, where the callee's
                 // activation finds them.
                 let callee_args = call.args.of(&plan.slots);
@@ -386,7 +402,7 @@ impl Machine<'_> {
                 if profiling {
                     self.profiles.record_callsite(call.site);
                 }
-                self.exec_cycles += cost.call_cost(callee_args.len(), is_virtual);
+                self.exec_cycles += self.config.cost.call_cost(callee_args.len(), is_virtual);
                 let result = self.exec_method(target, callee_args.len(), depth + 1)?;
                 self.stack.truncate(frame.end);
                 if let Some(dst) = call.dst {
@@ -402,7 +418,7 @@ impl Machine<'_> {
                     return Ok(Flow::Return(word));
                 }
                 Term::Deopt(reason) => {
-                    if tier == ExecTier::Compiled {
+                    if !profiling {
                         // Uncommon trap: hand the activation back to
                         // `exec_compiled` for rollback and replay.
                         self.stack.truncate(base);
@@ -889,21 +905,19 @@ b2():
         let p = incline_ir::parse::parse_program(with_empty).expect("parses");
         let main = p.function_by_name("main").expect("main");
         let cost = CostModel::default();
-        for (tier, mut vm) in [ExecTier::Interpreted, ExecTier::Compiled]
-            .into_iter()
-            .zip(both_tiers(&p))
-        {
+        let base: u64 = [Op::ConstInt(1), Op::Bin(incline_ir::BinOp::IAdd)]
+            .iter()
+            .map(|op| cost.op_cost(op))
+            .sum();
+        for (dispatch, mut vm) in [cost.interp_dispatch, 0].into_iter().zip(both_tiers(&p)) {
             let out = vm.run(main, vec![Value::Int(7)]).unwrap();
-            let insts: u64 = [Op::ConstInt(1), Op::Bin(incline_ir::BinOp::IAdd)]
-                .iter()
-                .map(|op| cost.exec_cost(op, tier, vm.installed_bytes()))
-                .sum();
-            assert_eq!(out.exec_cycles, insts + 2 * cost.edge_cost(1, tier));
+            let edges = 2 * (cost.edge_cost(1) + dispatch);
+            assert_eq!(out.exec_cycles, base + 2 * dispatch + edges);
         }
     }
 
     #[test]
-    fn icache_factor_changing_inside_a_block_is_charged_per_instruction() {
+    fn icache_factor_changing_inside_a_block_is_charged_per_run() {
         // `f` runs compiled; the call in the middle of its block compiles
         // `g` at the hotness trigger, so the installed bytes — and with
         // them the i-cache factor — grow between `f`'s instructions.
@@ -924,9 +938,8 @@ b2():
         let f_graph = p.method(f).graph.clone();
         let g_graph = p.method(g).graph.clone();
         // Up to the capacity before the call and over it after; over it
-        // throughout. The cycle counts are pinned from the loop that
-        // charged every instruction separately.
-        for (capacity, pinned) in [(f_graph.size() as u64 * 4, 51), (8, 69)] {
+        // throughout.
+        for (capacity, pinned) in [(f_graph.size() as u64 * 4, 52), (8, 76)] {
             let cost = CostModel::default().with_icache(capacity, 48);
             let config = VmConfig {
                 cost,
@@ -940,24 +953,60 @@ b2():
             let after = vm.installed_bytes();
             assert_eq!(vm.compiled_methods(), vec![g, f]);
             assert!(after > before && after > capacity);
-            // The reference: every instruction priced on its own, under
-            // the bytes installed when it ran.
-            let mut bytes = before;
-            let mut expected = 0;
+            // The reference: the Σ base cost of every run, and of the call
+            // instruction, times the factor of the bytes installed when it
+            // ran, with what each product leaves of a cycle carried on.
+            let (mut expected, mut fraction) = (0, 0);
+            let mut charge = |base: u64, bytes: u64| {
+                let scaled = base * cost.icache_factor(bytes) + fraction;
+                fraction = scaled % 256;
+                scaled / 256
+            };
+            let mut run = 0;
             for &inst in &f_graph.block(f_graph.entry()).insts {
                 let op = &f_graph.inst(inst).op;
-                expected += cost.exec_cost(op, ExecTier::Compiled, bytes);
-                if matches!(op, Op::Call(_)) {
-                    expected += cost.call_cost(0, false);
-                    bytes = after;
-                    for &callee_inst in &g_graph.block(g_graph.entry()).insts {
-                        let op = &g_graph.inst(callee_inst).op;
-                        expected += cost.exec_cost(op, ExecTier::Compiled, bytes);
-                    }
+                if !matches!(op, Op::Call(_)) {
+                    run += cost.op_cost(op);
+                    continue;
                 }
+                expected += charge(std::mem::take(&mut run), before);
+                expected += charge(cost.op_cost(op), before);
+                expected += cost.call_cost(0, false);
+                let g_insts = &g_graph.block(g_graph.entry()).insts;
+                let callee = g_insts.iter().map(|&i| cost.op_cost(&g_graph.inst(i).op));
+                expected += charge(callee.sum(), after);
             }
+            expected += charge(run, after);
             assert_eq!(out.exec_cycles, expected, "capacity={capacity}");
             assert_eq!(out.exec_cycles, pinned, "capacity={capacity}");
+        }
+        // Base-1 additions over the capacity: rounding each one's scaled
+        // cost down made them free of the i-cache term. The interpreter pays
+        // none, however much code is installed.
+        let (p, f) = line_program(&[Add; 8]);
+        let g = p.function_by_name("g").unwrap();
+        let graph = &p.method(f).graph;
+        let insts = &graph.block(graph.entry()).insts;
+        let unscaled: u64 = insts
+            .iter()
+            .map(|&i| CostModel::default().op_cost(&graph.inst(i).op))
+            .sum();
+        for (capacity, compiled) in [(8, f), (0, g)] {
+            let cost = CostModel::default().with_icache(capacity, 48);
+            let config = VmConfig {
+                cost,
+                ..VmConfig::default()
+            };
+            let mut vm = Machine::new(&p, Box::new(VerbatimInliner), config);
+            assert!(vm.compile_now(compiled));
+            assert!(vm.installed_bytes() > capacity);
+            let cycles = vm.run(f, vec![Value::Int(5)]).unwrap().exec_cycles;
+            if compiled == f {
+                assert!(cycles > unscaled, "{cycles} vs {unscaled}");
+            } else {
+                let dispatch = insts.len() as u64 * cost.interp_dispatch;
+                assert_eq!(cycles, unscaled + dispatch);
+            }
         }
     }
 

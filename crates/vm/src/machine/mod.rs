@@ -134,6 +134,9 @@ pub struct Machine<'p> {
     /// looked up yet". Rows exist only for classes that were a receiver.
     dispatch: Vec<Vec<Option<Dispatch>>>,
     exec_cycles: u64,
+    /// What the charges so far left of a cycle, in 1/256ths: the
+    /// remainder the next charge's i-cache factor carries on from.
+    exec_fraction: u64,
     run_compile_cycles: u64,
     run_stall_cycles: u64,
     steps: u64,
@@ -180,6 +183,7 @@ impl<'p> Machine<'p> {
             edge_scratch: Vec::new(),
             dispatch: Vec::new(),
             exec_cycles: 0,
+            exec_fraction: 0,
             run_compile_cycles: 0,
             run_stall_cycles: 0,
             steps: 0,
@@ -215,6 +219,7 @@ impl<'p> Machine<'p> {
         }
         self.store.reset();
         self.exec_cycles = 0;
+        self.exec_fraction = 0;
         self.run_compile_cycles = 0;
         self.run_stall_cycles = 0;
         self.steps = 0;

@@ -217,6 +217,7 @@ impl Machine<'_> {
         // modelled workers' timeline stays monotone).
         self.vbase += self.exec_cycles + self.run_stall_cycles;
         self.exec_cycles = 0;
+        self.exec_fraction = 0;
         self.run_compile_cycles = 0;
         self.run_stall_cycles = 0;
         self.check_methods(true, None);

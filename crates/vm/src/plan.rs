@@ -13,7 +13,7 @@
 //!   (constants as register words, fields as layout offsets, every
 //!   arithmetic and comparison operator as its own variant), operand and
 //!   result slots, and what the rest of their run costs, so a trap inside
-//!   a summed run refunds with two subtractions.
+//!   a run is charged what ran with one subtraction.
 //! * **Edges**, inside the terminator, carry their destination, a move list
 //!   over frame slots and the pre-summed cost of taking them.
 //! * **Slots** number the block parameters and instruction results of
@@ -37,7 +37,7 @@ use incline_ir::{
     BlockId, CallSiteId, ClassId, ElemType, Graph, Method, Program, RetType, Type, ValueId,
 };
 
-use crate::cost::{CostModel, Tier};
+use crate::cost::CostModel;
 use crate::value::Kind;
 
 /// Index of a register in an activation's frame.
@@ -58,12 +58,6 @@ impl Span {
     #[inline]
     pub fn of<T>(self, table: &[T]) -> &[T] {
         &table[self.start as usize..self.end as usize]
-    }
-
-    /// Number of entries.
-    #[inline]
-    pub fn len(self) -> u32 {
-        self.end - self.start
     }
 }
 
@@ -133,10 +127,8 @@ pub(crate) struct Inst {
     pub dst: Slot,
     /// [`CostModel::op_cost`] of the operation.
     pub base_cost: u32,
-    /// Instructions after this one in its run.
-    pub rest_len: u32,
-    /// Σ `base_cost` over those: what a summed run charged for work a
-    /// trap here leaves undone.
+    /// Σ `base_cost` over the instructions after this one in its run: the
+    /// part of the run's cost a trap here leaves unrun.
     pub rest_cost: u64,
 }
 
@@ -550,11 +542,9 @@ impl Lowering<'_> {
     /// Closes the run of the instructions lowered since `start`, filling in
     /// what each leaves of the run behind it.
     fn close_run(&mut self, start: usize) -> Run {
-        let (mut rest_len, mut rest_cost) = (0, 0);
+        let mut rest_cost = 0;
         for inst in self.plan.insts[start..].iter_mut().rev() {
-            inst.rest_len = rest_len;
             inst.rest_cost = rest_cost;
-            rest_len += 1;
             rest_cost += u64::from(inst.base_cost);
         }
         Run {
@@ -647,7 +637,6 @@ impl Lowering<'_> {
             c: operand(2),
             dst,
             base_cost: self.cost.op_cost(&data.op) as u32,
-            rest_len: 0,
             rest_cost: 0,
         }
     }
@@ -725,7 +714,7 @@ impl Lowering<'_> {
                 start: start as u32,
                 end: self.plan.slots.len() as u32,
             },
-            cost: self.cost.edge_cost(args.len(), Tier::Compiled),
+            cost: self.cost.edge_cost(args.len()),
             back_edge: scratch.back_edge.get(from.index()).is_some_and(|e| e[pos]),
             hazard,
         }
@@ -828,17 +817,22 @@ mod tests {
         let entry = &plan.blocks[0];
         let calls = entry.calls.of(&plan.calls);
         let runs: Vec<Run> = calls.iter().map(|c| c.before).chain([entry.tail]).collect();
-        let shape: Vec<(u32, u64)> = runs.iter().map(|r| (r.insts.len(), r.base_cost)).collect();
+        let shape: Vec<(usize, u64)> = runs
+            .iter()
+            .map(|r| (r.insts.of(&plan.insts).len(), r.base_cost))
+            .collect();
         assert_eq!(shape, vec![(0, 0), (0, 0), (2, 1 + 12), (0, 0)]);
         // What a trap in the `iadd` would leave undone: the division.
         let middle = runs[2].insts.of(&plan.insts);
         assert_eq!((middle[0].op, middle[1].op), (FlatOp::IAdd, FlatOp::IDiv));
-        assert_eq!((middle[0].rest_len, middle[0].rest_cost), (1, 12));
-        assert_eq!((middle[1].rest_len, middle[1].rest_cost), (0, 0));
+        assert_eq!((middle[0].rest_cost, middle[1].rest_cost), (12, 0));
         // x, three call results, the sum and the quotient.
         assert_eq!(plan.frame, 6);
         assert_eq!(calls[1].target, CallTarget::Static(callee));
-        assert_eq!((calls[1].args.len(), calls[1].dst), (0, Some(2)));
+        assert_eq!(
+            (calls[1].args.of(&plan.slots).len(), calls[1].dst),
+            (0, Some(2))
+        );
     }
 
     #[test]
@@ -910,8 +904,8 @@ mod tests {
             let Term::Jump(edge) = plan.blocks[1].term else {
                 panic!("b1 ends in a jump");
             };
-            assert_eq!(edge.moves.len(), 2 * moved, "{order:?}");
-            assert_eq!(edge.cost, cost.edge_cost(order.len(), Tier::Compiled));
+            assert_eq!(edge.moves.of(&plan.slots).len(), 2 * moved, "{order:?}");
+            assert_eq!(edge.cost, cost.edge_cost(order.len()));
         }
     }
 
