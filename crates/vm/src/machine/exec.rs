@@ -1208,6 +1208,112 @@ b2():
         assert_eq!(out.value, None);
     }
 
+    /// Installs, for the method named `victim`, its own code with every
+    /// `ret` an uncommon trap, so the activation deoptimizes after all of
+    /// its effects; everything else verbatim.
+    struct TrapAtReturn {
+        victim: MethodId,
+    }
+    impl Inliner for TrapAtReturn {
+        fn name(&self) -> &str {
+            "trap-at-return"
+        }
+        fn compile(
+            &self,
+            method: MethodId,
+            cx: &CompileCx<'_>,
+        ) -> Result<CompileOutcome, CompileError> {
+            let mut graph = cx.program.method(method).graph.clone();
+            if method == self.victim {
+                let blocks: Vec<_> = graph.block_ids().collect();
+                for b in blocks {
+                    if matches!(graph.block(b).term, Terminator::Return(_)) {
+                        let reason = DeoptReason::Injected;
+                        graph.set_terminator(b, Terminator::Deopt { reason });
+                    }
+                }
+            }
+            let work_nodes = graph.size();
+            Ok(CompileOutcome {
+                graph,
+                work_nodes,
+                stats: InlineStats::default(),
+            })
+        }
+    }
+
+    #[test]
+    fn a_deoptimized_activation_s_heap_writes_are_undone_before_its_replay() {
+        // main() { b = new Box; a = new int[1]; f(b, a);
+        //          print (new Box).v; print b.v; print a[0] }
+        // f(b, a) { print b.v; b.v = b.v + 1; print a[0]; a[0] = a[0] + 1;
+        //           print new Box }
+        let mut p = Program::new();
+        let class = p.add_class("Box", None);
+        let field = p.add_field(class, "v", Type::Int);
+        let ints = incline_ir::ElemType::Int;
+        let f = p.declare_function(
+            "f",
+            vec![Type::Object(class), Type::Array(ints)],
+            RetType::Void,
+        );
+        let mut fb = FunctionBuilder::new(&p, f);
+        let (b, a) = (fb.param(0), fb.param(1));
+        let (zero, one) = (fb.const_int(0), fb.const_int(1));
+        let v = fb.get_field(field, b);
+        fb.print(v);
+        let v1 = fb.iadd(v, one);
+        fb.set_field(field, b, v1);
+        let e = fb.array_get(a, zero);
+        fb.print(e);
+        let e1 = fb.iadd(e, one);
+        fb.array_set(a, zero, e1);
+        let fresh = fb.new_object(class);
+        fb.print(fresh);
+        fb.ret(None);
+        let g = fb.finish();
+        p.define_method(f, g);
+        let main = p.declare_function("main", vec![], RetType::Void);
+        let mut fb = FunctionBuilder::new(&p, main);
+        let b = fb.new_object(class);
+        let one = fb.const_int(1);
+        let a = fb.new_array(ints, one);
+        fb.call_static(f, vec![b, a]);
+        let c = fb.new_object(class);
+        let zero = fb.const_int(0);
+        for v in [fb.get_field(field, c), fb.get_field(field, b)] {
+            fb.print(v);
+        }
+        let e = fb.array_get(a, zero);
+        fb.print(e);
+        fb.ret(None);
+        let g = fb.finish();
+        p.define_method(main, g);
+
+        let interpreted = Machine::new(
+            &p,
+            Box::new(NoInline),
+            VmConfig {
+                jit: false,
+                ..VmConfig::default()
+            },
+        )
+        .run(main, vec![])
+        .unwrap();
+        assert_eq!(interpreted.output.lines(), ["0", "0", "Box", "0", "1", "1"]);
+        // The compiled `f` writes both cells and allocates before it traps:
+        // the replay must read the values the writes overwrote.
+        let mut vm = Machine::new(
+            &p,
+            Box::new(TrapAtReturn { victim: f }),
+            VmConfig::default(),
+        );
+        assert!(vm.compile_now(main) && vm.compile_now(f));
+        let out = vm.run(main, vec![]).unwrap();
+        assert_eq!(vm.bailouts().deopts, 1);
+        assert_eq!(out.output, interpreted.output);
+    }
+
     #[test]
     fn null_and_references_survive_the_heap_and_every_reference_operation() {
         let mut p = Program::new();
