@@ -68,16 +68,16 @@ fn run_all(path: &str, full: bool) {
          reproduction target. Regenerate with:\n\
          `cargo run --release -p incline-bench -- run_all`.\n\n\
          ## Paper claims vs. this reproduction (summary)\n\n\
-         | Claim (paper §V) | Paper | Here |\n\
-         |---|---|---|\n\
-         | new inliner ≥ greedy open-source inliner | 27/28 (all but pmd) | see Figure 9 footer (27/28 in the checked run; greedy's win is scalap) |\n\
-         | speedups over alternatives | 5% – 3× | geomean/max in Figure 9 footer (up to ≈1.9×) |\n\
-         | adaptive ≈ best per-benchmark fixed threshold, untuned | best fixed needs per-benchmark tuning | Figures 6/7 footers |\n\
-         | jython/scalatest-style outliers prefer extreme fixed budgets | T_e=5k,T_i=6k for jython | Figures 6/7: the largest fixed budget (Te3500/Ti3000) beats adaptive on jython, factorie and gauss-mix; the ablation's `inline-everything` does not (slower than adaptive on jython and scalac) |\n\
-         | clustering parameter-insensitive, 1-by-1 sensitive | Fig. 8 | Figure 8 footer (spread ratios) |\n\
-         | deep trials: ≈0 on DaCapo, wins on Scala suites (8–59%) | actors/factorie/tm/scalatest/gauss-mix | Figure 9 `no-deep-trials` column: effects concentrate on actors/factorie; magnitudes exaggerated at our scale, DaCapo ≈ 0 as in the paper |\n\
-         | code size ≈1.88× C2, ≈2.37× greedy on average | Table I | Figure 10 footer |\n\
-         | warmup not significantly hurt | <20% warmup constraint | Figure 5 per-iteration series |\n\n",
+         | Claim (paper §V) | Paper | Here | Status |\n\
+         |---|---|---|---|\n\
+         | new inliner ≥ greedy open-source inliner | 27/28 (all but pmd) | see Figure 9 footer (27/28 in the checked run; greedy's win is scalap) | reproduced |\n\
+         | speedups over alternatives | 5% – 3× | geomean/max in Figure 9 footer (up to ≈1.9×) | partial |\n\
+         | adaptive ≈ best per-benchmark fixed threshold, untuned | best fixed needs per-benchmark tuning | Figures 6/7 footers | reproduced |\n\
+         | jython/scalatest-style outliers prefer extreme fixed budgets | T_e=5k,T_i=6k for jython | Figures 6/7: the largest fixed budget (Te3500/Ti3000) beats adaptive on jython, factorie and gauss-mix; the ablation's `inline-everything` does not (slower than adaptive on jython and scalac) | partial |\n\
+         | clustering parameter-insensitive, 1-by-1 sensitive | Fig. 8 | Figure 8 footer (spread ratios) | partial |\n\
+         | deep trials: ≈0 on DaCapo, wins on Scala suites (8–59%) | actors/factorie/tm/scalatest/gauss-mix | Figure 9 `no-deep-trials` column: effects concentrate on actors/factorie; magnitudes exaggerated at our scale, DaCapo ≈ 0 as in the paper | partial |\n\
+         | code size ≈1.88× C2, ≈2.37× greedy on average | Table I | Figure 10 footer | partial |\n\
+         | warmup not significantly hurt | <20% warmup constraint | Figure 5 per-iteration series | reproduced |\n\n",
     );
 
     for (name, _, figure) in FIGURES

@@ -970,7 +970,7 @@ impl Graph {
     }
 
     /// Asserts that every cached shape analysis equals its uncached
-    /// specification — the audit of [`ShapeAnalyses`]' invalidation rule.
+    /// specification — the audit of `ShapeAnalyses`' invalidation rule.
     ///
     /// # Panics
     ///

@@ -5,11 +5,11 @@
 //! instruction is inspected in three steps, and the first that proposes a
 //! rewrite wins:
 //!
-//! 1. **constant folding** ([`fold`]) — arithmetic, comparisons, negations
+//! 1. **constant folding** (`fold`) — arithmetic, comparisons, negations
 //!    and conversions over constant operands, through [`incline_ir::eval`],
 //!    the interpreter's own semantics; a fold that would trap ends the
 //!    inspection and leaves the instruction for runtime;
-//! 2. **algebraic identities** ([`rules`]) — a first-match table of the
+//! 2. **algebraic identities** (`rules`) — a first-match table of the
 //!    two-operand identities of `Bin` and `Cmp` (`x+0`, `x*2ᵏ → x<<k`,
 //!    `x-x`, `null == new C`, …), each row with the counter it bumps;
 //! 3. **rewrites that read the program or a defining instruction** —

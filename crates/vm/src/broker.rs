@@ -1,6 +1,6 @@
-//! The compile broker: what one compilation is asked ([`CompileRequest`]),
-//! how it runs ([`run_ladder`]) and what it hands back
-//! ([`CompileResponse`]), plus the queue requests wait in.
+//! The compile broker: what one compilation is asked (`CompileRequest`),
+//! how it runs (`run_ladder`) and what it hands back
+//! (`CompileResponse`), plus the queue requests wait in.
 //!
 //! Everything here runs on the mutator, one request at a time: the machine
 //! pops a request, runs the ladder with its own trace sink, charges the
@@ -8,7 +8,7 @@
 //! `Machine::drain_compile_queue`). A request is self-contained — root
 //! method, compile-fuel budget, injected fault, speculation policy and, in
 //! pipelined mode, the profile table, all as they were at enqueue — so
-//! [`run_ladder`], the full bailout ladder (full tier → inline-free
+//! `run_ladder`, the full bailout ladder (full tier → inline-free
 //! degraded tier), is a pure function of `(program, profiles, inliner,
 //! request)` whose only effect is the events it emits. That purity is what
 //! lets pipelined mode compile long after the enqueue and still see the

@@ -72,4 +72,4 @@ pub use snapshot::{
     SnapshotIo, SnapshotStats, SnapshotStore, SNAPSHOT_VERSION,
 };
 pub use stats::{fairness_index, percentile, LatencyStats};
-pub use value::{Heap, HeapCell, HeapRef, Output, Value};
+pub use value::{HeapRef, Output, Value};

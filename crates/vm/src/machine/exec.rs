@@ -12,7 +12,6 @@ use incline_trace::CompileEvent;
 use super::methods::Tier;
 use super::{ExecError, InstallPolicy, Machine, MAX_DEPTH};
 use crate::plan::{method_signature, Call, ExecPlan, Run, Slot, Term};
-use crate::value::word_ref;
 
 /// What [`Program::resolve`] answers for a receiver class and a selector:
 /// the implementation with its [`method_signature`], or none.
@@ -371,10 +370,11 @@ impl Machine<'_> {
                 let (target, is_virtual) = match call.target {
                     CallTarget::Static(m) => (m, false),
                     CallTarget::Virtual(sel) => {
-                        let Some(r) = word_ref(self.stack[frame.end]) else {
+                        let receiver = self.stack[frame.end];
+                        if receiver == 0 {
                             return Err(ExecError::Trap(TrapKind::NullDeref));
-                        };
-                        let Some(class) = self.store.heap.class_of(r) else {
+                        }
+                        let Some(class) = self.store.class_of(receiver) else {
                             return Err(ExecError::Trap(TrapKind::NoSuchMethod));
                         };
                         if profiling {

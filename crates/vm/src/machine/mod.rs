@@ -178,7 +178,7 @@ impl<'p> Machine<'p> {
             vbase: 0,
             use_seq: 0,
             cache: CacheStats::default(),
-            store: Store::new(program),
+            store: Store::default(),
             stack: Vec::new(),
             edge_scratch: Vec::new(),
             dispatch: Vec::new(),

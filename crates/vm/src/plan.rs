@@ -33,9 +33,7 @@
 
 use incline_ir::graph::{BinOp, CallTarget, CmpOp, DeoptReason, InstData, Op, Terminator};
 use incline_ir::loops::LoopForest;
-use incline_ir::{
-    BlockId, CallSiteId, ClassId, ElemType, Graph, Method, Program, RetType, Type, ValueId,
-};
+use incline_ir::{BlockId, CallSiteId, ClassId, Graph, Method, Program, RetType, Type, ValueId};
 
 use crate::cost::CostModel;
 use crate::value::Kind;
@@ -99,16 +97,13 @@ pub(crate) enum FlatOp {
     IntToFloat,
     FloatToInt,
     New(ClassId),
-    /// `dst = a.fields[offset]`, tag stripped.
+    /// `dst = a.fields[offset]`.
     GetField(u32),
-    /// `a.fields[offset] = b`, tagged as `kind` (the field's type).
-    SetField {
-        offset: u32,
-        kind: Kind,
-    },
-    NewArray(ElemType),
+    /// `a.fields[offset] = b`.
+    SetField(u32),
+    NewArray,
     ArrayGet,
-    /// `a[b] = c`, tagged by the array cell's own element type.
+    /// `a[b] = c`.
     ArraySet,
     ArrayLen,
     InstanceOf(ClassId),
@@ -598,11 +593,10 @@ impl Lowering<'_> {
             }
             Op::SetField(f) => {
                 let fd = self.program.field(*f);
-                let kind = Kind::of(fd.ty);
-                let offset = fd.offset as u32;
-                (FlatOp::SetField { offset, kind }, two(Ref, kind), None)
+                let op = FlatOp::SetField(fd.offset as u32);
+                (op, two(Ref, Kind::of(fd.ty)), None)
             }
-            Op::NewArray(e) => (FlatOp::NewArray(*e), one(Int), Some(Ref)),
+            Op::NewArray(_) => (FlatOp::NewArray, one(Int), Some(Ref)),
             Op::ArrayGet => (FlatOp::ArrayGet, two(Ref, Int), Some(array_elem(arg(0)))),
             Op::ArraySet => {
                 let reads = [Some(Ref), Some(Int), Some(array_elem(arg(0)))];

@@ -8,27 +8,15 @@
 //! of the machine.
 
 use incline_ir::eval::{self, TrapKind};
-use incline_ir::{BinOp, CmpOp, Program};
+use incline_ir::{BinOp, ClassId, CmpOp, Program};
 
 use crate::machine::MAX_HEAP_SLOTS;
 use crate::plan::{FlatOp, Inst};
-use crate::value::{word_ref, Heap, HeapCell, HeapRef, Kind, Output, Value};
+use crate::value::{Kind, Output, Value};
 
-/// One undo entry in the deoptimization write journal.
-enum JournalEntry {
-    /// `fields[offset]` of object `r` held `old` before the write.
-    Field {
-        r: HeapRef,
-        offset: usize,
-        old: Value,
-    },
-    /// `data[index]` of array `r` held `old` before the write.
-    Array {
-        r: HeapRef,
-        index: usize,
-        old: Value,
-    },
-}
+/// The first header word of an array cell; an object's holds its class
+/// index.
+const ARRAY: u64 = u64::MAX;
 
 /// Observable-state watermark taken at the entry of a deopt-capable
 /// compiled activation; [`Store::rollback`] rewinds to it.
@@ -39,18 +27,18 @@ pub(crate) struct Savepoint {
 }
 
 /// Heap, output and write journal of the run in progress.
+#[derive(Default)]
 pub(crate) struct Store {
-    pub heap: Heap,
-    /// What the cells of `heap` cost against [`MAX_HEAP_SLOTS`].
-    heap_slots: u64,
+    /// The guest heap, one word arena: each cell is a header of two words
+    /// (its class index or [`ARRAY`], then its length) followed by its
+    /// fields or elements in register encoding. A reference is its
+    /// header's index plus one, and the zero word is every kind's default,
+    /// so allocating is zero-extending. The length is what the cells cost
+    /// against [`MAX_HEAP_SLOTS`].
+    heap: Vec<u64>,
     pub output: Output,
-    /// The zeroed field slots of an instance of every class, one class
-    /// after another; `new` copies its class's stretch.
-    default_fields: Vec<Value>,
-    /// Where each class's stretch of `default_fields` starts; one more
-    /// entry closes the last.
-    default_fields_at: Vec<usize>,
-    journal: Vec<JournalEntry>,
+    /// `(index, old word)` of every heap write made while a scope is open.
+    journal: Vec<(usize, u64)>,
     /// Live deopt-capable compiled activations. While any is live, every
     /// heap write (in any tier, including interpreted callees) is
     /// journaled so an uncommon trap can rewind all observable effects.
@@ -58,32 +46,9 @@ pub(crate) struct Store {
 }
 
 impl Store {
-    /// The state of a machine over `program` before its first run.
-    pub fn new(program: &Program) -> Store {
-        let mut default_fields = Vec::new();
-        let mut default_fields_at = Vec::with_capacity(program.class_count() + 1);
-        for class in program.class_ids() {
-            let start = default_fields.len();
-            default_fields_at.push(start);
-            default_fields.resize(start + program.class(class).instance_len, Value::Int(0));
-            Heap::write_default_fields(program, class, &mut default_fields[start..]);
-        }
-        default_fields_at.push(default_fields.len());
-        Store {
-            heap: Heap::new(),
-            heap_slots: 0,
-            output: Output::new(),
-            default_fields,
-            default_fields_at,
-            journal: Vec::new(),
-            journal_scopes: 0,
-        }
-    }
-
     /// Starts a run: fresh heap and output, empty journal.
     pub fn reset(&mut self) {
         self.heap.clear();
-        self.heap_slots = 0;
         self.output = Output::new();
         self.journal.clear();
         self.journal_scopes = 0;
@@ -117,59 +82,95 @@ impl Store {
     /// undone newest-first, then cells allocated by the abandoned
     /// activation are freed and its printed lines dropped.
     fn rollback(&mut self, save: &Savepoint) {
-        while self.journal.len() > save.journal_len {
-            match self.journal.pop().expect("length checked") {
-                JournalEntry::Field { r, offset, old } => {
-                    let HeapCell::Object { fields, .. } = self.heap.cell_mut(r) else {
-                        unreachable!("journaled field write on a non-object cell");
-                    };
-                    fields[offset] = old;
-                }
-                JournalEntry::Array { r, index, old } => {
-                    let HeapCell::Array { data, .. } = self.heap.cell_mut(r) else {
-                        unreachable!("journaled array write on a non-array cell");
-                    };
-                    data[index] = old;
-                }
-            }
+        for (index, old) in self.journal.drain(save.journal_len..).rev() {
+            self.heap[index] = old;
         }
-        // The freed cells give their slots back (summed here rather than
-        // remembered in every `Savepoint`, which sits in the host frame of
-        // each compiled activation).
-        self.heap_slots -= self.slots(save.heap_len..self.heap.len());
         self.heap.truncate(save.heap_len);
         self.output.truncate(save.output_len);
     }
 
-    /// What the cells `cells` of the heap cost against [`MAX_HEAP_SLOTS`].
-    fn slots(&self, cells: std::ops::Range<usize>) -> u64 {
-        let cost = |r| match self.heap.cell(HeapRef(r as u32)) {
-            HeapCell::Object { fields, .. } => fields.len() as u64 + 2,
-            HeapCell::Array { data, .. } => data.len() as u64 + 2,
-        };
-        cells.map(cost).sum()
-    }
-
     /// A store at rest (no guest frame live), checked in debug builds: no
-    /// open scope, an empty journal, and `heap_slots` what the cells cost.
+    /// open scope and an empty journal.
     pub fn check(&self) {
         if cfg!(debug_assertions) {
             assert_eq!(self.journal_scopes, 0, "journal scopes open at rest");
             assert!(self.journal.is_empty(), "journal entries left at rest");
-            let cost = self.slots(0..self.heap.len());
-            assert_eq!(self.heap_slots, cost, "heap_slots drifted from the heap");
         }
     }
 
-    /// Charges a cell of `len` fields or elements, about to be allocated,
-    /// against the run's heap bound.
-    fn charge_cell(&mut self, len: u64) -> Result<(), TrapKind> {
-        let slots = self.heap_slots.saturating_add(len).saturating_add(2);
-        if slots > MAX_HEAP_SLOTS {
+    /// Allocates a zeroed cell of header `head` and `len` fields or
+    /// elements, and returns the reference to it; traps when the heap
+    /// would outgrow [`MAX_HEAP_SLOTS`].
+    fn alloc(&mut self, head: u64, len: u64) -> Result<u64, TrapKind> {
+        let at = self.heap.len();
+        let end = (at as u64).saturating_add(len).saturating_add(2);
+        if end > MAX_HEAP_SLOTS {
             return Err(TrapKind::HeapExhausted);
         }
-        self.heap_slots = slots;
-        Ok(())
+        self.heap.extend([head, len]);
+        self.heap.resize(end as usize, 0);
+        Ok(at as u64 + 1)
+    }
+
+    /// Where the cell `r` references starts, if it is an array (`array`)
+    /// or an object (`!array`); null and the other kind are a null
+    /// dereference.
+    fn cell(&self, r: u64, array: bool) -> Result<usize, TrapKind> {
+        let at = (r as usize).checked_sub(1).ok_or(TrapKind::NullDeref)?;
+        if (self.heap[at] == ARRAY) != array {
+            return Err(TrapKind::NullDeref);
+        }
+        Ok(at)
+    }
+
+    /// The class of the object `r` references; `None` for null or an array.
+    pub fn class_of(&self, r: u64) -> Option<ClassId> {
+        let at = self.cell(r, false).ok()?;
+        Some(ClassId::new(self.heap[at] as usize))
+    }
+
+    /// Where field `offset` of the object `r` references is.
+    fn field(&self, r: u64, offset: u32) -> Result<usize, TrapKind> {
+        let at = self.cell(r, false)?;
+        debug_assert!(
+            u64::from(offset) < self.heap[at + 1],
+            "field offset past the object (verifier bug)"
+        );
+        Ok(at + 2 + offset as usize)
+    }
+
+    /// Where element `idx` of the array `r` references is.
+    fn element(&self, r: u64, idx: u64) -> Result<usize, TrapKind> {
+        let at = self.cell(r, true)?;
+        if idx >= self.heap[at + 1] {
+            return Err(TrapKind::Bounds);
+        }
+        Ok(at + 2 + idx as usize)
+    }
+
+    /// Writes `word` at `index` of the heap, journaled while a scope is
+    /// open.
+    fn write(&mut self, index: usize, word: u64) {
+        let old = std::mem::replace(&mut self.heap[index], word);
+        if self.journal_scopes > 0 {
+            self.journal.push((index, old));
+        }
+    }
+
+    /// The printed form of the register word `word` read as `kind`.
+    /// References print their *shape* (class name / array length), not
+    /// their identity, so output is deterministic across heap layouts.
+    fn render(&self, program: &Program, kind: Kind, word: u64) -> String {
+        match kind.value(word) {
+            Value::Int(k) => k.to_string(),
+            Value::Float(f) => format!("{f:?}"),
+            Value::Bool(b) => b.to_string(),
+            Value::Null => "null".to_string(),
+            Value::Ref(_) => match self.class_of(word) {
+                Some(class) => program.class(class).name.clone(),
+                None => format!("array[{}]", self.heap[word as usize]),
+            },
+        }
     }
 
     /// Executes one instruction of a call-free run against the frame
@@ -259,95 +260,44 @@ impl Store {
             FlatOp::IntToFloat => eval::int_to_float(regs[a] as i64).to_bits(),
             FlatOp::FloatToInt => eval::float_to_int(f64::from_bits(regs[a])) as u64,
             FlatOp::New(class) => {
-                let at = &self.default_fields_at[class.index()..];
-                let (start, end) = (at[0], at[1]);
-                self.charge_cell((end - start) as u64)?;
-                let fields = self.default_fields[start..end].to_vec();
-                self.heap.alloc_object_with(class, fields).to_word()
+                let len = program.class(class).instance_len;
+                self.alloc(class.index() as u64, len as u64)?
             }
-            FlatOp::GetField(offset) => {
-                let r = word_ref(regs[a]).ok_or(TrapKind::NullDeref)?;
-                let HeapCell::Object { fields, .. } = self.heap.cell(r) else {
-                    return Err(TrapKind::NullDeref);
-                };
-                fields[offset as usize].to_word()
-            }
-            FlatOp::SetField { offset, kind } => {
-                let r = word_ref(regs[a]).ok_or(TrapKind::NullDeref)?;
-                let v = kind.value(regs[b]);
-                let offset = offset as usize;
-                let HeapCell::Object { fields, .. } = self.heap.cell_mut(r) else {
-                    return Err(TrapKind::NullDeref);
-                };
-                let old = std::mem::replace(&mut fields[offset], v);
-                if self.journal_scopes > 0 {
-                    self.journal.push(JournalEntry::Field { r, offset, old });
-                }
+            FlatOp::GetField(offset) => self.heap[self.field(regs[a], offset)?],
+            FlatOp::SetField(offset) => {
+                let index = self.field(regs[a], offset)?;
+                self.write(index, regs[b]);
                 return Ok(());
             }
-            FlatOp::NewArray(elem) => {
+            FlatOp::NewArray => {
                 let len = regs[a] as i64;
                 if len < 0 {
                     return Err(TrapKind::NegativeLength);
                 }
-                self.charge_cell(len as u64)?;
-                self.heap.alloc_array(elem, len as usize).to_word()
+                self.alloc(ARRAY, len as u64)?
             }
-            FlatOp::ArrayGet => {
-                let r = word_ref(regs[a]).ok_or(TrapKind::NullDeref)?;
-                let idx = regs[b] as i64;
-                let HeapCell::Array { data, .. } = self.heap.cell(r) else {
-                    return Err(TrapKind::NullDeref);
-                };
-                if idx < 0 || idx as usize >= data.len() {
-                    return Err(TrapKind::Bounds);
-                }
-                data[idx as usize].to_word()
-            }
+            FlatOp::ArrayGet => self.heap[self.element(regs[a], regs[b])?],
             FlatOp::ArraySet => {
-                let r = word_ref(regs[a]).ok_or(TrapKind::NullDeref)?;
-                let idx = regs[b] as i64;
-                let word = regs[inst.c as usize];
-                let HeapCell::Array { elem, data } = self.heap.cell_mut(r) else {
-                    return Err(TrapKind::NullDeref);
-                };
-                if idx < 0 || idx as usize >= data.len() {
-                    return Err(TrapKind::Bounds);
-                }
-                let index = idx as usize;
-                let v = Kind::of(elem.to_type()).value(word);
-                let old = std::mem::replace(&mut data[index], v);
-                if self.journal_scopes > 0 {
-                    self.journal.push(JournalEntry::Array { r, index, old });
-                }
+                let index = self.element(regs[a], regs[b])?;
+                self.write(index, regs[inst.c as usize]);
                 return Ok(());
             }
-            FlatOp::ArrayLen => {
-                let r = word_ref(regs[a]).ok_or(TrapKind::NullDeref)?;
-                let HeapCell::Array { data, .. } = self.heap.cell(r) else {
-                    return Err(TrapKind::NullDeref);
-                };
-                data.len() as u64
-            }
+            FlatOp::ArrayLen => self.heap[self.cell(regs[a], true)? + 1],
             FlatOp::InstanceOf(c) => {
-                let is = word_ref(regs[a]).is_some_and(|r| match self.heap.cell(r) {
-                    HeapCell::Object { class, .. } => program.is_subclass(*class, c),
-                    HeapCell::Array { .. } => false,
-                });
-                u64::from(is)
+                let class = self.class_of(regs[a]);
+                u64::from(class.is_some_and(|class| program.is_subclass(class, c)))
             }
             FlatOp::Cast(c) => {
                 // Null passes through.
-                if let Some(r) = word_ref(regs[a]) {
-                    match self.heap.cell(r) {
-                        HeapCell::Object { class, .. } if program.is_subclass(*class, c) => {}
-                        _ => return Err(TrapKind::CastFailed),
-                    }
+                let class = self.class_of(regs[a]);
+                if regs[a] != 0 && !class.is_some_and(|class| program.is_subclass(class, c)) {
+                    return Err(TrapKind::CastFailed);
                 }
                 regs[a]
             }
             FlatOp::Print(kind) => {
-                self.output.print(program, &self.heap, kind.value(regs[a]));
+                let line = self.render(program, kind, regs[a]);
+                self.output.push(line);
                 return Ok(());
             }
         };
@@ -356,23 +306,81 @@ impl Store {
     }
 }
 
-#[cfg(all(test, debug_assertions))]
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Slot;
+    use incline_ir::Type;
 
-    /// A store over a program with one class, holding one instance of it.
-    fn store() -> Store {
+    #[test]
+    fn output_prints_shapes() {
+        // A fresh `B` (fields int, float and `A` ref, the first two
+        // inherited) and a fresh two-element bool array read back as
+        // zeros, and print their shapes.
         let mut p = Program::new();
-        let class = p.add_class("Box", None);
-        p.add_field(class, "v", incline_ir::Type::Int);
-        let mut store = Store::new(&p);
-        store.charge_cell(1).expect("room for one cell");
-        store.heap.alloc_object(&p, class);
+        let a = p.add_class("A", None);
+        p.add_field(a, "x", Type::Int);
+        p.add_field(a, "y", Type::Float);
+        let b = p.add_class("B", Some(a));
+        p.add_field(b, "z", Type::Object(a));
+        let mut store = Store::default();
+        let mut regs = [2, 0, 1, 7, 1.5f64.to_bits(), 0, 0, 0, 0, 0, 0, 0];
+        let insts = [
+            (FlatOp::New(b), [0, 0], 5),
+            (FlatOp::NewArray, [0, 0], 6),
+            (FlatOp::GetField(0), [5, 0], 7),
+            (FlatOp::GetField(1), [5, 0], 8),
+            (FlatOp::GetField(2), [5, 0], 9),
+            (FlatOp::ArrayGet, [6, 1], 10),
+            (FlatOp::ArrayGet, [6, 2], 11),
+        ];
+        let mut exec = |op, [a, b]: [Slot; 2], dst| {
+            let (c, base_cost, rest_cost) = (0, 0, 0);
+            let inst = Inst {
+                op,
+                a,
+                b,
+                c,
+                dst,
+                base_cost,
+                rest_cost,
+            };
+            store.exec(&p, &mut regs, &inst).expect("no trap");
+        };
+        for (op, operands, dst) in insts {
+            exec(op, operands, dst);
+        }
+        let printed = [
+            (Kind::Int, 3),
+            (Kind::Float, 4),
+            (Kind::Int, 7),
+            (Kind::Float, 8),
+            (Kind::Ref, 9),
+            (Kind::Bool, 10),
+            (Kind::Bool, 11),
+            (Kind::Ref, 5),
+            (Kind::Ref, 6),
+        ];
+        for (kind, slot) in printed {
+            exec(FlatOp::Print(kind), [slot, 0], 0);
+        }
+        let lines = [
+            "7", "1.5", "0", "0.0", "null", "false", "false", "B", "array[2]",
+        ];
+        assert_eq!(store.output.lines(), lines);
+    }
+
+    /// A store holding one object of one field.
+    #[cfg(debug_assertions)]
+    fn store() -> Store {
+        let mut store = Store::default();
+        store.alloc(0, 1).expect("room for one cell");
         store.check();
         store
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "journal scopes open at rest")]
     fn the_checker_refuses_an_open_scope() {
         let mut store = store();
@@ -381,19 +389,11 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "journal entries left at rest")]
     fn the_checker_refuses_a_journal_entry() {
         let mut store = store();
-        let (r, offset, old) = (HeapRef(0), 0, Value::Int(0));
-        store.journal.push(JournalEntry::Field { r, offset, old });
-        store.check();
-    }
-
-    #[test]
-    #[should_panic(expected = "heap_slots drifted from the heap")]
-    fn the_checker_refuses_heap_slots_the_heap_does_not_hold() {
-        let mut store = store();
-        store.heap_slots += 1;
+        store.journal.push((2, 0));
         store.check();
     }
 }

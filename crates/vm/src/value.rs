@@ -1,10 +1,12 @@
-//! Runtime values, the heap, and the observable output stream.
+//! Runtime values, their register encoding, and the observable output
+//! stream.
 
 use std::fmt;
 
-use incline_ir::{ClassId, ElemType, Program, Type};
+use incline_ir::Type;
 
-/// Index of a heap cell.
+/// Where a heap cell starts: the index of its two-word header in the
+/// guest heap, a word arena (see `Store`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct HeapRef(pub u32);
 
@@ -32,16 +34,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The zero/default value of a type (fields and array elements).
-    pub fn default_of(ty: Type) -> Value {
-        match ty {
-            Type::Int => Value::Int(0),
-            Type::Float => Value::Float(0.0),
-            Type::Bool => Value::Bool(false),
-            Type::Object(_) | Type::Array(_) => Value::Null,
-        }
-    }
-
     /// The value as an untagged register word: `Int` as its bits, `Float`
     /// as `to_bits`, `Bool` as 0/1, `Null` as 0 and `Ref(r)` as `r + 1`, so
     /// reference equality is bit equality and a null check one compare.
@@ -78,7 +70,7 @@ pub(crate) enum Kind {
     Float,
     /// 0 or 1.
     Bool,
-    /// 0 for null, otherwise a heap index plus one.
+    /// 0 for null, otherwise a cell's header index plus one.
     Ref,
 }
 
@@ -101,130 +93,11 @@ impl Kind {
             Kind::Int => Value::Int(word as i64),
             Kind::Float => Value::Float(f64::from_bits(word)),
             Kind::Bool => Value::Bool(word != 0),
-            Kind::Ref => word_ref(word).map_or(Value::Null, Value::Ref),
+            // Reference words are only ever made from a `u32` index plus one.
+            Kind::Ref => word
+                .checked_sub(1)
+                .map_or(Value::Null, |r| Value::Ref(HeapRef(r as u32))),
         }
-    }
-}
-
-/// The heap cell a reference-kind register word points at; `None` for null.
-#[inline]
-pub(crate) fn word_ref(word: u64) -> Option<HeapRef> {
-    // Reference words are only ever made from a `u32` index plus one.
-    word.checked_sub(1).map(|r| HeapRef(r as u32))
-}
-
-/// A heap cell.
-#[derive(Clone, Debug)]
-pub enum HeapCell {
-    /// An object instance: dynamic class + field slots.
-    Object {
-        /// Dynamic class of the instance.
-        class: ClassId,
-        /// Field slots, ordered by layout offset.
-        fields: Vec<Value>,
-    },
-    /// An array.
-    Array {
-        /// Element type.
-        elem: ElemType,
-        /// The elements.
-        data: Vec<Value>,
-    },
-}
-
-/// The heap: a bump-allocated arena of cells.
-#[derive(Clone, Debug, Default)]
-pub struct Heap {
-    cells: Vec<HeapCell>,
-}
-
-impl Heap {
-    /// Creates an empty heap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fills `fields`, the slots of a fresh instance of `class`, with the
-    /// zero of each field's type. Walks the layout up the parent chain, so
-    /// the machine does it once per class and copies the image per
-    /// allocation.
-    pub(crate) fn write_default_fields(program: &Program, class: ClassId, fields: &mut [Value]) {
-        let mut cur = Some(class);
-        while let Some(c) = cur {
-            for &f in &program.class(c).declared_fields {
-                let fd = program.field(f);
-                fields[fd.offset] = Value::default_of(fd.ty);
-            }
-            cur = program.class(c).parent;
-        }
-    }
-
-    /// Allocates an object of `class` with zeroed fields.
-    pub fn alloc_object(&mut self, program: &Program, class: ClassId) -> HeapRef {
-        let mut fields = vec![Value::Int(0); program.class(class).instance_len];
-        Heap::write_default_fields(program, class, &mut fields);
-        self.alloc_object_with(class, fields)
-    }
-
-    /// Allocates an object of `class` holding `fields`.
-    pub(crate) fn alloc_object_with(&mut self, class: ClassId, fields: Vec<Value>) -> HeapRef {
-        let r = HeapRef(self.cells.len() as u32);
-        self.cells.push(HeapCell::Object { class, fields });
-        r
-    }
-
-    /// Allocates an array of `len` zeroed elements.
-    pub fn alloc_array(&mut self, elem: ElemType, len: usize) -> HeapRef {
-        let r = HeapRef(self.cells.len() as u32);
-        self.cells.push(HeapCell::Array {
-            elem,
-            data: vec![Value::default_of(elem.to_type()); len],
-        });
-        r
-    }
-
-    /// The cell behind a reference.
-    #[inline]
-    pub fn cell(&self, r: HeapRef) -> &HeapCell {
-        &self.cells[r.0 as usize]
-    }
-
-    /// Mutable cell access.
-    #[inline]
-    pub fn cell_mut(&mut self, r: HeapRef) -> &mut HeapCell {
-        &mut self.cells[r.0 as usize]
-    }
-
-    /// Dynamic class of an object reference; `None` for an array.
-    pub fn class_of(&self, r: HeapRef) -> Option<ClassId> {
-        match self.cell(r) {
-            HeapCell::Object { class, .. } => Some(*class),
-            HeapCell::Array { .. } => None,
-        }
-    }
-
-    /// Frees every cell, keeping the arena's capacity for the next run.
-    pub fn clear(&mut self) {
-        self.cells.clear();
-    }
-
-    /// Number of live cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the heap is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Frees every cell allocated at or after `len`, restoring the heap to
-    /// an earlier allocation watermark. Used by deoptimization rollback;
-    /// only valid when no surviving cell references a discarded one, which
-    /// holds for a rolled-back activation because the write journal has
-    /// already restored all pre-existing cells.
-    pub fn truncate(&mut self, len: usize) {
-        self.cells.truncate(len);
     }
 }
 
@@ -242,22 +115,9 @@ impl Output {
         Self::default()
     }
 
-    /// Appends the printed form of a value.
-    ///
-    /// References print their *shape* (class name / array length), not
-    /// their identity, so output is deterministic across heap layouts.
-    pub fn print(&mut self, program: &Program, heap: &Heap, v: Value) {
-        let s = match v {
-            Value::Int(k) => k.to_string(),
-            Value::Float(f) => format!("{f:?}"),
-            Value::Bool(b) => b.to_string(),
-            Value::Null => "null".to_string(),
-            Value::Ref(r) => match heap.cell(r) {
-                HeapCell::Object { class, .. } => program.class(*class).name.clone(),
-                HeapCell::Array { data, .. } => format!("array[{}]", data.len()),
-            },
-        };
-        self.lines.push(s);
+    /// Appends a printed line.
+    pub(crate) fn push(&mut self, line: String) {
+        self.lines.push(line);
     }
 
     /// The printed lines.
@@ -289,56 +149,5 @@ impl fmt::Display for Output {
             writeln!(f, "{line}")?;
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn object_fields_zeroed_by_type() {
-        let mut p = Program::new();
-        let a = p.add_class("A", None);
-        p.add_field(a, "x", Type::Int);
-        p.add_field(a, "y", Type::Float);
-        let b = p.add_class("B", Some(a));
-        p.add_field(b, "z", Type::Object(a));
-        let mut heap = Heap::new();
-        let r = heap.alloc_object(&p, b);
-        let HeapCell::Object { class, fields } = heap.cell(r) else {
-            panic!()
-        };
-        assert_eq!(*class, b);
-        assert_eq!(
-            fields.as_slice(),
-            &[Value::Int(0), Value::Float(0.0), Value::Null]
-        );
-    }
-
-    #[test]
-    fn array_alloc_and_defaults() {
-        let mut heap = Heap::new();
-        let r = heap.alloc_array(ElemType::Bool, 3);
-        let HeapCell::Array { data, .. } = heap.cell(r) else {
-            panic!()
-        };
-        assert_eq!(data.as_slice(), &[Value::Bool(false); 3]);
-    }
-
-    #[test]
-    fn output_prints_shapes() {
-        let mut p = Program::new();
-        let a = p.add_class("Thing", None);
-        let mut heap = Heap::new();
-        let r = heap.alloc_object(&p, a);
-        let arr = heap.alloc_array(ElemType::Int, 2);
-        let mut out = Output::new();
-        out.print(&p, &heap, Value::Int(7));
-        out.print(&p, &heap, Value::Float(1.5));
-        out.print(&p, &heap, Value::Null);
-        out.print(&p, &heap, Value::Ref(r));
-        out.print(&p, &heap, Value::Ref(arr));
-        assert_eq!(out.lines(), &["7", "1.5", "null", "Thing", "array[2]"]);
     }
 }

@@ -5,7 +5,7 @@
 //! arithmetic functions. Each group has a driver that calls every
 //! function in the group, and `main(n)` cycles through the groups round
 //! robin (`g = i mod groups`), so every driver re-heats on every cycle.
-//! Under a finite [`incline_vm::VmConfig::code_cache_budget`] the
+//! Under a finite `incline_vm::VmConfig::code_cache_budget` the
 //! working set cannot fit: installs force evictions, evicted drivers
 //! re-heat a few iterations later and must clear admission again, and
 //! idle groups age out — exactly the churn the bounded-cache subsystem

@@ -1,7 +1,7 @@
 //! Shape tests: the qualitative claims of the paper's evaluation must
 //! hold on this reproduction (§V; DESIGN.md §7). Most run on a benchmark
-//! subset to stay fast in debug builds; the footers of Figures 6, 7 and 10
-//! are pinned over all 28 workloads, as `cargo run --release -p
+//! subset to stay fast in debug builds; the footers of Figures 6, 7, 8 and
+//! 10 are pinned over all 28 workloads, as `cargo run --release -p
 //! incline-bench -- run_all` prints them into EXPERIMENTS.md.
 
 use incline::baselines::GreedyInliner;
@@ -84,7 +84,7 @@ fn code_size_grows_but_moderately() {
     // an inliner or optimizer change that makes the installed code grow or
     // shrink moves the second decimal and fails here.
     assert_eq!(
-        footer(&figures::fig10_and_table1()),
+        footer(&figures::fig10_and_table1(), 1),
         "average code size: incremental/greedy 2.02x (paper: ≈2.37x), \
          incremental/c2 1.51x (paper: ≈1.88x)."
     );
@@ -135,9 +135,10 @@ fn deep_trials_help_on_trial_sensitive_benchmarks() {
     );
 }
 
-/// The last line of a rendered figure: its footer.
-fn footer(report: &str) -> &str {
-    report.lines().last().expect("the figure renders")
+/// The last `n` lines of a rendered figure: its footer.
+fn footer(report: &str, n: usize) -> String {
+    let lines: Vec<&str> = report.lines().collect();
+    lines[lines.len().saturating_sub(n)..].join("\n")
 }
 
 #[test]
@@ -149,31 +150,28 @@ fn adaptive_tracks_best_fixed_threshold() {
     // that beats it on jython, factorie or gauss-mix — changes a count and
     // fails here.
     assert_eq!(
-        footer(&figures::fig06(false)),
+        footer(&figures::fig06(false), 1),
         "adaptive beats every fixed setting on 9/10 benchmarks; \
          within 5% of the best per-benchmark fixed setting on 9/10."
     );
     assert_eq!(
-        footer(&figures::fig07(false)),
+        footer(&figures::fig07(false), 1),
         "adaptive beats every fixed setting on 16/18 benchmarks; \
          within 5% of the best per-benchmark fixed setting on 16/18."
     );
 }
 
 #[test]
-fn clustering_not_worse_than_one_by_one() {
-    for name in ["scalatest", "kiama", "stmbench7"] {
-        let w = incline::workloads::by_name(name).unwrap();
-        let (cluster, _) = steady(&w, Box::new(IncrementalInliner::new()));
-        let (one, _) = steady(
-            &w,
-            Box::new(IncrementalInliner::with_config(PolicyConfig::one_by_one(
-                0.005, 60.0,
-            ))),
-        );
-        assert!(
-            cluster <= one * 1.05,
-            "{name}: clustering must not lose to 1-by-1 ({cluster:.0} vs {one:.0})"
-        );
-    }
+fn clustering_is_parameter_insensitive_and_matches_one_by_one() {
+    // Figure 8 over all 28 workloads: both modes across three (t1, t2)
+    // settings. Pinned at today's spreads and count: one cluster-vs-1-by-1
+    // cell that flips, or a setting that newly moves a benchmark's running
+    // time, changes the footer and fails here.
+    assert_eq!(
+        footer(&figures::fig08(), 2),
+        "parameter sensitivity (mean worst/best across (t1,t2)): \
+         clustering 1.002, 1-by-1 1.003 (paper: clustering is \
+         \"relatively insensitive to the choice of parameters\");\n\
+         clustering's best matches or beats 1-by-1's best on 27/28 benchmarks."
+    );
 }
