@@ -35,6 +35,11 @@
 //! the same corpus: a pipeline run on a graph the previous run left
 //! converged changes nothing, counts nothing, emits nothing, and spends
 //! exactly what `optimize_converged` charges in its place.
+//!
+//! A third holds the premise of the pipeline's fresh-pass rule on the same
+//! graphs, and on each body with its static calls inlined once: every
+//! optimizer pass reaches its own fixpoint in one run, so a pass run again
+//! on the graph it just changed counts nothing and leaves it as it is.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -287,6 +292,30 @@ fn bodies_and_installed(w: &Workload) -> Vec<(String, Graph)> {
     graphs
 }
 
+/// `body` with each of its static calls of a normal method inlined once,
+/// unoptimized: what the pipeline sees after an inlining round.
+fn inlined_once(program: &Program, body: &Graph) -> Graph {
+    use incline::ir::graph::{CallTarget, Op};
+    use incline::ir::{inline::inline_call, MethodKind};
+
+    let mut graph = body.clone();
+    for (_, call) in body.callsites() {
+        let Op::Call(info) = &graph.inst(call).op else {
+            unreachable!("a callsite is a call")
+        };
+        let CallTarget::Static(callee) = info.target else {
+            continue;
+        };
+        let callee = program.method(callee);
+        // Behind a callee that never returns, the rest is unreachable.
+        let site = graph.callsites().into_iter().find(|&(_, i)| i == call);
+        if let (MethodKind::Normal, Some((block, _))) = (callee.kind, site) {
+            inline_call(&mut graph, block, call, &callee.graph);
+        }
+    }
+    graph
+}
+
 #[test]
 fn a_pipeline_run_on_a_converged_graph_is_the_two_charges_of_the_skip() {
     use incline::opt::{optimize_converged, PipelineConfig, UNLIMITED_FUEL};
@@ -333,6 +362,59 @@ fn a_pipeline_run_on_a_converged_graph_is_the_two_charges_of_the_skip() {
         }
     }
     assert!(checked > 400, "only {checked} graphs");
+}
+
+#[test]
+fn every_pass_run_again_on_its_own_output_finds_nothing() {
+    use incline::opt::{canonicalize, cond_elim, dce, gvn, rw_elim, type_prop};
+
+    // The pipeline's passes in its order, each saying whether it counted
+    // an event (type propagation: whether it narrowed a type).
+    type Pass = fn(&Program, &mut Graph) -> bool;
+    let passes: [(&str, Pass); 6] = [
+        ("type_prop", type_prop),
+        ("canonicalize", |p, g| canonicalize(p, g).any()),
+        ("gvn", |_, g| gvn(g).any()),
+        ("cond_elim", |_, g| cond_elim(g).any()),
+        ("rw_elim", |p, g| rw_elim(p, g).any()),
+        ("dce", |_, g| dce(g).any()),
+    ];
+    let mut fired = 0;
+    for w in &corpus() {
+        let graphs = bodies_and_installed(w)
+            .into_iter()
+            .flat_map(|(what, graph)| {
+                let inlined = inlined_once(&w.program, &graph);
+                [
+                    (what.clone(), graph),
+                    (format!("{what} inlined once"), inlined),
+                ]
+            });
+        for (what, mut graph) in graphs {
+            // Whole rounds in the pipeline's order until one counts nothing.
+            for round in 0..16 {
+                let mut counted = false;
+                for (name, pass) in passes {
+                    if !pass(&w.program, &mut graph) {
+                        continue;
+                    }
+                    counted = true;
+                    fired += 1;
+                    let before = graph.fingerprint();
+                    let what = format!("{} {what} round {round}: {name}", w.name);
+                    assert!(
+                        !pass(&w.program, &mut graph),
+                        "{what} counted on its own output"
+                    );
+                    assert_eq!(graph.fingerprint(), before, "{what} moved its own output");
+                }
+                if !counted {
+                    break;
+                }
+            }
+        }
+    }
+    assert!(fired > 600, "only {fired} passes counted an event");
 }
 
 #[test]
