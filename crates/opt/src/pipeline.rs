@@ -3,7 +3,8 @@
 //! [`optimize`] is the full bundle run on specialized call-tree graphs and
 //! on root methods between inlining rounds: canonicalize → GVN →
 //! read–write elimination → DCE, iterated to a fixpoint, with optional loop
-//! peeling at the end (the paper peels "at the end of every round").
+//! peeling at the end (the paper peels "at the end of every round"). A pass
+//! runs only on a graph it has not already seen (`Fresh`).
 
 use incline_ir::{Graph, Program};
 
@@ -86,11 +87,62 @@ const SCALAR_PASSES: [(Pass, bool); 5] = [
     (|_, graph| dce(graph), true),
 ];
 
-fn scalar_bundle(program: &Program, graph: &mut Graph, after_peel: bool) -> OptStats {
+/// Type propagation's bit in a run's [`Fresh`] set.
+const TYPE_PROP: usize = SCALAR_PASSES.len();
+
+/// The passes of a fixpoint loop that would find nothing on the graph as it
+/// is, one bit each. A pass is fresh when its last run counted nothing and
+/// nobody has counted since (no event, no change), or when it counted the
+/// last event itself (every pass reaches its own fixpoint in one run).
+/// Debug builds still run a skipped pass and assert that it counts nothing
+/// and keeps the fingerprint — on the graph itself, since a clone would
+/// allocate, and `tests/alloc_budget.rs` holds both profiles to one table.
+#[derive(Default)]
+pub(crate) struct Fresh(u32);
+
+impl Fresh {
+    /// Runs pass number `pass` (`run`, which says whether it counted an
+    /// event) unless the graph is fresh for it; returns whether it counted.
+    pub(crate) fn run(
+        &mut self,
+        pass: usize,
+        graph: &mut Graph,
+        mut run: impl FnMut(&mut Graph) -> bool,
+    ) -> bool {
+        let bit = 1 << pass;
+        if self.0 & bit != 0 {
+            #[cfg(debug_assertions)]
+            {
+                let before = graph.fingerprint();
+                assert!(
+                    !run(graph) && graph.fingerprint() == before,
+                    "pass #{pass} changed a graph that was fresh for it"
+                );
+            }
+            return false;
+        }
+        let counted = run(graph);
+        self.0 = if counted { bit } else { self.0 | bit };
+        counted
+    }
+
+    /// Whether the graph is fresh for every one of passes `0..passes`.
+    pub(crate) fn all(&self, passes: usize) -> bool {
+        self.0 == (1 << passes) - 1
+    }
+}
+
+/// One sweep of the scalar bundle, each pass skipped while the graph is
+/// fresh for it; after a peel (`peel`), only the passes that clean up.
+fn scalar_bundle(program: &Program, graph: &mut Graph, fresh: &mut Fresh, peel: bool) -> OptStats {
     let mut stats = OptStats::new();
-    for (pass, cleans_up) in SCALAR_PASSES {
-        if cleans_up || !after_peel {
-            stats += pass(program, graph);
+    for (index, (pass, cleans_up)) in SCALAR_PASSES.into_iter().enumerate() {
+        if cleans_up || !peel {
+            fresh.run(index, graph, |graph| {
+                let found = pass(program, graph);
+                stats += found;
+                found.any()
+            });
         }
     }
     stats
@@ -142,12 +194,13 @@ fn run_stages(
         stats: OptStats::new(),
         converged: false,
     };
+    let mut fresh = Fresh::default();
     for _ in 0..config.max_rounds {
         if !fuel.charge(graph.size() as u64) {
             return run;
         }
-        let narrowed = type_prop(program, graph);
-        let round = scalar_bundle(program, graph, false);
+        let narrowed = fresh.run(TYPE_PROP, graph, |graph| type_prop(program, graph));
+        let round = scalar_bundle(program, graph, &mut fresh, false);
         run.stats += round;
         observer(PipelineStage::Scalar, round);
         run.converged = !(narrowed || round.any());
@@ -162,7 +215,8 @@ fn run_stages(
         }
         let peeled = peel_loops(program, graph);
         if peeled.any() {
-            let stage = peeled + scalar_bundle(program, graph, true);
+            // Peeling is no member of the fresh set: after it, none is fresh.
+            let stage = peeled + scalar_bundle(program, graph, &mut Fresh::default(), true);
             run.stats += stage;
             observer(PipelineStage::Peel, stage);
             run.converged = false;
