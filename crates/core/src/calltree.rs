@@ -65,8 +65,9 @@ pub struct CallNode {
     /// Child nodes (one per callsite of the specialized graph, or one per
     /// speculated target for `Polymorphic` nodes).
     pub children: Vec<NodeId>,
-    /// The specialized callee IR (only for `Expanded`).
-    pub graph: Option<Graph>,
+    /// The specialized callee IR (only for `Expanded`), read-only once
+    /// attached: it may be the trial cache's entry itself.
+    pub graph: Option<Arc<Graph>>,
     /// `|ir|` of `graph`, measured when it was attached (see
     /// [`CallTree::ir_size`]).
     pub graph_size: usize,
@@ -622,7 +623,7 @@ impl CallTree {
             let arg_info = self.callsite_arg_info(n, cx);
             self.run_trial(method, &arg_info, cx)
         } else {
-            (cx.program.method(method).graph.clone(), 0, 0)
+            (Arc::new(cx.program.method(method).graph.clone()), 0, 0)
         };
 
         let attached = graph.size();
@@ -653,7 +654,7 @@ impl CallTree {
         method: MethodId,
         args: &[ArgInfo],
         cx: &CompileCx<'_>,
-    ) -> (Graph, u32, u64) {
+    ) -> (Arc<Graph>, u32, u64) {
         let template = &cx.program.method(method).graph;
         let key = cx.trials.map(|t| TrialKey {
             method,
@@ -667,7 +668,7 @@ impl CallTree {
                         cx.trace.emit(e.clone());
                     }
                 }
-                return (hit.graph.clone(), hit.ns, hit.no);
+                return (Arc::clone(&hit.graph), hit.ns, hit.no);
             }
         }
         let mut graph = template.clone();
@@ -709,11 +710,12 @@ impl CallTree {
             .stats;
             (stats.simple_count(), Vec::new())
         };
+        let graph = Arc::new(graph);
         if let (Some(trials), Some(key)) = (cx.trials, key) {
             trials.insert(
                 key,
                 Arc::new(TrialOutcome {
-                    graph: graph.clone(),
+                    graph: Arc::clone(&graph),
                     ns,
                     no,
                     events,
@@ -945,6 +947,8 @@ mod tests {
     use incline_ir::{Program, RetType};
     use incline_profile::ProfileTable;
 
+    use crate::trials::TrialCache;
+
     /// leaf(x) = x + 1; mid(x) = leaf(x) * 2; root(x) = mid(x) + mid(x)
     fn chain() -> (Program, MethodId, MethodId, MethodId) {
         let mut p = Program::new();
@@ -1027,6 +1031,45 @@ mod tests {
         // One cutoff became expanded but exposed the leaf cutoff below it.
         assert_eq!(after.n_c, 2);
         assert!(after.s_ir > before.s_ir * 0.9);
+    }
+
+    #[test]
+    fn a_trial_cache_hit_shares_the_cached_graph() {
+        let mut p = Program::new();
+        let sq = p.declare_function("sq", vec![Type::Int], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, sq);
+        let x = fb.param(0);
+        let r = fb.imul(x, x);
+        fb.ret(Some(r));
+        let g = fb.finish();
+        p.define_method(sq, g);
+        let root = p.declare_function("root", vec![], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, root);
+        let seven = fb.const_int(7);
+        let a = fb.call_static(sq, vec![seven]).unwrap();
+        let b = fb.call_static(sq, vec![seven]).unwrap();
+        let sum = fb.iadd(a, b);
+        fb.ret(Some(sum));
+        let g = fb.finish();
+        p.define_method(root, g);
+        let profiles = ProfileTable::new();
+        let trials = TrialCache::default();
+        let cx = CompileCx::new(&p, &profiles).with_trials(Some(&trials));
+        let config = PolicyConfig::default();
+        let mut tree = CallTree::new(root, p.method(root).graph.clone(), &cx, &config);
+        let (miss, hit) = match tree.node(tree.root()).children[..] {
+            [miss, hit] => (miss, hit),
+            _ => panic!("two callsites, two children"),
+        };
+        tree.expand_node(miss, &cx, &config);
+        tree.expand_node(hit, &cx, &config);
+        assert_eq!((trials.misses(), trials.hits(), trials.len()), (1, 1, 1));
+        let graph = |n: NodeId| tree.node(n).graph.as_ref().expect("expanded");
+        assert!(
+            Arc::ptr_eq(graph(miss), graph(hit)),
+            "the hit cloned a graph"
+        );
+        assert_eq!(Arc::strong_count(graph(hit)), 3, "the cache and both nodes");
     }
 
     #[test]

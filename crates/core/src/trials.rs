@@ -57,8 +57,9 @@ pub struct TrialKey {
 /// callee graph plus the numbers and events the expansion consumes.
 #[derive(Debug)]
 pub struct TrialOutcome {
-    /// Specialized callee graph after the trial optimization pipeline.
-    pub graph: Graph,
+    /// Specialized callee graph after the trial optimization pipeline,
+    /// shared with every call-tree node a hit attaches it to.
+    pub graph: Arc<Graph>,
     /// Parameters specialized (the paper's `ns`).
     pub ns: u32,
     /// Simplifications the trial pipeline performed (the paper's `no`).
@@ -206,7 +207,7 @@ mod tests {
     use super::*;
     use incline_ir::{FunctionBuilder, Program, Type};
 
-    fn graph_for(k: i64) -> (Program, MethodId, Graph) {
+    fn graph_for(k: i64) -> (Program, MethodId, Arc<Graph>) {
         let mut p = Program::new();
         let m = p.declare_function("f", vec![Type::Int], Type::Int);
         let mut fb = FunctionBuilder::new(&p, m);
@@ -214,7 +215,7 @@ mod tests {
         let c = fb.const_int(k);
         let r = fb.iadd(x, c);
         fb.ret(Some(r));
-        let g = fb.finish();
+        let g = Arc::new(fb.finish());
         (p, m, g)
     }
 

@@ -86,7 +86,7 @@ pub fn emit_typeswitch(
         let (_, guard_ok) = graph.append(
             test_block,
             Op::InstanceOf(case.guard),
-            vec![recv],
+            [recv],
             Some(Type::Bool),
         );
         graph.set_terminator(
@@ -101,7 +101,7 @@ pub fn emit_typeswitch(
         let (_, cast_recv) = graph.append(
             case_block,
             Op::Cast(case.guard),
-            vec![recv],
+            [recv],
             Some(Type::Object(case.guard)),
         );
         let mut case_args = args.clone();

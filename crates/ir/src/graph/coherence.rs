@@ -212,8 +212,8 @@ fn random_edit(rng: &mut Rng64, g: &mut Graph, c: ValueId) -> &'static str {
             "transplant"
         }
         _ => {
-            *g = g.compacted();
-            "compacted"
+            g.compact();
+            "compact"
         }
     }
 }

@@ -51,7 +51,7 @@ pub fn inline_call(
         matches!(caller.inst(call).op, Op::Call(_)),
         "inline_call target must be a call instruction"
     );
-    let call_args = caller.inst(call).args.clone();
+    let call_args = caller.inst(call).args.to_vec();
     assert_eq!(
         callee.block(callee.entry()).params.len(),
         call_args.len(),

@@ -44,6 +44,7 @@ pub mod graph;
 pub mod ids;
 pub mod inline;
 pub mod loops;
+mod operands;
 pub mod parse;
 pub mod print;
 pub mod program;
@@ -57,6 +58,7 @@ pub use graph::{
     Terminator, ValueDef,
 };
 pub use ids::{BlockId, CallSiteId, ClassId, FieldId, InstId, MethodId, SelectorId, ValueId};
+pub use operands::Operands;
 pub use program::{Class, Field, Method, MethodKind, Program, Selector};
 pub use rng::Rng64;
 pub use types::{ElemType, RetType, Type};

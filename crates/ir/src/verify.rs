@@ -336,7 +336,7 @@ mod tests {
             .1
             .unwrap();
         // Manually attach operands and order: add before const.
-        g.inst_mut(add).args = vec![k, k];
+        g.inst_mut(add).args = [k, k].into();
         let kinst = g.block(e).insts[0];
         g.block_mut(e).insts = vec![add, kinst];
         let r = g.inst(add).result;

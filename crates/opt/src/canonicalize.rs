@@ -29,7 +29,7 @@ use std::sync::Arc;
 use incline_ir::eval::{self, TrapKind};
 use incline_ir::graph::{BinOp, CallInfo, CallTarget, CmpOp, Op, Terminator};
 use incline_ir::ids::{BlockId, InstId, ValueId};
-use incline_ir::{Graph, Program, Type, ValueDef};
+use incline_ir::{Graph, Operands, Program, Type, ValueDef};
 
 use crate::alias::Aliases;
 use crate::pipeline::Fresh;
@@ -61,7 +61,7 @@ enum Rewrite {
     /// Swap the operation in place (args unchanged).
     Retarget(Op),
     /// Swap operation and arguments in place.
-    Replace(Op, Vec<ValueId>),
+    Replace(Op, Operands),
     /// `x * 2ᵏ → x << k`: needs a fresh constant for the shift amount.
     MulToShift { x: ValueId, shift: i64 },
 }
@@ -159,7 +159,7 @@ fn apply(
             let kv = graph.inst(k).result.expect("constant produces a value");
             let data = graph.inst_mut(inst);
             data.op = Op::Bin(BinOp::IShl);
-            data.args = vec![x, kv];
+            data.args = [x, kv].into();
             kept.push(inst);
         }
     }
@@ -175,7 +175,7 @@ fn simplify(program: &Program, graph: &Graph, inst: InstId) -> Option<(Rewrite, 
     match &data.op {
         op @ (Op::Bin(_) | Op::Cmp(_)) => {
             let (a, b) = (arg(0), arg(1));
-            let pair = Operands {
+            let pair = Pair {
                 a,
                 b,
                 ka: graph.const_op(a),
@@ -384,14 +384,14 @@ fn rules(op: &Op) -> &'static [(When, Then, Bump)] {
 
 /// The operands of a `Bin` or `Cmp` with their constant definitions, looked
 /// up once for [`fold`] and every row of [`rules`].
-struct Operands<'g> {
+struct Pair<'g> {
     a: ValueId,
     b: ValueId,
     ka: Option<&'g Op>,
     kb: Option<&'g Op>,
 }
 
-impl Operands<'_> {
+impl Pair<'_> {
     fn holds(&self, when: When, graph: &Graph) -> bool {
         let int = |k: Option<&Op>| match k {
             Some(&Op::ConstInt(k)) => Some(k),

@@ -322,10 +322,9 @@ fn rung(
             return Err((CompileError::Panicked(panic_message(payload.as_ref())), 0));
         }
     };
-    // Drop the tombstones passes leave behind: the interpreter sizes its
-    // register file by value_count, so installing compacted code is part
-    // of "code generation".
-    outcome.graph = outcome.graph.compacted();
+    // Drop the tombstones passes leave behind, in place: installed code is
+    // what `compiled_graph`, fingerprints and the identity tables read.
+    outcome.graph.compact();
     if corrupt {
         faults::corrupt_graph(&mut outcome.graph);
     }

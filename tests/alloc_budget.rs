@@ -27,34 +27,34 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Per-workload allocation budgets: bytes and allocation calls (tuned
 /// run, 1.3× margin).
 const BUDGETS: &[(&str, u64, u64)] = &[
-    ("avrora", 172_338, 1_760),
-    ("batik", 1_348_962, 7_584),
-    ("fop", 1_437_354, 7_679),
-    ("h2", 570_918, 4_191),
-    ("jython", 1_750_496, 9_458),
-    ("luindex", 211_990, 1_788),
-    ("lusearch", 237_166, 2_037),
-    ("pmd", 1_552_671, 7_614),
-    ("sunflow", 249_334, 1_992),
-    ("xalan", 1_431_569, 7_596),
-    ("actors", 689_074, 3_852),
-    ("apparat", 427_063, 3_043),
-    ("factorie", 1_296_209, 5_860),
-    ("kiama", 738_161, 4_657),
-    ("scalac", 1_752_594, 9_588),
-    ("scaladoc", 2_287_557, 11_092),
-    ("scalap", 668_686, 4_290),
-    ("scalariform", 650_117, 4_128),
-    ("scalatest", 454_566, 3_088),
-    ("scalaxb", 426_696, 3_039),
-    ("specs", 181_652, 1_684),
-    ("tmt", 596_794, 3_224),
-    ("gauss-mix", 994_659, 4_095),
-    ("dec-tree", 999_400, 5_581),
-    ("naive-bayes", 271_985, 2_027),
-    ("neo4j", 300_173, 2_148),
-    ("dotty", 318_152, 2_343),
-    ("stmbench7", 219_166, 2_257),
+    ("avrora", 123_021, 1_048),
+    ("batik", 1_017_660, 3_455),
+    ("fop", 1_067_284, 3_426),
+    ("h2", 379_096, 2_424),
+    ("jython", 1_368_479, 5_206),
+    ("luindex", 136_854, 1_216),
+    ("lusearch", 154_019, 1_397),
+    ("pmd", 1_154_364, 3_421),
+    ("sunflow", 171_049, 1_113),
+    ("xalan", 1_059_441, 3_410),
+    ("actors", 424_934, 1_541),
+    ("apparat", 248_950, 1_993),
+    ("factorie", 735_329, 3_068),
+    ("kiama", 452_402, 2_435),
+    ("scalac", 1_295_930, 4_532),
+    ("scaladoc", 1_704_791, 5_970),
+    ("scalap", 414_764, 2_307),
+    ("scalariform", 396_127, 2_196),
+    ("scalatest", 279_424, 1_711),
+    ("scalaxb", 248_489, 1_993),
+    ("specs", 133_482, 1_122),
+    ("tmt", 375_830, 1_321),
+    ("gauss-mix", 518_165, 1_905),
+    ("dec-tree", 689_051, 2_650),
+    ("naive-bayes", 205_948, 1_280),
+    ("neo4j", 182_961, 1_319),
+    ("dotty", 233_331, 1_315),
+    ("stmbench7", 154_997, 1_415),
 ];
 
 #[test]
