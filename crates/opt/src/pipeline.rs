@@ -209,10 +209,6 @@ fn run_stages(
         }
     }
     if config.peel_loops {
-        if !fuel.charge(graph.size() as u64) {
-            run.converged = false;
-            return run;
-        }
         let peeled = peel_loops(program, graph);
         if peeled.any() {
             // Peeling is no member of the fresh set: after it, none is fresh.
@@ -227,18 +223,16 @@ fn run_stages(
 
 /// [`optimize_observed`] on a graph that a run under the same `config`
 /// left [`PipelineRun::converged`] and nothing has edited since, without
-/// the passes: such a run pays for its first scalar round and, if that
-/// charge is granted, for its peeling step, and changes, counts and reports
-/// nothing. The graph stays converged unless the budget ran out on the way.
+/// the passes: such a run pays for its first scalar round, and changes,
+/// counts and reports nothing. The graph stays converged unless the budget ran out on the way.
 pub fn optimize_converged(
     graph: &Graph,
-    config: PipelineConfig,
+    _config: PipelineConfig,
     fuel: &CompileFuel,
 ) -> PipelineRun {
-    let size = graph.size() as u64;
     PipelineRun {
         stats: OptStats::new(),
-        converged: fuel.charge(size) && (!config.peel_loops || fuel.charge(size)),
+        converged: fuel.charge(graph.size() as u64),
     }
 }
 
@@ -344,7 +338,7 @@ mod tests {
         assert_eq!(g.fingerprint(), before);
         assert_eq!(optimize_converged(&g, config, &skipped), again);
         assert_eq!(real.spent(), skipped.spent());
-        assert_eq!(real.spent(), 2 * g.size() as u64);
+        assert_eq!(real.spent(), g.size() as u64);
     }
 
     #[test]
@@ -361,14 +355,14 @@ mod tests {
         assert!(run.converged, "the second round finds nothing: {run:?}");
 
         // A budget that runs out mid-run: before the second round, and —
-        // on a graph already at its fixpoint — before the peeling step.
+        // on a graph already at its fixpoint — before the first.
         let (p, mut g) = needs_two_rounds();
         let config = PipelineConfig::default();
         let fuel = CompileFuel::limited(g.size() as u64);
         let (run, _) = observed(&p, &mut g, config, &fuel);
         assert!(run.stats.any() && !run.converged && fuel.exhausted());
         assert!(observed(&p, &mut g, config, &UNLIMITED_FUEL).0.converged);
-        let fuel = CompileFuel::limited(g.size() as u64);
+        let fuel = CompileFuel::limited(g.size() as u64 - 1);
         let (run, _) = observed(&p, &mut g, config, &fuel);
         assert!(!run.stats.any() && !run.converged && fuel.exhausted());
 
