@@ -3,7 +3,7 @@
 use std::fmt;
 
 use incline_ir::MethodId;
-use incline_opt::{OptStats, PipelineStage};
+use incline_opt::OptStats;
 
 use crate::json::JsonObj;
 
@@ -268,8 +268,6 @@ events! {
         OptPassStats {
             /// Which pipeline invocation this delta belongs to.
             phase: OptPhase,
-            /// Which stage of that invocation produced it.
-            stage: PipelineStage,
             /// Counters for the transformations the stage applied.
             stats: OptStats,
         },

@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 
 use incline_ir::MethodId;
-use incline_opt::{OptStats, PipelineStage};
+use incline_opt::OptStats;
 
 use crate::event::{BailoutStage, CodeTier, OptPhase};
 
@@ -85,7 +85,7 @@ macro_rules! json_fields {
 json_fields!(u64: |n, buf| push_u64(buf, *n));
 json_fields!(u32, usize: |n, buf| push_u64(buf, *n as u64));
 // The label enums, and ids: their `Display` is a bare identifier.
-json_fields!(MethodId, OptPhase, BailoutStage, CodeTier, PipelineStage: |label, buf| {
+json_fields!(MethodId, OptPhase, BailoutStage, CodeTier: |label, buf| {
     let _ = write!(buf, "\"{label}\"");
 });
 

@@ -49,13 +49,9 @@ pub fn optimize_with_trace(
     phase: OptPhase,
 ) -> PipelineRun {
     let enabled = sink.enabled();
-    optimize_observed(program, graph, config, fuel, &mut |stage, stats| {
+    optimize_observed(program, graph, config, fuel, &mut |_, stats| {
         if enabled && stats.any() {
-            sink.emit(CompileEvent::OptPassStats {
-                phase,
-                stage,
-                stats,
-            });
+            sink.emit(CompileEvent::OptPassStats { phase, stats });
         }
     })
 }

@@ -355,15 +355,15 @@ fn snapshot_and_trace_flags_of_run_bench_and_server() {
 const PINNED_SNAPSHOT_AND_TRACE_DIGESTS: &str = "\
 run cold 7081e3380befdc83
 run snapshot adc7d53b02b8c6c5
-run trace e6dc3e7c0dbc7da4
+run trace 1599d80c9de8b060
 run warm 4e65a809fed9b0e1
 bench cold 0c749f2136a14152
 bench snapshot 62031e11a90d6568
-bench trace 4635da96fac6374e
+bench trace 4d0dcc4632fe9f2c
 bench warm 554e5d9a5f9886b5
 server cold f1a92746a8fcf036
 server snapshot 1b517e4a2b018822
-server trace 40128ec6bb9a4da6
+server trace 5cc273f66f651048
 server warm f6fde1603c16f128
 replica 4 f48402c6223233c4
 replica 4 snapshot d362ba4706e95c2a

@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use incline::ir::MethodId;
-use incline::opt::{OptStats, PipelineStage};
+use incline::opt::OptStats;
 use incline::trace::{BailoutStage, CodeTier, CompileEvent, OptPhase};
 
 const TABLE: &str = include_str!("trace_schema.table");
@@ -79,12 +79,10 @@ fn instances() -> Vec<CompileEvent> {
         },
         CompileEvent::OptPassStats {
             phase: OptPhase::Initial,
-            stage: PipelineStage::Scalar,
             stats: OptStats::new(),
         },
         CompileEvent::OptPassStats {
             phase: OptPhase::Round,
-            stage: PipelineStage::Peel,
             stats: mixed,
         },
         CompileEvent::FuelCharged {
