@@ -114,9 +114,9 @@ impl IncrementalInliner {
             let inlined = inline_phase(&mut tree, cx, config, &mut speculative_sites, audit);
             inlined_calls += inlined;
 
-            // End of round (§IV, Other optimizations): read–write
-            // elimination and loop peeling run on the root — unless the
-            // round inlined nothing into a root already at its fixpoint.
+            // End of round (§IV, Other optimizations): the pipeline, with
+            // read–write elimination, runs on the root — unless the round
+            // inlined nothing into a root already at its fixpoint.
             opt_total += tree.optimize_root(cx, OptPhase::Round);
             let live = RootIndex::new(tree.root_graph());
             tree.sync_root_children(cx, &live);

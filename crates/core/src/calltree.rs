@@ -273,13 +273,13 @@ impl CallTree {
         cx: &CompileCx<'_>,
         phase: incline_trace::OptPhase,
     ) -> OptStats {
-        let config = incline_opt::PipelineConfig::default();
         let run = if self.root_converged {
-            incline_opt::optimize_converged(&self.root_graph, config, cx.fuel)
+            incline_opt::optimize_converged(&self.root_graph, cx.fuel)
         } else {
             self.edit_root(|root| {
+                let rounds = incline_opt::MAX_ROUNDS;
                 incline_trace::optimize_with_trace(
-                    cx.program, root, config, cx.fuel, cx.trace, phase,
+                    cx.program, root, rounds, cx.fuel, cx.trace, phase,
                 )
             })
         };
@@ -673,13 +673,9 @@ impl CallTree {
         }
         let mut graph = template.clone();
         let ns = specialize_params(&mut graph, args);
-        // The trial bundle — the scalar passes only, no peeling — runs
-        // unmetered and reports per-stage deltas to the trace as
-        // Trial-phase events.
-        let trial_config = incline_opt::PipelineConfig {
-            peel_loops: false,
-            max_rounds: 3,
-        };
+        // The trial bundle runs at most three rounds, unmetered, and
+        // reports per-round deltas to the trace as Trial-phase events.
+        const TRIAL_ROUNDS: usize = 3;
         let (no, events) = if cx.tracing() {
             // Capture the trial's events locally so a later cache hit can
             // replay the identical stream, then forward them unchanged.
@@ -687,7 +683,7 @@ impl CallTree {
             let stats = incline_trace::optimize_with_trace(
                 cx.program,
                 &mut graph,
-                trial_config,
+                TRIAL_ROUNDS,
                 &incline_opt::UNLIMITED_FUEL,
                 &local,
                 incline_trace::OptPhase::Trial,
@@ -702,7 +698,7 @@ impl CallTree {
             let stats = incline_trace::optimize_with_trace(
                 cx.program,
                 &mut graph,
-                trial_config,
+                TRIAL_ROUNDS,
                 &incline_opt::UNLIMITED_FUEL,
                 cx.trace,
                 incline_trace::OptPhase::Trial,

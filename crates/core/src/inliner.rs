@@ -14,7 +14,7 @@
 //! broker's bailout ladder turns into a retry on a cheaper tier.
 
 use incline_ir::{Graph, MethodId, Program};
-use incline_opt::{CompileFuel, PipelineConfig, UNLIMITED_FUEL};
+use incline_opt::{CompileFuel, MAX_ROUNDS, UNLIMITED_FUEL};
 use incline_profile::ProfileTable;
 use incline_trace::{CompileEvent, OptPhase, TraceSink, NULL_SINK};
 
@@ -261,7 +261,7 @@ pub fn optimize_once(
     let opt = incline_trace::optimize_with_trace(
         cx.program,
         &mut graph,
-        PipelineConfig::default(),
+        MAX_ROUNDS,
         cx.fuel,
         cx.trace,
         OptPhase::Baseline,

@@ -12,10 +12,11 @@
 //! * [`gvn()`]: dominator-scoped global value numbering,
 //! * [`rw_elim`]: read–write elimination (store→load forwarding),
 //! * [`dce()`]: dead code elimination,
-//! * [`peel_loops`]: first-iteration loop peeling on type-narrowing
-//!   headers,
 //! * [`optimize`]: the full fixpoint pipeline used between inlining rounds
-//!   and by deep inlining trials.
+//!   and by deep inlining trials,
+//! * [`peel_loops`]: first-iteration loop peeling on type-narrowing
+//!   headers — outside the pipeline, since no workload has such a loop
+//!   (see [`peel`]).
 //!
 //! Every pass returns [`OptStats`] so callers can attribute events.
 //!
@@ -53,9 +54,7 @@ pub use dce::dce;
 pub use fuel::{CompileFuel, UNLIMITED_FUEL};
 pub use gvn::gvn;
 pub use peel::peel_loops;
-pub use pipeline::{
-    optimize, optimize_converged, optimize_observed, PipelineConfig, PipelineRun, PipelineStage,
-};
+pub use pipeline::{optimize, optimize_converged, optimize_observed, PipelineRun, MAX_ROUNDS};
 pub use rwelim::rw_elim;
 pub use stats::OptStats;
 pub use typeprop::type_prop;

@@ -8,6 +8,13 @@
 //! narrower than the parameter's declared type, the first iteration is
 //! cloned in front of the loop with the narrowed types, which lets the
 //! canonicalizer devirtualize and fold inside the peeled copy.
+//!
+//! The pipeline does not call it: traces of all 30 workloads, under every
+//! inliner and the server mix, show no loop that it peels, so the step
+//! cost a fuel charge, a type propagation and a loop forest per run for
+//! nothing (DESIGN §1). It stays public because the host-time ledger under
+//! `benchmark/` times it as its `opt.peel_ms` layer; it goes when that
+//! layer does.
 
 use incline_ir::graph::{Terminator, Transplant};
 use incline_ir::ids::{BlockId, ValueId};
@@ -31,10 +38,10 @@ const PEEL_SIZE_CAP: usize = 120;
 /// specialization is possible in the first iteration alone.
 pub fn peel_loops(program: &Program, graph: &mut Graph) -> OptStats {
     let mut stats = OptStats::new();
-    // Recompute after each peel: block sets change. (After the scalar
-    // bundle the forest comes from the dominator tree the graph already
-    // has; a graph without one and without a retreating edge gets an empty
-    // forest without any analysis.)
+    // Recompute after each peel: block sets change. (On a graph with a
+    // cached dominator tree the forest comes from it; a graph without one
+    // and without a retreating edge gets an empty forest without any
+    // analysis.)
     loop {
         type_prop(program, graph);
         let forest = graph.loop_forest();

@@ -1,10 +1,12 @@
 //! The pass pipeline used by compilations and by deep inlining trials.
 //!
 //! [`optimize`] is the full bundle run on specialized call-tree graphs and
-//! on root methods between inlining rounds: canonicalize → GVN →
-//! read–write elimination → DCE, iterated to a fixpoint, with optional loop
-//! peeling at the end (the paper peels "at the end of every round"). A pass
-//! runs only on a graph it has not already seen (`Fresh`).
+//! on root methods between inlining rounds: type propagation →
+//! canonicalize → GVN → conditional elimination → read–write elimination →
+//! DCE, iterated to a fixpoint. A pass runs only on a graph it has not
+//! already seen (`Fresh`). The paper also clones a loop's first iteration
+//! at the end of every round when that narrows the type of a loop φ; no
+//! workload here has such a loop, so this pipeline does not (DESIGN §1).
 
 use incline_ir::{Graph, Program};
 
@@ -13,78 +15,39 @@ use crate::condelim::cond_elim;
 use crate::dce::dce;
 use crate::fuel::{CompileFuel, UNLIMITED_FUEL};
 use crate::gvn::gvn;
-use crate::peel::peel_loops;
 use crate::rwelim::rw_elim;
 use crate::stats::OptStats;
 use crate::typeprop::type_prop;
 
-/// A stage of one pipeline invocation, for observers of per-stage
-/// [`OptStats`] deltas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PipelineStage {
-    /// One fixpoint round of the scalar bundle (type propagation,
-    /// canonicalization, GVN, conditional elimination, read–write
-    /// elimination, DCE).
-    Scalar,
-    /// The loop-peeling step plus its cleanup bundle.
-    Peel,
-}
-
-impl std::fmt::Display for PipelineStage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineStage::Scalar => f.write_str("scalar"),
-            PipelineStage::Peel => f.write_str("peel"),
-        }
-    }
-}
-
-/// Pipeline configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct PipelineConfig {
-    /// Apply first-iteration loop peeling after the scalar fixpoint.
-    pub peel_loops: bool,
-    /// Upper bound on fixpoint rounds (each round is itself a fixpoint of
-    /// canonicalization, so 2–3 rounds almost always suffice).
-    pub max_rounds: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            peel_loops: true,
-            max_rounds: 4,
-        }
-    }
-}
+/// The fixpoint rounds a compilation's pipeline run may take: on the root,
+/// in the degraded tier and in the baselines (deep inlining trials take
+/// 3). Each round is itself a fixpoint of canonicalization, so 2–3 rounds
+/// almost always suffice.
+pub const MAX_ROUNDS: usize = 4;
 
 /// What one pipeline run did and where it left the graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PipelineRun {
-    /// The summed events of every stage.
+    /// The summed events of every round.
     pub stats: OptStats,
     /// Whether the run left the graph at the pipeline's fixpoint: every fuel
-    /// charge was granted, the last scalar round found nothing, and peeling
-    /// was off or peeled nothing. Running the same configuration again on
-    /// the graph as it is would change nothing — see
+    /// charge was granted and the last round found nothing. Running the
+    /// pipeline again on the graph as it is would change nothing — see
     /// [`optimize_converged`]. Not a function of `stats`: a run that stops
-    /// at `max_rounds` while still progressing, runs out of fuel, or peels
-    /// (the clean-up after a peel is not the whole bundle) has not
+    /// at `max_rounds` while still progressing, or runs out of fuel, has not
     /// converged, whatever it counted.
     pub converged: bool,
 }
 
 type Pass = fn(&Program, &mut Graph) -> OptStats;
 
-/// The scalar bundle after type propagation, in pipeline order. The flag
-/// marks the passes that also clean up after a peel (narrowed types enable
-/// folding in the peeled copy; there is no new branch to learn from).
-const SCALAR_PASSES: [(Pass, bool); 5] = [
-    (canonicalize, true),
-    (|_, graph| gvn(graph), true),
-    (|_, graph| cond_elim(graph), false),
-    (rw_elim, true),
-    (|_, graph| dce(graph), true),
+/// The scalar bundle after type propagation, in pipeline order.
+const SCALAR_PASSES: [Pass; 5] = [
+    canonicalize,
+    |_, graph| gvn(graph),
+    |_, graph| cond_elim(graph),
+    rw_elim,
+    |_, graph| dce(graph),
 ];
 
 /// Type propagation's bit in a run's [`Fresh`] set.
@@ -133,103 +96,70 @@ impl Fresh {
 }
 
 /// One sweep of the scalar bundle, each pass skipped while the graph is
-/// fresh for it; after a peel (`peel`), only the passes that clean up.
-fn scalar_bundle(program: &Program, graph: &mut Graph, fresh: &mut Fresh, peel: bool) -> OptStats {
+/// fresh for it.
+fn scalar_bundle(program: &Program, graph: &mut Graph, fresh: &mut Fresh) -> OptStats {
     let mut stats = OptStats::new();
-    for (index, (pass, cleans_up)) in SCALAR_PASSES.into_iter().enumerate() {
-        if cleans_up || !peel {
-            fresh.run(index, graph, |graph| {
-                let found = pass(program, graph);
-                stats += found;
-                found.any()
-            });
-        }
+    for (index, pass) in SCALAR_PASSES.into_iter().enumerate() {
+        fresh.run(index, graph, |graph| {
+            let found = pass(program, graph);
+            stats += found;
+            found.any()
+        });
     }
     stats
 }
 
-/// Runs the full pipeline with the default configuration and no budget.
+/// Runs the full pipeline with [`MAX_ROUNDS`] and no budget.
 pub fn optimize(program: &Program, graph: &mut Graph) -> OptStats {
-    optimize_observed(
-        program,
-        graph,
-        PipelineConfig::default(),
-        &UNLIMITED_FUEL,
-        &mut |_, _| {},
-    )
-    .stats
+    optimize_observed(program, graph, MAX_ROUNDS, &UNLIMITED_FUEL, &mut |_| {}).stats
 }
 
-/// Runs the pipeline under a compile budget, with a per-stage observer.
+/// Runs at most `max_rounds` fixpoint rounds under a compile budget, with a
+/// per-round observer.
 ///
-/// Each fixpoint round charges the graph size to `fuel` and the pipeline
-/// winds down once the budget is spent; the graph is always left in a valid
-/// (if less optimized) state — exhaustion degrades quality, never
-/// correctness. After every fixpoint round of the scalar bundle and after
-/// the peeling step, `observer` receives the stage tag and that stage's
-/// [`OptStats`] delta. Returns the summed total and whether the graph was
-/// left at the pipeline's fixpoint.
+/// Each round charges the graph size to `fuel` and the pipeline winds down
+/// once the budget is spent; the graph is always left in a valid (if less
+/// optimized) state — exhaustion degrades quality, never correctness.
+/// After every round, `observer` receives that round's [`OptStats`] delta.
+/// Returns the summed total and whether the graph was left at the
+/// pipeline's fixpoint.
 pub fn optimize_observed(
     program: &Program,
     graph: &mut Graph,
-    config: PipelineConfig,
+    max_rounds: usize,
     fuel: &CompileFuel,
-    observer: &mut dyn FnMut(PipelineStage, OptStats),
-) -> PipelineRun {
-    let run = run_stages(program, graph, config, fuel, observer);
-    // The passes of one run share the graph's dominator tree; nobody
-    // after them does.
-    graph.release_dom_tree();
-    run
-}
-
-fn run_stages(
-    program: &Program,
-    graph: &mut Graph,
-    config: PipelineConfig,
-    fuel: &CompileFuel,
-    observer: &mut dyn FnMut(PipelineStage, OptStats),
+    observer: &mut dyn FnMut(OptStats),
 ) -> PipelineRun {
     let mut run = PipelineRun {
         stats: OptStats::new(),
         converged: false,
     };
     let mut fresh = Fresh::default();
-    for _ in 0..config.max_rounds {
+    for _ in 0..max_rounds {
         if !fuel.charge(graph.size() as u64) {
-            return run;
+            break;
         }
         let narrowed = fresh.run(TYPE_PROP, graph, |graph| type_prop(program, graph));
-        let round = scalar_bundle(program, graph, &mut fresh, false);
+        let round = scalar_bundle(program, graph, &mut fresh);
         run.stats += round;
-        observer(PipelineStage::Scalar, round);
+        observer(round);
         run.converged = !(narrowed || round.any());
         if run.converged {
             break;
         }
     }
-    if config.peel_loops {
-        let peeled = peel_loops(program, graph);
-        if peeled.any() {
-            // Peeling is no member of the fresh set: after it, none is fresh.
-            let stage = peeled + scalar_bundle(program, graph, &mut Fresh::default(), true);
-            run.stats += stage;
-            observer(PipelineStage::Peel, stage);
-            run.converged = false;
-        }
-    }
+    // The passes of one run share the graph's dominator tree; nobody
+    // after them does.
+    graph.release_dom_tree();
     run
 }
 
-/// [`optimize_observed`] on a graph that a run under the same `config`
-/// left [`PipelineRun::converged`] and nothing has edited since, without
-/// the passes: such a run pays for its first scalar round, and changes,
-/// counts and reports nothing. The graph stays converged unless the budget ran out on the way.
-pub fn optimize_converged(
-    graph: &Graph,
-    _config: PipelineConfig,
-    fuel: &CompileFuel,
-) -> PipelineRun {
+/// [`optimize_observed`] on a graph that a run left
+/// [`PipelineRun::converged`] and nothing has edited since, without the
+/// passes: such a run pays for its first round, and changes, counts and
+/// reports nothing. The graph stays converged unless that charge is
+/// refused.
+pub fn optimize_converged(graph: &Graph, fuel: &CompileFuel) -> PipelineRun {
     PipelineRun {
         stats: OptStats::new(),
         converged: fuel.charge(graph.size() as u64),
@@ -271,9 +201,9 @@ mod tests {
     }
 
     /// A loop whose object parameter is a `Sub` on entry and a `Base` from
-    /// the second iteration on: the peeling trigger, which type propagation
-    /// alone cannot satisfy.
-    fn peelable_loop() -> (Program, Graph) {
+    /// the second iteration on: the paper's trigger for cloning the first
+    /// iteration, which type propagation alone cannot satisfy.
+    fn narrowing_loop() -> (Program, Graph) {
         let mut p = Program::new();
         let base = p.add_class("Base", None);
         let sub = p.add_class("Sub", Some(base));
@@ -305,21 +235,20 @@ mod tests {
     fn observed(
         p: &Program,
         g: &mut Graph,
-        config: PipelineConfig,
+        max_rounds: usize,
         fuel: &CompileFuel,
     ) -> (PipelineRun, usize) {
-        let mut stages = 0;
-        let run = optimize_observed(p, g, config, fuel, &mut |_, stats| {
-            stages += usize::from(stats.any());
+        let mut rounds = 0;
+        let run = optimize_observed(p, g, max_rounds, fuel, &mut |stats| {
+            rounds += usize::from(stats.any());
         });
-        (run, stages)
+        (run, rounds)
     }
 
     #[test]
     fn pipeline_reaches_fixpoint_and_verifies() {
         let (p, mut g) = needs_two_rounds();
-        let config = PipelineConfig::default();
-        let (first, _) = observed(&p, &mut g, config, &UNLIMITED_FUEL);
+        let (first, _) = observed(&p, &mut g, MAX_ROUNDS, &UNLIMITED_FUEL);
         let stats = first.stats;
         assert!(stats.rw_elim >= 1, "{stats:?}");
         assert!(stats.branch_prune >= 1, "{stats:?}");
@@ -328,15 +257,15 @@ mod tests {
         assert!(first.converged);
         verify_graph(&p, &g, &[Type::Int], RetType::Value(Type::Int)).unwrap();
         // Re-running the pipeline finds nothing new: the graph stays as it
-        // is, no stage has anything to report, and the run spends what
+        // is, no round has anything to report, and the run spends what
         // `optimize_converged` charges in its place.
         let before = g.fingerprint();
         let (real, skipped) = (CompileFuel::limited(1 << 20), CompileFuel::limited(1 << 20));
-        let (again, stages) = observed(&p, &mut g, config, &real);
+        let (again, rounds) = observed(&p, &mut g, MAX_ROUNDS, &real);
         assert!(!again.stats.any(), "{:?}", again.stats);
-        assert_eq!((again.converged, stages), (true, 0));
+        assert_eq!((again.converged, rounds), (true, 0));
         assert_eq!(g.fingerprint(), before);
-        assert_eq!(optimize_converged(&g, config, &skipped), again);
+        assert_eq!(optimize_converged(&g, &skipped), again);
         assert_eq!(real.spent(), skipped.spent());
         assert_eq!(real.spent(), g.size() as u64);
     }
@@ -345,37 +274,33 @@ mod tests {
     fn a_run_that_did_not_reach_the_fixpoint_says_so() {
         // Stopped by `max_rounds` while still progressing.
         let (p, mut g) = needs_two_rounds();
-        let one_round = PipelineConfig {
-            peel_loops: false,
-            max_rounds: 1,
-        };
-        let (run, _) = observed(&p, &mut g, one_round, &UNLIMITED_FUEL);
+        let (run, _) = observed(&p, &mut g, 1, &UNLIMITED_FUEL);
         assert!(run.stats.any() && !run.converged);
-        let (run, _) = observed(&p, &mut g, one_round, &UNLIMITED_FUEL);
+        let (run, _) = observed(&p, &mut g, 1, &UNLIMITED_FUEL);
         assert!(run.converged, "the second round finds nothing: {run:?}");
 
         // A budget that runs out mid-run: before the second round, and —
         // on a graph already at its fixpoint — before the first.
         let (p, mut g) = needs_two_rounds();
-        let config = PipelineConfig::default();
         let fuel = CompileFuel::limited(g.size() as u64);
-        let (run, _) = observed(&p, &mut g, config, &fuel);
+        let (run, _) = observed(&p, &mut g, MAX_ROUNDS, &fuel);
         assert!(run.stats.any() && !run.converged && fuel.exhausted());
-        assert!(observed(&p, &mut g, config, &UNLIMITED_FUEL).0.converged);
+        let (run, _) = observed(&p, &mut g, MAX_ROUNDS, &UNLIMITED_FUEL);
+        assert!(run.converged);
         let fuel = CompileFuel::limited(g.size() as u64 - 1);
-        let (run, _) = observed(&p, &mut g, config, &fuel);
+        let (run, _) = observed(&p, &mut g, MAX_ROUNDS, &fuel);
         assert!(!run.stats.any() && !run.converged && fuel.exhausted());
 
-        // A peel: its clean-up is not the whole bundle, so only the next
-        // run can tell.
-        let (p, mut g) = peelable_loop();
-        let (run, _) = observed(&p, &mut g, config, &UNLIMITED_FUEL);
-        assert_eq!(run.stats.loops_peeled, 1, "{:?}", run.stats);
-        assert!(!run.converged);
+        // The paper's trigger for cloning a loop's first iteration: the
+        // pipeline clones nothing, keeps the loop and reaches its fixpoint
+        // in one run.
+        let (p, mut g) = narrowing_loop();
+        let blocks = g.block_order().len();
+        let (run, _) = observed(&p, &mut g, MAX_ROUNDS, &UNLIMITED_FUEL);
+        assert!(run.converged, "{run:?}");
+        assert!(g.block_order().len() <= blocks);
+        assert_eq!(g.loop_forest().loops.len(), 1);
         verify_graph(&p, &g, &[Type::Int], RetType::Void).unwrap();
-        let (next, _) = observed(&p, &mut g, config, &UNLIMITED_FUEL);
-        assert_eq!(next.stats.loops_peeled, 0);
-        assert!(next.converged, "{next:?}");
     }
 
     #[test]
@@ -393,14 +318,14 @@ mod tests {
         let reference = g.clone();
         // Zero budget: no round runs, the graph is untouched and valid.
         let fuel = crate::fuel::CompileFuel::limited(0);
-        let (run, _) = observed(&p, &mut g, PipelineConfig::default(), &fuel);
+        let (run, _) = observed(&p, &mut g, MAX_ROUNDS, &fuel);
         assert!(!run.stats.any(), "no work under a zero budget: {run:?}");
         assert!(fuel.exhausted());
         assert_eq!(g.size(), reference.size());
         verify_graph(&p, &g, &[Type::Int], RetType::Value(Type::Int)).unwrap();
         // An ample budget performs the folding and records its spend.
         let fuel = crate::fuel::CompileFuel::limited(10_000);
-        let (run, _) = observed(&p, &mut g, PipelineConfig::default(), &fuel);
+        let (run, _) = observed(&p, &mut g, MAX_ROUNDS, &fuel);
         assert!(run.stats.const_fold >= 1, "{run:?}");
         assert!(fuel.spent() > 0 && !fuel.exhausted());
         verify_graph(&p, &g, &[Type::Int], RetType::Value(Type::Int)).unwrap();
@@ -408,8 +333,8 @@ mod tests {
 
     #[test]
     fn whole_loop_collapses_for_constant_bounds() {
-        // for (i = 0; i < 1; i++) { acc += 3 } — peeling + folding + branch
-        // pruning should reduce the loop to a constant.
+        // for (i = 0; i < 1; i++) { acc += 3 } — folding and branch pruning
+        // should shrink the loop.
         let mut p = Program::new();
         let base = p.add_class("Base", None);
         let sub = p.add_class("Sub", Some(base));

@@ -264,11 +264,12 @@ events! {
             /// Whether the candidate was inlined.
             accepted: bool,
         },
-        /// One optimization-pipeline stage ran; `stats` is its delta.
+        /// One fixpoint round of an optimization-pipeline run found
+        /// something; `stats` is its delta.
         OptPassStats {
             /// Which pipeline invocation this delta belongs to.
             phase: OptPhase,
-            /// Counters for the transformations the stage applied.
+            /// Counters for the transformations the round applied.
             stats: OptStats,
         },
         /// Compile fuel was charged.

@@ -32,24 +32,25 @@ pub use event::{BailoutStage, CodeTier, CompileEvent, OptPhase};
 pub use sink::{CollectingSink, JsonlSink, NullSink, TraceSink, NULL_SINK};
 
 use incline_ir::{Graph, Program};
-use incline_opt::{optimize_observed, CompileFuel, PipelineConfig, PipelineRun};
+use incline_opt::{optimize_observed, CompileFuel, PipelineRun};
 
-/// Run the optimization pipeline, forwarding per-stage `OptStats` deltas to
-/// `sink` as [`CompileEvent::OptPassStats`] events tagged with `phase`.
+/// Run the optimization pipeline for at most `max_rounds` rounds,
+/// forwarding per-round `OptStats` deltas to `sink` as
+/// [`CompileEvent::OptPassStats`] events tagged with `phase`.
 ///
-/// When the sink is disabled no event is constructed. A stage that found
+/// When the sink is disabled no event is constructed. A round that found
 /// nothing is not an event, so a run on a graph the previous one left
 /// [`PipelineRun::converged`] emits none.
 pub fn optimize_with_trace(
     program: &Program,
     graph: &mut Graph,
-    config: PipelineConfig,
+    max_rounds: usize,
     fuel: &CompileFuel,
     sink: &dyn TraceSink,
     phase: OptPhase,
 ) -> PipelineRun {
     let enabled = sink.enabled();
-    optimize_observed(program, graph, config, fuel, &mut |_, stats| {
+    optimize_observed(program, graph, max_rounds, fuel, &mut |stats| {
         if enabled && stats.any() {
             sink.emit(CompileEvent::OptPassStats { phase, stats });
         }

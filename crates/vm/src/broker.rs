@@ -266,7 +266,7 @@ pub(crate) fn degraded_tier(
         let opt = incline_trace::optimize_with_trace(
             program,
             &mut graph,
-            incline_opt::PipelineConfig::default(),
+            incline_opt::MAX_ROUNDS,
             fuel,
             sink,
             OptPhase::Degraded,

@@ -325,10 +325,9 @@ fn inlined_once(program: &Program, body: &Graph) -> Graph {
 
 #[test]
 fn a_pipeline_run_on_a_converged_graph_is_the_one_charge_of_the_skip() {
-    use incline::opt::{optimize_converged, PipelineConfig, UNLIMITED_FUEL};
+    use incline::opt::{optimize_converged, MAX_ROUNDS, UNLIMITED_FUEL};
     use incline::trace::{optimize_with_trace, OptPhase};
 
-    let config = PipelineConfig::default();
     let mut checked = 0;
     for w in &corpus() {
         for (what, mut graph) in bodies_and_installed(w) {
@@ -336,7 +335,7 @@ fn a_pipeline_run_on_a_converged_graph_is_the_one_charge_of_the_skip() {
             // Run until a run says it left the graph at its fixpoint.
             let settled = (0..8).any(|_| {
                 let (fuel, sink, phase) = (&UNLIMITED_FUEL, &NullSink, OptPhase::Round);
-                optimize_with_trace(&w.program, &mut graph, config, fuel, sink, phase).converged
+                optimize_with_trace(&w.program, &mut graph, MAX_ROUNDS, fuel, sink, phase).converged
             });
             assert!(settled, "{what}: no run converged");
 
@@ -351,12 +350,12 @@ fn a_pipeline_run_on_a_converged_graph_is_the_one_charge_of_the_skip() {
                 let real = optimize_with_trace(
                     &w.program,
                     &mut graph,
-                    config,
+                    MAX_ROUNDS,
                     &real_fuel,
                     &sink,
                     OptPhase::Round,
                 );
-                let skip = optimize_converged(&graph, config, &skip_fuel);
+                let skip = optimize_converged(&graph, &skip_fuel);
                 let what = format!("{what} limit={limit}");
                 assert_eq!(graph.fingerprint(), before, "{what}: the graph moved");
                 assert!(!real.stats.any(), "{what}: {:?}", real.stats);
