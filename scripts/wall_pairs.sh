@@ -11,12 +11,15 @@
 #
 # one run in the parent's tree and one in this one, the same seed for both
 # runs of a pair and a different one for each pair, alternating which side
-# goes first. A traced run per side on TRACED_WORKLOAD (default
-# `interp_only`; name the workload the change claims its gain on) adds every
-# per-layer metric BENCHMARK.json declares, as `traced_<workload>`. Prints,
-# per workload and end-to-end metric: each side's runs, median and
-# quartiles, how many pairs the change won, and a verdict by the benchmark's
-# own bound. Progress goes to stderr.
+# goes first. Three traced pairs on TRACED_WORKLOAD (default `interp_only`;
+# name the workload the change claims its gain on), seed 23, alternating
+# order, run inside that workload's pair loop after pairs 1, ceil(PAIRS/2)
+# and PAIRS, so that one slow minute cannot move one side's layers alone.
+# They add every per-layer metric BENCHMARK.json declares, as
+# `traced_<workload>`: per side and metric, the median of the three runs
+# and the runs. Prints, per workload and end-to-end metric: each side's
+# runs, median and quartiles, how many pairs the change won, and a verdict
+# by the benchmark's own bound. Progress goes to stderr.
 #
 # The report on stdout replaces the last one; so that the trajectory stays
 # data, one compact row per workload (both `pass_ms` medians, pairs won,
@@ -42,7 +45,21 @@ run_side() { # side workload seed trace
     (cd "$dir" && benchmark/run.sh --workload "$2" --seed "$3" --seconds 10 --trace "$4") | tail -n 1
 }
 
+# One traced pair, the parent first in the first and third.
+traced_pairs=0
+traced_pair() {
+    local order=(parent change)
+    ((traced_pairs % 2)) && order=(change parent)
+    for side in "${order[@]}"; do
+        echo "[$traced] traced pair $((traced_pairs + 1))/3: $side" >&2
+        printf '{"workload": "%s", "traced_pair": %d, "side": "%s", "traced": %s}\n' \
+            "$traced" "$traced_pairs" "$side" "$(run_side "$side" "$traced" 23 1)" >> "$work/runs.jsonl"
+    done
+    traced_pairs=$((traced_pairs + 1))
+}
+
 workloads="$(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' "$repo/BENCHMARK.json")"
+traced_after=(0 $(((pairs + 1) / 2 - 1)) $((pairs - 1)))
 : > "$work/runs.jsonl"
 for w in $workloads; do
     for ((i = 0; i < pairs; i++)); do
@@ -54,13 +71,15 @@ for w in $workloads; do
             printf '{"workload": "%s", "pair": %d, "seed": %d, "side": "%s", "first": "%s", "result": %s}\n' \
                 "$w" "$i" "$seed" "$side" "${order[0]}" "$(run_side "$side" "$w" "$seed" 0)" >> "$work/runs.jsonl"
         done
+        if [[ "$w" == "$traced" ]]; then
+            for after in "${traced_after[@]}"; do
+                if ((after == i)); then traced_pair; fi
+            done
+        fi
     done
 done
-for side in parent change; do
-    echo "[$traced] traced: $side" >&2
-    printf '{"workload": "%s", "side": "%s", "traced": %s}\n' \
-        "$traced" "$side" "$(run_side "$side" "$traced" 23 1)" >> "$work/runs.jsonl"
-done
+# A traced workload outside BENCHMARK.json's list (or PAIRS = 0) still gets its three.
+while ((traced_pairs < 3)); do traced_pair; done
 
 python3 - "$repo/BENCHMARK.json" "$work/runs.jsonl" "$parent_sha" "$change_sha" "$traced" \
     "$repo/BENCH_wall_history.json" <<'PY'
@@ -118,8 +137,12 @@ for w in [x["name"] for x in contract["workloads"]]:
                       "all_correct": all(r["result"]["correct"] for r in mine), "metrics": metrics})
 
 # A traced run reports the layers its workload exercises; the rest are absent.
-traced = {r["side"]: {k: r["traced"]["metrics"][k]["value"] for k in LAYERS if k in r["traced"]["metrics"]}
-          for r in runs if "traced" in r}
+traced = {}
+for side in ("parent", "change"):
+    mine = [r["traced"]["metrics"] for r in runs if "traced" in r and r["side"] == side]
+    traced[side] = {k: {"median": statistics.median(m[k]["value"] for m in mine),
+                        "runs": [m[k]["value"] for m in mine]}
+                    for k in LAYERS if all(k in m for m in mine)}
 json.dump({
     "figure": "host-wall-pairs",
     "command": "benchmark/run.sh --workload W --seed N --seconds 10 --trace 0",
