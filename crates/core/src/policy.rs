@@ -152,8 +152,11 @@ impl Default for PolicyConfig {
 impl PolicyConfig {
     /// The configuration with the paper's literal constants. The paper
     /// tunes against Graal IR, whose node granularity is roughly 5× finer
-    /// than ours (a small Java method is hundreds of Graal nodes); with
-    /// these values the thresholds barely bind on this substrate.
+    /// than ours (a small Java method is hundreds of Graal nodes). Which
+    /// set is used still binds on this substrate: under [`Self::tuned`],
+    /// Eq. 8 defers gauss-mix's cutoffs at benefit densities of at most
+    /// 0.08 of its bar and factorie's at a median of 0.036, at explored
+    /// sizes past its r1 = 1 500 and below this set's 3 000.
     pub fn paper() -> Self {
         PolicyConfig {
             expansion: ExpansionThreshold::Adaptive {
