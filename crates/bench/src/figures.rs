@@ -335,7 +335,7 @@ pub fn ablations() -> String {
     let mut no_rec = PolicyConfig::tuned();
     no_rec.recursion_penalty = false;
     let mut mono = PolicyConfig::tuned();
-    mono.poly.max_targets = 1;
+    mono.max_targets = 1;
     let mut no_expand_limit = PolicyConfig::tuned();
     no_expand_limit.expansion = ExpansionThreshold::Fixed { te: 12_000 };
     no_expand_limit.inlining = InlineThreshold::Fixed { ti: 12_000 };

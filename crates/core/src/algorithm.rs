@@ -19,7 +19,7 @@ use crate::metrics::{
     expansion_bar, exploration_penalty, inline_bar, may_inline, recursion_penalty, should_expand,
     Tuple,
 };
-use crate::policy::{Clustering, PolicyConfig};
+use crate::policy::{Clustering, PolicyConfig, MAX_EXPANSIONS_PER_ROUND, MAX_INLINE_ROUNDS};
 use crate::typeswitch::{emit_typeswitch, TypeswitchCase};
 
 /// The paper's inliner, parameterized by a [`PolicyConfig`] so that every
@@ -147,7 +147,7 @@ impl IncrementalInliner {
             let changed = expanded > 0 || inlined > 0;
             if !changed
                 || starved_rounds >= 2
-                || rounds as usize >= config.max_rounds
+                || rounds as usize >= MAX_INLINE_ROUNDS
                 || tree.root_size() > config.root_size_cap
             {
                 break;
@@ -295,16 +295,16 @@ impl ExpansionView {
     }
 
     /// Final priority `P(n) = P_I(n) − ψ(n)` (Equation 6 with Equation 7).
-    fn priority(&self, n: NodeId, config: &PolicyConfig) -> f64 {
+    fn priority(&self, n: NodeId) -> f64 {
         let m = &self.metrics[n.0];
-        self.intrinsic[n.0] - exploration_penalty(&config.penalty, m.s_ir, m.s_b, m.n_c as f64)
+        self.intrinsic[n.0] - exploration_penalty(m.s_ir, m.s_b, m.n_c as f64)
     }
 }
 
 // ---- expansion phase (Listing 3) -------------------------------------------
 
 /// `descend` (Listing 4): follow the best-priority child until a cutoff.
-fn descend(tree: &CallTree, view: &ExpansionView, config: &PolicyConfig) -> Option<NodeId> {
+fn descend(tree: &CallTree, view: &ExpansionView) -> Option<NodeId> {
     let mut n = tree.root();
     while tree.node(n).kind != NodeKind::Cutoff {
         // The last of the best children wins a tie, as with
@@ -315,7 +315,7 @@ fn descend(tree: &CallTree, view: &ExpansionView, config: &PolicyConfig) -> Opti
             if !view.open[c.0] {
                 continue;
             }
-            let p = view.priority(c, config);
+            let p = view.priority(c);
             let keep =
                 best.is_some_and(|(_, bp)| bp.partial_cmp(&p) == Some(std::cmp::Ordering::Greater));
             if !keep {
@@ -338,7 +338,7 @@ fn expand_phase(
     let mut view = ExpansionView::new(tree, cx, config);
     let mut expansions = 0usize;
     loop {
-        if expansions >= config.max_expansions_per_round {
+        if expansions >= MAX_EXPANSIONS_PER_ROUND {
             break;
         }
         refused.resize(tree.len(), false);
@@ -346,7 +346,7 @@ fn expand_phase(
             audit(tree, Some((&view, &refused)), cx, config);
         }
         let root_metrics = view.metrics[tree.root().0];
-        let Some(cutoff) = descend(tree, &view, config) else {
+        let Some(cutoff) = descend(tree, &view) else {
             break;
         };
         // `expandCutoff` (Listing 3): the adaptive/fixed threshold of
@@ -379,7 +379,7 @@ fn expand_phase(
                     ir_size: ir,
                     root_ir: root_metrics.s_ir,
                     required_density: expansion_bar(&config.expansion, root_metrics.s_ir),
-                    penalty: exploration_penalty(&config.penalty, m.s_ir, m.s_b, m.n_c as f64),
+                    penalty: exploration_penalty(m.s_ir, m.s_b, m.n_c as f64),
                 }
             });
             refused[cutoff.0] = true;

@@ -16,12 +16,12 @@ use std::sync::Arc;
 
 use incline_ir::graph::{CallTarget, Op, ValueDef};
 use incline_ir::ids::{BlockId, CallSiteId, ClassId, InstId, MethodId};
-use incline_ir::{Graph, StructuralHasher, Type};
+use incline_ir::{Graph, Type};
 use incline_opt::OptStats;
 
 use crate::inliner::CompileCx;
 use crate::metrics::Tuple;
-use crate::policy::{PolicyConfig, Trials};
+use crate::policy::{PolicyConfig, Trials, MIN_TARGET_PROB};
 use crate::trials::{TrialKey, TrialOutcome};
 
 /// Index of a node in the call tree arena.
@@ -531,7 +531,7 @@ impl CallTree {
                 // same-method classes share a typeswitch case).
                 let mut groups: Vec<(MethodId, ClassId, f64)> = Vec::new();
                 for e in &profile {
-                    if e.probability < config.poly.min_prob {
+                    if e.probability < MIN_TARGET_PROB {
                         continue;
                     }
                     if let Some(m) = cx.program.resolve(e.class, sel) {
@@ -541,7 +541,7 @@ impl CallTree {
                         }
                     }
                 }
-                groups.truncate(config.poly.max_targets);
+                groups.truncate(config.max_targets);
                 let inlineable = groups
                     .iter()
                     .any(|&(m, ..)| cx.program.method(m).can_inline());
@@ -620,8 +620,8 @@ impl CallTree {
         };
 
         let (graph, ns, no) = if specialize {
-            let arg_info = self.callsite_arg_info(n, cx);
-            self.run_trial(method, &arg_info, cx)
+            let args = self.callsite_arg_info(n, cx).into_boxed_slice();
+            run_trial(TrialKey { method, args }, cx)
         } else {
             (Arc::new(cx.program.method(method).graph.clone()), 0, 0)
         };
@@ -638,87 +638,6 @@ impl CallTree {
         }
         self.create_children(n, cx, config);
         attached
-    }
-
-    /// Runs the deep-inlining trial bundle for `(method, args)` — clone,
-    /// specialize, trial-optimize — or replays a memoized outcome from the
-    /// [`TrialCache`](crate::TrialCache) when one is attached.
-    ///
-    /// The trial reads no profile data (profiles enter only through
-    /// `args`), so its output is a pure function of the callee graph and
-    /// the argument facts: a hit returns the same graph bytes, the same
-    /// `(ns, no)` and re-emits the same trace events a fresh run would
-    /// produce. The conformance matrix asserts this end to end.
-    fn run_trial(
-        &self,
-        method: MethodId,
-        args: &[ArgInfo],
-        cx: &CompileCx<'_>,
-    ) -> (Arc<Graph>, u32, u64) {
-        let template = &cx.program.method(method).graph;
-        let key = cx.trials.map(|t| TrialKey {
-            method,
-            graph_fp: t.method_fingerprint(method, template),
-            args_fp: hash_args(args),
-        });
-        if let (Some(trials), Some(key)) = (cx.trials, key) {
-            if let Some(hit) = trials.lookup(key) {
-                if cx.tracing() {
-                    for e in &hit.events {
-                        cx.trace.emit(e.clone());
-                    }
-                }
-                return (Arc::clone(&hit.graph), hit.ns, hit.no);
-            }
-        }
-        let mut graph = template.clone();
-        let ns = specialize_params(&mut graph, args);
-        // The trial bundle runs at most three rounds, unmetered, and
-        // reports per-round deltas to the trace as Trial-phase events.
-        const TRIAL_ROUNDS: usize = 3;
-        let (no, events) = if cx.tracing() {
-            // Capture the trial's events locally so a later cache hit can
-            // replay the identical stream, then forward them unchanged.
-            let local = incline_trace::CollectingSink::new();
-            let stats = incline_trace::optimize_with_trace(
-                cx.program,
-                &mut graph,
-                TRIAL_ROUNDS,
-                &incline_opt::UNLIMITED_FUEL,
-                &local,
-                incline_trace::OptPhase::Trial,
-            )
-            .stats;
-            let events = local.take();
-            for e in &events {
-                cx.trace.emit(e.clone());
-            }
-            (stats.simple_count(), events)
-        } else {
-            let stats = incline_trace::optimize_with_trace(
-                cx.program,
-                &mut graph,
-                TRIAL_ROUNDS,
-                &incline_opt::UNLIMITED_FUEL,
-                cx.trace,
-                incline_trace::OptPhase::Trial,
-            )
-            .stats;
-            (stats.simple_count(), Vec::new())
-        };
-        let graph = Arc::new(graph);
-        if let (Some(trials), Some(key)) = (cx.trials, key) {
-            trials.insert(
-                key,
-                Arc::new(TrialOutcome {
-                    graph: Arc::clone(&graph),
-                    ns,
-                    no,
-                    events,
-                }),
-            );
-        }
-        (graph, ns, no)
     }
 
     /// Argument specialization facts for a node's callsite: per parameter,
@@ -876,7 +795,7 @@ fn live_count(graph: &Graph, b: BlockId) -> usize {
 }
 
 /// Per-argument specialization facts.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ArgInfo {
     /// The argument is this constant.
     pub konst: Option<Op>,
@@ -884,29 +803,60 @@ pub struct ArgInfo {
     pub ty: Option<Type>,
 }
 
-/// Structural hash of an argument-specialization vector — the `args_fp`
-/// component of a [`TrialKey`]. Two callsites with the same constants and
-/// the same narrowed types hash equal and share a memoized trial.
-pub fn hash_args(args: &[ArgInfo]) -> u64 {
-    let mut h = StructuralHasher::new();
-    h.write_u64(args.len() as u64);
-    for a in args {
-        match &a.konst {
-            Some(op) => {
-                h.write_u64(1);
-                h.write_op(op);
+/// Runs the deep-inlining trial bundle for `key` — clone the callee,
+/// specialize it by the arguments, trial-optimize — or replays the memoized
+/// outcome from the [`TrialCache`](crate::TrialCache) when one is attached.
+///
+/// The trial reads no profile data (profiles enter only through the
+/// arguments), so its output is a pure function of the key: a hit returns
+/// the same graph bytes, the same `(ns, no)` and re-emits the same trace
+/// events a fresh run would produce. The conformance matrix asserts this
+/// end to end.
+fn run_trial(key: TrialKey, cx: &CompileCx<'_>) -> (Arc<Graph>, u32, u64) {
+    if let Some(hit) = cx.trials.and_then(|t| t.lookup(&key)) {
+        if cx.tracing() {
+            for e in &hit.events {
+                cx.trace.emit(e.clone());
             }
-            None => h.write_u64(0),
         }
-        match a.ty {
-            Some(t) => {
-                h.write_u64(1);
-                h.write_type(t);
-            }
-            None => h.write_u64(0),
-        }
+        return (Arc::clone(&hit.graph), hit.ns, hit.no);
     }
-    h.finish()
+    let mut graph = cx.program.method(key.method).graph.clone();
+    let ns = specialize_params(&mut graph, &key.args);
+    // The trial bundle runs at most three rounds, unmetered, and reports
+    // per-round deltas to the trace as Trial-phase events. A traced trial
+    // captures its events so that a later hit can replay the identical
+    // stream, then forwards them unchanged.
+    const TRIAL_ROUNDS: usize = 3;
+    let local = incline_trace::CollectingSink::new();
+    let sink: &dyn incline_trace::TraceSink = if cx.tracing() { &local } else { cx.trace };
+    let no = incline_trace::optimize_with_trace(
+        cx.program,
+        &mut graph,
+        TRIAL_ROUNDS,
+        &incline_opt::UNLIMITED_FUEL,
+        sink,
+        incline_trace::OptPhase::Trial,
+    )
+    .stats
+    .simple_count();
+    let events = local.take();
+    for e in &events {
+        cx.trace.emit(e.clone());
+    }
+    let graph = Arc::new(graph);
+    if let Some(trials) = cx.trials {
+        trials.insert(
+            key,
+            Arc::new(TrialOutcome {
+                graph: Arc::clone(&graph),
+                ns,
+                no,
+                events,
+            }),
+        );
+    }
+    (graph, ns, no)
 }
 
 /// Applies argument specialization to a cloned callee graph: a constant

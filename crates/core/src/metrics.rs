@@ -2,7 +2,7 @@
 //! 9–11), priorities and penalties (Equations 5–7, 14), and the adaptive
 //! threshold functions (Equations 8 and 12).
 
-use crate::policy::{ExpansionThreshold, InlineThreshold, PenaltyParams};
+use crate::policy::{ExpansionThreshold, InlineThreshold, B1, B2, P1, P2};
 
 /// A cost–benefit tuple `b|c` (§IV, Analysis).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -46,8 +46,8 @@ impl Tuple {
 /// Heavily-explored subtrees (large `S_ir`, much unexplored mass `S_b`)
 /// are de-prioritized, but subtrees with only a few cutoffs left get a
 /// bonus: finishing them may fuse the whole subtree into one cluster.
-pub fn exploration_penalty(params: &PenaltyParams, s_ir: f64, s_b: f64, n_c: f64) -> f64 {
-    params.p1 * s_ir + params.p2 * s_b - params.b1 * (params.b2 - n_c * n_c).max(0.0)
+pub fn exploration_penalty(s_ir: f64, s_b: f64, n_c: f64) -> f64 {
+    P1 * s_ir + P2 * s_b - B1 * (B2 - n_c * n_c).max(0.0)
 }
 
 /// The recursion penalty `ψ_r(n)` (Equation 14):
@@ -142,12 +142,11 @@ mod tests {
 
     #[test]
     fn penalty_grows_with_subtree_and_shrinks_with_few_cutoffs() {
-        let p = PenaltyParams::default();
-        let big = exploration_penalty(&p, 10_000.0, 5_000.0, 20.0);
-        let small = exploration_penalty(&p, 100.0, 50.0, 20.0);
+        let big = exploration_penalty(10_000.0, 5_000.0, 20.0);
+        let small = exploration_penalty(100.0, 50.0, 20.0);
         assert!(big > small);
         // With only one cutoff left, the bonus kicks in (b2 − 1 = 9 > 0).
-        let nearly_done = exploration_penalty(&p, 10_000.0, 5_000.0, 1.0);
+        let nearly_done = exploration_penalty(10_000.0, 5_000.0, 1.0);
         assert!(nearly_done < big);
         assert!((big - nearly_done - 0.5 * 9.0).abs() < 1e-9);
     }

@@ -75,47 +75,26 @@ pub enum Trials {
     Shallow,
 }
 
-/// Exploration penalty constants (Equation 7).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PenaltyParams {
-    /// Weight of the subtree IR size `S_ir(n)` (paper: 1e-3).
-    pub p1: f64,
-    /// Weight of the cutoff IR size `S_b(n)` (paper: 1e-4).
-    pub p2: f64,
-    /// Weight of the few-cutoffs-left bonus (paper: 0.5).
-    pub b1: f64,
-    /// Cutoff-count pivot of the bonus (paper: 10).
-    pub b2: f64,
-}
-
-impl Default for PenaltyParams {
-    fn default() -> Self {
-        PenaltyParams {
-            p1: 1e-3,
-            p2: 1e-4,
-            b1: 0.5,
-            b2: 10.0,
-        }
-    }
-}
-
-/// Polymorphic inlining constants (§IV).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PolyParams {
-    /// Maximum typeswitch targets (paper: 3).
-    pub max_targets: usize,
-    /// Minimum receiver probability per target (paper: 0.10).
-    pub min_prob: f64,
-}
-
-impl Default for PolyParams {
-    fn default() -> Self {
-        PolyParams {
-            max_targets: 3,
-            min_prob: 0.10,
-        }
-    }
-}
+/// Weight of the subtree IR size `S_ir(n)` in the exploration penalty
+/// (Equation 7; paper: 1e-3).
+pub const P1: f64 = 1e-3;
+/// Weight of the cutoff IR size `S_b(n)` in the exploration penalty
+/// (Equation 7; paper: 1e-4).
+pub const P2: f64 = 1e-4;
+/// Weight of the few-cutoffs-left bonus of the exploration penalty
+/// (Equation 7; paper: 0.5).
+pub const B1: f64 = 0.5;
+/// Cutoff-count pivot of that bonus (Equation 7; paper: 10).
+pub const B2: f64 = 10.0;
+/// Minimum receiver probability of a typeswitch target (§IV, polymorphic
+/// inlining; paper: 0.10).
+pub const MIN_TARGET_PROB: f64 = 0.10;
+/// Hard cap on expansions per round: a compile-time safety valve of this
+/// implementation, not a paper constant.
+pub const MAX_EXPANSIONS_PER_ROUND: usize = 400;
+/// Maximum rounds of expand/analyze/inline: a termination fallback of this
+/// implementation, like the root size cap, not a paper constant.
+pub const MAX_INLINE_ROUNDS: usize = 16;
 
 /// Full policy configuration of the algorithm.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -128,16 +107,11 @@ pub struct PolicyConfig {
     pub clustering: Clustering,
     /// Benefit estimation rule.
     pub trials: Trials,
-    /// Exploration penalty constants.
-    pub penalty: PenaltyParams,
-    /// Polymorphic inlining constants.
-    pub poly: PolyParams,
+    /// Maximum typeswitch targets of a polymorphic callsite (§IV; paper:
+    /// 3). The `mono-switch` ablation sets 1.
+    pub max_targets: usize,
     /// Hard cap on the root method size (paper: 50 000).
     pub root_size_cap: usize,
-    /// Hard cap on expansions per round (compile-time safety valve).
-    pub max_expansions_per_round: usize,
-    /// Maximum rounds of expand/analyze/inline.
-    pub max_rounds: usize,
     /// Whether the recursion penalty `ψ_r` (Equation 14) is applied
     /// (an ablation knob beyond the paper).
     pub recursion_penalty: bool,
@@ -169,11 +143,8 @@ impl PolicyConfig {
             },
             clustering: Clustering::Clustered,
             trials: Trials::Deep,
-            penalty: PenaltyParams::default(),
-            poly: PolyParams::default(),
+            max_targets: 3,
             root_size_cap: 50_000,
-            max_expansions_per_round: 400,
-            max_rounds: 16,
             recursion_penalty: true,
         }
     }
@@ -244,22 +215,9 @@ mod tests {
                 t2: 120.0
             }
         );
-        assert_eq!(
-            c.penalty,
-            PenaltyParams {
-                p1: 1e-3,
-                p2: 1e-4,
-                b1: 0.5,
-                b2: 10.0
-            }
-        );
-        assert_eq!(
-            c.poly,
-            PolyParams {
-                max_targets: 3,
-                min_prob: 0.10
-            }
-        );
+        assert_eq!((P1, P2, B1, B2), (1e-3, 1e-4, 0.5, 10.0));
+        assert_eq!(MIN_TARGET_PROB, 0.10);
+        assert_eq!(c.max_targets, 3);
         assert_eq!(c.root_size_cap, 50_000);
     }
 
@@ -282,8 +240,7 @@ mod tests {
             }
         );
         // Everything not rescaled matches the paper.
-        assert_eq!(c.penalty, PolicyConfig::paper().penalty);
-        assert_eq!(c.poly, PolicyConfig::paper().poly);
+        assert_eq!(c.max_targets, PolicyConfig::paper().max_targets);
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! across root methods sharing callees, and across compile requests, and
 //! its result can be memoized without changing a single observable.
 //!
-//! [`TrialCache`] keys entries on
-//! `(method, graph fingerprint, argument hash)`:
-//!
-//! * `method` + [`Graph::fingerprint`] pin the callee body (the program is
-//!   immutable for a VM `Machine`'s lifetime, so per-method fingerprints
-//!   are computed once and memoized),
-//! * the argument hash folds each parameter's constant value and narrowed
-//!   type — the complete profile-derived input of the trial.
+//! [`TrialCache`] keys entries on the callee and the exact argument facts
+//! ([`TrialKey`]), compared by equality, so two callsites share an entry
+//! only when the trial would read the same input. The callee's graph is
+//! not part of the key: a cache serves one program (`Machine::new`, the
+//! benchmark's compile layer and the call-tree tests each make one per
+//! program), and a program's method bodies never change, so the graph is a
+//! function of the method. A caller that changes the program calls
+//! [`TrialCache::clear`].
 //!
 //! Entries store the specialized, trial-optimized graph, the `ns`/`no`
 //! counts the policy metrics consume, and the trace events the trial
@@ -41,16 +41,17 @@ use std::sync::{Arc, Mutex};
 use incline_ir::{Graph, MethodId};
 use incline_trace::CompileEvent;
 
-/// Key of one memoized deep-inlining trial.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+use crate::calltree::ArgInfo;
+
+/// Key of one memoized deep-inlining trial: everything the trial reads.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TrialKey {
     /// The callee the trial expanded.
     pub method: MethodId,
-    /// [`Graph::fingerprint`] of the callee's source graph.
-    pub graph_fp: u64,
-    /// Hash of the callsite's argument-specialization vector (constants
-    /// and narrowed parameter types — the trial's only profile input).
-    pub args_fp: u64,
+    /// The callsite's argument-specialization facts, one per argument
+    /// (constants and narrowed parameter types — the trial's only profile
+    /// input).
+    pub args: Box<[ArgInfo]>,
 }
 
 /// The memoized outcome of one trial: the specialized and trial-optimized
@@ -73,8 +74,6 @@ struct TrialMap {
     entries: HashMap<TrialKey, Arc<TrialOutcome>>,
     /// Insertion order for FIFO capacity eviction.
     order: VecDeque<TrialKey>,
-    /// Per-method source-graph fingerprints (immutable per machine).
-    fingerprints: HashMap<MethodId, u64>,
 }
 
 /// A capacity-bounded, thread-shared memo table for deep-inlining trials.
@@ -117,35 +116,14 @@ impl TrialCache {
         }
     }
 
-    /// The callee's source-graph fingerprint, computed once per method and
-    /// memoized (the program backing a machine never changes).
-    pub fn method_fingerprint(&self, method: MethodId, graph: &Graph) -> u64 {
-        if let Some(&fp) = self
-            .map
-            .lock()
-            .expect("trial cache")
-            .fingerprints
-            .get(&method)
-        {
-            return fp;
-        }
-        let fp = graph.fingerprint();
-        self.map
-            .lock()
-            .expect("trial cache")
-            .fingerprints
-            .insert(method, fp);
-        fp
-    }
-
     /// Looks up a memoized trial, counting a hit or a miss.
-    pub fn lookup(&self, key: TrialKey) -> Option<Arc<TrialOutcome>> {
+    pub fn lookup(&self, key: &TrialKey) -> Option<Arc<TrialOutcome>> {
         let found = self
             .map
             .lock()
             .expect("trial cache")
             .entries
-            .get(&key)
+            .get(key)
             .cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -158,7 +136,7 @@ impl TrialCache {
     /// dropped (FIFO); re-inserting an existing key keeps the newest value.
     pub fn insert(&self, key: TrialKey, outcome: Arc<TrialOutcome>) {
         let mut map = self.map.lock().expect("trial cache");
-        if map.entries.insert(key, outcome).is_none() {
+        if map.entries.insert(key.clone(), outcome).is_none() {
             map.order.push_back(key);
             while map.entries.len() > self.capacity {
                 match map.order.pop_front() {
@@ -171,14 +149,13 @@ impl TrialCache {
         }
     }
 
-    /// Deterministic total invalidation: drops every entry and memoized
-    /// fingerprint. The documented invalidation point for callers whose
-    /// program or profile-independence assumptions change.
+    /// Deterministic total invalidation: drops every entry. The
+    /// documented invalidation point for callers whose program or
+    /// profile-independence assumptions change.
     pub fn clear(&self) {
         let mut map = self.map.lock().expect("trial cache");
         map.entries.clear();
         map.order.clear();
-        map.fingerprints.clear();
     }
 
     /// Number of memoized trials.
@@ -205,7 +182,7 @@ impl TrialCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incline_ir::{FunctionBuilder, Program, Type};
+    use incline_ir::{FunctionBuilder, Op, Program, Type};
 
     fn graph_for(k: i64) -> (Program, MethodId, Arc<Graph>) {
         let mut p = Program::new();
@@ -219,94 +196,98 @@ mod tests {
         (p, m, g)
     }
 
-    fn key(method: MethodId, graph: &Graph, args_fp: u64) -> TrialKey {
+    /// The key of a trial whose one argument is the constant `konst`.
+    fn key(method: MethodId, konst: Op) -> TrialKey {
         TrialKey {
             method,
-            graph_fp: graph.fingerprint(),
-            args_fp,
+            args: Box::new([ArgInfo {
+                konst: Some(konst),
+                ty: None,
+            }]),
         }
+    }
+
+    fn outcome(graph: &Arc<Graph>, ns: u32, no: u64) -> Arc<TrialOutcome> {
+        Arc::new(TrialOutcome {
+            graph: Arc::clone(graph),
+            ns,
+            no,
+            events: vec![],
+        })
     }
 
     #[test]
     fn hit_returns_the_inserted_outcome() {
         let (_p, m, g) = graph_for(3);
         let cache = TrialCache::new(8);
-        let k = key(m, &g, 7);
-        assert!(cache.lookup(k).is_none());
-        cache.insert(
-            k,
-            Arc::new(TrialOutcome {
-                graph: g.clone(),
-                ns: 1,
-                no: 2,
-                events: vec![],
-            }),
-        );
-        let out = cache.lookup(k).expect("hit");
+        let k = key(m, Op::ConstInt(7));
+        assert!(cache.lookup(&k).is_none());
+        cache.insert(k.clone(), outcome(&g, 1, 2));
+        let out = cache.lookup(&k).expect("hit");
         assert_eq!(out.ns, 1);
         assert_eq!(out.no, 2);
-        assert_eq!(out.graph.fingerprint(), g.fingerprint());
+        assert!(Arc::ptr_eq(&out.graph, &g));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
     }
 
+    /// Keys compare exactly: arguments that differ in any fact are two
+    /// entries, floats by their bits (`0.0` is not `-0.0`, whose trial
+    /// folds differently), and so are a constant and a narrowed type.
     #[test]
     fn distinct_args_are_distinct_entries() {
         let (_p, m, g) = graph_for(3);
         let cache = TrialCache::new(8);
-        let a = key(m, &g, 1);
-        let b = key(m, &g, 2);
-        cache.insert(
-            a,
-            Arc::new(TrialOutcome {
-                graph: g.clone(),
-                ns: 1,
-                no: 0,
-                events: vec![],
-            }),
-        );
-        assert!(cache.lookup(b).is_none());
-        assert_eq!(cache.len(), 1);
+        let keys = [
+            key(m, Op::ConstInt(1)),
+            key(m, Op::ConstInt(2)),
+            key(m, Op::ConstFloat(0.0f64.to_bits())),
+            key(m, Op::ConstFloat((-0.0f64).to_bits())),
+            TrialKey {
+                method: m,
+                args: Box::new([ArgInfo {
+                    konst: None,
+                    ty: Some(Type::Int),
+                }]),
+            },
+            TrialKey {
+                method: m,
+                args: Box::new([]),
+            },
+        ];
+        for (i, k) in keys.iter().enumerate() {
+            assert!(cache.lookup(k).is_none(), "key {i} hit an earlier entry");
+            cache.insert(k.clone(), outcome(&g, i as u32, 0));
+        }
+        assert_eq!(cache.len(), keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(cache.lookup(k).expect("hit").ns, i as u32);
+        }
     }
 
     #[test]
     fn capacity_evicts_fifo() {
         let (_p, m, g) = graph_for(3);
         let cache = TrialCache::new(2);
-        for i in 0..3u64 {
-            cache.insert(
-                key(m, &g, i),
-                Arc::new(TrialOutcome {
-                    graph: g.clone(),
-                    ns: 0,
-                    no: 0,
-                    events: vec![],
-                }),
-            );
+        for i in 0..3 {
+            cache.insert(key(m, Op::ConstInt(i)), outcome(&g, 0, 0));
         }
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(key(m, &g, 0)).is_none(), "oldest dropped");
-        assert!(cache.lookup(key(m, &g, 2)).is_some());
+        assert!(
+            cache.lookup(&key(m, Op::ConstInt(0))).is_none(),
+            "oldest dropped"
+        );
+        assert!(cache.lookup(&key(m, Op::ConstInt(2))).is_some());
     }
 
     #[test]
-    fn fingerprint_memo_is_stable_and_clear_resets() {
+    fn clear_drops_every_entry() {
         let (_p, m, g) = graph_for(3);
         let cache = TrialCache::new(8);
-        let fp = cache.method_fingerprint(m, &g);
-        assert_eq!(cache.method_fingerprint(m, &g), fp);
-        cache.insert(
-            key(m, &g, 0),
-            Arc::new(TrialOutcome {
-                graph: g.clone(),
-                ns: 0,
-                no: 0,
-                events: vec![],
-            }),
-        );
+        cache.insert(key(m, Op::ConstInt(0)), outcome(&g, 0, 0));
         cache.clear();
         assert!(cache.is_empty());
-        assert!(cache.lookup(key(m, &g, 0)).is_none());
+        assert!(cache.lookup(&key(m, Op::ConstInt(0))).is_none());
     }
 
     #[test]
@@ -314,20 +295,12 @@ mod tests {
         let (_p, m, g) = graph_for(5);
         let cache = Arc::new(TrialCache::new(64));
         std::thread::scope(|s| {
-            for t in 0..4u64 {
+            for t in 0..4 {
                 let cache = Arc::clone(&cache);
                 let g = &g;
                 s.spawn(move || {
-                    cache.insert(
-                        key(m, g, t),
-                        Arc::new(TrialOutcome {
-                            graph: g.clone(),
-                            ns: 0,
-                            no: 0,
-                            events: vec![],
-                        }),
-                    );
-                    assert!(cache.lookup(key(m, g, t)).is_some());
+                    cache.insert(key(m, Op::ConstInt(t)), outcome(g, 0, 0));
+                    assert!(cache.lookup(&key(m, Op::ConstInt(t))).is_some());
                 });
             }
         });

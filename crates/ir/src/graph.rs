@@ -8,6 +8,7 @@
 //! call-tree nodes, specializes them and finally transplants them into the
 //! root method (see [`crate::inline`]).
 
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use crate::dom::DomTree;
@@ -136,7 +137,7 @@ pub struct CallInfo {
 ///
 /// Operand arity and typing are [`Graph::result_type`]'s, and nobody
 /// else's; the text form of each is in one table, `MNEMONICS`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Placeholder left behind by passes; never executed, never printed.
     Nop,
@@ -380,7 +381,7 @@ pub struct InstData {
 }
 
 /// Why a [`Terminator::Deopt`] uncommon trap was emitted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DeoptReason {
     /// A typeswitch guard cascade fell through every speculated case: the
     /// receiver was not covered by the compile-time profile.
@@ -415,7 +416,7 @@ impl std::fmt::Display for DeoptReason {
 }
 
 /// Block terminators.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Terminator {
     /// Unconditional jump passing `args` to the target's parameters.
     Jump(BlockId, Vec<ValueId>),
@@ -1344,38 +1345,39 @@ impl Graph {
     /// print identically fingerprint identically; the hash never allocates
     /// (the block order is shared), unlike hashing the printed text.
     ///
-    /// This is the `graph_fp` component of the deep-inlining trial-cache
-    /// key (DESIGN.md §15).
+    /// Raw value ids are part of the text, so this is a digest of one
+    /// graph's exact form, not a cache key: the identity tables hash it
+    /// and the pipeline's fresh-pass check compares it in debug builds.
     pub fn fingerprint(&self) -> u64 {
         let mut h = StructuralHasher::new();
         let reach = self.block_order();
-        h.write_u64(reach.len() as u64);
+        h.write_usize(reach.len());
         for &b in reach.iter() {
             let bd = &self.blocks[b.index()];
-            h.write_u64(b.index() as u64);
-            h.write_u64(bd.params.len() as u64);
+            b.hash(&mut h);
+            h.write_usize(bd.params.len());
             for &p in &bd.params {
-                h.write_u64(p.index() as u64);
-                h.write_type(self.values[p.index()].ty);
+                (p, self.values[p.index()].ty).hash(&mut h);
             }
-            h.write_u64(bd.insts.len() as u64);
+            h.write_usize(bd.insts.len());
             for &i in &bd.insts {
                 let inst = &self.insts[i.index()];
-                h.write_op(&inst.op);
-                h.write_u64(inst.args.len() as u64);
-                for &a in &inst.args {
-                    h.write_u64(a.index() as u64);
-                }
-                match inst.result {
-                    Some(r) => {
-                        h.write_u64(1);
-                        h.write_u64(r.index() as u64);
-                        h.write_type(self.values[r.index()].ty);
-                    }
-                    None => h.write_u64(0),
+                inst.op.hash(&mut h);
+                inst.args[..].hash(&mut h);
+                inst.result.hash(&mut h);
+                if let Some(r) = inst.result {
+                    self.values[r.index()].ty.hash(&mut h);
                 }
             }
-            h.write_terminator(&bd.term);
+            match bd.term {
+                // One word, `1 + v`, where the derived `Option` writes two:
+                // the identity tables pin this encoding.
+                Terminator::Return(Some(v)) => {
+                    h.write_u64(2);
+                    h.write_usize(1 + v.index());
+                }
+                ref term => term.hash(&mut h),
+            }
         }
         h.finish()
     }
@@ -1502,11 +1504,12 @@ impl std::ops::Index<BlockId> for Preds {
     }
 }
 
-/// FNV-1a 64 accumulator with typed writers for IR entities — the shared
-/// substrate of [`Graph::fingerprint`] and the inliner's trial-cache
-/// argument hashing (which hashes `Op` constants and `Type` narrowings
-/// without a graph in hand) — and a byte writer, which snapshot checksums
-/// and the server's answer digests use.
+/// FNV-1a 64, the workspace's one byte digest, as a [`Hasher`]: the
+/// [`Graph::fingerprint`] of IR structure through its derived `Hash`, and
+/// the snapshot checksums and server answer digests through
+/// [`Hasher::write`]. The integers a derived `Hash` of IR writes fold as
+/// eight little-endian bytes: a `u8` (a `bool`), a `u32` id and the `isize`
+/// tag of an enum variant hash as the `u64` they widen to.
 #[derive(Clone, Copy, Debug)]
 pub struct StructuralHasher {
     state: u64,
@@ -1525,172 +1528,34 @@ impl StructuralHasher {
             state: 0xcbf2_9ce4_8422_2325,
         }
     }
+}
 
-    /// Folds bytes into the state, one at a time: plain FNV-1a 64, the
-    /// workspace's one byte digest.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+impl Hasher for StructuralHasher {
+    fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.state ^= u64::from(byte);
             self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    /// Folds eight little-endian bytes into the state.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v.into());
     }
 
-    /// The accumulated digest.
-    pub fn finish(self) -> u64 {
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
         self.state
-    }
-
-    /// Folds a [`Type`] (tag + payload).
-    pub fn write_type(&mut self, ty: Type) {
-        match ty {
-            Type::Int => self.write_u64(0),
-            Type::Float => self.write_u64(1),
-            Type::Bool => self.write_u64(2),
-            Type::Object(c) => {
-                self.write_u64(3);
-                self.write_u64(c.index() as u64);
-            }
-            Type::Array(e) => {
-                self.write_u64(4);
-                self.write_elem(e);
-            }
-        }
-    }
-
-    fn write_elem(&mut self, e: ElemType) {
-        match e {
-            ElemType::Int => self.write_u64(0),
-            ElemType::Float => self.write_u64(1),
-            ElemType::Bool => self.write_u64(2),
-            ElemType::Object(c) => {
-                self.write_u64(3);
-                self.write_u64(c.index() as u64);
-            }
-        }
-    }
-
-    /// Folds an [`Op`] (variant tag + payload; float constants by bits).
-    pub fn write_op(&mut self, op: &Op) {
-        match op {
-            Op::Nop => self.write_u64(0),
-            Op::ConstInt(k) => {
-                self.write_u64(1);
-                self.write_u64(*k as u64);
-            }
-            Op::ConstFloat(bits) => {
-                self.write_u64(2);
-                self.write_u64(*bits);
-            }
-            Op::ConstBool(b) => {
-                self.write_u64(3);
-                self.write_u64(*b as u64);
-            }
-            Op::ConstNull(t) => {
-                self.write_u64(4);
-                self.write_type(*t);
-            }
-            Op::Bin(b) => {
-                self.write_u64(5);
-                self.write_u64(*b as u64);
-            }
-            Op::Cmp(c) => {
-                self.write_u64(6);
-                self.write_u64(*c as u64);
-            }
-            Op::Not => self.write_u64(7),
-            Op::INeg => self.write_u64(8),
-            Op::FNeg => self.write_u64(9),
-            Op::IntToFloat => self.write_u64(10),
-            Op::FloatToInt => self.write_u64(11),
-            Op::New(c) => {
-                self.write_u64(12);
-                self.write_u64(c.index() as u64);
-            }
-            Op::GetField(f) => {
-                self.write_u64(13);
-                self.write_u64(f.index() as u64);
-            }
-            Op::SetField(f) => {
-                self.write_u64(14);
-                self.write_u64(f.index() as u64);
-            }
-            Op::NewArray(e) => {
-                self.write_u64(15);
-                self.write_elem(*e);
-            }
-            Op::ArrayGet => self.write_u64(16),
-            Op::ArraySet => self.write_u64(17),
-            Op::ArrayLen => self.write_u64(18),
-            Op::Call(info) => {
-                self.write_u64(19);
-                match info.target {
-                    CallTarget::Static(m) => {
-                        self.write_u64(0);
-                        self.write_u64(m.index() as u64);
-                    }
-                    CallTarget::Virtual(s) => {
-                        self.write_u64(1);
-                        self.write_u64(s.index() as u64);
-                    }
-                }
-                self.write_u64(info.site.method.index() as u64);
-                self.write_u64(info.site.index as u64);
-            }
-            Op::InstanceOf(c) => {
-                self.write_u64(20);
-                self.write_u64(c.index() as u64);
-            }
-            Op::Cast(c) => {
-                self.write_u64(21);
-                self.write_u64(c.index() as u64);
-            }
-            Op::Print => self.write_u64(22),
-        }
-    }
-
-    fn write_terminator(&mut self, term: &Terminator) {
-        match term {
-            Terminator::Jump(b, args) => {
-                self.write_u64(0);
-                self.write_u64(b.index() as u64);
-                self.write_u64(args.len() as u64);
-                for a in args {
-                    self.write_u64(a.index() as u64);
-                }
-            }
-            Terminator::Branch {
-                cond,
-                then_dest,
-                else_dest,
-            } => {
-                self.write_u64(1);
-                self.write_u64(cond.index() as u64);
-                for (b, args) in [then_dest, else_dest] {
-                    self.write_u64(b.index() as u64);
-                    self.write_u64(args.len() as u64);
-                    for a in args {
-                        self.write_u64(a.index() as u64);
-                    }
-                }
-            }
-            Terminator::Return(v) => {
-                self.write_u64(2);
-                match v {
-                    Some(v) => self.write_u64(1 + v.index() as u64),
-                    None => self.write_u64(0),
-                }
-            }
-            Terminator::Deopt { reason } => {
-                self.write_u64(3);
-                self.write_u64(*reason as u64);
-            }
-            Terminator::Unterminated => self.write_u64(4),
-        }
     }
 }
 
@@ -2099,6 +1964,37 @@ mod tests {
         k(&mut g, dead, 99);
         g.set_terminator(dead, Terminator::Return(None));
         assert_eq!(g.fingerprint(), build(2).fingerprint());
+    }
+
+    /// `Hash` of a narrower integer folds the same eight bytes as
+    /// `write_u64`, so derived hashes of `u32` ids, `bool`s and `isize`
+    /// variant tags write what `fingerprint` once wrote by hand. Without
+    /// the widening every `installed=` fingerprint of the identity tables
+    /// moves.
+    #[test]
+    fn structural_hasher_folds_every_integer_as_eight_bytes() {
+        fn digest(v: impl Hash) -> u64 {
+            let mut h = StructuralHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        }
+        let mut h = StructuralHasher::new();
+        h.write_u64(200);
+        let wide = h.finish();
+        assert_eq!(digest(200u8), wide);
+        assert_eq!(digest(200u32), wide);
+        assert_eq!(digest(200usize), wide);
+        assert_eq!(digest(ValueId::new(200)), wide);
+        assert_eq!(digest(true), digest(1u64));
+        // A variant is its declaration index, then its payload.
+        assert_eq!(digest(Type::Float), digest(1u64));
+        assert_eq!(digest(Op::ConstInt(-1)), digest((1u64, u64::MAX)));
+        assert_eq!(
+            digest(Terminator::Deopt {
+                reason: DeoptReason::Injected
+            }),
+            digest((3u64, 1u64))
+        );
     }
 
     #[test]

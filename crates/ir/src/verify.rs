@@ -11,7 +11,8 @@
 //! * every value definition dominates each of its uses,
 //! * returned values match the method's return type,
 //! * entry-block parameters agree with the declared signature (parameter
-//!   types may be *narrowed*, which deep inlining trials rely on).
+//!   types may be *narrowed*, which deep inlining trials rely on),
+//! * a method declares at most [`MAX_PARAMS`] parameters.
 
 use std::error::Error;
 use std::fmt;
@@ -60,12 +61,28 @@ fn err<T>(
     })
 }
 
+/// The most parameters a method may declare. The VM checks a virtual call
+/// against the override it dispatches to by one `u64` that packs the
+/// kinds of the call's parameters and result, and thirty parameters is
+/// the widest signature that word holds exactly.
+pub const MAX_PARAMS: usize = 30;
+
 /// Verifies the body of a defined method.
 ///
 /// # Errors
 ///
 /// Returns the first violated invariant.
 pub fn verify(program: &Program, method: &Method) -> Result<(), VerifyError> {
+    if method.params.len() > MAX_PARAMS {
+        return err(
+            None,
+            None,
+            format!(
+                "{} parameters, over the limit of {MAX_PARAMS}",
+                method.params.len()
+            ),
+        );
+    }
     verify_graph(program, &method.graph, &method.params, method.ret)
 }
 
@@ -406,6 +423,24 @@ mod tests {
         let pv2 = g2.block(g2.entry()).params[0];
         g2.set_value_type(pv2, Type::Object(sup));
         assert!(verify_graph(&p, &g2, &[Type::Object(sub)], RetType::Void).is_err());
+    }
+
+    #[test]
+    fn rejects_a_signature_past_max_params() {
+        let mut p = Program::new();
+        for n in [MAX_PARAMS, MAX_PARAMS + 1] {
+            let m = p.declare_function(format!("f{n}"), vec![Type::Int; n], RetType::Void);
+            let mut fb = FunctionBuilder::new(&p, m);
+            fb.ret(None);
+            p.define_method(m, fb.finish());
+            let verdict = check(&p, m);
+            if n == MAX_PARAMS {
+                assert!(verdict.is_ok(), "{verdict:?}");
+            } else {
+                let e = verdict.expect_err("one past the limit");
+                assert_eq!(e.message, "31 parameters, over the limit of 30");
+            }
+        }
     }
 
     #[test]

@@ -733,8 +733,9 @@ impl Lowering<'_> {
 
 /// The register kinds a call passes and gets back, packed so that two
 /// signatures are equal exactly when they have the same arity, the same
-/// kind in every position and the same kind of result (exact for up to 30
-/// parameters; a hash of the parameter list beyond).
+/// kind in every position and the same kind of result. Exact for up to 30
+/// parameters, which is as many as the verifier lets a method declare
+/// ([`incline_ir::verify::MAX_PARAMS`]).
 pub(crate) fn kind_signature(params: impl IntoIterator<Item = Kind>, ret: Option<Kind>) -> u64 {
     let ret = ret.map_or(0, |kind| kind as u64 + 1);
     params

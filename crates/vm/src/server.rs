@@ -33,6 +33,8 @@
 //! compilation with the request stream in virtual time and shows up as a
 //! measured p99 win.
 
+use std::hash::Hasher;
+
 use incline_ir::{MethodId, Program, Rng64, StructuralHasher};
 use incline_trace::CompileEvent;
 
@@ -357,7 +359,7 @@ impl<'p> ServerSession<'p> {
                             Some(v) => format!("{v:?}"),
                             None => "()".to_string(),
                         };
-                        digests[t].write_bytes(rendered.as_bytes());
+                        digests[t].write(rendered.as_bytes());
                         if sink.enabled() {
                             sink.emit(CompileEvent::RequestRetired {
                                 tenant: tenant.name.clone(),

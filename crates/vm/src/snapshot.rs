@@ -50,6 +50,7 @@
 //! paths, raw bytes and `Arc`ed stores.
 
 use std::collections::BTreeSet;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -170,10 +171,10 @@ impl std::error::Error for SnapshotError {}
 
 // ---- fingerprint & hashing -------------------------------------------------
 
-/// FNV-1a 64 over a byte slice ([`StructuralHasher::write_bytes`]).
+/// FNV-1a 64 over a byte slice ([`StructuralHasher`]'s [`Hasher::write`]).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = StructuralHasher::new();
-    h.write_bytes(bytes);
+    h.write(bytes);
     h.finish()
 }
 

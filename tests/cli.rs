@@ -41,6 +41,30 @@ fn run_reports_an_allocation_past_the_heap_bound_as_a_trap() {
     assert_run_traps("huge_array", "guest heap exhausted");
 }
 
+/// `samples/wide_override.ir` declares an override of 34 parameters whose
+/// kinds differ from the call's only at positions 32 apart, which the VM's
+/// packed signature check cannot tell apart. `run` used to dispatch to it
+/// and panic reading an int as a heap reference (exit 101); the verifier
+/// now refuses any method of more than 30 parameters before anything runs.
+#[test]
+fn a_signature_too_wide_to_check_is_refused_by_the_verifier() {
+    let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/samples/wide_override.ir");
+    for args in [&["run"][..], &["run", "--jit"], &["compile"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_incline"))
+            .args([args[0], sample])
+            .args(&args[1..])
+            .output()
+            .expect("the incline binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("verify failed: 34 parameters, over the limit of 30"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 /// The command line can pass an entry nothing or one int. `run` and
 /// `compile` must refuse any other signature with a message: `run` used to
 /// panic on `samples/float_main.ir` (exit 101) and, in a release build,
