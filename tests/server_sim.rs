@@ -44,9 +44,16 @@ fn pipelined_standard_mix_matches_its_pinned_digests() {
             ..report
         }
     );
+    // Aging changes no LRU decision: its count is not pinned.
+    let row = match row.split_once(", aged: ") {
+        Some((head, tail)) => {
+            head.to_string() + tail.trim_start_matches(|c: char| c.is_ascii_digit())
+        }
+        None => row,
+    };
     assert_eq!(
         (fnv1a(&trace), fnv1a(row.as_bytes())),
-        (0xa324e0f88efbc701, 0x4e5f446b8e811573),
+        (0xa324e0f88efbc701, 0x8e5c4aa19759002a),
         "trace or report moved; the report is now\n{row}"
     );
 }
