@@ -447,46 +447,36 @@ pub fn stalls() -> String {
 }
 
 /// Bounded code cache under pressure (beyond the paper): the storm-sized
-/// cache-pressure workload, run unbounded and then under a tight budget
-/// with each eviction policy. Emits machine-readable JSON — the seed of
-/// `BENCH_cache.json` — with per-policy evictions, admission rejections,
-/// re-tier counts, stall percentiles and the high-water mark.
+/// cache-pressure workload, run unbounded and then under a tight LRU
+/// budget. Emits machine-readable JSON — the seed of `BENCH_cache.json` —
+/// with evictions, admission rejections, re-tier counts, stall
+/// percentiles and the high-water mark.
 pub fn cache() -> String {
     use crate::json::Json;
-    use incline_vm::EvictionPolicy;
     let w = incline_workloads::cache_pressure::storm();
     let budget: u64 = 8 * 1024;
     let config = Config::paper();
-    let mut policies = Vec::new();
-    for policy in EvictionPolicy::all() {
-        let m = measure_with_vm(
-            &w,
-            &config,
-            incline_vm::VmConfig {
-                code_cache_budget: budget,
-                eviction_policy: policy,
-                ..crate::default_vm()
-            },
-        );
-        let r = &m.result;
-        let c = r.cache;
-        policies.push(Json::obj(vec![
-            ("policy", policy.label().into()),
-            ("evictions", c.evictions.into()),
-            ("forced_evictions", c.forced_evictions.into()),
-            ("admission_rejections", c.admission_rejections.into()),
-            ("degraded_admissions", c.degraded_admissions.into()),
-            ("re_tiered", c.re_tiered.into()),
-            ("aged", c.aged.into()),
-            ("high_water_bytes", c.high_water_bytes.into()),
-            ("installed_bytes", r.installed_bytes.into()),
-            ("compilations", r.compilations.into()),
-            ("steady_state", Json::f1(r.steady_state)),
-            ("stall_p50", r.stall_percentile(0.50).into()),
-            ("stall_p99", r.stall_percentile(0.99).into()),
-            ("stall_total", r.stall_cycles.into()),
-        ]));
-    }
+    let bounded = incline_vm::VmConfig {
+        code_cache_budget: budget,
+        ..crate::default_vm()
+    };
+    let r = &measure_with_vm(&w, &config, bounded).result;
+    let c = r.cache;
+    let lru = Json::obj(vec![
+        ("policy", "lru".into()),
+        ("evictions", c.evictions.into()),
+        ("forced_evictions", c.forced_evictions.into()),
+        ("admission_rejections", c.admission_rejections.into()),
+        ("degraded_admissions", c.degraded_admissions.into()),
+        ("re_tiered", c.re_tiered.into()),
+        ("high_water_bytes", c.high_water_bytes.into()),
+        ("installed_bytes", r.installed_bytes.into()),
+        ("compilations", r.compilations.into()),
+        ("steady_state", Json::f1(r.steady_state)),
+        ("stall_p50", r.stall_percentile(0.50).into()),
+        ("stall_p99", r.stall_percentile(0.99).into()),
+        ("stall_total", r.stall_cycles.into()),
+    ]);
     let unbounded = measure_with_vm(&w, &config, crate::default_vm());
     let u = &unbounded.result;
     Json::obj(vec![
@@ -503,7 +493,7 @@ pub fn cache() -> String {
                 ("stall_total", u.stall_cycles.into()),
             ]),
         ),
-        ("policies", Json::Arr(policies)),
+        ("policies", Json::Arr(vec![lru])),
     ])
     .render()
 }

@@ -354,31 +354,22 @@ events! {
             method: MethodId,
             /// Modeled code bytes released back to the cache budget.
             bytes: u64,
-            /// Eviction policy that picked this victim (`lru`, `hotness`,
-            /// `cost-benefit`, or `forced` for injected evictions).
+            /// What picked this victim: `lru` under budget pressure, or
+            /// `forced` for injected evictions.
             policy: String,
             /// Compiled activations the victim served while resident.
             resident_uses: u64,
         },
-        /// Admission control refused to install a compiled package: its modeled
-        /// benefit could not beat the cheapest victim, or no victim was
-        /// evictable. The method stays in (or returns to) the interpreter with a
-        /// backed-off re-admission bar.
+        /// Admission control refused to install a compiled package: too little
+        /// resident code was evictable to make room for it. The method stays in
+        /// (or returns to) the interpreter with a backed-off re-admission bar.
         AdmissionRejected {
             /// The method whose package was rejected.
             method: MethodId,
             /// Modeled code size of the rejected package.
             bytes: u64,
-            /// Why: `no_evictable_victim` or `benefit_below_bar`.
+            /// Why: `no_evictable_victim`.
             reason: String,
-        },
-        /// A resident method went idle past the aging window; its eviction score
-        /// floors so any policy will prefer it as a victim.
-        MethodAged {
-            /// The aged method.
-            method: MethodId,
-            /// Compiled-entry ticks since the method last ran.
-            idle: u64,
         },
         /// An evicted method became hot again through the normal hotness path
         /// and was re-admitted to the code cache.

@@ -2,7 +2,6 @@
 //! it cannot: the constants below each had one value in every caller,
 //! test and benchmark, so they are not options.
 
-use crate::cache::EvictionPolicy;
 use crate::cost::CostModel;
 
 /// Maximum guest call depth. Each guest frame costs two host frames; 400
@@ -42,12 +41,6 @@ pub const MAX_RECOMPILES: u32 = 3;
 /// the next snapshot.
 pub const POISON_WINDOW: u64 = 8;
 
-/// Code-cache aging window, in compiled-entry ticks: a resident idle this
-/// long has its eviction score floored, making it the preferred victim
-/// under every policy. Only evaluated under a finite
-/// [`VmConfig::code_cache_budget`].
-pub const CACHE_AGE_WINDOW: u64 = 1024;
-
 /// VM configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct VmConfig {
@@ -86,13 +79,10 @@ pub struct VmConfig {
     /// Code-cache budget in modeled machine-code bytes. `0` = unbounded —
     /// every pre-existing behavior is preserved bit for bit. A finite
     /// budget is enforced at install time: `installed_bytes` never exceeds
-    /// it at any observable point; installs that don't fit evict victims
-    /// under [`VmConfig::eviction_policy`], clear admission control, or
-    /// are gracefully deferred (never a panic, never an overshoot).
+    /// it at any observable point; installs that don't fit evict the
+    /// least recently used residents, or are gracefully deferred when too
+    /// little is evictable (never a panic, never an overshoot).
     pub code_cache_budget: u64,
-    /// Victim-selection policy under a finite budget; see
-    /// [`EvictionPolicy`]. Ignored when the budget is 0.
-    pub eviction_policy: EvictionPolicy,
     /// Whether deep-inlining-trial results are memoized across rounds and
     /// compilations (see [`crate::TrialCache`]). Trials are pure
     /// functions of (callee graph, argument specialization), so caching
@@ -136,7 +126,6 @@ impl Default for VmConfig {
             compile_threads: 0,
             install_policy: InstallPolicy::Barrier,
             code_cache_budget: 0,
-            eviction_policy: EvictionPolicy::default(),
             trial_cache: true,
         }
     }

@@ -177,9 +177,7 @@ impl Machine<'_> {
         if self.drift_tripped(method) {
             return Ok(self.deoptimize(method, "drift"));
         }
-        // Every compiled activation is a use tick for the eviction clock:
-        // recency feeds LRU and the decay policy, and any activation
-        // un-ages the method.
+        // Every compiled activation is a use tick for the LRU clock.
         self.use_seq += 1;
         let now = self.use_seq;
         let cm = self
@@ -189,7 +187,6 @@ impl Machine<'_> {
             .expect("caller checked code presence");
         cm.invocations += 1;
         cm.last_used = now;
-        cm.aged = false;
         let force_deopt = cm.force_deopt;
         let deoptable = cm.has_deopt;
         let code = Arc::clone(&cm.code);

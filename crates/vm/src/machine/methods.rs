@@ -62,13 +62,6 @@ pub(super) struct CompiledMethod {
     pub virtual_dispatches: u64,
     /// Use tick of the last compiled activation (install counts as a use).
     pub last_used: u64,
-    /// Modeled residency benefit frozen at install: profiled hotness × the
-    /// interpreter dispatch premium (the `b` of the paper's `b|c` tuples;
-    /// `bytes` above is the `c`). Drives the cost-benefit eviction policy
-    /// and the admission rule.
-    pub benefit: u64,
-    /// Idle past [`super::CACHE_AGE_WINDOW`]; cleared on the next use.
-    pub aged: bool,
 }
 
 /// Per-method speculation bookkeeping for the storm throttle. Present once
@@ -122,10 +115,10 @@ pub(super) enum Exit {
     /// creates the [`SpecState`] and records its baseline, so the next
     /// install is a recompile against the backed-off bar.
     Invalidated,
-    /// Cache pressure (`policy` names the victim order) or an injected
-    /// `ForceEvict` (`forced`) picked it: counts an eviction and records
-    /// the cache baseline. Never burns a recompile attempt.
-    Evicted { policy: &'static str, forced: bool },
+    /// Cache pressure (LRU) or an injected `ForceEvict` (`forced`) picked
+    /// it: counts an eviction and records the cache baseline. Never burns a
+    /// recompile attempt.
+    Evicted { forced: bool },
     /// A replayed decision deoptimized inside its probation window: the
     /// snapshot's seeded profile contribution is rolled back, so the method
     /// re-earns its hotness from live traffic, and the method is marked
@@ -226,12 +219,6 @@ impl MethodTable {
     pub fn iter(&self) -> impl Iterator<Item = (MethodId, &MethodState)> {
         let slots = self.slots.iter().enumerate();
         slots.map(|(i, s)| (MethodId::new(i), s))
-    }
-
-    /// Installed code in [`MethodId`] order.
-    pub fn installed_mut(&mut self) -> impl Iterator<Item = (MethodId, &mut CompiledMethod)> {
-        let slots = self.slots.iter_mut().enumerate();
-        slots.filter_map(|(i, s)| Some((MethodId::new(i), s.code_mut()?)))
     }
 
     /// The methods whose slot satisfies `pred`, sorted.
@@ -404,13 +391,13 @@ impl Machine<'_> {
                     recompiles,
                 });
             }
-            Exit::Evicted { policy, forced } => {
+            Exit::Evicted { forced } => {
                 self.cache.evictions += 1;
                 self.cache.forced_evictions += u64::from(forced);
                 self.emit(|| CompileEvent::CodeEvicted {
                     method,
                     bytes,
-                    policy: policy.to_string(),
+                    policy: if forced { "forced" } else { "lru" }.to_string(),
                     resident_uses: code.invocations,
                 });
             }
@@ -484,8 +471,7 @@ mod tests {
         install(&mut table, m, 60);
         at_rest(&table, 60);
         profiles.method_mut(m).add(&MethodProfile::new(1, 4));
-        let (policy, forced) = ("lru", false);
-        table.leave(m, &Exit::Evicted { policy, forced }, &mut profiles);
+        table.leave(m, &Exit::Evicted { forced: false }, &mut profiles);
         at_rest(&table, 0);
         let cache = table.get(m).cache;
         assert_eq!((cache.evictions, cache.base_hotness), (1, 9));

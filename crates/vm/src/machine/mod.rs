@@ -72,8 +72,8 @@ use crate::value::{Kind, Value};
 use crate::{InlineStats, Inliner, TrialCache};
 
 pub use config::{
-    InstallPolicy, VmConfig, CACHE_AGE_WINDOW, DEOPT_CONFIDENCE, DRIFT_MIN_SAMPLES, DRIFT_RATE,
-    MAX_DEPTH, MAX_HEAP_SLOTS, MAX_RECOMPILES, POISON_WINDOW,
+    InstallPolicy, VmConfig, DEOPT_CONFIDENCE, DRIFT_MIN_SAMPLES, DRIFT_RATE, MAX_DEPTH,
+    MAX_HEAP_SLOTS, MAX_RECOMPILES, POISON_WINDOW,
 };
 use exec::Dispatch;
 use methods::{MethodTable, Tier};
@@ -116,9 +116,9 @@ pub struct Machine<'p> {
     /// `vbase + exec_cycles + run_stall_cycles`.
     vbase: u64,
     // Bounded code cache.
-    /// Monotone use tick: bumped on every compiled activation entry and at
-    /// each admission decision. Drives LRU recency, decay idle times and
-    /// the aging window. Not observable at `code_cache_budget == 0`.
+    /// Monotone use tick: bumped on every compiled activation entry and
+    /// whenever an install makes room. Drives LRU recency. Not observable
+    /// at `code_cache_budget == 0`.
     use_seq: u64,
     cache: CacheStats,
     // Per-run state.

@@ -94,7 +94,7 @@ pub struct CompilationReport {
     pub installed_bytes: u64,
     /// Aggregate bailout counters.
     pub bailouts: BailoutCounters,
-    /// Code-cache statistics (evictions, admissions, re-tiers, aging).
+    /// Code-cache statistics (evictions, admissions, re-tiers).
     pub cache: CacheStats,
     /// Every recorded bailout, in occurrence order.
     pub bailout_log: Vec<BailoutRecord>,

@@ -1,7 +1,7 @@
 //! When a method changes tier: the hotness trigger, the compile queue and
-//! its virtual-time stall model, installation with budget admission, cache
-//! aging, and the drift monitor. The tier changes themselves are the
-//! transitions of `methods`.
+//! its virtual-time stall model, installation with budget admission, and
+//! the drift monitor. The tier changes themselves are the transitions of
+//! `methods`.
 
 use std::sync::Arc;
 
@@ -10,8 +10,8 @@ use incline_trace::{CodeTier, CompileEvent};
 
 use super::methods::{hotness, CompiledMethod, Exit, Tier};
 use super::{
-    BailoutRecord, CompileStage, Decision, InstallPolicy, Machine, CACHE_AGE_WINDOW,
-    DRIFT_MIN_SAMPLES, DRIFT_RATE, MAX_RECOMPILES,
+    BailoutRecord, CompileStage, Decision, InstallPolicy, Machine, DRIFT_MIN_SAMPLES, DRIFT_RATE,
+    MAX_RECOMPILES,
 };
 use crate::broker::{self, CompileRequest, CompileResponse, InstallPackage};
 use crate::cache::{self, CacheEntry};
@@ -252,7 +252,7 @@ impl Machine<'_> {
     ) -> bool {
         let budget = self.config.code_cache_budget;
         if budget > 0 {
-            if let Err(reason) = self.make_room(method, &pkg) {
+            if let Err(reason) = self.make_room(&pkg) {
                 // A full-tier package that cannot be admitted gets one
                 // shot at the inline-free degraded tier — a smaller
                 // package that may still clear admission — before the
@@ -264,7 +264,7 @@ impl Machine<'_> {
                     None
                 };
                 match retry {
-                    Some(smaller) if self.make_room(method, &smaller).is_ok() => {
+                    Some(smaller) if self.make_room(&smaller).is_ok() => {
                         self.cache.degraded_admissions += 1;
                         pkg = smaller;
                     }
@@ -315,8 +315,6 @@ impl Machine<'_> {
             invocations: 0,
             virtual_dispatches: 0,
             last_used: self.use_seq,
-            benefit: self.modeled_benefit(hotness(&self.profiles, method)),
-            aged: false,
         };
         self.methods.install(method, installed, budget);
         let high_water = &mut self.cache.high_water_bytes;
@@ -358,31 +356,20 @@ impl Machine<'_> {
         // as if pressure had picked it — exercises the evict → reprofile →
         // re-tier cycle deterministically, with or without a real budget.
         if fault == Some(FaultKind::ForceEvict) {
-            let (policy, forced) = ("forced", true);
-            self.leave(method, Exit::Evicted { policy, forced });
+            self.leave(method, Exit::Evicted { forced: true });
         }
         true
     }
 
     // ---- bounded code cache ------------------------------------------------
 
-    /// Modeled benefit of keeping `method` compiled, given its profiled
-    /// hotness: every profiled activation saved the interpreter dispatch
-    /// premium. Deliberately *not* scaled by graph size — benefit is the
-    /// `b` of the paper's `b|c` tuple and bytes are the `c`, so the
-    /// cost-benefit density `b/c` stays meaningful.
-    fn modeled_benefit(&self, hotness: u64) -> u64 {
-        hotness.saturating_mul(self.config.cost.interp_dispatch)
-    }
-
-    /// Makes room in the budgeted cache for `pkg`, evicting victims in
-    /// policy order if necessary. `Err` carries the admission-rejection
-    /// reason: `no_evictable_victim` (everything resident is pinned,
-    /// mid-activation, or simply smaller in total than the shortfall —
-    /// which includes any package bigger than the whole budget) or
-    /// `benefit_below_bar` (the candidate does not strictly beat the
-    /// cheapest victim under the configured policy).
-    fn make_room(&mut self, method: MethodId, pkg: &InstallPackage) -> Result<(), &'static str> {
+    /// Makes room in the budgeted cache for `pkg`, evicting the least
+    /// recently used residents if necessary. `Err` carries the
+    /// admission-rejection reason, `no_evictable_victim`: everything
+    /// resident is pinned, mid-activation, or simply smaller in total than
+    /// the shortfall — which includes any package bigger than the whole
+    /// budget.
+    fn make_room(&mut self, pkg: &InstallPackage) -> Result<(), &'static str> {
         let budget = self.config.code_cache_budget;
         let bytes = self.config.cost.code_bytes(pkg.outcome.graph.size());
         let free = budget.saturating_sub(self.methods.installed_bytes());
@@ -390,11 +377,10 @@ impl Machine<'_> {
             return Ok(());
         }
         let need = bytes - free;
-        self.age_scan();
         // Evictable now: storm-pinned methods keep their fallback-only
         // code (evicting it would re-open the recompile storm the pin
         // closed), and a method with a live compiled activation on the
-        // stack is untouchable mid-flight. `method` itself has no code.
+        // stack is untouchable mid-flight. The installing method has no code.
         let entries: Vec<CacheEntry> = self
             .methods
             .iter()
@@ -404,44 +390,23 @@ impl Machine<'_> {
                 Some(CacheEntry {
                     method: m,
                     last_used: cm.last_used,
-                    uses: cm.invocations,
-                    benefit: cm.benefit,
                     bytes: cm.bytes,
-                    aged: cm.aged,
                 })
             })
             .collect();
         if entries.iter().map(|e| e.bytes).sum::<u64>() < need {
             return Err("no_evictable_victim");
         }
-        // The install point is a use tick of its own, taken *before*
-        // scoring, so an admitted candidate is strictly newer than every
-        // resident — under LRU a hot re-arrival always beats the stalest
-        // victim rather than tying with it.
+        // Making room is a use tick of its own: the install that follows is
+        // stamped with it, strictly newer than every resident.
         self.use_seq += 1;
-        let now = self.use_seq;
-        let hotness = hotness(&self.profiles, method);
-        let candidate = CacheEntry {
-            method,
-            last_used: now,
-            uses: hotness,
-            benefit: self.modeled_benefit(hotness),
-            bytes,
-            aged: false,
-        };
-        let policy = self.config.eviction_policy;
-        let order = cache::victim_order(policy, &entries, now);
-        if !cache::admits(policy, &candidate, &order[0], now) {
-            return Err("benefit_below_bar");
-        }
         let mut freed = 0u64;
-        for e in order {
+        for e in cache::victim_order(&entries) {
             if freed >= need {
                 break;
             }
             freed += e.bytes;
-            let (policy, forced) = (policy.label(), false);
-            self.leave(e.method, Exit::Evicted { policy, forced });
+            self.leave(e.method, Exit::Evicted { forced: false });
         }
         Ok(())
     }
@@ -475,23 +440,6 @@ impl Machine<'_> {
         let pkg = broker::degraded_tier(self.program, method, fuel, &*self.trace).ok()?;
         self.charge(self.config.cost.compile_cost(pkg.outcome.work_nodes), None);
         Some(pkg)
-    }
-
-    /// Marks residents idle past [`CACHE_AGE_WINDOW`] use ticks as aged,
-    /// flooring their eviction score under every policy. Runs on demand
-    /// when the cache is under pressure; methods un-age on their next
-    /// compiled activation.
-    fn age_scan(&mut self) {
-        for (method, cm) in self.methods.installed_mut() {
-            let idle = self.use_seq.saturating_sub(cm.last_used);
-            if !cm.aged && idle >= CACHE_AGE_WINDOW {
-                cm.aged = true;
-                self.cache.aged += 1;
-                if self.trace.enabled() {
-                    self.trace.emit(CompileEvent::MethodAged { method, idle });
-                }
-            }
-        }
     }
 
     /// Whether the drift monitor wants to invalidate `method` before its

@@ -71,7 +71,7 @@ pub fn build(name: &str, seed: u64, groups: usize, fns_per_group: usize, input: 
 
     // One driver per group: folds its whole group over the argument. Once
     // the inliner expands the leaves, a compiled driver is the unit of
-    // code-cache occupancy the eviction policies fight over.
+    // code-cache occupancy that eviction fights over.
     let mut drivers: Vec<MethodId> = Vec::with_capacity(groups);
     for (g, group) in leaves.iter().enumerate() {
         let d = p.declare_function(format!("driver_{g}"), vec![Type::Int], Type::Int);

@@ -27,7 +27,7 @@ fn main() {
             InstallPolicy::Barrier => "barrier",
             InstallPolicy::Safepoint => "safepoint",
         };
-        let r = serve_standard(&mix, install, EvictionPolicy::HotnessDecay, 4);
+        let r = serve_standard(&mix, install, 4);
         println!("\n=== {label} installs ===");
         println!(
             "latency  p50 {:>7}  p99 {:>7}  p999 {:>7}  max {:>7}",

@@ -142,8 +142,8 @@ default: the mutator pays every compile cycle as stall).
 --no-trial-cache disables deep-inlining-trial memoization (results are
 byte-identical either way; the cache only speeds compilation up).
 Code cache: --cache-budget BYTES bounds installed code (0 = unbounded,
-the default); --eviction picks the victim policy (lru, hotness,
-cost-benefit). --icache-capacity / --icache-scale tune the cost model's
+the default); the least recently used code is evicted first.
+--icache-capacity / --icache-scale tune the cost model's
 instruction-cache pressure curve.
 Snapshots: --snapshot-out FILE persists profiles + the compiled methods after
 the run; --snapshot-in FILE replays them before the first iteration
@@ -157,8 +157,15 @@ fn load(path: &str) -> Result<Program, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let program = incline::ir::parse::parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
     for m in program.method_ids() {
-        incline::ir::verify::verify(&program, program.method(m))
-            .map_err(|e| format!("{path}: method `{}`: {e}", program.method(m).name))?;
+        let md = program.method(m);
+        incline::ir::verify::verify(&program, md).map_err(|e| {
+            // Named as the printer spells the declaration: `method A.f`, `fn f`.
+            let what = match md.holder {
+                Some(h) => format!("method `{}.{}`", program.class(h).name, md.name),
+                None => format!("fn `{}`", md.name),
+            };
+            format!("{path}: {what}: {e}")
+        })?;
     }
     Ok(program)
 }
@@ -397,12 +404,11 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     if r.cache.evictions > 0 || r.cache.admission_rejections > 0 {
         println!(
             "cache: {} evictions, {} admission rejections, {} degraded admissions, \
-             {} re-tiered, {} aged, high water {} bytes",
+             {} re-tiered, high water {} bytes",
             r.cache.evictions,
             r.cache.admission_rejections,
             r.cache.degraded_admissions,
             r.cache.re_tiered,
-            r.cache.aged,
             r.cache.high_water_bytes
         );
     }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use incline_baselines::{C2Inliner, GreedyInliner};
 use incline_core::IncrementalInliner;
 use incline_trace::{JsonlSink, TraceSink};
-use incline_vm::{EvictionPolicy, Inliner, InstallPolicy, NoInline, Session, SnapshotIo, VmConfig};
+use incline_vm::{Inliner, InstallPolicy, NoInline, Session, SnapshotIo, VmConfig};
 
 /// Returns true when `name` appears anywhere in `args`.
 pub fn flag(args: &[String], name: &str) -> bool {
@@ -137,8 +137,6 @@ pub struct CommonOpts {
     pub pipelined: bool,
     /// Code-cache byte budget, 0 = unbounded (`--cache-budget BYTES`).
     pub cache_budget: Option<u64>,
-    /// Cache victim-selection policy (`--eviction POLICY`).
-    pub eviction: Option<EvictionPolicy>,
     /// Cost-model instruction-cache capacity override
     /// (`--icache-capacity BYTES`).
     pub icache_capacity: Option<u64>,
@@ -163,7 +161,6 @@ impl CommonOpts {
         ("--pipelined", None),
         ("--no-trial-cache", None),
         ("--cache-budget", Some("BYTES")),
-        ("--eviction", Some("POLICY")),
         ("--icache-capacity", Some("BYTES")),
         ("--icache-scale", Some("BYTES")),
         ("--snapshot-in", Some("FILE")),
@@ -201,9 +198,6 @@ impl CommonOpts {
         if let Some(n) = opt_value(args, "--cache-budget") {
             opts.cache_budget = Some(n.parse().map_err(|e| format!("--cache-budget: {e}"))?);
         }
-        if let Some(p) = opt_value(args, "--eviction") {
-            opts.eviction = Some(p.parse().map_err(|e| format!("--eviction: {e}"))?);
-        }
         if let Some(n) = opt_value(args, "--icache-capacity") {
             opts.icache_capacity = Some(n.parse().map_err(|e| format!("--icache-capacity: {e}"))?);
         }
@@ -236,7 +230,6 @@ impl CommonOpts {
             trial_cache: !self.no_trial_cache,
             compile_threads: self.compile_threads.unwrap_or(defaults.compile_threads),
             code_cache_budget: self.cache_budget.unwrap_or(defaults.code_cache_budget),
-            eviction_policy: self.eviction.unwrap_or(defaults.eviction_policy),
             ..defaults
         }
     }
@@ -384,8 +377,6 @@ mod tests {
             "--pipelined",
             "--cache-budget",
             "4096",
-            "--eviction",
-            "lru",
             "--icache-capacity",
             "1024",
             "--icache-scale",
@@ -438,7 +429,6 @@ mod tests {
     fn bad_values_are_reported_not_panicked() {
         assert!(CommonOpts::parse(&args(&["--cache-budget", "wat"])).is_err());
         assert!(CommonOpts::parse(&args(&["--compile-threads", "x"])).is_err());
-        assert!(CommonOpts::parse(&args(&["--eviction", "nope"])).is_err());
         let o = CommonOpts::parse(&args(&["--inliner", "nope"])).unwrap();
         assert!(o.make_inliner().is_err());
     }

@@ -45,7 +45,8 @@ fn run_reports_an_allocation_past_the_heap_bound_as_a_trap() {
 /// kinds differ from the call's only at positions 32 apart, which the VM's
 /// packed signature check cannot tell apart. `run` used to dispatch to it
 /// and panic reading an int as a heap reference (exit 101); the verifier
-/// now refuses any method of more than 30 parameters before anything runs.
+/// now refuses any method of more than 30 parameters before anything runs,
+/// and names the refused method with its class: `B.f` fails the same way.
 #[test]
 fn a_signature_too_wide_to_check_is_refused_by_the_verifier() {
     let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/samples/wide_override.ir");
@@ -58,7 +59,7 @@ fn a_signature_too_wide_to_check_is_refused_by_the_verifier() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(
-            stderr.contains("verify failed: 34 parameters, over the limit of 30"),
+            stderr.contains("method `A.f`: verify failed: 34 parameters, over the limit of 30"),
             "{args:?}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");

@@ -1,15 +1,15 @@
-//! Bounded code cache: budget enforcement, eviction policies, admission
+//! Bounded code cache: budget enforcement, LRU eviction, admission
 //! control and graceful degradation, end to end.
 //!
 //! The contract under test (DESIGN.md §11): with a finite
 //! `code_cache_budget` the installed-byte total never exceeds the budget
-//! at any observable point, every policy picks victims deterministically,
-//! admission control defers rather than blacklists, evicted methods
-//! re-tier through the normal hotness path, and — the degenerate case —
-//! `budget = 0` makes no cache decision at all. The tests that the knobs
-//! are inert at budget 0, and that a bounded cache depends on no modelled
-//! worker count, are rows of the conformance matrix (`support/matrix.rs`),
-//! which also check every answer.
+//! at any observable point, victims are picked deterministically, admission
+//! control defers rather than blacklists, evicted methods re-tier through
+//! the normal hotness path, and — the degenerate case — `budget = 0` makes
+//! no cache decision at all. The tests that a budget never reached is
+//! inert, and that a bounded cache depends on no modelled worker count,
+//! are rows of the conformance matrix (`support/matrix.rs`), which also
+//! check every answer.
 
 mod support;
 
@@ -24,11 +24,13 @@ use support::{answer, expected};
 
 #[test]
 fn budget_zero_knobs_are_inert_on_all_workloads() {
-    let knobs = VmConfig {
-        eviction_policy: EvictionPolicy::CostBenefit,
+    // A budget no install reaches takes the bounded install path and must
+    // decide nothing: the run equals the unbounded one byte for byte.
+    let never_reached = VmConfig {
+        code_cache_budget: u64::MAX,
         ..hot()
     };
-    let twins = vec![knobs];
+    let twins = vec![never_reached];
     run([Row {
         iterations: 6,
         twins,
@@ -40,12 +42,13 @@ fn budget_zero_knobs_are_inert_on_all_workloads() {
 fn finite_budget_is_byte_identical_across_worker_pools() {
     // Under heavy churn the degraded retry and the deferred admission
     // charge stall that no worker accounts for; four modelled workers must
-    // still not show.
-    let results = run(EvictionPolicy::all().map(|policy| Row {
+    // still not show. At 3000 bytes LRU always finds room; at 256 some
+    // full-tier packages cannot fit, so that row retries and defers.
+    let results = run([3000, 256].map(|budget| Row {
         corpus: Pressure,
-        config: budget_config(3000, policy, 0),
+        config: budget_config(budget, 0),
         iterations: 8,
-        twins: vec![budget_config(3000, policy, 4)],
+        twins: vec![budget_config(budget, 4)],
         ..Row::default()
     }));
     assert!(
@@ -149,54 +152,51 @@ fn pressure_workload() -> Workload {
     incline::workloads::by_name("cache_pressure").expect("extra workload exists")
 }
 
-fn budget_config(budget: u64, policy: EvictionPolicy, threads: usize) -> VmConfig {
+fn budget_config(budget: u64, threads: usize) -> VmConfig {
     VmConfig {
         hotness_threshold: 2,
         compile_threads: threads,
         code_cache_budget: budget,
-        eviction_policy: policy,
         ..VmConfig::default()
     }
 }
 
 #[test]
 fn budget_is_never_exceeded_at_any_observable_point() {
-    // The tentpole invariant, checked after every activation cycle for
-    // every policy: installed bytes stay within the budget, and so does
-    // the lifetime high-water mark.
+    // The tentpole invariant, checked after every activation cycle:
+    // installed bytes stay within the budget, and so does the lifetime
+    // high-water mark.
     let w = pressure_workload();
     let input = w.input.min(48);
     let expected = expected(&w, input);
-    for policy in EvictionPolicy::all() {
-        for budget in [512u64, 3000] {
-            let mut vm = Machine::new(
-                &w.program,
-                Box::new(IncrementalInliner::new()),
-                budget_config(budget, policy, 0),
-            );
-            for cycle in 0..8 {
-                let out = vm
-                    .run(w.entry, vec![Value::Int(input)])
-                    .unwrap_or_else(|e| panic!("budget {budget} under {policy}: {e}"));
-                assert!(
-                    vm.installed_bytes() <= budget,
-                    "cycle {cycle}: {} bytes installed exceeds budget {budget} under {policy}",
-                    vm.installed_bytes()
-                );
-                assert_eq!(answer(&out), expected, "results must not change");
-            }
-            let stats = vm.report().cache;
+    for budget in [512u64, 3000] {
+        let mut vm = Machine::new(
+            &w.program,
+            Box::new(IncrementalInliner::new()),
+            budget_config(budget, 0),
+        );
+        for cycle in 0..8 {
+            let out = vm
+                .run(w.entry, vec![Value::Int(input)])
+                .unwrap_or_else(|e| panic!("budget {budget}: {e}"));
             assert!(
-                stats.high_water_bytes <= budget,
-                "high water {} exceeds budget {budget} under {policy}",
-                stats.high_water_bytes
+                vm.installed_bytes() <= budget,
+                "cycle {cycle}: {} bytes installed exceeds budget {budget}",
+                vm.installed_bytes()
             );
-            assert!(
-                stats.evictions > 0,
-                "a {budget}-byte budget must force evictions under {policy}"
-            );
-            assert_eq!(vm.report().cache, stats, "report must surface the stats");
+            assert_eq!(answer(&out), expected, "results must not change");
         }
+        let stats = vm.report().cache;
+        assert!(
+            stats.high_water_bytes <= budget,
+            "high water {} exceeds budget {budget}",
+            stats.high_water_bytes
+        );
+        assert!(
+            stats.evictions > 0,
+            "a {budget}-byte budget must force evictions"
+        );
+        assert_eq!(vm.report().cache, stats, "report must surface the stats");
     }
 }
 
@@ -212,8 +212,7 @@ fn budget_zero_makes_no_cache_decisions() {
             args: vec![Value::Int(w.input.min(8))],
             iterations: 6,
         };
-        let session =
-            RunSession::new(&w.program, spec).config(budget_config(0, Default::default(), 0));
+        let session = RunSession::new(&w.program, spec).config(budget_config(0, 0));
         let r = session.inliner(Box::new(IncrementalInliner::new())).run();
         let r = r.unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let passive = CacheStats {
@@ -247,7 +246,7 @@ fn bench_traced(w: &Workload, config: VmConfig) -> (BenchResult, Vec<String>) {
 #[test]
 fn evicted_methods_retier_through_the_normal_hotness_path() {
     let w = pressure_workload();
-    let (r, jsonl) = bench_traced(&w, budget_config(3000, EvictionPolicy::Lru, 0));
+    let (r, jsonl) = bench_traced(&w, budget_config(3000, 0));
     assert!(
         r.cache.re_tiered > 0,
         "cycling working set must re-heat evicted methods"
@@ -263,22 +262,6 @@ fn evicted_methods_retier_through_the_normal_hotness_path() {
 }
 
 #[test]
-fn aging_floors_idle_methods_under_pressure() {
-    // The storm's registry is eight times `cache_pressure`'s, so a method
-    // waits longer than `CACHE_AGE_WINDOW` ticks between two of its uses.
-    let w = incline::workloads::cache_pressure::storm();
-    let (r, jsonl) = bench_traced(&w, budget_config(8 * 1024, EvictionPolicy::CostBenefit, 0));
-    assert!(
-        r.cache.aged > 0,
-        "a cycling working set must age methods out"
-    );
-    assert!(
-        jsonl.iter().any(|l| l.contains("\"ev\":\"MethodAged\"")),
-        "aging must be traced"
-    );
-}
-
-#[test]
 fn tiny_budgets_degrade_gracefully_without_panics() {
     // Memory exhaustion: budgets below the smallest package must never
     // panic, livelock or change results — the VM simply stays (mostly)
@@ -286,52 +269,49 @@ fn tiny_budgets_degrade_gracefully_without_panics() {
     let w = pressure_workload();
     let input = w.input.min(48);
     let expected = expected(&w, input);
-    for policy in EvictionPolicy::all() {
-        for budget in [4u64, 64, 256] {
-            let mut vm = Machine::new(
-                &w.program,
-                Box::new(IncrementalInliner::new()),
-                budget_config(budget, policy, 0),
-            );
-            for _ in 0..8 {
-                let out = vm
-                    .run(w.entry, vec![Value::Int(input)])
-                    .unwrap_or_else(|e| panic!("budget {budget} under {policy}: {e}"));
-                assert!(vm.installed_bytes() <= budget);
-                assert_eq!(answer(&out), expected);
-            }
-            let report = vm.report();
-            assert!(
-                report.cache.admission_rejections > 0,
-                "a {budget}-byte budget must reject installs under {policy}"
-            );
-            assert_eq!(report.blacklisted.len(), 0, "deferral, not blacklist");
+    for budget in [4u64, 64, 256] {
+        let mut vm = Machine::new(
+            &w.program,
+            Box::new(IncrementalInliner::new()),
+            budget_config(budget, 0),
+        );
+        for _ in 0..8 {
+            let out = vm
+                .run(w.entry, vec![Value::Int(input)])
+                .unwrap_or_else(|e| panic!("budget {budget}: {e}"));
+            assert!(vm.installed_bytes() <= budget);
+            assert_eq!(answer(&out), expected);
         }
+        let report = vm.report();
+        assert!(
+            report.cache.admission_rejections > 0,
+            "a {budget}-byte budget must reject installs"
+        );
+        assert_eq!(report.blacklisted.len(), 0, "deferral, not blacklist");
     }
 }
 
 #[test]
 fn admission_rejection_reasons_are_the_documented_vocabulary() {
+    // LRU admits whatever fits once victims are gone, so the one reason
+    // left is that too little resident code could be evicted.
     let w = pressure_workload();
-    let (r, jsonl) = bench_traced(&w, budget_config(64, EvictionPolicy::CostBenefit, 0));
+    let (r, jsonl) = bench_traced(&w, budget_config(64, 0));
     assert!(r.cache.admission_rejections > 0);
-    let reasons: Vec<&str> = jsonl
+    let rejections: Vec<&String> = jsonl
         .iter()
         .filter(|l| l.contains("\"ev\":\"AdmissionRejected\""))
-        .map(|l| {
-            if l.contains("\"reason\":\"no_evictable_victim\"") {
-                "no_evictable_victim"
-            } else if l.contains("\"reason\":\"benefit_below_bar\"") {
-                "benefit_below_bar"
-            } else {
-                panic!("undocumented admission-rejection reason in {l}")
-            }
-        })
         .collect();
     assert!(
-        !reasons.is_empty(),
+        !rejections.is_empty(),
         "rejections must be traced with reasons"
     );
+    for l in rejections {
+        assert!(
+            l.contains("\"reason\":\"no_evictable_victim\""),
+            "undocumented admission-rejection reason in {l}"
+        );
+    }
 }
 
 #[test]
@@ -345,7 +325,6 @@ fn teardown_releases_every_byte_under_mixed_deopt_and_eviction() {
         hotness_threshold: 2,
         deopt: true,
         code_cache_budget: 1024,
-        eviction_policy: EvictionPolicy::Lru,
         ..VmConfig::default()
     };
     let mut vm = Machine::new(&w.program, Box::new(IncrementalInliner::new()), config);
@@ -380,7 +359,7 @@ fn pipelined_installs_recheck_admission_at_the_safepoint() {
     let w = pressure_workload();
     let pipelined = VmConfig {
         install_policy: InstallPolicy::Safepoint,
-        ..budget_config(3000, EvictionPolicy::Lru, 4)
+        ..budget_config(3000, 4)
     };
     let a = bench_traced(&w, pipelined).0;
     let b = bench_traced(&w, pipelined).0;
@@ -390,28 +369,9 @@ fn pipelined_installs_recheck_admission_at_the_safepoint() {
         a.cache.high_water_bytes <= 3000,
         "safepoint installs must re-check the budget at install time"
     );
-    let sync = bench_traced(&w, budget_config(3000, EvictionPolicy::Lru, 0)).0;
+    let sync = bench_traced(&w, budget_config(3000, 0)).0;
     assert!(
         a.stall_cycles < sync.stall_cycles,
         "pipelining must still hide compile latency under cache pressure"
-    );
-}
-
-#[test]
-fn policies_are_observably_distinct_under_pressure() {
-    // The three policies must actually disagree on victims somewhere:
-    // cost-benefit rejects cold giants outright (admission control),
-    // while LRU admits everything and churns.
-    let w = pressure_workload();
-    let lru = bench_traced(&w, budget_config(3000, EvictionPolicy::Lru, 0)).0;
-    let cb = bench_traced(&w, budget_config(3000, EvictionPolicy::CostBenefit, 0)).0;
-    assert!(lru.cache.evictions > 0 && cb.cache.evictions > 0);
-    assert!(
-        lru.cache != cb.cache,
-        "LRU and cost-benefit must make different decisions on a cycling working set"
-    );
-    assert_eq!(
-        lru.final_output, cb.final_output,
-        "policy choice must never change program semantics"
     );
 }

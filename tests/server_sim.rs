@@ -44,13 +44,6 @@ fn pipelined_standard_mix_matches_its_pinned_digests() {
             ..report
         }
     );
-    // Aging changes no LRU decision: its count is not pinned.
-    let row = match row.split_once(", aged: ") {
-        Some((head, tail)) => {
-            head.to_string() + tail.trim_start_matches(|c: char| c.is_ascii_digit())
-        }
-        None => row,
-    };
     assert_eq!(
         (fnv1a(&trace), fnv1a(row.as_bytes())),
         (0xa324e0f88efbc701, 0x8e5c4aa19759002a),
@@ -63,12 +56,7 @@ fn max_queue_depth_is_the_high_water_mark_of_the_queue() {
     // Samples are taken after a request retired, mostly after the drain:
     // on this run every one of them reads 0 or 1 while bursts stack several
     // requests up. The maximum is taken at every push.
-    let report = serve_standard(
-        &standard_mix(),
-        InstallPolicy::Safepoint,
-        EvictionPolicy::Lru,
-        4,
-    );
+    let report = serve_standard(&standard_mix(), InstallPolicy::Safepoint, 4);
     assert!(report.max_queue_depth >= 2, "{}", report.max_queue_depth);
     assert!(report
         .queue_depth
@@ -80,26 +68,22 @@ fn max_queue_depth_is_the_high_water_mark_of_the_queue() {
 fn safepoint_beats_barrier_on_the_stall_tail() {
     // The point of pipelined installs: under bursty multi-tenant load the
     // mutator no longer stops for whole compilations, so the p99 of the
-    // per-request stall distribution drops — for every eviction policy.
+    // per-request stall distribution drops.
     let mix = standard_mix();
-    for policy in EvictionPolicy::all() {
-        let barrier = serve_standard(&mix, InstallPolicy::Barrier, policy, 4);
-        let safepoint = serve_standard(&mix, InstallPolicy::Safepoint, policy, 4);
-        assert!(
-            safepoint.stall.p99 <= barrier.stall.p99,
-            "{}: safepoint stall p99 {} must not exceed barrier's {}",
-            policy.label(),
-            safepoint.stall.p99,
-            barrier.stall.p99
-        );
-        assert!(
-            safepoint.stall.max <= barrier.stall.max,
-            "{}: safepoint worst pause {} must not exceed barrier's {}",
-            policy.label(),
-            safepoint.stall.max,
-            barrier.stall.max
-        );
-    }
+    let barrier = serve_standard(&mix, InstallPolicy::Barrier, 4);
+    let safepoint = serve_standard(&mix, InstallPolicy::Safepoint, 4);
+    assert!(
+        safepoint.stall.p99 <= barrier.stall.p99,
+        "safepoint stall p99 {} must not exceed barrier's {}",
+        safepoint.stall.p99,
+        barrier.stall.p99
+    );
+    assert!(
+        safepoint.stall.max <= barrier.stall.max,
+        "safepoint worst pause {} must not exceed barrier's {}",
+        safepoint.stall.max,
+        barrier.stall.max
+    );
 }
 
 #[test]
@@ -108,12 +92,7 @@ fn cache_and_deopt_faults_degrade_gracefully_per_tenant() {
     // worst times; tenants must still get every answer (digests match the
     // clean run) and no request may fail, let alone panic across tenants.
     let mix = standard_mix();
-    let clean = serve_standard(
-        &mix,
-        InstallPolicy::Safepoint,
-        EvictionPolicy::HotnessDecay,
-        1,
-    );
+    let clean = serve_standard(&mix, InstallPolicy::Safepoint, 1);
     let plan = FaultPlan::new()
         .inject(1, FaultKind::ForceEvict)
         .inject(2, FaultKind::ForceDeopt)
@@ -123,7 +102,7 @@ fn cache_and_deopt_faults_degrade_gracefully_per_tenant() {
         .inliner(Config::paper().build())
         .config(standard_vm(
             InstallPolicy::Safepoint,
-            EvictionPolicy::HotnessDecay,
+            EvictionPolicy::Lru,
             1,
         ))
         .faults(plan)

@@ -1,6 +1,6 @@
 //! The JSONL schema of [`CompileEvent`], pinned in a checked-in table.
 //!
-//! One instance of each of the 28 events, between them holding the corners
+//! One instance of each of the 27 events, between them holding the corners
 //! of every field encoding — `method: None`, non-finite and extreme floats,
 //! integer maxima, a string that needs every escape, an all-zero and a
 //! mixed `OptStats` — and, per instance, one line `<name()> <to_json()>` in
@@ -134,10 +134,6 @@ fn instances() -> Vec<CompileEvent> {
             bytes: 640,
             reason: "no_evictable_victim".to_string(),
         },
-        CompileEvent::MethodAged {
-            method: m(7),
-            idle: 2048,
-        },
         CompileEvent::ReTiered {
             method: m(7),
             evictions: 2,
@@ -187,9 +183,9 @@ fn instances() -> Vec<CompileEvent> {
 fn every_event_serializes_to_its_blessed_line() {
     let events = instances();
     let names: BTreeSet<&str> = events.iter().map(CompileEvent::name).collect();
-    assert_eq!(names.len(), 28, "one instance of every event: {names:?}");
+    assert_eq!(names.len(), 27, "one instance of every event: {names:?}");
     let with_method = events.iter().filter(|e| e.method().is_some()).count();
-    assert_eq!(with_method, 18, "17 lifecycle events and one decision");
+    assert_eq!(with_method, 17, "16 lifecycle events and one decision");
 
     let mut actual = String::new();
     for ev in &events {
