@@ -18,9 +18,7 @@
 //! warm/cold digest divergence — that assert is the regression gate the
 //! `incline-bench drift` (and the CI `snapshot-drift` job) runs.
 
-use std::sync::Arc;
-
-use incline_vm::{BenchResult, MemoryStore, RunSession, ServerReport, ServerSession, VmConfig};
+use incline_vm::{BenchResult, RunSession, ServerReport, ServerSession, SnapshotIo, VmConfig};
 use incline_workloads::tenants::TenantMix;
 use incline_workloads::{all_benchmarks, Workload};
 
@@ -96,7 +94,7 @@ pub fn measure(w: &Workload) -> DriftRow {
     };
     let run = |session: RunSession| session.run().unwrap_or_else(|e| panic!("{}: {e}", w.name));
     let paper = Config::paper();
-    let store = Arc::new(MemoryStore::new());
+    let store = SnapshotIo::memory();
     run(crate::session(w, &paper, config).snapshot_out(store.clone()));
     let phase_b = w.clone().with_input(drifted_input(w.input));
     let cold = run(crate::session(&phase_b, &paper, config));
@@ -128,7 +126,7 @@ pub fn serve_drift() -> (ServerReport, ServerReport) {
     let serve = |session: ServerSession| session.serve().expect("drift server scenario must serve");
     let flip =
         |mix: &mut TenantMix, after| mix.tenants.iter_mut().for_each(|t| t.flip_after = after);
-    let store = Arc::new(MemoryStore::new());
+    let store = SnapshotIo::memory();
     flip(&mut mix, 1.0);
     serve(crate::server::session(&mix, vm).snapshot_out(store.clone()));
     flip(&mut mix, 0.0);

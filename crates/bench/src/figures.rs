@@ -500,7 +500,7 @@ pub fn cache() -> String {
 
 /// Warmup elimination via persistent snapshots (beyond the paper): every
 /// standard workload is run cold (writing a snapshot to an in-memory
-/// store), then replayed eagerly (snapshot's compile decisions recompiled
+/// cell), then replayed eagerly (snapshot's compile decisions recompiled
 /// up front). Emits machine-readable JSON — the seed of
 /// `BENCH_warmup.json` — with "cycles to within 5% of steady state" as the
 /// first-class metric, plus the multi-tenant server scenario where one
@@ -511,10 +511,8 @@ pub fn cache() -> String {
 /// byte-identical answer digest; the acceptance criterion is a pass on at
 /// least half of the standard workloads.
 pub fn warmup() -> String {
-    use std::sync::Arc;
-
     use crate::json::Json;
-    use incline_vm::{MemoryStore, RunSession, ServerSession, VmConfig};
+    use incline_vm::{RunSession, ServerSession, SnapshotIo, VmConfig};
 
     const FRAC: f64 = 0.05;
     let config = Config::paper();
@@ -524,7 +522,7 @@ pub fn warmup() -> String {
     for w in &benches {
         let session = || crate::session(w, &config, crate::default_vm());
         let run = |s: RunSession| s.run().unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let store = Arc::new(MemoryStore::new());
+        let store = SnapshotIo::memory();
         let cold = run(session().snapshot_out(store.clone()));
         let eager = run(session().snapshot_in(store));
         let cold_cycles = cold.warmup_cycles_within(FRAC);
@@ -568,7 +566,7 @@ pub fn warmup() -> String {
         ..VmConfig::default()
     };
     let serve = |s: ServerSession| s.serve().expect("server scenario must serve");
-    let server_store = Arc::new(MemoryStore::new());
+    let server_store = SnapshotIo::memory();
     let cold_srv = serve(crate::server::session(&mix, vm).snapshot_out(server_store.clone()));
     let warm_srv = serve(crate::server::session(&mix, vm).snapshot_in(server_store));
     let tenants_match = cold_srv

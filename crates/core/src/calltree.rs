@@ -139,7 +139,6 @@ pub struct CallTree {
     /// (`PipelineRun::converged`) and nothing has edited it since. Set by
     /// [`CallTree::optimize_root`] only, cleared by every edit.
     root_converged: bool,
-    root_method: MethodId,
     /// Total IR nodes attached by expansions (compile-work accounting).
     pub explored_nodes: usize,
 }
@@ -171,7 +170,6 @@ impl CallTree {
             root_size: root_graph.size(),
             root_converged: false,
             root_graph,
-            root_method: method,
             explored_nodes: 0,
         }
     }
@@ -179,11 +177,6 @@ impl CallTree {
     /// The root node id.
     pub fn root(&self) -> NodeId {
         self.root
-    }
-
-    /// The compilation root method.
-    pub fn root_method(&self) -> MethodId {
-        self.root_method
     }
 
     /// Immutable node access.
@@ -305,17 +298,6 @@ impl CallTree {
                 .graph
                 .as_ref()
                 .expect("non-root owner must be expanded"),
-        }
-    }
-
-    /// Whether a node's callsite lives in the root graph (see
-    /// [`CallTree::owner_graph`]).
-    pub fn owner_graph_is_root(&self, n: NodeId) -> bool {
-        let parent = self.nodes[n.0].parent.expect("root has no owner");
-        match self.nodes[parent.0].kind {
-            NodeKind::Root => true,
-            NodeKind::Polymorphic => self.owner_graph_is_root(parent),
-            _ => false,
         }
     }
 

@@ -177,11 +177,6 @@ impl<'p> FunctionBuilder<'p> {
         self.value(Op::INeg, vec![a])
     }
 
-    /// Float negation.
-    pub fn fneg(&mut self, a: ValueId) -> ValueId {
-        self.value(Op::FNeg, vec![a])
-    }
-
     /// Int-to-float conversion.
     pub fn int_to_float(&mut self, a: ValueId) -> ValueId {
         self.value(Op::IntToFloat, vec![a])

@@ -164,11 +164,6 @@ impl DomTree {
         self.rpo_position(block).is_some()
     }
 
-    /// Immediate dominator of `block` (the entry dominates itself).
-    pub fn idom(&self, block: BlockId) -> Option<BlockId> {
-        self.is_reachable(block).then(|| self.idom[block.index()])
-    }
-
     /// Children of `block` in the dominator tree.
     pub fn children(&self, block: BlockId) -> &[BlockId] {
         let i = block.index();
@@ -272,9 +267,9 @@ mod tests {
     fn diamond_idoms() {
         let (g, e, t, f, j) = diamond();
         let dom = DomTree::compute(&g);
-        assert_eq!(dom.idom(t), Some(e));
-        assert_eq!(dom.idom(f), Some(e));
-        assert_eq!(dom.idom(j), Some(e));
+        assert_eq!(dom.idom[t.index()], e);
+        assert_eq!(dom.idom[f.index()], e);
+        assert_eq!(dom.idom[j.index()], e);
         assert!(dom.dominates(e, j));
         assert!(!dom.dominates(t, j));
         assert!(dom.dominates(t, t));
@@ -304,9 +299,9 @@ mod tests {
         g.set_terminator(body, Terminator::Jump(h, vec![]));
         g.set_terminator(exit, Terminator::Return(None));
         let dom = DomTree::compute(&g);
-        assert_eq!(dom.idom(h), Some(e));
-        assert_eq!(dom.idom(body), Some(h));
-        assert_eq!(dom.idom(exit), Some(h));
+        assert_eq!(dom.idom[h.index()], e);
+        assert_eq!(dom.idom[body.index()], h);
+        assert_eq!(dom.idom[exit.index()], h);
         assert!(dom.dominates(h, body));
     }
 
@@ -369,9 +364,9 @@ mod tests {
         let dom = DomTree::compute(&g);
         assert_eq!(dom.rpo().len(), 3 * RUNGS + 1);
         for (k, &(t, f)) in arms.iter().enumerate() {
-            assert_eq!(dom.idom(t), Some(heads[k]));
-            assert_eq!(dom.idom(f), Some(heads[k]));
-            assert_eq!(dom.idom(heads[k + 1]), Some(heads[k]));
+            assert_eq!(dom.idom[t.index()], heads[k]);
+            assert_eq!(dom.idom[f.index()], heads[k]);
+            assert_eq!(dom.idom[heads[k + 1].index()], heads[k]);
             assert_eq!(dom.children(heads[k]).len(), 3);
             assert!(!dom.dominates(t, heads[k + 1]));
         }

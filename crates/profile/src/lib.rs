@@ -95,9 +95,7 @@ impl MethodProfile {
         }
     }
 
-    /// The method's observed hotness: invocations plus taken back edges —
-    /// the weight a replica's evidence carries in snapshot-merge votes and
-    /// the quantity the decision support check compares against.
+    /// The method's observed hotness: invocations plus taken back edges.
     pub fn hotness(&self) -> u64 {
         self.invocations.saturating_add(self.backedges)
     }
@@ -352,6 +350,14 @@ impl ProfileTable {
         self.methods
             .get(m.index())
             .map_or(0, MethodProfile::hotness)
+    }
+
+    /// The hotness tiering decides on: `invocations + backedges/4`, so four
+    /// taken back edges weigh as much as one invocation. The snapshot
+    /// merge's support check reads it too, so a merged decision is kept
+    /// exactly as long as its evidence would still tier the method up.
+    pub fn tier_hotness(&self, m: MethodId) -> u64 {
+        self.invocations(m) + self.backedges(m) / 4
     }
 
     /// Removes `seed`'s contribution from `m`'s profile (saturating), and

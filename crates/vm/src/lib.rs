@@ -68,8 +68,8 @@ pub use machine::{
 pub use runner::{BenchError, BenchResult, BenchSpec, RunSession, Session};
 pub use server::{ServerError, ServerReport, ServerSession, ServerSpec, TenantReport, TenantSpec};
 pub use snapshot::{
-    FileStore, MemoryStore, MergePolicy, MergeStats, Merged, MethodRecord, Snapshot, SnapshotError,
-    SnapshotIo, SnapshotStats, SnapshotStore, SNAPSHOT_VERSION,
+    MergePolicy, MergeStats, Merged, MethodRecord, Snapshot, SnapshotError, SnapshotIo,
+    SnapshotStats, SNAPSHOT_VERSION,
 };
 pub use stats::{fairness_index, percentile, LatencyStats};
 pub use value::{HeapRef, Output, Value};

@@ -28,12 +28,6 @@ use super::{Decision, Machine, POISON_WINDOW};
 use crate::broker::CompileQueue;
 use crate::plan::{ExecPlan, PlannedGraph};
 
-/// The hotness tiering decides on, and every baseline is taken from:
-/// `invocations + backedges/4`.
-pub(super) fn hotness(profiles: &ProfileTable, m: MethodId) -> u64 {
-    profiles.invocations(m) + profiles.backedges(m) / 4
-}
-
 /// Installed code and the counters that live and die with it.
 pub(super) struct CompiledMethod {
     /// The installed graph with its execution plan. Shared, so a live
@@ -266,7 +260,7 @@ impl MethodTable {
             "deferral of {m:?}: not queued"
         );
         slot.cache.deferrals = slot.cache.deferrals.saturating_add(1);
-        slot.cache.base_hotness = hotness(profiles, m);
+        slot.cache.base_hotness = profiles.tier_hotness(m);
         slot.tier = Tier::Cold;
     }
 
@@ -281,8 +275,9 @@ impl MethodTable {
     }
 
     /// Installed → Cold: the code's bytes leave the accounting, `exit`
-    /// writes its history (see [`Exit`]; baselines are the [`hotness`] now),
-    /// and the code is returned so the caller can count and emit what left.
+    /// writes its history (see [`Exit`]; baselines are the
+    /// [`ProfileTable::tier_hotness`] now), and the code is returned so the
+    /// caller can count and emit what left.
     pub fn leave(
         &mut self,
         m: MethodId,
@@ -302,11 +297,11 @@ impl MethodTable {
         self.installed_bytes = self.installed_bytes.saturating_sub(code.bytes);
         match exit {
             Exit::Invalidated => {
-                slot.spec.get_or_insert_default().base_hotness = hotness(profiles, m);
+                slot.spec.get_or_insert_default().base_hotness = profiles.tier_hotness(m);
             }
             Exit::Evicted { .. } => {
                 slot.cache.evictions += 1;
-                slot.cache.base_hotness = hotness(profiles, m);
+                slot.cache.base_hotness = profiles.tier_hotness(m);
             }
             Exit::Poisoned => {
                 if let Some(seed) = slot.seeded.take() {

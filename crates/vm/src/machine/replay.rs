@@ -42,7 +42,7 @@ impl Machine<'_> {
     /// [`CompileEvent::SnapshotFallback`] and leaves a cold start: never an
     /// error, never a panic.
     pub fn warm_from(&mut self, snapshot: Option<&SnapshotIo>, replicas: &[SnapshotIo]) {
-        let loaded = snapshot.map(|io| io.store().read().and_then(|b| self.load_snapshot(&b)));
+        let loaded = snapshot.map(|io| io.read().and_then(|b| self.load_snapshot(&b)));
         if let Some(Err(e)) = loaded {
             self.note_snapshot_fallback(&e.to_string());
         }
@@ -51,11 +51,7 @@ impl Machine<'_> {
         }
         let mut parsed = Vec::with_capacity(replicas.len());
         for io in replicas {
-            match io
-                .store()
-                .read()
-                .and_then(|bytes| Snapshot::from_bytes(&bytes))
-            {
+            match io.read().and_then(|bytes| Snapshot::from_bytes(&bytes)) {
                 Ok(snap) => parsed.push(snap),
                 Err(e) => self.note_snapshot_fallback(&e.to_string()),
             }
@@ -70,7 +66,7 @@ impl Machine<'_> {
     pub fn persist_to(&mut self, io: &SnapshotIo) {
         let snap = self.snapshot();
         let bytes = snap.to_bytes();
-        if io.store().write(&bytes).is_err() {
+        if io.write(&bytes).is_err() {
             self.snapshot_stats.write_failures += 1;
             return;
         }

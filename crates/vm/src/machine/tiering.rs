@@ -8,7 +8,7 @@ use std::sync::Arc;
 use incline_ir::MethodId;
 use incline_trace::{CodeTier, CompileEvent};
 
-use super::methods::{hotness, CompiledMethod, Exit, Tier};
+use super::methods::{CompiledMethod, Exit, Tier};
 use super::{
     BailoutRecord, CompileStage, Decision, InstallPolicy, Machine, DRIFT_MIN_SAMPLES, DRIFT_RATE,
     MAX_RECOMPILES,
@@ -133,7 +133,7 @@ impl Machine<'_> {
     }
 
     pub(super) fn hot(&self, method: MethodId) -> bool {
-        let hotness = hotness(&self.profiles, method);
+        let hotness = self.profiles.tier_hotness(method);
         let slot = self.methods.get(method);
         let spec_ok = match &slot.spec {
             // A previously invalidated method re-promotes on *fresh* profile

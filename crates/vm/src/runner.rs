@@ -264,10 +264,9 @@ impl<'p, W> Session<'p, W> {
         self
     }
 
-    /// Loads a warmup snapshot before the work starts. Accepts anything
-    /// [`SnapshotIo`] converts from: a path (`&str`, `String`, `&Path`,
-    /// `PathBuf`), raw snapshot bytes (`Vec<u8>`), or an `Arc`ed
-    /// [`SnapshotStore`](crate::snapshot::SnapshotStore). A stale, corrupt
+    /// Loads a warmup snapshot before the work starts. Accepts a
+    /// [`SnapshotIo`] or anything it converts from: a path (`&str`,
+    /// `&Path`) or raw snapshot bytes (`Vec<u8>`). A stale, corrupt
     /// or unreadable snapshot degrades gracefully to a cold start
     /// ([`SnapshotStats::fallbacks`]), never an error. On a server, one
     /// snapshot warms the shared cache for every tenant.
@@ -542,7 +541,7 @@ mod tests {
             iterations: 8,
         };
         let config = threshold(3);
-        let store = Arc::new(crate::snapshot::MemoryStore::new());
+        let store = SnapshotIo::memory();
         let cold = RunSession::new(&p, spec.clone())
             .inliner(Box::new(NoInline))
             .config(config)
@@ -585,7 +584,7 @@ mod tests {
             iterations: 4,
         };
         let stores = [100, 200, 300].map(|n| {
-            let store = Arc::new(crate::snapshot::MemoryStore::new());
+            let store = SnapshotIo::memory();
             RunSession::new(&p, spec(n))
                 .config(config)
                 .snapshot_out(store.clone())
@@ -597,7 +596,7 @@ mod tests {
         let warm = RunSession::new(&p, spec(100))
             .config(config)
             .snapshot_in(first)
-            .snapshot_merge(vec![a.into(), b.into()])
+            .snapshot_merge(vec![a, b])
             .run()
             .unwrap();
         assert_eq!(warm.snapshot.fallbacks, 0);
@@ -618,11 +617,11 @@ mod tests {
             .config(config)
             .run()
             .unwrap();
-        // An empty MemoryStore fails the read; the run proceeds cold.
+        // An empty memory cell fails the read; the run proceeds cold.
         let fallback = RunSession::new(&p, spec)
             .inliner(Box::new(NoInline))
             .config(config)
-            .snapshot_in(Arc::new(crate::snapshot::MemoryStore::new()))
+            .snapshot_in(SnapshotIo::memory())
             .run()
             .unwrap();
         assert_eq!(fallback.snapshot.fallbacks, 1);

@@ -427,8 +427,6 @@ impl<'p> ServerSession<'p> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::VmConfig;
     use incline_ir::builder::FunctionBuilder;
@@ -593,7 +591,7 @@ mod tests {
             ..ServerSpec::default()
         };
         let config = config();
-        let store = Arc::new(crate::snapshot::MemoryStore::new());
+        let store = crate::SnapshotIo::memory();
         let cold = ServerSession::new(&p, tenants(a, b), spec.clone())
             .config(config)
             .snapshot_out(store.clone())

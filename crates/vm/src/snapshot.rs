@@ -42,12 +42,13 @@
 //!
 //! # I/O
 //!
-//! Snapshot bytes move through the [`SnapshotStore`] trait so the library
-//! stays testable without touching disk: [`MemoryStore`] keeps bytes in a
-//! mutex-guarded cell (share it via `Arc` between a writing and a reading
-//! session), [`FileStore`] reads/writes one file. [`SnapshotIo`] is the
-//! `Into`-friendly handle the session builder accepts, with conversions from
-//! paths, raw bytes and `Arc`ed stores.
+//! Snapshot bytes move through [`SnapshotIo`], the handle the session
+//! builder accepts. [`SnapshotIo::File`] reads and atomically writes one
+//! file. [`SnapshotIo::Memory`] keeps the bytes in a mutex-guarded cell, so
+//! the library stays testable without touching disk: every clone shares the
+//! cell, so one clone can go to the writing session and one to the reading
+//! session. Paths (`&str`, `&Path`) convert to a file and raw bytes
+//! (`Vec<u8>`) to a filled cell.
 
 use std::collections::BTreeSet;
 use std::hash::Hasher;
@@ -78,7 +79,7 @@ pub struct SnapshotStats {
     pub seeded_methods: u64,
     /// Snapshots serialized and handed to a store.
     pub written: u64,
-    /// Snapshot writes the store rejected (I/O errors degrade gracefully).
+    /// Snapshot writes that failed (I/O errors degrade gracefully).
     pub write_failures: u64,
     /// Distinct replica snapshots folded into an applied N-way merge.
     pub merged: u64,
@@ -121,7 +122,7 @@ pub struct Snapshot {
     pub decisions: Vec<MethodId>,
 }
 
-/// Why a snapshot could not be loaded (or a store could not move bytes).
+/// Why a snapshot could not be loaded (or its [`SnapshotIo`] could not move bytes).
 /// Every variant degrades to a cold start when hit through the graceful
 /// paths — none of them ever panics the VM.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -143,7 +144,7 @@ pub enum SnapshotError {
         /// Fingerprint recorded in the snapshot.
         found: u64,
     },
-    /// The [`SnapshotStore`] could not read or write.
+    /// The [`SnapshotIo`] could not read or write.
     Io(String),
 }
 
@@ -449,10 +450,11 @@ impl Snapshot {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MergePolicy {
     /// The support bar of the `DecisionAge` check: a decided method
-    /// survives only while its hotness (invocations + back edges)
-    /// in the *merged* profile is at least this. The machine's merge path
-    /// uses its own `hotness_threshold` here, so a decision is kept exactly
-    /// as long as the merged evidence would still tier the method up.
+    /// survives only while its tiering hotness
+    /// ([`ProfileTable::tier_hotness`]) in the *merged* profile is at least
+    /// this. The machine's merge path uses its own `hotness_threshold`
+    /// here, so a decision is kept exactly as long as the merged evidence
+    /// would still tier the method up.
     pub min_support: u64,
 }
 
@@ -506,7 +508,7 @@ impl Snapshot {
     ///   weighted (summed) counts, via [`ProfileTable::merge`];
     /// * **decisions** — the union of every replica's decided methods;
     /// * **support check** — a decided method is dropped (aged out) when
-    ///   the merged profile's hotness for it falls below
+    ///   the merged profile's tiering hotness for it falls below
     ///   [`MergePolicy::min_support`].
     ///
     /// Byte-identical replica inputs are deduplicated first, so at-least-
@@ -559,7 +561,7 @@ impl Snapshot {
             .collect();
         let (mut decisions, mut aged_out) = (Vec::new(), Vec::new());
         for m in decided {
-            let hotness = table.hotness(m);
+            let hotness = table.tier_hotness(m);
             if hotness < policy.min_support {
                 aged_out.push((m, hotness));
             } else {
@@ -625,198 +627,106 @@ fn parse_method(obj: &json::Obj, i: usize) -> Result<MethodRecord, SnapshotError
     }
 }
 
-// ---- stores ----------------------------------------------------------------
+// ---- I/O -------------------------------------------------------------------
 
-/// Moves snapshot bytes in and out of some backing medium. The trait is
-/// deliberately byte-oriented: parsing, versioning and checksum policy stay
-/// in [`Snapshot`], so every store is trivially correct.
-pub trait SnapshotStore: Send + Sync {
+/// Where snapshot bytes live, the handle the session builder accepts:
+/// `session.snapshot_in("warm.snap")`, `.snapshot_in(bytes)`, or
+/// `.snapshot_out(SnapshotIo::memory())`. It only moves bytes: parsing,
+/// versioning and checksum policy stay in [`Snapshot`].
+#[derive(Clone, Debug)]
+pub enum SnapshotIo {
+    /// One snapshot file. Writes are atomic: the bytes land on
+    /// `<path>.tmp`, are fsynced, and only then renamed over the path, so a
+    /// crash mid-write leaves the previous snapshot intact instead of a
+    /// torn tail that would fail its checksum.
+    File(PathBuf),
+    /// A mutex-guarded cell, shared by every clone: the no-disk path
+    /// between the session that writes and the session that replays.
+    Memory(Arc<Mutex<Option<Vec<u8>>>>),
+}
+
+impl SnapshotIo {
+    /// An empty memory cell.
+    pub fn memory() -> Self {
+        SnapshotIo::Memory(Arc::default())
+    }
+
+    /// The stored bytes, if any can be read.
+    pub fn bytes(&self) -> Option<Vec<u8>> {
+        self.read().ok()
+    }
+
     /// Reads the stored snapshot bytes.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Io`] when nothing is stored or the read fails.
-    fn read(&self) -> Result<Vec<u8>, SnapshotError>;
+    pub fn read(&self) -> Result<Vec<u8>, SnapshotError> {
+        match self {
+            SnapshotIo::File(path) => std::fs::read(path).map_err(|e| io_err(path, e)),
+            SnapshotIo::Memory(cell) => cell
+                .lock()
+                .expect("snapshot cell poisoned")
+                .clone()
+                .ok_or_else(|| SnapshotError::Io("memory store is empty".to_string())),
+        }
+    }
 
     /// Stores snapshot bytes, replacing any previous content.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Io`] when the write fails.
-    fn write(&self, bytes: &[u8]) -> Result<(), SnapshotError>;
-}
-
-/// In-memory [`SnapshotStore`]: a mutex-guarded cell, shared via `Arc`
-/// between the session that writes and the session that replays — the
-/// no-disk path the library tests use.
-#[derive(Debug, Default)]
-pub struct MemoryStore {
-    cell: Mutex<Option<Vec<u8>>>,
-}
-
-impl MemoryStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        MemoryStore::default()
-    }
-
-    /// A store pre-loaded with `bytes` (the `snapshot_in(bytes)` path).
-    pub fn with_bytes(bytes: Vec<u8>) -> Self {
-        MemoryStore {
-            cell: Mutex::new(Some(bytes)),
-        }
-    }
-
-    /// The currently stored bytes, if any.
-    pub fn bytes(&self) -> Option<Vec<u8>> {
-        self.cell.lock().expect("snapshot store poisoned").clone()
-    }
-}
-
-impl SnapshotStore for MemoryStore {
-    fn read(&self) -> Result<Vec<u8>, SnapshotError> {
-        self.bytes()
-            .ok_or_else(|| SnapshotError::Io("memory store is empty".to_string()))
-    }
-
-    fn write(&self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        *self.cell.lock().expect("snapshot store poisoned") = Some(bytes.to_vec());
-        Ok(())
-    }
-}
-
-/// File-backed [`SnapshotStore`]: one snapshot per path.
-#[derive(Clone, Debug)]
-pub struct FileStore {
-    path: PathBuf,
-}
-
-impl FileStore {
-    /// A store reading/writing `path`.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        FileStore { path: path.into() }
-    }
-
-    /// The backing path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl FileStore {
-    /// The sibling temp path writes land on before the atomic rename.
-    fn tmp_path(&self) -> PathBuf {
-        let mut os = self.path.as_os_str().to_os_string();
-        os.push(".tmp");
-        PathBuf::from(os)
-    }
-
-    fn io_err(&self, e: std::io::Error) -> SnapshotError {
-        SnapshotError::Io(format!("{}: {e}", self.path.display()))
-    }
-}
-
-impl SnapshotStore for FileStore {
-    fn read(&self) -> Result<Vec<u8>, SnapshotError> {
-        std::fs::read(&self.path).map_err(|e| self.io_err(e))
-    }
-
-    /// Atomic write: the bytes land on `<path>.tmp`, are fsynced, and only
-    /// then renamed over `path` — a crash mid-write leaves the previous
-    /// snapshot intact instead of a torn tail that would fail its checksum.
-    fn write(&self, bytes: &[u8]) -> Result<(), SnapshotError> {
+    pub fn write(&self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let path = match self {
+            SnapshotIo::File(path) => path,
+            SnapshotIo::Memory(cell) => {
+                *cell.lock().expect("snapshot cell poisoned") = Some(bytes.to_vec());
+                return Ok(());
+            }
+        };
         use std::io::Write as _;
-        let tmp = self.tmp_path();
+        let tmp = tmp_path(path);
         let result = (|| {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(bytes)?;
             f.sync_all()?;
             drop(f);
-            std::fs::rename(&tmp, &self.path)
+            std::fs::rename(&tmp, path)
         })();
         if result.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
-        result.map_err(|e| self.io_err(e))
+        result.map_err(|e| io_err(path, e))
     }
 }
 
-/// The `Into`-friendly store handle the session builder accepts:
-/// `session.snapshot_in("warm.snap")`, `.snapshot_in(bytes)`, or
-/// `.snapshot_out(Arc::new(MemoryStore::new()))` all convert here.
-#[derive(Clone)]
-pub struct SnapshotIo {
-    store: Arc<dyn SnapshotStore>,
+/// The sibling temp path a file write lands on before the atomic rename.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(".tmp");
+    PathBuf::from(os)
 }
 
-impl SnapshotIo {
-    /// The wrapped store.
-    pub fn store(&self) -> &dyn SnapshotStore {
-        &*self.store
-    }
-}
-
-impl std::fmt::Debug for SnapshotIo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SnapshotIo(..)")
-    }
-}
-
-impl From<Arc<dyn SnapshotStore>> for SnapshotIo {
-    fn from(store: Arc<dyn SnapshotStore>) -> Self {
-        SnapshotIo { store }
-    }
-}
-
-impl From<Arc<MemoryStore>> for SnapshotIo {
-    fn from(store: Arc<MemoryStore>) -> Self {
-        SnapshotIo { store }
-    }
-}
-
-impl From<Arc<FileStore>> for SnapshotIo {
-    fn from(store: Arc<FileStore>) -> Self {
-        SnapshotIo { store }
-    }
+fn io_err(path: &Path, e: std::io::Error) -> SnapshotError {
+    SnapshotError::Io(format!("{}: {e}", path.display()))
 }
 
 impl From<&str> for SnapshotIo {
     fn from(path: &str) -> Self {
-        SnapshotIo {
-            store: Arc::new(FileStore::new(path)),
-        }
-    }
-}
-
-impl From<String> for SnapshotIo {
-    fn from(path: String) -> Self {
-        SnapshotIo {
-            store: Arc::new(FileStore::new(path)),
-        }
+        SnapshotIo::File(path.into())
     }
 }
 
 impl From<&Path> for SnapshotIo {
     fn from(path: &Path) -> Self {
-        SnapshotIo {
-            store: Arc::new(FileStore::new(path)),
-        }
-    }
-}
-
-impl From<PathBuf> for SnapshotIo {
-    fn from(path: PathBuf) -> Self {
-        SnapshotIo {
-            store: Arc::new(FileStore::new(path)),
-        }
+        SnapshotIo::File(path.into())
     }
 }
 
 impl From<Vec<u8>> for SnapshotIo {
     fn from(bytes: Vec<u8>) -> Self {
-        SnapshotIo {
-            store: Arc::new(MemoryStore::with_bytes(bytes)),
-        }
+        SnapshotIo::Memory(Arc::new(Mutex::new(Some(bytes))))
     }
 }
 
@@ -1007,7 +917,7 @@ mod tests {
 
     #[test]
     fn memory_store_round_trips_and_reports_empty() {
-        let store = MemoryStore::new();
+        let store = SnapshotIo::memory();
         assert!(matches!(store.read(), Err(SnapshotError::Io(_))));
         store.write(b"abc").unwrap();
         assert_eq!(store.read().unwrap(), b"abc");
@@ -1016,7 +926,7 @@ mod tests {
     #[test]
     fn file_store_round_trips() {
         let path = std::env::temp_dir().join("incline-snapshot-store-test.snap");
-        let store = FileStore::new(&path);
+        let store = SnapshotIo::File(path.clone());
         store.write(b"xyz").unwrap();
         assert_eq!(store.read().unwrap(), b"xyz");
         let _ = std::fs::remove_file(&path);
@@ -1083,6 +993,26 @@ mod tests {
         );
     }
 
+    /// The support check reads the hotness tiering reads, where a back edge
+    /// weighs a quarter of an invocation: 1 invocation and 12 back edges
+    /// is 4, below a bar of 5, though the raw sum is 13.
+    #[test]
+    fn merge_support_check_weighs_back_edges_as_tiering_does() {
+        let loopy = {
+            let mut profiles = ProfileTable::new();
+            let m = MethodId::new(1);
+            profiles.record_invocation(m);
+            for _ in 0..12 {
+                profiles.record_backedge(m);
+            }
+            Snapshot::capture(0xfeed, &profiles, &[m])
+        };
+        let out = Snapshot::merge(&[loopy], &MergePolicy::with_support(5)).unwrap();
+        assert_eq!(out.stats.aged_out, 1);
+        assert_eq!(out.aged_out, [(MethodId::new(1), 4)]);
+        assert!(out.snapshot.decisions.is_empty());
+    }
+
     #[test]
     fn merge_rejects_empty_and_mixed_fingerprints() {
         assert!(matches!(
@@ -1101,12 +1031,12 @@ mod tests {
     #[test]
     fn file_store_write_is_atomic_and_leaves_no_tmp() {
         let path = std::env::temp_dir().join("incline-snapshot-atomic-test.snap");
-        let store = FileStore::new(&path);
+        let store = SnapshotIo::File(path.clone());
         store.write(b"first").unwrap();
         store.write(b"second").unwrap();
         assert_eq!(store.read().unwrap(), b"second");
         assert!(
-            !store.tmp_path().exists(),
+            !tmp_path(&path).exists(),
             "tmp file must be renamed away on success"
         );
         let _ = std::fs::remove_file(&path);
@@ -1119,9 +1049,9 @@ mod tests {
         let dir = std::env::temp_dir().join("incline-snapshot-atomic-dir-test.snap");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let store = FileStore::new(&dir);
+        let store = SnapshotIo::File(dir.clone());
         assert!(matches!(store.write(b"nope"), Err(SnapshotError::Io(_))));
-        assert!(!store.tmp_path().exists(), "failed write must clean up tmp");
+        assert!(!tmp_path(&dir).exists(), "failed write must clean up tmp");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,13 +3,20 @@
 #
 #   scripts/wall_pairs.sh [PARENT_REV] [PAIRS] [TRACED_WORKLOAD] > BENCH_wall.json
 #
-# Extracts PARENT_REV (default HEAD~1) into a scratch directory with
-# `git archive`, then for every workload of BENCHMARK.json runs PAIRS
-# (default 10) pairs of the unmodified
+# Builds the benchmark's `wall` and `wall-traced` binaries once per side,
+# PARENT_REV (default HEAD~1, extracted with `git archive`) and the working
+# tree, each from a copy at one fixed path, `$work/build`, into that side's
+# own target directory: the binaries embed that path (`benchmark/` finds
+# its expected.json through CARGO_MANIFEST_DIR), so two sides built at two
+# paths differ in code layout even when their source is the same. After its
+# build a side's copy moves aside, and each run points `$work/build` back at
+# its own side's copy. Then for every workload of BENCHMARK.json it runs
+# PAIRS (default 10) pairs of the built binaries, with the arguments the
+# unmodified
 #
 #   benchmark/run.sh --workload W --seed N --seconds 10 --trace 0
 #
-# one run in the parent's tree and one in this one, the same seed for both
+# passes them, one run per side, the same seed for both
 # runs of a pair and a different one for each pair, alternating which side
 # goes first. Three traced pairs on TRACED_WORKLOAD (default `interp_only`;
 # name the workload the change claims its gain on), seed 23, alternating
@@ -19,7 +26,10 @@
 # `traced_<workload>`: per side and metric, the median of the three runs
 # and the runs. Prints, per workload and end-to-end metric: each side's
 # runs, median and quartiles, how many pairs the change won, and a verdict
-# by the benchmark's own bound. Progress goes to stderr.
+# by the benchmark's own bound. `binaries_identical` says whether the two
+# `wall` binaries are byte for byte the same: true when the sides' sources
+# are (an A/A run, `scripts/wall_pairs.sh HEAD 1` on a clean tree). Progress
+# goes to stderr.
 #
 # The report on stdout replaces the last one; so that the trajectory stays
 # data, one compact row per workload (both `pass_ms` medians, pairs won,
@@ -33,16 +43,48 @@ traced="${3:-interp_only}"
 work="$(mktemp -d "${TMPDIR:-/tmp}/wall_pairs.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
 
-mkdir "$work/parent"
-git -C "$repo" archive "$parent_rev" | tar -x -C "$work/parent"
 parent_sha="$(git -C "$repo" rev-parse "$parent_rev")"
 change_sha="$(git -C "$repo" rev-parse HEAD)$(git -C "$repo" diff --quiet HEAD || echo '+uncommitted')"
 
-# One run: prints the result line of run.sh, built in the side's own tree.
+# The working tree's files, tracked and untracked, less the ignored and the
+# deleted ones, as a tar stream.
+working_tree() {
+    git -C "$repo" ls-files -z --cached --others --exclude-standard |
+        while IFS= read -r -d '' f; do if [[ -e "$repo/$f" ]]; then printf '%s\0' "$f"; fi; done |
+        tar -C "$repo" --null -T - -cf -
+}
+
+# Builds one side as run.sh does, at $work/build, then moves its copy to
+# $work/tree-<side>; its binaries stay in $work/target-<side>/release.
+build_side() { # side
+    echo "building the $1 side" >&2
+    mkdir "$work/build"
+    if [[ "$1" == parent ]]; then
+        git -C "$repo" archive "$parent_rev" | tar -x -C "$work/build"
+    else
+        working_tree | tar -x -C "$work/build"
+    fi
+    CARGO_TARGET_DIR="$work/target-$1" cargo build --release --offline --quiet \
+        --manifest-path "$work/build/benchmark/Cargo.toml" >&2
+    mv "$work/build" "$work/tree-$1"
+}
+build_side parent
+build_side change
+binaries_identical=false
+cmp -s "$work/target-parent/release/wall" "$work/target-change/release/wall" && binaries_identical=true
+
+# One run: prints the result line of the side's binary, run with the
+# arguments run.sh gives it and with $work/build pointing at the side's copy.
 run_side() { # side workload seed trace
-    local dir="$repo"
-    [[ "$1" == parent ]] && dir="$work/parent"
-    (cd "$dir" && benchmark/run.sh --workload "$2" --seed "$3" --seconds 10 --trace "$4") | tail -n 1
+    local bin="$work/target-$1/release" args=(--workload "$2" --seed "$3" --seconds 10 --trace "$4")
+    ln -sfn "$work/tree-$1" "$work/build"
+    if [[ "$4" == 1 ]]; then
+        local base
+        base="$("$bin/wall" --workload "$2" --quick | sed -n 's/^e2e [a-z_]* pass_ms \([^ ]*\) .*/\1/p')"
+        "$bin/wall-traced" "${args[@]}" --untraced-pass-ms "$base" | tail -n 1
+    else
+        "$bin/wall" "${args[@]}" | tail -n 1
+    fi
 }
 
 # One traced pair, the parent first in the first and third.
@@ -82,7 +124,7 @@ done
 while ((traced_pairs < 3)); do traced_pair; done
 
 python3 - "$repo/BENCHMARK.json" "$work/runs.jsonl" "$parent_sha" "$change_sha" "$traced" \
-    "$repo/BENCH_wall_history.json" <<'PY'
+    "$repo/BENCH_wall_history.json" "$binaries_identical" <<'PY'
 import json, os, statistics, sys
 
 contract = json.load(open(sys.argv[1]))
@@ -92,7 +134,8 @@ LAYERS = [m["name"] for m in contract["per_layer"]]
 
 
 def side_stats(values):
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    # One pair has no spread: its quartiles are its one value.
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -147,6 +190,7 @@ json.dump({
     "figure": "host-wall-pairs",
     "command": "benchmark/run.sh --workload W --seed N --seconds 10 --trace 0",
     "parent": sys.argv[3], "change": sys.argv[4],
+    "binaries_identical": sys.argv[7] == "true",
     "rule": "better = the change wins at least 9 of 10 pairs and the medians differ by more than the "
             "parent's inter-quartile spread; worse = the change's median is worse than the parent's by more "
             "than the metric's bound; unresolved = the parent's spread exceeds the bound and a pair was lost",

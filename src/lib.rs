@@ -47,10 +47,14 @@ pub mod prelude {
     pub use incline_trace::{CollectingSink, CompileEvent, JsonlSink, NullSink, TraceSink};
     pub use incline_vm::{
         BailoutCounters, BenchSpec, CacheStats, CompilationReport, CompileCx, CompileError,
-        CompileFuel, EvictionPolicy, FaultKind, FaultPlan, FileStore, Inliner, InstallPolicy,
-        LatencyStats, Machine, MemoryStore, NoInline, QueueStats, RunSession, ServerReport,
-        ServerSession, ServerSpec, Snapshot, SnapshotIo, SnapshotStats, SnapshotStore, Speculation,
-        TenantSpec, Value, VmConfig,
+        CompileFuel, EvictionPolicy, FaultKind, FaultPlan, Inliner, InstallPolicy, LatencyStats,
+        Machine, NoInline, QueueStats, RunSession, ServerReport, ServerSession, ServerSpec,
+        Snapshot, SnapshotIo, SnapshotStats, Speculation, TenantSpec, Value, VmConfig,
     };
     pub use incline_workloads::{all_benchmarks, by_name, extra_benchmarks, Suite, Workload};
 }
+
+// The README's Rust examples run as doctests, so they cannot go stale.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

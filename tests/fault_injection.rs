@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use incline::ir::MethodId;
 use incline::prelude::*;
-use incline::snapshot::MemoryStore;
 use incline::vm::BenchResult;
 use incline::workloads::Workload;
 use support::matrix::{run, with_threads, Faults, Row, Snap};
@@ -420,7 +419,7 @@ fn force_evict_storm_cycles_without_pinning_or_blacklisting() {
 /// Cold-runs `w` with deopt enabled and returns the result plus the
 /// snapshot it wrote — the warmup state the poison tests then corrupt.
 fn snapshot_of(w: &Workload, iterations: usize) -> (BenchResult, Vec<u8>) {
-    let store = Arc::new(MemoryStore::new());
+    let store = SnapshotIo::memory();
     let session = session(w, iterations, true).snapshot_out(store.clone());
     let r = session.run().expect("cold run completes");
     (r, store.bytes().expect("snapshot written"))
@@ -505,7 +504,7 @@ fn poison_snapshot_excludes_the_decision_from_the_next_snapshot() {
     // One iteration: the poisoned method traps on its first activation and
     // its subtracted profile cannot re-cross the tier threshold, so the
     // re-snapshot must not carry any decision for it.
-    let store = Arc::new(MemoryStore::new());
+    let store = SnapshotIo::memory();
     let plan = FaultPlan::new().inject(0, FaultKind::PoisonSnapshot { decision_idx: idx });
     let session = poisoned(&w, bytes, plan, 1).snapshot_out(store.clone());
     let out = session.run().expect("poisoned run completes");

@@ -12,9 +12,7 @@ use std::sync::Arc;
 
 use incline_core::IncrementalInliner;
 use incline_ir::MethodId;
-use incline_vm::snapshot::{
-    fnv1a, MemoryStore, Snapshot, SnapshotError, SnapshotStore, SNAPSHOT_VERSION,
-};
+use incline_vm::snapshot::{fnv1a, Snapshot, SnapshotError, SnapshotIo, SNAPSHOT_VERSION};
 use incline_vm::{
     BenchResult, BenchSpec, CollectingSink, CompileEvent, Machine, RunSession, Value, VmConfig,
 };
@@ -67,7 +65,7 @@ fn session(w: &Workload) -> RunSession<'_> {
 
 /// Runs `w` cold and returns the result plus the snapshot it wrote.
 fn cold_run(w: &Workload) -> (BenchResult, Vec<u8>) {
-    let store = Arc::new(MemoryStore::new());
+    let store = SnapshotIo::memory();
     let r = session(w)
         .snapshot_out(store.clone())
         .run()
@@ -320,10 +318,7 @@ fn stale_snapshot_from_another_program_degrades_to_cold_start() {
 fn empty_store_degrades_to_cold_start() {
     let w = incline_workloads::by_name("scalatest").unwrap();
     let (cold, _) = cold_run(&w);
-    let out = session(&w)
-        .snapshot_in(Arc::new(MemoryStore::new()))
-        .run()
-        .unwrap();
+    let out = session(&w).snapshot_in(SnapshotIo::memory()).run().unwrap();
     assert_eq!(out.snapshot.fallbacks, 1);
     let mut masked = out.clone();
     masked.snapshot = cold.snapshot;
@@ -334,7 +329,7 @@ fn empty_store_degrades_to_cold_start() {
 /// the snapshot it wrote — the way fleet replicas diverge: same program,
 /// different traffic.
 fn replica_run(w: &Workload, iterations: usize, input: i64) -> Vec<u8> {
-    let store = Arc::new(MemoryStore::new());
+    let store = SnapshotIo::memory();
     RunSession::new(
         &w.program,
         BenchSpec {
@@ -530,12 +525,11 @@ fn merged_replay_folds_every_distinct_replica() {
 
 #[test]
 fn atomic_file_store_overwrite_leaves_no_partial_state() {
-    use incline_vm::snapshot::FileStore;
     let w = incline_workloads::by_name("scalatest").unwrap();
     let path = std::env::temp_dir().join(format!("incline-atomic-{}.jsonl", std::process::id()));
     let first = replica_run(&w, 4, 4);
     let second = replica_run(&w, 9, 8);
-    let store = FileStore::new(&path);
+    let store = SnapshotIo::from(path.as_path());
     store.write(&first).unwrap();
     store.write(&second).unwrap();
     // The rename is the commit point: the file holds exactly the second
@@ -547,11 +541,20 @@ fn atomic_file_store_overwrite_leaves_no_partial_state() {
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .filter(|n| n.starts_with("incline-atomic-") && n.ends_with(".tmp"))
         .collect();
+    // Nothing reaches the path but through the rename: a write that cannot
+    // stage its bytes fails and leaves the committed snapshot whole.
+    let staging = path.with_extension("jsonl.tmp");
+    std::fs::create_dir(&staging).unwrap();
+    let blocked = store.write(&first);
+    let kept = std::fs::read(&path);
+    std::fs::remove_dir(&staging).ok();
     std::fs::remove_file(&path).ok();
     assert!(
         leftovers.is_empty(),
         "staging files left behind: {leftovers:?}"
     );
+    assert!(blocked.is_err(), "a write that cannot stage must fail");
+    assert_eq!(kept.unwrap(), second, "a failed write keeps the old bytes");
 }
 
 #[test]
@@ -573,11 +576,10 @@ fn truncated_tail_on_disk_degrades_to_cold_start() {
 
 #[test]
 fn file_store_round_trips_through_disk() {
-    use incline_vm::snapshot::FileStore;
     let w = incline_workloads::by_name("scalatest").unwrap();
     let path = std::env::temp_dir().join(format!("incline-snap-{}.jsonl", std::process::id()));
     let (cold, bytes) = cold_run(&w);
-    FileStore::new(&path).write(&bytes).unwrap();
+    SnapshotIo::from(path.as_path()).write(&bytes).unwrap();
     let warm = session(&w).snapshot_in(path.as_path()).run().unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(warm.snapshot.loaded, 1);

@@ -293,7 +293,7 @@ impl Row {
 
     /// The snapshot a cold session of `iterations` writes; none if it traps.
     fn cold_snapshot(&self, case: &Case, iterations: usize) -> Vec<u8> {
-        let store = Arc::new(MemoryStore::new());
+        let store = SnapshotIo::memory();
         let session = self.session(case, self.config, iterations);
         let _ = session.snapshot_out(store.clone()).run();
         store.bytes().unwrap_or_default()
@@ -328,7 +328,7 @@ impl Row {
     /// snapshot the session writes.
     fn measure(&self, case: &Case, config: VmConfig, warm: &Warm, observe: bool) -> Outcome {
         let sink = Arc::new(JsonlSink::new(Vec::new()));
-        let store = Arc::new(MemoryStore::new());
+        let store = SnapshotIo::memory();
         let session = self.session(case, config, self.iterations);
         let mut session = session.faults(warm.plan.clone());
         if let Some(bytes) = &warm.snapshot {
